@@ -59,6 +59,16 @@ echo "==> cluster-cache property suite under debug-invariants"
 cargo test -p anc-core --features debug-invariants --test prop_cluster_cache -q
 cargo test -p anc-core --features debug-invariants --test cache_determinism -q
 
+echo "==> repair completeness + realistic-n post-rescale cache check (release)"
+# Every node a Voronoi repair writes must be in the affected set it returns
+# (n = 2 000, as built and after a non-power-of-two rescale), and the
+# n = 20 000 stream that crosses the first batched rescale must keep the
+# cluster cache in step with the index (ROADMAP item 1(a)'s reproducer).
+# Near-ties an ulp apart need realistic n, so these run by name in release.
+cargo test --release -p anc-core --test prop_voronoi affected_set_names_every_written_node -q
+cargo test --release -p anc-core --test prop_cluster_cache \
+    post_rescale_cache_matches_index_at_realistic_n -q -- --ignored
+
 echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
 # The determinism tests sweep RAYON_NUM_THREADS internally, but their
 # harness (and every other parallel path they pass through) also runs under
@@ -111,5 +121,8 @@ RAYON_NUM_THREADS=4 cargo test -p rayon --features stress-schedules \
     --test stress_schedules -q
 RAYON_NUM_THREADS=4 cargo test -p anc-core --features stress-schedules \
     --test stress_determinism -q
+
+echo "==> bench/smoke.sh (anc-perf: lints, unit tests, every workload at smoke scale)"
+bench/smoke.sh
 
 echo "CI OK"

@@ -8,15 +8,17 @@ fn argv(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
 }
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("anc-cli-test-{}", std::process::id()));
+/// One directory per test: they run on parallel threads of one process and
+/// each removes its directory when done.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("anc-cli-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn full_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("full_pipeline");
     let graph = dir.join("g.txt");
     let labels = dir.join("labels.txt");
     let engine = dir.join("engine.json");
@@ -111,7 +113,7 @@ fn helpful_errors() {
 
 #[test]
 fn query_bounds_checked() {
-    let dir = tmpdir();
+    let dir = tmpdir("query_bounds_checked");
     let graph = dir.join("g2.txt");
     let engine = dir.join("e3.json");
     let gp = graph.to_str().unwrap();

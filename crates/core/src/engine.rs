@@ -18,8 +18,13 @@
 //!
 //! One batched rescale (`anc-decay`) is shared by every store: anchored
 //! activeness and similarity absorb `g` (PosM), reciprocal weights and all
-//! pyramid distances absorb `1/g` (NegM, Lemma 10). The rescale never
-//! changes any comparison outcome, so the index structure is untouched.
+//! pyramid distances absorb `1/g` (NegM, Lemma 10). At rescale time no
+//! comparison outcome changes, so the index structure is untouched; but
+//! `dist·(1/g)` and `recip·(1/g)` round separately, so afterwards
+//! `dist[child] == dist[parent] + w` holds only to an ulp and a later exact
+//! compare at a near-tie may resolve differently than it would have without
+//! the rescale (ROADMAP item 1). Repairs report every node they write, so
+//! the cluster cache follows the index either way.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -298,7 +303,7 @@ impl AncEngine {
     ///    (Algorithms 1–3, bounded by the affected region, Lemma 12);
     /// 4. absorb a batched rescale if one is due.
     pub fn activate(&mut self, e: EdgeId, t: Time) {
-        self.activate_traced(e, t);
+        self.apply_activation(e, t);
     }
 
     /// Like [`Self::activate`] but returns the update's footprint: the
@@ -309,6 +314,18 @@ impl AncEngine {
     /// An empty trace means the activation left the similarity (and hence
     /// the index) unchanged.
     pub fn activate_traced(&mut self, e: EdgeId, t: Time) -> Vec<Vec<NodeId>> {
+        if self.apply_activation(e, t) {
+            self.trace_bufs.clone()
+        } else {
+            // audit:allow(hot-alloc) -- an empty Vec::new never allocates
+            Vec::new()
+        }
+    }
+
+    /// The body of [`Self::activate`]; returns whether the similarity (and
+    /// hence the index) changed, in which case `self.trace_bufs` holds the
+    /// per-partition affected nodes.
+    fn apply_activation(&mut self, e: EdgeId, t: Time) -> bool {
         self.clock.advance_to(t);
         self.act.activate(e, &self.clock);
         let (u, v) = self.g.endpoints(e);
@@ -320,12 +337,7 @@ impl AncEngine {
 
         let changed = self.reinforce_and_repair(e);
         self.maybe_rescale();
-        if changed {
-            self.trace_bufs.clone()
-        } else {
-            // audit:allow(hot-alloc) -- an empty Vec::new never allocates
-            Vec::new()
-        }
+        changed
     }
 
     /// Grows the pooled per-partition trace buffers to one per partition
@@ -1330,8 +1342,8 @@ mod tests {
             assert_eq!(serial.sim[e].to_bits(), batched.sim[e].to_bits(), "sim {e}");
             assert_eq!(serial.recip[e].to_bits(), batched.recip[e].to_bits(), "recip {e}");
         }
-        // The serialized snapshots (state + every partition, including
-        // internal stamps) must be byte-identical.
+        // The serialized snapshots (state + every partition) must be
+        // byte-identical.
         let a = serde_json::to_string(&serial.to_snapshot()).unwrap();
         let b = serde_json::to_string(&batched.to_snapshot()).unwrap();
         assert_eq!(a, b, "snapshots diverge");

@@ -15,8 +15,8 @@
 //!   are `1/S*` (NegM, Lemma 4);
 //! * the pyramids index has exactly `k · ⌈log₂ n⌉` partitions with the
 //!   prescribed seed counts, and each Voronoi partition is a certified
-//!   shortest-path forest (no relaxable edge, acyclic parents, exact
-//!   children inverse — see [`crate::voronoi::VoronoiPartition`]);
+//!   shortest-path forest (no relaxable edge, acyclic parents — see
+//!   [`crate::voronoi::VoronoiPartition`]);
 //! * extracted clusterings assign every node and use dense labels.
 //!
 //! The checks are pure functions over slices plus public accessors, so the

@@ -121,7 +121,7 @@ impl Pyramids {
 
     /// Rebuilds every partition in place from a fresh seed sampling —
     /// bit-identical to [`Self::build`] with the same `seed`, but reusing the
-    /// partitions' own distance/parent/children buffers and the pooled seed
+    /// partitions' own distance/parent/seed buffers and the pooled seed
     /// scratch instead of allocating a new index. The engine's WAL-replay
     /// index reconstruction runs through here so recovery stays off the
     /// hot-path allocator.

@@ -1,12 +1,16 @@
 //! Property tests for the incremental Voronoi-partition updates
 //! (Algorithms 1–3): after *any* sequence of positive weight changes, the
 //! incrementally maintained partition must satisfy all shortest-path
-//! invariants and agree in distances with a from-scratch rebuild.
+//! invariants and agree in distances with a from-scratch rebuild — and the
+//! affected set an update returns must name every node it wrote.
 
 use anc_core::voronoi::VoronoiPartition;
-use anc_graph::gen::{connected_caveman, erdos_renyi};
+use anc_core::{AncConfig, AncEngine};
+use anc_graph::gen::{connected_caveman, erdos_renyi, planted_partition, PlantedConfig};
 use anc_graph::{EdgeId, NodeId};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 #[derive(Debug, Clone)]
 struct UpdatePlan {
@@ -111,4 +115,54 @@ proptest! {
             }
         }
     }
+}
+
+/// Replays 4 000 random ×1.3 / ×0.8 weight changes on one 64-seed partition
+/// of a realistic graph (n = 2 000, weights `1/S₀` as the engine builds
+/// them), diffing every node's `(dist bits, seed_of, parent)` around each
+/// update. Returns how many nodes changed without being named in the
+/// returned affected set — the cluster cache never hears about those.
+///
+/// With `rescale = Some(m)` the partition absorbs `m` the way
+/// [`anc_core::Pyramids::rescale`] does while the weights are multiplied
+/// separately, so `dist[child] == dist[parent] + w` stops holding to the
+/// bit and near-ties resolve an ulp apart: the state the engine is in after
+/// every batched rescale.
+fn unreported_writes(rescale: Option<f64>) -> usize {
+    let lg = planted_partition(&PlantedConfig::default_for(2_000), 7);
+    let engine = AncEngine::new(lg.graph, AncConfig::default(), 7);
+    let g = engine.graph();
+    let n = g.n() as NodeId;
+    let mut w: Vec<f64> = engine.sim_anchored().iter().map(|s| 1.0 / s).collect();
+    let seeds: Vec<NodeId> = (0..64).map(|i| i * 31).collect();
+    let mut p = VoronoiPartition::build(g, &w, seeds);
+    if let Some(m) = rescale {
+        p.rescale(m);
+        w.iter_mut().for_each(|x| *x *= m);
+    }
+    let state = |p: &VoronoiPartition, v: NodeId| (p.dist(v).to_bits(), p.seed_of(v), p.parent(v));
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let mut unreported = 0;
+    for _ in 0..4_000 {
+        let e = rng.gen_range(0..g.m()) as EdgeId;
+        let old = w[e as usize];
+        w[e as usize] = old * if rng.gen_bool(0.5) { 1.3 } else { 0.8 };
+        let before: Vec<_> = (0..n).map(|v| state(&p, v)).collect();
+        let affected = p.on_weight_change(g, &w, e, old);
+        unreported += (0..n)
+            .filter(|&v| before[v as usize] != state(&p, v) && affected.binary_search(&v).is_err())
+            .count();
+    }
+    p.check_invariants(g, &w).unwrap();
+    unreported
+}
+
+#[test]
+fn affected_set_names_every_written_node() {
+    assert_eq!(unreported_writes(None), 0);
+}
+
+#[test]
+fn affected_set_names_every_written_node_after_rescale() {
+    assert_eq!(unreported_writes(Some(1.0 / 1.234_567_8)), 0);
 }
