@@ -94,12 +94,6 @@ for t in 1 4; do
         --test serve_stress -q
 done
 
-echo "==> exp12_serve --smoke (closed-loop serving smoke + BENCH_serve.json)"
-# End-to-end TCP serving smoke: three ingest:query mixes against a live
-# server, asserting zero unexpected errors and clean shutdown; writes the
-# minimal results/BENCH_serve.json.
-cargo run --release -q -p anc-bench --bin exp12_serve -- --smoke > /dev/null
-
 echo "==> seeded audit-violation suites (reachability + concurrency fixtures)"
 # The audit's deny rules run against trees seeded with known violations so
 # a silently-pass regression in the analyses themselves fails CI: each rule

@@ -16,7 +16,7 @@
 //! * **A7 `hot-alloc`** — `Vec::new` / `vec![` / `.collect()` / `.to_vec()`
 //!   / `Box::new` / `format!` in any function reachable from a per-activation
 //!   [`ALLOC_ROOTS`] entry (warn-tier, ratcheted per file against
-//!   `baseline_a7.txt`; the fix is usually the `ScratchPool`).
+//!   `baseline_a7.txt`; the fix is usually a pooled scratch buffer).
 //!
 //! Resolution heuristic, in order:
 //!
@@ -67,7 +67,6 @@ pub const PANIC_ROOTS: &[&str] = &[
     "AncEngine::activate",
     "AncEngine::activate_traced",
     "AncEngine::activate_batch",
-    "AncEngine::activate_batch_adaptive",
     "AncEngine::sigma",
     "AncEngine::approx_distance",
     "AncEngine::local_cluster",
@@ -82,7 +81,6 @@ pub const PANIC_ROOTS: &[&str] = &[
     "Pyramids::on_weight_change_serial_into",
     "DurableEngine::activate",
     "DurableEngine::activate_batch",
-    "DurableEngine::activate_batch_adaptive",
     // Serving layer (DESIGN.md §14): one panicking connection thread kills
     // its client, so the whole per-request surface — decode, respond,
     // encode, and the snapshot reads under them — must be panic-free.
@@ -106,7 +104,6 @@ pub const ALLOC_ROOTS: &[&str] = &[
     "AncEngine::activate",
     "AncEngine::activate_traced",
     "AncEngine::activate_batch",
-    "AncEngine::activate_batch_adaptive",
     "Pyramids::on_weight_change_into",
     "Pyramids::on_weight_change_batch",
     "Pyramids::on_weight_change_serial_into",

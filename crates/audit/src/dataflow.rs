@@ -157,7 +157,6 @@ const A14_ROOTS: &[&str] = &[
     "DurableEngine::open",
     "DurableEngine::activate",
     "DurableEngine::activate_batch",
-    "DurableEngine::activate_batch_adaptive",
     "DurableEngine::reinforce_edges",
     "DurableEngine::force_rescale",
     "DurableEngine::compact",

@@ -44,8 +44,8 @@
 //! * `hot-alloc` (A7) — `Vec::new`/`vec![`/`.collect()`/`.to_vec()`/
 //!   `Box::new`/`format!` in any function reachable from a per-activation
 //!   entry point ([`callgraph::ALLOC_ROOTS`]). Warn-tier, per-file ratchet
-//!   against `crates/audit/baseline_a7.txt`; the fix is usually reuse via
-//!   the `ScratchPool`.
+//!   against `crates/audit/baseline_a7.txt`; the fix is usually reuse of
+//!   a pooled scratch buffer.
 //!
 //! Concurrency rules (stage 3, [`concurrency`]; DESIGN.md §12):
 //!
@@ -226,9 +226,9 @@ pub const RULES: &[RuleDoc] = &[
         rationale: "Vec::new/vec![/.collect()/.to_vec()/Box::new/format! in functions reachable \
                     from a per-activation root allocates on every activation, defeating the \
                     paper's bounded-maintenance claim. Counts ratchet against \
-                    crates/audit/baseline_a7.txt; the fix is ScratchPool reuse.",
+                    crates/audit/baseline_a7.txt; the fix is a pooled scratch buffer.",
         example: "crates/core/src/engine.rs:77: [hot-alloc] Vec::new in `AncEngine::activate` \
-                  allocates per activation (…); reuse a ScratchPool buffer",
+                  allocates per activation (…); reuse a pooled scratch buffer",
         suppression: ALLOW_LINE,
     },
     RuleDoc {
@@ -766,7 +766,7 @@ pub fn scan_tree(root: &Path) -> std::io::Result<AuditReport> {
                     file: f.file.clone(),
                     line: site.line,
                     message: format!(
-                        "{} in `{}` allocates per activation ({}); reuse a ScratchPool buffer",
+                        "{} in `{}` allocates per activation ({}); reuse a pooled scratch buffer",
                         site.what,
                         f.qual,
                         alloc_reach.chain(&graph, i)
@@ -856,7 +856,7 @@ pub fn format_baseline_a7(counts: &BTreeMap<String, usize>) -> String {
          # Per-file counts of Vec::new/vec![/.collect()/.to_vec()/Box::new/format! sites\n\
          # reachable from a per-activation root (see DESIGN.md §8).\n\
          # The ratchet only goes down: regenerate with `cargo run -p anc-audit -- --bless`\n\
-         # after REMOVING allocations (usually by reusing a ScratchPool buffer).\n",
+         # after REMOVING allocations (usually by reusing a pooled scratch buffer).\n",
         counts,
     )
 }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use anc_core::voronoi::VoronoiPartition;
-use anc_core::{AncConfig, AncEngine, BatchMode};
+use anc_core::{AncConfig, AncEngine};
 use anc_graph::gen::{planted_partition, PlantedConfig};
 
 fn bench_engine_update(c: &mut Criterion) {
@@ -34,10 +34,10 @@ fn bench_engine_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batch-ingestion pipeline (DESIGN.md §7): a 256-activation batch
-/// through the serial loop vs the exact and fused batch paths. The fused
-/// run also prints one `BatchStats` line so σ-dedup and repair-skip
-/// counters are visible alongside the timings.
+/// The ingest loop (DESIGN.md §7): a 256-activation batch through a serial
+/// loop of `activate` calls vs one `activate_batch`. The batch run also
+/// prints one `BatchStats` line so the repair-skip counters are visible
+/// alongside the timings.
 fn bench_batch_ingest(c: &mut Criterion) {
     let lg = planted_partition(&PlantedConfig::default_for(2000), 5);
     let m = lg.graph.m() as u32;
@@ -57,31 +57,24 @@ fn bench_batch_ingest(c: &mut Criterion) {
         })
     });
 
-    for (name, mode) in
-        [("exact_batch_256", BatchMode::Exact), ("fused_batch_256", BatchMode::Fused)]
-    {
-        group.bench_function(name, |b| {
-            let cfg = AncConfig { rep: 1, batch: mode, ..Default::default() };
-            let mut engine = AncEngine::new(lg.graph.clone(), cfg, 1);
-            let mut t = 1.0;
-            let mut reported = false;
-            b.iter(|| {
-                t += 0.01;
-                let stats = engine.activate_batch(black_box(&batch), t);
-                if !reported {
-                    reported = true;
-                    eprintln!(
-                        "[{name}] stats: dirty={} sigma={} repairs={} skips={}",
-                        stats.dirty_edges,
-                        stats.sigma_recomputes,
-                        stats.repair_updates,
-                        stats.repair_skips
-                    );
-                }
-                black_box(stats.dirty_edges)
-            })
-        });
-    }
+    group.bench_function("batch_256", |b| {
+        let cfg = AncConfig { rep: 1, ..Default::default() };
+        let mut engine = AncEngine::new(lg.graph.clone(), cfg, 1);
+        let mut t = 1.0;
+        let mut reported = false;
+        b.iter(|| {
+            t += 0.01;
+            let stats = engine.activate_batch(black_box(&batch), t);
+            if !reported {
+                reported = true;
+                eprintln!(
+                    "[batch_256] stats: dirty={} repairs={} skips={}",
+                    stats.dirty_edges, stats.repair_updates, stats.repair_skips
+                );
+            }
+            black_box(stats.dirty_edges)
+        })
+    });
     group.finish();
 }
 

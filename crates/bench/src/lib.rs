@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod loadgen;
 pub mod methods;
 pub mod report;
 

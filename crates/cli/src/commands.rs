@@ -245,10 +245,6 @@ pub fn serve(opts: &Options) -> Result<String, String> {
     let bind = opts.get("bind").unwrap_or("127.0.0.1:0");
     let queue: usize = opts.get_or("queue", 1024)?;
     let coalesce: usize = opts.get_or("coalesce", 256)?;
-    let fused_min = match opts.get("fused-min") {
-        Some(_) => Some(opts.require_parsed::<usize>("fused-min")?),
-        None => None,
-    };
 
     let backend = if let Some(dir) = opts.get("durable-dir") {
         let path = std::path::Path::new(dir);
@@ -276,13 +272,7 @@ pub fn serve(opts: &Options) -> Result<String, String> {
 
     let core = anc_server::ServerCore::start(
         backend,
-        ServeConfig {
-            queue_capacity: queue,
-            coalesce_max: coalesce,
-            fused_min_batch: fused_min,
-            levels: vec![level],
-            modes,
-        },
+        ServeConfig { queue_capacity: queue, coalesce_max: coalesce, levels: vec![level], modes },
     )
     .map_err(|e| e.to_string())?;
     let server = TcpServer::start(core, bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
@@ -303,13 +293,11 @@ pub fn serve(opts: &Options) -> Result<String, String> {
     let _ = writeln!(
         s,
         "served on {addr}: {} jobs ({} edges) over {} applied batches \
-         ({} exact, {} fused, max batch {} edges), {} coalesced jobs, {} shed; \
+         (max batch {} edges), {} coalesced jobs, {} shed; \
          final epoch {}",
         report.stats.ingested_jobs,
         report.stats.ingested_edges,
         report.stats.applied_batches,
-        report.stats.exact_batches,
-        report.stats.fused_batches,
         report.stats.max_batch_edges,
         report.stats.coalesced_jobs,
         report.stats.shed,

@@ -79,7 +79,7 @@ pub fn usage() -> String {
     );
     let _ = writeln!(
         s,
-        "            [--queue N] [--coalesce N] [--fused-min N] [--level L] \
+        "            [--queue N] [--coalesce N] [--level L] \
          [--mode power|even|both] [--out FILE]"
     );
     s

@@ -2,29 +2,6 @@
 
 use anc_decay::RescaleConfig;
 
-/// How [`crate::AncEngine::activate_batch`] evaluates a same-timestamp
-/// batch (see DESIGN.md §7).
-///
-/// Both modes defer index repairs into one grouped
-/// [`crate::Pyramids::on_weight_change_batch`] fan-out per batch, and both
-/// are deterministic regardless of the rayon thread count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum BatchMode {
-    /// Bit-identical to a serial loop of [`crate::AncEngine::activate`]
-    /// calls: activeness, σ and reinforcement evolve edge by edge in batch
-    /// order; only the *index repairs* are deferred and replayed grouped
-    /// (each at its exact per-step weights, so the resulting partitions are
-    /// bit-identical too).
-    Exact,
-    /// Simultaneous-batch semantics: all activeness bumps land first, then
-    /// σ is computed once per distinct trigger node (in parallel, over the
-    /// deduplicated dirty set), then reinforcement replays sequentially
-    /// against those cached σ values. Cheaper when batches revisit the same
-    /// neighborhoods; results can differ from the serial loop (σ sees the
-    /// whole batch's activeness at once) but not from run to run.
-    Fused,
-}
-
 /// All tunables of the ANC pipeline, with the paper's defaults (Table II and
 /// Section VI).
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -75,12 +52,6 @@ pub struct AncConfig {
     /// default is serial. The `abl_parallel` bench quantifies the
     /// trade-off.
     pub parallel_updates: bool,
-    /// Semantics of the batch-ingestion pipeline
-    /// ([`crate::AncEngine::activate_batch`]). [`BatchMode::Exact`] (the
-    /// default) reproduces the serial per-activation path bit for bit;
-    /// [`BatchMode::Fused`] trades that for deduplicated, parallel σ
-    /// recomputation across the batch.
-    pub batch: BatchMode,
 }
 
 impl Default for AncConfig {
@@ -96,7 +67,6 @@ impl Default for AncConfig {
             floor_rel: 1e-2,
             rescale: RescaleConfig::default(),
             parallel_updates: false,
-            batch: BatchMode::Exact,
         }
     }
 }
@@ -145,15 +115,6 @@ mod tests {
         assert_eq!(c.needed_votes(), 3);
         let c = AncConfig { k: 16, ..Default::default() };
         assert_eq!(c.needed_votes(), 12);
-    }
-
-    #[test]
-    fn batch_mode_default_and_roundtrip() {
-        let c = AncConfig::default();
-        assert_eq!(c.batch, BatchMode::Exact);
-        let text = serde_json::to_string(&AncConfig { batch: BatchMode::Fused, ..c }).unwrap();
-        let back: AncConfig = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.batch, BatchMode::Fused);
     }
 
     #[test]

@@ -33,22 +33,18 @@ use std::time::{Duration, Instant};
 use anc_decay::{ActivenessStore, DecayClock, MaintainClass, Rescalable, Time};
 use anc_graph::{EdgeId, Graph, NodeId};
 use anc_metrics::Clustering;
-use rayon::prelude::*;
 
 use crate::cache::{ClusterCache, QueryStats};
 use crate::cluster::{cluster_all, ClusterMode};
-use crate::config::{AncConfig, BatchMode};
+use crate::config::AncConfig;
 use crate::invariant::{self, InvariantViolation};
 use crate::pyramid::Pyramids;
 use crate::query;
-use crate::reinforce::{
-    apply_reinforcement, apply_reinforcement_cached, CachedTrigger, ReinforceParams,
-};
-use crate::similarity::{NodeType, Scratch, ScratchPool, SimilarityCtx};
+use crate::reinforce::{apply_reinforcement, ReinforceParams};
+use crate::similarity::{NodeType, Scratch, SimilarityCtx};
 
-/// Counters and timing from one [`AncEngine::activate_batch`] (or
-/// [`AncEngine::activate_batch_adaptive`]) call — the observability surface
-/// of the batch-ingestion pipeline (see DESIGN.md §7).
+/// Counters and timing from one [`AncEngine::activate_batch`] call — the
+/// observability surface of the ingest loop (see DESIGN.md §7).
 #[derive(Clone, Copy, Debug, Default)]
 #[must_use = "BatchStats carries the batch's dirty-set and repair counters"]
 pub struct BatchStats {
@@ -56,31 +52,23 @@ pub struct BatchStats {
     pub edges_in: usize,
     /// Distinct edges whose weight actually changed (the dirty set).
     pub dirty_edges: usize,
-    /// `sigma_all` evaluations performed: two per activation on the exact
-    /// path, one per distinct trigger node on the fused path.
-    pub sigma_recomputes: usize,
     /// Bounded Voronoi updates executed across all partitions.
     pub repair_updates: usize,
     /// Delta × partition pairs short-circuited by the no-op precheck.
     pub repair_skips: usize,
-    /// Whether the adaptive path chose a full index rebuild instead of
-    /// grouped repairs.
-    pub rebuilt: bool,
     /// Wall time of the whole batch call.
     pub wall: Duration,
 }
 
-/// Merges two batch records: every counter sums, `rebuilt` is sticky, and
-/// the wall times add — so a thread (or the serving writer loop) can fold
-/// per-batch records into one cumulative tally with `total += stats`.
+/// Merges two batch records: every counter sums and the wall times add — so
+/// a thread (or the serving writer loop) can fold per-batch records into one
+/// cumulative tally with `total += stats`.
 impl std::ops::AddAssign<BatchStats> for BatchStats {
     fn add_assign(&mut self, rhs: BatchStats) {
         self.edges_in += rhs.edges_in;
         self.dirty_edges += rhs.dirty_edges;
-        self.sigma_recomputes += rhs.sigma_recomputes;
         self.repair_updates += rhs.repair_updates;
         self.repair_skips += rhs.repair_skips;
-        self.rebuilt |= rhs.rebuilt;
         self.wall += rhs.wall;
     }
 }
@@ -121,16 +109,6 @@ pub struct AncEngine {
     /// Index RNG seed (reused by offline rebuilds for comparability).
     index_seed: u64,
     scratch: Scratch,
-    /// Per-worker scratch buffers for the fused batch path's parallel σ
-    /// phase (allocated lazily, reused across batches).
-    sigma_pool: ScratchPool,
-    /// Fused-batch worker outputs in flight between the parallel σ phase
-    /// and reassembly; persists so `collect_into_vec` reuses one buffer.
-    batch_chunks: Vec<Scratch>,
-    /// Reassembled flat σ rows of the current fused batch (reused).
-    batch_sigma_flat: Vec<f64>,
-    /// Per-trigger (offset, len, node type) into `batch_sigma_flat`.
-    batch_ranges: Vec<(usize, usize, NodeType)>,
     /// Running sum of the anchored similarities (for the relative floor).
     sim_sum: f64,
     /// Total activations processed.
@@ -141,9 +119,16 @@ pub struct AncEngine {
     /// `&self` queries can repair lazily; never borrowed across a call
     /// boundary, so the `RefCell` cannot be observed locked).
     cache: RefCell<ClusterCache>,
-    /// Pooled per-partition affected-set buffers for the traced grouped
-    /// repair (filled only while the cache has materialized levels).
+    /// Pooled affected-set buffers of the last traced repair, one per
+    /// partition (the grouped repair fills them only while the cache has
+    /// materialized levels).
     trace_bufs: Vec<Vec<NodeId>>,
+    /// Pooled accumulator of the ingest loop: the `(e, old_w, new_w)` weight
+    /// changes not yet repaired into the index.
+    deltas: Vec<(EdgeId, f64, f64)>,
+    /// Pooled accumulator of the ingest loop: every edge whose weight
+    /// changed during the current call (with repeats).
+    dirty: Vec<EdgeId>,
 }
 
 /// An offline (ANCF) snapshot: a freshly initialized similarity and index
@@ -190,8 +175,8 @@ impl AncEngine {
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids = Pyramids::build(&g, &recip, cfg.k, cfg.theta, seed);
         let sim_sum = sim.iter().sum();
-        let sigma_pool = ScratchPool::new(g.n());
         let cache = RefCell::new(ClusterCache::new(pyramids.num_levels()));
+        let trace_bufs = vec![Vec::new(); pyramids.k() * pyramids.num_levels()];
         Self {
             g,
             cfg,
@@ -203,15 +188,13 @@ impl AncEngine {
             pyramids,
             index_seed: seed,
             scratch,
-            sigma_pool,
-            batch_chunks: Vec::new(),
-            batch_sigma_flat: Vec::new(),
-            batch_ranges: Vec::new(),
             sim_sum,
             activations: 0,
             rescales: 0,
             cache,
-            trace_bufs: Vec::new(),
+            trace_bufs,
+            deltas: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -293,7 +276,8 @@ impl AncEngine {
         }
     }
 
-    /// Processes one activation `(e, t)` — the ANCO per-activation path:
+    /// Processes one activation `(e, t)` — the ANCO per-activation path, a
+    /// batch of one through the ingest loop (DESIGN.md §7):
     ///
     /// 1. advance the clock and bump the anchored activeness (`O(1)`,
     ///    Lemma 1);
@@ -303,7 +287,7 @@ impl AncEngine {
     ///    (Algorithms 1–3, bounded by the affected region, Lemma 12);
     /// 4. absorb a batched rescale if one is due.
     pub fn activate(&mut self, e: EdgeId, t: Time) {
-        self.apply_activation(e, t);
+        self.ingest(&[e], Some(t), &mut BatchStats::default());
     }
 
     /// Like [`Self::activate`] but returns the update's footprint: the
@@ -314,18 +298,80 @@ impl AncEngine {
     /// An empty trace means the activation left the similarity (and hence
     /// the index) unchanged.
     pub fn activate_traced(&mut self, e: EdgeId, t: Time) -> Vec<Vec<NodeId>> {
-        if self.apply_activation(e, t) {
-            self.trace_bufs.clone()
-        } else {
+        self.activate(e, t);
+        if self.dirty.is_empty() {
             // audit:allow(hot-alloc) -- an empty Vec::new never allocates
             Vec::new()
+        } else {
+            self.trace_bufs.clone()
         }
     }
 
-    /// The body of [`Self::activate`]; returns whether the similarity (and
-    /// hence the index) changed, in which case `self.trace_bufs` holds the
-    /// per-partition affected nodes.
-    fn apply_activation(&mut self, e: EdgeId, t: Time) -> bool {
+    /// Processes a batch of activations arriving at the same time `t`
+    /// through the ingest loop (DESIGN.md §7).
+    ///
+    /// Activeness, σ and reinforcement evolve edge by edge in batch order,
+    /// exactly as in a serial loop of [`Self::activate`] calls; only the
+    /// index repairs are deferred and fed to the index as one grouped
+    /// [`Pyramids::on_weight_change_batch`] fan-out — one parallel pass over
+    /// the `k·⌈log₂ n⌉` partitions per batch instead of one per activation,
+    /// with inert deltas short-circuited by an exact no-op precheck. The
+    /// grouped repair replays every delta at its exact per-step weights, so
+    /// the result is **bit-identical** to the serial loop and independent of
+    /// the rayon thread count.
+    pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> BatchStats {
+        // BatchStats.wall is observability-only; it never feeds the
+        // algorithms and is not serialized into snapshots.
+        // audit:allow(wall-clock, nondet-taint) -- wall time is reported, never consumed
+        let start = Instant::now();
+        let mut stats = BatchStats { edges_in: edges.len(), ..Default::default() };
+        self.ingest(edges, Some(t), &mut stats);
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        stats.dirty_edges = self.dirty.len();
+        stats.wall = start.elapsed();
+        #[cfg(feature = "debug-invariants")]
+        self.debug_assert_invariants("activate_batch");
+        stats
+    }
+
+    /// ANCOR's periodic replay: applies one extra local reinforcement (and
+    /// index repair) per edge in `edges` at the current time — the ingest
+    /// loop without the activeness bump.
+    pub fn reinforce_edges(&mut self, edges: &[EdgeId]) {
+        self.ingest(edges, None, &mut BatchStats::default());
+    }
+
+    /// The one ingest loop behind [`Self::activate`],
+    /// [`Self::activate_batch`] and [`Self::reinforce_edges`]: per edge
+    /// [`Self::bump`] (when a timestamp is given) → [`Self::reinforce`] →
+    /// queue the weight change; pending repairs are flushed before a due
+    /// rescale and once more at the end. On return `self.dirty` lists the
+    /// edges whose weight changed (with repeats).
+    fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>, stats: &mut BatchStats) {
+        self.dirty.clear();
+        for &e in edges {
+            if let Some(t) = t {
+                self.bump(e, t);
+            }
+            if let Some(delta) = self.reinforce(e) {
+                self.deltas.push(delta);
+                self.dirty.push(e);
+            }
+            // The serial semantics check for a due rescale after every
+            // activation's repair; pending repairs must land at the
+            // pre-rescale weights first.
+            if self.clock.needs_rescale() {
+                self.flush(stats);
+                self.force_rescale();
+            }
+        }
+        self.flush(stats);
+    }
+
+    /// Ingest stage 1: advances the clock to `t` and bumps the anchored
+    /// activeness of `e` and both endpoint sums (`O(1)`, Lemma 1).
+    fn bump(&mut self, e: EdgeId, t: Time) {
         self.clock.advance_to(t);
         self.act.activate(e, &self.clock);
         let (u, v) = self.g.endpoints(e);
@@ -334,376 +380,81 @@ impl AncEngine {
         self.node_sum[v as usize] += boost;
         self.clock.note_activation();
         self.activations += 1;
-
-        let changed = self.reinforce_and_repair(e);
-        self.maybe_rescale();
-        changed
     }
 
-    /// Grows the pooled per-partition trace buffers to one per partition
-    /// (`k · levels` slots, fixed for the engine's lifetime).
-    fn ensure_trace_bufs(&mut self) {
-        let slots = self.pyramids.k() * self.pyramids.num_levels();
-        if self.trace_bufs.len() < slots {
-            self.trace_bufs.resize_with(slots, || Vec::with_capacity(0));
-        }
-    }
-
-    /// Applies local reinforcement on `e` and propagates the weight change
-    /// into the index (shared by the ANCO path and ANCOR replays). On
-    /// return, `self.trace_bufs` holds the per-partition affected nodes;
-    /// returns whether the similarity (and hence the index) changed at all.
-    /// The buffers are pooled so the steady-state single-activation path
-    /// performs no heap allocation.
-    fn reinforce_and_repair(&mut self, e: EdgeId) -> bool {
+    /// Ingest stage 2: one local reinforcement with trigger edge `e`
+    /// (Lemma 5). Returns the index weight change `(e, old_w, new_w)` when
+    /// `S(e)` moved.
+    fn reinforce(&mut self, e: EdgeId) -> Option<(EdgeId, f64, f64)> {
         let params = self.reinforce_params();
         let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
         let out = apply_reinforcement(&ctx, &mut self.sim, e, &params, &mut self.scratch);
         self.sim_sum += out.new_sim - out.old_sim;
         if out.new_sim == out.old_sim {
-            return false;
+            return None;
         }
         let old_w = self.recip[e as usize];
-        self.recip[e as usize] = 1.0 / out.new_sim;
-        self.ensure_trace_bufs();
-        if self.cfg.parallel_updates {
-            self.pyramids.on_weight_change_into(
-                &self.g,
-                &self.recip,
-                e,
-                old_w,
-                &mut self.trace_bufs,
-            );
-        } else {
-            self.pyramids.on_weight_change_serial_into(
-                &self.g,
-                &self.recip,
-                e,
-                old_w,
-                &mut self.trace_bufs,
-            );
-        }
-        self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
-        true
+        let new_w = 1.0 / out.new_sim;
+        self.recip[e as usize] = new_w;
+        Some((e, old_w, new_w))
     }
 
-    /// Processes a batch of activations arriving at the same time `t`
-    /// through the batch-ingestion pipeline (DESIGN.md §7).
+    /// Ingest stage 3: repairs the index for the pending weight changes and
+    /// clears the accumulator. The kernel follows from the input, and both
+    /// replay [`crate::voronoi::VoronoiPartition::on_weight_change_into`] at
+    /// the exact per-step weights, so the choice cannot change a bit of
+    /// state:
     ///
-    /// Instead of repairing all `k·⌈log₂ n⌉` partitions after every single
-    /// activation, weight deltas are accumulated and fed to the index as one
-    /// grouped [`Pyramids::on_weight_change_batch`] fan-out — one parallel
-    /// pass over the partitions per batch, with inert deltas short-circuited
-    /// by an exact no-op precheck. [`crate::BatchMode`] selects the
-    /// semantics: `Exact` (default) is **bit-identical** to a serial loop of
-    /// [`Self::activate`] calls; `Fused` additionally deduplicates σ
-    /// recomputation across the batch and parallelizes it. Both are
-    /// deterministic regardless of the rayon thread count.
-    pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> BatchStats {
-        // BatchStats.wall is observability-only; it never feeds the
-        // algorithms and is not serialized into snapshots.
-        // audit:allow(wall-clock, nondet-taint) -- wall time is reported, never consumed
-        let start = Instant::now();
-        let mut stats = BatchStats { edges_in: edges.len(), ..Default::default() };
-        if !edges.is_empty() {
-            match self.cfg.batch {
-                BatchMode::Exact => self.batch_exact(edges, t, &mut stats),
-                BatchMode::Fused => self.batch_fused(edges, t, &mut stats),
-            }
-        }
-        stats.wall = start.elapsed();
-        #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants("activate_batch");
-        stats
-    }
-
-    /// The `Exact` batch path: state evolves edge by edge exactly as in the
-    /// serial loop; only index repairs are deferred into the grouped replay.
-    fn batch_exact(&mut self, edges: &[EdgeId], t: Time, stats: &mut BatchStats) {
-        let mut deltas: Vec<(EdgeId, f64, f64)> = Vec::with_capacity(edges.len());
-        let mut dirty: Vec<EdgeId> = Vec::with_capacity(edges.len());
-        for &e in edges {
-            self.clock.advance_to(t);
-            self.act.activate(e, &self.clock);
-            let (u, v) = self.g.endpoints(e);
-            let boost = self.clock.boost();
-            self.node_sum[u as usize] += boost;
-            self.node_sum[v as usize] += boost;
-            self.clock.note_activation();
-            self.activations += 1;
-
-            let params = self.reinforce_params();
-            let ctx =
-                SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-            let out = apply_reinforcement(&ctx, &mut self.sim, e, &params, &mut self.scratch);
-            stats.sigma_recomputes += 2;
-            self.sim_sum += out.new_sim - out.old_sim;
-            if out.new_sim != out.old_sim {
-                let old_w = self.recip[e as usize];
-                let new_w = 1.0 / out.new_sim;
-                self.recip[e as usize] = new_w;
-                deltas.push((e, old_w, new_w));
-                dirty.push(e);
-            }
-            // The serial path checks for a due rescale after every
-            // activation's repair; pending repairs must land at the
-            // pre-rescale weights first.
-            if self.clock.needs_rescale() {
-                self.flush_repairs(&mut deltas, stats);
-                self.force_rescale();
-            }
-        }
-        self.flush_repairs(&mut deltas, stats);
-        dirty.sort_unstable();
-        dirty.dedup();
-        stats.dirty_edges = dirty.len();
-    }
-
-    /// The `Fused` batch path: simultaneous-batch semantics. All activeness
-    /// bumps land first (`node_sum` maintained incrementally, never
-    /// rescanned), then σ is computed **once per distinct trigger node** —
-    /// in parallel, with pooled per-worker scratch (σ is NeuM: it reads only
-    /// activeness, never `sim`, so the whole batch shares one σ snapshot) —
-    /// then reinforcement replays sequentially against the cache, and one
-    /// grouped repair plus at most one rescale close the batch.
-    fn batch_fused(&mut self, edges: &[EdgeId], t: Time, stats: &mut BatchStats) {
-        // Phase 1: activeness.
-        self.clock.advance_to(t);
-        for &e in edges {
-            self.act.activate(e, &self.clock);
-            let (u, v) = self.g.endpoints(e);
-            let boost = self.clock.boost();
-            self.node_sum[u as usize] += boost;
-            self.node_sum[v as usize] += boost;
-            self.clock.note_activation();
-            self.activations += 1;
-        }
-
-        // Phase 2: deduplicated trigger set, σ in parallel.
-        let mut triggers: Vec<NodeId> = Vec::with_capacity(edges.len() * 2);
-        for &e in edges {
-            let (u, v) = self.g.endpoints(e);
-            triggers.push(u);
-            triggers.push(v);
-        }
-        triggers.sort_unstable();
-        triggers.dedup();
-        stats.sigma_recomputes += triggers.len();
-
-        // Oversubscribe chunks (~4× threads) so the pool's stealing can
-        // balance triggers with uneven neighborhood sizes.
-        let n_target = rayon::recommended_chunks(triggers.len());
-        let chunk_len = triggers.len().div_ceil(n_target);
-        let n_chunks = triggers.len().div_ceil(chunk_len);
-        let scratches = self.sigma_pool.take(n_chunks);
-        let (epsilon, mu) = (self.cfg.epsilon, self.cfg.mu);
-        let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-        // Each worker writes its flat σ rows and per-trigger (row length,
-        // node type) pairs into its pooled scratch, so the parallel phase
-        // allocates nothing once the pool reaches its high-water mark.
-        // `par_chunks` and `into_par_iter` are both indexed iterators, which
-        // lets `collect_into_vec` reuse the engine's persistent chunk buffer.
-        let chunk_out = &mut self.batch_chunks;
-        triggers
-            .par_chunks(chunk_len)
-            .zip(scratches.into_par_iter())
-            .map(|(chunk, mut scratch)| {
-                scratch.flat.clear();
-                scratch.rows.clear();
-                for &u in chunk {
-                    ctx.sigma_all(u, &mut scratch);
-                    let ty = ctx.node_type_from_sigmas(u, epsilon, mu, &scratch.sigmas);
-                    scratch.rows.push((scratch.sigmas.len() as u32, ty));
-                    scratch.flat.extend_from_slice(&scratch.sigmas);
+    /// * one delta — the single-edge repair straight into the pooled trace
+    ///   buffers (the grouped kernel refills an `O(m)` private weight array
+    ///   per worker, which a lone change must not pay for);
+    /// * two or more — one grouped parallel fan-out, traced while the
+    ///   cluster cache has materialized levels (so it can mark its dirty
+    ///   edges) and untraced otherwise.
+    fn flush(&mut self, stats: &mut BatchStats) {
+        match self.deltas[..] {
+            [] => return,
+            [(e, old_w, _)] => {
+                if self.cfg.parallel_updates {
+                    self.pyramids.on_weight_change_into(
+                        &self.g,
+                        &self.recip,
+                        e,
+                        old_w,
+                        &mut self.trace_bufs,
+                    );
+                } else {
+                    self.pyramids.on_weight_change_serial_into(
+                        &self.g,
+                        &self.recip,
+                        e,
+                        old_w,
+                        &mut self.trace_bufs,
+                    );
                 }
-                scratch
-            })
-            .collect_into_vec(chunk_out);
-
-        // Reassemble per-trigger σ rows into one flat array; `ranges` is
-        // aligned with the sorted `triggers`, looked up by binary search.
-        // Both reassembly buffers persist on the engine across batches.
-        let mut sigma_flat = std::mem::take(&mut self.batch_sigma_flat);
-        let mut ranges = std::mem::take(&mut self.batch_ranges);
-        sigma_flat.clear();
-        ranges.clear();
-        for chunk in &self.batch_chunks {
-            let mut off = sigma_flat.len();
-            for &(len, ty) in &chunk.rows {
-                ranges.push((off, len as usize, ty));
-                off += len as usize;
+                self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
+                // No precheck here: every partition runs its bounded update.
+                stats.repair_updates += self.trace_bufs.len();
             }
-            sigma_flat.extend_from_slice(&chunk.flat);
-        }
-        self.sigma_pool.put_back(self.batch_chunks.drain(..));
-
-        // Phase 3: sequential reinforcement replay against the σ cache.
-        let mut deltas: Vec<(EdgeId, f64, f64)> = Vec::with_capacity(edges.len());
-        let mut dirty: Vec<EdgeId> = Vec::with_capacity(edges.len());
-        for &e in edges {
-            let (u, v) = self.g.endpoints(e);
-            let (Ok(iu), Ok(iv)) = (triggers.binary_search(&u), triggers.binary_search(&v)) else {
-                // Unreachable by construction (`triggers` holds every batch
-                // endpoint), but a cache miss must not panic on the hot
-                // path: fall back to the uncached reinforcement, which
-                // recomputes σ from the same activeness snapshot and is
-                // therefore numerically identical.
-                let params = self.reinforce_params();
-                let ctx = SimilarityCtx {
-                    g: &self.g,
-                    act: self.act.as_slice(),
-                    node_sum: &self.node_sum,
+            _ => {
+                let rs = if self.cache.get_mut().has_materialized_levels() {
+                    let rs = self.pyramids.on_weight_change_batch_traced(
+                        &self.g,
+                        &self.recip,
+                        &self.deltas,
+                        &mut self.trace_bufs,
+                    );
+                    self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
+                    rs
+                } else {
+                    self.cache.get_mut().note_untracked_updates();
+                    self.pyramids.on_weight_change_batch(&self.g, &self.recip, &self.deltas)
                 };
-                let out = apply_reinforcement(&ctx, &mut self.sim, e, &params, &mut self.scratch);
-                stats.sigma_recomputes += 2;
-                self.sim_sum += out.new_sim - out.old_sim;
-                if out.new_sim != out.old_sim {
-                    let old_w = self.recip[e as usize];
-                    let new_w = 1.0 / out.new_sim;
-                    self.recip[e as usize] = new_w;
-                    deltas.push((e, old_w, new_w));
-                    dirty.push(e);
-                }
-                continue;
-            };
-            let (su, lu, tu) = ranges[iu];
-            let (sv, lv, tv) = ranges[iv];
-            let floor = self.reinforce_params().floor_anchored;
-            let ctx =
-                SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-            let out = apply_reinforcement_cached(
-                &ctx,
-                &mut self.sim,
-                e,
-                floor,
-                CachedTrigger { sigmas: &sigma_flat[su..su + lu], node_type: tu },
-                CachedTrigger { sigmas: &sigma_flat[sv..sv + lv], node_type: tv },
-                &mut self.scratch,
-            );
-            self.sim_sum += out.new_sim - out.old_sim;
-            if out.new_sim != out.old_sim {
-                let old_w = self.recip[e as usize];
-                let new_w = 1.0 / out.new_sim;
-                self.recip[e as usize] = new_w;
-                deltas.push((e, old_w, new_w));
-                dirty.push(e);
+                stats.repair_updates += rs.updates;
+                stats.repair_skips += rs.skips;
             }
         }
-        self.batch_sigma_flat = sigma_flat;
-        self.batch_ranges = ranges;
-
-        // Phase 4: one grouped repair fan-out, then at most one rescale
-        // (safe to defer: `t` is fixed within the batch, so the anchored
-        // magnitudes cannot drift past the exponent guard mid-batch).
-        self.flush_repairs(&mut deltas, stats);
-        self.maybe_rescale();
-        dirty.sort_unstable();
-        dirty.dedup();
-        stats.dirty_edges = dirty.len();
-    }
-
-    /// Feeds the accumulated weight deltas to the index as one grouped
-    /// parallel fan-out and clears the accumulator. While the cluster cache
-    /// has materialized levels the traced variant runs instead, collecting
-    /// per-partition affected sets into pooled buffers so the cache can
-    /// mark its dirty edges.
-    fn flush_repairs(&mut self, deltas: &mut Vec<(EdgeId, f64, f64)>, stats: &mut BatchStats) {
-        if deltas.is_empty() {
-            return;
-        }
-        let rs = if self.cache.get_mut().has_materialized_levels() {
-            self.ensure_trace_bufs();
-            let rs = self.pyramids.on_weight_change_batch_traced(
-                &self.g,
-                &self.recip,
-                deltas,
-                &mut self.trace_bufs,
-            );
-            self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
-            rs
-        } else {
-            self.cache.get_mut().note_untracked_updates();
-            self.pyramids.on_weight_change_batch(&self.g, &self.recip, deltas)
-        };
-        stats.repair_updates += rs.updates;
-        stats.repair_skips += rs.skips;
-        deltas.clear();
-    }
-
-    /// Batch processing with an adaptive repair strategy.
-    ///
-    /// The bounded UPDATE wins for small batches but its cost grows linearly
-    /// with the batch while RECONSTRUCT is flat (Figure 8), so past a
-    /// crossover it is cheaper to apply all state updates first and rebuild
-    /// the index once. `rebuild_threshold` is that crossover in activations;
-    /// `None` uses `m / 16`, a conservative fit of the Exp 6 curves.
-    ///
-    /// State evolution (activeness, similarity) is identical to
-    /// [`Self::activate_batch`] in `Exact` mode — only the index-repair
-    /// strategy differs, and a rebuild reproduces the same distances the
-    /// incremental repairs would.
-    pub fn activate_batch_adaptive(
-        &mut self,
-        edges: &[EdgeId],
-        t: Time,
-        rebuild_threshold: Option<usize>,
-    ) -> BatchStats {
-        let threshold = rebuild_threshold.unwrap_or_else(|| (self.g.m() / 16).max(64));
-        if edges.len() < threshold {
-            return self.activate_batch(edges, t);
-        }
-        // BatchStats.wall is observability-only; it never feeds the
-        // algorithms and is not serialized into snapshots.
-        // audit:allow(wall-clock, nondet-taint) -- wall time is reported, never consumed
-        let start = Instant::now();
-        let mut stats = BatchStats { edges_in: edges.len(), rebuilt: true, ..Default::default() };
-        // State updates without per-activation index repair…
-        self.clock.advance_to(t);
-        let mut dirty: Vec<EdgeId> = Vec::with_capacity(edges.len());
-        for &e in edges {
-            self.act.activate(e, &self.clock);
-            let (u, v) = self.g.endpoints(e);
-            let boost = self.clock.boost();
-            self.node_sum[u as usize] += boost;
-            self.node_sum[v as usize] += boost;
-            self.clock.note_activation();
-            self.activations += 1;
-            let params = self.reinforce_params();
-            let ctx =
-                SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-            let out = apply_reinforcement(&ctx, &mut self.sim, e, &params, &mut self.scratch);
-            stats.sigma_recomputes += 2;
-            self.sim_sum += out.new_sim - out.old_sim;
-            if out.new_sim != out.old_sim {
-                self.recip[e as usize] = 1.0 / out.new_sim;
-                dirty.push(e);
-            }
-        }
-        // …then one reconstruction over the final weights.
-        self.reconstruct_index();
-        self.maybe_rescale();
-        dirty.sort_unstable();
-        dirty.dedup();
-        stats.dirty_edges = dirty.len();
-        stats.wall = start.elapsed();
-        #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants("activate_batch_adaptive");
-        stats
-    }
-
-    /// ANCOR's periodic replay: applies one extra local reinforcement (and
-    /// index repair) per edge in `edges` at the current time.
-    pub fn reinforce_edges(&mut self, edges: &[EdgeId]) {
-        for &e in edges {
-            self.reinforce_and_repair(e);
-        }
-        self.maybe_rescale();
-    }
-
-    fn maybe_rescale(&mut self) {
-        if self.clock.needs_rescale() {
-            self.force_rescale();
-        }
+        self.deltas.clear();
     }
 
     /// Forces a batched rescale now (exposed for tests and ablations).
@@ -771,16 +522,6 @@ impl AncEngine {
     /// [`ClusterCache::set_dirty_rebuild_fraction`]).
     pub fn cluster_cache_mut(&mut self) -> &mut ClusterCache {
         self.cache.get_mut()
-    }
-
-    /// Selects the execution mode of subsequent [`Self::activate_batch`]
-    /// calls. The serving layer's adaptive coalescing policy flips this per
-    /// drained batch (Exact for short batches, Fused past a threshold);
-    /// [`crate::DurableEngine`] deliberately does not expose it, because a
-    /// mode flip between logged batches would change what WAL replay
-    /// reconstructs.
-    pub fn set_batch_mode(&mut self, mode: BatchMode) {
-        self.cfg.batch = mode;
     }
 
     /// Snapshot-publish hook for the serving layer (DESIGN.md §14): brings
@@ -940,10 +681,10 @@ impl AncEngine {
         snapshot.validate()?;
         let recip: Vec<f64> = snapshot.sim.iter().map(|s| 1.0 / s).collect();
         let scratch = Scratch::new(snapshot.graph.n());
-        let sigma_pool = ScratchPool::new(snapshot.graph.n());
         // The cluster cache is never serialized (see `crate::persist`): a
         // restored engine starts cold and refills lazily on first query.
         let cache = RefCell::new(ClusterCache::new(snapshot.pyramids.num_levels()));
+        let trace_bufs = vec![Vec::new(); snapshot.pyramids.k() * snapshot.pyramids.num_levels()];
         Ok(Self {
             g: snapshot.graph,
             cfg: snapshot.config,
@@ -955,15 +696,13 @@ impl AncEngine {
             pyramids: snapshot.pyramids,
             index_seed: snapshot.index_seed,
             scratch,
-            sigma_pool,
-            batch_chunks: Vec::new(),
-            batch_sigma_flat: Vec::new(),
-            batch_ranges: Vec::new(),
             sim_sum: snapshot.sim_sum,
             activations: snapshot.activations,
             rescales: snapshot.rescales,
             cache,
-            trace_bufs: Vec::new(),
+            trace_bufs,
+            deltas: Vec::new(),
+            dirty: Vec::new(),
         })
     }
 
@@ -1267,52 +1006,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batch_matches_per_activation_path() {
-        let lg = connected_caveman(3, 5);
-        let cfg = AncConfig { rep: 1, k: 2, ..Default::default() };
-        let mut a = AncEngine::new(lg.graph.clone(), cfg.clone(), 11);
-        let mut b = AncEngine::new(lg.graph.clone(), cfg, 11);
-        let m = lg.graph.m() as u32;
-        let batch: Vec<u32> = (0..40).map(|i| (i * 3 + 1) % m).collect();
-        let sa = a.activate_batch(&batch, 2.0);
-        let sb = b.activate_batch_adaptive(&batch, 2.0, Some(1)); // force rebuild path
-        assert!(!sa.rebuilt);
-        assert!(sb.rebuilt);
-        // Identical state…
-        for e in 0..m {
-            assert_eq!(a.similarity(e), b.similarity(e));
-            assert_eq!(a.activeness(e), b.activeness(e));
-        }
-        // …and identical index distances.
-        for p in 0..a.pyramids().k() {
-            for l in 0..a.num_levels() {
-                for v in 0..lg.graph.n() as u32 {
-                    let (da, db) = (
-                        a.pyramids().partition(p, l).dist(v),
-                        b.pyramids().partition(p, l).dist(v),
-                    );
-                    assert!((da - db).abs() < 1e-9 * (1.0 + db.abs()));
-                }
-            }
-        }
-        b.check_invariants().unwrap();
-        // Below the threshold it takes the incremental path.
-        let mut c =
-            AncEngine::new(lg.graph.clone(), AncConfig { rep: 1, k: 2, ..Default::default() }, 11);
-        let sc = c.activate_batch_adaptive(&batch[..2], 1.0, Some(1000));
-        assert!(!sc.rebuilt, "below threshold must take the incremental path");
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
     fn memory_accounting_positive() {
         let engine = engine_fixture(0);
         assert!(engine.memory_bytes() > 0);
     }
 
-    /// The tentpole correctness bar: the exact batch path must be
-    /// bit-identical to a serial loop of `activate` calls — including across
-    /// a mid-batch rescale — down to the serialized snapshot bytes.
+    /// The tentpole correctness bar: a batch must be bit-identical to a
+    /// serial loop of `activate` calls — including across a mid-batch
+    /// rescale — down to the serialized snapshot bytes.
     #[test]
     fn exact_batch_is_bitwise_identical_to_serial_loop() {
         let lg = connected_caveman(4, 6);
@@ -1331,7 +1032,6 @@ mod tests {
             }
             let s = batched.activate_batch(&batch, t);
             assert_eq!(s.edges_in, batch.len());
-            assert_eq!(s.sigma_recomputes, 2 * batch.len());
             stats_total.repair_updates += s.repair_updates;
             stats_total.repair_skips += s.repair_skips;
         }
@@ -1348,39 +1048,6 @@ mod tests {
         let b = serde_json::to_string(&batched.to_snapshot()).unwrap();
         assert_eq!(a, b, "snapshots diverge");
         batched.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fused_batch_keeps_invariants_and_dedupes_sigma() {
-        let lg = connected_caveman(4, 6);
-        let cfg = AncConfig {
-            rep: 1,
-            mu: 3,
-            epsilon: 0.25,
-            k: 3,
-            batch: crate::BatchMode::Fused,
-            ..Default::default()
-        };
-        let mut engine = AncEngine::new(lg.graph, cfg, 42);
-        let m = engine.graph().m() as u32;
-        // A batch that revisits the same few edges: the deduplicated trigger
-        // set is much smaller than 2 × batch size.
-        let batch: Vec<u32> = (0..60).map(|i| i % 5).collect();
-        let stats = engine.activate_batch(&batch, 1.5);
-        assert_eq!(stats.edges_in, 60);
-        assert!(
-            stats.sigma_recomputes < batch.len(),
-            "fused σ must dedup: {} recomputes",
-            stats.sigma_recomputes
-        );
-        assert!(stats.dirty_edges <= 5);
-        assert!(!stats.rebuilt);
-        engine.check_invariants().unwrap();
-        // A second, spread-out batch also stays consistent.
-        let batch2: Vec<u32> = (0..m).step_by(3).collect();
-        let stats2 = engine.activate_batch(&batch2, 2.5);
-        assert_eq!(stats2.edges_in, batch2.len());
-        engine.check_invariants().unwrap();
     }
 
     /// Satellite regression: updates that cannot move any vote — an empty
@@ -1409,7 +1076,8 @@ mod tests {
     }
 
     /// Queries served from the cache must track a stream of single, batch,
-    /// and adaptive updates exactly (the engine-level cached ≡ cold bar).
+    /// and batch-then-reconstruct updates exactly (the engine-level
+    /// cached ≡ cold bar).
     #[test]
     fn cached_queries_track_mixed_update_stream() {
         let mut engine = engine_fixture(1);
@@ -1429,7 +1097,8 @@ mod tests {
                 }
                 _ => {
                     let batch: Vec<u32> = (0..20).map(|i| (i * 3 + step) % m).collect();
-                    let _ = engine.activate_batch_adaptive(&batch, t, Some(10));
+                    let _ = engine.activate_batch(&batch, t);
+                    engine.reconstruct_index();
                 }
             }
             for mode in [ClusterMode::Even, ClusterMode::Power] {

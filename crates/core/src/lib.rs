@@ -48,7 +48,7 @@ pub mod vote;
 
 pub use cache::{ClusterCache, QueryDecision, QueryStats};
 pub use cluster::ClusterMode;
-pub use config::{AncConfig, BatchMode};
+pub use config::AncConfig;
 pub use engine::{AncEngine, BatchStats, ClusterView, LevelClusters, OfflineSnapshot};
 pub use invariant::InvariantViolation;
 pub use persist::{
@@ -57,5 +57,5 @@ pub use persist::{
 };
 pub use publish::{Publisher, ReadHandle};
 pub use pyramid::{Pyramids, RepairStats};
-pub use similarity::{NodeType, ScratchPool};
+pub use similarity::NodeType;
 pub use vote::{ClusterMonitor, EdgeBits, VoteCache};

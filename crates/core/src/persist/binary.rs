@@ -57,7 +57,7 @@ use anc_graph::{Graph, NodeId, NO_NODE};
 use crate::engine::AncEngine;
 use crate::pyramid::Pyramids;
 use crate::voronoi::VoronoiPartition;
-use crate::{AncConfig, BatchMode};
+use crate::AncConfig;
 
 use super::{le_u32, EngineSnapshot, PersistView, RestoreError, SNAPSHOT_VERSION};
 
@@ -170,13 +170,9 @@ fn encode_config(out: &mut Vec<u8>, c: &AncConfig) {
     put_uvarint(out, c.rescale.every_activations as u64);
     put_f64(out, c.rescale.exponent_guard);
     put_u8(out, u8::from(c.parallel_updates));
-    put_u8(
-        out,
-        match c.batch {
-            BatchMode::Exact => 0,
-            BatchMode::Fused => 1,
-        },
-    );
+    // Legacy batch-mode byte (0 = Exact, 1 = Fused, retired): still written,
+    // as 0, so the format version and every older reader stay valid.
+    put_u8(out, 0);
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
@@ -191,14 +187,13 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
         floor_rel: r.f64()?,
         rescale: RescaleConfig { every_activations: r.uvarint_len()?, exponent_guard: r.f64()? },
         parallel_updates: r.u8()? != 0,
-        batch: match r.u8()? {
-            0 => BatchMode::Exact,
-            1 => BatchMode::Fused,
-            other => {
-                return Err(RestoreError::Codec(format!("unknown batch mode {other}")));
-            }
-        },
     };
+    // Legacy batch-mode byte: both retired modes load (a log written under
+    // Fused now replays under the sequential semantics) and are discarded.
+    match r.u8()? {
+        0 | 1 => {}
+        other => return Err(RestoreError::Codec(format!("unknown batch mode {other}"))),
+    }
     // Mirror `AncConfig::validate` without its panics: the CRC has already
     // passed by the time state is adopted, but a version-skewed or
     // hand-edited file must surface a typed error, not an assert.
@@ -536,6 +531,29 @@ mod tests {
         // …and byte-identical re-save.
         assert_eq!(bytes, save(&restored, SnapshotProfile::Exact));
         restored.check_invariants().unwrap();
+
+        // A snapshot written when the config still carried a batch mode
+        // (trailing config byte 1, the retired second mode) loads to the
+        // same state; a byte no build ever wrote is still refused.
+        let mut config = Vec::new();
+        encode_config(&mut config, engine.config());
+        let mode_at = 4 + 4 + 1 + config.len() - 1;
+        let crc_at = bytes.len() - 4;
+        for (mode, loads) in [(1u8, true), (2, false)] {
+            let mut old = bytes.clone();
+            old[mode_at] = mode;
+            let crc = crc32(&old[..crc_at]);
+            old[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            match AncEngine::load_binary(old.as_slice()) {
+                Ok(legacy) if loads => {
+                    assert_eq!(json_a, serde_json::to_string(&legacy.to_snapshot()).unwrap());
+                }
+                Err(RestoreError::Codec(msg)) if !loads => {
+                    assert!(msg.contains("unknown batch mode"), "{msg}");
+                }
+                other => panic!("mode byte {mode}: unexpected {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

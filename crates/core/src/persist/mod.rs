@@ -104,6 +104,28 @@ pub enum RestoreError {
     Invariant(InvariantViolation),
     /// Serde/codec failure.
     Codec(String),
+    /// A write-ahead-log record whose CRC-32 verified but which this build
+    /// cannot decode (unknown or retired kind byte, trailing bytes, a field
+    /// out of range). A torn write cannot produce that — a newer or older
+    /// writer can — so recovery refuses the log instead of truncating it.
+    UndecodableRecord {
+        /// Byte offset of the record's frame in the log.
+        offset: usize,
+        /// What failed to decode.
+        detail: String,
+    },
+    /// An edge id at or past the network's edge count, passed to a
+    /// [`DurableEngine`] mutator or found in a logged record.
+    EdgeOutOfRange {
+        /// The offending edge id.
+        edge: anc_graph::EdgeId,
+        /// The network's edge count.
+        num_edges: usize,
+    },
+    /// A non-finite activation timestamp, passed to a [`DurableEngine`]
+    /// mutator or found in a logged record (the decay clock requires finite
+    /// time).
+    InvalidTime(f64),
     /// Filesystem failure while reading or writing persistent state.
     Io(std::io::Error),
 }
@@ -120,6 +142,13 @@ impl std::fmt::Display for RestoreError {
             RestoreError::Inconsistent(msg) => write!(f, "inconsistent snapshot: {msg}"),
             RestoreError::Invariant(v) => write!(f, "snapshot violates invariant: {v}"),
             RestoreError::Codec(msg) => write!(f, "codec error: {msg}"),
+            RestoreError::UndecodableRecord { offset, detail } => {
+                write!(f, "log record at byte {offset} verifies but does not decode: {detail}")
+            }
+            RestoreError::EdgeOutOfRange { edge, num_edges } => {
+                write!(f, "edge id {edge} out of range (network has {num_edges} edges)")
+            }
+            RestoreError::InvalidTime(t) => write!(f, "activation time {t} is not finite"),
             RestoreError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -241,6 +270,19 @@ mod tests {
         let mut buf = Vec::new();
         engine.save_json(&mut buf).unwrap();
         let restored = AncEngine::load_json(buf.as_slice()).unwrap();
+        // A checkpoint from a build whose config still carried a batch mode
+        // loads too: the key is ignored.
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\"parallel_updates\":false}"), "config is not where expected");
+        let legacy = text.replace(
+            "\"parallel_updates\":false",
+            "\"parallel_updates\":false,\"batch\":\"Exact\"",
+        );
+        let legacy = AncEngine::load_json(legacy.as_bytes()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&legacy.to_snapshot()).unwrap(),
+            serde_json::to_string(&restored.to_snapshot()).unwrap()
+        );
 
         assert_eq!(restored.now(), engine.now());
         assert_eq!(restored.activations(), engine.activations());

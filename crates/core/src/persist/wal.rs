@@ -15,7 +15,10 @@
 //!   snapshot and replaying the log suffix. A torn record at the tail
 //!   (partial write) is detected by length/CRC and discarded; a log whose
 //!   base predates the snapshot (crash between snapshot rename and log
-//!   reset) is discarded whole — its records are already folded in.
+//!   reset) is discarded whole — its records are already folded in. A
+//!   record that passes its CRC but does not decode, or names an edge or a
+//!   time the engine would reject, is version skew rather than a tear:
+//!   `open` refuses with a typed error and leaves the log untouched.
 //!
 //! ```text
 //! wal.anc = "ANCW" ∥ u32 version ∥ u64 base_activations ∥ u32 crc(header)
@@ -23,7 +26,9 @@
 //! ```
 //!
 //! The payload is a kind byte plus the call's arguments (timestamps as raw
-//! `f64` bits, edge ids as varints). Triggered rescales are *not* logged:
+//! `f64` bits, edge ids as varints); the arguments are validated *before*
+//! the record is appended, so the log never holds a call the engine would
+//! panic on. Triggered rescales are *not* logged:
 //! they are a deterministic function of engine state, so replay reproduces
 //! them; only explicit [`AncEngine::force_rescale`] calls need a record.
 
@@ -71,15 +76,6 @@ pub enum WalRecord {
         /// Activated edges, in batch order.
         edges: Vec<EdgeId>,
     },
-    /// [`AncEngine::activate_batch_adaptive`]`(&edges, t, threshold)`.
-    ActivateBatchAdaptive {
-        /// Arrival time of the whole batch.
-        t: f64,
-        /// Explicit rebuild threshold, if the caller supplied one.
-        rebuild_threshold: Option<usize>,
-        /// Activated edges, in batch order.
-        edges: Vec<EdgeId>,
-    },
     /// [`AncEngine::reinforce_edges`]`(&edges)`.
     ReinforceEdges {
         /// Reinforced edges, in call order.
@@ -91,7 +87,8 @@ pub enum WalRecord {
 
 const KIND_ACTIVATE: u8 = 1;
 const KIND_BATCH: u8 = 2;
-const KIND_BATCH_ADAPTIVE: u8 = 3;
+// Kind 3 was `ActivateBatchAdaptive`, retired with the method it logged. The
+// byte stays reserved — never reuse it: a log holding one is refused.
 const KIND_REINFORCE: u8 = 4;
 const KIND_FORCE_RESCALE: u8 = 5;
 
@@ -132,27 +129,23 @@ fn payload_batch(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
     put_edges(out, edges);
 }
 
-fn payload_batch_adaptive(
-    out: &mut Vec<u8>,
-    t: f64,
-    rebuild_threshold: Option<usize>,
-    edges: &[EdgeId],
-) {
-    put_u8(out, KIND_BATCH_ADAPTIVE);
-    put_f64(out, t);
-    match rebuild_threshold {
-        None => put_u8(out, 0),
-        Some(th) => {
-            put_u8(out, 1);
-            put_uvarint(out, th as u64);
-        }
-    }
-    put_edges(out, edges);
-}
-
 fn payload_reinforce(out: &mut Vec<u8>, edges: &[EdgeId]) {
     put_u8(out, KIND_REINFORCE);
     put_edges(out, edges);
+}
+
+/// Rejects the inputs the engine would panic on — an edge id at or past the
+/// network's edge count, a non-finite timestamp — so they are refused
+/// before a record is logged and before a logged one is replayed.
+fn check_input(engine: &AncEngine, edges: &[EdgeId], t: Option<f64>) -> Result<(), RestoreError> {
+    if let Some(t) = t.filter(|t| !t.is_finite()) {
+        return Err(RestoreError::InvalidTime(t));
+    }
+    let num_edges = engine.graph().m();
+    match edges.iter().find(|&&e| e as usize >= num_edges) {
+        Some(&edge) => Err(RestoreError::EdgeOutOfRange { edge, num_edges }),
+        None => Ok(()),
+    }
 }
 
 impl WalRecord {
@@ -164,9 +157,6 @@ impl WalRecord {
         match self {
             WalRecord::Activate { e, t } => payload_activate(out, *e, *t),
             WalRecord::ActivateBatch { t, edges } => payload_batch(out, *t, edges),
-            WalRecord::ActivateBatchAdaptive { t, rebuild_threshold, edges } => {
-                payload_batch_adaptive(out, *t, *rebuild_threshold, edges)
-            }
             WalRecord::ReinforceEdges { edges } => payload_reinforce(out, edges),
             WalRecord::ForceRescale => put_u8(out, KIND_FORCE_RESCALE),
         }
@@ -187,24 +177,11 @@ impl WalRecord {
                 let t = r.f64()?;
                 WalRecord::ActivateBatch { t, edges: read_edges(&mut r)? }
             }
-            KIND_BATCH_ADAPTIVE => {
-                let t = r.f64()?;
-                let rebuild_threshold = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.uvarint_len()?),
-                    other => {
-                        return Err(RestoreError::Codec(format!("bad threshold flag {other}")));
-                    }
-                };
-                WalRecord::ActivateBatchAdaptive {
-                    t,
-                    rebuild_threshold,
-                    edges: read_edges(&mut r)?,
-                }
-            }
             KIND_REINFORCE => WalRecord::ReinforceEdges { edges: read_edges(&mut r)? },
             KIND_FORCE_RESCALE => WalRecord::ForceRescale,
-            other => return Err(RestoreError::Codec(format!("unknown WAL record kind {other}"))),
+            other => {
+                return Err(RestoreError::Codec(format!("unknown or retired record kind {other}")));
+            }
         };
         if !r.is_empty() {
             return Err(RestoreError::Codec(format!(
@@ -215,19 +192,28 @@ impl WalRecord {
         Ok(rec)
     }
 
+    /// Whether `engine` accepts this record's arguments (see
+    /// [`check_input`]); recovery checks every decoded record before
+    /// applying it.
+    fn check(&self, engine: &AncEngine) -> Result<(), RestoreError> {
+        match self {
+            WalRecord::Activate { e, t } => check_input(engine, &[*e], Some(*t)),
+            WalRecord::ActivateBatch { t, edges } => check_input(engine, edges, Some(*t)),
+            WalRecord::ReinforceEdges { edges } => check_input(engine, edges, None),
+            WalRecord::ForceRescale => Ok(()),
+        }
+    }
+
     /// Replays this record against an engine — the exact call that was
     /// logged. Public so recovery tests can compare a recovered engine to
-    /// an explicit prefix replay.
+    /// an explicit prefix replay. Panics, like the engine calls it wraps, on
+    /// an edge id or time the engine does not accept.
     pub fn apply(&self, engine: &mut AncEngine) {
         match self {
             WalRecord::Activate { e, t } => engine.activate(*e, *t),
             WalRecord::ActivateBatch { t, edges } => {
                 // audit:allow(swallowed-error) -- BatchStats is observability-only; replay is infallible
                 let _ = engine.activate_batch(edges, *t);
-            }
-            WalRecord::ActivateBatchAdaptive { t, rebuild_threshold, edges } => {
-                // audit:allow(swallowed-error) -- BatchStats is observability-only; replay is infallible
-                let _ = engine.activate_batch_adaptive(edges, *t, *rebuild_threshold);
             }
             WalRecord::ReinforceEdges { edges } => engine.reinforce_edges(edges),
             WalRecord::ForceRescale => engine.force_rescale(),
@@ -281,7 +267,9 @@ fn frame_record(out: &mut Vec<u8>, record: &WalRecord, scratch: &mut Vec<u8>) {
 /// (`Ok(None)`); a torn tail surfaces as [`RestoreError::Truncated`] and
 /// damaged bytes as [`RestoreError::ChecksumMismatch`], with
 /// [`WalReader::position`] pointing at the start of the offending record —
-/// the offset a recovery pass truncates back to.
+/// the offset a recovery pass truncates back to. A record whose checksum
+/// verifies but whose payload does not decode is
+/// [`RestoreError::UndecodableRecord`]: not damage, and not to be truncated.
 pub struct WalReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -349,7 +337,10 @@ impl<'a> WalReader<'a> {
         if expected != found {
             return Err(RestoreError::ChecksumMismatch { expected, found });
         }
-        let record = WalRecord::decode(payload)?;
+        let record = WalRecord::decode(payload).map_err(|e| RestoreError::UndecodableRecord {
+            offset: self.pos,
+            detail: e.to_string(),
+        })?;
         self.pos += 8 + len;
         Ok(Some(record))
     }
@@ -383,7 +374,9 @@ impl Default for DurabilityOptions {
 ///
 /// All mutating engine calls go through this wrapper (the inner engine is
 /// only exposed immutably), so the on-disk `snapshot.anc` + `wal.anc` pair
-/// is always sufficient to reconstruct the exact current state.
+/// is always sufficient to reconstruct the exact current state. Each
+/// mutator validates its input first: an out-of-range edge or a non-finite
+/// time returns a typed error with neither the log nor the engine touched.
 ///
 /// ```no_run
 /// use anc_core::persist::{DurabilityOptions, DurableEngine};
@@ -448,7 +441,9 @@ impl DurableEngine {
     /// failed checksum with further valid records behind it — is
     /// indistinguishable from a torn tail by construction, so recovery
     /// also stops there; the log is truncated to the last verifiable
-    /// prefix.
+    /// prefix. A record that verifies but cannot be decoded, or that the
+    /// restored engine would reject, was not produced by a tear: `open`
+    /// returns the typed error and leaves `wal.anc` as it found it.
     pub fn open(dir: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Self, RestoreError> {
         let dir = dir.as_ref().to_path_buf();
         // A leftover tmp is an interrupted compaction that never renamed;
@@ -488,11 +483,14 @@ impl DurableEngine {
                     let valid_end = loop {
                         match reader.next() {
                             Ok(Some(record)) => {
+                                record.check(&engine)?;
                                 record.apply(&mut engine);
                                 replayed += 1;
                             }
                             Ok(None) => break reader.position(),
-                            // Torn tail: keep the verified prefix only.
+                            // Torn tail (short frame, failed CRC, or a
+                            // length field over the cap — the reader's only
+                            // `Codec`): keep the verified prefix only.
                             Err(
                                 RestoreError::Truncated { .. }
                                 | RestoreError::ChecksumMismatch { .. }
@@ -531,6 +529,7 @@ impl DurableEngine {
 
     /// Logged [`AncEngine::activate`].
     pub fn activate(&mut self, e: EdgeId, t: f64) -> Result<(), RestoreError> {
+        check_input(&self.engine, &[e], Some(t))?;
         self.payload_buf.clear();
         payload_activate(&mut self.payload_buf, e, t);
         self.append_payload()?;
@@ -540,6 +539,7 @@ impl DurableEngine {
 
     /// Logged [`AncEngine::activate_batch`].
     pub fn activate_batch(&mut self, edges: &[EdgeId], t: f64) -> Result<BatchStats, RestoreError> {
+        check_input(&self.engine, edges, Some(t))?;
         self.payload_buf.clear();
         payload_batch(&mut self.payload_buf, t, edges);
         self.append_payload()?;
@@ -548,23 +548,9 @@ impl DurableEngine {
         Ok(stats)
     }
 
-    /// Logged [`AncEngine::activate_batch_adaptive`].
-    pub fn activate_batch_adaptive(
-        &mut self,
-        edges: &[EdgeId],
-        t: f64,
-        rebuild_threshold: Option<usize>,
-    ) -> Result<BatchStats, RestoreError> {
-        self.payload_buf.clear();
-        payload_batch_adaptive(&mut self.payload_buf, t, rebuild_threshold, edges);
-        self.append_payload()?;
-        let stats = self.engine.activate_batch_adaptive(edges, t, rebuild_threshold);
-        self.maybe_compact()?;
-        Ok(stats)
-    }
-
     /// Logged [`AncEngine::reinforce_edges`].
     pub fn reinforce_edges(&mut self, edges: &[EdgeId]) -> Result<(), RestoreError> {
+        check_input(&self.engine, edges, None)?;
         self.payload_buf.clear();
         payload_reinforce(&mut self.payload_buf, edges);
         self.append_payload()?;
@@ -658,12 +644,6 @@ mod tests {
         let records = [
             WalRecord::Activate { e: 7, t: 1.25 },
             WalRecord::ActivateBatch { t: 2.0, edges: vec![0, 3, 3, 9] },
-            WalRecord::ActivateBatchAdaptive { t: 3.0, rebuild_threshold: None, edges: vec![1] },
-            WalRecord::ActivateBatchAdaptive {
-                t: 4.0,
-                rebuild_threshold: Some(128),
-                edges: vec![2, 5],
-            },
             WalRecord::ReinforceEdges { edges: vec![4, 4] },
             WalRecord::ForceRescale,
         ];
@@ -744,6 +724,87 @@ mod tests {
         assert_eq!(engine_state(recovered.engine()), engine_state(&reference));
         // The torn bytes are gone from disk too.
         assert!(std::fs::metadata(&wal_path).unwrap().len() < len - 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record that passes its CRC but cannot be decoded (retired kind 3,
+    /// unknown kind 9), or that decodes to a call the engine would panic on
+    /// (`e = m`), is skew, not a tear: `open` must refuse with the typed
+    /// error and leave every byte of the log — including the valid records
+    /// behind the bad one — in place.
+    #[test]
+    fn verified_records_that_cannot_be_replayed_are_refused_not_truncated() {
+        let m = fresh_engine().graph().m() as u32;
+        let mut retired = vec![3u8]; // as written: kind 3, t = 2.0, no threshold, edges [1]
+        put_f64(&mut retired, 2.0);
+        put_u8(&mut retired, 0);
+        put_edges(&mut retired, &[1]);
+        let mut out_of_range = Vec::new();
+        payload_batch(&mut out_of_range, 2.0, &[1, m]);
+        // (tag, payload, the kind named by `UndecodableRecord` — `None` for
+        // the record that decodes but is out of range).
+        let cases = [
+            ("retired", retired, Some("kind 3")),
+            ("unknown", vec![9u8], Some("kind 9")),
+            ("range", out_of_range, None),
+        ];
+        for (tag, payload, undecodable_kind) in cases {
+            let dir = tmp_dir(tag);
+            drop(
+                DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap(),
+            );
+            let mut log = encode_header(0);
+            let mut scratch = Vec::new();
+            frame_record(&mut log, &WalRecord::Activate { e: 1, t: 1.0 }, &mut scratch);
+            let bad_at = log.len();
+            frame_payload(&mut log, &payload).unwrap();
+            frame_record(&mut log, &WalRecord::Activate { e: 2, t: 3.0 }, &mut scratch);
+            std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+
+            let err = DurableEngine::open(&dir, DurabilityOptions::default())
+                .err()
+                .unwrap_or_else(|| panic!("{tag}: open must refuse the log"));
+            match (&err, undecodable_kind) {
+                (RestoreError::UndecodableRecord { offset, detail }, Some(kind)) => {
+                    assert_eq!(*offset, bad_at, "{tag}");
+                    assert!(detail.contains(kind), "{tag}: {detail}");
+                }
+                (RestoreError::EdgeOutOfRange { edge, num_edges }, None) => {
+                    assert_eq!((*edge, *num_edges), (m, m as usize), "{tag}");
+                }
+                _ => panic!("{tag}: unexpected error {err}"),
+            }
+            assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), log, "{tag}: log was modified");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Input the engine would panic on is rejected *before* it is logged:
+    /// the call returns the typed error, and neither the log nor the engine
+    /// moves — so no later `open` replays a poisoned record.
+    #[test]
+    fn invalid_input_is_rejected_before_it_is_logged() {
+        let dir = tmp_dir("validate");
+        let mut durable =
+            DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
+        let m = durable.engine().graph().m() as u32;
+        durable.activate(1, 1.0).unwrap();
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let (len, state) = (wal_len(), engine_state(durable.engine()));
+
+        let err = durable.activate_batch(&[1, m + 5], 2.0).unwrap_err();
+        assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m + 5), "{err}");
+        let err = durable.activate(0, f64::NAN).unwrap_err();
+        assert!(matches!(err, RestoreError::InvalidTime(t) if t.is_nan()), "{err}");
+        let err = durable.reinforce_edges(&[m]).unwrap_err();
+        assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m), "{err}");
+
+        assert_eq!(wal_len(), len, "a rejected call must not reach the log");
+        assert_eq!(durable.wal_records(), 1);
+        assert_eq!(engine_state(durable.engine()), state);
+        drop(durable);
+        let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
+        assert_eq!(engine_state(recovered.engine()), state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -254,8 +254,8 @@ impl Pyramids {
     }
 
     /// Applies a whole batch of ordered weight deltas with **one** parallel
-    /// fan-out instead of one per edge (the engine's batch-ingestion
-    /// pipeline; see DESIGN.md §7).
+    /// fan-out instead of one per edge (the engine's ingest loop; see
+    /// DESIGN.md §7).
     ///
     /// `deltas` is the ordered list of `(e, old_w, new_w)` changes exactly
     /// as they occurred; the same edge may appear several times. `weights`
@@ -279,6 +279,45 @@ impl Pyramids {
         weights: &[f64],
         deltas: &[(EdgeId, f64, f64)],
     ) -> RepairStats {
+        self.repair_batch(g, weights, deltas, None)
+    }
+
+    /// [`Self::on_weight_change_batch`] that additionally records, per
+    /// partition (pyramid-major order), the union of all nodes whose seed
+    /// assignment or distance changed at any point during the batch — the
+    /// input of the cluster cache's affected-set → dirty-edge translation.
+    ///
+    /// `out` must hold one buffer per partition (`k · levels`); each is
+    /// cleared, filled, sorted and deduplicated. The buffers are caller-owned
+    /// so the engine can pool them across batches. The partitions themselves
+    /// end bit-identical to the untraced variant (same per-delta replay).
+    pub fn on_weight_change_batch_traced(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        out: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        self.repair_batch(g, weights, deltas, Some(out))
+    }
+
+    /// The grouped repair behind [`Self::on_weight_change_batch`] (`out` is
+    /// `None`: affected nodes go to a pooled sink nobody reads) and
+    /// [`Self::on_weight_change_batch_traced`] (`Some`: one buffer per
+    /// partition).
+    fn repair_batch(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        mut out: Option<&mut [Vec<NodeId>]>,
+    ) -> RepairStats {
+        if let Some(out) = out.as_deref_mut() {
+            debug_assert_eq!(out.len(), self.partitions.len(), "one trace buffer per partition");
+            for o in out.iter_mut() {
+                o.clear();
+            }
+        }
         if deltas.is_empty() {
             return RepairStats::default();
         }
@@ -301,109 +340,30 @@ impl Pyramids {
         if self.repair_scratch.len() < n_chunks {
             self.repair_scratch.resize_with(n_chunks, Default::default);
         }
-        // Workers fold their counters with `reduce` (addition is commutative
-        // and associative, so the result is thread-count independent) rather
-        // than collecting a per-chunk Vec on the hot path. Each worker owns
-        // one pooled scratch slot (zip truncates to the partition chunks):
-        // the weight array is refilled in place, and affected-node output is
-        // appended to the pooled discard sink instead of a fresh Vec.
-        self.partitions
-            .par_chunks_mut(chunk)
-            .zip(self.repair_scratch.par_chunks_mut(1))
-            .map(|(parts, scratch)| {
-                let s = &mut scratch[0];
-                s.weights.clear();
-                s.weights.extend_from_slice(weights);
-                let mut stats = RepairStats::default();
-                for p in parts.iter_mut() {
-                    for &(e, old_w, _) in deltas.iter().rev() {
-                        s.weights[e as usize] = old_w;
-                    }
-                    for &(e, old_w, new_w) in deltas {
-                        s.weights[e as usize] = new_w;
-                        if p.noop_weight_change(g, &s.weights, e, old_w) {
-                            stats.skips += 1;
-                        } else {
-                            s.discard.clear();
-                            p.on_weight_change_into(g, &s.weights, e, old_w, &mut s.discard);
-                            stats.updates += 1;
-                        }
-                    }
-                }
-                stats
-            })
-            .reduce(RepairStats::default, |mut a, b| {
-                a += b;
-                a
-            })
-    }
-
-    /// [`Self::on_weight_change_batch`] that additionally records, per
-    /// partition (pyramid-major order), the union of all nodes whose seed
-    /// assignment or distance changed at any point during the batch — the
-    /// input of the cluster cache's affected-set → dirty-edge translation.
-    ///
-    /// `out` must hold one buffer per partition (`k · levels`); each is
-    /// cleared, filled, sorted and deduplicated. The buffers are caller-owned
-    /// so the engine can pool them across batches. The partitions themselves
-    /// end bit-identical to the untraced variant (same per-delta replay).
-    pub fn on_weight_change_batch_traced(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        deltas: &[(EdgeId, f64, f64)],
-        out: &mut [Vec<NodeId>],
-    ) -> RepairStats {
-        debug_assert_eq!(out.len(), self.partitions.len(), "one trace buffer per partition");
-        for o in out.iter_mut() {
-            o.clear();
+        // Each worker owns one pooled scratch slot (zip truncates to the
+        // partition chunks) and folds its counters with `reduce` (addition
+        // is commutative and associative, so the result is thread-count
+        // independent) rather than collecting a per-chunk Vec on the hot
+        // path.
+        let chunks = self.partitions.par_chunks_mut(chunk);
+        let scratch = self.repair_scratch.par_chunks_mut(1);
+        let sum = |mut a: RepairStats, b| {
+            a += b;
+            a
+        };
+        match out {
+            Some(out) => chunks
+                .zip(out.par_chunks_mut(chunk))
+                .zip(scratch)
+                .map(|((parts, traces), s)| {
+                    replay_chunk(g, weights, deltas, parts, Some(traces), &mut s[0])
+                })
+                .reduce(RepairStats::default, sum),
+            None => chunks
+                .zip(scratch)
+                .map(|(parts, s)| replay_chunk(g, weights, deltas, parts, None, &mut s[0]))
+                .reduce(RepairStats::default, sum),
         }
-        if deltas.is_empty() {
-            return RepairStats::default();
-        }
-        // 2× oversubscription, matching the untraced batch repair: the
-        // per-chunk private weight fill dominates finer-grained chunking.
-        let n_target = (rayon::current_num_threads() * 2).clamp(1, self.partitions.len());
-        let chunk = self.partitions.len().div_ceil(n_target);
-        let n_chunks = self.partitions.len().div_ceil(chunk);
-        if self.repair_scratch.len() < n_chunks {
-            self.repair_scratch.resize_with(n_chunks, Default::default);
-        }
-        let stats = self
-            .partitions
-            .par_chunks_mut(chunk)
-            .zip(out.par_chunks_mut(chunk))
-            .zip(self.repair_scratch.par_chunks_mut(1))
-            .map(|((parts, traces), scratch)| {
-                // One pooled weight array per worker, rewound between
-                // partitions exactly as in the untraced batch repair.
-                let s = &mut scratch[0];
-                s.weights.clear();
-                s.weights.extend_from_slice(weights);
-                let mut stats = RepairStats::default();
-                for (p, trace) in parts.iter_mut().zip(traces.iter_mut()) {
-                    for &(e, old_w, _) in deltas.iter().rev() {
-                        s.weights[e as usize] = old_w;
-                    }
-                    for &(e, old_w, new_w) in deltas {
-                        s.weights[e as usize] = new_w;
-                        if p.noop_weight_change(g, &s.weights, e, old_w) {
-                            stats.skips += 1;
-                        } else {
-                            p.on_weight_change_into(g, &s.weights, e, old_w, trace);
-                            stats.updates += 1;
-                        }
-                    }
-                    trace.sort_unstable();
-                    trace.dedup();
-                }
-                stats
-            })
-            .reduce(RepairStats::default, |mut a, b| {
-                a += b;
-                a
-            });
-        stats
     }
 
     /// Serial variant of [`Self::on_weight_change`] (used to measure the
@@ -557,6 +517,54 @@ impl Pyramids {
         }
         Ok(())
     }
+}
+
+/// One worker's share of a grouped repair: replays `deltas` in order on
+/// each of its partitions, against the worker's private weight array —
+/// refilled in place with the final `weights`, then rewound to the
+/// pre-batch state before every partition. With `traces` (one buffer per
+/// partition of the chunk) a partition's affected nodes accumulate over the
+/// whole batch and are left sorted and deduplicated; without, they go to the
+/// scratch's discard sink.
+fn replay_chunk(
+    g: &Graph,
+    weights: &[f64],
+    deltas: &[(EdgeId, f64, f64)],
+    parts: &mut [VoronoiPartition],
+    mut traces: Option<&mut [Vec<NodeId>]>,
+    scratch: &mut RepairScratch,
+) -> RepairStats {
+    let RepairScratch { weights: w, discard } = scratch;
+    w.clear();
+    w.extend_from_slice(weights);
+    let traced = traces.is_some();
+    let mut stats = RepairStats::default();
+    for (i, p) in parts.iter_mut().enumerate() {
+        for &(e, old_w, _) in deltas.iter().rev() {
+            w[e as usize] = old_w;
+        }
+        let sink = match traces.as_deref_mut() {
+            Some(traces) => &mut traces[i],
+            None => &mut *discard,
+        };
+        for &(e, old_w, new_w) in deltas {
+            w[e as usize] = new_w;
+            if p.noop_weight_change(g, w, e, old_w) {
+                stats.skips += 1;
+            } else {
+                if !traced {
+                    sink.clear();
+                }
+                p.on_weight_change_into(g, w, e, old_w, sink);
+                stats.updates += 1;
+            }
+        }
+        if traced {
+            sink.sort_unstable();
+            sink.dedup();
+        }
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -121,8 +121,8 @@ pub struct ReinforceOutcome {
     pub proc_v: Processes,
 }
 
-/// Precomputed σ context for one trigger node, as produced by the engine's
-/// fused batch path (σ once per distinct trigger node, in parallel).
+/// Precomputed σ context for one trigger node: its `sigma_all` row and the
+/// classification that row implies.
 #[derive(Clone, Copy, Debug)]
 pub struct CachedTrigger<'a> {
     /// `sigma_all` output for the node, aligned with `g.edges_of(node)`.
@@ -174,11 +174,10 @@ pub fn apply_reinforcement(
     out
 }
 
-/// Variant of [`apply_reinforcement`] consuming σ values and node types
-/// computed elsewhere — σ is NeuM and depends only on activeness, never on
-/// `sim`, so a batch that lands all activeness bumps first can compute σ
-/// once per distinct trigger node and replay reinforcements against the
-/// cache (the engine's [`crate::config::BatchMode::Fused`] path).
+/// The body of [`apply_reinforcement`], consuming σ rows and node types the
+/// caller has already computed (σ is NeuM and depends only on activeness,
+/// never on `sim`) — which lets a caller time or observe the σ and
+/// reinforcement stages separately.
 pub fn apply_reinforcement_cached(
     ctx: &SimilarityCtx<'_>,
     sim: &mut [f64],

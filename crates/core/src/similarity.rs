@@ -55,17 +55,11 @@ pub struct Scratch {
     /// live at once, so it swaps this in for the second `sigma_all` call
     /// instead of allocating a fresh row per activation.
     pub sigmas_b: Vec<f64>,
-    /// Flat concatenation of σ rows produced by one fused-batch worker
-    /// chunk (engine use; reused across batches via the pool).
-    pub flat: Vec<f64>,
-    /// Per-trigger (row length, node type) pairs matching `flat`.
-    pub rows: Vec<(u32, NodeType)>,
 }
 
 impl Scratch {
     /// Creates scratch space for graphs of `n` nodes.
     pub fn new(n: usize) -> Self {
-        // audit:allow(hot-alloc) -- pool-miss path: a worker's buffers are allocated once, then reused
         Self { mark: vec![0; n], val: vec![0.0; n], ..Self::default() }
     }
 
@@ -99,37 +93,6 @@ impl Scratch {
     #[inline]
     pub fn value(&self, x: NodeId) -> f64 {
         self.val[x as usize]
-    }
-}
-
-/// A pool of per-worker [`Scratch`] buffers for the engine's parallel σ
-/// phase: buffers are allocated once per worker and reused across batches,
-/// keeping the parallel hot path allocation-free (the `mark`/`val` arrays
-/// are the `O(n)` part; `sigmas` grows to the max row length seen).
-#[derive(Clone, Debug, Default)]
-pub struct ScratchPool {
-    free: Vec<Scratch>,
-    n: usize,
-}
-
-impl ScratchPool {
-    /// Creates an empty pool for graphs of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Self { free: Vec::new(), n }
-    }
-
-    /// Takes exactly `count` scratches out of the pool, allocating only the
-    /// ones that don't exist yet. Pair with [`ScratchPool::put_back`].
-    pub fn take(&mut self, count: usize) -> Vec<Scratch> {
-        while self.free.len() < count {
-            self.free.push(Scratch::new(self.n));
-        }
-        self.free.split_off(self.free.len() - count)
-    }
-
-    /// Returns scratches to the pool for reuse by the next batch.
-    pub fn put_back(&mut self, scratches: impl IntoIterator<Item = Scratch>) {
-        self.free.extend(scratches);
     }
 }
 
@@ -328,20 +291,6 @@ mod tests {
         assert_eq!(ctx.node_type(1, 0.3, 3, &mut scratch), NodeType::Core);
         // With ε = 0.5 only σ(1,2) qualifies → p-core.
         assert_eq!(ctx.node_type(1, 0.5, 3, &mut scratch), NodeType::PCore);
-    }
-
-    #[test]
-    fn scratch_pool_reuses_buffers() {
-        let mut pool = ScratchPool::new(16);
-        let taken = pool.take(3);
-        assert_eq!(taken.len(), 3);
-        pool.put_back(taken);
-        // Second take reuses the same buffers — the free list never grows
-        // past the high-water mark.
-        let again = pool.take(2);
-        assert_eq!(again.len(), 2);
-        pool.put_back(again);
-        assert_eq!(pool.take(3).len(), 3);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The parallelism-never-changes-results invariant (DESIGN.md §7): the
 //! engine's state is a pure function of (graph, config, seed, stream). The
-//! rayon worker count is **not** an input — the grouped σ recomputation and
-//! index-repair fan-outs split work into contiguous, order-preserving
-//! chunks, so any thread count produces byte-identical snapshots *and*
+//! rayon worker count is **not** an input — the index-repair fan-outs split
+//! work into contiguous, order-preserving chunks, so any thread count produces byte-identical snapshots *and*
 //! cluster extractions, even when the extraction itself runs from inside a
 //! nested `rayon::join` (pool tasks run nested parallel calls inline).
 //!
@@ -10,12 +9,12 @@
 //! `RAYON_NUM_THREADS` variable, which would race with sibling tests in the
 //! same binary.
 
-use anc_core::{AncConfig, AncEngine, BatchMode, ClusterCache, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
 use anc_graph::gen::connected_caveman;
 
 /// Snapshot JSON plus per-level cluster labels, extracted through a nested
 /// `join` so the sweep exercises parallel-inside-parallel scheduling.
-fn ingest_fingerprint(threads: &str, batch: BatchMode) -> (String, Vec<Vec<u32>>) {
+fn ingest_fingerprint(threads: &str) -> (String, Vec<Vec<u32>>) {
     std::env::set_var("RAYON_NUM_THREADS", threads);
     let lg = connected_caveman(4, 6);
     let cfg = AncConfig {
@@ -24,7 +23,6 @@ fn ingest_fingerprint(threads: &str, batch: BatchMode) -> (String, Vec<Vec<u32>>
         epsilon: 0.25,
         k: 3,
         parallel_updates: true,
-        batch,
         ..Default::default()
     };
     let mut engine = AncEngine::new(lg.graph, cfg, 42);
@@ -62,14 +60,11 @@ fn ingest_fingerprint(threads: &str, batch: BatchMode) -> (String, Vec<Vec<u32>>
 
 #[test]
 fn thread_count_never_changes_results() {
-    for batch in [BatchMode::Exact, BatchMode::Fused] {
-        let runs: Vec<_> =
-            ["1", "2", "4", "8"].iter().map(|t| ingest_fingerprint(t, batch)).collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            let t = ["1", "2", "4", "8"][i];
-            assert_eq!(runs[0].0, run.0, "{batch:?}: snapshot diverged between 1 and {t} threads");
-            assert_eq!(runs[0].1, run.1, "{batch:?}: clusters diverged between 1 and {t} threads");
-        }
+    let runs: Vec<_> = ["1", "2", "4", "8"].iter().map(|t| ingest_fingerprint(t)).collect();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        let t = ["1", "2", "4", "8"][i];
+        assert_eq!(runs[0].0, run.0, "snapshot diverged between 1 and {t} threads");
+        assert_eq!(runs[0].1, run.1, "clusters diverged between 1 and {t} threads");
     }
 }

@@ -1,9 +1,9 @@
-//! Property tests for the batch-ingestion pipeline: in the default
-//! [`BatchMode::Exact`], `activate_batch` is an exact refactoring of the
-//! serial per-activation loop — same similarities (bit for bit), same
+//! Property tests for the ingest loop: `activate_batch` and a multi-edge
+//! `reinforce_edges` are exact refactorings of the serial per-edge loop —
+//! same state (bit for bit, down to the serialized snapshot), same
 //! clusterings, across arbitrary streams, batch shapes and rescale timing.
 
-use anc_core::{AncConfig, AncEngine, BatchMode, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterMode};
 use anc_graph::gen::{connected_caveman, erdos_renyi};
 use anc_graph::Graph;
 use proptest::prelude::*;
@@ -29,11 +29,16 @@ fn graph_for(seed: u64) -> Graph {
     }
 }
 
-/// Batches of raw edge indices with per-batch time increments.
-fn batched_stream() -> impl Strategy<Value = (u64, Vec<(Vec<usize>, f64)>)> {
+/// Steps of raw edge indices with per-step time increments; a step whose
+/// last field is 0 (one in four) is an ANCOR `reinforce_edges` replay at the
+/// current time instead of an activation batch.
+fn batched_stream() -> impl Strategy<Value = (u64, Vec<(Vec<usize>, f64, u32)>)> {
     (
         0u64..32,
-        prop::collection::vec((prop::collection::vec(0usize..10_000, 1..14), 0.05f64..0.8), 1..8),
+        prop::collection::vec(
+            (prop::collection::vec(0usize..10_000, 1..14), 0.05f64..0.8, 0u32..4),
+            1..8,
+        ),
     )
 }
 
@@ -47,20 +52,33 @@ proptest! {
         let mut serial = AncEngine::new(g.clone(), small_cfg(), seed);
         let mut batched = AncEngine::new(g, small_cfg(), seed);
         let mut t = 0.0;
-        for (raw, dt) in stream {
-            t += dt;
+        for (raw, dt, kind) in stream {
             let batch: Vec<u32> = raw.into_iter().map(|i| (i % m) as u32).collect();
+            if kind == 0 {
+                for &e in &batch {
+                    serial.reinforce_edges(&[e]);
+                }
+                batched.reinforce_edges(&batch);
+                continue;
+            }
+            t += dt;
             for &e in &batch {
                 serial.activate(e, t);
             }
             let stats = batched.activate_batch(&batch, t);
             prop_assert_eq!(stats.edges_in, batch.len());
+            prop_assert!(stats.dirty_edges <= batch.len());
         }
         // Identical anchored similarities, bit for bit…
         for (e, (a, b)) in serial.sim_anchored().iter().zip(batched.sim_anchored()).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "sim of edge {} diverged", e);
         }
         prop_assert_eq!(serial.rescales(), batched.rescales());
+        // …identical snapshots (state and every partition), byte for byte…
+        prop_assert_eq!(
+            serde_json::to_string(&serial.to_snapshot()).unwrap(),
+            serde_json::to_string(&batched.to_snapshot()).unwrap()
+        );
         // …and identical clusterings at every level, both semantics.
         for level in 0..serial.num_levels() {
             for mode in [ClusterMode::Even, ClusterMode::Power] {
@@ -72,26 +90,5 @@ proptest! {
             }
         }
         batched.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fused_batch_keeps_invariants((seed, stream) in batched_stream()) {
-        let g = graph_for(seed);
-        let m = g.m();
-        let cfg = AncConfig { batch: BatchMode::Fused, ..small_cfg() };
-        let mut engine = AncEngine::new(g, cfg, seed);
-        let mut t = 0.0;
-        let mut total = 0usize;
-        for (raw, dt) in stream {
-            t += dt;
-            let batch: Vec<u32> = raw.into_iter().map(|i| (i % m) as u32).collect();
-            let stats = engine.activate_batch(&batch, t);
-            // Fused σ work is bounded by the deduplicated trigger set.
-            prop_assert!(stats.sigma_recomputes <= 2 * batch.len());
-            prop_assert!(stats.dirty_edges <= batch.len());
-            total += batch.len();
-        }
-        prop_assert_eq!(engine.activations(), total as u64);
-        engine.check_invariants().unwrap();
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the incremental cluster-query cache: across arbitrary
-//! mixed streams of single activations, exact batches, and adaptive batches
-//! (with rebuild thresholds low enough to trigger index reconstruction), a
-//! cached `cluster_all` must stay label-identical to a cold recomputation at
-//! every level and in both extraction modes — including across rescale
-//! boundaries, which the cache must treat as no-ops.
+//! mixed streams of single activations, batches, and batches followed by an
+//! index reconstruction, a cached `cluster_all` must stay label-identical to
+//! a cold recomputation at every level and in both extraction modes —
+//! including across rescale boundaries, which the cache must treat as
+//! no-ops.
 
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ fn graph_for(seed: u64) -> Graph {
 enum Step {
     Single(usize),
     Batch(Vec<usize>),
-    Adaptive(Vec<usize>),
+    Reconstruct(Vec<usize>),
 }
 
 fn stream() -> impl Strategy<Value = (u64, Vec<(Step, f64)>)> {
@@ -53,7 +53,7 @@ fn stream() -> impl Strategy<Value = (u64, Vec<(Step, f64)>)> {
             |(kind, raw)| match kind {
                 0 => Step::Single(raw[0]),
                 1 => Step::Batch(raw),
-                _ => Step::Adaptive(raw),
+                _ => Step::Reconstruct(raw),
             },
         );
     (0u64..32, prop::collection::vec((step, 0.05f64..0.8), 1..8))
@@ -85,11 +85,11 @@ proptest! {
                     let batch: Vec<u32> = raw.into_iter().map(|i| (i % m) as u32).collect();
                     let _ = engine.activate_batch(&batch, t);
                 }
-                Step::Adaptive(raw) => {
+                Step::Reconstruct(raw) => {
                     let batch: Vec<u32> = raw.into_iter().map(|i| (i % m) as u32).collect();
-                    // A low threshold so longer batches take the
-                    // reconstruct-index path and hit cache invalidation.
-                    let _ = engine.activate_batch_adaptive(&batch, t, Some(12));
+                    // A batch, then RECONSTRUCT: hits cache invalidation.
+                    let _ = engine.activate_batch(&batch, t);
+                    engine.reconstruct_index();
                 }
             }
             for level in 0..engine.num_levels() {
@@ -120,7 +120,7 @@ proptest! {
             t += dt;
             let edges: Vec<u32> = match step {
                 Step::Single(raw) => vec![(raw % m) as u32],
-                Step::Batch(raw) | Step::Adaptive(raw) => {
+                Step::Batch(raw) | Step::Reconstruct(raw) => {
                     raw.into_iter().map(|i| (i % m) as u32).collect()
                 }
             };
@@ -152,7 +152,7 @@ proptest! {
             t += dt;
             let edges: Vec<u32> = match step {
                 Step::Single(raw) => vec![(raw % m) as u32],
-                Step::Batch(raw) | Step::Adaptive(raw) => {
+                Step::Batch(raw) | Step::Reconstruct(raw) => {
                     raw.into_iter().map(|i| (i % m) as u32).collect()
                 }
             };

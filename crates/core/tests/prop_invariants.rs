@@ -1,5 +1,5 @@
 //! Fuzz-style invariant testing (DESIGN.md §8): random activation streams —
-//! mixed single/batch/adaptive, small enough rescale intervals to cross
+//! mixed single/batch/batch-then-reconstruct, small enough rescale intervals to cross
 //! several rescale boundaries — with [`AncEngine::check_invariants`]
 //! asserted after **every** step, plus negative tests that corrupted
 //! snapshots are rejected with the right [`InvariantViolation`] variant.
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 enum Event {
     Single(usize),
     Batch(Vec<usize>),
-    Adaptive(Vec<usize>),
+    Reconstruct(Vec<usize>),
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
@@ -22,7 +22,7 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         |(kind, single, batch)| match kind {
             0 => Event::Single(single),
             1 => Event::Batch(batch),
-            _ => Event::Adaptive(batch),
+            _ => Event::Reconstruct(batch),
         },
     )
 }
@@ -53,12 +53,11 @@ fn apply(engine: &mut AncEngine, event: &Event, t: f64) {
             let stats = engine.activate_batch(&edges, t);
             assert_eq!(stats.edges_in, edges.len());
         }
-        Event::Adaptive(sels) => {
+        Event::Reconstruct(sels) => {
             let edges: Vec<u32> = sels.iter().map(|s| (s % m) as u32).collect();
-            // A tiny threshold makes some adaptive calls take the rebuild
-            // path, the rest the grouped-repair path.
-            let stats = engine.activate_batch_adaptive(&edges, t, Some(12));
+            let stats = engine.activate_batch(&edges, t);
             assert_eq!(stats.edges_in, edges.len());
+            engine.reconstruct_index();
         }
     }
 }

@@ -32,18 +32,16 @@ fn scratch(tag: &str) -> PathBuf {
 enum Op {
     Activate(usize),
     Batch(Vec<usize>),
-    Adaptive(Vec<usize>),
     Reinforce(Vec<usize>),
     Rescale,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..5, 0usize..10_000, prop::collection::vec(0usize..10_000, 1..12)).prop_map(
+    (0u8..4, 0usize..10_000, prop::collection::vec(0usize..10_000, 1..12)).prop_map(
         |(kind, single, list)| match kind {
             0 => Op::Activate(single),
             1 => Op::Batch(list),
-            2 => Op::Adaptive(list),
-            3 => Op::Reinforce(list),
+            2 => Op::Reinforce(list),
             _ => Op::Rescale,
         },
     )
@@ -69,9 +67,6 @@ fn apply_durable(d: &mut DurableEngine, op: &Op, t: f64) {
         Op::Activate(sel) => d.activate((sel % m) as u32, t).unwrap(),
         Op::Batch(sels) => {
             let _ = d.activate_batch(&to_edges(sels), t).unwrap();
-        }
-        Op::Adaptive(sels) => {
-            let _ = d.activate_batch_adaptive(&to_edges(sels), t, Some(12)).unwrap();
         }
         Op::Reinforce(sels) => d.reinforce_edges(&to_edges(sels)).unwrap(),
         Op::Rescale => d.force_rescale().unwrap(),

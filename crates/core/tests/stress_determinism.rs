@@ -17,13 +17,13 @@
 //! `RAYON_NUM_THREADS` and `ANC_STRESS_SEED` variables, which would race
 //! with sibling tests in the same binary.
 
-use anc_core::{AncConfig, AncEngine, BatchMode, ClusterCache, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
 use anc_graph::gen::connected_caveman;
 
 /// Snapshot JSON plus per-level cluster labels, extracted through a nested
 /// `join` so the sweep exercises parallel-inside-parallel scheduling (the
 /// same fingerprint as `batch_determinism.rs`).
-fn ingest_fingerprint(batch: BatchMode) -> (String, Vec<Vec<u32>>) {
+fn ingest_fingerprint() -> (String, Vec<Vec<u32>>) {
     let lg = connected_caveman(4, 6);
     let cfg = AncConfig {
         rep: 1,
@@ -31,7 +31,6 @@ fn ingest_fingerprint(batch: BatchMode) -> (String, Vec<Vec<u32>>) {
         epsilon: 0.25,
         k: 3,
         parallel_updates: true,
-        batch,
         ..Default::default()
     };
     let mut engine = AncEngine::new(lg.graph, cfg, 42);
@@ -65,28 +64,26 @@ fn ingest_fingerprint(batch: BatchMode) -> (String, Vec<Vec<u32>>) {
 
 #[test]
 fn perturbed_schedules_never_change_engine_state() {
-    for batch in [BatchMode::Exact, BatchMode::Fused] {
-        // Reference: single thread, no perturbation.
-        std::env::remove_var("ANC_STRESS_SEED");
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let reference = ingest_fingerprint(batch);
+    // Reference: single thread, no perturbation.
+    std::env::remove_var("ANC_STRESS_SEED");
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let reference = ingest_fingerprint();
 
-        for threads in ["2", "4", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            for seed in ["0", "42", "3405691582"] {
-                std::env::set_var("ANC_STRESS_SEED", seed);
-                let run = ingest_fingerprint(batch);
-                assert_eq!(
-                    reference.0, run.0,
-                    "{batch:?}: snapshot diverged from the 1-thread reference \
-                     at {threads} threads, stress seed {seed}"
-                );
-                assert_eq!(
-                    reference.1, run.1,
-                    "{batch:?}: clusters diverged from the 1-thread reference \
-                     at {threads} threads, stress seed {seed}"
-                );
-            }
+    for threads in ["2", "4", "8"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        for seed in ["0", "42", "3405691582"] {
+            std::env::set_var("ANC_STRESS_SEED", seed);
+            let run = ingest_fingerprint();
+            assert_eq!(
+                reference.0, run.0,
+                "snapshot diverged from the 1-thread reference \
+                 at {threads} threads, stress seed {seed}"
+            );
+            assert_eq!(
+                reference.1, run.1,
+                "clusters diverged from the 1-thread reference \
+                 at {threads} threads, stress seed {seed}"
+            );
         }
     }
     std::env::remove_var("ANC_STRESS_SEED");

@@ -17,8 +17,8 @@
 //!   (`len ∥ payload ∥ crc32`), total decode, typed error frames.
 //! * [`tcp`] — the TCP front end (thread per connection) plus a blocking
 //!   [`WireClient`].
-//! * [`hist`] — the log-bucketed latency histogram shared with the
-//!   closed-loop load generator in `anc-bench`.
+//! * [`hist`] — the log-bucketed latency histogram behind
+//!   [`ServerStats::apply_latency`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

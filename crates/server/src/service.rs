@@ -1,4 +1,4 @@
-//! The protocol-agnostic serving core: single-writer ingest with adaptive
+//! The protocol-agnostic serving core: single-writer ingest with
 //! coalescing, wait-free epoch'd snapshot publication, backpressure.
 //!
 //! Architecture (DESIGN.md §14): one writer thread owns the engine
@@ -7,9 +7,8 @@
 //! cycle it takes everything queued (up to [`ServeConfig::coalesce_max`]
 //! jobs, so the applied batch grows with queue depth), merges consecutive
 //! same-timestamp jobs into single [`AncEngine::activate_batch`] calls,
-//! picks Exact vs Fused batch mode by the
-//! [`ServeConfig::fused_min_batch`] policy, refreshes the cluster cache
-//! once, and publishes one immutable [`ServeSnapshot`]. Readers never see
+//! refreshes the cluster cache once, and publishes one immutable
+//! [`ServeSnapshot`]. Readers never see
 //! the engine — they answer from snapshots via [`SnapshotReader`], so the
 //! query path is wait-free (audit rule A11).
 //!
@@ -25,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use anc_core::publish::Publisher;
-use anc_core::{AncEngine, BatchMode, BatchStats, ClusterMode, DurableEngine, RestoreError};
+use anc_core::{AncEngine, BatchStats, ClusterMode, DurableEngine, RestoreError};
 use anc_graph::EdgeId;
 
 use crate::hist::LatencyHistogram;
@@ -49,6 +48,15 @@ impl EngineBackend {
             EngineBackend::Durable(d) => d.engine(),
         }
     }
+
+    /// [`AncEngine::activate_batch`] on the wrapped engine — write-ahead
+    /// logged first when durable, which is the only way it can fail.
+    pub fn activate_batch(&mut self, edges: &[EdgeId], t: f64) -> Result<BatchStats, RestoreError> {
+        match self {
+            EngineBackend::Volatile(e) => Ok(e.activate_batch(edges, t)),
+            EngineBackend::Durable(d) => d.activate_batch(edges, t),
+        }
+    }
 }
 
 /// Writer-loop and queue configuration.
@@ -61,13 +69,6 @@ pub struct ServeConfig {
     /// adapts to load: an idle server applies single-job batches, a backed
     /// up queue drains up to this many jobs into one apply+publish cycle.
     pub coalesce_max: usize,
-    /// Exact-vs-Fused policy: a coalesced same-timestamp run of at least
-    /// this many edges is applied with [`BatchMode::Fused`], smaller runs
-    /// with [`BatchMode::Exact`]. `None` keeps the engine's configured
-    /// mode for every batch. Must be `None` for a durable backend: WAL
-    /// records do not carry the batch mode, so an adaptive flip would
-    /// change what replay reconstructs.
-    pub fused_min_batch: Option<usize>,
     /// Granularity levels refreshed and published with every snapshot;
     /// empty selects the engine's default level.
     pub levels: Vec<usize>,
@@ -78,22 +79,13 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            queue_capacity: 1024,
-            coalesce_max: 256,
-            fused_min_batch: None,
-            levels: Vec::new(),
-            modes: Vec::new(),
-        }
+        Self { queue_capacity: 1024, coalesce_max: 256, levels: Vec::new(), modes: Vec::new() }
     }
 }
 
 /// Rejected construction of a [`ServerCore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `fused_min_batch` with a durable backend: the WAL does not record
-    /// per-batch modes, so adaptive switching would break replay.
-    FusedWithDurable,
     /// A configured publish level is out of range for the engine.
     LevelOutOfRange {
         /// The offending level.
@@ -108,11 +100,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::FusedWithDurable => write!(
-                f,
-                "fused_min_batch requires a volatile backend (WAL replay cannot \
-                 reconstruct adaptive mode flips)"
-            ),
             ServeError::LevelOutOfRange { level, num_levels } => {
                 write!(f, "publish level {level} out of range (engine has {num_levels})")
             }
@@ -224,10 +211,6 @@ pub struct ServerStats {
     pub coalesced_jobs: u64,
     /// Largest single applied batch, in edges.
     pub max_batch_edges: u64,
-    /// Batches applied in [`BatchMode::Exact`].
-    pub exact_batches: u64,
-    /// Batches applied in [`BatchMode::Fused`].
-    pub fused_batches: u64,
     /// Submissions shed by backpressure (sampled at publish).
     pub shed: u64,
     /// Publications (equals the snapshot's epoch).
@@ -270,9 +253,6 @@ impl ServerCore {
     pub fn start(backend: EngineBackend, cfg: ServeConfig) -> Result<Self, ServeError> {
         if cfg.queue_capacity == 0 || cfg.coalesce_max == 0 {
             return Err(ServeError::EmptyConfig);
-        }
-        if matches!(backend, EngineBackend::Durable(_)) && cfg.fused_min_batch.is_some() {
-            return Err(ServeError::FusedWithDurable);
         }
         let engine = backend.engine();
         let num_levels = engine.num_levels();
@@ -336,10 +316,8 @@ impl ServerCore {
 }
 
 /// Applies one coalesced same-timestamp run and accounts for it.
-#[allow(clippy::too_many_arguments)]
 fn apply_run(
     backend: &mut EngineBackend,
-    fused_min_batch: Option<usize>,
     stats: &mut ServerStats,
     t: f64,
     edges: &[EdgeId],
@@ -350,27 +328,13 @@ fn apply_run(
     if edges.is_empty() || wal_error.is_some() {
         return;
     }
-    let bs = match backend {
-        EngineBackend::Volatile(engine) => {
-            if let Some(threshold) = fused_min_batch {
-                let mode =
-                    if edges.len() >= threshold { BatchMode::Fused } else { BatchMode::Exact };
-                engine.set_batch_mode(mode);
-            }
-            engine.activate_batch(edges, t)
+    let bs = match backend.activate_batch(edges, t) {
+        Ok(bs) => bs,
+        Err(e) => {
+            *wal_error = Some(e);
+            return;
         }
-        EngineBackend::Durable(durable) => match durable.activate_batch(edges, t) {
-            Ok(bs) => bs,
-            Err(e) => {
-                *wal_error = Some(e);
-                return;
-            }
-        },
     };
-    match backend.engine().config().batch {
-        BatchMode::Exact => stats.exact_batches += 1,
-        BatchMode::Fused => stats.fused_batches += 1,
-    }
     stats.batch += bs;
     stats.applied_batches += 1;
     stats.ingested_jobs += job_meta.len() as u64;
@@ -435,7 +399,6 @@ fn writer_loop(
                     if !run_meta.is_empty() && t != run_t {
                         apply_run(
                             &mut backend,
-                            cfg.fused_min_batch,
                             &mut stats,
                             run_t,
                             &run_edges,
@@ -459,7 +422,6 @@ fn writer_loop(
         }
         apply_run(
             &mut backend,
-            cfg.fused_min_batch,
             &mut stats,
             run_t,
             &run_edges,

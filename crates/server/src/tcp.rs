@@ -97,8 +97,6 @@ impl ConnState {
                     applied_batches: s.applied_batches,
                     coalesced_jobs: s.coalesced_jobs,
                     max_batch_edges: s.max_batch_edges,
-                    exact_batches: s.exact_batches,
-                    fused_batches: s.fused_batches,
                     shed: self.ingest.shed(),
                     cache_hits: s.query.hits,
                     cache_misses: s.query.misses,

@@ -396,10 +396,6 @@ pub struct StatsReply {
     pub coalesced_jobs: u64,
     /// Largest single applied batch, in edges.
     pub max_batch_edges: u64,
-    /// Batches applied in Exact mode.
-    pub exact_batches: u64,
-    /// Batches applied in Fused mode.
-    pub fused_batches: u64,
     /// Submissions shed by backpressure.
     pub shed: u64,
     /// Cache-lifetime query cache hits.
@@ -429,8 +425,6 @@ impl StatsReply {
             self.applied_batches,
             self.coalesced_jobs,
             self.max_batch_edges,
-            self.exact_batches,
-            self.fused_batches,
             self.shed,
             self.cache_hits,
             self.cache_misses,
@@ -445,7 +439,7 @@ impl StatsReply {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut fields = [0u64; 18];
+        let mut fields = [0u64; 16];
         for f in &mut fields {
             *f = r.uvarint()?;
         }
@@ -458,16 +452,14 @@ impl StatsReply {
             applied_batches: fields[5],
             coalesced_jobs: fields[6],
             max_batch_edges: fields[7],
-            exact_batches: fields[8],
-            fused_batches: fields[9],
-            shed: fields[10],
-            cache_hits: fields[11],
-            cache_misses: fields[12],
-            apply_count: fields[13],
-            apply_p50_ns: fields[14],
-            apply_p99_ns: fields[15],
-            apply_p999_ns: fields[16],
-            apply_max_ns: fields[17],
+            shed: fields[8],
+            cache_hits: fields[9],
+            cache_misses: fields[10],
+            apply_count: fields[11],
+            apply_p50_ns: fields[12],
+            apply_p99_ns: fields[13],
+            apply_p999_ns: fields[14],
+            apply_max_ns: fields[15],
         })
     }
 }

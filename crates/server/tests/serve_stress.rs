@@ -48,7 +48,6 @@ fn run_stress(threads: &str) {
         ServeConfig {
             queue_capacity: 256,
             coalesce_max: 64,
-            fused_min_batch: None, // Exact throughout: byte-identity below
             levels: vec![level],
             modes: vec![ClusterMode::Even, ClusterMode::Power],
         },
@@ -143,7 +142,6 @@ fn run_stress(threads: &str) {
     assert_eq!(report.stats.shed, 0, "nothing shed: submit retried on Overloaded");
     assert!(report.stats.applied_batches > 0);
     assert!(report.final_epoch >= flush_epoch);
-    assert_eq!(report.stats.fused_batches, 0, "fused_min_batch: None must never pick Fused");
     let served = match report.backend {
         EngineBackend::Volatile(engine) => engine,
         EngineBackend::Durable(_) => unreachable!("volatile backend in, volatile out"),

@@ -74,8 +74,6 @@ fn golden_roundtrip_every_variant() {
             applied_batches: 12,
             coalesced_jobs: 30,
             max_batch_edges: 200,
-            exact_batches: 10,
-            fused_batches: 2,
             shed: 1,
             cache_hits: 7,
             cache_misses: 9,
