@@ -48,9 +48,17 @@ cargo test -p anc-core --test prop_wal -q
 cargo test -p anc-core --test prop_invariants -q
 
 echo "==> exp11_scale --smoke (scale sweep + snapshot-size gate)"
-# Smoke-sized run of the million-node sweep: exercises every snapshot
-# encoding end-to-end and asserts the binary-vs-JSON size floor.
+# Smoke-sized run of the million-node sweep: saves and loads both snapshot
+# profiles end to end and asserts, on every row, that Exact stays under the
+# resident state's bytes and Compact under its share of Exact.
 cargo run --release -q -p anc-bench --bin exp11_scale -- --smoke > /dev/null
+
+echo "==> no serde in the product crates"
+# Engine state has one codec (persist::binary); serde_json is for reports.
+if grep -rn serde crates/{graph,decay,core,data,metrics,baselines,server,cli}/src src; then
+    echo "serde token in a product crate (see above)"
+    exit 1
+fi
 
 echo "==> cluster-cache property suite under debug-invariants"
 # The cache equivalence proptests (cached == cold at every level across

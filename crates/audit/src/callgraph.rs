@@ -75,9 +75,7 @@ pub const PANIC_ROOTS: &[&str] = &[
     "AncEngine::cluster_all",
     "AncEngine::cluster_all_cached",
     "Pyramids::on_weight_change",
-    "Pyramids::on_weight_change_into",
     "Pyramids::on_weight_change_batch",
-    "Pyramids::on_weight_change_serial",
     "Pyramids::on_weight_change_serial_into",
     "DurableEngine::activate",
     "DurableEngine::activate_batch",
@@ -97,14 +95,13 @@ pub const PANIC_ROOTS: &[&str] = &[
 /// event, so allocations here bound throughput. The pure query APIs
 /// (`local_cluster` etc.) are *not* alloc roots — they return owned results
 /// by design and run at query rate, not stream rate. The convenience
-/// wrappers `on_weight_change`/`on_weight_change_serial` that collect into
-/// fresh `Vec`s are likewise excluded: the engine's stream path only calls
-/// the pooled `_into` variants.
+/// wrapper `on_weight_change` that collects into fresh `Vec`s is likewise
+/// excluded: the engine's stream path only calls the pooled
+/// `on_weight_change_serial_into`.
 pub const ALLOC_ROOTS: &[&str] = &[
     "AncEngine::activate",
     "AncEngine::activate_traced",
     "AncEngine::activate_batch",
-    "Pyramids::on_weight_change_into",
     "Pyramids::on_weight_change_batch",
     "Pyramids::on_weight_change_serial_into",
 ];

@@ -1,10 +1,13 @@
-//! **Ablation A5 / Lemma 13** — parallel vs serial partition repair.
+//! **Ablation A5 / Lemma 13** — the grouped repair fan-out vs pool size.
 //!
-//! The `k·⌈log₂ n⌉` Voronoi partitions are mutually independent, so one
-//! edge-weight change can repair them in parallel. This ablation measures
-//! when that pays: per-activation repairs touch tiny regions (fork/join
-//! overhead dominates), while large-swing updates on big graphs amortize
-//! the overhead.
+//! The `k·⌈log₂ n⌉` Voronoi partitions are mutually independent, so the
+//! weight changes of a batch repair them in parallel: `activate_batch`
+//! hands the pool contiguous chunks of partitions, each replaying the
+//! batch's deltas in order. This ablation runs the same batched stream at
+//! `RAYON_NUM_THREADS` ∈ {1, 2, 4}. The resulting state is byte-identical at
+//! every size (`batch_determinism`), so only the time moves. A single
+//! `activate` never forks: its repair is cheaper than waking the pool
+//! (DESIGN.md §4).
 //!
 //! Usage: `cargo run --release -p anc-bench --bin abl_parallel [--scale f]`
 
@@ -16,7 +19,8 @@ use anc_data::{registry, stream};
 
 fn main() {
     let args = HarnessArgs::parse(0.5);
-    let mut table = Table::new(vec!["dataset", "k", "mode", "sec/activation"]);
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let mut table = Table::new(vec!["dataset", "k", "threads", "sec/activation"]);
     let mut json = Vec::new();
     for name in ["CA", "CM"] {
         let ds = registry::by_name(name).unwrap().materialize_scaled(args.seed, args.scale);
@@ -24,8 +28,10 @@ fn main() {
         let s = stream::uniform_per_step(&g, 10, 0.05, args.seed ^ 0x11);
         let acts = s.total_activations();
         for k in [4usize, 16] {
-            for parallel in [false, true] {
-                let cfg = AncConfig { k, rep: 1, parallel_updates: parallel, ..Default::default() };
+            for threads in [1usize, 2, 4] {
+                // The pool re-reads its size on the next parallel call.
+                std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+                let cfg = AncConfig { k, rep: 1, ..Default::default() };
                 let mut engine = AncEngine::new(g.clone(), cfg, args.seed);
                 let (_, total) = time(|| {
                     for batch in &s.batches {
@@ -33,24 +39,25 @@ fn main() {
                     }
                 });
                 let per_act = total / acts as f64;
-                eprintln!(
-                    "[ablA5] {name} k={k} {}: {per_act:.2e} s/act",
-                    if parallel { "parallel" } else { "serial" }
-                );
+                eprintln!("[ablA5] {name} k={k} threads={threads}: {per_act:.2e} s/act");
                 table.row(vec![
                     name.to_string(),
                     k.to_string(),
-                    if parallel { "parallel" } else { "serial" }.to_string(),
+                    threads.to_string(),
                     secs(per_act),
                 ]);
                 json.push(serde_json::json!({
-                    "dataset": name, "k": k, "parallel": parallel, "sec_per_activation": per_act,
+                    "dataset": name, "k": k, "threads": threads, "cores": cores,
+                    "sec_per_activation": per_act,
                 }));
             }
         }
     }
+    std::env::remove_var("RAYON_NUM_THREADS");
 
-    println!("\n=== Ablation A5: parallel vs serial index repair (Lemma 13) ===");
+    println!(
+        "\n=== Ablation A5: grouped repair fan-out vs pool size (Lemma 13), {cores} cores ==="
+    );
     table.print();
     let path = write_json("abl_parallel", &serde_json::json!(json)).unwrap();
     println!("\n[ablA5] JSON written to {}", path.display());

@@ -5,10 +5,10 @@
 //! Barabási–Albert) and records, per (generator, n):
 //!
 //! * index build time and resident index bytes/node;
-//! * snapshot bytes/node for every encoding — JSON (n ≤ 10⁵ only; the
-//!   text encoding is infeasible at 10⁶), binary Exact, binary Compact —
-//!   plus save/load wall times and the JSON/Exact and JSON/Compact ratios
-//!   (the latter gated at n = 10⁵, planted: measured 4.15×, floor 4×);
+//! * snapshot bytes/node for both binary profiles, Exact and Compact, plus
+//!   save/load wall times, with two size ratios asserted on every row:
+//!   Exact against the resident `memory_bytes()` ([`EXACT_OVER_MEMORY_MAX`])
+//!   and Compact against Exact ([`COMPACT_OVER_EXACT_MAX`]);
 //! * ingest throughput through `activate_batch`;
 //! * cold (`cluster_all` from scratch) and cached ([`ClusterCache`] hit)
 //!   query latency.
@@ -29,9 +29,16 @@ use anc_data::stream;
 use anc_graph::gen::{barabasi_albert, planted_partition, PlantedConfig};
 use anc_graph::Graph;
 
-/// JSON snapshots above this node count are skipped: the text encoding is
-/// tens of bytes per float and the million-node row would serialize GBs.
-const JSON_MAX_N: usize = 100_000;
+/// Ceiling on Exact snapshot bytes over resident `memory_bytes()`. The file
+/// adds the topology but drops the derived `1/S*` array and stores ids as
+/// varints, which widen with n: measured 0.70 (n = 10³), 0.71 (the smoke
+/// row), 0.77 (10⁵), 0.80 (10⁶), the same on both families.
+const EXACT_OVER_MEMORY_MAX: f64 = 0.9;
+
+/// Ceiling on Compact snapshot bytes over Exact: the float arrays halve, the
+/// varint ids do not. Measured 0.60 (n = 10³), 0.61 (the smoke row), 0.65
+/// (10⁵), 0.67 (10⁶).
+const COMPACT_OVER_EXACT_MAX: f64 = 0.75;
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
@@ -61,15 +68,6 @@ fn binary_stats(engine: &AncEngine, profile: SnapshotProfile) -> SnapshotStats {
     SnapshotStats { bytes: buf.len(), save_s, load_s }
 }
 
-fn json_stats(engine: &AncEngine) -> SnapshotStats {
-    let mut buf = Vec::new();
-    let (r, save_s) = time(|| engine.save_json(&mut buf));
-    r.unwrap();
-    let (restored, load_s) = time(|| AncEngine::load_json(buf.as_slice()).unwrap());
-    std::hint::black_box(restored.activations());
-    SnapshotStats { bytes: buf.len(), save_s, load_s }
-}
-
 fn main() {
     let args = HarnessArgs::parse(1.0);
     let smoke = args.has("smoke");
@@ -88,16 +86,15 @@ fn main() {
         "n",
         "build s",
         "index B/node",
-        "json B/node",
         "exact B/node",
         "compact B/node",
-        "json/exact",
+        "exact/index",
+        "compact/exact",
         "acts/s",
         "cold q s",
         "cached q s",
     ]);
     let mut rows = Vec::new();
-    let mut ratio_at_1e5 = f64::NAN;
 
     for &n in &sizes {
         for family in ["planted", "ba"] {
@@ -128,20 +125,23 @@ fn main() {
             // --- Snapshot encodings. -------------------------------------
             let exact = binary_stats(&engine, SnapshotProfile::Exact);
             let compact = binary_stats(&engine, SnapshotProfile::Compact);
-            let json = if n <= JSON_MAX_N { Some(json_stats(&engine)) } else { None };
-            let json_ratio = json.as_ref().map(|j| j.bytes as f64 / exact.bytes as f64);
-            let compact_ratio = json.as_ref().map(|j| j.bytes as f64 / compact.bytes as f64);
-            if let (Some(re), Some(rc)) = (json_ratio, compact_ratio) {
-                eprintln!(
-                    "[exp11] {family} n={n}: json {} B, exact {} B ({re:.2}x), compact {} B ({rc:.2}x)",
-                    json.as_ref().map_or(0, |j| j.bytes),
-                    exact.bytes,
-                    compact.bytes
-                );
-                if n == 100_000 && family == "planted" {
-                    ratio_at_1e5 = rc;
-                }
-            }
+            let exact_over_memory = exact.bytes as f64 / index_bytes as f64;
+            let compact_over_exact = compact.bytes as f64 / exact.bytes as f64;
+            eprintln!(
+                "[exp11] {family} n={n}: exact {} B ({exact_over_memory:.2}x resident), \
+                 compact {} B ({compact_over_exact:.2}x exact)",
+                exact.bytes, compact.bytes
+            );
+            assert!(
+                exact_over_memory <= EXACT_OVER_MEMORY_MAX,
+                "{family} n={n}: Exact snapshot is {exact_over_memory:.2}x the resident state, \
+                 ceiling {EXACT_OVER_MEMORY_MAX}"
+            );
+            assert!(
+                compact_over_exact <= COMPACT_OVER_EXACT_MAX,
+                "{family} n={n}: Compact snapshot is {compact_over_exact:.2}x Exact, \
+                 ceiling {COMPACT_OVER_EXACT_MAX}"
+            );
 
             // --- Query latency: cold vs cached. --------------------------
             let level = engine.default_level();
@@ -180,10 +180,10 @@ fn main() {
                 n.to_string(),
                 secs(build_s),
                 format!("{:.1}", bpn(index_bytes)),
-                json.as_ref().map_or("-".into(), |j| format!("{:.1}", bpn(j.bytes))),
                 format!("{:.1}", bpn(exact.bytes)),
                 format!("{:.1}", bpn(compact.bytes)),
-                json_ratio.map_or("-".into(), |r| format!("{r:.2}x")),
+                format!("{exact_over_memory:.2}"),
+                format!("{compact_over_exact:.2}"),
                 format!("{acts_per_s:.0}"),
                 secs(cold_q),
                 secs(cached_q),
@@ -195,17 +195,14 @@ fn main() {
                 "build_seconds": build_s,
                 "index_bytes": index_bytes,
                 "index_bytes_per_node": bpn(index_bytes),
-                "json_bytes": json.as_ref().map_or(serde_json::Value::Null, |j| serde_json::json!(j.bytes)),
-                "json_save_seconds": json.as_ref().map_or(serde_json::Value::Null, |j| serde_json::json!(j.save_s)),
-                "json_load_seconds": json.as_ref().map_or(serde_json::Value::Null, |j| serde_json::json!(j.load_s)),
                 "binary_exact_bytes": exact.bytes,
                 "binary_exact_save_seconds": exact.save_s,
                 "binary_exact_load_seconds": exact.load_s,
                 "binary_compact_bytes": compact.bytes,
                 "binary_compact_save_seconds": compact.save_s,
                 "binary_compact_load_seconds": compact.load_s,
-                "json_over_exact_ratio": json_ratio.map_or(serde_json::Value::Null, |r| serde_json::json!(r)),
-                "json_over_compact_ratio": compact_ratio.map_or(serde_json::Value::Null, |r| serde_json::json!(r)),
+                "exact_over_memory_ratio": exact_over_memory,
+                "compact_over_exact_ratio": compact_over_exact,
                 "ingest_activations": acts,
                 "ingest_seconds": ingest_s,
                 "ingest_acts_per_second": acts_per_s,
@@ -217,13 +214,6 @@ fn main() {
 
     println!("\n=== Exp 11: Scale Sweep ===");
     table.print();
-    if ratio_at_1e5.is_finite() {
-        println!("\n[exp11] JSON/Compact ratio at n=100000 (planted): {ratio_at_1e5:.2}x");
-        assert!(
-            ratio_at_1e5 >= 4.0,
-            "binary snapshot must be >= 4x smaller than JSON at n=1e5, got {ratio_at_1e5:.2}x"
-        );
-    }
     let path = write_json(
         "BENCH_scale",
         &serde_json::json!({

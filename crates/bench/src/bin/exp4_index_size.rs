@@ -6,8 +6,7 @@
 //! with > 1M edges).
 //!
 //! Also reports, at k = 4, the on-disk snapshot cost per node for each
-//! persistence encoding (DESIGN.md §11): JSON, binary Exact, and binary
-//! Compact.
+//! binary snapshot profile (DESIGN.md §11): Exact and Compact.
 //!
 //! Expected shape (paper): memory linear in k and driven by the vertex
 //! count (`O(n log² n)`, Lemma 7), largely independent of m.
@@ -33,7 +32,6 @@ fn main() {
         let mut h = vec!["dataset".to_string(), "n".to_string(), "graph MB".to_string()];
         h.extend(ks.iter().map(|k| format!("k={k} MB")));
         h.push("data/index (k=4)".into());
-        h.push("json B/n".into());
         h.push("exact B/n".into());
         h.push("compact B/n".into());
         h
@@ -63,31 +61,25 @@ fn main() {
         }
         row.push(format!("{ratio_k4:.2}"));
 
-        // Snapshot cost per node at k = 4, one row per encoding.
+        // Snapshot cost per node at k = 4, one column per profile.
         let cfg = AncConfig { k: 4, rep: 1, ..Default::default() };
         let engine = AncEngine::new(g.clone(), cfg, args.seed);
-        let mut json_buf = Vec::new();
-        engine.save_json(&mut json_buf).unwrap();
         let mut exact_buf = Vec::new();
         engine.save_binary(&mut exact_buf, SnapshotProfile::Exact).unwrap();
         let mut compact_buf = Vec::new();
         engine.save_binary(&mut compact_buf, SnapshotProfile::Compact).unwrap();
         let bpn = |b: usize| b as f64 / g.n() as f64;
         eprintln!(
-            "[exp4] {name} snapshots: json {} B, exact {} B, compact {} B",
-            json_buf.len(),
+            "[exp4] {name} snapshots: exact {} B, compact {} B",
             exact_buf.len(),
             compact_buf.len()
         );
-        row.push(format!("{:.1}", bpn(json_buf.len())));
         row.push(format!("{:.1}", bpn(exact_buf.len())));
         row.push(format!("{:.1}", bpn(compact_buf.len())));
         json.push(serde_json::json!({
             "dataset": name, "n": g.n(), "m": g.m(), "k": 4,
-            "snapshot_json_bytes": json_buf.len(),
             "snapshot_binary_exact_bytes": exact_buf.len(),
             "snapshot_binary_compact_bytes": compact_buf.len(),
-            "snapshot_json_bytes_per_node": bpn(json_buf.len()),
             "snapshot_binary_exact_bytes_per_node": bpn(exact_buf.len()),
             "snapshot_binary_compact_bytes_per_node": bpn(compact_buf.len()),
         }));

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 
-use anc_core::{AncConfig, AncEngine, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterMode, SnapshotProfile};
 use anc_data::{registry, stream};
 use anc_graph::{algo, io as gio, traverse, Graph};
 
@@ -21,12 +21,16 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 fn load_engine(opts: &Options) -> Result<AncEngine, String> {
     let path = opts.require("engine")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    AncEngine::load_json(BufReader::new(file)).map_err(|e| format!("cannot restore {path}: {e}"))
+    AncEngine::load_binary(file).map_err(|e| format!("cannot restore {path}: {e}"))
 }
 
+/// Checkpoints are Exact binary snapshots: a restored engine continues
+/// bit-identically, and the same state always encodes to the same bytes.
 fn save_engine(engine: &AncEngine, path: &str) -> Result<(), String> {
     let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    engine.save_json(BufWriter::new(file)).map_err(|e| format!("cannot write {path}: {e}"))
+    engine
+        .save_binary(file, SnapshotProfile::Exact)
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// `anc generate`: materialize a registry dataset as an edge list (plus

@@ -5,19 +5,20 @@
 //! ```text
 //! anc generate --dataset CO --out graph.txt [--labels labels.txt] [--scale f] [--seed s]
 //! anc stats    --graph graph.txt
-//! anc index    --graph graph.txt --out engine.json [--rep 7] [--k 4] [--lambda 0.1]
-//! anc stream   --engine engine.json --out engine.json (--steps 50 [--frac 0.05] | --trace t.txt)
+//! anc index    --graph graph.txt --out engine.anc [--rep 7] [--k 4] [--lambda 0.1]
+//! anc stream   --engine engine.anc --out engine.anc (--steps 50 [--frac 0.05] | --trace t.txt)
 //! anc trace    --graph graph.txt --steps 50 --out trace.txt [--kind uniform|day]
-//! anc clusters --engine engine.json [--level L] [--mode power|even]
-//! anc query    --engine engine.json --node 17 [--level L] [--zoom-out n]
-//! anc distance --engine engine.json --from 3 --to 99
-//! anc serve    --engine engine.json [--bind 127.0.0.1:0] [--durable-dir DIR]
+//! anc clusters --engine engine.anc [--level L] [--mode power|even]
+//! anc query    --engine engine.anc --node 17 [--level L] [--zoom-out n]
+//! anc distance --engine engine.anc --from 3 --to 99
+//! anc serve    --engine engine.anc [--bind 127.0.0.1:0] [--durable-dir DIR]
 //! ```
 //!
 //! Graphs are plain `u v` edge lists (SNAP format, `#` comments); engine
-//! state is the JSON checkpoint of [`anc_core::persist`]. Every command is a
-//! pure function from files to files/stdout, so pipelines are scriptable and
-//! reproducible (all randomness is seeded).
+//! state is the Exact binary snapshot of [`anc_core::persist`] — CRC-checked,
+//! restored bit-identically, byte-identical for identical state. Every
+//! command is a pure function from files to files/stdout, so pipelines are
+//! scriptable and reproducible (all randomness is seeded).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

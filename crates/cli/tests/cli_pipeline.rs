@@ -21,8 +21,8 @@ fn full_pipeline() {
     let dir = tmpdir("full_pipeline");
     let graph = dir.join("g.txt");
     let labels = dir.join("labels.txt");
-    let engine = dir.join("engine.json");
-    let engine2 = dir.join("engine2.json");
+    let engine = dir.join("engine.anc");
+    let engine2 = dir.join("engine2.anc");
     let gp = graph.to_str().unwrap();
     let lp = labels.to_str().unwrap();
     let ep = engine.to_str().unwrap();
@@ -81,8 +81,8 @@ fn full_pipeline() {
     // gives byte-identical engine state.
     let trace = dir.join("t.txt");
     let tp = trace.to_str().unwrap();
-    let ea = dir.join("ea.json");
-    let eb = dir.join("eb.json");
+    let ea = dir.join("ea.anc");
+    let eb = dir.join("eb.anc");
     let out =
         run(&argv(&["trace", "--graph", gp, "--steps", "4", "--out", tp, "--seed", "9"])).unwrap();
     assert!(out.contains("trace with"), "{out}");
@@ -92,6 +92,47 @@ fn full_pipeline() {
     let b = std::fs::read(&eb).unwrap();
     assert_eq!(a, b, "trace replay must be deterministic");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint that is cut short, bit-flipped or from the JSON era makes
+/// every command that reads it exit 1 with the path and the typed restore
+/// error on stderr — through the real binary, so a panic (exit 101) shows.
+#[test]
+fn damaged_checkpoints_fail_typed() {
+    let dir = tmpdir("damaged_checkpoints_fail_typed");
+    let graph = dir.join("g.txt");
+    let engine = dir.join("engine.anc");
+    let (gp, ep) = (graph.to_str().unwrap(), engine.to_str().unwrap());
+    run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();
+    run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
+    let good = std::fs::read(&engine).unwrap();
+    assert_eq!(&good[..4], b"ANCS", "checkpoints are binary snapshots");
+
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x40;
+    let cases: [(&str, &[u8], &str); 4] = [
+        ("header.anc", &good[..10], "truncated"),
+        ("half.anc", &good[..good.len() / 2], "checksum mismatch"),
+        ("flipped.anc", &flipped, "checksum mismatch"),
+        ("old.json", br#"{"version":1,"graph":{"n":2,"offsets":[0,1,2]}}"#, "bad magic"),
+    ];
+    for (name, bytes, want) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        for cmd in [&["clusters"][..], &["query", "--node", "0"], &["stream", "--steps", "1"]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_anc"))
+                .args(cmd)
+                .args(["--engine", path, "--out", dir.join("never.anc").to_str().unwrap()])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {cmd:?}: {stderr}");
+            assert!(stderr.contains(path) && stderr.contains(want), "{name} {cmd:?}: {stderr}");
+        }
+    }
+    assert!(!dir.join("never.anc").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -115,7 +156,7 @@ fn helpful_errors() {
 fn query_bounds_checked() {
     let dir = tmpdir("query_bounds_checked");
     let graph = dir.join("g2.txt");
-    let engine = dir.join("e3.json");
+    let engine = dir.join("e3.anc");
     let gp = graph.to_str().unwrap();
     let ep = engine.to_str().unwrap();
     run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();

@@ -48,7 +48,7 @@ fn stats(client: &mut WireClient) -> anc_server::StatsReply {
 fn serve_volatile_then_durable_recovery() {
     let dir = tmpdir();
     let graph = dir.join("g.txt");
-    let engine = dir.join("engine.json");
+    let engine = dir.join("engine.anc");
     let gp = graph.to_str().unwrap().to_string();
     let ep = engine.to_str().unwrap().to_string();
 
@@ -68,7 +68,7 @@ fn serve_volatile_then_durable_recovery() {
 
     // --- Volatile round: serve, drive over the wire, save on shutdown.
     let addr_file = dir.join("addr-volatile.txt");
-    let out_file = dir.join("final.json");
+    let out_file = dir.join("final.anc");
     let serve_args = argv(&[
         "serve",
         "--engine",

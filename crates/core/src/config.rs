@@ -4,7 +4,7 @@ use anc_decay::RescaleConfig;
 
 /// All tunables of the ANC pipeline, with the paper's defaults (Table II and
 /// Section VI).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AncConfig {
     /// Time-decay factor λ of Eq. 1. Paper uses 0.1 for the synthetic
     /// activation experiments and 0.01 for the day-trace.
@@ -45,13 +45,6 @@ pub struct AncConfig {
     pub floor_rel: f64,
     /// Batched-rescale policy for the global decay factor.
     pub rescale: RescaleConfig,
-    /// Repair the `k·⌈log₂ n⌉` Voronoi partitions in parallel on each
-    /// weight change (Lemma 13). Parallelism pays off when affected regions
-    /// are large (dense graphs, heavy-weight swings); for small
-    /// per-activation repairs the fork/join overhead dominates, so the
-    /// default is serial. The `abl_parallel` bench quantifies the
-    /// trade-off.
-    pub parallel_updates: bool,
 }
 
 impl Default for AncConfig {
@@ -66,7 +59,6 @@ impl Default for AncConfig {
             floor: 1e-9,
             floor_rel: 1e-2,
             rescale: RescaleConfig::default(),
-            parallel_updates: false,
         }
     }
 }

@@ -415,23 +415,13 @@ impl AncEngine {
         match self.deltas[..] {
             [] => return,
             [(e, old_w, _)] => {
-                if self.cfg.parallel_updates {
-                    self.pyramids.on_weight_change_into(
-                        &self.g,
-                        &self.recip,
-                        e,
-                        old_w,
-                        &mut self.trace_bufs,
-                    );
-                } else {
-                    self.pyramids.on_weight_change_serial_into(
-                        &self.g,
-                        &self.recip,
-                        e,
-                        old_w,
-                        &mut self.trace_bufs,
-                    );
-                }
+                self.pyramids.on_weight_change_serial_into(
+                    &self.g,
+                    &self.recip,
+                    e,
+                    old_w,
+                    &mut self.trace_bufs,
+                );
                 self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
                 // No precheck here: every partition runs its bounded update.
                 stats.repair_updates += self.trace_bufs.len();
@@ -639,7 +629,6 @@ impl AncEngine {
     /// (see [`crate::persist`]).
     pub fn to_snapshot(&self) -> crate::persist::EngineSnapshot {
         crate::persist::EngineSnapshot {
-            version: crate::persist::SNAPSHOT_VERSION,
             graph: self.g.clone(),
             config: self.cfg.clone(),
             clock: self.clock.clone(),
@@ -804,6 +793,7 @@ impl ClusterView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::binary::exact_bytes;
     use anc_graph::gen::connected_caveman;
 
     fn engine_fixture(rep: usize) -> AncEngine {
@@ -1044,9 +1034,7 @@ mod tests {
         }
         // The serialized snapshots (state + every partition) must be
         // byte-identical.
-        let a = serde_json::to_string(&serial.to_snapshot()).unwrap();
-        let b = serde_json::to_string(&batched.to_snapshot()).unwrap();
-        assert_eq!(a, b, "snapshots diverge");
+        assert_eq!(exact_bytes(&serial), exact_bytes(&batched), "snapshots diverge");
         batched.check_invariants().unwrap();
     }
 
@@ -1113,11 +1101,10 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut engine = engine_fixture(1);
-        let before = serde_json::to_string(&engine.to_snapshot()).unwrap();
+        let before = exact_bytes(&engine);
         let stats = engine.activate_batch(&[], 5.0);
         assert_eq!(stats.edges_in, 0);
         assert_eq!(stats.dirty_edges, 0);
-        let after = serde_json::to_string(&engine.to_snapshot()).unwrap();
-        assert_eq!(before, after);
+        assert_eq!(before, exact_bytes(&engine));
     }
 }

@@ -59,7 +59,7 @@ use crate::pyramid::Pyramids;
 use crate::voronoi::VoronoiPartition;
 use crate::AncConfig;
 
-use super::{le_u32, EngineSnapshot, PersistView, RestoreError, SNAPSHOT_VERSION};
+use super::{le_u32, EngineSnapshot, PersistView, RestoreError};
 
 /// Magic bytes opening every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
@@ -169,9 +169,10 @@ fn encode_config(out: &mut Vec<u8>, c: &AncConfig) {
     put_f64(out, c.floor_rel);
     put_uvarint(out, c.rescale.every_activations as u64);
     put_f64(out, c.rescale.exponent_guard);
-    put_u8(out, u8::from(c.parallel_updates));
-    // Legacy batch-mode byte (0 = Exact, 1 = Fused, retired): still written,
-    // as 0, so the format version and every older reader stay valid.
+    // Two retired knobs — `parallel_updates` (0/1) and the batch mode
+    // (0 = Exact, 1 = Fused): still written, as 0, so the format version and
+    // every older reader stay valid.
+    put_u8(out, 0);
     put_u8(out, 0);
 }
 
@@ -186,13 +187,15 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
         floor: r.f64()?,
         floor_rel: r.f64()?,
         rescale: RescaleConfig { every_activations: r.uvarint_len()?, exponent_guard: r.f64()? },
-        parallel_updates: r.u8()? != 0,
     };
-    // Legacy batch-mode byte: both retired modes load (a log written under
-    // Fused now replays under the sequential semantics) and are discarded.
-    match r.u8()? {
-        0 | 1 => {}
-        other => return Err(RestoreError::Codec(format!("unknown batch mode {other}"))),
+    // The retired knobs' bytes: either value an older build wrote loads (no
+    // state depended on `parallel_updates`; a log written under Fused now
+    // replays under the sequential semantics) and is discarded.
+    for knob in ["parallel_updates", "batch mode"] {
+        match r.u8()? {
+            0 | 1 => {}
+            other => return Err(RestoreError::Codec(format!("unknown {knob} {other}"))),
+        }
     }
     // Mirror `AncConfig::validate` without its panics: the CRC has already
     // passed by the time state is adopted, but a version-skewed or
@@ -387,8 +390,15 @@ pub(crate) fn encode_snapshot(view: &PersistView<'_>, profile: SnapshotProfile) 
     out
 }
 
-/// Decodes a binary snapshot into the serde-level [`EngineSnapshot`]
-/// model, verifying the magic, version and CRC-32 trailer first.
+/// The unit tests' state digest: the whole persisted state as Exact bytes
+/// (raw `f64` bits), so equal bytes mean bit-identical engines.
+#[cfg(test)]
+pub(crate) fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
+    encode_snapshot(&engine.persist_view(), SnapshotProfile::Exact)
+}
+
+/// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
+/// magic, version and CRC-32 trailer first.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() {
         return Err(RestoreError::Truncated { offset: bytes.len() });
@@ -448,7 +458,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
         )));
     }
     Ok(EngineSnapshot {
-        version: SNAPSHOT_VERSION,
         graph,
         config,
         clock,
@@ -480,8 +489,8 @@ impl AncEngine {
 
     /// Restores an engine from a binary snapshot produced by
     /// [`AncEngine::save_binary`] (either profile; the profile byte in the
-    /// header is self-describing). Verifies the CRC-32 trailer, then the
-    /// same structural validation the JSON path performs.
+    /// header is self-describing). Verifies the CRC-32 trailer, decodes with
+    /// range checks, then runs [`EngineSnapshot::validate`].
     pub fn load_binary<R: std::io::Read>(mut reader: R) -> Result<Self, RestoreError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
@@ -492,7 +501,7 @@ impl AncEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterMode;
+    use crate::{ClusterMode, InvariantViolation};
     use anc_graph::gen::connected_caveman;
 
     fn streamed_engine() -> AncEngine {
@@ -519,41 +528,86 @@ mod tests {
         }
     }
 
+    /// Overwrites the CRC-32 trailer to match the (patched) body, so a test
+    /// reaches the check behind the checksum.
+    fn restamp_crc(bytes: &mut [u8]) {
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn exact_roundtrip_is_bit_identical() {
         let engine = streamed_engine();
         let bytes = save(&engine, SnapshotProfile::Exact);
         let restored = AncEngine::load_binary(bytes.as_slice()).unwrap();
-        // Bit-identical observable state…
-        let json_a = serde_json::to_string(&engine.to_snapshot()).unwrap();
-        let json_b = serde_json::to_string(&restored.to_snapshot()).unwrap();
-        assert_eq!(json_a, json_b, "Exact restore must be bit-identical");
-        // …and byte-identical re-save.
-        assert_eq!(bytes, save(&restored, SnapshotProfile::Exact));
+        // Bit-identical state: the re-save reproduces every byte…
+        assert_eq!(bytes, save(&restored, SnapshotProfile::Exact), "Exact restore diverged");
+        // …so everything observable agrees.
+        assert_eq!(restored.now(), engine.now());
+        assert_eq!(restored.activations(), engine.activations());
+        for e in 0..engine.graph().m() as u32 {
+            assert_eq!(restored.similarity(e), engine.similarity(e));
+            assert_eq!(restored.activeness(e), engine.activeness(e));
+        }
+        for level in 0..engine.num_levels() {
+            assert_eq!(
+                restored.cluster_all(level, ClusterMode::Power),
+                engine.cluster_all(level, ClusterMode::Power),
+                "clustering differs at level {level}"
+            );
+        }
         restored.check_invariants().unwrap();
 
-        // A snapshot written when the config still carried a batch mode
-        // (trailing config byte 1, the retired second mode) loads to the
-        // same state; a byte no build ever wrote is still refused.
+        // Snapshots written while the config still carried its two retired
+        // knobs — `parallel_updates` set, or the second batch mode — load to
+        // the same state; a byte no build ever wrote is still refused.
         let mut config = Vec::new();
         encode_config(&mut config, engine.config());
-        let mode_at = 4 + 4 + 1 + config.len() - 1;
-        let crc_at = bytes.len() - 4;
-        for (mode, loads) in [(1u8, true), (2, false)] {
+        let knobs_at = 4 + 4 + 1 + config.len() - 2;
+        for (at, byte) in [(knobs_at, 1u8), (knobs_at + 1, 1), (knobs_at, 2), (knobs_at + 1, 2)] {
             let mut old = bytes.clone();
-            old[mode_at] = mode;
-            let crc = crc32(&old[..crc_at]);
-            old[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            old[at] = byte;
+            restamp_crc(&mut old);
             match AncEngine::load_binary(old.as_slice()) {
-                Ok(legacy) if loads => {
-                    assert_eq!(json_a, serde_json::to_string(&legacy.to_snapshot()).unwrap());
+                Ok(legacy) if byte == 1 => {
+                    assert_eq!(bytes, save(&legacy, SnapshotProfile::Exact));
                 }
-                Err(RestoreError::Codec(msg)) if !loads => {
-                    assert!(msg.contains("unknown batch mode"), "{msg}");
+                Err(RestoreError::Codec(msg)) if byte == 2 => {
+                    assert!(msg.contains("unknown"), "{msg}");
                 }
-                other => panic!("mode byte {mode}: unexpected {:?}", other.err()),
+                other => panic!("byte {byte} at {at}: unexpected {:?}", other.err()),
             }
         }
+    }
+
+    /// A CRC-valid snapshot whose pyramid header disagrees with the graph or
+    /// the config must not load: every rewrite below keeps `k · levels = 8`
+    /// partitions on the wire, so only the shape check can refuse it.
+    #[test]
+    fn forged_index_shape_rejected() {
+        let engine = streamed_engine();
+        let bytes = save(&engine, SnapshotProfile::Exact);
+        let mut pyramids = Vec::new();
+        encode_pyramids(&mut pyramids, engine.pyramids(), SnapshotProfile::Exact);
+        let header_at = bytes.len() - 4 - pyramids.len();
+        assert_eq!(bytes[header_at..header_at + 4], [2, 4, 2, 15], "k, levels, votes, n");
+        for (k, levels, votes) in [(4u8, 2u8, 2u8), (1, 8, 2), (8, 1, 2), (2, 4, 9)] {
+            let mut forged = bytes.clone();
+            forged[header_at..header_at + 3].copy_from_slice(&[k, levels, votes]);
+            restamp_crc(&mut forged);
+            let err = load_err(&forged);
+            assert!(
+                matches!(err, RestoreError::Invariant(InvariantViolation::IndexShape(_))),
+                "k={k} levels={levels} votes={votes}: {err}"
+            );
+        }
+        // In range, but not the ⌈θk⌉ the config implies.
+        let mut forged = bytes.clone();
+        forged[header_at + 2] = 1;
+        restamp_crc(&mut forged);
+        let err = load_err(&forged);
+        assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
     }
 
     #[test]
@@ -576,6 +630,7 @@ mod tests {
             live.cluster_all(level, ClusterMode::Power),
             restored.cluster_all(level, ClusterMode::Power)
         );
+        restored.check_invariants().unwrap();
     }
 
     #[test]
@@ -600,26 +655,6 @@ mod tests {
             engine.cluster_all(level, ClusterMode::Power),
             restored.cluster_all(level, ClusterMode::Power)
         );
-    }
-
-    #[test]
-    fn binary_much_smaller_than_json() {
-        let engine = streamed_engine();
-        let mut json = Vec::new();
-        engine.save_json(&mut json).unwrap();
-        let exact = save(&engine, SnapshotProfile::Exact);
-        let compact = save(&engine, SnapshotProfile::Compact);
-        // Measured here: JSON is 2.76× Exact and 4.74× Compact (the JSON
-        // carries the same four arrays per partition, as text). The floors
-        // sit just under; exp11_scale gates the ratio at n = 10⁵.
-        assert!(exact.len() * 5 <= json.len() * 2, "Exact {} vs JSON {}", exact.len(), json.len());
-        assert!(
-            compact.len() * 4 <= json.len(),
-            "Compact {} vs JSON {}",
-            compact.len(),
-            json.len()
-        );
-        assert!(compact.len() < exact.len());
     }
 
     #[test]
@@ -664,10 +699,7 @@ mod tests {
         let engine = streamed_engine();
         let mut bytes = save(&engine, SnapshotProfile::Exact);
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        // Re-stamp the CRC so the version check itself is exercised.
-        let end = bytes.len() - 4;
-        let crc = crc32(&bytes[..end]);
-        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(99)), "{err}");
     }

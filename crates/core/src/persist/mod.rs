@@ -4,15 +4,15 @@
 //! restarts without replaying the entire activation history or paying a
 //! full re-index (`O(n log² n + m log n)`, Exp 3). [`EngineSnapshot`]
 //! captures the complete engine state — anchored activeness, similarity,
-//! the pyramids with their shortest-path forests, the decay clock — in a
-//! serde-serializable form; restoring is `O(state)` with no recomputation.
+//! the pyramids with their shortest-path forests, the decay clock — as the
+//! decoded form of a checkpoint; restoring is `O(state)` with no
+//! recomputation.
 //!
-//! Three encodings share the snapshot model (DESIGN.md §11):
+//! Two encodings share the snapshot model (DESIGN.md §11), and both restore
+//! through [`EngineSnapshot::validate`]:
 //!
-//! * **JSON** ([`AncEngine::save_json`] / [`AncEngine::load_json`]) —
-//!   self-describing, serde-generic, human-inspectable; by far the largest.
-//! * **Binary** ([`binary`], [`AncEngine::save_binary`] /
-//!   [`AncEngine::load_binary`]) — versioned compact format with
+//! * **Binary** ([`binary`], [`crate::AncEngine::save_binary`] /
+//!   [`crate::AncEngine::load_binary`]) — versioned compact format with
 //!   delta-encoded topology, varint ids and optionally `f32`-quantized
 //!   float arrays, integrity-checked end to end by a CRC-32 trailer.
 //! * **Delta log** ([`wal`], [`wal::DurableEngine`]) — an append-only
@@ -30,9 +30,7 @@
 use anc_decay::{ActivenessStore, DecayClock};
 use anc_graph::codec::CodecError;
 use anc_graph::Graph;
-use serde::{Deserialize, Serialize};
 
-use crate::engine::AncEngine;
 use crate::invariant::InvariantViolation;
 use crate::pyramid::Pyramids;
 use crate::AncConfig;
@@ -43,11 +41,9 @@ pub mod wal;
 pub use binary::SnapshotProfile;
 pub use wal::{DurabilityOptions, DurableEngine, WalReader, WalRecord, SNAPSHOT_FILE, WAL_FILE};
 
-/// The complete serializable state of an [`AncEngine`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The complete persisted state of an [`crate::AncEngine`], decoded.
+#[derive(Clone, Debug)]
 pub struct EngineSnapshot {
-    /// Format version for forward compatibility.
-    pub version: u32,
     /// The relation network.
     pub graph: Graph,
     /// Engine configuration.
@@ -71,9 +67,6 @@ pub struct EngineSnapshot {
     /// Batched rescales performed.
     pub rescales: u64,
 }
-
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Errors from snapshot/log restore.
 #[derive(Debug)]
@@ -102,7 +95,7 @@ pub enum RestoreError {
     /// The snapshot state violates an engine invariant (see
     /// [`crate::invariant`]).
     Invariant(InvariantViolation),
-    /// Serde/codec failure.
+    /// Codec failure.
     Codec(String),
     /// A write-ahead-log record whose CRC-32 verified but which this build
     /// cannot decode (unknown or retired kind byte, trailing bytes, a field
@@ -183,7 +176,7 @@ pub(crate) fn le_u64(b: &[u8]) -> u64 {
 
 /// Borrowed view of every persisted engine field — lets the binary codec
 /// encode straight from a live engine without the full-state clone
-/// [`AncEngine::to_snapshot`] performs (which at `n = 10⁶` would copy
+/// [`crate::AncEngine::to_snapshot`] performs (which at `n = 10⁶` would copy
 /// hundreds of megabytes just to serialize them).
 pub(crate) struct PersistView<'a> {
     pub graph: &'a Graph,
@@ -200,11 +193,11 @@ pub(crate) struct PersistView<'a> {
 }
 
 impl EngineSnapshot {
-    /// Validates internal consistency (sizes line up, similarities positive).
+    /// Validates internal consistency: sizes line up, similarities are
+    /// positive, the CSR is well formed, and the index has the shape the
+    /// graph and config imply (`O(n + m)`; the `O(k · m log n)` forest check
+    /// stays with [`crate::AncEngine::check_invariants`]).
     pub fn validate(&self) -> Result<(), RestoreError> {
-        if self.version != SNAPSHOT_VERSION {
-            return Err(RestoreError::UnsupportedVersion(self.version));
-        }
         let (n, m) = (self.graph.n(), self.graph.m());
         if self.sim.len() != m {
             return Err(RestoreError::Inconsistent(format!(
@@ -227,30 +220,23 @@ impl EngineSnapshot {
         // Shared with the engine's own checker — one validator, two callers.
         crate::invariant::check_similarities(&self.sim).map_err(RestoreError::Invariant)?;
         crate::invariant::check_graph(&self.graph).map_err(RestoreError::Invariant)?;
+        self.pyramids.check_shape(n).map_err(RestoreError::Invariant)?;
+        let (k, votes) = (self.pyramids.k(), self.pyramids.needed_votes());
+        if k != self.config.k || votes != self.config.needed_votes() {
+            return Err(RestoreError::Inconsistent(format!(
+                "index has k = {k} pyramids and needs {votes} votes, config says k = {} and {}",
+                self.config.k,
+                self.config.needed_votes()
+            )));
+        }
         Ok(())
-    }
-}
-
-impl AncEngine {
-    /// Serializes the engine to a self-describing JSON stream.
-    pub fn save_json<W: std::io::Write>(&self, writer: W) -> Result<(), RestoreError> {
-        serde_json::to_writer(writer, &self.to_snapshot())
-            .map_err(|e| RestoreError::Codec(e.to_string()))
-    }
-
-    /// Restores an engine from a JSON stream produced by
-    /// [`AncEngine::save_json`].
-    pub fn load_json<R: std::io::Read>(reader: R) -> Result<Self, RestoreError> {
-        let snapshot: EngineSnapshot =
-            serde_json::from_reader(reader).map_err(|e| RestoreError::Codec(e.to_string()))?;
-        Self::from_snapshot(snapshot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterMode;
+    use crate::{AncEngine, ClusterMode};
     use anc_graph::gen::connected_caveman;
 
     fn streamed_engine() -> AncEngine {
@@ -262,62 +248,6 @@ mod tests {
             engine.activate((i * 7 + 2) % m, i as f64 * 0.4);
         }
         engine
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_everything_observable() {
-        let engine = streamed_engine();
-        let mut buf = Vec::new();
-        engine.save_json(&mut buf).unwrap();
-        let restored = AncEngine::load_json(buf.as_slice()).unwrap();
-        // A checkpoint from a build whose config still carried a batch mode
-        // loads too: the key is ignored.
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"parallel_updates\":false}"), "config is not where expected");
-        let legacy = text.replace(
-            "\"parallel_updates\":false",
-            "\"parallel_updates\":false,\"batch\":\"Exact\"",
-        );
-        let legacy = AncEngine::load_json(legacy.as_bytes()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&legacy.to_snapshot()).unwrap(),
-            serde_json::to_string(&restored.to_snapshot()).unwrap()
-        );
-
-        assert_eq!(restored.now(), engine.now());
-        assert_eq!(restored.activations(), engine.activations());
-        for e in 0..engine.graph().m() as u32 {
-            assert_eq!(restored.similarity(e), engine.similarity(e));
-            assert_eq!(restored.activeness(e), engine.activeness(e));
-        }
-        for level in 0..engine.num_levels() {
-            assert_eq!(
-                restored.cluster_all(level, ClusterMode::Power),
-                engine.cluster_all(level, ClusterMode::Power),
-                "clustering differs at level {level}"
-            );
-        }
-        restored.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn restored_engine_keeps_processing() {
-        let engine = streamed_engine();
-        let mut buf = Vec::new();
-        engine.save_json(&mut buf).unwrap();
-        let mut live = engine;
-        let mut restored = AncEngine::load_json(buf.as_slice()).unwrap();
-        // Both process the same continuation identically.
-        let m = live.graph().m() as u32;
-        for i in 0..20u32 {
-            let (e, t) = ((i * 3 + 1) % m, 20.0 + i as f64);
-            live.activate(e, t);
-            restored.activate(e, t);
-        }
-        for e in 0..m {
-            assert!((live.similarity(e) - restored.similarity(e)).abs() < 1e-12);
-        }
-        restored.check_invariants().unwrap();
     }
 
     /// The cluster-query cache is not serialized: a restored engine starts
@@ -332,9 +262,9 @@ mod tests {
         let (live_arc, live_stats) = live.cluster_all_cached(level, ClusterMode::Power);
         assert!(live.cluster_cache().is_materialized(level));
         let mut buf = Vec::new();
-        live.save_json(&mut buf).unwrap();
+        live.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
 
-        let restored = AncEngine::load_json(buf.as_slice()).unwrap();
+        let restored = AncEngine::load_binary(buf.as_slice()).unwrap();
         assert!(
             !restored.cluster_cache().has_materialized_levels(),
             "cache must not travel through the snapshot"
@@ -355,14 +285,15 @@ mod tests {
         let engine = streamed_engine();
         let mut snap = engine.to_snapshot();
         snap.sim.pop();
-        let err = AncEngine::from_snapshot(snap.clone()).err().expect("must fail");
-        assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
-        snap.sim.push(1.0);
-        snap.version = 999;
         let err = AncEngine::from_snapshot(snap).err().expect("must fail");
-        assert!(matches!(err, RestoreError::UnsupportedVersion(999)), "{err}");
-        // Garbage bytes.
-        let err = AncEngine::load_json(&b"not json"[..]).err().expect("must fail");
-        assert!(matches!(err, RestoreError::Codec(_)), "{err}");
+        assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
+        // A config that disagrees with the index it travels with: another k,
+        // or a θ under which the stored vote threshold is not ⌈θk⌉.
+        for edit in [|c: &mut AncConfig| c.k = 3, |c: &mut AncConfig| c.theta = 0.5] {
+            let mut snap = engine.to_snapshot();
+            edit(&mut snap.config);
+            let err = AncEngine::from_snapshot(snap).err().expect("must fail");
+            assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
+        }
     }
 }

@@ -620,6 +620,7 @@ fn reset_wal(dir: &Path, base_activations: u64) -> Result<File, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::binary::exact_bytes;
     use crate::AncConfig;
     use anc_graph::gen::connected_caveman;
 
@@ -633,10 +634,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("anc_wal_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn engine_state(engine: &AncEngine) -> String {
-        serde_json::to_string(&engine.to_snapshot()).unwrap()
     }
 
     #[test]
@@ -671,11 +668,11 @@ mod tests {
         let _ = durable.activate_batch(&[1, 3, 1], 11.0).unwrap();
         durable.reinforce_edges(&[0, 2]).unwrap();
         durable.force_rescale().unwrap();
-        let want = engine_state(durable.engine());
+        let want = exact_bytes(durable.engine());
         drop(durable); // "crash": nothing beyond the appends is persisted
 
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(engine_state(recovered.engine()), want, "recovery must be bit-identical");
+        assert_eq!(exact_bytes(recovered.engine()), want, "recovery must be bit-identical");
         recovered.engine().check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -690,11 +687,11 @@ mod tests {
             durable.activate((i * 5 + 1) % m, i as f64 * 0.3).unwrap();
         }
         assert!(durable.wal_records() < 30, "compaction must have reset the log");
-        let want = engine_state(durable.engine());
+        let want = exact_bytes(durable.engine());
         drop(durable);
 
         let recovered = DurableEngine::open(&dir, opts).unwrap();
-        assert_eq!(engine_state(recovered.engine()), want);
+        assert_eq!(exact_bytes(recovered.engine()), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -721,7 +718,7 @@ mod tests {
             reference.activate((i * 7 + 2) % m, i as f64 * 0.4);
         }
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(engine_state(recovered.engine()), engine_state(&reference));
+        assert_eq!(exact_bytes(recovered.engine()), exact_bytes(&reference));
         // The torn bytes are gone from disk too.
         assert!(std::fs::metadata(&wal_path).unwrap().len() < len - 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -790,7 +787,7 @@ mod tests {
         let m = durable.engine().graph().m() as u32;
         durable.activate(1, 1.0).unwrap();
         let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        let (len, state) = (wal_len(), engine_state(durable.engine()));
+        let (len, state) = (wal_len(), exact_bytes(durable.engine()));
 
         let err = durable.activate_batch(&[1, m + 5], 2.0).unwrap_err();
         assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m + 5), "{err}");
@@ -801,10 +798,10 @@ mod tests {
 
         assert_eq!(wal_len(), len, "a rejected call must not reach the log");
         assert_eq!(durable.wal_records(), 1);
-        assert_eq!(engine_state(durable.engine()), state);
+        assert_eq!(exact_bytes(durable.engine()), state);
         drop(durable);
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(engine_state(recovered.engine()), state);
+        assert_eq!(exact_bytes(recovered.engine()), state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -817,14 +814,14 @@ mod tests {
         for i in 0..12u32 {
             durable.activate((i * 7 + 2) % m, i as f64 * 0.4).unwrap();
         }
-        let want = engine_state(durable.engine());
+        let want = exact_bytes(durable.engine());
         // Simulate a crash *between* compaction's snapshot rename and its
         // log reset: new snapshot on disk, old log untouched.
         write_snapshot_atomic(&durable.engine, &dir, SnapshotProfile::Exact).unwrap();
         drop(durable);
 
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(engine_state(recovered.engine()), want, "stale records must not double-apply");
+        assert_eq!(exact_bytes(recovered.engine()), want, "stale records must not double-apply");
         assert_eq!(recovered.wal_records(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,7 +9,8 @@
 //!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
-//! [`Pyramids::on_weight_change`] fans out across partitions with rayon.
+//! [`Pyramids::on_weight_change_batch`] fans out across partitions with
+//! rayon.
 
 use anc_graph::{EdgeId, Graph, NodeId};
 use rand::seq::index::sample;
@@ -62,7 +63,7 @@ struct RepairScratch {
 /// // H_l: are two nodes co-clustered at the coarsest granularity?
 /// let _ = pyr.same_cluster(0, 1, 0);
 /// ```
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Pyramids {
     /// Flattened partitions: `partitions[p * levels + l]` is level `l`
     /// (0-based) of pyramid `p`.
@@ -72,10 +73,8 @@ pub struct Pyramids {
     needed_votes: usize,
     n: usize,
     /// Per-worker batch-repair buffers (transient; excluded from snapshots).
-    #[serde(skip)]
     repair_scratch: Vec<RepairScratch>,
     /// Pooled per-partition seed buffers for [`Self::rebuild`] (transient).
-    #[serde(skip)]
     seed_scratch: Vec<Vec<NodeId>>,
 }
 
@@ -210,10 +209,9 @@ impl Pyramids {
     }
 
     /// Propagates one edge-weight change to every partition (Algorithms 1–3
-    /// per partition), in parallel across the `k·⌈log₂ n⌉` independent
-    /// partitions (Lemma 13). Returns, per partition (pyramid-major order,
-    /// `p * levels + l`), the nodes whose seed assignment or distance
-    /// changed.
+    /// per partition), one partition after another. Returns, per partition
+    /// (pyramid-major order, `p * levels + l`), the nodes whose seed
+    /// assignment or distance changed.
     pub fn on_weight_change(
         &mut self,
         g: &Graph,
@@ -222,15 +220,18 @@ impl Pyramids {
         old_w: f64,
     ) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.partitions.len()];
-        self.on_weight_change_into(g, weights, e, old_w, &mut out);
+        self.on_weight_change_serial_into(g, weights, e, old_w, &mut out);
         out
     }
 
     /// [`Self::on_weight_change`] filling caller-owned per-partition buffers
     /// (each cleared, then sorted and deduplicated) instead of allocating a
     /// fresh list per partition — the engine pools the buffers across
-    /// activations so steady-state single-edge repairs stop allocating.
-    pub fn on_weight_change_into(
+    /// activations so steady-state single-edge repairs stop allocating. A
+    /// lone change is repaired serially: forking the pool for it costs more
+    /// than the repair (DESIGN.md §4); Lemma 13's fan-out is
+    /// [`Self::on_weight_change_batch`].
+    pub fn on_weight_change_serial_into(
         &mut self,
         g: &Graph,
         weights: &[f64],
@@ -239,18 +240,12 @@ impl Pyramids {
         out: &mut [Vec<NodeId>],
     ) {
         debug_assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
-        let n_chunks = rayon::recommended_chunks(self.partitions.len()).max(1);
-        let chunk = self.partitions.len().div_ceil(n_chunks).max(1);
-        self.partitions.par_chunks_mut(chunk).zip(out.par_chunks_mut(chunk)).for_each(
-            |(parts, outs)| {
-                for (p, o) in parts.iter_mut().zip(outs.iter_mut()) {
-                    o.clear();
-                    p.on_weight_change_into(g, weights, e, old_w, o);
-                    o.sort_unstable();
-                    o.dedup();
-                }
-            },
-        );
+        for (p, o) in self.partitions.iter_mut().zip(out.iter_mut()) {
+            o.clear();
+            p.on_weight_change_into(g, weights, e, old_w, o);
+            o.sort_unstable();
+            o.dedup();
+        }
     }
 
     /// Applies a whole batch of ordered weight deltas with **one** parallel
@@ -366,39 +361,6 @@ impl Pyramids {
         }
     }
 
-    /// Serial variant of [`Self::on_weight_change`] (used to measure the
-    /// Lemma 13 parallel speedup in the ablation benches).
-    pub fn on_weight_change_serial(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        e: EdgeId,
-        old_w: f64,
-    ) -> Vec<Vec<NodeId>> {
-        let mut out = vec![Vec::new(); self.partitions.len()];
-        self.on_weight_change_serial_into(g, weights, e, old_w, &mut out);
-        out
-    }
-
-    /// Serial variant of [`Self::on_weight_change_into`] (same caller-owned
-    /// buffer contract).
-    pub fn on_weight_change_serial_into(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        e: EdgeId,
-        old_w: f64,
-        out: &mut [Vec<NodeId>],
-    ) {
-        debug_assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
-        for (p, o) in self.partitions.iter_mut().zip(out.iter_mut()) {
-            o.clear();
-            p.on_weight_change_into(g, weights, e, old_w, o);
-            o.sort_unstable();
-            o.dedup();
-        }
-    }
-
     /// Approximate distance query in the style of the underlying Das Sarma
     /// et al. sketch (the base structure of the pyramids, Section II/V-A):
     /// the estimate is the minimum of `dist(u, s) + dist(s, v)` over every
@@ -447,7 +409,7 @@ impl Pyramids {
 
     /// Reassembles an index from persisted parts. Inverse of
     /// [`Self::persist_parts`]; shape is validated by the caller via
-    /// [`Self::check_invariants`].
+    /// [`Self::check_shape`].
     pub(crate) fn from_persist_parts(
         partitions: Vec<VoronoiPartition>,
         k: usize,
@@ -466,24 +428,23 @@ impl Pyramids {
         }
     }
 
-    /// Checks the index shape (`k · ⌈log₂ n⌉` partitions with the Example 3
-    /// seed counts, vote threshold in range) and every partition's
-    /// shortest-path-forest invariants against `weights`; returns the first
-    /// violation (testing aid).
-    pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), InvariantViolation> {
-        if self.n != g.n() {
+    /// Checks the index shape against a graph of `n` nodes: built for `n`,
+    /// `⌈log₂ n⌉` levels, `k · levels` partitions with the Example 3 seed
+    /// counts and `n`-entry arrays, vote threshold in `1..=k`. `O(k · levels)`
+    /// — the half of [`Self::check_invariants`] a restore can afford
+    /// ([`crate::persist::EngineSnapshot::validate`]).
+    pub fn check_shape(&self, n: usize) -> Result<(), InvariantViolation> {
+        if self.n != n {
             return Err(InvariantViolation::IndexShape(format!(
-                "index built for {} nodes, graph has {}",
-                self.n,
-                g.n()
+                "index built for {} nodes, graph has {n}",
+                self.n
             )));
         }
-        if self.levels != Self::levels_for(self.n) {
+        if self.levels != Self::levels_for(n) {
             return Err(InvariantViolation::IndexShape(format!(
-                "{} levels, want ⌈log₂ {}⌉ = {}",
+                "{} levels, want ⌈log₂ {n}⌉ = {}",
                 self.levels,
-                self.n,
-                Self::levels_for(self.n)
+                Self::levels_for(n)
             )));
         }
         if self.partitions.len() != self.k * self.levels {
@@ -502,15 +463,35 @@ impl Pyramids {
         }
         for p in 0..self.k {
             for l in 0..self.levels {
-                let part = self.partition(p, l);
-                let want_seeds = (1usize << l).min(self.n);
-                if part.seeds().len() != want_seeds {
+                let (seeds, seed_of, dist, parent) = self.partition(p, l).persist_parts();
+                let want_seeds = (1usize << l).min(n);
+                if seeds.len() != want_seeds {
                     return Err(InvariantViolation::IndexShape(format!(
                         "pyramid {p} level {l} has {} seeds, want {want_seeds}",
-                        part.seeds().len()
+                        seeds.len()
                     )));
                 }
-                part.check_invariants(g, weights).map_err(|detail| {
+                if seed_of.len() != n || dist.len() != n || parent.len() != n {
+                    return Err(InvariantViolation::IndexShape(format!(
+                        "pyramid {p} level {l} holds {}/{}/{} seed/dist/parent entries, want {n}",
+                        seed_of.len(),
+                        dist.len(),
+                        parent.len()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the index shape ([`Self::check_shape`]) and every partition's
+    /// shortest-path-forest invariants against `weights`; returns the first
+    /// violation (testing aid).
+    pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), InvariantViolation> {
+        self.check_shape(g.n())?;
+        for p in 0..self.k {
+            for l in 0..self.levels {
+                self.partition(p, l).check_invariants(g, weights).map_err(|detail| {
                     InvariantViolation::Partition { pyramid: p, level: l, detail }
                 })?;
             }
@@ -743,30 +724,6 @@ mod tests {
         let stats = pyr.on_weight_change_batch(&g, &w, &[]);
         assert_eq!(stats, RepairStats::default());
         pyr.check_invariants(&g, &w).unwrap();
-    }
-
-    #[test]
-    fn serial_and_parallel_updates_agree() {
-        let lg = connected_caveman(3, 4);
-        let g = &lg.graph;
-        let mut w1 = vec![1.0; g.m()];
-        let mut w2 = vec![1.0; g.m()];
-        let mut a = Pyramids::build(g, &w1, 2, 0.7, 3);
-        let mut b = Pyramids::build(g, &w2, 2, 0.7, 3);
-        for (e, new_w) in [(1usize, 0.2), (4, 3.0), (1, 1.0)] {
-            let old = w1[e];
-            w1[e] = new_w;
-            w2[e] = new_w;
-            a.on_weight_change(g, &w1, e as EdgeId, old);
-            b.on_weight_change_serial(g, &w2, e as EdgeId, old);
-        }
-        for p in 0..2 {
-            for l in 0..a.num_levels() {
-                for v in 0..g.n() as NodeId {
-                    assert_eq!(a.partition(p, l).dist(v), b.partition(p, l).dist(v));
-                }
-            }
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use anc_graph::dijkstra::{multi_source_dijkstra_into, HeapEntry, ShortestPaths};
 use anc_graph::{EdgeId, Graph, NodeId, NO_NODE};
 
 /// One Voronoi partition (one granularity level of one pyramid).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VoronoiPartition {
     /// The seed set (distinct nodes).
     seeds: Vec<NodeId>,
@@ -35,7 +35,6 @@ pub struct VoronoiPartition {
     parent: Vec<NodeId>,
     /// Pooled Dijkstra frontier reused by build and both update algorithms.
     /// Empty between calls — not logical state, so snapshots skip it.
-    #[serde(skip)]
     scratch_heap: BinaryHeap<HeapEntry>,
 }
 
@@ -712,22 +711,5 @@ mod tests {
             }
         }
         assert!(detached > 40, "most rounds must detach more than a leaf");
-    }
-
-    /// Snapshots written while partitions still carried children lists,
-    /// marks and a stamp keep loading: fields are looked up by key and
-    /// unknown keys are ignored.
-    #[test]
-    fn json_with_legacy_scaffolding_keys_loads() {
-        let (g, w, p) = figure2_partition();
-        let json = serde_json::to_string(&p).unwrap();
-        assert!(!json.contains("children") && !json.contains("scratch"));
-        let legacy = format!(
-            r#"{{"children":[[1],[]],"mark":[0,7],{},"stamp":7}}"#,
-            json.strip_prefix('{').unwrap().strip_suffix('}').unwrap()
-        );
-        let q: VoronoiPartition = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(serde_json::to_string(&q).unwrap(), json);
-        q.check_invariants(&g, &w).unwrap();
     }
 }

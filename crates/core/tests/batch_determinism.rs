@@ -9,22 +9,15 @@
 //! `RAYON_NUM_THREADS` variable, which would race with sibling tests in the
 //! same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
 use anc_graph::gen::connected_caveman;
 
-/// Snapshot JSON plus per-level cluster labels, extracted through a nested
-/// `join` so the sweep exercises parallel-inside-parallel scheduling.
-fn ingest_fingerprint(threads: &str) -> (String, Vec<Vec<u32>>) {
+/// Exact snapshot bytes plus per-level cluster labels, extracted through a
+/// nested `join` so the sweep exercises parallel-inside-parallel scheduling.
+fn ingest_fingerprint(threads: &str) -> (Vec<u8>, Vec<Vec<u32>>) {
     std::env::set_var("RAYON_NUM_THREADS", threads);
     let lg = connected_caveman(4, 6);
-    let cfg = AncConfig {
-        rep: 1,
-        mu: 3,
-        epsilon: 0.25,
-        k: 3,
-        parallel_updates: true,
-        ..Default::default()
-    };
+    let cfg = AncConfig { rep: 1, mu: 3, epsilon: 0.25, k: 3, ..Default::default() };
     let mut engine = AncEngine::new(lg.graph, cfg, 42);
     let m = engine.graph().m() as u32;
     for step in 0..6u32 {
@@ -33,7 +26,8 @@ fn ingest_fingerprint(threads: &str) -> (String, Vec<Vec<u32>>) {
         assert_eq!(stats.edges_in, edges.len());
     }
     engine.check_invariants().unwrap();
-    let snapshot = serde_json::to_string(&engine.to_snapshot()).unwrap();
+    let mut snapshot = Vec::new();
+    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
 
     // Mixed workload: both arms of the join extract clusters on their own
     // standalone cache (the engine's embedded cache is a RefCell and not

@@ -9,11 +9,12 @@
 //! `RAYON_NUM_THREADS` variable, which would race with sibling tests in the
 //! same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
 use anc_graph::gen::connected_caveman;
 
 struct Fingerprint {
-    snapshot: String,
+    /// Exact snapshot bytes.
+    snapshot: Vec<u8>,
     /// Per level: cold-fill bitset words and power-mode labels.
     levels: Vec<(Vec<u64>, Vec<u32>)>,
     /// Per level: (power labels, even labels) extracted via nested `join`
@@ -38,7 +39,8 @@ fn cold_fill_fingerprint(threads: &str) -> Fingerprint {
     for i in 0..60u32 {
         engine.activate((i * 7 + 3) % m, 1.0 + i as f64 * 0.2);
     }
-    let snapshot = serde_json::to_string(&engine.to_snapshot()).unwrap();
+    let mut snapshot = Vec::new();
+    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
     let n = engine.graph().n() as u32;
 
     // A standalone cache so every query is a parallel cold fill under the

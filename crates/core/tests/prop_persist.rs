@@ -2,7 +2,7 @@
 //! activation stream — the restored engine is observationally identical and
 //! continues identically.
 
-use anc_core::{AncConfig, AncEngine};
+use anc_core::{AncConfig, AncEngine, SnapshotProfile};
 use anc_graph::gen::erdos_renyi;
 use proptest::prelude::*;
 
@@ -32,9 +32,9 @@ proptest! {
         }
         // Checkpoint `live`, drop it, restore.
         let mut buf = Vec::new();
-        live.save_json(&mut buf).unwrap();
+        live.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
         drop(live);
-        let mut restored = AncEngine::load_json(buf.as_slice())
+        let mut restored = AncEngine::load_binary(buf.as_slice())
             .map_err(|e| TestCaseError::fail(format!("restore failed: {e}")))?;
 
         // Phase 2 on reference and restored.

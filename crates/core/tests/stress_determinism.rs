@@ -17,22 +17,15 @@
 //! `RAYON_NUM_THREADS` and `ANC_STRESS_SEED` variables, which would race
 //! with sibling tests in the same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
 use anc_graph::gen::connected_caveman;
 
-/// Snapshot JSON plus per-level cluster labels, extracted through a nested
-/// `join` so the sweep exercises parallel-inside-parallel scheduling (the
-/// same fingerprint as `batch_determinism.rs`).
-fn ingest_fingerprint() -> (String, Vec<Vec<u32>>) {
+/// Exact snapshot bytes plus per-level cluster labels, extracted through a
+/// nested `join` so the sweep exercises parallel-inside-parallel scheduling
+/// (the same fingerprint as `batch_determinism.rs`).
+fn ingest_fingerprint() -> (Vec<u8>, Vec<Vec<u32>>) {
     let lg = connected_caveman(4, 6);
-    let cfg = AncConfig {
-        rep: 1,
-        mu: 3,
-        epsilon: 0.25,
-        k: 3,
-        parallel_updates: true,
-        ..Default::default()
-    };
+    let cfg = AncConfig { rep: 1, mu: 3, epsilon: 0.25, k: 3, ..Default::default() };
     let mut engine = AncEngine::new(lg.graph, cfg, 42);
     let m = engine.graph().m() as u32;
     for step in 0..6u32 {
@@ -41,7 +34,8 @@ fn ingest_fingerprint() -> (String, Vec<Vec<u32>>) {
         assert_eq!(stats.edges_in, edges.len());
     }
     engine.check_invariants().unwrap();
-    let snapshot = serde_json::to_string(&engine.to_snapshot()).unwrap();
+    let mut snapshot = Vec::new();
+    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
 
     let n = engine.graph().n() as u32;
     let (g, pyr, levels) = (engine.graph(), engine.pyramids(), engine.num_levels());

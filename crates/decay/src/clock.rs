@@ -6,7 +6,7 @@ use crate::Time;
 /// When to trigger a batched rescale (paper Section IV-A: "when a fixed
 /// number of activations accumulates, we let all anchored activeness absorb
 /// the global decay factor").
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RescaleConfig {
     /// Rescale after this many activations since the last rescale.
     pub every_activations: usize,
@@ -44,7 +44,7 @@ impl Default for RescaleConfig {
 /// The clock itself holds no per-edge state — stores implementing
 /// [`crate::Rescalable`] absorb the factor returned by
 /// [`DecayClock::take_rescale`].
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecayClock {
     lambda: f64,
     now: Time,

@@ -9,7 +9,7 @@ use crate::{DecayClock, MaintainClass, Rescalable};
 /// The true activeness is `a_t(e) = a*_t(e) × g(t, t*)` (Definition 1); this
 /// store keeps only the anchored part, so an activation costs `O(1)` and the
 /// passage of time costs nothing (Lemma 1).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ActivenessStore {
     anchored: Vec<f64>,
 }

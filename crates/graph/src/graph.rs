@@ -15,7 +15,7 @@ use crate::{EdgeId, NodeId};
 ///
 /// The graph is intentionally immutable: the paper's relation network is
 /// "relatively stable" and all dynamics happen on *edge state*, not topology.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     /// CSR offsets, length `n + 1`.
     offsets: Vec<usize>,

@@ -37,7 +37,7 @@ fn run_stress(threads: &str) {
     std::env::set_var("RAYON_NUM_THREADS", threads);
     let planted = planted_partition(&PlantedConfig::default_for(400), 11);
     let g = planted.graph;
-    let cfg = AncConfig { k: 2, rep: 1, parallel_updates: true, ..Default::default() };
+    let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
     let stream = uniform_per_step(&g, 30, 0.05, 7);
 
     let engine = AncEngine::new(g.clone(), cfg.clone(), 42);

@@ -2,7 +2,7 @@
 //! downstream deployment would use them — stream, checkpoint, crash,
 //! restore, replay the tail from a trace, and land in the same state.
 
-use anc::core::{AncConfig, AncEngine, ClusterMode};
+use anc::core::{AncConfig, AncEngine, ClusterMode, SnapshotProfile};
 use anc::data::{read_trace, registry, stream, write_trace};
 
 #[test]
@@ -29,10 +29,10 @@ fn crash_recovery_via_checkpoint_and_trace_replay() {
         let _ = first_half.activate_batch(&b.edges, b.time);
     }
     let mut checkpoint = Vec::new();
-    first_half.save_json(&mut checkpoint).unwrap();
+    first_half.save_binary(&mut checkpoint, SnapshotProfile::Exact).unwrap();
     drop(first_half); // the crash
 
-    let mut restored = AncEngine::load_json(checkpoint.as_slice()).unwrap();
+    let mut restored = AncEngine::load_binary(checkpoint.as_slice()).unwrap();
     let replay = read_trace(trace_bytes.as_slice(), Some(g.m())).unwrap();
     for b in &replay.batches[10..] {
         let _ = restored.activate_batch(&b.edges, b.time);
@@ -60,9 +60,9 @@ fn snapshot_size_is_reasonable() {
     let ds = registry::by_name("CO").unwrap().materialize_scaled(9, 0.2);
     let engine = AncEngine::new(ds.graph, AncConfig { rep: 0, k: 2, ..Default::default() }, 1);
     let mut buf = Vec::new();
-    engine.save_json(&mut buf).unwrap();
-    // JSON is verbose but must stay within a sane multiple of the in-memory
-    // footprint (it is a checkpoint, not an archive format).
-    assert!(buf.len() < 64 * engine.memory_bytes());
+    engine.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
+    // The file holds the same state as memory minus the derived `1/S*` array
+    // and with ids as varints, so it must not outgrow the in-memory footprint.
+    assert!(buf.len() < engine.memory_bytes());
     assert!(buf.len() > engine.graph().m() * 8, "snapshot must contain per-edge state");
 }
