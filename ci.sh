@@ -13,25 +13,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> anc-audit --diff HEAD (fast differential pre-gate)"
-# Differential mode first: on an unchanged tree this must report nothing
-# beyond the committed baseline, so a broken checkout (or a finding-key
-# regression in the differ itself) fails fast before the full deny pass.
-if git rev-parse --verify -q HEAD > /dev/null; then
-    cargo run -p anc-audit --release -- --diff HEAD
-fi
-
-echo "==> cargo run -p anc-audit --release (determinism + concurrency + dataflow lint pass)"
-# JSON report lands in results/audit.json — including the audit's own
-# wall time (elapsed_seconds), the A9 lock-acquisition edges and every
-# A9–A14 concurrency/dataflow finding; a nonzero exit (deny-tier finding
-# or an A5/A7 ratchet regression) fails CI, echoing the report first.
-mkdir -p results
-cargo run -p anc-audit --release -- --format json > results/audit.json || {
-    echo "audit failed; report follows:"
-    cat results/audit.json
-    exit 1
+echo "==> every crate root forbids unsafe code"
+# `forbid` cannot be overridden further down a crate, so the only way to land
+# unsafe code is to drop the attribute: check it is there (vendor/rayon holds
+# the workspace's only unsafe, so it denies and allows its one module).
+forbid_unsafe_roots() {
+    local f
+    for f in "$1"/src/lib.rs "$1"/crates/*/src/lib.rs "$1"/crates/*/src/main.rs; do
+        grep -q '^#!\[forbid(unsafe_code)\]' "$f" || { echo "$f lacks #![forbid(unsafe_code)]"; return 1; }
+    done
+    grep -q '^#!\[deny(unsafe_code' "$1/vendor/rayon/src/lib.rs" || { echo "vendor/rayon lacks #![deny(unsafe_code)]"; return 1; }
 }
+forbid_unsafe_roots .
+
+echo "==> cargo run -p anc-audit --release (hot-alloc, lock-order, atomic-ordering, blocking-in-reader)"
+# The four rules that need a call graph (DESIGN.md §8.1); any finding, or a
+# root-table entry that names no function, exits 1 with the text report.
 cargo run -p anc-audit --release
 
 echo "==> cargo test --workspace -q"
@@ -46,6 +43,9 @@ echo "==> persistence: crash-recovery + binary round-trip property suites"
 # so a persistence regression is attributed to DESIGN.md §11 directly.
 cargo test -p anc-core --test prop_wal -q
 cargo test -p anc-core --test prop_invariants -q
+# A forged edge list whose gaps wrap u64 used to panic in debug and decode to
+# edge (0, 1) in release; the workspace run above covered debug.
+cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
 
 echo "==> exp11_scale --smoke (scale sweep + snapshot-size gate)"
 # Smoke-sized run of the million-node sweep: saves and loads both snapshot
@@ -103,15 +103,112 @@ for t in 1 4; do
 done
 
 echo "==> seeded audit-violation suites (reachability + concurrency fixtures)"
-# The audit's deny rules run against trees seeded with known violations so
-# a silently-pass regression in the analyses themselves fails CI: each rule
-# must fire with the right attribution, and each justified allow must clear
-# it (A1–A8 in seeded_violation/seeded_reachability, A9–A11 in
-# seeded_concurrency, A12–A14 in seeded_dataflow, plus the --explain
-# surface and the JSON/SARIF format contracts).
-cargo test -p anc-audit --test seeded_violation --test seeded_reachability \
-    --test seeded_concurrency --test seeded_dataflow --test format \
+# The audit's rules run against trees seeded with known violations so a
+# silently-pass regression in the analyses themselves fails CI: each rule
+# must fire with the right attribution, each justified allow must clear it,
+# and a renamed root must fail the run (A7 and the root tables in
+# seeded_reachability, A9–A11 and --explain in seeded_concurrency).
+cargo test -p anc-audit --test seeded_reachability --test seeded_concurrency \
     --test prop_lexer -q
+
+echo "==> seeded lint violations (the compiler/clippy homes of the moved rules bite)"
+# A throwaway copy of the workspace gets one probe per moved rule appended to
+# the crate that rule guards; `cargo clippy -- -D warnings` must then fail
+# naming the lint. Crates are probed leaf first and restored before the next,
+# so each run sees clean dependencies. Rules whose home is an `#[expect]` on
+# a justified site (wall clock in core, the server's thread expects, the
+# Compact casts) are also pinned by the main clippy step: an expectation
+# that stops firing fails it.
+copy=$(mktemp -d)
+trap 'rm -rf "$copy"' EXIT
+cp -r Cargo.toml Cargo.lock crates vendor src "$copy"
+seeded() { # seeded <package> <file> <expected>... ; the probe's source on stdin
+    local pkg=$1 f=$2 out want
+    shift 2
+    cat >> "$copy/$f"
+    if out=$(cd "$copy" && cargo clippy --offline -q -p "$pkg" --lib --message-format=json -- -D warnings 2>&1); then
+        echo "$f: seeded violations passed clippy"; exit 1
+    fi
+    for want in "$@"; do
+        grep -qF -- "$want" <<<"$out" || { echo "$f: seeded violation did not draw $want"; exit 1; }
+    done
+    cp "$f" "$copy/$f"
+}
+seeded anc-graph crates/graph/src/codec.rs \
+    '"clippy::cast_possible_truncation"' '"clippy::iter_over_hash_type"' \
+    'disallowed method `std::collections::HashSet::iter`' '"clippy::unwrap_used"' <<'PROBE'
+/// Probe: A13 on decode, A1 as a loop and as an adapter chain, A5.
+pub fn seeded_probe(x: u64, m: &std::collections::HashSet<u32>) -> u32 {
+    let mut sum = m.iter().max().copied().unwrap();
+    for v in m {
+        sum += v;
+    }
+    sum + x as u32
+}
+PROBE
+seeded anc-decay crates/decay/src/clock.rs \
+    '"clippy::iter_over_hash_type"' '"clippy::expect_used"' 'disallowed method `std::time::SystemTime::now`' <<'PROBE'
+/// Probe: A1, A5, A3.
+pub fn seeded_probe(m: &std::collections::HashMap<u32, u32>) -> u32 {
+    let _t = std::time::SystemTime::now();
+    let mut sum = 0;
+    for (k, v) in m {
+        sum += k + v;
+    }
+    m.get(&sum).copied().expect("present")
+}
+PROBE
+seeded anc-core crates/core/src/persist/wal.rs \
+    '"clippy::cast_possible_truncation"' '"clippy::unused_result_ok"' '"clippy::let_underscore_must_use"' \
+    '"clippy::iter_over_hash_type"' 'disallowed method `core::cmp::PartialOrd::partial_cmp`' \
+    'disallowed method `std::time::Instant::now`' '"clippy::panic"' '"clippy::unreachable"' \
+    '"clippy::todo"' '"clippy::unimplemented"' <<'PROBE'
+/// Probe: A13 on encode, A14 both forms, A1, A2, A3, A6.
+pub fn seeded_probe(p: &std::path::Path, len: usize, m: &std::collections::HashMap<u32, f64>) -> u32 {
+    std::fs::remove_file(p).ok();
+    let _ = std::fs::remove_file(p);
+    let _t = std::time::Instant::now();
+    for (k, v) in m {
+        match (v.partial_cmp(&0.0), k) {
+            (None, _) => panic!("nan"),
+            (_, 0) => unreachable!(),
+            (_, 1) => todo!(),
+            (_, 2) => unimplemented!(),
+            _ => {}
+        }
+    }
+    len as u32
+}
+PROBE
+seeded anc-server crates/server/src/wire.rs \
+    'disallowed method `core::cmp::PartialOrd::partial_cmp`' '"clippy::expect_used"' '"clippy::panic"' <<'PROBE'
+/// Probe: A2 under the wall-clock-exempt override, A6.
+pub fn seeded_probe(a: f64, o: Option<u8>) -> u8 {
+    if a.partial_cmp(&1.0).is_none() {
+        panic!("nan");
+    }
+    o.expect("some")
+}
+PROBE
+seeded rayon vendor/rayon/src/pool.rs '"clippy::undocumented_unsafe_blocks"' <<'PROBE'
+/// Probe: A8, an unsafe block with no SAFETY comment.
+pub(crate) fn seeded_probe(p: *const u8) -> u8 {
+    unsafe { *p }
+}
+PROBE
+seeded rayon vendor/rayon/src/lib.rs '"unsafe_code"' <<'PROBE'
+/// Probe: A8, unsafe outside the one module that may hold it.
+pub fn seeded_probe(p: *const u8) -> u8 {
+    // SAFETY: none; this must not compile.
+    unsafe { *p }
+}
+PROBE
+sed -i '/^#!\[forbid(unsafe_code)\]/d' "$copy/crates/decay/src/lib.rs"
+if forbid_unsafe_roots "$copy" > /dev/null; then
+    echo "a crate root without #![forbid(unsafe_code)] passed the presence check"; exit 1
+fi
+rm -rf "$copy"
+trap - EXIT
 
 echo "==> stress-schedules: perturbed-schedule determinism at fixed seeds"
 # The pool's seeded yield-injection hooks (vendor/rayon/src/stress.rs) force

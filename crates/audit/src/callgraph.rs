@@ -1,22 +1,17 @@
-//! Workspace call graph over the lexed token streams (stage 2 of the audit).
+//! Workspace call graph over the lexed token streams.
 //!
-//! The line rules A1–A5 are local: they can say "this line calls
-//! `.unwrap()`" but not "this `unwrap` runs on every activation". This
-//! module extracts every `fn` item in the hot-path crates
-//! ([`CALL_GRAPH_CRATES`]) together with its call sites and panic/allocation
-//! markers, resolves calls to workspace functions with a deliberately
-//! *over-approximating* heuristic (reachability may include functions that a
-//! precise analysis would exclude — never the reverse, within the heuristic's
-//! known blind spots; see DESIGN.md §8), and walks reachability from the hot
-//! entry points to drive:
-//!
-//! * **A6 `panic-path`** — `panic!` / `unreachable!` / `todo!` /
-//!   `unimplemented!` / `.unwrap()` / `.expect(` in any function reachable
-//!   from a [`PANIC_ROOTS`] entry (deny-tier).
-//! * **A7 `hot-alloc`** — `Vec::new` / `vec![` / `.collect()` / `.to_vec()`
-//!   / `Box::new` / `format!` in any function reachable from a per-activation
-//!   [`ALLOC_ROOTS`] entry (warn-tier, ratcheted per file against
-//!   `baseline_a7.txt`; the fix is usually a pooled scratch buffer).
+//! A lint that sees one expression can say "this line calls `.collect()`"
+//! but not "this `collect` runs on every activation". This module extracts
+//! every `fn` item in the hot-path crates ([`CALL_GRAPH_CRATES`]) together
+//! with its call sites and allocation markers, resolves calls to workspace
+//! functions with a deliberately *over-approximating* heuristic
+//! (reachability may include functions that a precise analysis would
+//! exclude — never the reverse, within the heuristic's known blind spots;
+//! see DESIGN.md §8), and walks reachability from the hot entry points to
+//! drive **A7 `hot-alloc`** — `Vec::new` / `vec![` / `.collect()` /
+//! `.to_vec()` / `Box::new` / `format!` in any function reachable from a
+//! per-activation [`ALLOC_ROOTS`] entry; the fix is usually a pooled scratch
+//! buffer.
 //!
 //! Resolution heuristic, in order:
 //!
@@ -38,7 +33,7 @@
 //! spots: function pointers/closures passed as values, macro-generated
 //! calls, and trait-object dispatch to impls outside [`CALL_GRAPH_CRATES`].
 //!
-//! Beyond calls and panic/alloc markers, extraction also records the raw
+//! Beyond calls and allocation markers, extraction also records the raw
 //! material for the A9–A11 concurrency rules (analyzed in
 //! [`crate::concurrency`]): lock acquisition sites with tracked guard
 //! extents, events that happen *while* a lock is held, atomic-op sites with
@@ -51,45 +46,15 @@
 //! approximated as statement temporaries (the workspace does not bind lock
 //! guards that way).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::dataflow::{scan_flow, FnFlow};
 use crate::lexer::{lock_name_override, matching, suppressed_rules, LexedFile, Token, TokenKind};
+use crate::Finding;
 
 /// Crates included in the call graph (the per-activation hot path lives
 /// here, and since ISSUE 10 the serving read/respond path too;
 /// `bench`/`cli`/`data` are driver code and may allocate freely).
 pub const CALL_GRAPH_CRATES: &[&str] = &["core", "decay", "graph", "server"];
-
-/// Hot entry points for A6 `panic-path`: everything on the activation and
-/// query fast path must be panic-free.
-pub const PANIC_ROOTS: &[&str] = &[
-    "AncEngine::activate",
-    "AncEngine::activate_traced",
-    "AncEngine::activate_batch",
-    "AncEngine::sigma",
-    "AncEngine::approx_distance",
-    "AncEngine::local_cluster",
-    "AncEngine::local_cluster_power",
-    "AncEngine::smallest_cluster",
-    "AncEngine::cluster_all",
-    "AncEngine::cluster_all_cached",
-    "Pyramids::on_weight_change",
-    "Pyramids::on_weight_change_batch",
-    "Pyramids::on_weight_change_serial_into",
-    "DurableEngine::activate",
-    "DurableEngine::activate_batch",
-    // Serving layer (DESIGN.md §14): one panicking connection thread kills
-    // its client, so the whole per-request surface — decode, respond,
-    // encode, and the snapshot reads under them — must be panic-free.
-    "ConnState::respond",
-    "Request::decode",
-    "Response::encode",
-    "SnapshotReader::snapshot",
-    "ServeSnapshot::clusters_at",
-    "ServeSnapshot::same_cluster_at",
-    "ServeSnapshot::members_at",
-];
 
 /// Per-activation entry points for A7 `hot-alloc`: these run once per stream
 /// event, so allocations here bound throughput. The pure query APIs
@@ -117,7 +82,7 @@ pub const QUERY_ROOTS: &[&str] = &[
     "AncEngine::cluster_all_cached",
     "AncEngine::same_cluster",
     "Pyramids::same_cluster",
-    // The serving reader path (DESIGN.md §14): readers chase the epoch'd
+    // The serving reader path (DESIGN.md §13): readers chase the epoch'd
     // snapshot chain and answer entirely off `Arc`s — wait-free by
     // construction, and this rule keeps it that way.
     "SnapshotReader::snapshot",
@@ -126,12 +91,12 @@ pub const QUERY_ROOTS: &[&str] = &[
     "ServeSnapshot::members_at",
 ];
 
-/// A panic or allocation marker inside one function body.
+/// An allocation marker inside one function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Site {
     /// 1-based line of the marker.
     pub line: usize,
-    /// What was matched, e.g. `".unwrap()"` or `"Vec::new"`.
+    /// What was matched, e.g. `"Vec::new"` or `".collect()"`.
     pub what: &'static str,
 }
 
@@ -214,8 +179,6 @@ pub struct BlockingSite {
 /// One `fn` item extracted from a lexed file.
 #[derive(Clone, Debug)]
 pub struct FnItem {
-    /// Crate the function lives in.
-    pub crate_name: String,
     /// Repo-relative file path.
     pub file: String,
     /// `Type::name` for methods in an `impl` block, else just `name`.
@@ -226,8 +189,6 @@ pub struct FnItem {
     pub line: usize,
     /// Call sites in the body (non-test lines only).
     pub calls: Vec<CallSite>,
-    /// Unsuppressed panic markers in the body.
-    pub panic_sites: Vec<Site>,
     /// Unsuppressed allocation markers in the body.
     pub alloc_sites: Vec<Site>,
     /// Unsuppressed lock acquisitions (A9).
@@ -241,8 +202,6 @@ pub struct FnItem {
     pub atomics: Vec<AtomicSite>,
     /// Unsuppressed blocking sites (A11).
     pub blocking: Vec<BlockingSite>,
-    /// Dataflow facts for A12–A14 (see [`crate::dataflow`]).
-    pub flow: FnFlow,
 }
 
 pub(crate) const KEYWORDS: &[&str] = &[
@@ -254,14 +213,8 @@ pub(crate) const KEYWORDS: &[&str] = &[
 
 /// Extracts every non-test `fn` item (with call sites and markers) from one
 /// lexed file. `raw_lines` is the unlexed source, used to honor
-/// `audit:allow(panic-path)` / `audit:allow(hot-alloc)` on or above a
-/// marker's line.
-pub fn extract_fns(
-    crate_name: &str,
-    file: &str,
-    lexed: &LexedFile,
-    raw_lines: &[&str],
-) -> Vec<FnItem> {
+/// `audit:allow(hot-alloc)` on or above a marker's line.
+pub fn extract_fns(file: &str, lexed: &LexedFile, raw_lines: &[&str]) -> Vec<FnItem> {
     let toks = &lexed.tokens;
     let close_of = brace_partners(toks);
 
@@ -281,10 +234,10 @@ pub fn extract_fns(
     // fn items: header parse, body range, impl-type qualification.
     let mut items: Vec<FnItem> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::new(); // body (open, close)
-    let mut starts: Vec<usize> = Vec::new(); // `fn` keyword token index
-                                             // Test fns never run in production; feature-gated fns (and gated call
-                                             // statements) are compiled out of the default-feature build the audit
-                                             // targets.
+
+    // Test fns never run in production; feature-gated fns (and gated call
+    // statements) are compiled out of the default-feature build the audit
+    // targets.
     let excluded = |line: usize| {
         lexed.is_test_line(line.saturating_sub(1)) || lexed.is_gated_line(line.saturating_sub(1))
     };
@@ -312,23 +265,19 @@ pub fn extract_fns(
             None => name.clone(),
         };
         items.push(FnItem {
-            crate_name: crate_name.to_string(),
             file: file.to_string(),
             qual,
             name,
             line: t.line,
             calls: Vec::new(),
-            panic_sites: Vec::new(),
             alloc_sites: Vec::new(),
             locks: Vec::new(),
             held_events: Vec::new(),
             wait_violations: Vec::new(),
             atomics: Vec::new(),
             blocking: Vec::new(),
-            flow: FnFlow::default(),
         });
         ranges.push((open, close));
-        starts.push(i);
     }
 
     // Innermost-fn ownership per token: outer ranges first, inner overwrite.
@@ -364,24 +313,14 @@ pub fn extract_fns(
                 .get(i + 2)
                 .is_some_and(|n| n.is_punct("(") || n.is_punct("[") || n.is_punct("{"));
         if next_bang {
-            let what: Option<(&'static str, bool)> = match t.text.as_str() {
-                "panic" => Some(("panic!", true)),
-                "unreachable" => Some(("unreachable!", true)),
-                "todo" => Some(("todo!", true)),
-                "unimplemented" => Some(("unimplemented!", true)),
-                "vec" => Some(("vec![", false)),
-                "format" => Some(("format!", false)),
+            let what = match t.text.as_str() {
+                "vec" => Some("vec!["),
+                "format" => Some("format!"),
                 _ => None,
             };
-            if let Some((what, is_panic)) = what {
-                let rule = if is_panic { "panic-path" } else { "hot-alloc" };
-                if !allowed(rule, t.line) {
-                    let site = Site { line: t.line, what };
-                    if is_panic {
-                        item.panic_sites.push(site);
-                    } else {
-                        item.alloc_sites.push(site);
-                    }
+            if let Some(what) = what {
+                if !allowed("hot-alloc", t.line) {
+                    item.alloc_sites.push(Site { line: t.line, what });
                 }
             }
             continue;
@@ -396,22 +335,14 @@ pub fn extract_fns(
         if prev.is_some_and(|p| p.is_punct(".")) {
             // Method call: marker check first, then an edge (harmless for
             // std methods — no workspace fn shares those names).
-            let marker: Option<(&'static str, bool)> = match t.text.as_str() {
-                "unwrap" => Some((".unwrap()", true)),
-                "expect" => Some((".expect(", true)),
-                "collect" => Some((".collect()", false)),
-                "to_vec" => Some((".to_vec()", false)),
+            let marker = match t.text.as_str() {
+                "collect" => Some(".collect()"),
+                "to_vec" => Some(".to_vec()"),
                 _ => None,
             };
-            if let Some((what, is_panic)) = marker {
-                let rule = if is_panic { "panic-path" } else { "hot-alloc" };
-                if !allowed(rule, t.line) {
-                    let site = Site { line: t.line, what };
-                    if is_panic {
-                        item.panic_sites.push(site);
-                    } else {
-                        item.alloc_sites.push(site);
-                    }
+            if let Some(what) = marker {
+                if !allowed("hot-alloc", t.line) {
+                    item.alloc_sites.push(Site { line: t.line, what });
                 }
             }
             item.calls.push(CallSite { callee: Callee::Method(t.text.clone()), line: t.line });
@@ -445,28 +376,6 @@ pub fn extract_fns(
         scan_concurrency(toks, open, close, k, &owner, &close_of, lexed, raw_lines, self_ty, item);
     }
 
-    // Dataflow raw material (A12–A14): a third per-fn walk over statements
-    // (see `dataflow::scan_flow`). File-level hash-collection bindings feed
-    // the hash-order-iteration source check.
-    let hash_idents: BTreeSet<String> =
-        lexed.code_lines.iter().flat_map(|line| crate::hash_bindings(line)).collect();
-    for (k, item) in items.iter_mut().enumerate() {
-        let (open, close) = ranges[k];
-        let self_ty = item.qual.rsplit_once("::").map(|(ty, _)| ty.to_string());
-        scan_flow(
-            toks,
-            starts[k],
-            open,
-            close,
-            k,
-            &owner,
-            lexed,
-            raw_lines,
-            self_ty.as_deref(),
-            &hash_idents,
-            item,
-        );
-    }
     items
 }
 
@@ -1050,6 +959,7 @@ pub struct Reachability {
     reached: Vec<bool>,
     parent: Vec<Option<usize>>,
     root_of: Vec<Option<usize>>,
+    stale_roots: Vec<String>,
 }
 
 impl CallGraph {
@@ -1095,20 +1005,28 @@ impl CallGraph {
         }
     }
 
-    /// BFS from every fn whose `qual` is in `roots`, in root order.
+    /// BFS from every fn whose `qual` is in `roots`, in root order. A root
+    /// that names no fn is kept in [`Reachability::stale_roots`]: nothing is
+    /// reachable from it, so the rule walking from it would check nothing.
     pub fn reachable_from(&self, roots: &[&str]) -> Reachability {
         let n = self.fns.len();
-        let mut r =
-            Reachability { reached: vec![false; n], parent: vec![None; n], root_of: vec![None; n] };
+        let mut r = Reachability {
+            reached: vec![false; n],
+            parent: vec![None; n],
+            root_of: vec![None; n],
+            stale_roots: Vec::new(),
+        };
         let mut queue = std::collections::VecDeque::new();
         for root in roots {
-            if let Some(starts) = self.by_qual.get(*root) {
-                for &s in starts {
-                    if !r.reached[s] {
-                        r.reached[s] = true;
-                        r.root_of[s] = Some(s);
-                        queue.push_back(s);
-                    }
+            let Some(starts) = self.by_qual.get(*root) else {
+                r.stale_roots.push(root.to_string());
+                continue;
+            };
+            for &s in starts {
+                if !r.reached[s] {
+                    r.reached[s] = true;
+                    r.root_of[s] = Some(s);
+                    queue.push_back(s);
                 }
             }
         }
@@ -1132,6 +1050,23 @@ impl Reachability {
     /// Whether fn `i` is reachable from any root.
     pub fn is_reached(&self, i: usize) -> bool {
         self.reached[i]
+    }
+
+    /// One finding under `rule` per root of `table` that names no fn in the
+    /// scanned tree — a renamed entry point must fail the run, not silently
+    /// switch the rule off.
+    pub fn stale_root_findings(&self, rule: &'static str, table: &str) -> Vec<Finding> {
+        self.stale_roots
+            .iter()
+            .map(|root| Finding {
+                rule,
+                file: "crates/audit/src/callgraph.rs".into(),
+                line: 0,
+                message: format!(
+                    "root `{root}` in {table} names no function in the scanned tree, so                      `{rule}` checks nothing from it; rename or remove the entry"
+                ),
+            })
+            .collect()
     }
 
     /// The call chain `root → … → fns[i]` as quals (length-capped).
@@ -1159,7 +1094,7 @@ mod tests {
     fn items(src: &str) -> Vec<FnItem> {
         let lexed = lex(src);
         let raw: Vec<&str> = src.lines().collect();
-        extract_fns("core", "crates/core/src/x.rs", &lexed, &raw)
+        extract_fns("crates/core/src/x.rs", &lexed, &raw)
     }
 
     #[test]
@@ -1194,12 +1129,10 @@ mod tests {
         let src = "fn hot() {\n\
                        let v: Vec<u32> = Vec::new();\n\
                        let w = v.to_vec();\n\
-                       w.first().unwrap();\n\
-                       // audit:allow(panic-path) -- proven nonempty\n\
-                       w.last().unwrap();\n\
+                       // audit:allow(hot-alloc) -- cold error path\n\
+                       let _msg = format!(\"{}\", w.len());\n\
                    }\n";
         let fns = items(src);
-        assert_eq!(fns[0].panic_sites, vec![Site { line: 4, what: ".unwrap()" }]);
         assert_eq!(
             fns[0].alloc_sites,
             vec![Site { line: 2, what: "Vec::new" }, Site { line: 3, what: ".to_vec()" }]

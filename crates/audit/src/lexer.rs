@@ -14,8 +14,8 @@
 //!   tokenized (a literal is one opaque token), so rule patterns spelled in
 //!   message strings can never look like code.
 //! * [`LexedFile::code_lines`] — layout-preserving "code only" text per
-//!   input line (comments removed, literal interiors blanked), the input for
-//!   the substring-matching line rules A1–A5.
+//!   input line (comments removed, literal interiors blanked): the view the
+//!   lexer's own suites assert blanking on (the rules read tokens).
 //! * [`LexedFile::test_lines`] — per-line flag: the line lies inside the
 //!   span of an item carrying `#[cfg(test)]` (or follows a file-level
 //!   `#![cfg(test)]`). Spans are brace-tracked to the matching close, so the
@@ -75,10 +75,9 @@ pub struct LexedFile {
     /// Whether each line lies inside a `#[cfg(test)]` item span.
     pub test_lines: Vec<bool>,
     /// Whether each line lies inside a `#[cfg(feature = …)]` item span
-    /// (code requiring a non-default feature). The line rules still apply
-    /// there, but the call graph excludes it: A6/A7 audit the
-    /// default-feature hot path, and `debug-invariants`-style diagnostics
-    /// are compiled out of it.
+    /// (code requiring a non-default feature). The call graph excludes it:
+    /// the rules audit the default-feature hot path, and
+    /// `debug-invariants`-style diagnostics are compiled out of it.
     pub gated_lines: Vec<bool>,
 }
 

@@ -1,43 +1,24 @@
-//! `anc-audit` binary: run the determinism + hot-path lint pass over the
-//! workspace.
+//! `anc-audit` binary: run the four call-graph rules over the workspace.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p anc-audit --release [-- --root <dir>] [--format text|json|sarif] [--bless]
-//! cargo run -p anc-audit -- --diff <git-ref>
+//! cargo run -p anc-audit --release [-- --root <dir>]
 //! cargo run -p anc-audit -- --explain <rule>
 //! ```
 //!
-//! Exits 0 when the tree is clean (no unsuppressed deny-tier findings and
-//! the A5/A7 counts are within the checked-in baselines), 1 on findings,
-//! 2 on usage/I-O errors. `--bless` (alias: `--update-baseline`) rewrites
-//! `crates/audit/baseline_a5.txt` and `crates/audit/baseline_a7.txt` from
-//! the current counts — only do this after *removing* sites; additions need
-//! an inline `audit:allow`. `--format json` emits a machine-readable report
-//! on stdout (consumed by `ci.sh` into `results/audit.json`, including the
-//! scan's `elapsed_seconds`); `--format sarif` emits SARIF 2.1.0 for
-//! standard tooling ingestion. `--diff <git-ref>` is differential mode: the
-//! named ref's tree is materialized (scannable sources + baselines), both
-//! trees are scanned, and only findings *absent from the baseline ref*
-//! fail — line numbers are ignored when matching, so pure shifts do not
-//! read as new findings. `--explain` prints one rule's rationale, an
-//! example finding, and its suppression syntax, accepting either the rule
-//! name (`lock-order`) or the short id (`A9`); `--explain all` prints
-//! every rule.
+//! Prints one `file:line: [rule] message` line per finding and exits 0 when
+//! there is none, 1 on findings, 2 on usage/I-O errors. `--explain` prints
+//! one rule's rationale, an example finding, and the suppression syntax,
+//! accepting either the rule name (`lock-order`) or the short id (`A9`);
+//! `--explain all` prints every rule.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
-use std::time::Instant;
+use std::process::ExitCode;
 
-use anc_audit::{
-    concurrency::LockEdge, explain, format_baseline, format_baseline_a7, parse_baseline, ratchet,
-    ratchet_a7, scan_tree, Finding, RuleDoc, BASELINE_A7_PATH, BASELINE_PATH, RULES,
-};
+use anc_audit::{explain, scan_tree, RuleDoc, RULES, SUPPRESSION};
 
 fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
@@ -51,265 +32,15 @@ fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Escapes `s` as the contents of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_findings(findings: &[Finding]) -> String {
-    let rows: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-                json_escape(f.rule),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn json_counts(counts: &BTreeMap<String, usize>) -> String {
-    let rows: Vec<String> =
-        counts.iter().map(|(path, n)| format!("\"{}\":{}", json_escape(path), n)).collect();
-    format!("{{{}}}", rows.join(","))
-}
-
-fn json_strings(items: &[String]) -> String {
-    let rows: Vec<String> = items.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn json_lock_edges(edges: &[LockEdge]) -> String {
-    let rows: Vec<String> = edges
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"from\":\"{}\",\"to\":\"{}\",\"file\":\"{}\",\"line\":{},\"via\":\"{}\"}}",
-                json_escape(&e.from),
-                json_escape(&e.to),
-                json_escape(&e.file),
-                e.line,
-                json_escape(&e.via)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn json_rules() -> String {
-    let rows: Vec<String> = RULES
-        .iter()
-        .map(|r| {
-            format!("{{\"id\":\"{}\",\"rule\":\"{}\"}}", json_escape(r.id), json_escape(r.rule))
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-/// SARIF 2.1.0 document over the error-tier findings: one `rules` entry per
-/// audit rule (the rule *name* is the stable `ruleId`) and one error-level
-/// `result` per finding.
-fn sarif_output(errors: &[Finding]) -> String {
-    let rules: Vec<String> = RULES
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-                json_escape(r.rule),
-                json_escape(r.id),
-                json_escape(r.rationale)
-            )
-        })
-        .collect();
-    let results: Vec<String> = errors
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
-                 \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-                 \"region\":{{\"startLine\":{}}}}}}}]}}",
-                json_escape(f.rule),
-                json_escape(&f.message),
-                json_escape(&f.file),
-                f.line.max(1) // ratchet findings carry line 0; SARIF lines are 1-based
-            )
-        })
-        .collect();
-    format!(
-        "{{\"version\":\"2.1.0\",\"$schema\":\
-         \"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{{\"tool\":{{\"driver\":\
-         {{\"name\":\"anc-audit\",\"rules\":[{}]}}}},\"results\":[{}]}}]}}",
-        rules.join(","),
-        results.join(",")
-    )
-}
-
-/// Identity of a finding for differential mode: rule + file + message with
-/// ASCII digits stripped, so edits that only shift line numbers (in the
-/// location *or* inside chain messages) do not read as new findings.
-fn finding_key(f: &Finding) -> (String, String, String) {
-    let msg: String = f.message.chars().filter(|c| !c.is_ascii_digit()).collect();
-    (f.rule.to_string(), f.file.clone(), msg)
-}
-
-/// Scans `root` and folds in the A5/A7 ratchets against the baselines *in
-/// that tree* (missing baseline files mean empty budgets — a baseline ref
-/// may predate them). Returns the owned error-tier findings.
-fn scan_errors(root: &Path) -> Result<Vec<Finding>, String> {
-    let report = scan_tree(root).map_err(|e| format!("cannot scan {}: {e}", root.display()))?;
-    let mut baselines: Vec<BTreeMap<String, usize>> = Vec::new();
-    for rel in [BASELINE_PATH, BASELINE_A7_PATH] {
-        let text = std::fs::read_to_string(root.join(rel)).unwrap_or_default();
-        baselines.push(parse_baseline(&text));
-    }
-    let (a5_errors, _) = ratchet(&baselines[0], &report.unwrap_counts);
-    let (a7_errors, _) = ratchet_a7(&baselines[1], &report.alloc_counts);
-    let mut errors = report.findings;
-    errors.extend(a5_errors);
-    errors.extend(a7_errors);
-    Ok(errors)
-}
-
-/// Materializes the scannable subset of `git_ref` (workspace + vendored
-/// rayon sources, plus the ratchet baselines) into a temp directory that
-/// `scan_tree` can walk.
-fn materialize_ref(root: &Path, git_ref: &str) -> Result<PathBuf, String> {
-    let root_str = root.to_str().ok_or("workspace root path is not valid UTF-8")?;
-    let ls = Command::new("git")
-        .args(["-C", root_str, "ls-tree", "-r", "--name-only", git_ref])
-        .output()
-        .map_err(|e| format!("cannot run git: {e}"))?;
-    if !ls.status.success() {
-        return Err(format!(
-            "git ls-tree {git_ref} failed: {}",
-            String::from_utf8_lossy(&ls.stderr).trim()
-        ));
-    }
-    let listing = String::from_utf8_lossy(&ls.stdout);
-    let wanted: Vec<&str> = listing
-        .lines()
-        .filter(|p| {
-            *p == BASELINE_PATH
-                || *p == BASELINE_A7_PATH
-                || (p.ends_with(".rs")
-                    && (p.starts_with("crates/") || p.starts_with("vendor/rayon/src/")))
-        })
-        .collect();
-    if wanted.is_empty() {
-        return Err(format!("ref {git_ref} contains no scannable sources"));
-    }
-    let dir = std::env::temp_dir().join(format!("anc-audit-diff-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    for rel in wanted {
-        let show = Command::new("git")
-            .args(["-C", root_str, "show", &format!("{git_ref}:{rel}")])
-            .output()
-            .map_err(|e| format!("cannot run git: {e}"))?;
-        if !show.status.success() {
-            return Err(format!(
-                "git show {git_ref}:{rel} failed: {}",
-                String::from_utf8_lossy(&show.stderr).trim()
-            ));
-        }
-        let dest = dir.join(rel);
-        if let Some(parent) = dest.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-        std::fs::write(&dest, &show.stdout)
-            .map_err(|e| format!("cannot write {}: {e}", dest.display()))?;
-    }
-    Ok(dir)
-}
-
-/// Differential mode: fail only on findings whose (rule, file, digitless
-/// message) key is absent from the baseline ref's scan.
-fn run_diff(root: &Path, git_ref: &str) -> ExitCode {
-    let baseline_dir = match materialize_ref(root, git_ref) {
-        Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("--diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = (|| {
-        let base = scan_errors(&baseline_dir)?;
-        let current = scan_errors(root)?;
-        let base_keys: BTreeSet<_> = base.iter().map(finding_key).collect();
-        let fresh: Vec<Finding> =
-            current.into_iter().filter(|f| !base_keys.contains(&finding_key(f))).collect();
-        Ok::<_, String>((base_keys.len(), fresh))
-    })();
-    if let Err(e) = std::fs::remove_dir_all(&baseline_dir) {
-        if e.kind() != std::io::ErrorKind::NotFound {
-            eprintln!("--diff: cannot clean up {}: {e}", baseline_dir.display());
-        }
-    }
-    match outcome {
-        Err(e) => {
-            eprintln!("--diff: {e}");
-            ExitCode::from(2)
-        }
-        Ok((base_count, fresh)) if fresh.is_empty() => {
-            println!(
-                "[anc-audit] OK: no findings beyond baseline {git_ref} ({base_count} baselined)"
-            );
-            ExitCode::SUCCESS
-        }
-        Ok((_, fresh)) => {
-            for f in &fresh {
-                println!("{f}");
-            }
-            println!(
-                "[anc-audit] FAIL: {} finding(s) not present in baseline {git_ref}",
-                fresh.len()
-            );
-            ExitCode::from(1)
-        }
-    }
-}
-
 fn print_rule(doc: &RuleDoc) {
     println!("{} `{}`", doc.id, doc.rule);
     println!("  rationale:   {}", doc.rationale);
     println!("  example:     {}", doc.example);
-    println!("  suppression: {}", doc.suppression);
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
+    println!("  suppression: {SUPPRESSION}");
 }
 
 fn main() -> ExitCode {
-    // Scan wall-time is observability-only (recorded into results/audit.json
-    // by ci.sh); it never influences findings.
-    // audit:allow(wall-clock) -- timing the audit itself for CI telemetry
-    let started = Instant::now();
     let mut root: Option<PathBuf> = None;
-    let mut bless = false;
-    let mut format = Format::Text;
-    let mut diff_ref: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -320,14 +51,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--diff" => match args.next() {
-                Some(git_ref) => diff_ref = Some(git_ref),
-                None => {
-                    eprintln!("--diff needs a git ref argument (e.g. HEAD)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--bless" | "--update-baseline" => bless = true,
             "--explain" => match args.next() {
                 Some(rule) if rule == "all" => {
                     for doc in RULES {
@@ -342,7 +65,7 @@ fn main() -> ExitCode {
                     }
                     None => {
                         eprintln!(
-                            "unknown rule {rule:?}; known: {} (or A1–A14, or `all`)",
+                            "unknown rule {rule:?}; known: {} (or their ids, or `all`)",
                             RULES.iter().map(|r| r.rule).collect::<Vec<_>>().join(", ")
                         );
                         return ExitCode::from(2);
@@ -355,20 +78,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!("--format needs `text`, `json`, or `sarif`, got {other:?}");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!(
                     "unknown argument {other:?}; usage: \
-                     anc-audit [--root <dir>] [--format text|json|sarif] [--bless] \
-                     [--diff <git-ref>] [--explain <rule>]"
+                     anc-audit [--root <dir>] [--explain <rule>]"
                 );
                 return ExitCode::from(2);
             }
@@ -381,103 +94,24 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(git_ref) = diff_ref {
-        return run_diff(&root, &git_ref);
-    }
-
-    let report = match scan_tree(&root) {
-        Ok(r) => r,
+    let findings = match scan_tree(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("audit failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    let a5_file = root.join(BASELINE_PATH);
-    let a7_file = root.join(BASELINE_A7_PATH);
-    if bless {
-        let writes = [
-            (&a5_file, format_baseline(&report.unwrap_counts)),
-            (&a7_file, format_baseline_a7(&report.alloc_counts)),
-        ];
-        for (path, text) in writes {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-        eprintln!(
-            "[anc-audit] baselines blessed: A5 {} file(s) / {} site(s), A7 {} file(s) / {} site(s)",
-            report.unwrap_counts.len(),
-            report.unwrap_counts.values().sum::<usize>(),
-            report.alloc_counts.len(),
-            report.alloc_counts.values().sum::<usize>()
-        );
+    for f in &findings {
+        println!("{f}");
     }
-    let mut baselines: Vec<BTreeMap<String, usize>> = Vec::new();
-    for path in [&a5_file, &a7_file] {
-        match std::fs::read_to_string(path) {
-            Ok(text) => baselines.push(parse_baseline(&text)),
-            Err(e) => {
-                eprintln!(
-                    "cannot read baseline {}: {e}; run with --bless to create it",
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let (a5_errors, a5_notes) = ratchet(&baselines[0], &report.unwrap_counts);
-    let (a7_errors, a7_notes) = ratchet_a7(&baselines[1], &report.alloc_counts);
-
-    let errors: Vec<&Finding> =
-        report.findings.iter().chain(a5_errors.iter()).chain(a7_errors.iter()).collect();
-    let notes: Vec<String> = a5_notes.into_iter().chain(a7_notes).collect();
-    let ok = errors.is_empty();
-
-    if format == Format::Json {
-        let error_rows: Vec<Finding> = errors.iter().map(|f| (*f).clone()).collect();
-        println!(
-            "{{\"ok\":{ok},\"elapsed_seconds\":{:.3},\"rules\":{},\"findings\":{},\
-             \"unwrap_counts\":{},\"alloc_counts\":{},\
-             \"alloc_sites\":{},\"lock_edges\":{},\"notes\":{}}}",
-            started.elapsed().as_secs_f64(),
-            json_rules(),
-            json_findings(&error_rows),
-            json_counts(&report.unwrap_counts),
-            json_counts(&report.alloc_counts),
-            json_findings(&report.alloc_sites),
-            json_lock_edges(&report.lock_edges),
-            json_strings(&notes)
-        );
-    } else if format == Format::Sarif {
-        let error_rows: Vec<Finding> = errors.iter().map(|f| (*f).clone()).collect();
-        println!("{}", sarif_output(&error_rows));
-    } else {
-        for f in &errors {
-            println!("{f}");
-        }
-        for note in &notes {
-            println!("note: {note}");
-        }
-        if ok {
-            println!(
-                "[anc-audit] OK: workspace clean ({} unwrap/expect, {} hot-path alloc site(s) \
-                 within baseline)",
-                report.unwrap_counts.values().sum::<usize>(),
-                report.alloc_counts.values().sum::<usize>()
-            );
-        } else {
-            println!(
-                "[anc-audit] FAIL: {} finding(s) — see DESIGN.md §8 for rules and suppression \
-                 syntax",
-                errors.len()
-            );
-        }
-    }
-    if ok {
+    if findings.is_empty() {
+        println!("[anc-audit] OK: workspace clean");
         ExitCode::SUCCESS
     } else {
+        println!(
+            "[anc-audit] FAIL: {} finding(s) — see DESIGN.md §8 for rules and suppression syntax",
+            findings.len()
+        );
         ExitCode::from(1)
     }
 }

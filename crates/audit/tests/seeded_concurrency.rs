@@ -1,6 +1,6 @@
 //! Seeded-violation tests for the concurrency rules A9/A10/A11, driving the
-//! **binary** end to end (exit code + JSON attribution), mirroring
-//! `seeded_reachability.rs`:
+//! **binary** end to end (exit code + the text report's
+//! `file:line: [rule] …` lines), mirroring `seeded_reachability.rs`:
 //!
 //! * **A9 `lock-order`**: two functions acquiring the same two mutexes in
 //!   opposite orders must fail the audit with the full acquisition chain;
@@ -12,38 +12,18 @@
 //! Each rule also has a justified-`audit:allow` variant proving the
 //! suppression path (exit 0), and the `--explain` surface is covered for
 //! both lookup forms plus the unknown-rule error.
-//!
-//! Fixture lock/unwrap lines carry `audit:allow(panic-path, unwrap-budget)`
-//! where needed so only the rule under test can fire.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::process::Command;
 
-/// Lays down a minimal workspace at `tmp` with empty A5/A7 baselines and
-/// the given `crates/core/src/engine.rs` body.
+use common::{run_audit, tmp_dir};
+
+/// Lays down a minimal workspace at `tmp` with the given
+/// `crates/core/src/engine.rs` body.
 fn seed_tree(tmp: &Path, engine_src: &str) {
-    let core_src = tmp.join("crates/core/src");
-    std::fs::create_dir_all(&core_src).unwrap();
-    std::fs::write(core_src.join("lib.rs"), "#![forbid(unsafe_code)]\npub mod engine;\n").unwrap();
-    std::fs::write(core_src.join("engine.rs"), engine_src).unwrap();
-    let audit_dir = tmp.join("crates/audit");
-    std::fs::create_dir_all(&audit_dir).unwrap();
-    std::fs::write(audit_dir.join("baseline_a5.txt"), "# empty A5 baseline\n").unwrap();
-    std::fs::write(audit_dir.join("baseline_a7.txt"), "# empty A7 baseline\n").unwrap();
-}
-
-/// Runs the audit binary on `root` with `--format json`, returning
-/// `(exit code, stdout)`.
-fn run_audit(root: &Path) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_anc-audit"))
-        .args(["--root", root.to_str().unwrap(), "--format", "json"])
-        .output()
-        .expect("run anc-audit");
-    (out.status.code().expect("exit code"), String::from_utf8(out.stdout).expect("utf8 stdout"))
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("anc-audit-{tag}-{}", std::process::id()))
+    common::seed_tree(tmp, "core", "engine.rs", engine_src);
 }
 
 /// Two mutexes acquired in opposite orders; `allow_rev` suppresses the
@@ -61,14 +41,14 @@ fn deadlock_src(allow_rev: bool) -> String {
          }}\n\
          impl Pair {{\n\
            pub fn forward(&self) {{\n\
-             let ga = self.a.lock().unwrap(); // audit:allow(unwrap-budget) -- fixture\n\
-             let gb = self.b.lock().unwrap(); // audit:allow(unwrap-budget) -- fixture\n\
+             let ga = self.a.lock().unwrap();\n\
+             let gb = self.b.lock().unwrap();\n\
              drop(gb);\n\
              drop(ga);\n\
            }}\n\
            pub fn reverse(&self) {{\n\
-             let gb = self.b.lock().unwrap(); // audit:allow(unwrap-budget) -- fixture\n\
-             {allow}let ga = self.a.lock().unwrap(); // audit:allow(unwrap-budget) -- fixture\n\
+             let gb = self.b.lock().unwrap();\n\
+             {allow}let ga = self.a.lock().unwrap();\n\
              drop(ga);\n\
              drop(gb);\n\
            }}\n\
@@ -84,17 +64,15 @@ fn seeded_lock_order_cycle_exits_nonzero_with_the_chain() {
     std::fs::remove_dir_all(&tmp).unwrap();
 
     assert_eq!(code, 1, "an acquisition cycle must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"rule\":\"lock-order\""), "must attribute to A9: {stdout}");
-    assert!(stdout.contains("potential deadlock"), "{stdout}");
+    assert!(stdout.contains(": [lock-order] potential deadlock"), "must attribute to A9: {stdout}");
     assert!(
         stdout.contains("Pair::forward") && stdout.contains("Pair::reverse"),
         "the chain must name both witnesses: {stdout}"
     );
-    // Both lock-graph edges are reported alongside the finding.
+    // Both lock-graph edges are named in the chain.
     assert!(
-        stdout.contains("\"from\":\"a\",\"to\":\"b\"")
-            && stdout.contains("\"from\":\"b\",\"to\":\"a\""),
-        "lock_edges must carry the cycle: {stdout}"
+        stdout.contains("`a` then `b` at") && stdout.contains("`b` then `a` at"),
+        "the chain must carry both acquisitions: {stdout}"
     );
 }
 
@@ -105,7 +83,7 @@ fn seeded_lock_order_allow_clears_the_cycle() {
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
     assert_eq!(code, 0, "a justified allow must clear A9; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    assert!(stdout.contains("[anc-audit] OK"), "{stdout}");
 }
 
 #[test]
@@ -130,9 +108,11 @@ fn seeded_relaxed_publish_exits_nonzero_at_the_relaxed_site() {
     std::fs::remove_dir_all(&tmp).unwrap();
 
     assert_eq!(code, 1, "a Relaxed publish must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"rule\":\"atomic-ordering\""), "must attribute to A10: {stdout}");
     // Attributed to the store line (7), not the Acquire side.
-    assert!(stdout.contains("\"line\":7"), "must flag the Relaxed site: {stdout}");
+    assert!(
+        stdout.contains("engine.rs:7: [atomic-ordering]"),
+        "must attribute to A10 at the Relaxed site: {stdout}"
+    );
     assert!(stdout.contains("Flag::publish") && stdout.contains("Acquire"), "{stdout}");
 }
 
@@ -158,17 +138,17 @@ fn seeded_relaxed_publish_allow_clears_it() {
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
     assert_eq!(code, 0, "a justified allow must clear A10; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    assert!(stdout.contains("[anc-audit] OK"), "{stdout}");
 }
 
 /// A lock two calls below the wait-free root; `allowed` suppresses it (the
 /// allow must sit on the line directly above the lock, so all suppressed
 /// rules share one comment).
 fn reader_src(allowed: bool) -> String {
-    let rules = if allowed {
-        "blocking-in-reader, panic-path, unwrap-budget"
+    let allow = if allowed {
+        "// audit:allow(blocking-in-reader) -- fixture: cold path, pre-publication\n    "
     } else {
-        "panic-path, unwrap-budget"
+        ""
     };
     format!(
         "pub struct AncEngine {{\n\
@@ -179,8 +159,7 @@ fn reader_src(allowed: bool) -> String {
              self.read_state()\n\
            }}\n\
            fn read_state(&self) -> u32 {{\n\
-             // audit:allow({rules}) -- fixture: cold path, pre-publication\n\
-             *self.state.lock().unwrap()\n\
+             {allow}*self.state.lock().unwrap()\n\
            }}\n\
          }}\n"
     )
@@ -194,10 +173,9 @@ fn seeded_lock_under_query_root_exits_nonzero_with_the_chain() {
     std::fs::remove_dir_all(&tmp).unwrap();
 
     assert_eq!(code, 1, "a blocking reader must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"rule\":\"blocking-in-reader\""), "must attribute to A11: {stdout}");
+    assert!(stdout.contains(": [blocking-in-reader]"), "must attribute to A11: {stdout}");
     assert!(
-        stdout.contains("AncEngine::cluster_all_cached → AncEngine::read_state")
-            || stdout.contains("AncEngine::cluster_all_cached \\u2192 AncEngine::read_state"),
+        stdout.contains("AncEngine::cluster_all_cached → AncEngine::read_state"),
         "the finding must carry the reader chain: {stdout}"
     );
 }
@@ -209,7 +187,7 @@ fn seeded_lock_under_query_root_allow_clears_it() {
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
     assert_eq!(code, 0, "a justified allow must clear A11; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    assert!(stdout.contains("[anc-audit] OK"), "{stdout}");
 }
 
 #[test]
@@ -237,9 +215,9 @@ fn explain_prints_rules_by_name_and_id() {
         .expect("run anc-audit");
     assert!(all.status.success());
     let text = String::from_utf8(all.stdout).unwrap();
-    for id in ["A1", "A5", "A9", "A10", "A11"] {
-        assert!(text.contains(&format!("{id} `")), "missing {id}: {text}");
-    }
+    let listed: Vec<&str> =
+        text.lines().filter(|l| l.starts_with('A')).filter_map(|l| l.split('`').nth(1)).collect();
+    assert_eq!(listed, ["hot-alloc", "lock-order", "atomic-ordering", "blocking-in-reader"]);
 
     let unknown = Command::new(env!("CARGO_BIN_EXE_anc-audit"))
         .args(["--explain", "no-such-rule"])
@@ -251,15 +229,7 @@ fn explain_prints_rules_by_name_and_id() {
 /// Lays down a minimal workspace whose code lives in the **server** crate,
 /// covering the serving reader roots added in ISSUE 10.
 fn seed_server_tree(tmp: &Path, server_src: &str) {
-    let server_dir = tmp.join("crates/server/src");
-    std::fs::create_dir_all(&server_dir).unwrap();
-    std::fs::write(server_dir.join("lib.rs"), "#![forbid(unsafe_code)]\npub mod snapshot;\n")
-        .unwrap();
-    std::fs::write(server_dir.join("snapshot.rs"), server_src).unwrap();
-    let audit_dir = tmp.join("crates/audit");
-    std::fs::create_dir_all(&audit_dir).unwrap();
-    std::fs::write(audit_dir.join("baseline_a5.txt"), "# empty A5 baseline\n").unwrap();
-    std::fs::write(audit_dir.join("baseline_a7.txt"), "# empty A7 baseline\n").unwrap();
+    common::seed_tree(tmp, "server", "snapshot.rs", server_src);
 }
 
 /// A lock one call below the wait-free serving root
@@ -296,10 +266,9 @@ fn seeded_lock_under_serving_reader_root_exits_nonzero() {
     std::fs::remove_dir_all(&tmp).unwrap();
 
     assert_eq!(code, 1, "a blocking serving reader must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"rule\":\"blocking-in-reader\""), "must attribute to A11: {stdout}");
+    assert!(stdout.contains(": [blocking-in-reader]"), "must attribute to A11: {stdout}");
     assert!(
-        stdout.contains("ServeSnapshot::same_cluster_at → ServeSnapshot::lookup")
-            || stdout.contains("ServeSnapshot::same_cluster_at \\u2192 ServeSnapshot::lookup"),
+        stdout.contains("ServeSnapshot::same_cluster_at → ServeSnapshot::lookup"),
         "the finding must carry the serving reader chain: {stdout}"
     );
 }
@@ -311,5 +280,5 @@ fn seeded_lock_under_serving_reader_root_allow_clears_it() {
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
     assert_eq!(code, 0, "a justified allow must clear the serving A11; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    assert!(stdout.contains("[anc-audit] OK"), "{stdout}");
 }

@@ -1,210 +1,102 @@
-//! Seeded-violation tests for the call-graph reachability rules, mirroring
-//! `seeded_violation.rs` but driving the **binary** so the exit code and the
-//! JSON report are covered end to end:
+//! End-to-end checks for the call-graph reachability side of the audit,
+//! driving the **binary** so the exit code and the text report are covered:
 //!
-//! * **A6 panic-path**: a `panic!` two calls below `AncEngine::activate`
-//!   must fail the audit (exit 1) attributed to rule `panic-path`;
 //! * **A7 hot-alloc**: a `.collect()` below `AncEngine::activate_batch`
-//!   must trip the (empty-baseline) ratchet attributed to `hot-alloc`.
+//!   fails the audit on that site, and a justified allow clears it;
+//! * a root-table entry that names no function — what a rename of
+//!   `AncEngine::activate` would leave behind — fails the run and names
+//!   the root, instead of leaving the rule green while it checks nothing;
+//! * the real workspace scans clean.
 //!
-//! Each test builds a synthetic workspace in a temp directory — including
-//! the two baseline files the binary requires — so the real sources are
-//! never touched.
+//! The seeded cases build a synthetic workspace in a temp directory, so the
+//! real sources are never touched.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-/// Lays down a minimal workspace at `tmp` with empty A5/A7 baselines and
-/// the given `crates/core/src/engine.rs` body.
-fn seed_tree(tmp: &Path, engine_src: &str) {
-    let core_src = tmp.join("crates/core/src");
-    std::fs::create_dir_all(&core_src).unwrap();
-    std::fs::write(core_src.join("lib.rs"), "#![forbid(unsafe_code)]\npub mod engine;\n").unwrap();
-    std::fs::write(core_src.join("engine.rs"), engine_src).unwrap();
-    let audit_dir = tmp.join("crates/audit");
-    std::fs::create_dir_all(&audit_dir).unwrap();
-    std::fs::write(audit_dir.join("baseline_a5.txt"), "# empty A5 baseline\n").unwrap();
-    std::fs::write(audit_dir.join("baseline_a7.txt"), "# empty A7 baseline\n").unwrap();
-}
+use std::path::Path;
 
-/// Runs the audit binary on `root` with `--format json`, returning
-/// `(exit code, stdout)`.
-fn run_audit(root: &Path) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_anc-audit"))
-        .args(["--root", root.to_str().unwrap(), "--format", "json"])
-        .output()
-        .expect("run anc-audit");
-    (out.status.code().expect("exit code"), String::from_utf8(out.stdout).expect("utf8 stdout"))
-}
+use common::{root_stubs, run_audit, seed_tree, tmp_dir};
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("anc-audit-{tag}-{}", std::process::id()))
-}
-
-#[test]
-fn seeded_panic_reachable_from_hot_root_exits_nonzero() {
-    let tmp = tmp_dir("a6");
-    seed_tree(
-        &tmp,
-        "pub struct AncEngine {\n\
-         \x20   data: Vec<u32>,\n\
-         }\n\
-         impl AncEngine {\n\
-         \x20   pub fn activate(&mut self, e: u32, _t: f64) {\n\
-         \x20       self.helper(e);\n\
-         \x20   }\n\
-         \x20   fn helper(&self, e: u32) {\n\
-         \x20       self.check(e);\n\
-         \x20   }\n\
-         \x20   fn check(&self, e: u32) {\n\
-         \x20       if e as usize >= self.data.len() {\n\
-         \x20           panic!(\"edge out of range\");\n\
-         \x20       }\n\
-         \x20   }\n\
-         }\n",
-    );
-    let (code, stdout) = run_audit(&tmp);
-    std::fs::remove_dir_all(&tmp).unwrap();
-
-    assert_eq!(code, 1, "a reachable panic must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":false"), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"panic-path\""), "must attribute to A6: {stdout}");
-    assert!(
-        stdout.contains("AncEngine::activate") && stdout.contains("AncEngine::check"),
-        "the finding must carry the root and the offending fn: {stdout}"
-    );
-}
-
-#[test]
-fn seeded_alloc_reachable_from_batch_root_trips_the_ratchet() {
-    let tmp = tmp_dir("a7");
-    seed_tree(
-        &tmp,
-        "pub struct AncEngine;\n\
-         impl AncEngine {\n\
-         \x20   pub fn activate_batch(&mut self, edges: &[u32], _t: f64) -> usize {\n\
-         \x20       self.gather(edges).len()\n\
-         \x20   }\n\
-         \x20   fn gather(&self, edges: &[u32]) -> Vec<u32> {\n\
-         \x20       edges.iter().copied().collect()\n\
-         \x20   }\n\
-         }\n",
-    );
-    let (code, stdout) = run_audit(&tmp);
-    std::fs::remove_dir_all(&tmp).unwrap();
-
-    assert_eq!(code, 1, "an over-baseline hot alloc must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":false"), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"hot-alloc\""), "must attribute to A7: {stdout}");
-    // The per-site report names the offending fn and the reaching root.
-    assert!(
-        stdout.contains("AncEngine::gather") && stdout.contains("AncEngine::activate_batch"),
-        "alloc_sites must carry the fn and its root: {stdout}"
-    );
-}
-
-#[test]
-fn seeded_allow_silences_the_panic_path() {
-    let tmp = tmp_dir("a6-allow");
-    seed_tree(
-        &tmp,
-        "pub struct AncEngine;\n\
-         impl AncEngine {\n\
-         \x20   pub fn activate(&mut self, _e: u32, _t: f64) {\n\
-         \x20       self.guard();\n\
-         \x20   }\n\
-         \x20   fn guard(&self) {\n\
-         \x20       // audit:allow(panic-path) -- structurally unreachable\n\
-         \x20       panic!(\"never\");\n\
-         \x20   }\n\
-         }\n",
-    );
-    let (code, stdout) = run_audit(&tmp);
-    std::fs::remove_dir_all(&tmp).unwrap();
-
-    assert_eq!(code, 0, "an allowed panic must not fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
-}
-
-/// Lays down a minimal workspace whose hot code lives in the **server**
-/// crate — the serving-path roots added in ISSUE 10 (`ConnState::respond`,
-/// `Request::decode`) must be picked up by the same scan.
-fn seed_server_tree(tmp: &Path, server_src: &str) {
-    let server_dir = tmp.join("crates/server/src");
-    std::fs::create_dir_all(&server_dir).unwrap();
-    std::fs::write(server_dir.join("lib.rs"), "#![forbid(unsafe_code)]\npub mod tcp;\n").unwrap();
-    std::fs::write(server_dir.join("tcp.rs"), server_src).unwrap();
-    let audit_dir = tmp.join("crates/audit");
-    std::fs::create_dir_all(&audit_dir).unwrap();
-    std::fs::write(audit_dir.join("baseline_a5.txt"), "# empty A5 baseline\n").unwrap();
-    std::fs::write(audit_dir.join("baseline_a7.txt"), "# empty A7 baseline\n").unwrap();
-}
-
-/// The per-request serving surface with panics below two of the new roots;
-/// `allowed` suppresses both with justified comments.
-fn serving_panic_src(allowed: bool) -> String {
-    let allow_respond = if allowed {
-        "// audit:allow(panic-path) -- fixture: length checked by the frame layer\n      "
-    } else {
-        ""
-    };
-    let allow_decode = if allowed {
-        "// audit:allow(panic-path) -- fixture: tag verified by the caller\n      "
+/// An allocation one call below a per-activation root; `allowed` suppresses
+/// it with a justified comment.
+fn gather_src(allowed: bool) -> String {
+    let allow = if allowed {
+        "// audit:allow(hot-alloc) -- fixture: cold error path\n        "
     } else {
         ""
     };
     format!(
-        "pub struct ConnState {{\n\
-           n: usize,\n\
-         }}\n\
-         impl ConnState {{\n\
-           pub fn respond(&mut self, req: &[u8]) -> u8 {{\n\
-             self.first(req)\n\
-           }}\n\
-           fn first(&self, req: &[u8]) -> u8 {{\n\
-             {allow_respond}*req.first().unwrap()\n\
-           }}\n\
-         }}\n\
-         pub struct Request;\n\
-         impl Request {{\n\
-           pub fn decode(buf: &[u8]) -> u8 {{\n\
-             Self::tag(buf)\n\
-           }}\n\
-           fn tag(buf: &[u8]) -> u8 {{\n\
-             match buf.first() {{\n\
-               Some(&t) => t,\n\
-               {allow_decode}None => unreachable!(\"caller framed the buffer\"),\n\
-             }}\n\
-           }}\n\
+        "pub struct AncEngine;\n\
+         impl AncEngine {{\n\
+         \x20   pub fn activate_batch(&mut self, edges: &[u32], _t: f64) -> usize {{\n\
+         \x20       self.gather(edges).len()\n\
+         \x20   }}\n\
+         \x20   fn gather(&self, edges: &[u32]) -> Vec<u32> {{\n\
+         \x20       {allow}edges.iter().copied().collect()\n\
+         \x20   }}\n\
          }}\n"
     )
 }
 
 #[test]
-fn seeded_panics_under_serving_roots_exit_nonzero() {
-    let tmp = tmp_dir("a6-serve");
-    seed_server_tree(&tmp, &serving_panic_src(false));
+fn seeded_alloc_reachable_from_batch_root_exits_nonzero() {
+    let tmp = tmp_dir("a7");
+    seed_tree(&tmp, "core", "engine.rs", &gather_src(false));
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
 
-    assert_eq!(code, 1, "panics under serving roots must fail the audit; stdout: {stdout}");
-    assert!(stdout.contains("\"rule\":\"panic-path\""), "must attribute to A6: {stdout}");
+    assert_eq!(code, 1, "a hot-path allocation must fail the audit; stdout: {stdout}");
     assert!(
-        stdout.contains("ConnState::respond") && stdout.contains("ConnState::first"),
-        "the respond chain must be named: {stdout}"
+        stdout.contains("crates/core/src/engine.rs:7: [hot-alloc] .collect()"),
+        "must attribute to A7 at the site: {stdout}"
     );
     assert!(
-        stdout.contains("Request::decode") && stdout.contains("Request::tag"),
-        "the decode chain must be named: {stdout}"
+        stdout.contains("AncEngine::activate_batch → AncEngine::gather"),
+        "the finding must carry the fn and its root: {stdout}"
     );
 }
 
 #[test]
-fn seeded_panics_under_serving_roots_allow_clears_them() {
-    let tmp = tmp_dir("a6-serve-allow");
-    seed_server_tree(&tmp, &serving_panic_src(true));
+fn seeded_alloc_allow_clears_it() {
+    let tmp = tmp_dir("a7-allow");
+    seed_tree(&tmp, "core", "engine.rs", &gather_src(true));
     let (code, stdout) = run_audit(&tmp);
     std::fs::remove_dir_all(&tmp).unwrap();
-    assert_eq!(code, 0, "justified allows must clear the serving roots; stdout: {stdout}");
-    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    assert_eq!(code, 0, "a justified allow must clear A7; stdout: {stdout}");
+    assert!(stdout.contains("[anc-audit] OK"), "{stdout}");
+}
+
+#[test]
+fn renamed_root_fails_the_run_and_is_named() {
+    let tmp = tmp_dir("stale-root");
+    seed_tree(&tmp, "core", "engine.rs", "pub struct AncEngine;\n");
+    // `AncEngine::activate` is in ALLOC_ROOTS, `AncEngine::cluster_all` in
+    // QUERY_ROOTS; rename both definitions and leave the tables alone.
+    let stubs = root_stubs(&["AncEngine::activate", "AncEngine::cluster_all"]);
+    std::fs::write(tmp.join("crates/core/src/root_stubs.rs"), stubs).unwrap();
+    let (code, stdout) = run_audit(&tmp);
+    std::fs::remove_dir_all(&tmp).unwrap();
+
+    assert_eq!(code, 1, "a root that names no function must fail the run; stdout: {stdout}");
+    assert!(
+        stdout.contains("[hot-alloc] root `AncEngine::activate` in ALLOC_ROOTS"),
+        "the stale A7 root must be named: {stdout}"
+    );
+    assert!(
+        stdout.contains("[blocking-in-reader] root `AncEngine::cluster_all` in QUERY_ROOTS"),
+        "the stale A11 root must be named: {stdout}"
+    );
+    assert!(stdout.contains("2 finding(s)"), "every other root still resolves: {stdout}");
+}
+
+#[test]
+fn real_workspace_is_clean() {
+    // crates/audit → crates → repo root.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).unwrap();
+    let findings = anc_audit::scan_tree(root).expect("scan the real tree");
+    assert!(
+        findings.is_empty(),
+        "workspace must be audit-clean, found:\n{}",
+        findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
+    );
 }

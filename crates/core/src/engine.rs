@@ -320,9 +320,10 @@ impl AncEngine {
     /// the result is **bit-identical** to the serial loop and independent of
     /// the rayon thread count.
     pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> BatchStats {
-        // BatchStats.wall is observability-only; it never feeds the
-        // algorithms and is not serialized into snapshots.
-        // audit:allow(wall-clock, nondet-taint) -- wall time is reported, never consumed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "BatchStats.wall is reported, never consumed: it feeds no algorithm and no snapshot"
+        )]
         let start = Instant::now();
         let mut stats = BatchStats { edges_in: edges.len(), ..Default::default() };
         self.ingest(edges, Some(t), &mut stats);
@@ -514,7 +515,7 @@ impl AncEngine {
         self.cache.get_mut()
     }
 
-    /// Snapshot-publish hook for the serving layer (DESIGN.md §14): brings
+    /// Snapshot-publish hook for the serving layer (DESIGN.md §13): brings
     /// the cache current at every requested `(level, mode)` pair — paying
     /// any pending repairs *now*, on the calling (writer) thread — and
     /// returns the refreshed `Arc` clusterings as one immutable
@@ -762,7 +763,7 @@ pub struct LevelClusters {
 
 /// An immutable, shareable view of the cached clusterings at a set of
 /// levels — the unit the serving layer publishes to its readers after each
-/// drained ingest batch ([`AncEngine::refresh_view`], DESIGN.md §14).
+/// drained ingest batch ([`AncEngine::refresh_view`], DESIGN.md §13).
 #[derive(Clone, Debug, Default)]
 pub struct ClusterView {
     /// Cache generation every clustering in this view was refreshed at; two

@@ -114,7 +114,10 @@ fn f32_faithful(vals: &[f64]) -> bool {
         if x.is_infinite() {
             return true; // ±∞ narrows to ±∞
         }
-        // audit:allow(lossy-persist) -- the roundtrip probe deciding whether f32 is faithful
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the narrowing is the probe: it decides whether f32 is faithful"
+        )]
         let y = x as f32;
         x == 0.0 || (y.is_finite() && y.abs() >= f32::MIN_POSITIVE)
     })
@@ -125,7 +128,10 @@ fn put_float_array(out: &mut Vec<u8>, vals: &[f64], profile: SnapshotProfile) {
     if quantize {
         put_u8(out, TAG_F32);
         for &v in vals {
-            // audit:allow(lossy-persist) -- the tagged Compact escape hatch: f32_faithful gated
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the tagged Compact profile: taken only when f32_faithful(vals)"
+            )]
             put_f32(out, v as f32);
         }
     } else {
@@ -261,9 +267,8 @@ fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids, profile: SnapshotProfile) 
             put_ivarint(out, s as i64 - prev);
             prev = s as i64;
         }
-        for (i, &s) in seeds.iter().enumerate() {
-            // audit:allow(lossy-persist) -- i < seeds.len() ≤ n, and node ids are u32 already
-            seed_index[s as usize] = i as u32;
+        for (i, &s) in (0u32..).zip(seeds) {
+            seed_index[s as usize] = i;
         }
         for &sv in seed_of {
             if sv == NO_NODE {
@@ -285,6 +290,13 @@ fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids, profile: SnapshotProfile) 
         }
         put_float_array(out, dist, profile);
     }
+}
+
+/// `base + delta` as a node id below `n`. Both operands can come from the
+/// file, so the sum is checked and the id converted, never wrapped or cast.
+fn node_at(base: i64, delta: i64, n: usize) -> Option<NodeId> {
+    let v = NodeId::try_from(base.checked_add(delta)?).ok()?;
+    ((v as usize) < n).then_some(v)
 }
 
 fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreError> {
@@ -311,13 +323,12 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
         }
         let mut seeds = Vec::with_capacity(seed_count);
         let mut prev: i64 = 0;
-        for _ in 0..seed_count {
-            let s = prev + r.ivarint()?;
-            if s < 0 || s >= n as i64 {
-                return Err(RestoreError::Inconsistent(format!("seed {s} out of range")));
-            }
-            seeds.push(s as NodeId);
-            prev = s;
+        for i in 0..seed_count {
+            let s = node_at(prev, r.ivarint()?, n).ok_or_else(|| {
+                RestoreError::Inconsistent(format!("seed {i} out of range for {n} nodes"))
+            })?;
+            seeds.push(s);
+            prev = i64::from(s);
         }
         let mut seed_of = Vec::with_capacity(n);
         for v in 0..n {
@@ -325,13 +336,14 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
             if z == 0 {
                 seed_of.push(NO_NODE);
             } else {
-                let idx = (z - 1) as usize;
-                if idx >= seed_count {
-                    return Err(RestoreError::Inconsistent(format!(
-                        "node {v}: seed index {idx} out of range for {seed_count} seeds"
-                    )));
-                }
-                seed_of.push(seeds[idx]);
+                let idx = z - 1;
+                let seed =
+                    usize::try_from(idx).ok().and_then(|i| seeds.get(i)).ok_or_else(|| {
+                        RestoreError::Inconsistent(format!(
+                            "node {v}: seed index {idx} out of range for {seed_count} seeds"
+                        ))
+                    })?;
+                seed_of.push(*seed);
             }
         }
         let mut parent = Vec::with_capacity(n);
@@ -340,13 +352,9 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
             if d == 0 {
                 parent.push(NO_NODE);
             } else {
-                let p = v as i64 + d;
-                if p < 0 || p >= n as i64 {
-                    return Err(RestoreError::Inconsistent(format!(
-                        "node {v}: parent {p} out of range"
-                    )));
-                }
-                parent.push(p as NodeId);
+                parent.push(node_at(v as i64, d, n).ok_or_else(|| {
+                    RestoreError::Inconsistent(format!("node {v}: parent out of range"))
+                })?);
             }
         }
         let dist = read_float_array(r, n)?;
@@ -426,6 +434,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     let clock = decode_clock(&mut r)?;
     let graph = decode_graph(&mut r).map_err(RestoreError::from)?;
     let (n, m) = (graph.n(), graph.m());
+    #[expect(clippy::cast_possible_truncation, reason = "decode_graph refuses n > NodeId::MAX")]
+    let node_end = n as NodeId;
     let activeness = read_float_array(&mut r, m)?;
     let node_sum = match profile {
         SnapshotProfile::Exact => {
@@ -438,7 +448,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
         // Recomputed in the exact order `invariant::check_activeness` sums
         // incident edges, so the restored aggregate matches the checker
         // bit for bit.
-        SnapshotProfile::Compact => (0..n as NodeId)
+        SnapshotProfile::Compact => (0..node_end)
             .map(|v| graph.neighbor_edge_ids(v).iter().map(|&e| activeness[e as usize]).sum())
             .collect(),
     };
@@ -608,6 +618,50 @@ mod tests {
         restamp_crc(&mut forged);
         let err = load_err(&forged);
         assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
+    }
+
+    /// Seed and parent ids are stored as deltas; a delta that overflows the
+    /// running sum or lands outside the node range is refused with a typed
+    /// error (the sums used to be unchecked `i64` adds: a debug-build panic).
+    #[test]
+    fn forged_pyramid_deltas_rejected() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        // k, levels, needed_votes, n, then one partition's seed count.
+        let header = |out: &mut Vec<u8>, seeds: u64| {
+            for v in [1, 1, 1, 3, seeds] {
+                put_uvarint(out, v);
+            }
+        };
+        let refused = |bytes: &[u8], what: &str| match decode_pyramids(&mut Reader::new(bytes), &g)
+        {
+            Err(RestoreError::Inconsistent(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("{what}: expected Inconsistent, got {:?}", other.err()),
+        };
+
+        // Second seed = 1 + i64::MAX.
+        let mut bytes = Vec::new();
+        header(&mut bytes, 2);
+        put_ivarint(&mut bytes, 1);
+        put_ivarint(&mut bytes, i64::MAX);
+        refused(&bytes, "seed 1 out of range");
+
+        // One seed (node 0) owning every node; node 1's parent = 1 + i64::MAX.
+        let mut bytes = Vec::new();
+        header(&mut bytes, 1);
+        put_ivarint(&mut bytes, 0);
+        for _ in 0..3 {
+            put_uvarint(&mut bytes, 1);
+        }
+        put_uvarint(&mut bytes, 0);
+        put_ivarint(&mut bytes, i64::MAX);
+        refused(&bytes, "node 1: parent out of range");
+
+        // A seed index past the seed list (and past `usize` on 32-bit hosts).
+        let mut bytes = Vec::new();
+        header(&mut bytes, 1);
+        put_ivarint(&mut bytes, 0);
+        put_uvarint(&mut bytes, u64::MAX);
+        refused(&bytes, "node 0: seed index");
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //! `cluster_all` per level pays one parallel voting pass and lands on
 //! labels identical to the pre-snapshot engine's.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use anc_decay::{ActivenessStore, DecayClock};
 use anc_graph::codec::CodecError;
 use anc_graph::Graph;

@@ -212,7 +212,10 @@ impl WalRecord {
         match self {
             WalRecord::Activate { e, t } => engine.activate(*e, *t),
             WalRecord::ActivateBatch { t, edges } => {
-                // audit:allow(swallowed-error) -- BatchStats is observability-only; replay is infallible
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "BatchStats is observability only; replay is infallible"
+                )]
                 let _ = engine.activate_batch(edges, *t);
             }
             WalRecord::ReinforceEdges { edges } => engine.reinforce_edges(edges),

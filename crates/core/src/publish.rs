@@ -1,5 +1,5 @@
 //! Lock-free single-writer snapshot publication (the serving layer's
-//! epoch'd `Arc` handoff; DESIGN.md §14).
+//! epoch'd `Arc` handoff; DESIGN.md §13).
 //!
 //! The serving design (ROADMAP item 2) runs one writer thread that owns the
 //! engine and many reader threads that answer queries from immutable

@@ -12,6 +12,8 @@
 //! return a typed [`CodecError`] on malformed input — no panics on any
 //! byte sequence.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::{Graph, GraphBuilder, NodeId};
 
 /// Typed decode failure. Carried upward into
@@ -57,15 +59,15 @@ impl std::error::Error for CodecError {}
 
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i] = c;
+        table[i as usize] = c;
         i += 1;
     }
     table
@@ -77,8 +79,7 @@ const CRC32_TABLE: [u32; 256] = crc32_table();
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
-        // audit:allow(lossy-persist) -- widening: b is a u8 byte lifted to u32
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -108,13 +109,13 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends an LEB128 varint (1–10 bytes, small values small).
 #[inline]
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    // Each group is masked to its low 7 bits before the cast, so the cast
+    // never drops a set bit (after the loop `v < 0x80` and the mask is a no-op).
     while v >= 0x80 {
-        // audit:allow(lossy-persist) -- deliberate: the low 7 bits of each LEB128 group
-        out.push((v as u8 & 0x7F) | 0x80);
+        out.push((v & 0x7F) as u8 | 0x80);
         v >>= 7;
     }
-    // audit:allow(lossy-persist) -- loop invariant v < 0x80: the cast is value-preserving
-    out.push(v as u8);
+    out.push((v & 0x7F) as u8);
 }
 
 /// Appends a zigzag-mapped signed varint (`0 → 0, -1 → 1, 1 → 2, …`).
@@ -292,15 +293,19 @@ pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, CodecError> {
     let mut prev_u: u64 = 0;
     let mut prev_v: u64 = 0;
     for e in 0..m {
+        let bad_edge =
+            || CodecError::Invalid { what: format!("edge {e}: endpoint out of range for n = {n}") };
+        // Gaps come from the file: a sum that leaves `u64`, or an endpoint
+        // that leaves `NodeId`, is a forged edge, not a wrap or a truncation.
         let du = r.uvarint()?;
-        let u = prev_u + du;
-        let v = if du > 0 { u + 1 + r.uvarint()? } else { prev_v + 1 + r.uvarint()? };
-        if v as usize >= n {
-            return Err(CodecError::Invalid {
-                what: format!("edge {e}: endpoint {v} out of range for n = {n}"),
-            });
+        let gap = r.uvarint()?;
+        let u = prev_u.checked_add(du).ok_or_else(bad_edge)?;
+        let base = if du > 0 { u } else { prev_v };
+        let v = base.checked_add(1).and_then(|x| x.checked_add(gap)).ok_or_else(bad_edge)?;
+        match (NodeId::try_from(u), NodeId::try_from(v)) {
+            (Ok(u), Ok(v)) if (v as usize) < n => b.add_edge(u, v),
+            _ => return Err(bad_edge()),
         }
-        b.add_edge(u as NodeId, v as NodeId);
         prev_u = u;
         prev_v = v;
     }
@@ -410,6 +415,38 @@ mod tests {
         bad.extend_from_slice(&rest);
         let mut r = Reader::new(&bad);
         assert!(matches!(decode_graph(&mut r), Err(CodecError::Invalid { .. })));
+    }
+
+    /// Gaps that wrap `u64` or leave `NodeId` are a forged edge list: a
+    /// typed refusal in debug and release alike (it used to be an overflow
+    /// panic in one and, via a truncating cast, edge `(0, 1)` in the other).
+    #[test]
+    fn graph_decode_rejects_wrapping_and_oversized_gaps() {
+        let far = (1u64 << 32) + 1;
+        let forged = [
+            [4, 1, far, u64::MAX - far], // v = u + 1 + gap wraps to 0
+            [4, 1, u64::MAX, 0],         // u fits u64, v = u + 1 wraps
+            [4, 1, far, 0],              // no wrap, but u = 2^32 + 1 is no NodeId
+        ];
+        for varints in forged {
+            let mut buf = Vec::new();
+            for v in varints {
+                put_uvarint(&mut buf, v);
+            }
+            match decode_graph(&mut Reader::new(&buf)) {
+                Err(CodecError::Invalid { what }) => assert!(what.contains("edge 0"), "{what}"),
+                other => panic!("{varints:?}: expected Invalid, got {other:?}"),
+            }
+        }
+        // A second edge whose `u` gap wraps past the first edge's `u`.
+        let mut buf = Vec::new();
+        for v in [4, 2, 1, 0, u64::MAX, 0] {
+            put_uvarint(&mut buf, v);
+        }
+        match decode_graph(&mut Reader::new(&buf)) {
+            Err(CodecError::Invalid { what }) => assert!(what.contains("edge 1"), "{what}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
     }
 
     #[test]

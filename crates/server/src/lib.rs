@@ -1,7 +1,7 @@
 //! # anc-server
 //!
 //! The concurrent serving layer over the activation-network clustering
-//! engine (ROADMAP item 2; DESIGN.md §14): the paper's premise is that
+//! engine (ROADMAP item 2; DESIGN.md §13): the paper's premise is that
 //! clustering queries are answered *while* the activation stream mutates
 //! the network, and this crate turns that premise into a single-writer /
 //! many-reader server.
@@ -21,6 +21,17 @@
 //!   [`ServerStats::apply_latency`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod hist;

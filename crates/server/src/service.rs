@@ -1,7 +1,7 @@
 //! The protocol-agnostic serving core: single-writer ingest with
 //! coalescing, wait-free epoch'd snapshot publication, backpressure.
 //!
-//! Architecture (DESIGN.md §14): one writer thread owns the engine
+//! Architecture (DESIGN.md §13): one writer thread owns the engine
 //! ([`EngineBackend`] — plain [`AncEngine`] or WAL-backed
 //! [`DurableEngine`]) and drains a bounded MPSC ingest queue. Per drain
 //! cycle it takes everything queued (up to [`ServeConfig::coalesce_max`]
@@ -287,6 +287,11 @@ impl ServerCore {
             shed: Arc::clone(&shed),
             num_edges,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "start-up, before any request is accepted: a host that cannot spawn one \
+                      thread cannot serve"
+        )]
         let writer = std::thread::Builder::new()
             .name("anc-serve-writer".into())
             .spawn(move || writer_loop(backend, publisher, rx, cfg, levels, modes, shed, stats))
@@ -308,6 +313,11 @@ impl ServerCore {
     /// (FIFO — everything already queued is applied and published first),
     /// compacts the WAL for a durable backend, joins the writer, and
     /// returns the final state.
+    #[expect(
+        clippy::expect_used,
+        reason = "`shutdown` consumes `self`, so the handle is taken once; a writer panic is \
+                  re-raised here rather than reported as a clean shutdown"
+    )]
     pub fn shutdown(mut self) -> ShutdownReport {
         // A full queue or an already-dead writer both resolve at join.
         let _ = self.ingest.tx.send(Job::Stop);
@@ -343,7 +353,7 @@ fn apply_run(
         stats.coalesced_jobs += job_meta.len() as u64;
     }
     stats.max_batch_edges = stats.max_batch_edges.max(edges.len() as u64);
-    // audit:allow(nondet-taint) -- latency observability only; never feeds clustering state or the WAL payload
+    // Latency observability only: never feeds clustering state or the WAL payload.
     let now = Instant::now();
     for &(seq, enqueued) in job_meta {
         let nanos = now.duration_since(enqueued).as_nanos().min(u128::from(u64::MAX)) as u64;

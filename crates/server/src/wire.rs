@@ -9,8 +9,9 @@
 //!
 //! The payload is a tag byte followed by codec-encoded fields. Decoding is
 //! total: any byte sequence yields either a message or a typed error —
-//! never a panic (audit rule A6 roots [`Request::decode`] and
-//! [`Response::encode`] over the handler path). A frame longer than
+//! never a panic (the crate denies `clippy::{unwrap_used, expect_used,
+//! panic}` and friends outside tests, [`Request::decode`] and
+//! [`Response::encode`] included). A frame longer than
 //! [`MAX_FRAME`] is rejected before allocation, so a hostile length
 //! prefix cannot balloon memory.
 

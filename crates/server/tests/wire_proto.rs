@@ -1,8 +1,8 @@
 //! Wire-protocol coverage (ISSUE 10 satellite 4): golden round-trips of
 //! every request/response variant, malformed frames, oversized length
 //! prefixes, mid-frame disconnects — the server must answer with a typed
-//! error frame or drop the connection, and never panic (rule A6 audits
-//! the handler roots).
+//! error frame or drop the connection, and never panic (`anc-server`
+//! denies the clippy panic lints outside tests).
 
 use std::io::Cursor;
 

@@ -40,6 +40,8 @@
 //! assert!(cluster.contains(&0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use anc_baselines as baselines;
 pub use anc_core as core;
 pub use anc_data as data;
