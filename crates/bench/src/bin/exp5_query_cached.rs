@@ -7,10 +7,10 @@
 //! * `cold_fill` — the cache's first query per level, i.e. the *parallel*
 //!   voting pass, swept over `RAYON_NUM_THREADS` ∈ {1, 2, 4, 8};
 //! * `cached_hit` — a repeat query with no intervening update;
-//! * `post_single` — a query right after one activation (dirty-edge
-//!   repair of the edges incident to the affected sets);
+//! * `post_single` — a query right after one activation (the named nodes
+//!   are compared with the seed rows; moved seeds re-vote their edges);
 //! * `post_batch` — a query right after a 16-edge batch (grouped traced
-//!   repair feeding the same dirty translation).
+//!   repair feeding the same pending lists).
 //!
 //! Reports the `post_single` speedup over `cold` (the PR's acceptance
 //! figure) and writes everything to `results/BENCH_query.json`.

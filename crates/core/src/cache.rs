@@ -3,31 +3,42 @@
 //! [`crate::cluster::cluster_all`] answers every query cold: it re-evaluates
 //! the voting function `H_l` on all `m` edges against all `k` partitions of
 //! the level and re-runs component extraction from scratch. Yet the bounded
-//! update algorithms (Section V, Algorithms 1–3) already report exactly
-//! which nodes each update touched. [`ClusterCache`] exploits that:
+//! update algorithms (Section V, Algorithms 1–3) already report which nodes
+//! each update wrote, and the paper's Section V-C Remarks promise votes
+//! maintained "at a cost equal to the reporting". [`ClusterCache`] makes a
+//! cached query cost what *changed* since the level was last asked:
 //!
-//! * per queried level it keeps a packed voted-edge bitset
-//!   ([`crate::vote::EdgeBits`]), the voted-subgraph degree of every node,
-//!   and the extracted [`Clustering`]s (shared as [`Arc`]s, so repeat
-//!   queries are allocation-free);
-//! * the **cold fill** runs the `O(m·k)` voting pass in parallel —
-//!   word-aligned edge ranges fan out over the rayon shim and merge in
-//!   input order, so the bitset is bit-identical for any thread count;
+//! * per queried level it keeps the **seed rows** — the `k` seeds of every
+//!   node as of the last vote (`n·k` ids, row-major) — a packed voted-edge
+//!   bitset ([`crate::vote::EdgeBits`]) that always equals the vote of its
+//!   edges' two rows, the voted-subgraph degree of every node, and the
+//!   extracted [`Clustering`]s (shared as [`Arc`]s, so repeat queries are
+//!   allocation-free);
+//! * the **cold fill** copies the rows out of the index and runs the
+//!   `O(m·k)` voting pass in parallel — word-aligned edge ranges fan out
+//!   over the rayon shim and merge in input order, so the bitset is
+//!   bit-identical for any thread count;
 //! * on every index update, the affected node sets returned by
-//!   [`crate::Pyramids::on_weight_change`]`{,_batch_traced}` are translated
-//!   into **dirty edges** (edges incident to an affected node at that
-//!   level). An edge's vote can only change when an endpoint's seed
-//!   assignment changed in some partition, and every such endpoint is in
-//!   that partition's affected set — so the translation is complete and
-//!   only dirty edges ever need re-voting;
-//! * a query on a dirty level re-votes just the dirty edges and repairs the
-//!   clustering: **even** mode merges on-flips with a union-find over the
-//!   cached labels and falls back to an epoch-tagged rebuild when an edge
-//!   flips *off* (a split cannot be patched locally); **power** mode
-//!   re-grows from the incrementally maintained voted-degree table,
-//!   skipping the voting pass and the degree recount. Past a dirty-fraction
-//!   threshold the level is refilled wholesale (the parallel cold pass is
-//!   then cheaper than per-edge repair).
+//!   [`crate::Pyramids::on_weight_change`]`{,_batch_traced}` are merely
+//!   appended to the level's bounded per-pyramid **pending** lists. A repair
+//!   names every node it writes, far more than the nodes whose *seed* it
+//!   moves, and a seed that moved may have moved back — so nothing is
+//!   decided on the ingest path;
+//! * a query compares the pending nodes against the live partitions. Only a
+//!   node whose seed really differs from its row is **changed**: its row is
+//!   brought current and its incident edges are re-voted from two rows. An
+//!   edge's vote can only change when an endpoint's seed moved in some
+//!   partition, and every such endpoint was named, so this is complete;
+//! * when votes flipped, the clusterings are repaired over the **region**:
+//!   the voted-subgraph components that hold a flipped endpoint. Every
+//!   other component has the edges and the voted degrees it had, so in both
+//!   modes its clusters are unchanged; the region gets fresh components
+//!   (even) and is re-grown in rank order (power), and labels are put back
+//!   in first-appearance order. One path serves merges, splits and both at
+//!   once, and it costs a cold extraction only when the region is the whole
+//!   graph. When the changed nodes own more than a threshold share of the
+//!   adjacency the level is refilled wholesale instead (the parallel cold
+//!   pass is then cheaper than re-voting edge by edge).
 //!
 //! Reads are snapshot-consistent: [`QueryStats::generation`] advances with
 //! every index-mutating update, so two queries returning the same
@@ -38,32 +49,33 @@
 
 use std::sync::Arc;
 
-use anc_graph::{EdgeId, Graph, NodeId};
-use anc_metrics::Clustering;
+use anc_graph::{EdgeId, Graph, NodeId, NO_NODE};
+use anc_metrics::{Clustering, NOISE};
 use rayon::prelude::*;
 
-use crate::cluster::{even_clustering_with, power_clustering_from_deg, ClusterMode};
+use crate::cluster::{even_clustering_with, grow_power_clusters, ClusterMode};
 use crate::pyramid::Pyramids;
-use crate::vote::{extend_incident_edges, EdgeBits};
+use crate::vote::EdgeBits;
 
-/// Default dirty-fraction past which a query refills the whole level
-/// instead of repairing edge by edge (see
-/// [`ClusterCache::set_dirty_rebuild_fraction`]).
+/// Default share of the graph's `2m` adjacency slots that the changed nodes
+/// may own before a query refills the whole level instead of repairing it
+/// (see [`ClusterCache::set_dirty_rebuild_fraction`]).
 pub const DIRTY_REBUILD_FRACTION: f64 = 0.25;
 
 /// What a [`ClusterCache::query`] had to do to answer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueryDecision {
-    /// Served entirely from cache: no dirty edges, clustering already
-    /// extracted.
+    /// Served entirely from cache: no seed moved since the last vote,
+    /// clustering already extracted.
     #[default]
     Hit,
     /// Bitset was current but the requested mode's clustering had not been
     /// extracted yet (e.g. first `Even` query after `Power` ones).
     Extract,
-    /// Dirty edges were re-voted and the clustering repaired incrementally.
+    /// Seeds moved: the changed nodes' edges were re-voted and, if a vote
+    /// flipped, the clusterings repaired over the flipped region.
     Repair,
-    /// The dirty fraction exceeded the threshold: the level was refilled by
+    /// The changed nodes exceeded the threshold: the level was refilled by
     /// the parallel cold pass and re-extracted.
     Rebuild,
     /// First query of this level since construction or invalidation.
@@ -77,16 +89,24 @@ pub struct QueryStats {
     /// update fed to the cache, so two answers with equal generation are
     /// reads of the same logical index state.
     pub generation: u64,
-    /// The answered level's rebuild epoch: bumped whenever a cached
-    /// clustering is discarded (rebuild-on-split, threshold rebuild, cold
-    /// fill) rather than incrementally patched.
+    /// The answered level's fill epoch: bumped whenever the level's votes
+    /// and clusterings are recomputed from the index (cold fill, threshold
+    /// rebuild) rather than repaired. A repair — merge or split — keeps it.
     pub epoch: u64,
-    /// Dirty edges pending at this level when the query arrived.
+    /// Nodes whose seed differed from the cached row in some pyramid when
+    /// the query arrived (each node once).
+    pub changed_nodes: usize,
+    /// Adjacency slots of the changed nodes (`Σ deg`): the edges that had to
+    /// be re-voted, one between two changed nodes counted twice. Nodes a
+    /// repair named but whose seed did not move contribute nothing.
     pub dirty_edges: usize,
     /// Edges actually re-voted by this query.
     pub revoted: usize,
     /// Re-voted edges whose voting result flipped.
     pub flips: usize,
+    /// Nodes of the voted-subgraph components re-extracted because they
+    /// hold a flipped endpoint (0 when no vote flipped).
+    pub region_nodes: usize,
     /// The repair-vs-rebuild decision taken.
     pub decision: QueryDecision,
     /// Cumulative queries answered with an already-cached `Arc`.
@@ -112,17 +132,20 @@ impl QueryDecision {
 /// Merges two query records so per-query stats can be folded into one
 /// cumulative tally (`total += stats`), e.g. by the serving writer loop.
 ///
-/// Per-query work counters (`dirty_edges`, `revoted`, `flips`) sum;
-/// `generation`/`epoch` keep the newest; the cumulative cache counters
-/// (`hits`, `misses`) keep the max since every record already carries the
-/// cache-lifetime totals; `decision` keeps the costlier of the two.
+/// Per-query work counters (`changed_nodes`, `dirty_edges`, `revoted`,
+/// `flips`, `region_nodes`) sum; `generation`/`epoch` keep the newest; the
+/// cumulative cache counters (`hits`, `misses`) keep the max since every
+/// record already carries the cache-lifetime totals; `decision` keeps the
+/// costlier of the two.
 impl std::ops::AddAssign<QueryStats> for QueryStats {
     fn add_assign(&mut self, rhs: QueryStats) {
         self.generation = self.generation.max(rhs.generation);
         self.epoch = self.epoch.max(rhs.epoch);
+        self.changed_nodes += rhs.changed_nodes;
         self.dirty_edges += rhs.dirty_edges;
         self.revoted += rhs.revoted;
         self.flips += rhs.flips;
+        self.region_nodes += rhs.region_nodes;
         if rhs.decision.cost_rank() > self.decision.cost_rank() {
             self.decision = rhs.decision;
         }
@@ -131,20 +154,47 @@ impl std::ops::AddAssign<QueryStats> for QueryStats {
     }
 }
 
+/// The vote of one edge from its endpoints' seed rows: at least `needed`
+/// pyramids give both the same seed. Two unreachable endpoints
+/// ([`NO_NODE`] twice) agree on nothing.
+#[inline]
+fn rows_vote(rows: &[NodeId], k: usize, needed: usize, u: NodeId, v: NodeId) -> bool {
+    let (ru, rv) = (&rows[u as usize * k..][..k], &rows[v as usize * k..][..k]);
+    ru.iter().zip(rv).filter(|&(a, b)| a == b && *a != NO_NODE).count() >= needed
+}
+
 /// Per-level cached state (materialized on first query of the level).
 #[derive(Clone, Debug, Default)]
 struct LevelCache {
-    /// Packed voting results `H_l(e)` for every edge.
+    /// Packed voting results: `voted[e]` is the vote of `e`'s two rows.
     voted: EdgeBits,
-    /// Edges whose vote may be stale (set ⇔ listed in `dirty_list`).
-    dirty: EdgeBits,
-    dirty_list: Vec<EdgeId>,
+    /// `rows[v·k + p]`: the seed of node `v` in pyramid `p` as of the last
+    /// vote. Differs from the live partition only for a pending pair.
+    rows: Vec<NodeId>,
+    /// Per pyramid, the nodes repairs have named since the last query, with
+    /// repeats; compacted past `2n` entries, so `O(n·k)` however long the
+    /// level goes unqueried.
+    pending: Vec<Vec<NodeId>>,
     /// Each node's degree in the voted subgraph, maintained at vote flips —
-    /// power extraction re-grows from this without recounting.
+    /// power extraction ranks by this without recounting.
     kept_deg: Vec<u32>,
     even: Option<Arc<Clustering>>,
     power: Option<Arc<Clustering>>,
     epoch: u64,
+}
+
+/// A way to break one cached level, for the negative invariant tests. Not
+/// part of the public API.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub enum CacheCorruption {
+    /// Overwrite the row entry of `(node, pyramid)` with another seed
+    /// without marking the pair pending.
+    StaleRow(NodeId, usize),
+    /// Flip the voted bit of an edge.
+    FlippedVote(EdgeId),
+    /// Add one to a node's voted degree.
+    KeptDeg(NodeId),
 }
 
 /// The incremental cluster-query cache (one per [`crate::AncEngine`]).
@@ -164,14 +214,18 @@ pub struct ClusterCache {
     /// `collect_into_vec` target for the parallel voting pass (persists so
     /// repeated fills reuse one buffer).
     chunk_out: Vec<Vec<u64>>,
-    /// Scratch for the affected-set → dirty-edge translation.
-    edge_scratch: Vec<EdgeId>,
-    /// Extraction scratch (rank order, DFS stack, labels, union-find).
+    /// Query scratch, all clear between queries: the changed nodes, the
+    /// flipped edges, the region (component by component, `bounds` holding
+    /// each component's start) and a node mark shared by both phases.
+    changed: Vec<NodeId>,
+    flip_buf: Vec<EdgeId>,
+    region: Vec<NodeId>,
+    bounds: Vec<usize>,
+    node_mark: Vec<bool>,
+    /// Extraction scratch (rank order, DFS stack, labels).
     order_buf: Vec<NodeId>,
     stack_buf: Vec<NodeId>,
     label_buf: Vec<u32>,
-    uf_buf: Vec<u32>,
-    flip_buf: Vec<EdgeId>,
 }
 
 impl ClusterCache {
@@ -215,64 +269,78 @@ impl ClusterCache {
 
     /// Whether `level` currently holds a materialized voted-edge bitset.
     pub fn is_materialized(&self, level: usize) -> bool {
-        self.per_level.get(level).is_some_and(|l| l.is_some())
+        self.level(level).is_some()
     }
 
-    /// Dirty edges pending at `level` (`None` if not materialized).
-    pub fn dirty_count(&self, level: usize) -> Option<usize> {
-        self.per_level.get(level).and_then(|l| l.as_ref()).map(|lc| lc.dirty_list.len())
+    fn level(&self, level: usize) -> Option<&LevelCache> {
+        self.per_level.get(level).and_then(|l| l.as_deref())
     }
 
-    /// The rebuild epoch of `level` (`None` if not materialized).
+    /// The per-pyramid pending lists of `level` (`None` if not
+    /// materialized): nodes named by repairs since the last query, with
+    /// repeats. Only these `(node, pyramid)` pairs may hold a stale row.
+    pub fn pending_nodes(&self, level: usize) -> Option<&[Vec<NodeId>]> {
+        self.level(level).map(|lc| lc.pending.as_slice())
+    }
+
+    /// Entries pending at `level` over all pyramids (`None` if not
+    /// materialized).
+    pub fn pending_count(&self, level: usize) -> Option<usize> {
+        self.level(level).map(|lc| lc.pending.iter().map(Vec::len).sum())
+    }
+
+    /// The fill epoch of `level` (`None` if not materialized).
     pub fn level_epoch(&self, level: usize) -> Option<u64> {
-        self.per_level.get(level).and_then(|l| l.as_ref()).map(|lc| lc.epoch)
+        self.level(level).map(|lc| lc.epoch)
     }
 
-    /// The materialized voted-edge bitset of `level`, if any. Entries marked
-    /// dirty may be stale; everything else equals the live voting function.
+    /// The materialized voted-edge bitset of `level`, if any: every bit is
+    /// the vote of its edge's two [`Self::seed_rows`].
     pub fn voted_bits(&self, level: usize) -> Option<&EdgeBits> {
-        self.per_level.get(level).and_then(|l| l.as_ref()).map(|lc| &lc.voted)
+        self.level(level).map(|lc| &lc.voted)
     }
 
-    /// The dirty-edge bitset of `level`, if materialized (set bits are
-    /// pending re-votes).
-    pub fn dirty_bits(&self, level: usize) -> Option<&EdgeBits> {
-        self.per_level.get(level).and_then(|l| l.as_ref()).map(|lc| &lc.dirty)
+    /// The seed rows of `level`, if materialized: entry `v·k + p` is node
+    /// `v`'s seed in pyramid `p` as of the last vote.
+    pub fn seed_rows(&self, level: usize) -> Option<&[NodeId]> {
+        self.level(level).map(|lc| lc.rows.as_slice())
     }
 
     /// The maintained voted-subgraph degree table of `level`, if
     /// materialized.
     pub fn voted_degrees(&self, level: usize) -> Option<&[u32]> {
-        self.per_level.get(level).and_then(|l| l.as_ref()).map(|lc| lc.kept_deg.as_slice())
+        self.level(level).map(|lc| lc.kept_deg.as_slice())
     }
 
     /// The cached clustering of `(level, mode)` if it is currently
     /// extracted (shares the `Arc` queries return).
     pub fn cached(&self, level: usize, mode: ClusterMode) -> Option<Arc<Clustering>> {
-        let lc = self.per_level.get(level).and_then(|l| l.as_ref())?;
+        let lc = self.level(level)?;
         match mode {
             ClusterMode::Even => lc.even.clone(),
             ClusterMode::Power => lc.power.clone(),
         }
     }
 
-    /// Overrides the dirty-fraction threshold above which a query refills
-    /// the level wholesale instead of repairing per edge (default
-    /// [`DIRTY_REBUILD_FRACTION`]). Values ≥ 1 disable threshold rebuilds;
-    /// 0 forces every repair to rebuild.
+    /// Overrides the threshold above which a query refills the level
+    /// wholesale instead of repairing it (default
+    /// [`DIRTY_REBUILD_FRACTION`]): a fraction of the graph's `2m` adjacency
+    /// slots, compared with the slots the changed nodes own
+    /// ([`QueryStats::dirty_edges`]). Values ≥ 1 disable threshold rebuilds;
+    /// 0 makes every query that finds a moved seed rebuild.
     pub fn set_dirty_rebuild_fraction(&mut self, fraction: f64) {
         self.dirty_rebuild_fraction = fraction.max(0.0);
     }
 
     /// Records index updates applied without affected-set tracing (legal
     /// only while nothing is materialized — there is no cached state to
-    /// dirty, but reads must still observe a new generation).
+    /// bring current, but reads must still observe a new generation).
     pub fn note_untracked_updates(&mut self) {
         self.generation += 1;
     }
 
     /// Drops every materialized level (the index was rebuilt from scratch,
-    /// so per-edge dirty tracking has no baseline to repair from) and
+    /// so the seed rows have no baseline to be compared against) and
     /// advances the generation.
     pub fn invalidate_all(&mut self) {
         self.generation += 1;
@@ -281,24 +349,39 @@ impl ClusterCache {
         }
     }
 
+    /// Breaks the cached state of a materialized `level` as `what` says.
+    #[doc(hidden)]
+    pub fn corrupt_for_test(&mut self, level: usize, what: CacheCorruption) {
+        let Some(Some(lc)) = self.per_level.get_mut(level) else {
+            return;
+        };
+        match what {
+            CacheCorruption::StaleRow(v, p) => {
+                let k = lc.pending.len();
+                let row = &mut lc.rows[v as usize * k + p];
+                *row = if *row == v { NO_NODE } else { v };
+            }
+            CacheCorruption::FlippedVote(e) => lc.voted.set(e, !lc.voted.get(e)),
+            CacheCorruption::KeptDeg(v) => lc.kept_deg[v as usize] += 1,
+        }
+    }
+
     /// Feeds one update's affected-node sets (pyramid-major partition
     /// order, as returned by [`Pyramids::on_weight_change`] or filled by
-    /// [`Pyramids::on_weight_change_batch_traced`]) and marks the edges
-    /// incident to them dirty at their level. Advances the generation iff
-    /// any set is non-empty — a pure-noop batch leaves the cache untouched.
+    /// [`Pyramids::on_weight_change_batch_traced`]): the nodes named at a
+    /// materialized level join that level's pending lists, to be compared
+    /// with the index by the next query. Advances the generation iff any
+    /// set is non-empty — a pure-noop batch leaves the cache untouched.
     ///
-    /// Hot-path cost: `O(Σ deg)` over the affected nodes of materialized
-    /// levels, allocation-free after warm-up.
+    /// Hot-path cost: one append per named node of a materialized level,
+    /// allocation-free after warm-up.
     pub fn note_affected(&mut self, g: &Graph, affected: &[Vec<NodeId>]) {
         if affected.iter().all(|a| a.is_empty()) {
             return;
         }
         self.generation += 1;
-        if !self.has_materialized_levels() {
-            return;
-        }
         let levels = self.levels;
-        let mut buf = std::mem::take(&mut self.edge_scratch);
+        let cap = 2 * g.n();
         for (slot, nodes) in affected.iter().enumerate() {
             if nodes.is_empty() {
                 continue;
@@ -306,16 +389,13 @@ impl ClusterCache {
             let Some(Some(lc)) = self.per_level.get_mut(slot % levels) else {
                 continue;
             };
-            buf.clear();
-            extend_incident_edges(g, nodes, &mut buf);
-            for &e in &buf {
-                if !lc.dirty.get(e) {
-                    lc.dirty.set(e, true);
-                    lc.dirty_list.push(e);
-                }
+            let list = &mut lc.pending[slot / levels];
+            list.extend_from_slice(nodes);
+            if list.len() > cap {
+                list.sort_unstable();
+                list.dedup();
             }
         }
-        self.edge_scratch = buf;
     }
 
     /// Answers `cluster_all(level, mode)` from the cache, repairing or
@@ -330,31 +410,33 @@ impl ClusterCache {
     ) -> (Arc<Clustering>, QueryStats) {
         let mut stats = QueryStats { generation: self.generation, ..Default::default() };
         let mut lc = match self.per_level[level].take() {
-            Some(lc) => {
-                stats.dirty_edges = lc.dirty_list.len();
+            Some(mut lc) => {
+                self.sync_rows(g, pyr, level, &mut lc, &mut stats);
                 lc
             }
             None => {
                 stats.decision = QueryDecision::ColdFill;
-                Box::default()
+                let mut lc = Box::default();
+                self.fill_level(g, pyr, level, &mut lc);
+                lc
             }
         };
 
-        if stats.decision == QueryDecision::ColdFill {
-            self.fill_level(g, pyr, level, &mut lc);
-            lc.epoch += 1;
-        } else if !lc.dirty_list.is_empty() {
-            let threshold = (self.dirty_rebuild_fraction * g.m() as f64).floor() as usize;
-            if lc.dirty_list.len() > threshold {
+        if !self.changed.is_empty() {
+            let threshold = (self.dirty_rebuild_fraction * (2 * g.m()) as f64).floor() as usize;
+            if stats.dirty_edges > threshold {
                 stats.decision = QueryDecision::Rebuild;
                 stats.revoted = g.m();
                 self.fill_level(g, pyr, level, &mut lc);
-                lc.epoch += 1;
-                lc.even = None;
-                lc.power = None;
             } else {
                 stats.decision = QueryDecision::Repair;
-                self.repair_level(g, pyr, level, &mut lc, &mut stats);
+                self.revote_changed(g, pyr, &mut lc, &mut stats);
+            }
+            for v in self.changed.drain(..) {
+                self.node_mark[v as usize] = false;
+            }
+            if !self.flip_buf.is_empty() {
+                self.repair_region(g, &mut lc, &mut stats);
             }
         }
 
@@ -379,12 +461,10 @@ impl ClusterCache {
         (clustering, stats)
     }
 
-    /// Re-votes exactly the dirty edges and repairs the cached clusterings:
-    /// no flips keeps both `Arc`s; on-flips merge the even clustering via
-    /// union-find; any off-flip discards it (rebuild-on-split, epoch bump);
-    /// any flip invalidates the power clustering, which re-grows from the
-    /// maintained `kept_deg` on demand (skipping the voting pass).
-    fn repair_level(
+    /// Drains the pending lists against the live partitions: a row entry
+    /// that differs from the index is brought current and its node collected
+    /// (once, marked) in `self.changed`.
+    fn sync_rows(
         &mut self,
         g: &Graph,
         pyr: &Pyramids,
@@ -392,62 +472,139 @@ impl ClusterCache {
         lc: &mut LevelCache,
         stats: &mut QueryStats,
     ) {
-        self.flip_buf.clear();
-        let mut any_off = false;
-        for &e in &lc.dirty_list {
-            lc.dirty.set(e, false);
-            let (u, v) = g.endpoints(e);
-            let now = pyr.same_cluster(u, v, level);
-            stats.revoted += 1;
-            if now != lc.voted.get(e) {
-                lc.voted.set(e, now);
-                stats.flips += 1;
-                if now {
-                    lc.kept_deg[u as usize] += 1;
-                    lc.kept_deg[v as usize] += 1;
-                    self.flip_buf.push(e);
-                } else {
-                    lc.kept_deg[u as usize] -= 1;
-                    lc.kept_deg[v as usize] -= 1;
-                    any_off = true;
+        let k = pyr.k();
+        self.node_mark.resize(g.n(), false);
+        for (p, list) in lc.pending.iter_mut().enumerate() {
+            let part = pyr.partition(p, level);
+            for v in list.drain(..) {
+                let (row, live) = (&mut lc.rows[v as usize * k + p], part.seed_of(v));
+                if *row != live {
+                    *row = live;
+                    if !std::mem::replace(&mut self.node_mark[v as usize], true) {
+                        self.changed.push(v);
+                        stats.dirty_edges += g.degree(v);
+                    }
                 }
             }
         }
-        lc.dirty_list.clear();
-        if stats.flips == 0 {
-            return;
-        }
-        // Power rank order depends on every kept degree; drop and re-grow
-        // lazily from the maintained table.
-        lc.power = None;
-        if any_off {
-            // An off-flip can split a component; components cannot be
-            // patched locally, so the even clustering rebuilds from the
-            // (repaired) bitset on demand.
-            lc.even = None;
-            lc.epoch += 1;
-        } else if let Some(old) = lc.even.take() {
-            lc.even = Some(Arc::new(merge_even_on_flips(
-                g,
-                &old,
-                &self.flip_buf,
-                &mut self.uf_buf,
-                &mut self.label_buf,
-            )));
-        }
+        stats.changed_nodes = self.changed.len();
     }
 
-    /// The parallel cold voting pass: word-aligned edge ranges fan out over
-    /// the rayon shim (`par_chunks` semantics via owned (start, buffer)
-    /// tasks), merge in input order into the packed bitset, and the voted
-    /// degrees are recounted serially — bit-identical for any
-    /// `RAYON_NUM_THREADS`.
+    /// Re-votes the edges of the changed nodes from their rows (an edge
+    /// between two of them once, from the smaller id), maintaining the
+    /// bitset and the voted degrees; flipped edges land in `self.flip_buf`.
+    fn revote_changed(
+        &mut self,
+        g: &Graph,
+        pyr: &Pyramids,
+        lc: &mut LevelCache,
+        stats: &mut QueryStats,
+    ) {
+        let (k, needed) = (pyr.k(), pyr.needed_votes());
+        for &v in &self.changed {
+            for (y, e) in g.edges_of(v) {
+                if self.node_mark[y as usize] && y < v {
+                    continue;
+                }
+                stats.revoted += 1;
+                let now = rows_vote(&lc.rows, k, needed, v, y);
+                if now != lc.voted.get(e) {
+                    lc.voted.set(e, now);
+                    for x in [v, y] {
+                        let deg = &mut lc.kept_deg[x as usize];
+                        *deg = if now { *deg + 1 } else { *deg - 1 };
+                    }
+                    self.flip_buf.push(e);
+                }
+            }
+        }
+        stats.flips = self.flip_buf.len();
+    }
+
+    /// Repairs the cached clusterings after vote flips. The region — every
+    /// voted-subgraph component holding a flipped endpoint — is found by
+    /// BFS from those endpoints; a component outside it has the edges and
+    /// the voted degrees it had before the flips, hence the clusters it had,
+    /// in either mode. Inside, even clustering takes the BFS components and
+    /// power clustering re-grows in rank order; ids past `n` keep the new
+    /// clusters apart from the old labels until `from_labels` puts all of
+    /// them back in first-appearance order.
+    fn repair_region(&mut self, g: &Graph, lc: &mut LevelCache, stats: &mut QueryStats) {
+        let LevelCache { voted, kept_deg, even, power, .. } = lc;
+        for e in self.flip_buf.drain(..) {
+            let (a, b) = g.endpoints(e);
+            for s in [a, b] {
+                if std::mem::replace(&mut self.node_mark[s as usize], true) {
+                    continue;
+                }
+                let mut at = self.region.len();
+                self.bounds.push(at);
+                self.region.push(s);
+                while let Some(&x) = self.region.get(at) {
+                    at += 1;
+                    for (y, e) in g.edges_of(x) {
+                        if voted.get(e) && !std::mem::replace(&mut self.node_mark[y as usize], true)
+                        {
+                            self.region.push(y);
+                        }
+                    }
+                }
+            }
+        }
+        self.bounds.push(self.region.len());
+        stats.region_nodes = self.region.len();
+        let fresh = g.n() as u32;
+
+        if let Some(old) = even.take() {
+            self.label_buf.clear();
+            self.label_buf.extend_from_slice(old.labels());
+            for (c, w) in self.bounds.windows(2).enumerate() {
+                for &x in &self.region[w[0]..w[1]] {
+                    self.label_buf[x as usize] = fresh + c as u32;
+                }
+            }
+            *even = Some(Arc::new(Clustering::from_labels(&self.label_buf)));
+        }
+        for &x in &self.region {
+            self.node_mark[x as usize] = false;
+        }
+        if let Some(old) = power.take() {
+            self.label_buf.clear();
+            self.label_buf.extend_from_slice(old.labels());
+            for &x in &self.region {
+                self.label_buf[x as usize] = NOISE;
+            }
+            grow_power_clusters(
+                g,
+                |e| voted.get(e),
+                kept_deg,
+                &mut self.region,
+                &mut self.stack_buf,
+                &mut self.label_buf,
+                fresh,
+            );
+            *power = Some(Arc::new(Clustering::from_labels(&self.label_buf)));
+        }
+        self.region.clear();
+        self.bounds.clear();
+    }
+
+    /// (Re)fills a level from the index and drops its clusterings: the rows
+    /// are copied out of the partitions, then the parallel voting pass runs
+    /// over them — word-aligned edge ranges fan out over the rayon shim
+    /// (`par_chunks` semantics via owned (start, buffer) tasks), merge in
+    /// input order into the packed bitset, and the voted degrees are
+    /// recounted serially — bit-identical for any `RAYON_NUM_THREADS`.
     fn fill_level(&mut self, g: &Graph, pyr: &Pyramids, level: usize, lc: &mut LevelCache) {
-        let m = g.m();
+        let (n, m, k, needed) = (g.n(), g.m(), pyr.k(), pyr.needed_votes());
         let words_len = m.div_ceil(64);
+        lc.rows.clear();
+        lc.rows.extend(
+            (0..n as NodeId).flat_map(|v| (0..k).map(move |p| pyr.partition(p, level).seed_of(v))),
+        );
+        lc.pending.resize_with(k, Vec::new);
+        lc.pending.iter_mut().for_each(Vec::clear);
         lc.voted = EdgeBits::with_len(m);
-        lc.dirty = EdgeBits::with_len(m);
-        lc.dirty_list.clear();
         if words_len > 0 {
             // Chunks stay word-aligned; oversubscribe (~4× threads) so the
             // pool's stealing can balance ranges with uneven vote costs.
@@ -461,6 +618,7 @@ impl ClusterCache {
             }
             let tasks: Vec<(usize, Vec<u64>)> =
                 bufs.into_iter().enumerate().map(|(i, b)| (i * chunk_words, b)).collect();
+            let rows = lc.rows.as_slice();
             tasks
                 // audit:allow(blocking-in-reader) -- cold fill is the writer path run inline: it executes under the cache's &mut borrow before the snapshot Arc is published; warm readers return the published Arc without reaching this dispatch
                 .into_par_iter()
@@ -473,7 +631,7 @@ impl ClusterCache {
                         for bit in 0..(m - base).min(64) {
                             let e = (base + bit) as EdgeId;
                             let (u, v) = g.endpoints(e);
-                            if pyr.same_cluster(u, v, level) {
+                            if rows_vote(rows, k, needed, u, v) {
                                 word |= 1u64 << bit;
                             }
                         }
@@ -492,7 +650,7 @@ impl ClusterCache {
             }
         }
         lc.kept_deg.clear();
-        lc.kept_deg.resize(g.n(), 0);
+        lc.kept_deg.resize(n, 0);
         for (e, u, v) in g.iter_edges() {
             if lc.voted.get(e) {
                 lc.kept_deg[u as usize] += 1;
@@ -501,11 +659,12 @@ impl ClusterCache {
         }
         lc.even = None;
         lc.power = None;
+        lc.epoch += 1;
     }
 
     /// Returns the requested mode's clustering, extracting it from the
-    /// bitset if not cached (even: filtered components; power: re-grow from
-    /// the maintained `kept_deg`, no voting pass).
+    /// bitset if not cached (even: filtered components; power: rank scan
+    /// over the maintained `kept_deg`, no voting pass).
     fn extract(&mut self, g: &Graph, lc: &mut LevelCache, mode: ClusterMode) -> Arc<Clustering> {
         match mode {
             ClusterMode::Even => {
@@ -521,54 +680,25 @@ impl ClusterCache {
                     return c.clone();
                 }
                 let voted = &lc.voted;
-                let c = Arc::new(power_clustering_from_deg(
+                self.order_buf.clear();
+                self.order_buf.extend(0..g.n() as NodeId);
+                self.label_buf.clear();
+                self.label_buf.resize(g.n(), NOISE);
+                grow_power_clusters(
                     g,
                     |e| voted.get(e),
                     &lc.kept_deg,
                     &mut self.order_buf,
                     &mut self.stack_buf,
                     &mut self.label_buf,
-                ));
+                    0,
+                );
+                let c = Arc::new(Clustering::from_labels(&self.label_buf));
                 lc.power = Some(c.clone());
                 c
             }
         }
     }
-}
-
-/// Merges an even clustering with a set of newly voted-in edges: union-find
-/// over the cached cluster ids, then canonical relabeling. Exactly the
-/// connected components of the old components plus the new edges — valid
-/// only when no edge flipped *off*.
-fn merge_even_on_flips(
-    g: &Graph,
-    old: &Clustering,
-    on_edges: &[EdgeId],
-    uf: &mut Vec<u32>,
-    labels: &mut Vec<u32>,
-) -> Clustering {
-    uf.clear();
-    uf.extend(0..old.num_clusters() as u32);
-    for &e in on_edges {
-        let (u, v) = g.endpoints(e);
-        let (a, b) = (uf_find(uf, old.label(u)), uf_find(uf, old.label(v)));
-        if a != b {
-            uf[a.max(b) as usize] = a.min(b);
-        }
-    }
-    labels.clear();
-    labels.extend((0..g.n() as NodeId).map(|v| uf_find(uf, old.label(v))));
-    Clustering::from_labels(labels)
-}
-
-/// Union-find root with path halving.
-#[inline]
-fn uf_find(uf: &mut [u32], mut x: u32) -> u32 {
-    while uf[x as usize] != x {
-        uf[x as usize] = uf[uf[x as usize] as usize];
-        x = uf[x as usize];
-    }
-    x
 }
 
 #[cfg(test)]
@@ -654,7 +784,7 @@ mod tests {
         let empty = vec![Vec::new(); pyr.k() * pyr.num_levels()];
         cache.note_affected(&g, &empty);
         assert_eq!(cache.generation(), gen, "noop must not bump the generation");
-        assert_eq!(cache.dirty_count(l), Some(0));
+        assert_eq!(cache.pending_count(l), Some(0));
         let (b, stats) = cache.query(&g, &pyr, l, ClusterMode::Power);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(stats.decision, QueryDecision::Hit);
@@ -662,7 +792,7 @@ mod tests {
 
     /// Satellite regression: a batch in which every delta is short-circuited
     /// by the exact no-op precheck must leave the cache completely untouched
-    /// — no generation bump, no dirty edges, same `Arc` on re-query.
+    /// — no generation bump, nothing pending, same `Arc` on re-query.
     #[test]
     fn pure_noop_batch_marks_nothing_dirty() {
         // Triangle with one overpriced edge: a–c can never be a shortest-path
@@ -694,7 +824,7 @@ mod tests {
         assert!(traces.iter().all(|t| t.is_empty()), "noop trace must be empty");
         cache.note_affected(&g, &traces);
         assert_eq!(cache.generation(), gen, "pure-noop batch must not bump the generation");
-        assert_eq!(cache.dirty_count(l), Some(0));
+        assert_eq!(cache.pending_count(l), Some(0));
         let (after, stats) = cache.query(&g, &pyr, l, ClusterMode::Power);
         assert!(Arc::ptr_eq(&before, &after), "clustering pointer must be unchanged");
         assert_eq!(stats.decision, QueryDecision::Hit);
@@ -741,13 +871,67 @@ mod tests {
         w[e as usize] = 0.01;
         let affected = pyr.on_weight_change(&g, &w, e, old);
         cache.note_affected(&g, &affected);
-        if cache.dirty_count(l) == Some(0) {
-            return; // change didn't reach this level; nothing to assert
-        }
         let (c, stats) = cache.query(&g, &pyr, l, ClusterMode::Power);
+        assert!(
+            stats.changed_nodes > 0,
+            "a near-zero intra edge must move a seed at the top level"
+        );
         assert_eq!(stats.decision, QueryDecision::Rebuild);
         assert!(stats.epoch > epoch0, "rebuild must advance the epoch");
         assert_eq!(*c, cluster_all(&g, &pyr, l, ClusterMode::Power));
+    }
+
+    /// A repair names every node it writes; only a node whose *seed* moved
+    /// may cost the query anything, and a split or a merge keeps the epoch.
+    #[test]
+    fn named_but_unmoved_nodes_cost_nothing() {
+        let (g, mut w, mut pyr) = fixture();
+        let mut cache = ClusterCache::new(pyr.num_levels());
+        let l = pyr.num_levels() - 1;
+        let (before, s0) = cache.query(&g, &pyr, l, ClusterMode::Even);
+        // Nudging a weight moves distances (nodes are named) but no seed.
+        let e = 3u32;
+        let old = w[e as usize];
+        w[e as usize] = old * 1.0001;
+        let affected = pyr.on_weight_change(&g, &w, e, old);
+        cache.note_affected(&g, &affected);
+        let named = cache.pending_count(l).expect("materialized");
+        let (after, s1) = cache.query(&g, &pyr, l, ClusterMode::Even);
+        if named > 0 && s1.changed_nodes == 0 {
+            assert!(Arc::ptr_eq(&before, &after));
+            assert_eq!(s1.decision, QueryDecision::Hit);
+            assert_eq!((s1.dirty_edges, s1.revoted, s1.region_nodes), (0, 0, 0));
+        }
+        assert_eq!(cache.pending_count(l), Some(0), "a query drains the pending lists");
+        assert_eq!(s1.epoch, s0.epoch);
+        assert_eq!(*after, cluster_all(&g, &pyr, l, ClusterMode::Even));
+    }
+
+    /// A component no seed reaches has `NO_NODE` in every row; two such rows
+    /// must not vote their edge in, cold or after a repair.
+    #[test]
+    fn unreachable_endpoints_never_vote() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let mut w = vec![1.0; g.m()];
+        let mut pyr = Pyramids::build(&g, &w, 3, 0.7, 3);
+        let mut cache = ClusterCache::new(pyr.num_levels());
+        // Level 0 has one seed per pyramid: one of the two paths is unreachable.
+        let (c, _) = cache.query(&g, &pyr, 0, ClusterMode::Even);
+        assert_eq!(*c, cluster_all(&g, &pyr, 0, ClusterMode::Even));
+        assert!(c.num_clusters() > 2, "an unseeded path must fall apart into singletons");
+        for e in 0..g.m() as EdgeId {
+            let old = w[e as usize];
+            w[e as usize] = 0.25;
+            let affected = pyr.on_weight_change(&g, &w, e, old);
+            cache.note_affected(&g, &affected);
+            for level in 0..pyr.num_levels() {
+                for mode in [ClusterMode::Even, ClusterMode::Power] {
+                    let (c, _) = cache.query(&g, &pyr, level, mode);
+                    assert_eq!(*c, cluster_all(&g, &pyr, level, mode), "edge {e} level {level}");
+                }
+            }
+            crate::invariant::check_cluster_cache(&g, &pyr, &cache).unwrap();
+        }
     }
 
     #[test]
@@ -763,17 +947,6 @@ mod tests {
         let (c, stats) = cache.query(&g, &pyr, 0, ClusterMode::Even);
         assert_eq!(stats.decision, QueryDecision::ColdFill);
         assert_eq!(*c, cluster_all(&g, &pyr, 0, ClusterMode::Even));
-    }
-
-    #[test]
-    fn merge_even_unions_components() {
-        // 0-1  2-3  plus a new edge 1-2 merging the two components.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let old = Clustering::from_labels(&[0, 0, 1, 1]);
-        let e12 = g.edge_id(1, 2).expect("edge");
-        let (mut uf, mut labels) = (Vec::new(), Vec::new());
-        let merged = merge_even_on_flips(&g, &old, &[e12], &mut uf, &mut labels);
-        assert_eq!(merged.num_clusters(), 1);
     }
 
     #[test]

@@ -66,26 +66,30 @@ pub fn power_clustering_with<F: Fn(EdgeId) -> bool>(g: &Graph, keep: F) -> Clust
             kept_deg[v as usize] += 1;
         }
     }
-    let (mut order, mut stack, mut label) = (Vec::new(), Vec::new(), Vec::new());
-    power_clustering_from_deg(g, keep, &kept_deg, &mut order, &mut stack, &mut label)
+    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+    let mut label = vec![NOISE; n];
+    grow_power_clusters(g, keep, &kept_deg, &mut order, &mut Vec::new(), &mut label, 0);
+    Clustering::from_labels(&label)
 }
 
-/// Power clustering over a *precomputed* kept-degree table, with
-/// caller-owned scratch (rank order, DFS stack, label array) so the cluster
-/// cache can re-grow a level without reallocating or re-counting degrees it
-/// maintains incrementally. `kept_deg[v]` must equal `v`'s degree in the
-/// kept subgraph.
-pub(crate) fn power_clustering_from_deg<F: Fn(EdgeId) -> bool>(
+/// The rank scan of power clustering over the nodes in `order`, against a
+/// *precomputed* kept-degree table (`kept_deg[v]` must equal `v`'s degree in
+/// the kept subgraph) and with caller-owned scratch. Sorts `order` by rank
+/// and gives every node in it a cluster id, counting up from `next`.
+///
+/// `order` must be closed under kept edges and `label` must read [`NOISE`]
+/// exactly on it: all nodes for a cold extraction, or — the cluster cache's
+/// repair — a union of kept-subgraph components, whose clusters depend on
+/// nothing outside them, with every other node keeping the label it has.
+pub(crate) fn grow_power_clusters<F: Fn(EdgeId) -> bool>(
     g: &Graph,
     keep: F,
     kept_deg: &[u32],
-    order: &mut Vec<NodeId>,
+    order: &mut [NodeId],
     stack: &mut Vec<NodeId>,
-    label: &mut Vec<u32>,
-) -> Clustering {
-    let n = g.n();
-    order.clear();
-    order.extend(0..n as NodeId);
+    label: &mut [u32],
+    mut next: u32,
+) {
     order.sort_unstable_by(|&a, &b| {
         kept_deg[b as usize].cmp(&kept_deg[a as usize]).then_with(|| a.cmp(&b))
     });
@@ -95,9 +99,6 @@ pub(crate) fn power_clustering_from_deg<F: Fn(EdgeId) -> bool>(
         da > db || (da == db && a < b)
     };
 
-    label.clear();
-    label.resize(n, NOISE);
-    let mut next = 0u32;
     stack.clear();
     for &v in order.iter() {
         if label[v as usize] != NOISE {
@@ -115,7 +116,6 @@ pub(crate) fn power_clustering_from_deg<F: Fn(EdgeId) -> bool>(
         }
         next += 1;
     }
-    Clustering::from_labels(label)
 }
 
 #[cfg(test)]

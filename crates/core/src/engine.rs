@@ -410,8 +410,8 @@ impl AncEngine {
     ///   buffers (the grouped kernel refills an `O(m)` private weight array
     ///   per worker, which a lone change must not pay for);
     /// * two or more — one grouped parallel fan-out, traced while the
-    ///   cluster cache has materialized levels (so it can mark its dirty
-    ///   edges) and untraced otherwise.
+    ///   cluster cache has materialized levels (so it hears which nodes to
+    ///   re-check) and untraced otherwise.
     fn flush(&mut self, stats: &mut BatchStats) {
         match self.deltas[..] {
             [] => return,
@@ -476,8 +476,8 @@ impl AncEngine {
     ///
     /// Served transparently from the incremental cluster-query cache: the
     /// first query of a level pays one parallel voting pass, subsequent
-    /// queries only re-vote the edges dirtied by intervening activations
-    /// (see [`crate::ClusterCache`]). Returns an owned clone; use
+    /// queries only re-vote the edges of nodes whose seed intervening
+    /// activations moved (see [`crate::ClusterCache`]). Returns an owned clone; use
     /// [`Self::cluster_all_cached`] to share the cached allocation and read
     /// the [`QueryStats`].
     pub fn cluster_all(&self, level: usize, mode: ClusterMode) -> Clustering {
@@ -487,8 +487,8 @@ impl AncEngine {
     /// [`Self::cluster_all`] without the copy: the returned [`Arc`] is
     /// shared with the cache (repeat queries at an unchanged generation
     /// return the same allocation), and the [`QueryStats`] report the
-    /// cache generation, pending dirty edges, and the repair-vs-rebuild
-    /// decision this query took.
+    /// cache generation, the nodes whose seed had moved, and the
+    /// repair-vs-rebuild decision this query took.
     ///
     /// A wait-free query root (audit rule A11, `blocking-in-reader`): on
     /// the warm path this hands out the cached `Arc` snapshot without
@@ -504,7 +504,7 @@ impl AncEngine {
     }
 
     /// Read access to the cluster-query cache (observability: generation,
-    /// hit/miss counters, per-level dirty counts and epochs).
+    /// hit/miss counters, per-level pending counts and epochs).
     pub fn cluster_cache(&self) -> std::cell::Ref<'_, ClusterCache> {
         self.cache.borrow()
     }
@@ -617,8 +617,8 @@ impl AncEngine {
     }
 
     /// Rebuilds the engine's own index from its current weights — the
-    /// RECONSTRUCT baseline of Figure 8. Fresh seed draws give per-edge
-    /// dirty tracking no baseline to repair from, so the cluster cache is
+    /// RECONSTRUCT baseline of Figure 8. Fresh seed draws give the cache's
+    /// seed rows no baseline to be compared against, so the cluster cache is
     /// invalidated wholesale and refills lazily. The rebuild reuses the
     /// index's own buffers (bit-identical to a fresh build).
     pub fn reconstruct_index(&mut self) {
@@ -1041,8 +1041,8 @@ mod tests {
 
     /// Satellite regression: updates that cannot move any vote — an empty
     /// batch and a batched rescale (uniform distance scaling preserves every
-    /// seed assignment) — must not bump the cache generation, mark edges
-    /// dirty, or replace the cached clustering allocation.
+    /// seed assignment) — must not bump the cache generation, leave nodes
+    /// pending, or replace the cached clustering allocation.
     #[test]
     fn rescale_and_empty_batch_preserve_cache_generation() {
         let mut engine = engine_fixture(1);
@@ -1056,7 +1056,7 @@ mod tests {
         let _ = engine.activate_batch(&[], 10.0);
         engine.force_rescale();
         assert_eq!(engine.cluster_cache().generation(), gen);
-        assert_eq!(engine.cluster_cache().dirty_count(level), Some(0));
+        assert_eq!(engine.cluster_cache().pending_count(level), Some(0));
         let (after, s1) = engine.cluster_all_cached(level, ClusterMode::Power);
         assert!(Arc::ptr_eq(&before, &after), "cached Arc must survive the no-ops");
         assert_eq!(s1.generation, s0.generation);

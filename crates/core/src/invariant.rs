@@ -25,7 +25,7 @@
 //! the `debug-invariants` cargo feature additionally runs them at batch
 //! boundaries (zero code is emitted when the feature is off).
 
-use anc_graph::{Graph, NodeId};
+use anc_graph::{Graph, NodeId, NO_NODE};
 use anc_metrics::{Clustering, NOISE};
 
 /// A violated engine invariant, by subsystem.
@@ -61,8 +61,9 @@ pub enum InvariantViolation {
     /// empty cluster id).
     Clustering(String),
     /// The incremental cluster-query cache diverged from a cold
-    /// recomputation (stale non-dirty vote bit, drifted voted-degree table,
-    /// or a cached clustering that no longer matches extraction).
+    /// recomputation (stale seed row that is not pending, vote bit that is
+    /// not the vote of its rows, drifted voted-degree table, or a cached
+    /// clustering that no longer matches extraction).
     Cache(String),
 }
 
@@ -247,49 +248,86 @@ pub fn check_clustering(g: &Graph, c: &Clustering) -> Result<(), InvariantViolat
     Ok(())
 }
 
-/// Checks the incremental cluster-query cache against a cold recomputation,
-/// for every materialized level:
+/// Checks the incremental cluster-query cache against the index, for every
+/// materialized level:
 ///
-/// * every **non-dirty** vote bit equals the live voting function — this is
-///   the soundness of the affected-set → dirty-edge translation (an edge
-///   the translation did not mark must still hold its true vote);
+/// * a seed-row entry differs from the live partition only for a
+///   `(node, pyramid)` pair that is **pending** — the soundness of feeding
+///   the cache the repairs' affected sets (a seed a repair moved without
+///   naming the node would stay stale for ever);
+/// * every voted bit, at all times, equals the vote of its edge's two rows —
+///   two unreachable endpoints ([`NO_NODE`] twice) agreeing on nothing;
 /// * the maintained voted-degree table equals a recount from the bitset;
-/// * with no dirty edges pending, every cached clustering equals the cold
-///   extraction [`crate::cluster::cluster_all`] would produce.
+/// * with nothing pending — the rows then equal the index — every cached
+///   clustering equals the cold extraction [`crate::cluster::cluster_all`]
+///   would produce.
 pub fn check_cluster_cache(
     g: &Graph,
     pyr: &crate::pyramid::Pyramids,
     cache: &crate::cache::ClusterCache,
 ) -> Result<(), InvariantViolation> {
     use crate::cluster::{cluster_all, ClusterMode};
+    let (n, k) = (g.n(), pyr.k());
     for level in 0..cache.num_levels() {
-        let (Some(voted), Some(dirty), Some(kept_deg)) =
-            (cache.voted_bits(level), cache.dirty_bits(level), cache.voted_degrees(level))
-        else {
+        let (Some(voted), Some(rows), Some(pending), Some(kept_deg)) = (
+            cache.voted_bits(level),
+            cache.seed_rows(level),
+            cache.pending_nodes(level),
+            cache.voted_degrees(level),
+        ) else {
             continue;
         };
-        let mut recount = vec![0u32; g.n()];
-        for (e, u, v) in g.iter_edges() {
-            let truth = pyr.same_cluster(u, v, level);
-            if !dirty.get(e) && voted.get(e) != truth {
+        if rows.len() != n * k || pending.len() != k || voted.len() != g.m() {
+            return Err(InvariantViolation::Cache(format!(
+                "level {level}: {} row entries, {} pending lists, {} vote bits for n = {n}, \
+                 k = {k}, m = {}",
+                rows.len(),
+                pending.len(),
+                voted.len(),
+                g.m()
+            )));
+        }
+        let mut is_pending = vec![false; n * k];
+        for (p, list) in pending.iter().enumerate() {
+            for &v in list {
+                is_pending[v as usize * k + p] = true;
+            }
+        }
+        for (i, (&cached, &pends)) in rows.iter().zip(&is_pending).enumerate() {
+            let (v, p) = ((i / k) as NodeId, i % k);
+            let live = pyr.partition(p, level).seed_of(v);
+            if cached != live && !pends {
                 return Err(InvariantViolation::Cache(format!(
-                    "level {level}: non-dirty edge {e} cached vote {} but index says {truth}",
+                    "level {level}: row of node {v} holds seed {cached} in pyramid {p}, the \
+                     index says {live}, and the pair is not pending"
+                )));
+            }
+        }
+        let mut recount = vec![0u32; n];
+        for (e, u, v) in g.iter_edges() {
+            let (ru, rv) = (&rows[u as usize * k..][..k], &rows[v as usize * k..][..k]);
+            let agree = ru.iter().zip(rv).filter(|&(a, b)| a == b && *a != NO_NODE).count();
+            let vote = agree >= pyr.needed_votes();
+            if voted.get(e) != vote {
+                return Err(InvariantViolation::Cache(format!(
+                    "level {level}: edge {e} cached vote {} but its rows agree in {agree} of {k} \
+                     pyramids",
                     voted.get(e)
                 )));
             }
-            if voted.get(e) {
+            if vote {
                 recount[u as usize] += 1;
                 recount[v as usize] += 1;
             }
         }
-        if kept_deg != recount {
-            let v = (0..g.n()).find(|&v| kept_deg[v] != recount[v]).unwrap_or(0);
+        if let Some(v) = (0..n).find(|&v| kept_deg.get(v) != Some(&recount[v])) {
             return Err(InvariantViolation::Cache(format!(
-                "level {level}: voted degree of node {v} is {} but bitset recount gives {}",
-                kept_deg[v], recount[v]
+                "level {level}: voted degree of node {v} is {:?} but bitset recount gives {}",
+                kept_deg.get(v),
+                recount[v]
             )));
         }
-        if cache.dirty_count(level) == Some(0) {
+        if pending.iter().all(Vec::is_empty) {
             for mode in [ClusterMode::Even, ClusterMode::Power] {
                 if let Some(cached) = cache.cached(level, mode) {
                     let cold = cluster_all(g, pyr, level, mode);

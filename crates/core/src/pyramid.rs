@@ -280,7 +280,8 @@ impl Pyramids {
     /// [`Self::on_weight_change_batch`] that additionally records, per
     /// partition (pyramid-major order), the union of all nodes whose seed
     /// assignment or distance changed at any point during the batch — the
-    /// input of the cluster cache's affected-set → dirty-edge translation.
+    /// nodes the cluster cache re-checks against its seed rows at the next
+    /// query.
     ///
     /// `out` must hold one buffer per partition (`k · levels`); each is
     /// cleared, filled, sorted and deduplicated. The buffers are caller-owned

@@ -16,7 +16,7 @@ use rayon::prelude::*;
 use crate::pyramid::Pyramids;
 
 /// A packed edge bitset (one bit per [`EdgeId`], 64 edges per word) — the
-/// storage behind the cluster cache's voted-edge and dirty-edge sets.
+/// storage behind the cluster cache's voted-edge set.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeBits {
     words: Vec<u64>,
@@ -76,21 +76,6 @@ impl EdgeBits {
     /// Mutable access to the backing words.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-}
-
-/// Appends every edge incident to a node in `nodes` to `out` (with
-/// duplicates; callers dedup by sort or bitset). The affected-set →
-/// candidate-edge translation shared by [`VoteCache::apply_update`] and the
-/// cluster cache: an edge's vote at a level can only change when an
-/// endpoint's seed assignment changed in some partition of that level, and
-/// every such endpoint is in that partition's affected set.
-#[inline]
-pub(crate) fn extend_incident_edges(g: &Graph, nodes: &[NodeId], out: &mut Vec<EdgeId>) {
-    for &x in nodes {
-        for (_, e) in g.edges_of(x) {
-            out.push(e);
-        }
     }
 }
 
@@ -171,10 +156,14 @@ impl VoteCache {
         let levels = self.levels;
         debug_assert_eq!(affected.len(), pyr.k() * levels);
         let mut flips = Vec::new();
-        // Touched levels → set of edges to re-evaluate at that level.
+        // Touched levels → set of edges to re-evaluate at that level: an
+        // edge's vote can only change when an endpoint's seed changed in some
+        // partition of the level, and every such endpoint is in that
+        // partition's affected set.
         let mut edges_per_level: Vec<Vec<EdgeId>> = vec![Vec::new(); levels];
         for (slot, nodes) in affected.iter().enumerate() {
-            extend_incident_edges(g, nodes, &mut edges_per_level[slot % levels]);
+            let edges = &mut edges_per_level[slot % levels];
+            edges.extend(nodes.iter().flat_map(|&x| g.edges_of(x)).map(|(_, e)| e));
         }
         for (l, level_edges) in edges_per_level.iter_mut().enumerate() {
             level_edges.push(trigger);

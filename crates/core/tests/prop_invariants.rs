@@ -208,3 +208,30 @@ fn live_engine_detects_activeness_corruption() {
         "expected Activeness violation, got {err}"
     );
 }
+
+/// Each way the cluster cache can drift from the index is caught on its
+/// own: a row that went stale without being pending, a voted bit that is
+/// not the vote of its rows, a voted degree off the bitset's count.
+#[test]
+fn live_engine_detects_cluster_cache_corruption() {
+    use anc_core::cache::CacheCorruption;
+    for (what, needle) in [
+        (CacheCorruption::StaleRow(2, 1), "not pending"),
+        (CacheCorruption::FlippedVote(3), "cached vote"),
+        (CacheCorruption::KeptDeg(5), "voted degree"),
+    ] {
+        let lg = connected_caveman(3, 4);
+        let mut engine = AncEngine::new(lg.graph, fuzz_cfg(), 7);
+        let level = engine.default_level();
+        engine.activate(0, 1.0);
+        // Materialized after the activation: nothing is pending, so no row
+        // is excused.
+        engine.cluster_all_cached(level, anc_core::ClusterMode::Even);
+        assert!(engine.check_invariants().is_ok());
+        engine.cluster_cache_mut().corrupt_for_test(level, what);
+        match engine.check_invariants().unwrap_err() {
+            InvariantViolation::Cache(msg) => assert!(msg.contains(needle), "{what:?}: {msg}"),
+            other => panic!("{what:?}: expected Cache violation, got {other}"),
+        }
+    }
+}

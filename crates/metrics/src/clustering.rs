@@ -120,20 +120,34 @@ impl Clustering {
         c
     }
 
-    /// Remaps labels to a dense `0..k` range preserving noise.
+    /// Remaps labels to a dense `0..k` range in first-appearance order,
+    /// preserving noise. Labels no larger than a small multiple of `n` —
+    /// every extractor's, whose labels are component or cluster ids — go
+    /// through a `Vec` remap; anything sparser falls back to a hash map, so
+    /// any `u32` is accepted at `O(n)` memory.
     fn densify(&mut self) {
-        let mut remap = std::collections::HashMap::new();
+        let Some(max) = self.assignment.iter().copied().filter(|&l| l != NOISE).max() else {
+            return;
+        };
         let mut next = 0u32;
-        for l in self.assignment.iter_mut() {
-            if *l == NOISE {
-                continue;
+        let mut fresh = || {
+            next += 1;
+            next - 1
+        };
+        if (max as usize) < 4 * self.assignment.len() {
+            let mut remap = vec![NOISE; max as usize + 1];
+            for l in self.assignment.iter_mut().filter(|l| **l != NOISE) {
+                let slot = &mut remap[*l as usize];
+                if *slot == NOISE {
+                    *slot = fresh();
+                }
+                *l = *slot;
             }
-            let entry = remap.entry(*l).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            *l = *entry;
+        } else {
+            let mut remap = std::collections::HashMap::new();
+            for l in self.assignment.iter_mut().filter(|l| **l != NOISE) {
+                *l = *remap.entry(*l).or_insert_with(&mut fresh);
+            }
         }
     }
 }
@@ -151,6 +165,31 @@ mod tests {
         assert_ne!(c.label(0), c.label(2));
         assert!(c.is_noise(3));
         assert_eq!(c.num_assigned(), 4);
+    }
+
+    /// Both remaps give first-appearance ids: sparse labels near `u32::MAX`
+    /// (hash-map fallback) and the same pattern with small labels (`Vec`
+    /// remap) densify identically, and `NOISE` survives either way.
+    #[test]
+    fn sparse_and_dense_labels_densify_alike() {
+        let top = u32::MAX - 1;
+        let sparse = Clustering::from_labels(&[top, 7, NOISE, top - 5, 7, top, NOISE, 0]);
+        let dense = Clustering::from_labels(&[3, 1, NOISE, 2, 1, 3, NOISE, 0]);
+        assert_eq!(sparse.labels(), &[0, 1, NOISE, 2, 1, 0, NOISE, 3]);
+        assert_eq!(sparse, dense);
+        assert_eq!(sparse.num_clusters(), 4);
+        // The largest label the Vec remap takes, and the first it does not.
+        assert_eq!(Clustering::from_labels(&[7, 7]).labels(), &[0, 0]);
+        assert_eq!(Clustering::from_labels(&[8, 7]).labels(), &[0, 1]);
+    }
+
+    #[test]
+    fn all_noise_and_empty_input() {
+        let c = Clustering::from_labels(&[NOISE; 4]);
+        assert_eq!(c, Clustering::all_noise(4));
+        assert_eq!(c.num_clusters(), 0);
+        let e = Clustering::from_labels(&[]);
+        assert_eq!((e.n(), e.num_clusters()), (0, 0));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 set -e
 cd "$(dirname "$0")"
 RUN="cargo run --release -p anc-bench --bin"
+# results/ is git-ignored, so a fresh clone has no log directory to tee into.
+mkdir -p results/logs
 $RUN exp0_datasets "$@" 2>&1 | tee results/logs/exp0.log
 $RUN exp1_static "$@" 2>&1 | tee results/logs/exp1.log
 $RUN exp2_activation "$@" 2>&1 | tee results/logs/exp2.log
