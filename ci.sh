@@ -47,11 +47,13 @@ cargo test -p anc-core --test prop_invariants -q
 # edge (0, 1) in release; the workspace run above covered debug.
 cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
 
-echo "==> exp11_scale --smoke (scale sweep + snapshot-size gate)"
-# Smoke-sized run of the million-node sweep: saves and loads both snapshot
-# profiles end to end and asserts, on every row, that Exact stays under the
-# resident state's bytes and Compact under its share of Exact.
-cargo run --release -q -p anc-bench --bin exp11_scale -- --smoke > /dev/null
+echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
+# The n = 2 000 row of the scale sweep (saves and loads both snapshot
+# profiles end to end; Exact must stay under the resident state's bytes,
+# Compact under its share of Exact, and every invariant must hold after the
+# stream), then Figure 8, Table IV and Table III at small scale with the
+# shapes EXPERIMENTS.md reports asserted on the returned JSON.
+cargo run --release -q -p anc-bench -- smoke > /dev/null
 
 echo "==> no serde in the product crates"
 # Engine state has one codec (persist::binary); serde_json is for reports.

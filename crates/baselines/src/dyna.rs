@@ -137,7 +137,7 @@ impl DynaEngine {
             }
             let cv = self.comm[v as usize] as usize;
             // Link weights to neighbor communities.
-            let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+            let mut acc: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
             for (u, e) in self.g.edges_of(v) {
                 *acc.entry(self.comm[u as usize]).or_insert(0.0) += self.weights[e as usize];
             }

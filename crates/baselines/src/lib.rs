@@ -26,6 +26,7 @@
 //! is the current (decayed) edge activeness.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 #![warn(missing_docs)]
 
 pub mod attractor;

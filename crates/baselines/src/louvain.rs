@@ -127,7 +127,8 @@ fn local_moves(mg: &MetaGraph, params: &LouvainParams) -> (Vec<u32>, bool) {
 
 /// Aggregates a meta graph by community labels (densified in the caller).
 fn aggregate(mg: &MetaGraph, comm: &[u32], k: usize) -> MetaGraph {
-    let mut edge_acc: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
+    let mut edge_acc: std::collections::BTreeMap<(u32, u32), f64> =
+        std::collections::BTreeMap::new();
     let mut selfw = vec![0.0f64; k];
     for (v, c) in comm.iter().enumerate() {
         selfw[*c as usize] += mg.selfw[v];

@@ -72,7 +72,7 @@ impl LwepEngine {
     /// candidates the smaller label wins), keeping the sweep deterministic
     /// and cascade-free.
     fn visit(&mut self, v: u32) -> bool {
-        let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        let mut acc: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
         for (u, e) in self.g.edges_of(v) {
             *acc.entry(self.labels[u as usize]).or_insert(0.0) += self.weights[e as usize];
         }

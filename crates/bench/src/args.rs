@@ -1,30 +1,28 @@
-//! Minimal CLI argument parsing shared by the experiment binaries
-//! (`--scale <f64>`, `--seed <u64>`, `--datasets A,B,C`, plus free-form
-//! flags), avoiding an external dependency.
+//! What an experiment is given: the options after the subcommand
+//! (`--scale <f64>`, `--seed <u64>`, `--datasets A,B,C`; anything else is a
+//! usage error) and the dataset loading every experiment starts with.
 
-/// Parsed harness arguments.
+use anc_data::registry::{self, Dataset, DatasetSpec};
+
+/// One experiment's arguments.
 #[derive(Clone, Debug)]
-pub struct HarnessArgs {
-    /// Dataset size multiplier (default depends on the experiment).
+pub struct Ctx {
+    /// Dataset size multiplier (the default depends on the experiment).
     pub scale: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Explicit dataset list (names from the registry); empty = default.
+    /// Explicit dataset list (registry names); empty = the experiment's own.
     pub datasets: Vec<String>,
-    /// Remaining boolean flags (e.g. `--full`, `--quality`).
-    pub flags: Vec<String>,
 }
 
-impl HarnessArgs {
-    /// Parses `std::env::args` with the given default scale.
-    pub fn parse(default_scale: f64) -> Self {
-        Self::from_iter(std::env::args().skip(1), default_scale)
-    }
-
-    /// Parses an explicit iterator (testable).
-    pub fn from_iter<I: IntoIterator<Item = String>>(args: I, default_scale: f64) -> Self {
-        let mut out =
-            Self { scale: default_scale, seed: 42, datasets: Vec::new(), flags: Vec::new() };
+impl Ctx {
+    /// Parses the options that follow the subcommand. `Err` is a usage
+    /// message.
+    pub fn from_iter<I: IntoIterator<Item = String>>(
+        args: I,
+        default_scale: f64,
+    ) -> Result<Self, String> {
+        let mut out = Self { scale: default_scale, seed: 42, datasets: Vec::new() };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -32,30 +30,49 @@ impl HarnessArgs {
                     out.scale = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--scale needs a float"));
+                        .filter(|&s: &f64| s > 0.0 && s.is_finite())
+                        .ok_or("--scale needs a positive float")?;
                 }
                 "--seed" => {
-                    out.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a u64"));
+                    out.seed =
+                        it.next().and_then(|v| v.parse().ok()).ok_or("--seed needs a u64")?;
                 }
                 "--datasets" => {
-                    let list = it.next().unwrap_or_default();
+                    let list = it.next().ok_or("--datasets needs a comma-separated list")?;
                     out.datasets = list.split(',').map(|s| s.trim().to_string()).collect();
+                    if let Some(bad) = out.datasets.iter().find(|n| registry::by_name(n).is_none())
+                    {
+                        return Err(format!("unknown dataset `{bad}`"));
+                    }
                 }
-                flag if flag.starts_with("--") => {
-                    out.flags.push(flag.trim_start_matches("--").to_string())
-                }
-                other => panic!("unrecognized argument: {other}"),
+                other => return Err(format!("unrecognized argument `{other}`")),
             }
         }
-        out
+        Ok(out)
     }
 
-    /// Whether a boolean flag was passed.
-    pub fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
+    /// The datasets to run on: `--datasets` if given, else `default`.
+    pub fn names(&self, default: &[&str]) -> Vec<String> {
+        if self.datasets.is_empty() {
+            default.iter().map(|s| s.to_string()).collect()
+        } else {
+            self.datasets.clone()
+        }
+    }
+
+    /// The registry entry called `name`.
+    pub fn spec(name: &str) -> &'static DatasetSpec {
+        registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"))
+    }
+
+    /// Generates the stand-in for `name` at `--scale`.
+    pub fn load(&self, name: &str) -> Dataset {
+        self.load_scaled(name, self.scale)
+    }
+
+    /// Generates the stand-in for `name` at an explicit size factor.
+    pub fn load_scaled(&self, name: &str, factor: f64) -> Dataset {
+        Self::spec(name).materialize_scaled(self.seed, factor)
     }
 }
 
@@ -63,26 +80,42 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Ctx, String> {
+        Ctx::from_iter(args.iter().map(|s| s.to_string()), 1.0)
+    }
+
     #[test]
     fn defaults() {
-        let a = HarnessArgs::from_iter(Vec::<String>::new(), 0.5);
+        let a = Ctx::from_iter(Vec::<String>::new(), 0.5).unwrap();
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.seed, 42);
         assert!(a.datasets.is_empty());
+        assert_eq!(a.names(&["CO", "FB"]), vec!["CO", "FB"]);
     }
 
     #[test]
     fn full_parse() {
-        let a = HarnessArgs::from_iter(
-            ["--scale", "0.1", "--seed", "7", "--datasets", "CO,FB", "--quality"]
-                .into_iter()
-                .map(String::from),
-            1.0,
-        );
+        let a = parse(&["--scale", "0.1", "--seed", "7", "--datasets", "CO,FB"]).unwrap();
         assert_eq!(a.scale, 0.1);
         assert_eq!(a.seed, 7);
         assert_eq!(a.datasets, vec!["CO", "FB"]);
-        assert!(a.has("quality"));
-        assert!(!a.has("full"));
+        assert_eq!(a.names(&["LA"]), vec!["CO", "FB"]);
+    }
+
+    #[test]
+    fn anything_else_is_a_usage_error() {
+        for bad in [
+            &["--typo"][..],
+            &["--steps", "5"],
+            &["stray"],
+            &["--scale"],
+            &["--scale", "n"],
+            &["--scale", "0"],
+            &["--seed", "-1"],
+            &["--datasets"],
+            &["--datasets", "CO,NOPE"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 }

@@ -6,18 +6,17 @@
 //! extreme ε classifies everything as periphery (wedge stretch dominates),
 //! extreme µ removes all cores.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_eps_mu [--datasets CO]`
+//! Usage: `cargo run --release -p anc-bench -- abl_eps_mu [--datasets CO]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::methods::{anc_cluster_near, score};
-use anc_bench::report::{f3, write_json, Table};
+use crate::args::Ctx;
+use crate::methods::{anc_cluster_near, score};
+use crate::report::{f3, Table};
 use anc_core::{AncConfig, AncEngine, ClusterMode};
-use anc_data::registry;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let name = args.datasets.first().cloned().unwrap_or_else(|| "CO".into());
-    let ds = registry::by_name(&name).unwrap().materialize_scaled(args.seed, args.scale);
+/// Runs the ablation on the first dataset named (default CO).
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let name = ctx.names(&["CO"]).remove(0);
+    let ds = ctx.load(&name);
     let g = ds.graph.clone();
     let w = vec![1.0f64; g.m()];
     let target_k = ds.labels.iter().copied().max().map_or(1, |m| m as usize + 1);
@@ -36,7 +35,7 @@ fn main() {
         let mut row = vec![format!("{eps}")];
         for &mu in &mus {
             let cfg = AncConfig { epsilon: eps, mu, rep: 3, ..Default::default() };
-            let engine = AncEngine::new(g.clone(), cfg, args.seed);
+            let engine = AncEngine::new(g.clone(), cfg, ctx.seed);
             let c = anc_cluster_near(&g, engine.pyramids(), target_k, ClusterMode::Power);
             let s = score(&g, &w, &c, &ds.labels);
             row.push(f3(s.nmi));
@@ -48,8 +47,6 @@ fn main() {
         table.row(row);
     }
 
-    println!("\n=== Ablation A3: ε/µ sensitivity on {name} (NMI) ===");
-    table.print();
-    let path = write_json("abl_eps_mu", &serde_json::json!(json)).unwrap();
-    println!("\n[ablA3] JSON written to {}", path.display());
+    table.print(&format!("Ablation A3: ε/µ sensitivity on {name} (NMI)"));
+    serde_json::json!(json)
 }

@@ -9,30 +9,30 @@
 //! `activate` never forks: its repair is cheaper than waking the pool
 //! (DESIGN.md §4).
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_parallel [--scale f]`
+//! Usage: `cargo run --release -p anc-bench -- abl_parallel [--scale f]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{secs, write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::{secs, Table};
+use crate::time;
 use anc_core::{AncConfig, AncEngine};
-use anc_data::{registry, stream};
+use anc_data::stream;
 
-fn main() {
-    let args = HarnessArgs::parse(0.5);
+/// Runs the ablation.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut table = Table::new(vec!["dataset", "k", "threads", "sec/activation"]);
     let mut json = Vec::new();
     for name in ["CA", "CM"] {
-        let ds = registry::by_name(name).unwrap().materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = ds.graph.clone();
-        let s = stream::uniform_per_step(&g, 10, 0.05, args.seed ^ 0x11);
+        let s = stream::uniform_per_step(&g, 10, 0.05, ctx.seed ^ 0x11);
         let acts = s.total_activations();
         for k in [4usize, 16] {
             for threads in [1usize, 2, 4] {
                 // The pool re-reads its size on the next parallel call.
                 std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
                 let cfg = AncConfig { k, rep: 1, ..Default::default() };
-                let mut engine = AncEngine::new(g.clone(), cfg, args.seed);
+                let mut engine = AncEngine::new(g.clone(), cfg, ctx.seed);
                 let (_, total) = time(|| {
                     for batch in &s.batches {
                         let _ = engine.activate_batch(&batch.edges, batch.time);
@@ -55,10 +55,8 @@ fn main() {
     }
     std::env::remove_var("RAYON_NUM_THREADS");
 
-    println!(
-        "\n=== Ablation A5: grouped repair fan-out vs pool size (Lemma 13), {cores} cores ==="
-    );
-    table.print();
-    let path = write_json("abl_parallel", &serde_json::json!(json)).unwrap();
-    println!("\n[ablA5] JSON written to {}", path.display());
+    table.print(&format!(
+        "Ablation A5: grouped repair fan-out vs pool size (Lemma 13), {cores} cores"
+    ));
+    serde_json::json!(json)
 }

@@ -10,19 +10,18 @@
 //! Expected shape: even clustering collapses quickly (a few false positive
 //! votes merge whole communities); power clustering degrades gracefully.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_power_vs_even`
+//! Usage: `cargo run --release -p anc-bench -- abl_power_vs_even`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{f3, write_json, Table};
+use crate::args::Ctx;
+use crate::report::{f3, Table};
 use anc_core::cluster::{even_clustering_with, power_clustering_with};
-use anc_data::registry;
 use anc_metrics::{nmi, Clustering};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let ds = registry::by_name("CA").unwrap().materialize_scaled(args.seed, args.scale);
+/// Runs the ablation.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let ds = ctx.load("CA");
     let g = &ds.graph;
     let truth = Clustering::from_labels(&ds.labels).filter_small(3);
     eprintln!("[ablA1] CA stand-in: n = {}, m = {}", g.n(), g.m());
@@ -34,7 +33,7 @@ fn main() {
     let mut table = Table::new(vec!["flip %", "even NMI", "power NMI", "even k", "power k"]);
     let mut json = Vec::new();
     for &flip_pct in &[0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
-        let mut rng = ChaCha8Rng::seed_from_u64(args.seed ^ (flip_pct * 100.0) as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed ^ (flip_pct * 100.0) as u64);
         let mut votes = oracle.clone();
         let flips = ((g.m() as f64) * flip_pct / 100.0) as usize;
         for _ in 0..flips {
@@ -57,8 +56,6 @@ fn main() {
         }));
     }
 
-    println!("\n=== Ablation A1: vote corruption (CA stand-in) ===");
-    table.print();
-    let path = write_json("abl_power_vs_even", &serde_json::json!(json)).unwrap();
-    println!("\n[ablA1] JSON written to {}", path.display());
+    table.print("Ablation A1: vote corruption (CA stand-in)");
+    serde_json::json!(json)
 }

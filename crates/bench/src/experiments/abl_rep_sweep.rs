@@ -4,36 +4,31 @@
 //! Expected shape (paper): quality improves (or holds) as rep grows, with
 //! diminishing returns; initialization cost grows linearly with rep.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_rep_sweep
+//! Usage: `cargo run --release -p anc-bench -- abl_rep_sweep
 //! [--datasets CO,CA,LA]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::methods::{anc_cluster_near, score};
-use anc_bench::report::{f3, write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::methods::{anc_cluster_near, score};
+use crate::report::{f3, Table};
+use crate::time;
 use anc_core::{AncConfig, AncEngine, ClusterMode};
-use anc_data::registry;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        vec!["CO".into(), "CA".into(), "LA".into()]
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the ablation.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["CO", "CA", "LA"]);
     let reps = [0usize, 1, 3, 5, 7, 9];
 
     let mut table =
         Table::new(vec!["dataset", "rep", "NMI", "Purity", "F1", "Modularity", "init s"]);
     let mut json = Vec::new();
     for name in &names {
-        let ds = registry::by_name(name).unwrap().materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = ds.graph.clone();
         let w = vec![1.0f64; g.m()];
         let target_k = ds.labels.iter().copied().max().map_or(1, |m| m as usize + 1);
         for &rep in &reps {
             let cfg = AncConfig { rep, ..Default::default() };
-            let (engine, init_secs) = time(|| AncEngine::new(g.clone(), cfg, args.seed));
+            let (engine, init_secs) = time(|| AncEngine::new(g.clone(), cfg, ctx.seed));
             let c = anc_cluster_near(&g, engine.pyramids(), target_k, ClusterMode::Power);
             let s = score(&g, &w, &c, &ds.labels);
             table.row(vec![
@@ -52,8 +47,6 @@ fn main() {
         }
     }
 
-    println!("\n=== Ablation A2: rep sweep ===");
-    table.print();
-    let path = write_json("abl_rep_sweep", &serde_json::json!(json)).unwrap();
-    println!("\n[ablA2] JSON written to {}", path.display());
+    table.print("Ablation A2: rep sweep");
+    serde_json::json!(json)
 }

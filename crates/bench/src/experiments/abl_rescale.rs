@@ -7,18 +7,18 @@
 //! Also cross-checks that every policy produces the same final clustering —
 //! the rescale must be unobservable (Lemma 10).
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_rescale`
+//! Usage: `cargo run --release -p anc-bench -- abl_rescale`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::Table;
+use crate::time;
 use anc_core::{AncConfig, AncEngine, ClusterMode};
-use anc_data::{registry, stream};
+use anc_data::stream;
 use anc_decay::RescaleConfig;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let ds = registry::by_name("CA").unwrap().materialize_scaled(args.seed, args.scale);
+/// Runs the ablation.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let ds = ctx.load("CA");
     let g = ds.graph.clone();
     eprintln!("[ablA4] CA stand-in: n = {}, m = {}", g.n(), g.m());
 
@@ -26,7 +26,7 @@ fn main() {
     // guard and without count-based rescales this is within 209 of f64
     // overflow, and doubling the stream would cross it.
     let lambda = 1.0;
-    let s = stream::uniform_per_step(&g, 500, 0.02, args.seed ^ 0xabc);
+    let s = stream::uniform_per_step(&g, 500, 0.02, ctx.seed ^ 0xabc);
     let policies: Vec<(&str, RescaleConfig)> = vec![
         ("every 64 acts", RescaleConfig { every_activations: 64, exponent_guard: 200.0 }),
         ("every 4096 acts", RescaleConfig { every_activations: 4096, exponent_guard: 200.0 }),
@@ -42,7 +42,7 @@ fn main() {
     let mut json = Vec::new();
     for (label, rescale) in &policies {
         let cfg = AncConfig { lambda, rep: 1, rescale: *rescale, ..Default::default() };
-        let mut engine = AncEngine::new(g.clone(), cfg, args.seed);
+        let mut engine = AncEngine::new(g.clone(), cfg, ctx.seed);
         let (_, secs) = time(|| {
             for batch in &s.batches {
                 let _ = engine.activate_batch(&batch.edges, batch.time);
@@ -74,12 +74,10 @@ fn main() {
         assert!(agreement > 0.98, "rescale policies diverged beyond float noise: NMI {agreement}");
     }
 
-    println!("\n=== Ablation A4: batched-rescale policy (CA stand-in, λ = 1.0, 500 steps) ===");
-    table.print();
+    table.print("Ablation A4: batched-rescale policy (CA stand-in, λ = 1.0, 500 steps)");
     println!(
         "all policies produced near-identical clusterings ✓ (Lemma 10; min NMI {min_agreement:.4} — \
          exact equality holds in exact arithmetic, f64 rounding drifts microscopically)"
     );
-    let path = write_json("abl_rescale", &serde_json::json!(json)).unwrap();
-    println!("\n[ablA4] JSON written to {}", path.display());
+    serde_json::json!(json)
 }

@@ -11,18 +11,18 @@
 //! 2. **Memory** — the window model must retain every in-window activation;
 //!    the anchored decay store is O(1) per edge regardless of rate.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin abl_window_vs_decay`
+//! Usage: `cargo run --release -p anc-bench -- abl_window_vs_decay`
 
+use crate::args::Ctx;
+use crate::report::{f3, Table};
 use anc_baselines::louvain;
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{f3, write_json, Table};
-use anc_data::{registry, stream};
+use anc_data::stream;
 use anc_decay::{ActivenessStore, DecayClock, Rescalable, SlidingWindow};
 use anc_metrics::nmi;
 
-fn main() {
-    let args = HarnessArgs::parse(0.5);
-    let ds = registry::by_name("CO").unwrap().materialize_scaled(args.seed, args.scale);
+/// Runs the ablation.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let ds = ctx.load("CO");
     let g = ds.graph.clone();
     eprintln!("[ablA6] CO stand-in: n = {}, m = {}", g.n(), g.m());
 
@@ -32,7 +32,7 @@ fn main() {
     let lambda = 0.1;
     let window = 20.0;
     let steps = 80usize;
-    let s = stream::community_biased(&g, &ds.labels, steps, 0.05, 6.0, args.seed ^ 0x99);
+    let s = stream::community_biased(&g, &ds.labels, steps, 0.05, 6.0, ctx.seed ^ 0x99);
 
     let mut clock = DecayClock::new(lambda);
     let mut decay = ActivenessStore::new(g.m(), 1.0);
@@ -116,20 +116,17 @@ fn main() {
         format!("all in-window activations (peak {} total)", max_retained),
     ]);
 
-    println!("\n=== Ablation A6: time-decay vs sliding-window activeness (CO stand-in) ===");
-    table.print();
+    table.print("Ablation A6: time-decay vs sliding-window activeness (CO stand-in)");
     let smoother = decay_jump < win_jump;
     println!(
         "time-decay weights are {} smoother per step; window weights cliff when activations expire",
         if smoother { "strictly" } else { "not" }
     );
-    let json = serde_json::json!({
+    serde_json::json!({
         "decay_jump_per_step": decay_jump / (steps - 1) as f64,
         "window_jump_per_step": win_jump / (steps - 1) as f64,
         "decay_churn": decay_churn,
         "window_churn": win_churn,
         "window_peak_retained": max_retained,
-    });
-    let path = write_json("abl_window_vs_decay", &json).unwrap();
-    println!("\n[ablA6] JSON written to {}", path.display());
+    })
 }

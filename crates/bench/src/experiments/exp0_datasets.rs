@@ -5,22 +5,17 @@
 //! statistics of the generated graphs — the reproduction's version of the
 //! paper's Table I with full provenance for every substitution.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp0_datasets
+//! Usage: `cargo run --release -p anc-bench -- exp0_datasets
 //! [--datasets ...] [--scale f]` (defaults to the small/mid entries; the
 //! web-scale stand-ins take a while to generate and analyze).
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{write_json, Table};
-use anc_data::registry;
+use crate::args::Ctx;
+use crate::report::Table;
 use anc_graph::{algo, traverse};
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        ["CO", "FB", "CA", "MI", "LA", "CM", "IE", "GI"].iter().map(|s| s.to_string()).collect()
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["CO", "FB", "CA", "MI", "LA", "CM", "IE", "GI"]);
 
     let mut table = Table::new(vec![
         "name",
@@ -36,9 +31,8 @@ fn main() {
     ]);
     let mut json = Vec::new();
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
-        let g = &ds.graph;
+        let ds = ctx.load(name);
+        let (spec, g) = (&ds.spec, &ds.graph);
         let cc = algo::average_clustering(g);
         let comps = traverse::connected_components(g).count;
         let communities = ds.labels.iter().copied().max().map_or(0, |m| m as usize + 1);
@@ -62,9 +56,7 @@ fn main() {
         }));
     }
 
-    println!("\n=== Table I: Data Set Description (synthetic stand-ins) ===");
-    table.print();
+    table.print("Table I: Data Set Description (synthetic stand-ins)");
     println!("(originals are SNAP / network-repository graphs; see DESIGN.md §3)");
-    let path = write_json("exp0_datasets", &serde_json::json!(json)).unwrap();
-    println!("\n[exp0] JSON written to {}", path.display());
+    serde_json::json!(json)
 }

@@ -11,26 +11,21 @@
 //! with ANCF close behind and far above SCAN/ATTR; increasing `rep`
 //! monotonically improves ANCF.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp1_static [--scale f]
+//! Usage: `cargo run --release -p anc-bench -- exp1_static [--scale f]
 //! [--datasets LA,DB,AM,YT] [--seed s]`
 
+use crate::args::Ctx;
+use crate::methods::{score, Offline, Scores};
+use crate::report::{f3, Table};
+use crate::time;
 use anc_baselines::lwep::LwepEngine;
-use anc_bench::args::HarnessArgs;
-use anc_bench::methods::{score, Offline, Scores};
-use anc_bench::report::{f3, write_json, Table};
-use anc_bench::time;
 use anc_core::{AncConfig, AncEngine};
-use anc_data::registry;
 
-fn main() {
-    // Default scale 0.12 keeps DB/AM/YT stand-ins ≈10k nodes so the whole
-    // table builds in minutes; pass --scale 1 for the full-size run.
-    let args = HarnessArgs::parse(0.12);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        vec!["LA".into(), "DB".into(), "AM".into(), "YT".into()]
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment. The default scale 0.12 keeps DB/AM/YT stand-ins
+/// ≈10k nodes so the whole table builds in minutes; pass `--scale 1` for the
+/// full-size run.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["LA", "DB", "AM", "YT"]);
 
     let methods: Vec<&str> = vec!["SCAN", "ATTR", "LOUV", "LWEP", "ANCF1", "ANCF5", "ANCF9"];
     let mut per_measure: std::collections::HashMap<String, Table> = Default::default();
@@ -45,10 +40,9 @@ fn main() {
     let mut all: Vec<Vec<Scores>> = vec![Vec::new(); methods.len()];
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
         // LA keeps full size (it is small); larger graphs scale.
-        let factor = if spec.n <= 10_000 { 1.0 } else { args.scale };
-        let ds = spec.materialize_scaled(args.seed, factor);
+        let factor = if Ctx::spec(name).n <= 10_000 { 1.0 } else { ctx.scale };
+        let ds = ctx.load_scaled(name, factor);
         let g = &ds.graph;
         let w = vec![1.0f64; g.m()];
         let truth_k = ds.labels.iter().copied().max().map_or(1, |m| m as usize + 1);
@@ -69,7 +63,7 @@ fn main() {
 
         // One engine per dataset provides the activeness state for ANCF.
         let cfg = AncConfig { rep: 0, ..Default::default() };
-        let (mut engine, build_secs) = time(|| AncEngine::new(g.clone(), cfg, args.seed));
+        let (mut engine, build_secs) = time(|| AncEngine::new(g.clone(), cfg, ctx.seed));
         eprintln!("[exp1] {name}: index scaffold built in {build_secs:.2}s");
 
         for (mi, method) in methods.iter().enumerate() {
@@ -98,7 +92,6 @@ fn main() {
         }
     }
 
-    println!("\n=== Table III: Performance on Static Networks ===");
     for (measure, get) in [
         ("Modularity", (|s: &Scores| s.modularity) as fn(&Scores) -> f64),
         ("Conductance", |s| s.conductance),
@@ -112,10 +105,8 @@ fn main() {
             row.extend(all[mi].iter().map(|s| f3(get(s))));
             t.row(row);
         }
-        println!("\n--- {measure} ---");
-        t.print();
+        t.print(&format!("Table III: Performance on Static Networks, {measure}"));
     }
 
-    let path = write_json("exp1_static", &serde_json::json!(json_rows)).unwrap();
-    println!("\n[exp1] JSON written to {}", path.display());
+    serde_json::json!(json_rows)
 }

@@ -16,18 +16,18 @@
 //! magnitude below DYNA/LWEP; quality of online methods decays over time
 //! with ANCOR above ANCO; ANCF stays the best offline method.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp2_activation
-//! [--datasets CO,FB,CA,LA] [--steps n] [--seed s]`
+//! Usage: `cargo run --release -p anc-bench -- exp2_activation
+//! [--datasets CO,FB,CA,LA] [--scale f] [--seed s]`
 //! (MI is included via `--datasets CO,FB,CA,MI,LA`; it is the densest and
 //! slowest stand-in.)
 
+use crate::args::Ctx;
+use crate::methods::{anc_cluster_near, score, Offline, Scores};
+use crate::report::{f3, secs, Table};
+use crate::time;
 use anc_baselines::{dyna::DynaEngine, lwep::LwepEngine, spectral};
-use anc_bench::args::HarnessArgs;
-use anc_bench::methods::{anc_cluster_near, score, Offline};
-use anc_bench::report::{f3, secs, write_json, Table};
-use anc_bench::time;
 use anc_core::{AncConfig, AncEngine, ClusterMode};
-use anc_data::{registry, stream};
+use anc_data::stream;
 
 const STEPS: usize = 100;
 const FRAC: f64 = 0.05;
@@ -35,13 +35,10 @@ const LAMBDA: f64 = 0.1;
 const EVAL_EVERY: usize = 10;
 const ANCOR_INTERVAL: usize = 5;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        vec!["CO".into(), "FB".into(), "CA".into(), "LA".into()]
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment; the value holds `exp2_quality` (the Figure 4 series)
+/// and `exp2_time` (Table IV).
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["CO", "FB", "CA", "LA"]);
 
     let mut time_table = Table::new({
         let mut h = vec!["class".to_string(), "method".to_string()];
@@ -53,10 +50,9 @@ fn main() {
     let mut quality_json = Vec::new();
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = ds.graph.clone();
-        let s = stream::uniform_per_step(&g, STEPS, FRAC, args.seed ^ 0x5eed);
+        let s = stream::uniform_per_step(&g, STEPS, FRAC, ctx.seed ^ 0x5eed);
         let total_acts = s.total_activations();
         let target_k = (2.0 * (g.n() as f64).sqrt()).round() as usize;
         eprintln!(
@@ -67,8 +63,8 @@ fn main() {
         let cfg = AncConfig { lambda: LAMBDA, ..Default::default() };
 
         // --- engines -------------------------------------------------------
-        let mut anco = AncEngine::new(g.clone(), cfg.clone(), args.seed);
-        let mut ancor = AncEngine::new(g.clone(), cfg.clone(), args.seed);
+        let mut anco = AncEngine::new(g.clone(), cfg.clone(), ctx.seed);
+        let mut ancor = AncEngine::new(g.clone(), cfg.clone(), ctx.seed);
         let init_w = vec![1.0f64; g.m()];
         let mut dyna = DynaEngine::new(g.clone(), init_w.clone(), LAMBDA);
         let mut lwep = LwepEngine::new(g.clone(), init_w.clone(), LAMBDA);
@@ -145,11 +141,11 @@ fn main() {
                 &g,
                 &weights,
                 &spectral::SpectralParams { k: target_k, power_iters: 15, kmeans_iters: 15 },
-                args.seed ^ 0x67,
+                ctx.seed ^ 0x67,
             );
             let truth_labels = truth.labels().to_vec();
 
-            let mut snapshot_scores: Vec<(String, anc_bench::methods::Scores)> = Vec::new();
+            let mut snapshot_scores: Vec<(String, Scores)> = Vec::new();
             // Online methods read their current state.
             let c = anc_cluster_near(&g, anco.pyramids(), target_k, ClusterMode::Power);
             snapshot_scores.push(("ANCO".into(), score(&g, &weights, &c, &truth_labels)));
@@ -203,7 +199,6 @@ fn main() {
         }
     }
 
-    println!("\n=== Table IV: Time Costs on Activation Networks (sec/activation) ===");
     for (class, methods) in [
         ("offline", vec!["SCAN", "ATTR", "LOUV", "ANCF"]),
         ("online", vec!["DYNA", "LWEP", "ANCOR", "ANCO"]),
@@ -218,10 +213,9 @@ fn main() {
             time_table.row(row);
         }
     }
-    time_table.print();
+    time_table.print("Table IV: Time Costs on Activation Networks (sec/activation)");
 
     // Figure 4 summary: average score over time per method/dataset.
-    println!("\n=== Figure 4 (series in results/exp2_quality.json; final-t summary below) ===");
     let mut fin = Table::new(vec!["dataset", "method", "NMI", "Purity", "F1"]);
     for name in &names {
         for method in ["ANCF", "ANCOR", "ANCO", "DYNA", "LWEP", "SCAN", "ATTR", "LOUV"] {
@@ -238,14 +232,14 @@ fn main() {
             }
         }
     }
-    fin.print();
+    fin.print("Figure 4 (series in results/exp2_quality.json; final-t summary below)");
 
-    write_json("exp2_quality", &serde_json::json!(quality_json)).unwrap();
     let amort_json: serde_json::Value = serde_json::json!(amortized
         .iter()
         .map(|(k, v)| (k.to_string(), v.clone()))
         .collect::<std::collections::HashMap<String, Vec<f64>>>());
-    write_json("exp2_time", &serde_json::json!({"datasets": names, "per_activation": amort_json}))
-        .unwrap();
-    println!("\n[exp2] JSON written to results/exp2_quality.json and results/exp2_time.json");
+    serde_json::json!({
+        "exp2_quality": quality_json,
+        "exp2_time": serde_json::json!({"datasets": names, "per_activation": amort_json}),
+    })
 }

@@ -7,22 +7,17 @@
 //! OK stand-ins) cost more than equally-sized sparser ones, following the
 //! `O(n log² n + m log n)` bound of Lemma 7.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp3_index_time
+//! Usage: `cargo run --release -p anc-bench -- exp3_index_time
 //! [--datasets CA,MI,...] [--scale f] [--seed s]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::Table;
+use crate::time;
 use anc_core::Pyramids;
-use anc_data::registry;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        ["CA", "MI", "LA", "CM", "IE", "GI", "EA", "DB"].iter().map(|s| s.to_string()).collect()
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["CA", "MI", "LA", "CM", "IE", "GI", "EA", "DB"]);
     let ks = [2usize, 4, 8, 16];
 
     let mut table = Table::new({
@@ -33,13 +28,12 @@ fn main() {
     let mut json = Vec::new();
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = &ds.graph;
         let w = vec![1.0f64; g.m()];
         let mut row = vec![name.clone(), g.n().to_string(), g.m().to_string()];
         for &k in &ks {
-            let (pyr, secs) = time(|| Pyramids::build(g, &w, k, 0.7, args.seed));
+            let (pyr, secs) = time(|| Pyramids::build(g, &w, k, 0.7, ctx.seed));
             drop(pyr);
             eprintln!("[exp3] {name} k={k}: {secs:.3}s");
             row.push(format!("{secs:.3}"));
@@ -50,8 +44,6 @@ fn main() {
         table.row(row);
     }
 
-    println!("\n=== Figure 5: Index Time (seconds) ===");
-    table.print();
-    let path = write_json("exp3_index_time", &serde_json::json!(json)).unwrap();
-    println!("\n[exp3] JSON written to {}", path.display());
+    table.print("Figure 5: Index Time (seconds)");
+    serde_json::json!(json)
 }

@@ -11,21 +11,16 @@
 //! Expected shape (paper): memory linear in k and driven by the vertex
 //! count (`O(n log² n)`, Lemma 7), largely independent of m.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp4_index_size
+//! Usage: `cargo run --release -p anc-bench -- exp4_index_size
 //! [--datasets ...] [--scale f]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{write_json, Table};
+use crate::args::Ctx;
+use crate::report::Table;
 use anc_core::{AncConfig, AncEngine, Pyramids, SnapshotProfile};
-use anc_data::registry;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        ["CA", "MI", "LA", "CM", "IE", "GI", "EA", "DB"].iter().map(|s| s.to_string()).collect()
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["CA", "MI", "LA", "CM", "IE", "GI", "EA", "DB"]);
     let ks = [2usize, 4, 8, 16];
 
     let mut table = Table::new({
@@ -39,15 +34,14 @@ fn main() {
     let mut json = Vec::new();
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = &ds.graph;
         let w = vec![1.0f64; g.m()];
         let graph_mb = g.memory_bytes() as f64 / (1024.0 * 1024.0);
         let mut row = vec![name.clone(), g.n().to_string(), format!("{graph_mb:.1}")];
         let mut ratio_k4 = f64::NAN;
         for &k in &ks {
-            let pyr = Pyramids::build(g, &w, k, 0.7, args.seed);
+            let pyr = Pyramids::build(g, &w, k, 0.7, ctx.seed);
             let mb = pyr.memory_bytes() as f64 / (1024.0 * 1024.0);
             if k == 4 {
                 ratio_k4 = graph_mb / mb;
@@ -63,7 +57,7 @@ fn main() {
 
         // Snapshot cost per node at k = 4, one column per profile.
         let cfg = AncConfig { k: 4, rep: 1, ..Default::default() };
-        let engine = AncEngine::new(g.clone(), cfg, args.seed);
+        let engine = AncEngine::new(g.clone(), cfg, ctx.seed);
         let mut exact_buf = Vec::new();
         engine.save_binary(&mut exact_buf, SnapshotProfile::Exact).unwrap();
         let mut compact_buf = Vec::new();
@@ -86,8 +80,6 @@ fn main() {
         table.row(row);
     }
 
-    println!("\n=== Figure 6: Index Memory Cost ===");
-    table.print();
-    let path = write_json("exp4_index_size", &serde_json::json!(json)).unwrap();
-    println!("\n[exp4] JSON written to {}", path.display());
+    table.print("Figure 6: Index Memory Cost");
+    serde_json::json!(json)
 }

@@ -7,22 +7,17 @@
 //! Expected shape (paper): extraction time grows linearly with the edge
 //! count (`O(m log n)`, Lemma 8) and is essentially flat across levels.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp5_query_time
+//! Usage: `cargo run --release -p anc-bench -- exp5_query_time
 //! [--datasets DB,YT,...] [--scale f]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::Table;
+use crate::{percentile, time};
 use anc_core::{cluster, ClusterMode, Pyramids};
-use anc_data::registry;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        vec!["DB".into(), "YT".into()]
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["DB", "YT"]);
     let levels = 4usize..=8;
 
     let mut table = Table::new({
@@ -33,11 +28,10 @@ fn main() {
     let mut json = Vec::new();
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = &ds.graph;
         let w = vec![1.0f64; g.m()];
-        let pyr = Pyramids::build(g, &w, 4, 0.7, args.seed);
+        let pyr = Pyramids::build(g, &w, 4, 0.7, ctx.seed);
         let mut row = vec![name.clone(), g.m().to_string()];
         for level in levels.clone() {
             let level = level.min(pyr.num_levels() - 1);
@@ -48,8 +42,7 @@ fn main() {
                 std::hint::black_box(c.num_clusters());
                 samples.push(secs);
             }
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let secs = samples[1];
+            let secs = percentile(&samples, 50.0);
             eprintln!("[exp5] {name} level {level}: {secs:.4}s");
             row.push(format!("{secs:.4}"));
             json.push(serde_json::json!({
@@ -59,8 +52,6 @@ fn main() {
         table.row(row);
     }
 
-    println!("\n=== Figure 7: Cluster Extraction Time (seconds) ===");
-    table.print();
-    let path = write_json("exp5_query_time", &serde_json::json!(json)).unwrap();
-    println!("\n[exp5] JSON written to {}", path.display());
+    table.print("Figure 7: Cluster Extraction Time (seconds)");
+    serde_json::json!(json)
 }

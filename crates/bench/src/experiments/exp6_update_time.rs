@@ -10,24 +10,19 @@
 //! magnitude on the paper's largest graphs (the gap here is bounded by the
 //! laptop-scaled stand-ins, but grows visibly with graph size).
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp6_update_time
+//! Usage: `cargo run --release -p anc-bench -- exp6_update_time
 //! [--datasets DB,YT] [--scale f]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{secs, write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::{secs, Table};
+use crate::time;
 use anc_core::{AncConfig, AncEngine};
-use anc_data::registry;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let names: Vec<String> = if args.datasets.is_empty() {
-        vec!["DB".into(), "YT".into()]
-    } else {
-        args.datasets.clone()
-    };
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let names = ctx.names(&["DB", "YT"]);
     let batch_pows = 0u32..=10;
 
     let mut table = Table::new({
@@ -38,14 +33,13 @@ fn main() {
     let mut json = Vec::new();
 
     for name in &names {
-        let spec = registry::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let ds = spec.materialize_scaled(args.seed, args.scale);
+        let ds = ctx.load(name);
         let g = ds.graph.clone();
         let m = g.m();
         eprintln!("[exp6] {name}: n = {}, m = {m}", g.n());
         let cfg = AncConfig { rep: 1, ..Default::default() };
-        let mut engine = AncEngine::new(g, cfg, args.seed);
-        let mut rng = ChaCha8Rng::seed_from_u64(args.seed ^ 0xfeed);
+        let mut engine = AncEngine::new(g, cfg, ctx.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed ^ 0xfeed);
 
         let mut update_row = vec![name.clone(), "UPDATE".to_string()];
         let mut recon_row = vec![name.clone(), "RECONSTRUCT".to_string()];
@@ -70,8 +64,6 @@ fn main() {
         table.row(recon_row);
     }
 
-    println!("\n=== Figure 8: Update Time (seconds per batch) ===");
-    table.print();
-    let path = write_json("exp6_update_time", &serde_json::json!(json)).unwrap();
-    println!("\n[exp6] JSON written to {}", path.display());
+    table.print("Figure 8: Update Time (seconds per batch)");
+    serde_json::json!(json)
 }

@@ -9,33 +9,30 @@
 //! small bound (the paper: 95% within 6.5 s on full Twitter); bursts form
 //! visible spikes; no latency accumulation over the day.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp7_day_trace
-//! [--scale f] [--rate r]`
+//! Usage: `cargo run --release -p anc-bench -- exp7_day_trace [--scale f]`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::write_json;
-use anc_bench::{percentile, time};
+use crate::args::Ctx;
+use crate::{percentile, time};
 use anc_core::{AncConfig, AncEngine};
-use anc_data::{registry, stream};
+use anc_data::stream;
 
-fn main() {
-    let args = HarnessArgs::parse(0.2);
-    let spec = registry::by_name("TW2").unwrap();
-    let ds = spec.materialize_scaled(args.seed, args.scale);
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let ds = ctx.load("TW2");
     let g = ds.graph.clone();
     eprintln!("[exp7] TW2 stand-in: n = {}, m = {}", g.n(), g.m());
 
     // Base rate scales with the graph so the day covers a similar fraction
     // of edges as the paper's trace.
     let base_rate = (g.m() / 2000).max(10);
-    let day = stream::bursty_day(&g, base_rate, 0.05, 10.0, args.seed ^ 0xdab);
+    let day = stream::bursty_day(&g, base_rate, 0.05, 10.0, ctx.seed ^ 0xdab);
     eprintln!(
         "[exp7] {} activations over 1440 minutes (base rate {base_rate}/min)",
         day.total_activations()
     );
 
     let cfg = AncConfig { lambda: 0.01, rep: 1, ..Default::default() };
-    let mut engine = AncEngine::new(g, cfg, args.seed);
+    let mut engine = AncEngine::new(g, cfg, ctx.seed);
 
     let mut latencies = Vec::with_capacity(1440);
     for batch in &day.batches {
@@ -62,12 +59,10 @@ fn main() {
         println!("  {:02}:00  {:>8.4}  {}", i * 2, mx, "#".repeat(bars.max(1)));
     }
 
-    let json = serde_json::json!({
+    serde_json::json!({
         "n": engine.graph().n(), "m": engine.graph().m(),
         "activations": day.total_activations(),
         "p50": p50, "p95": p95, "max": max, "total": total,
         "latencies": latencies,
-    });
-    let path = write_json("exp7_day_trace", &json).unwrap();
-    println!("\n[exp7] JSON written to {}", path.display());
+    })
 }

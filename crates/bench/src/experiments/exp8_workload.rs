@@ -11,24 +11,23 @@
 //! baselines at every mix, and its total time *decreases* as the query
 //! share grows (queries are cheaper than updates).
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp8_workload [--scale f]`
+//! Usage: `cargo run --release -p anc-bench -- exp8_workload [--scale f]`
 
+use crate::args::Ctx;
+use crate::report::{secs, Table};
+use crate::time;
 use anc_baselines::{dyna::DynaEngine, lwep::LwepEngine};
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{secs, write_json, Table};
-use anc_bench::time;
 use anc_core::{AncConfig, AncEngine};
-use anc_data::{registry, stream, WorkItem, Workload};
+use anc_data::{stream, WorkItem, Workload};
 
-fn main() {
-    let args = HarnessArgs::parse(0.15);
-    let spec = registry::by_name("TW2").unwrap();
-    let ds = spec.materialize_scaled(args.seed, args.scale);
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let ds = ctx.load("TW2");
     let g = ds.graph.clone();
     eprintln!("[exp8] TW2 stand-in: n = {}, m = {}", g.n(), g.m());
 
     let base_rate = (g.m() / 2000).max(10);
-    let day = stream::bursty_day(&g, base_rate, 0.05, 10.0, args.seed ^ 0xdab);
+    let day = stream::bursty_day(&g, base_rate, 0.05, 10.0, ctx.seed ^ 0xdab);
     let fractions = [0.01, 0.02, 0.04, 0.08, 0.16, 0.32];
     // The paper samples 100 of 1440 timestamps for DYNA/LWEP.
     let sample_every = 14;
@@ -42,13 +41,13 @@ fn main() {
     let mut json = Vec::new();
 
     for &frac in &fractions {
-        let wl = Workload::from_stream(&g, &day, frac, args.seed ^ 0x10ad);
+        let wl = Workload::from_stream(&g, &day, frac, ctx.seed ^ 0x10ad);
         let (acts, queries) = wl.counts();
         eprintln!("[exp8] {}% queries: {acts} activations, {queries} queries", frac * 100.0);
 
         // --- ANCO: full run --------------------------------------------------
         let cfg = AncConfig { lambda: 0.01, rep: 1, ..Default::default() };
-        let mut engine = AncEngine::new(g.clone(), cfg, args.seed);
+        let mut engine = AncEngine::new(g.clone(), cfg, ctx.seed);
         let level = engine.default_level();
         let (_, anco_total) = time(|| {
             for (t, items) in &wl.batches {
@@ -126,14 +125,12 @@ fn main() {
         );
     }
 
-    println!("\n=== Figure 10: Workload Time on TW2 stand-in (seconds, whole day) ===");
     for method in ["ANCO", "DYNA", "LWEP"] {
         let mut row = vec![method.to_string()];
         row.extend(rows[method].iter().map(|v| secs(*v)));
         table.row(row);
     }
-    table.print();
+    table.print("Figure 10: Workload Time on TW2 stand-in (seconds, whole day)");
     println!("(DYNA/LWEP extrapolated from 1-in-{sample_every} sampled minutes, as in the paper)");
-    let path = write_json("exp8_workload", &serde_json::json!(json)).unwrap();
-    println!("\n[exp8] JSON written to {}", path.display());
+    serde_json::json!(json)
 }

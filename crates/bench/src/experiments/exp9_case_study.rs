@@ -18,10 +18,9 @@
 //! moved to {v0, v11}; by t30 v26 is in while v7/v11 have drifted away; the
 //! coarser level l2 reacts more slowly than l3.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp9_case_study`
+//! Usage: `cargo run --release -p anc-bench -- exp9_case_study`
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::write_json;
+use crate::args::Ctx;
 use anc_core::{AncConfig, AncEngine};
 use anc_graph::GraphBuilder;
 
@@ -46,8 +45,8 @@ const SCHEDULE: &[(u32, u32, u32, u32)] = &[
     (26, 25, 23, 30), // v26's group, years 23–30
 ];
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
+/// Runs the experiment.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
     let n = 29usize;
     let mut b = GraphBuilder::new(n);
     for group in GROUPS {
@@ -73,7 +72,7 @@ fn main() {
     eprintln!("[exp9] case-study graph: n = {}, m = {}", g.n(), g.m());
 
     let cfg = AncConfig { lambda: 0.1, rep: 3, mu: 2, epsilon: 0.2, ..Default::default() };
-    let mut engine = AncEngine::new(g.clone(), cfg, args.seed);
+    let mut engine = AncEngine::new(g.clone(), cfg, ctx.seed);
 
     let mut activations = 0usize;
     let mut json_snapshots = Vec::new();
@@ -133,7 +132,5 @@ fn main() {
     }
     println!("\ntotal activations streamed: {activations}");
     engine.check_invariants().expect("index consistent after the case study");
-
-    let path = write_json("exp9_case_study", &serde_json::json!(json_snapshots)).unwrap();
-    println!("[exp9] JSON written to {}", path.display());
+    serde_json::json!(json_snapshots)
 }

@@ -1,5 +1,5 @@
-//! **Exp 11** — million-node scale sweep: build, snapshot size, ingest,
-//! query (DESIGN.md §11).
+//! **Scale** — million-node scale sweep: build, ingest, invariants,
+//! snapshot size, query (DESIGN.md §11).
 //!
 //! Pushes n up to 10⁶ on the two synthetic families (planted-partition and
 //! Barabási–Albert) and records, per (generator, n):
@@ -7,23 +7,23 @@
 //! * index build time and resident index bytes/node;
 //! * snapshot bytes/node for both binary profiles, Exact and Compact, plus
 //!   save/load wall times, with two size ratios asserted on every row:
-//!   Exact against the resident `memory_bytes()` ([`EXACT_OVER_MEMORY_MAX`])
-//!   and Compact against Exact ([`COMPACT_OVER_EXACT_MAX`]);
-//! * ingest throughput through `activate_batch`;
+//!   Exact against the resident `memory_bytes()` (`EXACT_OVER_MEMORY_MAX`)
+//!   and Compact against Exact (`COMPACT_OVER_EXACT_MAX`);
+//! * ingest throughput through `activate_batch`, and `check_invariants()`
+//!   on the streamed engine;
 //! * cold (`cluster_all` from scratch) and cached ([`ClusterCache`] hit)
 //!   query latency.
 //!
 //! Everything lands in `results/BENCH_scale.json`.
 //!
-//! Usage: `cargo run --release -p anc-bench --bin exp11_scale
-//! [--smoke] [--scale f] [--seed u64]`
+//! Usage: `cargo run --release -p anc-bench -- scale [--scale f] [--seed u64]`
 //!
-//! `--smoke` shrinks the sweep to n = 2000 for CI; the full sweep is
-//! n ∈ {10⁴, 10⁵, 10⁶}.
+//! The sweep is n ∈ {10⁴, 10⁵, 10⁶} × `--scale`; `smoke` runs `sweep` at
+//! n = 2000 for CI.
 
-use anc_bench::args::HarnessArgs;
-use anc_bench::report::{secs, write_json, Table};
-use anc_bench::time;
+use crate::args::Ctx;
+use crate::report::{secs, Table};
+use crate::{percentile, time};
 use anc_core::{cluster, AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
 use anc_data::stream;
 use anc_graph::gen::{barabasi_albert, planted_partition, PlantedConfig};
@@ -39,11 +39,6 @@ const EXACT_OVER_MEMORY_MAX: f64 = 0.9;
 /// varint ids do not. Measured 0.60 (n = 10³), 0.61 (the smoke row), 0.65
 /// (10⁵), 0.67 (10⁶).
 const COMPACT_OVER_EXACT_MAX: f64 = 0.75;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
 
 fn make_graph(family: &str, n: usize, seed: u64) -> Graph {
     match family {
@@ -68,17 +63,19 @@ fn binary_stats(engine: &AncEngine, profile: SnapshotProfile) -> SnapshotStats {
     SnapshotStats { bytes: buf.len(), save_s, load_s }
 }
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
-    let smoke = args.has("smoke");
-    let sizes: Vec<usize> = if smoke {
-        vec![2_000]
-    } else {
-        [10_000usize, 100_000, 1_000_000]
-            .iter()
-            .map(|&n| ((n as f64 * args.scale) as usize).max(500))
-            .collect()
-    };
+/// Runs the sweep.
+pub fn run(ctx: &Ctx) -> serde_json::Value {
+    let sizes: Vec<usize> = [10_000usize, 100_000, 1_000_000]
+        .iter()
+        .map(|&n| ((n as f64 * ctx.scale) as usize).max(500))
+        .collect();
+    sweep(&sizes, 50_000, ctx.seed)
+}
+
+/// One row per (size, family), streaming about `target_acts` activations
+/// into each; panics on a row over a snapshot-size ceiling or with a broken
+/// invariant.
+pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_json::Value {
     let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
 
     let mut table = Table::new(vec![
@@ -96,23 +93,23 @@ fn main() {
     ]);
     let mut rows = Vec::new();
 
-    for &n in &sizes {
+    for &n in sizes {
         for family in ["planted", "ba"] {
-            let g = make_graph(family, n, args.seed);
+            let g = make_graph(family, n, seed);
             let m = g.m();
-            eprintln!("[exp11] {family} n={n} m={m}: building index…");
-            let (mut engine, build_s) = time(|| AncEngine::new(g, cfg.clone(), args.seed));
+            eprintln!("[scale] {family} n={n} m={m}: building index…");
+            let (mut engine, build_s) = time(|| AncEngine::new(g, cfg.clone(), seed));
             let index_bytes = engine.memory_bytes();
             eprintln!(
-                "[exp11] {family} n={n}: built in {build_s:.2}s, {:.1} B/node",
+                "[scale] {family} n={n}: built in {build_s:.2}s, {:.1} B/node",
                 index_bytes as f64 / n as f64
             );
 
             // --- Ingest: batched activations through the pipeline. -------
             let steps = 10usize;
-            let target = if smoke { 5_000 } else { 50_000.min(10 * m) };
+            let target = target_acts.min(10 * m);
             let frac = (target as f64 / steps as f64 / m as f64).min(1.0);
-            let s = stream::uniform_per_step(engine.graph(), steps, frac, args.seed ^ 0x11);
+            let s = stream::uniform_per_step(engine.graph(), steps, frac, seed ^ 0x11);
             let acts: usize = s.total_activations();
             let (_, ingest_s) = time(|| {
                 for batch in &s.batches {
@@ -120,7 +117,8 @@ fn main() {
                 }
             });
             let acts_per_s = acts as f64 / ingest_s;
-            eprintln!("[exp11] {family} n={n}: {acts} acts in {ingest_s:.2}s ({acts_per_s:.0}/s)");
+            eprintln!("[scale] {family} n={n}: {acts} acts in {ingest_s:.2}s ({acts_per_s:.0}/s)");
+            engine.check_invariants().expect("all invariants hold after the stream");
 
             // --- Snapshot encodings. -------------------------------------
             let exact = binary_stats(&engine, SnapshotProfile::Exact);
@@ -128,7 +126,7 @@ fn main() {
             let exact_over_memory = exact.bytes as f64 / index_bytes as f64;
             let compact_over_exact = compact.bytes as f64 / exact.bytes as f64;
             eprintln!(
-                "[exp11] {family} n={n}: exact {} B ({exact_over_memory:.2}x resident), \
+                "[scale] {family} n={n}: exact {} B ({exact_over_memory:.2}x resident), \
                  compact {} B ({compact_over_exact:.2}x exact)",
                 exact.bytes, compact.bytes
             );
@@ -158,7 +156,7 @@ fn main() {
                 std::hint::black_box(c.num_clusters());
                 cold_samples.push(s);
             }
-            let cold_q = median(&mut cold_samples);
+            let cold_q = percentile(&cold_samples, 50.0);
             let mut cache = ClusterCache::new(engine.num_levels());
             // First query fills the cache; the samples after it are hits.
             let (first, _) =
@@ -172,7 +170,7 @@ fn main() {
                 std::hint::black_box((c.num_clusters(), stats.decision));
                 hit_samples.push(s);
             }
-            let cached_q = median(&mut hit_samples);
+            let cached_q = percentile(&hit_samples, 50.0);
 
             let bpn = |b: usize| b as f64 / n as f64;
             table.row(vec![
@@ -212,16 +210,6 @@ fn main() {
         }
     }
 
-    println!("\n=== Exp 11: Scale Sweep ===");
-    table.print();
-    let path = write_json(
-        "BENCH_scale",
-        &serde_json::json!({
-            "smoke": smoke,
-            "seed": args.seed,
-            "rows": rows,
-        }),
-    )
-    .unwrap();
-    println!("[exp11] JSON written to {}", path.display());
+    table.print("Scale Sweep");
+    serde_json::json!({ "seed": seed, "rows": rows })
 }

@@ -1,18 +1,21 @@
 //! # anc-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §5 for the experiment index) plus shared measurement and
-//! reporting utilities.
+//! The experiment harness: one binary, `anc-bench <experiment>`, with one
+//! subcommand per table/figure of the paper (see DESIGN.md §5 for the
+//! experiment index; [`experiments`] holds them and the dispatcher) plus
+//! shared measurement and reporting utilities.
 //!
-//! Binaries print the same rows/series the paper reports and additionally
-//! write machine-readable JSON under `results/`. All binaries accept
-//! `--scale <f>` to shrink the synthetic datasets (wall-clock vs fidelity)
-//! and `--seed <u64>`.
+//! An experiment prints the same rows/series the paper reports and returns
+//! the machine-readable JSON the dispatcher writes under `results/`. Every
+//! experiment accepts `--scale <f>` to shrink the synthetic datasets
+//! (wall-clock vs fidelity), `--seed <u64>` and `--datasets A,B` (those
+//! with a fixed dataset ignore the list); nothing else parses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod experiments;
 pub mod methods;
 pub mod report;
 

@@ -1,7 +1,6 @@
-//! Table printing and JSON result persistence for the experiment binaries.
+//! Table printing and JSON result persistence for the experiments.
 
-use std::io::Write;
-use std::path::Path;
+use std::path::PathBuf;
 
 /// A simple fixed-width table printer (stdout), matching the row/column
 /// shape of the paper's tables.
@@ -46,9 +45,9 @@ impl Table {
         out
     }
 
-    /// Prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+    /// Prints to stdout under a `=== title ===` line.
+    pub fn print(&self, title: &str) {
+        print!("\n=== {title} ===\n{}", self.render());
     }
 }
 
@@ -73,22 +72,13 @@ pub fn secs(x: f64) -> String {
     }
 }
 
-/// Writes a JSON value to `results/<name>.json` relative to the workspace
-/// root (created on demand). Returns the path written.
-pub fn write_json(name: &str, value: &serde_json::Value) -> std::io::Result<std::path::PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(serde_json::to_string_pretty(value).unwrap().as_bytes())?;
+/// Writes a JSON value to `results/<name>.json` under the current directory
+/// (created on demand). Returns the path written.
+pub fn write_json(name: &str, value: &serde_json::Value) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all("results")?;
+    let path = PathBuf::from(format!("results/{name}.json"));
+    std::fs::write(&path, serde_json::to_string_pretty(value).expect("a Value serializes"))?;
     Ok(path)
-}
-
-fn results_dir() -> std::path::PathBuf {
-    // Prefer the workspace root (two levels above this crate's manifest at
-    // runtime we only have CWD); fall back to ./results.
-    let cwd = std::env::current_dir().unwrap_or_else(|_| Path::new(".").to_path_buf());
-    cwd.join("results")
 }
 
 #[cfg(test)]

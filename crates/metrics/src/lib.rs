@@ -12,6 +12,7 @@
 //! are treated as noise and removed ([`Clustering::filter_small`]).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 #![warn(missing_docs)]
 
 mod clustering;
