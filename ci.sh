@@ -16,7 +16,8 @@ cargo build --release
 echo "==> every crate root forbids unsafe code"
 # `forbid` cannot be overridden further down a crate, so the only way to land
 # unsafe code is to drop the attribute: check it is there (vendor/rayon holds
-# the workspace's only unsafe, so it denies and allows its one module).
+# the only unsafe in what ships, so it denies and allows its one module; the
+# one test crate root with any is alloc_steady_state's counting allocator).
 forbid_unsafe_roots() {
     local f
     for f in "$1"/src/lib.rs "$1"/crates/*/src/lib.rs "$1"/crates/*/src/main.rs; do
@@ -25,11 +26,6 @@ forbid_unsafe_roots() {
     grep -q '^#!\[deny(unsafe_code' "$1/vendor/rayon/src/lib.rs" || { echo "vendor/rayon lacks #![deny(unsafe_code)]"; return 1; }
 }
 forbid_unsafe_roots .
-
-echo "==> cargo run -p anc-audit --release (hot-alloc, lock-order, atomic-ordering, blocking-in-reader)"
-# The four rules that need a call graph (DESIGN.md §8.1); any finding, or a
-# root-table entry that names no function, exits 1 with the text report.
-cargo run -p anc-audit --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -61,6 +57,33 @@ if grep -rn serde crates/{graph,decay,core,data,metrics,baselines,server,cli}/sr
     echo "serde token in a product crate (see above)"
     exit 1
 fi
+
+echo "==> no relaxed atomics, no thread pool under the server (DESIGN.md §8)"
+# With the relaxed ordering gone from the tree no publish/consume handshake
+# can have a weak side, mixed or not; statistics counters pay AcqRel, the
+# same instructions on x86-64. And a reader cannot block on pool dispatch if
+# the crate it lives in cannot name the pool.
+no_relaxed_atomics() {
+    if grep -rnw Relaxed "$1"/crates/{core,server}/src "$1"/vendor/rayon/src; then
+        echo "relaxed atomic ordering (see above): use AcqRel/Acquire/Release"; return 1
+    fi
+}
+server_names_no_pool() {
+    if grep -n rayon "$1"/crates/server/Cargo.toml; then
+        echo "crates/server must not depend on the thread pool (see above)"; return 1
+    fi
+}
+no_relaxed_atomics .
+server_names_no_pool .
+
+echo "==> steady-state allocation counts (release; 1 and 4 threads)"
+# The counting-allocator suite ran in debug with the workspace tests; here it
+# runs optimised, on the pure sequential path (where the per-call bound on a
+# grouped flush is asserted) and on a real 4-worker pool.
+for t in 1 4; do
+    echo "    RAYON_NUM_THREADS=$t"
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test alloc_steady_state -q
+done
 
 echo "==> cluster-cache property suite under debug-invariants"
 # The cache equivalence proptests (cached == cold at every level across
@@ -110,23 +133,14 @@ for t in 1 4; do
         --test serve_stress -q
 done
 
-echo "==> seeded audit-violation suites (reachability + concurrency fixtures)"
-# The audit's rules run against trees seeded with known violations so a
-# silently-pass regression in the analyses themselves fails CI: each rule
-# must fire with the right attribution, each justified allow must clear it,
-# and a renamed root must fail the run (A7 and the root tables in
-# seeded_reachability, A9–A11 and --explain in seeded_concurrency).
-cargo test -p anc-audit --test seeded_reachability --test seeded_concurrency \
-    --test prop_lexer -q
-
-echo "==> seeded lint violations (the compiler/clippy homes of the moved rules bite)"
-# A throwaway copy of the workspace gets one probe per moved rule appended to
-# the crate that rule guards; `cargo clippy -- -D warnings` must then fail
-# naming the lint. Crates are probed leaf first and restored before the next,
-# so each run sees clean dependencies. Rules whose home is an `#[expect]` on
-# a justified site (wall clock in core, the server's thread expects, the
-# Compact casts) are also pinned by the main clippy step: an expectation
-# that stops firing fails it.
+echo "==> seeded violations (the lints and the grep gates bite)"
+# A throwaway copy of the workspace gets one probe per rule appended to the
+# crate that rule guards; `cargo clippy -- -D warnings` must then fail naming
+# the lint, and the two grep gates above must fail on their probes. Crates
+# are probed leaf first and restored before the next, so each run sees clean
+# dependencies. Rules whose home is an `#[expect]` on a justified site (wall
+# clock in core, the server's thread expects, the Compact casts) are also
+# pinned by the main clippy step: an expectation that stops firing fails it.
 copy=$(mktemp -d)
 trap 'rm -rf "$copy"' EXIT
 cp -r Cargo.toml Cargo.lock crates vendor src "$copy"
@@ -145,7 +159,7 @@ seeded() { # seeded <package> <file> <expected>... ; the probe's source on stdin
 seeded anc-graph crates/graph/src/codec.rs \
     '"clippy::cast_possible_truncation"' '"clippy::iter_over_hash_type"' \
     'disallowed method `std::collections::HashSet::iter`' '"clippy::unwrap_used"' <<'PROBE'
-/// Probe: A13 on decode, A1 as a loop and as an adapter chain, A5.
+/// Probe: a narrowing cast on decode, hash order as a loop and as an adapter chain, unwrap.
 pub fn seeded_probe(x: u64, m: &std::collections::HashSet<u32>) -> u32 {
     let mut sum = m.iter().max().copied().unwrap();
     for v in m {
@@ -156,7 +170,7 @@ pub fn seeded_probe(x: u64, m: &std::collections::HashSet<u32>) -> u32 {
 PROBE
 seeded anc-decay crates/decay/src/clock.rs \
     '"clippy::iter_over_hash_type"' '"clippy::expect_used"' 'disallowed method `std::time::SystemTime::now`' <<'PROBE'
-/// Probe: A1, A5, A3.
+/// Probe: hash order, expect, wall clock.
 pub fn seeded_probe(m: &std::collections::HashMap<u32, u32>) -> u32 {
     let _t = std::time::SystemTime::now();
     let mut sum = 0;
@@ -171,7 +185,7 @@ seeded anc-core crates/core/src/persist/wal.rs \
     '"clippy::iter_over_hash_type"' 'disallowed method `core::cmp::PartialOrd::partial_cmp`' \
     'disallowed method `std::time::Instant::now`' '"clippy::panic"' '"clippy::unreachable"' \
     '"clippy::todo"' '"clippy::unimplemented"' <<'PROBE'
-/// Probe: A13 on encode, A14 both forms, A1, A2, A3, A6.
+/// Probe: a narrowing cast on encode, a dropped Result both ways, hash order, partial_cmp, wall clock, the panic family.
 pub fn seeded_probe(p: &std::path::Path, len: usize, m: &std::collections::HashMap<u32, f64>) -> u32 {
     std::fs::remove_file(p).ok();
     let _ = std::fs::remove_file(p);
@@ -190,7 +204,7 @@ pub fn seeded_probe(p: &std::path::Path, len: usize, m: &std::collections::HashM
 PROBE
 seeded anc-server crates/server/src/wire.rs \
     'disallowed method `core::cmp::PartialOrd::partial_cmp`' '"clippy::expect_used"' '"clippy::panic"' <<'PROBE'
-/// Probe: A2 under the wall-clock-exempt override, A6.
+/// Probe: partial_cmp under the wall-clock-exempt override, the panic family.
 pub fn seeded_probe(a: f64, o: Option<u8>) -> u8 {
     if a.partial_cmp(&1.0).is_none() {
         panic!("nan");
@@ -198,14 +212,36 @@ pub fn seeded_probe(a: f64, o: Option<u8>) -> u8 {
     o.expect("some")
 }
 PROBE
+seeded anc-server crates/server/src/snapshot.rs \
+    'disallowed type `std::sync::Mutex`' <<'PROBE'
+/// Probe: a lock anywhere a reader could reach.
+pub fn seeded_probe(m: &std::sync::Mutex<u8>) -> bool {
+    m.is_poisoned()
+}
+PROBE
+cat >> "$copy/crates/server/src/tcp.rs" <<'PROBE'
+/// Probe: a relaxed load.
+pub fn seeded_probe(stop: &AtomicBool) -> bool {
+    stop.load(Ordering::Relaxed)
+}
+PROBE
+if no_relaxed_atomics "$copy" > /dev/null; then
+    echo "a seeded Ordering::Relaxed passed the grep gate"; exit 1
+fi
+cp crates/server/src/tcp.rs "$copy/crates/server/src/tcp.rs"
+sed -i 's/^\[dependencies\]$/&\nrayon.workspace = true/' "$copy/crates/server/Cargo.toml"
+if server_names_no_pool "$copy" > /dev/null; then
+    echo "a seeded rayon dependency of crates/server passed the grep gate"; exit 1
+fi
+cp crates/server/Cargo.toml "$copy/crates/server/Cargo.toml"
 seeded rayon vendor/rayon/src/pool.rs '"clippy::undocumented_unsafe_blocks"' <<'PROBE'
-/// Probe: A8, an unsafe block with no SAFETY comment.
+/// Probe: an unsafe block with no SAFETY comment.
 pub(crate) fn seeded_probe(p: *const u8) -> u8 {
     unsafe { *p }
 }
 PROBE
 seeded rayon vendor/rayon/src/lib.rs '"unsafe_code"' <<'PROBE'
-/// Probe: A8, unsafe outside the one module that may hold it.
+/// Probe: unsafe outside the one module that may hold it.
 pub fn seeded_probe(p: *const u8) -> u8 {
     // SAFETY: none; this must not compile.
     unsafe { *p }
@@ -221,11 +257,13 @@ trap - EXIT
 echo "==> stress-schedules: perturbed-schedule determinism at fixed seeds"
 # The pool's seeded yield-injection hooks (vendor/rayon/src/stress.rs) force
 # adversarial interleavings; the suites assert byte-identical snapshots and
-# extractions against the unperturbed 1-thread reference at 2/4/8 threads.
+# extractions against the unperturbed 1-thread reference at 2/4/8 threads,
+# and these debug builds check the pool's lock ranks on every acquisition
+# (the rank `should_panic` tests run here under the feature as well).
 # The outer RAYON_NUM_THREADS=4 pins the pool size the harness itself (and
 # any path outside the internal sweep) starts under.
 RAYON_NUM_THREADS=4 cargo test -p rayon --features stress-schedules \
-    --test stress_schedules -q
+    --lib --test stress_schedules -q
 RAYON_NUM_THREADS=4 cargo test -p anc-core --features stress-schedules \
     --test stress_determinism -q
 

@@ -235,7 +235,7 @@ pub fn query(opts: &Options) -> Result<String, String> {
 }
 
 /// `anc serve`: host an engine behind the length-prefixed TCP wire
-/// protocol (DESIGN.md §13) until a client sends a `shutdown` request.
+/// protocol (DESIGN.md §12) until a client sends a `shutdown` request.
 ///
 /// With `--durable-dir` the engine runs write-ahead logged: an existing
 /// directory is recovered (`--engine` is then optional), a fresh one is

@@ -620,7 +620,6 @@ impl ClusterCache {
                 bufs.into_iter().enumerate().map(|(i, b)| (i * chunk_words, b)).collect();
             let rows = lc.rows.as_slice();
             tasks
-                // audit:allow(blocking-in-reader) -- cold fill is the writer path run inline: it executes under the cache's &mut borrow before the snapshot Arc is published; warm readers return the published Arc without reaching this dispatch
                 .into_par_iter()
                 .map(|(start, mut buf)| {
                     buf.clear();
@@ -639,7 +638,6 @@ impl ClusterCache {
                     }
                     buf
                 })
-                // audit:allow(blocking-in-reader) -- same cold-fill dispatch as the into_par_iter above: writer path, pre-publication
                 .collect_into_vec(&mut self.chunk_out);
             let words = lc.voted.words_mut();
             let mut at = 0;

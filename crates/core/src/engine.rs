@@ -123,6 +123,9 @@ pub struct AncEngine {
     /// partition (the grouped repair fills them only while the cache has
     /// materialized levels).
     trace_bufs: Vec<Vec<NodeId>>,
+    /// Whether `trace_bufs` holds the footprint of the last ingest call's
+    /// last repair (see [`Self::last_trace`]).
+    traced: bool,
     /// Pooled accumulator of the ingest loop: the `(e, old_w, new_w)` weight
     /// changes not yet repaired into the index.
     deltas: Vec<(EdgeId, f64, f64)>,
@@ -193,6 +196,7 @@ impl AncEngine {
             rescales: 0,
             cache,
             trace_bufs,
+            traced: false,
             deltas: Vec::new(),
             dirty: Vec::new(),
         }
@@ -290,20 +294,20 @@ impl AncEngine {
         self.ingest(&[e], Some(t), &mut BatchStats::default());
     }
 
-    /// Like [`Self::activate`] but returns the update's footprint: the
-    /// per-partition affected-node lists (pyramid-major order), ready to be
-    /// fed to a [`crate::VoteCache`] / [`crate::ClusterMonitor`] for
-    /// real-time change reporting (the paper's Section V-C Remarks).
+    /// The footprint of the last index repair: the per-partition
+    /// affected-node lists (pyramid-major order), ready to be fed to a
+    /// [`crate::VoteCache`] / [`crate::ClusterMonitor`] for real-time change
+    /// reporting (the paper's Section V-C Remarks). Borrowed from the
+    /// engine's pooled buffers, valid until the next mutating call.
     ///
-    /// An empty trace means the activation left the similarity (and hence
-    /// the index) unchanged.
-    pub fn activate_traced(&mut self, e: EdgeId, t: Time) -> Vec<Vec<NodeId>> {
-        self.activate(e, t);
-        if self.dirty.is_empty() {
-            // audit:allow(hot-alloc) -- an empty Vec::new never allocates
-            Vec::new()
+    /// Empty when the last [`Self::activate`] left the similarity (and hence
+    /// the index) unchanged, or when the last repair was an untraced grouped
+    /// flush (a batch while the cluster cache has no materialized level).
+    pub fn last_trace(&self) -> &[Vec<NodeId>] {
+        if self.traced {
+            &self.trace_bufs
         } else {
-            self.trace_bufs.clone()
+            &[]
         }
     }
 
@@ -351,6 +355,7 @@ impl AncEngine {
     /// edges whose weight changed (with repeats).
     fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>, stats: &mut BatchStats) {
         self.dirty.clear();
+        self.traced = false;
         for &e in edges {
             if let Some(t) = t {
                 self.bump(e, t);
@@ -424,11 +429,13 @@ impl AncEngine {
                     &mut self.trace_bufs,
                 );
                 self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
+                self.traced = true;
                 // No precheck here: every partition runs its bounded update.
                 stats.repair_updates += self.trace_bufs.len();
             }
             _ => {
-                let rs = if self.cache.get_mut().has_materialized_levels() {
+                self.traced = self.cache.get_mut().has_materialized_levels();
+                let rs = if self.traced {
                     let rs = self.pyramids.on_weight_change_batch_traced(
                         &self.g,
                         &self.recip,
@@ -490,11 +497,10 @@ impl AncEngine {
     /// cache generation, the nodes whose seed had moved, and the
     /// repair-vs-rebuild decision this query took.
     ///
-    /// A wait-free query root (audit rule A11, `blocking-in-reader`): on
-    /// the warm path this hands out the cached `Arc` snapshot without
-    /// locking or pool dispatch. The one audited exception is the
-    /// first-touch cold fill, which runs inline on the querying thread
-    /// (the writer path) before the snapshot is published.
+    /// On the warm path this hands out the cached `Arc` without locking or
+    /// pool dispatch. The first-touch cold fill fans out over the pool: it
+    /// runs inline on the querying thread — the writer, since the engine is
+    /// not `Sync` — before anything is published to readers.
     pub fn cluster_all_cached(
         &self,
         level: usize,
@@ -515,7 +521,7 @@ impl AncEngine {
         self.cache.get_mut()
     }
 
-    /// Snapshot-publish hook for the serving layer (DESIGN.md §13): brings
+    /// Snapshot-publish hook for the serving layer (DESIGN.md §12): brings
     /// the cache current at every requested `(level, mode)` pair — paying
     /// any pending repairs *now*, on the calling (writer) thread — and
     /// returns the refreshed `Arc` clusterings as one immutable
@@ -523,7 +529,7 @@ impl AncEngine {
     ///
     /// Readers holding the view answer membership queries from its `Arc`s
     /// without ever touching the engine, so the per-query path stays
-    /// wait-free (audit rule A11).
+    /// wait-free.
     pub fn refresh_view(&self, levels: &[usize], modes: &[ClusterMode]) -> ClusterView {
         let mut view = ClusterView::default();
         for &level in levels {
@@ -561,10 +567,8 @@ impl AncEngine {
 
     /// Whether `u` and `v` share a cluster at `level` (Problem 1(3)).
     ///
-    /// A wait-free query root (audit rule A11, `blocking-in-reader`):
-    /// answered from the immutable pyramid partitions with no locking,
-    /// blocking, or pool dispatch, so concurrent readers never stall
-    /// behind a writer.
+    /// Answered from the pyramid partitions with no locking, blocking, or
+    /// pool dispatch.
     #[inline]
     #[must_use = "pure query; the membership answer is the only effect"]
     pub fn same_cluster(&self, u: NodeId, v: NodeId, level: usize) -> bool {
@@ -691,6 +695,7 @@ impl AncEngine {
             rescales: snapshot.rescales,
             cache,
             trace_bufs,
+            traced: false,
             deltas: Vec::new(),
             dirty: Vec::new(),
         })
@@ -763,7 +768,7 @@ pub struct LevelClusters {
 
 /// An immutable, shareable view of the cached clusterings at a set of
 /// levels — the unit the serving layer publishes to its readers after each
-/// drained ingest batch ([`AncEngine::refresh_view`], DESIGN.md §13).
+/// drained ingest batch ([`AncEngine::refresh_view`], DESIGN.md §12).
 #[derive(Clone, Debug, Default)]
 pub struct ClusterView {
     /// Cache generation every clustering in this view was refreshed at; two
@@ -958,14 +963,15 @@ mod tests {
         let m = engine.graph().m() as u32;
         let mut any_nonempty = false;
         for i in 0..20u32 {
-            let trace = engine.activate_traced(i % m, 1.0 + i as f64 * 0.5);
+            engine.activate(i % m, 1.0 + i as f64 * 0.5);
+            let trace = engine.last_trace();
             if trace.is_empty() {
                 continue;
             }
             any_nonempty = true;
             // One entry per partition.
             assert_eq!(trace.len(), engine.pyramids().k() * engine.num_levels(), "trace arity");
-            for nodes in &trace {
+            for nodes in trace {
                 for &x in nodes {
                     assert!((x as usize) < engine.graph().n());
                 }

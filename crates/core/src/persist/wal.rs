@@ -243,13 +243,10 @@ fn encode_header(base_activations: u64) -> Vec<u8> {
 /// write side — the old `len as u32` would have silently truncated the
 /// frame header and corrupted every record behind it.
 fn frame_payload(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), RestoreError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l as usize <= MAX_RECORD_LEN)
-        .ok_or_else(|| {
-            // audit:allow(hot-alloc) -- cold error path, reached only past the 1 GiB record cap
-            RestoreError::Codec(format!("record length {} exceeds cap", payload.len()))
-        })?;
+    let len =
+        u32::try_from(payload.len()).ok().filter(|&l| l as usize <= MAX_RECORD_LEN).ok_or_else(
+            || RestoreError::Codec(format!("record length {} exceeds cap", payload.len())),
+        )?;
     put_u32(out, len);
     put_u32(out, crc32(payload));
     out.extend_from_slice(payload);

@@ -1,7 +1,7 @@
 //! Lock-free single-writer snapshot publication (the serving layer's
-//! epoch'd `Arc` handoff; DESIGN.md §13).
+//! epoch'd `Arc` handoff; DESIGN.md §12).
 //!
-//! The serving design (ROADMAP item 2) runs one writer thread that owns the
+//! The serving design runs one writer thread that owns the
 //! engine and many reader threads that answer queries from immutable
 //! snapshots. This module is the handoff between them: [`Publisher`] owns
 //! the tail of an append-only chain of immutable links, and every
@@ -12,8 +12,8 @@
 //!   never contends, never waits, never takes a lock).
 //! * **Reads** chase `next` pointers with `OnceLock::get` acquire loads
 //!   ([`ReadHandle::latest`]) — no mutex, no rwlock, no spinning: the read
-//!   path is wait-free after publication, which is exactly what audit rule
-//!   A11 (`blocking-in-reader`) polices over the serving read surface.
+//!   path is wait-free after publication (the lock types are banned from
+//!   this crate outright, DESIGN.md §8).
 //! * **Memory** is bounded by the slowest cursor: links strictly behind
 //!   every `ReadHandle` (and the publisher's tail) are dropped as cursors
 //!   advance. A lagging handle that releases a long chain segment at once

@@ -317,16 +317,6 @@ impl Pyramids {
         if deltas.is_empty() {
             return RepairStats::default();
         }
-        debug_assert!(
-            deltas
-                .iter()
-                .rev()
-                .scan(std::collections::HashSet::new(), |seen, &(e, _, new_w)| {
-                    Some(!seen.insert(e) || new_w == weights[e as usize])
-                })
-                .all(|ok| ok),
-            "last delta per edge must match the final weights"
-        );
         // Modest 2× oversubscription only: each chunk task fills a full
         // private weight array, so shattering into many small chunks costs
         // more in copies than stealing wins back.
@@ -546,6 +536,11 @@ fn replay_chunk(
             sink.dedup();
         }
     }
+    // Replayed forward, the private array must be back at the final weights.
+    debug_assert!(
+        parts.is_empty() || deltas.iter().all(|&(e, _, _)| w[e as usize] == weights[e as usize]),
+        "last delta per edge must match the final weights"
+    );
     stats
 }
 

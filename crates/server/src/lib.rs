@@ -1,7 +1,7 @@
 //! # anc-server
 //!
 //! The concurrent serving layer over the activation-network clustering
-//! engine (ROADMAP item 2; DESIGN.md §13): the paper's premise is that
+//! engine (DESIGN.md §12): the paper's premise is that
 //! clustering queries are answered *while* the activation stream mutates
 //! the network, and this crate turns that premise into a single-writer /
 //! many-reader server.
@@ -12,7 +12,7 @@
 //!   [`ServeSnapshot`] after every drained cycle.
 //! * [`snapshot`] — the published state and the wait-free
 //!   [`SnapshotReader`] (epoch'd `Arc` handoff via
-//!   `anc_core::publish`; the read path takes no locks — audit rule A11).
+//!   `anc_core::publish`; the read path takes no locks — DESIGN.md §8).
 //! * [`wire`] — a hand-rolled length-prefixed binary protocol
 //!   (`len ∥ payload ∥ crc32`), total decode, typed error frames.
 //! * [`tcp`] — the TCP front end (thread per connection) plus a blocking

@@ -1,7 +1,7 @@
 //! The protocol-agnostic serving core: single-writer ingest with
 //! coalescing, wait-free epoch'd snapshot publication, backpressure.
 //!
-//! Architecture (DESIGN.md §13): one writer thread owns the engine
+//! Architecture (DESIGN.md §12): one writer thread owns the engine
 //! ([`EngineBackend`] — plain [`AncEngine`] or WAL-backed
 //! [`DurableEngine`]) and drains a bounded MPSC ingest queue. Per drain
 //! cycle it takes everything queued (up to [`ServeConfig::coalesce_max`]
@@ -10,7 +10,7 @@
 //! refreshes the cluster cache once, and publishes one immutable
 //! [`ServeSnapshot`]. Readers never see
 //! the engine — they answer from snapshots via [`SnapshotReader`], so the
-//! query path is wait-free (audit rule A11).
+//! query path is wait-free (DESIGN.md §8).
 //!
 //! Backpressure is reject/shed: [`IngestHandle::submit`] is `try_send` on
 //! the bounded queue and returns [`IngestError::Overloaded`] when full —
@@ -136,6 +136,9 @@ enum Job {
 /// Cloneable client-side handle for submitting activations.
 pub struct IngestHandle {
     tx: SyncSender<Job>,
+    // Plain counters that publish nothing, bumped `AcqRel` and read
+    // `Acquire` all the same: the relaxed ordering is denied tree-wide
+    // (`ci.sh`), so no handshake can ever be written with a weak side.
     seq: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     num_edges: u32,
@@ -165,11 +168,11 @@ impl IngestHandle {
         if edges.iter().any(|&e| e >= self.num_edges) {
             return Err(IngestError::EdgeOutOfRange);
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
         match self.tx.try_send(Job::Ingest { seq, t, edges, enqueued: Instant::now() }) {
             Ok(()) => Ok(seq),
             Err(TrySendError::Full(_)) => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                self.shed.fetch_add(1, Ordering::AcqRel);
                 Err(IngestError::Overloaded)
             }
             Err(TrySendError::Disconnected(_)) => Err(IngestError::Closed),
@@ -193,7 +196,7 @@ impl IngestHandle {
 
     /// Submissions shed so far because the queue was full.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.load(Ordering::Acquire)
     }
 }
 
@@ -447,7 +450,7 @@ fn writer_loop(
 
         let view = backend.engine().refresh_view(&levels, &modes);
         stats.query += view.query;
-        stats.shed = shed.load(Ordering::Relaxed);
+        stats.shed = shed.load(Ordering::Acquire);
         stats.publishes += 1;
         let epoch = publisher.epoch() + 1;
         let snapshot = ServeSnapshot {
@@ -478,6 +481,6 @@ fn writer_loop(
             wal_error = durable.compact().err();
         }
     }
-    stats.shed = shed.load(Ordering::Relaxed);
+    stats.shed = shed.load(Ordering::Acquire);
     ShutdownReport { backend, stats, final_epoch: publisher.epoch(), wal_error }
 }

@@ -5,11 +5,11 @@
 //! [`ServerStats`] — and hands it to [`anc_core::publish::Publisher`].
 //! Reader threads hold a [`SnapshotReader`] each and answer every query
 //! from [`SnapshotReader::snapshot`]: one wait-free chain advance, then
-//! pure reads of immutable `Arc` data. No mutex, no rwlock, no channel —
-//! the whole read surface below [`SnapshotReader::snapshot`],
-//! [`ServeSnapshot::clusters_at`], [`ServeSnapshot::same_cluster_at`] and
-//! [`ServeSnapshot::members_at`] is audited lock-free by rule A11
-//! (`blocking-in-reader`).
+//! pure reads of immutable `Arc` data. No mutex, no rwlock, no channel:
+//! the lock types are banned from this crate (`clippy.toml`), a channel end
+//! would fail the `Send + Sync` assertion below, and the crate does not
+//! depend on the thread pool — so nothing reachable from a snapshot can
+//! block (DESIGN.md §8).
 
 use std::sync::Arc;
 
@@ -46,17 +46,23 @@ pub struct ServeSnapshot {
     pub stats: ServerStats,
 }
 
+// Readers on any thread share one snapshot: an `mpsc::Receiver`, a `Cell` or
+// a `RefCell` anywhere below it stops this compiling.
+const _: () = {
+    const fn shared_by_readers<T: Send + Sync>() {}
+    shared_by_readers::<ServeSnapshot>();
+};
+
 impl ServeSnapshot {
     /// The published clustering at `(level, mode)`, if this snapshot
-    /// carries it. Wait-free query root (audit rule A11).
+    /// carries it. Wait-free.
     pub fn clusters_at(&self, level: usize, mode: ClusterMode) -> Option<&Arc<Clustering>> {
         self.view.clusters(level, mode)
     }
 
     /// Whether `u` and `v` share a cluster in the published clustering at
     /// `(level, mode)`. `None` when the pair is out of range or the level
-    /// is not published; noise nodes share no cluster. Wait-free query
-    /// root (audit rule A11).
+    /// is not published; noise nodes share no cluster. Wait-free.
     pub fn same_cluster_at(
         &self,
         u: NodeId,
@@ -73,8 +79,7 @@ impl ServeSnapshot {
 
     /// Members of the cluster containing `v` at `(level, mode)` (empty for
     /// a noise node). `None` when `v` is out of range or the level is not
-    /// published. Wait-free query root (audit rule A11): one pass over the
-    /// immutable label array, no locking.
+    /// published. Wait-free: one pass over the immutable label array.
     pub fn members_at(&self, v: NodeId, level: usize, mode: ClusterMode) -> Option<Vec<NodeId>> {
         let c = self.clusters_at(level, mode)?;
         if (v as usize) >= c.n() {
@@ -114,8 +119,8 @@ impl SnapshotReader {
         Self { inner }
     }
 
-    /// The newest published snapshot. Wait-free query root (audit rule
-    /// A11): advances the cursor with acquire loads only.
+    /// The newest published snapshot. Wait-free: advances the cursor with
+    /// acquire loads only.
     pub fn snapshot(&mut self) -> Arc<ServeSnapshot> {
         self.inner.latest()
     }

@@ -37,8 +37,7 @@ pub struct ConnState {
 impl ConnState {
     /// Answers one decoded request. Total and non-panicking: every failure
     /// maps to a typed [`Response::Error`] (the crate-wide panic lints cover
-    /// this handler; the snapshot reads under it are wait-free per audit
-    /// rule A11).
+    /// this handler; the snapshot reads under it are wait-free).
     pub fn respond(&mut self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Pong,

@@ -28,11 +28,12 @@ fn main() {
     let started = std::time::Instant::now();
     for batch in &s.batches {
         for &e in &batch.edges {
-            let trace = engine.activate_traced(e, batch.time);
+            engine.activate(e, batch.time);
+            let trace = engine.last_trace();
             if trace.is_empty() {
                 continue;
             }
-            let changed = monitor.apply_update(&g, engine.pyramids(), e, &trace);
+            let changed = monitor.apply_update(&g, engine.pyramids(), e, trace);
             if !changed.is_empty() {
                 notifications += changed.len();
                 changed_nodes.extend(changed.iter().copied());

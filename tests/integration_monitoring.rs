@@ -19,9 +19,10 @@ fn vote_cache_tracks_streamed_updates_exactly() {
     let s = stream::uniform_per_step(&g, 8, 0.02, 11);
     for batch in &s.batches {
         for &e in &batch.edges {
-            let trace = engine.activate_traced(e, batch.time);
+            engine.activate(e, batch.time);
+            let trace = engine.last_trace();
             if !trace.is_empty() {
-                cache.apply_update(&g, engine.pyramids(), e, &trace);
+                cache.apply_update(&g, engine.pyramids(), e, trace);
             }
         }
     }
@@ -47,11 +48,12 @@ fn monitor_reports_are_sound() {
     let s = stream::uniform_per_step(&g, 6, 0.02, 13);
     for batch in &s.batches {
         for &e in &batch.edges {
-            let trace = engine.activate_traced(e, batch.time);
+            engine.activate(e, batch.time);
+            let trace = engine.last_trace();
             let reported = if trace.is_empty() {
                 Vec::new()
             } else {
-                monitor.apply_update(&g, engine.pyramids(), e, &trace)
+                monitor.apply_update(&g, engine.pyramids(), e, trace)
             };
             for &v in &watched {
                 let now = engine.local_cluster(v, level);
