@@ -1,6 +1,23 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, lints (warnings are errors), release build, tests.
-# Run from the repo root. Everything is offline (vendored dependencies only).
+# Repo CI gate. Everything is offline (vendored dependencies only). It runs:
+#   - cargo fmt --check; cargo clippy --workspace --all-targets -D warnings
+#     (the static rules are clippy lints, crates/clippy.toml); release build
+#   - grep gates: every crate root forbids unsafe code; no serde in the product
+#     crates; no relaxed atomics; no thread pool under crates/server
+#   - cargo test --workspace, then anc-core under debug-invariants
+#   - by name: the WAL and snapshot property suites; in release, the wrapping
+#     edge-gap decode check and all of anc-server (framing arithmetic on
+#     lengths a peer chose)
+#   - anc-bench smoke (snapshot-size gate, the paper's shape claims)
+#   - in release: alloc_steady_state at 1 and 4 threads, repair completeness,
+#     the n = 20 000 post-rescale cache check, the cached-query work bound
+#   - the cluster-cache property suites under debug-invariants
+#   - the determinism suites at 1 and 4 pool threads; wire_proto; serve_stress
+#     under debug-invariants at 1 and 4 pool threads
+#   - seeded violations: each lint and grep gate must fail on a probe
+#   - stress-schedules: perturbed-schedule determinism, pool lock ranks
+#   - bench/smoke.sh: anc-perf's own fmt, clippy, unit tests and every
+#     workload at smoke scale
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -42,6 +59,10 @@ cargo test -p anc-core --test prop_invariants -q
 # A forged edge list whose gaps wrap u64 used to panic in debug and decode to
 # edge (0, 1) in release; the workspace run above covered debug.
 cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
+# The frame parser's offsets come from a length the peer chose: its tests
+# (scripted streams cut at every byte, hostile prefixes, the write timeout)
+# ran in debug above, where such arithmetic panics; here it would wrap.
+cargo test --release -p anc-server -q
 
 echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
 # The n = 2 000 row of the scale sweep (saves and loads both snapshot

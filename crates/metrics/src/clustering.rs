@@ -14,15 +14,18 @@ pub const NOISE: u32 = u32::MAX;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Clustering {
     assignment: Vec<u32>,
+    // Largest non-noise label plus one, and the number of non-noise nodes:
+    // functions of `assignment`, stored by every constructor so a summary
+    // of a published clustering does not rescan `n` labels.
+    num_clusters: usize,
+    num_assigned: usize,
 }
 
 impl Clustering {
     /// Builds from raw labels; any label value is accepted and will be
     /// re-densified (NOISE is preserved).
     pub fn from_labels(labels: &[u32]) -> Self {
-        let mut c = Self { assignment: labels.to_vec() };
-        c.densify();
-        c
+        Self::densified(labels.to_vec())
     }
 
     /// Builds from explicit member lists; unmentioned nodes become noise.
@@ -31,23 +34,28 @@ impl Clustering {
     /// Panics if a node appears in two groups or exceeds `n`.
     pub fn from_groups(n: usize, groups: &[Vec<NodeId>]) -> Self {
         let mut assignment = vec![NOISE; n];
+        let (mut num_clusters, mut num_assigned) = (0, 0);
         for (c, group) in groups.iter().enumerate() {
             for &v in group {
                 assert!(assignment[v as usize] == NOISE, "node {v} assigned to multiple clusters");
                 assignment[v as usize] = c as u32;
             }
+            if !group.is_empty() {
+                num_clusters = c + 1;
+                num_assigned += group.len();
+            }
         }
-        Self { assignment }
+        Self { assignment, num_clusters, num_assigned }
     }
 
     /// The all-noise clustering over `n` nodes.
     pub fn all_noise(n: usize) -> Self {
-        Self { assignment: vec![NOISE; n] }
+        Self { assignment: vec![NOISE; n], num_clusters: 0, num_assigned: 0 }
     }
 
     /// Every node in its own singleton cluster.
     pub fn singletons(n: usize) -> Self {
-        Self { assignment: (0..n as u32).collect() }
+        Self { assignment: (0..n as u32).collect(), num_clusters: n, num_assigned: n }
     }
 
     /// Number of nodes (including noise nodes).
@@ -74,12 +82,12 @@ impl Clustering {
 
     /// Number of clusters (excluding noise).
     pub fn num_clusters(&self) -> usize {
-        self.assignment.iter().filter(|&&l| l != NOISE).max().map_or(0, |&m| m as usize + 1)
+        self.num_clusters
     }
 
     /// Number of non-noise nodes.
     pub fn num_assigned(&self) -> usize {
-        self.assignment.iter().filter(|&&l| l != NOISE).count()
+        self.num_assigned
     }
 
     /// Sizes per cluster id.
@@ -115,40 +123,43 @@ impl Clustering {
                 *l = NOISE;
             }
         }
-        let mut c = Self { assignment: filtered };
-        c.densify();
-        c
+        Self::densified(filtered)
     }
 
     /// Remaps labels to a dense `0..k` range in first-appearance order,
-    /// preserving noise. Labels no larger than a small multiple of `n` —
-    /// every extractor's, whose labels are component or cluster ids — go
-    /// through a `Vec` remap; anything sparser falls back to a hash map, so
-    /// any `u32` is accepted at `O(n)` memory.
-    fn densify(&mut self) {
-        let Some(max) = self.assignment.iter().copied().filter(|&l| l != NOISE).max() else {
-            return;
+    /// preserving noise, and counts clusters and assigned nodes in the same
+    /// pass. Labels no larger than a small multiple of `n` — every
+    /// extractor's, whose labels are component or cluster ids — go through a
+    /// `Vec` remap; anything sparser falls back to a hash map, so any `u32`
+    /// is accepted at `O(n)` memory.
+    fn densified(mut assignment: Vec<u32>) -> Self {
+        let Some(max) = assignment.iter().copied().filter(|&l| l != NOISE).max() else {
+            return Self { assignment, num_clusters: 0, num_assigned: 0 };
         };
         let mut next = 0u32;
         let mut fresh = || {
             next += 1;
             next - 1
         };
-        if (max as usize) < 4 * self.assignment.len() {
+        let mut num_assigned = 0;
+        if (max as usize) < 4 * assignment.len() {
             let mut remap = vec![NOISE; max as usize + 1];
-            for l in self.assignment.iter_mut().filter(|l| **l != NOISE) {
+            for l in assignment.iter_mut().filter(|l| **l != NOISE) {
                 let slot = &mut remap[*l as usize];
                 if *slot == NOISE {
                     *slot = fresh();
                 }
                 *l = *slot;
+                num_assigned += 1;
             }
         } else {
             let mut remap = std::collections::HashMap::new();
-            for l in self.assignment.iter_mut().filter(|l| **l != NOISE) {
+            for l in assignment.iter_mut().filter(|l| **l != NOISE) {
                 *l = *remap.entry(*l).or_insert_with(&mut fresh);
+                num_assigned += 1;
             }
         }
+        Self { assignment, num_clusters: next as usize, num_assigned }
     }
 }
 
@@ -215,6 +226,29 @@ mod tests {
         assert_eq!(f.label(0), 0);
         assert!(f.is_noise(3));
         assert!(f.is_noise(5));
+    }
+
+    /// The stored counts are the definitions, whichever constructor set them.
+    #[test]
+    fn stored_counts_equal_a_rescan() {
+        let top = u32::MAX - 1;
+        for c in [
+            Clustering::from_labels(&[5, 5, 9, NOISE, 9, 0]),
+            Clustering::from_labels(&[top, 7, NOISE, top - 5, 7, top]),
+            Clustering::from_labels(&[NOISE; 3]),
+            Clustering::from_labels(&[]),
+            Clustering::from_groups(6, &[vec![0, 2], vec![], vec![1, 3, 4], vec![]]),
+            Clustering::from_groups(4, &[]),
+            Clustering::all_noise(5),
+            Clustering::singletons(4),
+            Clustering::singletons(0),
+            Clustering::from_labels(&[0, 0, 0, 1, 1, 2, NOISE]).filter_small(2),
+            Clustering::from_labels(&[0, 1, 2]).filter_small(2),
+        ] {
+            let assigned = || c.labels().iter().filter(|&&l| l != NOISE);
+            assert_eq!(c.num_clusters(), assigned().max().map_or(0, |&m| m as usize + 1), "{c:?}");
+            assert_eq!(c.num_assigned(), assigned().count(), "{c:?}");
+        }
     }
 
     #[test]

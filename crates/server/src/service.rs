@@ -383,6 +383,11 @@ fn writer_loop(
     let mut applied_seq = 0u64;
     let mut wal_error: Option<RestoreError> = None;
     let mut stop = false;
+    // Reused across cycles: each is empty again by the end of one.
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut flushes: Vec<SyncSender<u64>> = Vec::new();
+    let mut run_edges: Vec<EdgeId> = Vec::new();
+    let mut run_meta: Vec<(u64, Instant)> = Vec::new();
 
     'serve: while !stop {
         // Block for the first job, then opportunistically drain what is
@@ -391,7 +396,7 @@ fn writer_loop(
             Ok(job) => job,
             Err(_) => break 'serve, // every handle dropped without Stop
         };
-        let mut jobs = vec![first];
+        jobs.push(first);
         while jobs.len() < cfg.coalesce_max {
             match rx.try_recv() {
                 Ok(job) => jobs.push(job),
@@ -399,11 +404,8 @@ fn writer_loop(
             }
         }
 
-        let mut flushes: Vec<SyncSender<u64>> = Vec::new();
         let mut run_t = 0.0f64;
-        let mut run_edges: Vec<EdgeId> = Vec::new();
-        let mut run_meta: Vec<(u64, Instant)> = Vec::new();
-        for job in jobs {
+        for job in jobs.drain(..) {
             match job {
                 Job::Ingest { seq, t, edges, enqueued } => {
                     // Runs merge consecutive same-timestamp jobs; a new
@@ -442,6 +444,8 @@ fn writer_loop(
             &mut applied_seq,
             &mut wal_error,
         );
+        run_edges.clear();
+        run_meta.clear();
 
         #[cfg(feature = "debug-invariants")]
         if let Err(violation) = backend.engine().check_invariants() {
@@ -463,7 +467,7 @@ fn writer_loop(
             stats: stats.clone(),
         };
         publisher.publish(snapshot);
-        for done in flushes {
+        for done in flushes.drain(..) {
             // A departed flusher is not an error.
             let _ = done.send(epoch);
         }

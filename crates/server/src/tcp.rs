@@ -7,9 +7,12 @@
 //! wait-free snapshot reads, ingest is a non-blocking `try_send`, and
 //! every failure becomes a typed [`Response::Error`] frame — the handler
 //! never panics (the crate denies `clippy::{unwrap_used, expect_used, panic}`
-//! and friends outside tests).
+//! and friends outside tests). Both ends move bytes in bursts: a connection
+//! thread answers every frame one `read` brought in and sends the replies
+//! with one `write` (`serve_conn`), and [`WireClient`] reads through the same
+//! buffered parser.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,11 +22,18 @@ use anc_graph::codec::CodecError;
 
 use crate::service::{IngestError, IngestHandle, ServerCore, ShutdownReport};
 use crate::snapshot::SnapshotReader;
-use crate::wire::{read_frame, write_frame, ErrorCode, FrameError, Request, Response, StatsReply};
+use crate::wire::{
+    encode_labels, push_frame, ErrorCode, FrameError, FrameReader, Request, Response, StatsReply,
+    IO_BUF,
+};
 
 /// Per-connection read timeout; bounds how long a quiet connection waits
 /// before re-checking the stop flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+/// Per-connection write timeout: how long one `write` of buffered replies
+/// may wait on a peer that has stopped reading before the connection is
+/// dropped (and the longest a parked connection can hold up a shutdown).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept-loop poll interval while the listener has no pending connection.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
@@ -35,13 +45,14 @@ pub struct ConnState {
 }
 
 impl ConnState {
-    /// Answers one decoded request. Total and non-panicking: every failure
-    /// maps to a typed [`Response::Error`] (the crate-wide panic lints cover
-    /// this handler; the snapshot reads under it are wait-free).
-    pub fn respond(&mut self, req: &Request) -> Response {
-        match req {
+    /// Answers one decoded request: appends the encoded reply payload to
+    /// `out`. Total and non-panicking: every failure maps to a typed
+    /// [`Response::Error`] (the crate-wide panic lints cover this handler;
+    /// the snapshot reads under it are wait-free).
+    pub fn respond(&mut self, req: Request, out: &mut Vec<u8>) {
+        let response = match req {
             Request::Ping => Response::Pong,
-            Request::Ingest { t, edges } => match self.ingest.submit(*t, edges.clone()) {
+            Request::Ingest { t, edges } => match self.ingest.submit(t, edges) {
                 Ok(seq) => Response::Ingested { seq },
                 Err(e) => ingest_error(e),
             },
@@ -51,39 +62,39 @@ impl ConnState {
             },
             Request::SameCluster { u, v, level, mode } => {
                 let snap = self.reader.snapshot();
-                match snap.same_cluster_at(*u, *v, *level, *mode) {
+                match snap.same_cluster_at(u, v, level, mode) {
                     Some(value) => Response::SameCluster { epoch: snap.epoch, value },
-                    None => not_answerable(&snap, *level, *mode, Some((*u).max(*v))),
+                    None => not_answerable(&snap, level, mode, Some(u.max(v))),
                 }
             }
             Request::ClusterSummary { level, mode } => {
                 let snap = self.reader.snapshot();
-                match snap.clusters_at(*level, *mode) {
+                match snap.clusters_at(level, mode) {
                     Some(c) => Response::Summary {
                         epoch: snap.epoch,
                         generation: snap.view.generation,
                         num_clusters: c.num_clusters() as u64,
                         num_assigned: c.num_assigned() as u64,
                     },
-                    None => not_answerable(&snap, *level, *mode, None),
+                    None => not_answerable(&snap, level, mode, None),
                 }
             }
             Request::ClusterLabels { level, mode } => {
                 let snap = self.reader.snapshot();
-                match snap.clusters_at(*level, *mode) {
-                    Some(c) => Response::Labels {
-                        epoch: snap.epoch,
-                        generation: snap.view.generation,
-                        labels: c.labels().to_vec(),
-                    },
-                    None => not_answerable(&snap, *level, *mode, None),
+                match snap.clusters_at(level, mode) {
+                    // Straight from the published labels, not through an
+                    // owned `Response::Labels`.
+                    Some(c) => {
+                        return encode_labels(out, snap.epoch, snap.view.generation, c.labels())
+                    }
+                    None => not_answerable(&snap, level, mode, None),
                 }
             }
             Request::Members { v, level, mode } => {
                 let snap = self.reader.snapshot();
-                match snap.members_at(*v, *level, *mode) {
+                match snap.members_at(v, level, mode) {
                     Some(members) => Response::Members { epoch: snap.epoch, members },
-                    None => not_answerable(&snap, *level, *mode, Some(*v)),
+                    None => not_answerable(&snap, level, mode, Some(v)),
                 }
             }
             Request::Stats => {
@@ -112,7 +123,8 @@ impl ConnState {
                 self.stop.store(true, Ordering::Release);
                 Response::ShuttingDown
             }
-        }
+        };
+        response.encode(out);
     }
 }
 
@@ -155,59 +167,88 @@ fn not_answerable(
     }
 }
 
-fn handle_conn(mut state: ConnState, mut stream: TcpStream) {
-    // The listener is non-blocking; the accepted stream must not be.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(READ_POLL)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
+/// One `write` of every buffered reply. `false` drops the connection: the
+/// peer is gone, or it stopped reading and the write timed out — a short
+/// count is that timeout expiring part-way, so it is not retried.
+fn send<W: Write>(w: &mut W, out: &mut Vec<u8>) -> bool {
+    if out.is_empty() {
+        return true;
     }
-    let mut out = Vec::new();
+    let sent = loop {
+        match w.write(out) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            sent => break sent,
+        }
+    };
+    let whole = matches!(sent, Ok(k) if k == out.len());
+    out.clear();
+    out.shrink_to(IO_BUF); // a label dump's worth of room is not kept
+    whole
+}
+
+fn push_error(out: &mut Vec<u8>, msg: String) {
+    push_frame(out, |out| Response::Error { code: ErrorCode::Malformed, msg }.encode(out));
+}
+
+/// The connection loop. Each pass answers every complete frame the read
+/// buffer holds, framing the replies into one out buffer, and writes that
+/// buffer once whenever the thread is about to block: before the `read` for
+/// more requests, before a `Flush` waits on the writer, and when the unsent
+/// replies pass [`IO_BUF`]. A pipelined burst that fits the buffers therefore
+/// costs one `read` and one `write`, however many frames it holds.
+fn serve_conn<S: Read + Write>(state: &mut ConnState, stream: &mut S) {
+    let mut frames = FrameReader::new();
+    let mut out = Vec::with_capacity(IO_BUF);
     loop {
-        if state.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return, // clean close
-            Err(FrameError::Idle) => continue,
-            Err(FrameError::TooLarge(len)) => {
-                // Reject and close: the stream cannot be resynced past an
-                // unread oversized body.
-                send_error(
-                    &mut stream,
-                    &mut out,
-                    ErrorCode::Malformed,
-                    &format!("frame length {len} exceeds limit"),
-                );
+        let closing = loop {
+            let request = match frames.next_frame() {
+                Ok(Some(payload)) => Request::decode(payload),
+                Ok(None) => break false,
+                // A bad length or a bad checksum: reject and close, the
+                // stream cannot be resynced past either. Replies to the
+                // frames before it are already in `out`.
+                Err(e) => {
+                    push_error(&mut out, e.to_string());
+                    break true;
+                }
+            };
+            match request {
+                Ok(request) => {
+                    if matches!(request, Request::Flush) && !send(stream, &mut out) {
+                        return;
+                    }
+                    let last = matches!(request, Request::Shutdown);
+                    push_frame(&mut out, |out| state.respond(request, out));
+                    if last {
+                        break true;
+                    }
+                }
+                Err(e) => push_error(&mut out, e.to_string()),
+            }
+            if out.len() >= IO_BUF && !send(stream, &mut out) {
                 return;
             }
-            Err(FrameError::BadCrc) => {
-                send_error(&mut stream, &mut out, ErrorCode::Malformed, "frame checksum mismatch");
-                return;
-            }
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
         };
-        let response = match Request::decode(&payload) {
-            Ok(request) => state.respond(&request),
-            Err(e) => Response::Error { code: ErrorCode::Malformed, msg: e.to_string() },
-        };
-        out.clear();
-        response.encode(&mut out);
-        if write_frame(&mut stream, &out).is_err() {
+        if !send(stream, &mut out) || closing || state.stop.load(Ordering::Acquire) {
             return;
         }
-        if matches!(response, Response::ShuttingDown) {
-            return;
+        match frames.fill(stream) {
+            Ok(true) | Err(FrameError::Idle) => {}
+            Ok(false) | Err(_) => return, // clean close, or a dead or stalled peer
         }
     }
 }
 
-fn send_error(stream: &mut TcpStream, out: &mut Vec<u8>, code: ErrorCode, msg: &str) {
-    out.clear();
-    Response::Error { code, msg: msg.into() }.encode(out);
-    let _ = write_frame(stream, out);
+fn handle_conn(mut state: ConnState, mut stream: TcpStream) {
+    // The listener is non-blocking; the accepted stream must not be.
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(READ_POLL)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
+        return;
+    }
+    serve_conn(&mut state, &mut stream);
 }
 
 /// The TCP server: owns the [`ServerCore`] plus the accept thread.
@@ -338,7 +379,8 @@ impl From<std::io::Error> for ClientError {
 /// A blocking request/response client for the wire protocol.
 pub struct WireClient {
     stream: TcpStream,
-    buf: Vec<u8>,
+    out: Vec<u8>,
+    frames: FrameReader,
 }
 
 impl WireClient {
@@ -346,29 +388,34 @@ impl WireClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(WireClient { stream, buf: Vec::new() })
+        Ok(WireClient { stream, out: Vec::new(), frames: FrameReader::new() })
     }
 
-    /// Sends one request and waits for its response.
+    /// Sends one request (one `write`) and waits for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.buf.clear();
-        req.encode(&mut self.buf);
-        write_frame(&mut self.stream, &self.buf)?;
+        self.out.clear();
+        push_frame(&mut self.out, |out| req.encode(out));
+        self.stream.write_all(&self.out)?;
         self.read_response()
     }
 
-    /// Sends raw bytes verbatim — for protocol tests (malformed frames,
-    /// truncated writes, hostile length prefixes).
+    /// Sends raw bytes verbatim — for pipelined bursts and for protocol
+    /// tests (malformed frames, truncated writes, hostile length prefixes).
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.stream.write_all(bytes)?;
         self.stream.flush()
     }
 
-    /// Reads one response frame.
+    /// Reads one response frame: from the read buffer when a previous
+    /// `read` already brought it in, otherwise after one more.
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
-        match read_frame(&mut self.stream)? {
-            Some(payload) => Response::decode(&payload).map_err(ClientError::Codec),
-            None => Err(ClientError::Disconnected),
+        loop {
+            if let Some(payload) = self.frames.next_frame()? {
+                return Response::decode(payload).map_err(ClientError::Codec);
+            }
+            if !self.frames.fill(&mut self.stream)? {
+                return Err(ClientError::Disconnected);
+            }
         }
     }
 
@@ -376,5 +423,351 @@ impl WireClient {
     /// called after a partial [`Self::send_raw`]).
     pub fn shutdown_write(&mut self) -> std::io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::io::Cursor;
+    use std::time::Instant;
+
+    use anc_core::{AncConfig, AncEngine, ClusterMode};
+    use anc_graph::gen::connected_caveman;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    use super::*;
+    use crate::service::{EngineBackend, ServeConfig};
+    use crate::wire::{read_frame, write_frame, MAX_FRAME};
+
+    const EVEN: ClusterMode = ClusterMode::Even;
+
+    fn core(cliques: usize, size: usize) -> (ServerCore, usize) {
+        let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
+        let engine = AncEngine::new(connected_caveman(cliques, size).graph, cfg, 42);
+        let level = engine.default_level();
+        let serve = ServeConfig { levels: vec![level], modes: vec![EVEN], ..Default::default() };
+        (ServerCore::start(EngineBackend::Volatile(engine), serve).expect("server core"), level)
+    }
+
+    /// A served 24-node network and one connection's state over it.
+    fn conn() -> (ServerCore, ConnState, usize) {
+        let (core, level) = core(4, 6);
+        let state = ConnState {
+            ingest: core.ingest_handle(),
+            reader: core.reader(),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        (core, state, level)
+    }
+
+    enum Step {
+        Data(Vec<u8>),
+        Timeout,
+    }
+
+    /// An in-memory stream. Reads follow the script, one step per `read`, and
+    /// report a clean close after it; every `write` call is recorded on its
+    /// own, with the published epoch at that moment when there is a `probe`.
+    #[derive(Default)]
+    struct Scripted {
+        steps: VecDeque<Step>,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+        /// Most bytes one `write` takes (a peer whose window has closed).
+        accepts: Option<usize>,
+        probe: Option<SnapshotReader>,
+        epochs: Vec<u64>,
+    }
+
+    impl Scripted {
+        fn reading(steps: impl IntoIterator<Item = Step>) -> Self {
+            Self { steps: steps.into_iter().collect(), ..Default::default() }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Step::Data(mut bytes)) => {
+                    let k = bytes.len().min(buf.len());
+                    buf[..k].copy_from_slice(&bytes[..k]);
+                    if k < bytes.len() {
+                        self.steps.push_front(Step::Data(bytes.split_off(k)));
+                    }
+                    Ok(k)
+                }
+                Some(Step::Timeout) => Err(ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let k = self.accepts.map_or(buf.len(), |most| most.min(buf.len()));
+            self.writes.push(buf[..k].to_vec());
+            if let Some(probe) = &mut self.probe {
+                self.epochs.push(probe.snapshot().epoch);
+            }
+            Ok(k)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_frame(&mut out, |out| req.encode(out));
+        out
+    }
+
+    fn pipeline(reqs: &[Request]) -> Vec<u8> {
+        reqs.iter().flat_map(framed).collect()
+    }
+
+    /// Every frame in `bytes`, decoded; panics unless they are all well formed
+    /// and nothing is left over.
+    fn replies(bytes: &[u8]) -> Vec<Response> {
+        let mut cursor = Cursor::new(bytes);
+        let mut all = Vec::new();
+        while let Some(payload) = read_frame(&mut cursor).expect("well-formed frame") {
+            all.push(Response::decode(&payload).expect("well-formed reply"));
+        }
+        all
+    }
+
+    /// Runs the connection loop over `script` against a fresh server.
+    fn serve(script: impl IntoIterator<Item = Step>) -> Scripted {
+        let (core, mut state, _) = conn();
+        let mut stream = Scripted::reading(script);
+        serve_conn(&mut state, &mut stream);
+        core.shutdown();
+        stream
+    }
+
+    fn malformed(resp: &Response) -> bool {
+        matches!(resp, Response::Error { code: ErrorCode::Malformed, .. })
+    }
+
+    #[test]
+    fn a_pipelined_burst_costs_one_read_and_one_write() {
+        let (core, mut state, level) = conn();
+        let burst: Vec<Request> = (0..32u32)
+            .map(|i| match i % 3 {
+                0 => Request::SameCluster { u: i % 24, v: (7 * i) % 24, level, mode: EVEN },
+                1 => Request::ClusterSummary { level, mode: EVEN },
+                _ => Request::Members { v: i % 24, level, mode: EVEN },
+            })
+            .collect();
+        let mut stream = Scripted::reading([Step::Data(pipeline(&burst))]);
+        serve_conn(&mut state, &mut stream);
+        assert_eq!(stream.reads, 2, "the burst, then the close");
+        assert_eq!(stream.writes.len(), 1, "one write for 32 replies");
+        let one_by_one: Vec<Response> = burst
+            .iter()
+            .map(|req| {
+                let mut payload = Vec::new();
+                state.respond(req.clone(), &mut payload);
+                Response::decode(&payload).expect("reply decodes")
+            })
+            .collect();
+        assert_eq!(replies(&stream.writes[0]), one_by_one, "request order");
+        core.shutdown();
+    }
+
+    /// However the request bytes are cut into reads — inside a length prefix,
+    /// inside a checksum, with timeouts between the pieces — the reply bytes
+    /// are those of a single delivery.
+    #[test]
+    fn reply_bytes_do_not_depend_on_where_reads_cut_the_stream() {
+        for seed in 0..32 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut bytes = Vec::new();
+            for _ in 0..rng.gen_range(1..40usize) {
+                let (u, v) = (rng.gen_range(0..30u32), rng.gen_range(0..30u32));
+                let level = rng.gen_range(0..6usize);
+                let req = match rng.gen_range(0..9u32) {
+                    0 => Request::Ping,
+                    1 => Request::Flush,
+                    2 => Request::SameCluster { u, v, level, mode: EVEN },
+                    3 => Request::ClusterSummary { level, mode: EVEN },
+                    4 => Request::ClusterLabels { level, mode: EVEN },
+                    5 => Request::Members { v, level, mode: ClusterMode::Power },
+                    6 => Request::Stats,
+                    // Refused before the queue: nothing the writer does
+                    // asynchronously may reach a reply.
+                    7 => Request::Ingest { t: f64::NAN, edges: vec![u, v] },
+                    _ => {
+                        write_frame(&mut bytes, &[0xEE, u as u8]).expect("vec write");
+                        continue;
+                    }
+                };
+                bytes.extend(framed(&req));
+            }
+            if rng.gen_bool(0.5) {
+                let bad = bytes.len();
+                bytes.extend(framed(&Request::Ping));
+                bytes[bad + 4] ^= 0x55;
+                bytes.extend(framed(&Request::Ping));
+            }
+
+            let whole = serve([Step::Data(bytes.clone())]);
+            let mut pieces = Vec::new();
+            let mut rest = bytes.as_slice();
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(13)));
+                pieces.push(Step::Data(piece.to_vec()));
+                if rng.gen_bool(0.2) {
+                    pieces.push(Step::Timeout);
+                }
+                rest = tail;
+            }
+            let cut = serve(pieces);
+            assert_eq!(cut.writes.concat(), whole.writes.concat(), "seed {seed}");
+            assert!(!whole.writes.is_empty(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn idle_close_truncation_and_stall_budget() {
+        let ping = framed(&Request::Ping);
+        let (head, tail) = ping.split_at(5);
+        let data = |bytes: &[u8]| Step::Data(bytes.to_vec());
+        let stalls = |k: usize| (0..k).map(|_| Step::Timeout);
+
+        // Timeouts at a frame boundary are idle polls, not stalls; the close
+        // that follows the reply is clean.
+        let idle = serve(stalls(60).chain([data(&ping)]).chain(stalls(60)));
+        assert_eq!(replies(&idle.writes.concat()), [Response::Pong]);
+        assert_eq!(idle.reads, 122);
+
+        // A close inside a frame drops the connection without a reply.
+        let truncated = serve([data(&ping), data(head)]);
+        assert_eq!(replies(&truncated.writes.concat()), [Response::Pong]);
+
+        // Fifty stalls inside one frame are tolerated, the fifty-first is not
+        // (and the rest of the frame is never read).
+        let slow = serve([data(head)].into_iter().chain(stalls(50)).chain([data(tail)]));
+        assert_eq!(replies(&slow.writes.concat()), [Response::Pong]);
+        let stalled = serve([data(head)].into_iter().chain(stalls(51)).chain([data(tail)]));
+        assert!(stalled.writes.is_empty());
+        assert_eq!((stalled.reads, stalled.steps.len()), (52, 1));
+    }
+
+    /// Four bytes claiming a `MAX_FRAME` payload buy no memory: room is made
+    /// for bytes that arrive, and the stalled frame is dropped on the budget.
+    #[test]
+    fn a_length_prefix_alone_reserves_nothing() {
+        let prefix = Step::Data(MAX_FRAME.to_le_bytes().to_vec());
+        let stalls = || (0..60).map(|_| Step::Timeout);
+
+        let mut frames = FrameReader::new();
+        let mut stream = Scripted::reading([prefix].into_iter().chain(stalls()));
+        assert!(matches!(frames.next_frame(), Ok(None)));
+        assert!(matches!(frames.fill(&mut stream), Ok(true)));
+        assert!(matches!(frames.next_frame(), Ok(None)));
+        assert!(matches!(frames.fill(&mut stream), Err(FrameError::Truncated)));
+        assert_eq!(frames.capacity(), IO_BUF);
+        assert_eq!(stream.reads, 52);
+
+        let prefix = Step::Data(MAX_FRAME.to_le_bytes().to_vec());
+        let dropped = serve([prefix].into_iter().chain(stalls()));
+        assert!(dropped.writes.is_empty());
+        assert_eq!(dropped.reads, 52);
+
+        // A long frame that does arrive grows the buffer no further than
+        // twice what has been received, and the room is given back after it.
+        let mut long = Vec::new();
+        write_frame(&mut long, &vec![7u8; 5 * IO_BUF]).expect("vec write");
+        let mut stream = Scripted::reading(long.chunks(IO_BUF / 2).map(|c| Step::Data(c.to_vec())));
+        let mut frames = FrameReader::new();
+        while matches!(frames.next_frame(), Ok(None)) {
+            let received = (stream.reads * IO_BUF / 2).max(IO_BUF);
+            assert!(frames.capacity() <= 2 * received, "after {} reads", stream.reads);
+            assert!(matches!(frames.fill(&mut stream), Ok(true)));
+        }
+        assert!(stream.steps.is_empty());
+        assert!(matches!(frames.fill(&mut stream), Ok(false)));
+        assert_eq!(frames.capacity(), IO_BUF);
+    }
+
+    /// A frame that fails its checksum or its length check in mid-pipeline
+    /// does not cost the good frames before it their replies.
+    #[test]
+    fn a_bad_frame_in_mid_pipeline_closes_after_the_replies_before_it() {
+        let ping = framed(&Request::Ping);
+        let mut corrupt = ping.clone();
+        corrupt[4] ^= 0x01;
+        let oversized = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        for bad in [corrupt, oversized] {
+            let bytes = [ping.clone(), ping.clone(), bad, ping.clone()].concat();
+            let stream = serve([Step::Data(bytes), Step::Data(ping.clone())]);
+            let got = replies(&stream.writes.concat());
+            assert_eq!(got[..2], [Response::Pong, Response::Pong]);
+            assert!(got.len() == 3 && malformed(&got[2]), "{got:?}");
+            assert_eq!(stream.writes.len(), 1);
+            assert_eq!(stream.steps.len(), 1, "closed without another read");
+        }
+    }
+
+    /// The reply owed for a query is on the wire before the connection
+    /// waits on the writer for the `Flush` queued behind it.
+    #[test]
+    fn a_flush_does_not_hold_back_the_reply_before_it() {
+        let (core, mut state, level) = conn();
+        let query = Request::SameCluster { u: 0, v: 1, level, mode: EVEN };
+        let mut stream = Scripted::reading([Step::Data(pipeline(&[query, Request::Flush]))]);
+        stream.probe = Some(core.reader());
+        serve_conn(&mut state, &mut stream);
+        assert_eq!(stream.writes.len(), 2);
+        assert!(matches!(replies(&stream.writes[0])[..], [Response::SameCluster { epoch: 0, .. }]));
+        assert_eq!(replies(&stream.writes[1]), [Response::Flushed { epoch: 1 }]);
+        // Nothing else was queued, so the barrier itself published epoch 1:
+        // the first write went out before it, the second after.
+        assert_eq!(stream.epochs, [0, 1]);
+        core.shutdown();
+    }
+
+    #[test]
+    fn a_short_write_drops_the_connection() {
+        let ping = framed(&Request::Ping);
+        let mut stream = Scripted::reading([Step::Data(ping.repeat(3)), Step::Data(ping.clone())]);
+        stream.accepts = Some(20);
+        let (core, mut state, _) = conn();
+        serve_conn(&mut state, &mut stream);
+        core.shutdown();
+        assert_eq!(stream.writes.len(), 1, "not retried");
+        assert_eq!(stream.steps.len(), 1, "closed without another read");
+    }
+
+    /// ROADMAP 4(d): a client that pipelines label dumps and never reads
+    /// them used to park its connection thread in `write` for ever, and
+    /// `shutdown` with it.
+    #[test]
+    fn a_peer_that_never_reads_is_dropped_on_the_write_timeout() {
+        let (core, level) = core(20, 20);
+        let server = TcpServer::start(core, "127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+        // 400 labels a reply, 1.6 KB: the replies owed soon exceed what the
+        // two socket buffers hold, the server's write blocks, and the
+        // requests keep coming until the server hangs up.
+        let requests = framed(&Request::ClusterLabels { level, mode: EVEN }).repeat(1_000);
+        let bound = WRITE_TIMEOUT + Duration::from_secs(5);
+        // A parked server would otherwise hang this test instead of failing it.
+        peer.set_write_timeout(Some(bound)).expect("set timeout");
+        let began = Instant::now();
+        while began.elapsed() < bound && peer.write_all(&requests).is_ok() {}
+        let dropped = began.elapsed();
+        assert!(dropped >= WRITE_TIMEOUT, "dropped before a write could time out: {dropped:?}");
+        assert!(dropped < bound, "still connected after {dropped:?}");
+        let report = server.shutdown();
+        assert!(report.wal_error.is_none());
+        assert!(began.elapsed() < bound, "{:?}", began.elapsed());
+        drop(peer);
     }
 }

@@ -12,8 +12,9 @@
 //! never a panic (the crate denies `clippy::{unwrap_used, expect_used,
 //! panic}` and friends outside tests, [`Request::decode`] and
 //! [`Response::encode`] included). A frame longer than
-//! [`MAX_FRAME`] is rejected before allocation, so a hostile length
-//! prefix cannot balloon memory.
+//! [`MAX_FRAME`] is rejected on its prefix, and room for a long one is made
+//! only as its bytes arrive, so a hostile length prefix cannot balloon
+//! memory.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -57,81 +58,163 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Size of a connection's read buffer and the level of unsent replies that
+/// forces a `write`, on both ends of the wire. A 32-query burst and its
+/// replies are under 1 KiB each way and a label dump for 4 000 nodes fits;
+/// a frame longer than this grows the read buffer only as its bytes arrive.
+pub(crate) const IO_BUF: usize = 16 << 10;
+
+/// Read timeouts tolerated while a frame is half received: a slow writer of
+/// a legitimate frame is not dropped, a stalled half-frame eventually is.
+const STALL_BUDGET: u32 = 50;
+
+/// Appends one frame to `out`, its payload written in place by `encode`:
+/// the length is back-patched and the checksum appended, so a reply goes
+/// from its encoder to the socket buffer without an intermediate copy.
+pub(crate) fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let body = at + 4;
+    // A payload past u32 is past MAX_FRAME too: the peer's parser rejects the
+    // saturated length instead of misreading a wrapped one.
+    let len = u32::try_from(out.len() - body).unwrap_or(u32::MAX);
+    out[at..body].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[body..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Writes one frame (`len ∥ payload ∥ crc`) to `w`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let mut header = [0u8; 4];
-    header.copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    let mut frame = Vec::with_capacity(payload.len() + 8);
+    push_frame(&mut frame, |out| out.extend_from_slice(payload));
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Fills `buf` from `r`, distinguishing clean EOF before the first byte
-/// (`Ok(false)`), timeout before the first byte (`FrameError::Idle`), and
-/// EOF/timeout mid-read (`FrameError::Truncated`). A bounded number of
-/// mid-read timeouts is tolerated so a slow writer of a legitimate frame
-/// is not dropped, but a stalled half-frame eventually is.
-fn read_exact_frame<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    started: &mut bool,
-) -> Result<bool, FrameError> {
-    let mut filled = 0usize;
-    let mut stalls = 0u32;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if !*started && filled == 0 {
-                    return Ok(false); // clean close at a frame boundary
-                }
-                return Err(FrameError::Truncated);
-            }
-            Ok(k) => {
-                filled += k;
-                *started = true;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if !*started && filled == 0 {
-                    return Err(FrameError::Idle);
-                }
-                stalls += 1;
-                if stalls > 50 {
-                    return Err(FrameError::Truncated);
-                }
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(true)
+/// The read side of a connection: one buffer, filled by whole `read`s and
+/// parsed in place. The only parser of the frame format — the length limit,
+/// the checksum and the stall budget live here for server and client alike.
+pub(crate) struct FrameReader {
+    /// `buf[start..end]` is received and not yet parsed; `buf.len()` is the
+    /// room, [`IO_BUF`] unless a single longer frame is arriving.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Read timeouts since the frame at `start` began arriving.
+    stalls: u32,
 }
 
-/// Reads one frame's payload. `Ok(None)` is a clean close at a frame
-/// boundary; [`FrameError::Idle`] means no byte arrived before the read
-/// timeout (retry after polling the stop flag).
+impl FrameReader {
+    pub(crate) fn new() -> Self {
+        Self { buf: vec![0; IO_BUF], start: 0, end: 0, stalls: 0 }
+    }
+
+    /// Whole length (prefix, payload, checksum) of the frame at the head of
+    /// the buffer, once its prefix has arrived and passed [`MAX_FRAME`].
+    fn head_len(&self) -> Result<Option<usize>, FrameError> {
+        let Some(prefix) = self.buf[self.start..self.end].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len > MAX_FRAME {
+            return Err(FrameError::TooLarge(len));
+        }
+        Ok(Some(len as usize + 8))
+    }
+
+    /// The payload of the next frame if the buffer holds all of it, checked
+    /// against its checksum where it lies; `None` when more bytes are needed.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        let Some(total) = self.head_len()? else { return Ok(None) };
+        if self.end - self.start < total {
+            return Ok(None);
+        }
+        let payload = self.start + 4..self.start + total - 4;
+        let crc = &self.buf[payload.end..payload.end + 4];
+        if crc != crc32(&self.buf[payload.clone()]).to_le_bytes() {
+            return Err(FrameError::BadCrc);
+        }
+        self.start += total;
+        self.stalls = 0;
+        Ok(Some(&self.buf[payload]))
+    }
+
+    /// Bytes still to arrive before [`Self::next_frame`] can succeed: the
+    /// rest of the prefix, or the rest of the frame once the prefix is in.
+    fn missing(&self) -> Result<usize, FrameError> {
+        Ok(self.head_len()?.unwrap_or(4).saturating_sub(self.end - self.start))
+    }
+
+    /// One `read` into the free part of the buffer, after
+    /// [`Self::next_frame`] returned `None`. `Ok(false)` is a clean close at
+    /// a frame boundary; [`FrameError::Idle`] a timeout at one (poll the
+    /// stop flag and retry); [`FrameError::Truncated`] a close inside a
+    /// frame or a frame stalled past its budget.
+    pub(crate) fn fill<R: Read>(&mut self, r: &mut R) -> Result<bool, FrameError> {
+        if self.start > 0 {
+            // What the parser left is less than one frame: move it to the front.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == 0 && self.buf.len() > IO_BUF {
+            self.buf.truncate(IO_BUF);
+            self.buf.shrink_to_fit();
+        }
+        if self.end == self.buf.len() {
+            // Only a frame longer than the buffer fills it without
+            // completing. Double, never past that frame: room follows the
+            // bytes received, not the length four of them claim.
+            let total = self.head_len()?.unwrap_or(0);
+            if total <= self.end {
+                return Ok(true);
+            }
+            self.buf.resize(total.min(2 * self.end), 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(false),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(k) => {
+                    self.end += k;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    if self.end == 0 {
+                        return Err(FrameError::Idle);
+                    }
+                    self.stalls += 1;
+                    if self.stalls > STALL_BUDGET {
+                        return Err(FrameError::Truncated);
+                    }
+                }
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
+/// Reads one frame's payload and not a byte past it. `Ok(None)` is a clean
+/// close at a frame boundary; [`FrameError::Idle`] means no byte arrived
+/// before the read timeout (retry after polling the stop flag).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut started = false;
-    let mut header = [0u8; 4];
-    if !read_exact_frame(r, &mut header, &mut started)? {
-        return Ok(None);
+    let mut frames = FrameReader::new();
+    loop {
+        if let Some(payload) = frames.next_frame()? {
+            return Ok(Some(payload.to_vec()));
+        }
+        let missing = frames.missing()? as u64;
+        if !frames.fill(&mut r.by_ref().take(missing))? {
+            return Ok(None);
+        }
     }
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !read_exact_frame(r, &mut payload, &mut started)? {
-        return Err(FrameError::Truncated);
-    }
-    let mut crc = [0u8; 4];
-    if !read_exact_frame(r, &mut crc, &mut started)? {
-        return Err(FrameError::Truncated);
-    }
-    if u32::from_le_bytes(crc) != crc32(&payload) {
-        return Err(FrameError::BadCrc);
-    }
-    Ok(Some(payload))
 }
 
 /// Typed failure carried in an error frame.
@@ -529,6 +612,19 @@ pub enum Response {
     },
 }
 
+/// The payload of a [`Response::Labels`], from borrowed labels: the server
+/// encodes a label dump straight from the published snapshot.
+pub(crate) fn encode_labels(out: &mut Vec<u8>, epoch: u64, generation: u64, labels: &[u32]) {
+    put_u8(out, RESP_LABELS);
+    put_uvarint(out, epoch);
+    put_uvarint(out, generation);
+    put_uvarint(out, labels.len() as u64);
+    out.reserve(4 * labels.len());
+    for &l in labels {
+        put_u32(out, l);
+    }
+}
+
 const RESP_PONG: u8 = 1;
 const RESP_INGESTED: u8 = 2;
 const RESP_FLUSHED: u8 = 3;
@@ -566,13 +662,7 @@ impl Response {
                 put_uvarint(out, *num_assigned);
             }
             Response::Labels { epoch, generation, labels } => {
-                put_u8(out, RESP_LABELS);
-                put_uvarint(out, *epoch);
-                put_uvarint(out, *generation);
-                put_uvarint(out, labels.len() as u64);
-                for &l in labels {
-                    put_u32(out, l);
-                }
+                encode_labels(out, *epoch, *generation, labels);
             }
             Response::Members { epoch, members } => {
                 put_u8(out, RESP_MEMBERS);
