@@ -9,7 +9,8 @@
 #     edge-gap decode check and all of anc-server (framing arithmetic on
 #     lengths a peer chose)
 #   - anc-bench smoke (snapshot-size gate, the paper's shape claims)
-#   - in release: alloc_steady_state at 1 and 4 threads, repair completeness,
+#   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
+#     thread count unset, repair completeness,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the cluster-cache property suites under debug-invariants
 #   - the determinism suites at 1 and 4 pool threads; wire_proto; serve_stress
@@ -97,14 +98,17 @@ server_names_no_pool() {
 no_relaxed_atomics .
 server_names_no_pool .
 
-echo "==> steady-state allocation counts (release; 1 and 4 threads)"
+echo "==> steady-state allocation counts (release; 1, 2, 4 threads and unset)"
 # The counting-allocator suite ran in debug with the workspace tests; here it
-# runs optimised, on the pure sequential path (where the per-call bound on a
-# grouped flush is asserted) and on a real 4-worker pool.
-for t in 1 4; do
+# runs optimised on the sequential path, on real 2- and 4-thread pools, and
+# with the variable unset (the host probe must be cached): a grouped flush
+# allocates at most once in every one of them.
+for t in 1 2 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test alloc_steady_state -q
 done
+echo "    RAYON_NUM_THREADS unset"
+env -u RAYON_NUM_THREADS cargo test --release -p anc-core --test alloc_steady_state -q
 
 echo "==> cluster-cache property suite under debug-invariants"
 # The cache equivalence proptests (cached == cold at every level across

@@ -2,8 +2,8 @@
 //!
 //! The `k·⌈log₂ n⌉` Voronoi partitions are mutually independent, so the
 //! weight changes of a batch repair them in parallel: `activate_batch`
-//! hands the pool contiguous chunks of partitions, each replaying the
-//! batch's deltas in order. This ablation runs the same batched stream at
+//! hands the pool one task per partition, each replaying the batch's
+//! deltas in order. This ablation runs the same batched stream at
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 4}. The resulting state is byte-identical at
 //! every size (`batch_determinism`), so only the time moves. A single
 //! `activate` never forks: its repair is cheaper than waking the pool

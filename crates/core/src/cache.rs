@@ -15,9 +15,9 @@
 //!   extracted [`Clustering`]s (shared as [`Arc`]s, so repeat queries are
 //!   allocation-free);
 //! * the **cold fill** copies the rows out of the index and runs the
-//!   `O(m·k)` voting pass in parallel — word-aligned edge ranges fan out
-//!   over the rayon shim and merge in input order, so the bitset is
-//!   bit-identical for any thread count;
+//!   `O(m·k)` voting pass in parallel — each pool task writes its own run
+//!   of bitset words in place, so the bitset is bit-identical for any
+//!   thread count;
 //! * on every index update, the affected node sets returned by
 //!   [`crate::Pyramids::on_weight_change`]`{,_batch_traced}` are merely
 //!   appended to the level's bounded per-pyramid **pending** lists. A repair
@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use anc_graph::{EdgeId, Graph, NodeId, NO_NODE};
 use anc_metrics::{Clustering, NOISE};
-use rayon::prelude::*;
+use rayon::Chunks;
 
 use crate::cluster::{even_clustering_with, grow_power_clusters, ClusterMode};
 use crate::pyramid::Pyramids;
@@ -61,6 +61,9 @@ use crate::vote::EdgeBits;
 /// may own before a query refills the whole level instead of repairing it
 /// (see [`ClusterCache::set_dirty_rebuild_fraction`]).
 pub const DIRTY_REBUILD_FRACTION: f64 = 0.25;
+
+/// Bitset words per pool task of the cold voting pass (1 024 edges).
+const FILL_WORDS: usize = 16;
 
 /// What a [`ClusterCache::query`] had to do to answer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -209,11 +212,6 @@ pub struct ClusterCache {
     hits: u64,
     misses: u64,
     dirty_rebuild_fraction: f64,
-    /// Pooled worker output buffers for the parallel voting pass.
-    word_pool: Vec<Vec<u64>>,
-    /// `collect_into_vec` target for the parallel voting pass (persists so
-    /// repeated fills reuse one buffer).
-    chunk_out: Vec<Vec<u64>>,
     /// Query scratch, all clear between queries: the changed nodes, the
     /// flipped edges, the region (component by component, `bounds` holding
     /// each component's start) and a node mark shared by both phases.
@@ -590,14 +588,12 @@ impl ClusterCache {
     }
 
     /// (Re)fills a level from the index and drops its clusterings: the rows
-    /// are copied out of the partitions, then the parallel voting pass runs
-    /// over them — word-aligned edge ranges fan out over the rayon shim
-    /// (`par_chunks` semantics via owned (start, buffer) tasks), merge in
-    /// input order into the packed bitset, and the voted degrees are
-    /// recounted serially — bit-identical for any `RAYON_NUM_THREADS`.
+    /// are copied out of the partitions, then the voting pass writes the
+    /// packed bitset in place, one pool task per run of [`FILL_WORDS`]
+    /// words, and the voted degrees are recounted serially — bit-identical
+    /// for any `RAYON_NUM_THREADS`.
     fn fill_level(&mut self, g: &Graph, pyr: &Pyramids, level: usize, lc: &mut LevelCache) {
         let (n, m, k, needed) = (g.n(), g.m(), pyr.k(), pyr.needed_votes());
-        let words_len = m.div_ceil(64);
         lc.rows.clear();
         lc.rows.extend(
             (0..n as NodeId).flat_map(|v| (0..k).map(move |p| pyr.partition(p, level).seed_of(v))),
@@ -605,48 +601,20 @@ impl ClusterCache {
         lc.pending.resize_with(k, Vec::new);
         lc.pending.iter_mut().for_each(Vec::clear);
         lc.voted = EdgeBits::with_len(m);
-        if words_len > 0 {
-            // Chunks stay word-aligned; oversubscribe (~4× threads) so the
-            // pool's stealing can balance ranges with uneven vote costs.
-            let n_target = rayon::recommended_chunks(words_len);
-            let chunk_words = words_len.div_ceil(n_target);
-            let n_chunks = words_len.div_ceil(chunk_words);
-            let mut bufs = std::mem::take(&mut self.word_pool);
-            bufs.truncate(n_chunks);
-            while bufs.len() < n_chunks {
-                bufs.push(Vec::with_capacity(chunk_words));
-            }
-            let tasks: Vec<(usize, Vec<u64>)> =
-                bufs.into_iter().enumerate().map(|(i, b)| (i * chunk_words, b)).collect();
-            let rows = lc.rows.as_slice();
-            tasks
-                .into_par_iter()
-                .map(|(start, mut buf)| {
-                    buf.clear();
-                    let end = (start + chunk_words).min(words_len);
-                    for wi in start..end {
-                        let base = wi * 64;
-                        let mut word = 0u64;
-                        for bit in 0..(m - base).min(64) {
-                            let e = (base + bit) as EdgeId;
-                            let (u, v) = g.endpoints(e);
-                            if rows_vote(rows, k, needed, u, v) {
-                                word |= 1u64 << bit;
-                            }
-                        }
-                        buf.push(word);
+        let rows = lc.rows.as_slice();
+        rayon::for_each(Chunks::new(lc.voted.words_mut(), FILL_WORDS), |i, words| {
+            for (j, word) in words.iter_mut().enumerate() {
+                let base = (i * FILL_WORDS + j) * 64;
+                let mut bits = 0u64;
+                for bit in 0..(m - base).min(64) {
+                    let (u, v) = g.endpoints((base + bit) as EdgeId);
+                    if rows_vote(rows, k, needed, u, v) {
+                        bits |= 1u64 << bit;
                     }
-                    buf
-                })
-                .collect_into_vec(&mut self.chunk_out);
-            let words = lc.voted.words_mut();
-            let mut at = 0;
-            for chunk in self.chunk_out.drain(..) {
-                words[at..at + chunk.len()].copy_from_slice(&chunk);
-                at += chunk.len();
-                self.word_pool.push(chunk);
+                }
+                *word = bits;
             }
-        }
+        });
         lc.kept_deg.clear();
         lc.kept_deg.resize(n, 0);
         for (e, u, v) in g.iter_edges() {

@@ -9,14 +9,13 @@
 //!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
-//! [`Pyramids::on_weight_change_batch`] fans out across partitions with
-//! rayon.
+//! [`Pyramids::on_weight_change_batch`], [`Pyramids::rebuild`] and
+//! [`Pyramids::rescale`] run one pool task per partition.
 
 use anc_graph::{EdgeId, Graph, NodeId};
 use rand::seq::index::sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::invariant::InvariantViolation;
 use crate::voronoi::VoronoiPartition;
@@ -40,14 +39,19 @@ impl std::ops::AddAssign for RepairStats {
     }
 }
 
-/// Pooled per-worker scratch for the grouped batch repairs: a private
-/// weight array for the rewound replay plus a sink for affected nodes the
-/// untraced path discards. Lives on [`Pyramids`] so repeated batches stop
-/// allocating once the pool reaches its high-water mark.
+/// One thread's slot of the grouped batch repair: a private weight array
+/// for the rewound replay, a sink for affected nodes the untraced path
+/// discards, and the thread's counters. Pooled on [`Pyramids`], one slot per
+/// participating thread, so repeated batches stop allocating after the
+/// first at a thread count.
 #[derive(Clone, Debug, Default)]
 struct RepairScratch {
     weights: Vec<f64>,
+    /// Whether `weights` holds this batch's final weights yet: a thread's
+    /// first task of a batch fills it, its later tasks only rewind.
+    filled: bool,
     discard: Vec<NodeId>,
+    stats: RepairStats,
 }
 
 /// The full index: `k × levels` Voronoi partitions plus the voting
@@ -72,10 +76,8 @@ pub struct Pyramids {
     levels: usize,
     needed_votes: usize,
     n: usize,
-    /// Per-worker batch-repair buffers (transient; excluded from snapshots).
+    /// Per-thread batch-repair slots (transient; excluded from snapshots).
     repair_scratch: Vec<RepairScratch>,
-    /// Pooled per-partition seed buffers for [`Self::rebuild`] (transient).
-    seed_scratch: Vec<Vec<NodeId>>,
 }
 
 impl Pyramids {
@@ -86,64 +88,37 @@ impl Pyramids {
     /// * `theta` — voting support threshold (paper default 0.7).
     /// * `seed` — RNG seed for the per-level uniform seed sampling.
     ///
-    /// Levels are built in parallel.
+    /// An empty index, then [`Self::rebuild`].
     pub fn build(g: &Graph, weights: &[f64], k: usize, theta: f64, seed: u64) -> Self {
         assert!(k >= 1);
         let n = g.n();
         let levels = Self::levels_for(n);
-        // Pre-sample all seed sets deterministically, then build in parallel.
-        let mut seed_sets = Vec::with_capacity(k * levels);
-        for p in 0..k {
-            for l in 0..levels {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((p as u64) << 32) ^ (l as u64));
-                let want = (1usize << l).min(n);
-                let chosen: Vec<NodeId> =
-                    sample(&mut rng, n, want).into_iter().map(|i| i as NodeId).collect();
-                seed_sets.push(chosen);
-            }
-        }
-        let partitions: Vec<VoronoiPartition> = seed_sets
-            .into_par_iter()
-            .map(|seeds| VoronoiPartition::build(g, weights, seeds))
-            .collect();
-        let needed_votes = ((theta * k as f64).ceil() as usize).clamp(1, k);
-        Self {
-            partitions,
+        let mut pyr = Self {
+            partitions: (0..k * levels).map(|_| VoronoiPartition::empty()).collect(),
             k,
             levels,
-            needed_votes,
+            needed_votes: ((theta * k as f64).ceil() as usize).clamp(1, k),
             n,
-            repair_scratch: Vec::with_capacity(0),
-            seed_scratch: Vec::with_capacity(0),
-        }
+            repair_scratch: Vec::new(),
+        };
+        pyr.rebuild(g, weights, seed);
+        pyr
     }
 
-    /// Rebuilds every partition in place from a fresh seed sampling —
-    /// bit-identical to [`Self::build`] with the same `seed`, but reusing the
-    /// partitions' own distance/parent/seed buffers and the pooled seed
-    /// scratch instead of allocating a new index. The engine's WAL-replay
-    /// index reconstruction runs through here so recovery stays off the
-    /// hot-path allocator.
+    /// Rebuilds every partition in place from a fresh seed sampling, one
+    /// pool task per partition, reusing the partitions' own buffers. Level
+    /// `l` of pyramid `p` samples its seeds with ChaCha8 seeded by
+    /// `seed ^ (p << 32) ^ l`, so the result depends neither on which thread
+    /// runs which partition nor on what the index held before.
     pub fn rebuild(&mut self, g: &Graph, weights: &[f64], seed: u64) {
         debug_assert_eq!(self.n, g.n(), "rebuild keeps the node count fixed");
-        let n = self.n;
-        let levels = self.levels;
-        if self.seed_scratch.len() < self.partitions.len() {
-            self.seed_scratch.resize_with(self.partitions.len(), Default::default);
-        }
-        for p in 0..self.k {
-            for l in 0..levels {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((p as u64) << 32) ^ (l as u64));
-                let want = (1usize << l).min(n);
-                let chosen = &mut self.seed_scratch[p * levels + l];
-                chosen.clear();
-                chosen.extend(sample(&mut rng, n, want).into_iter().map(|i| i as NodeId));
-            }
-        }
-        self.partitions
-            .par_chunks_mut(1)
-            .zip(self.seed_scratch.par_chunks_mut(1))
-            .for_each(|(part, seeds)| part[0].rebuild(g, weights, &seeds[0]));
+        let (n, levels) = (self.n, self.levels);
+        rayon::for_each(&mut self.partitions[..], |i, part| {
+            let (p, l) = (i / levels, i % levels);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((p as u64) << 32) ^ (l as u64));
+            let want = (1usize << l).min(n);
+            part.rebuild(g, weights, sample(&mut rng, n, want).into_iter().map(|i| i as NodeId));
+        });
     }
 
     /// Number of granularity levels `⌈log₂ n⌉` (min 1).
@@ -259,14 +234,14 @@ impl Pyramids {
     ///
     /// Deferring repairs naively would be unsound — a repair for one edge
     /// may propagate distances through regions another pending repair has
-    /// yet to invalidate — so each worker replays the delta list *in
-    /// order*, against a private weight array rewound to the pre-batch
-    /// state, calling [`VoronoiPartition::on_weight_change`] at the exact
-    /// per-step weights. Every partition therefore ends bit-identical to
-    /// the serial per-edge path; since partitions are mutually independent
-    /// (Lemma 13) and workers own disjoint partition chunks, the result is
-    /// also independent of the thread count. Deltas that provably cannot
-    /// move a partition are short-circuited by the `O(1)`
+    /// yet to invalidate — so each partition's task replays the delta list
+    /// *in order*, against its thread's private weight array rewound to the
+    /// pre-batch state, calling [`VoronoiPartition::on_weight_change`] at
+    /// the exact per-step weights. Every partition therefore ends
+    /// bit-identical to the serial per-edge path; since partitions are
+    /// mutually independent (Lemma 13) and each task owns its partition, the
+    /// result is also independent of the thread count. Deltas that provably
+    /// cannot move a partition are short-circuited by the `O(1)`
     /// [`VoronoiPartition::noop_weight_change`] precheck.
     pub fn on_weight_change_batch(
         &mut self,
@@ -300,56 +275,37 @@ impl Pyramids {
     /// The grouped repair behind [`Self::on_weight_change_batch`] (`out` is
     /// `None`: affected nodes go to a pooled sink nobody reads) and
     /// [`Self::on_weight_change_batch_traced`] (`Some`: one buffer per
-    /// partition).
+    /// partition). One pool task per partition; each thread's slot sums its
+    /// own counters, and the slots are summed afterwards (addition commutes,
+    /// so the total does not depend on the thread count).
     fn repair_batch(
         &mut self,
         g: &Graph,
         weights: &[f64],
         deltas: &[(EdgeId, f64, f64)],
-        mut out: Option<&mut [Vec<NodeId>]>,
+        out: Option<&mut [Vec<NodeId>]>,
     ) -> RepairStats {
-        if let Some(out) = out.as_deref_mut() {
-            debug_assert_eq!(out.len(), self.partitions.len(), "one trace buffer per partition");
-            for o in out.iter_mut() {
-                o.clear();
-            }
-        }
         if deltas.is_empty() {
+            out.into_iter().flatten().for_each(Vec::clear);
             return RepairStats::default();
         }
-        // Modest 2× oversubscription only: each chunk task fills a full
-        // private weight array, so shattering into many small chunks costs
-        // more in copies than stealing wins back.
-        let n_target = (rayon::current_num_threads() * 2).clamp(1, self.partitions.len());
-        let chunk = self.partitions.len().div_ceil(n_target);
-        let n_chunks = self.partitions.len().div_ceil(chunk);
-        if self.repair_scratch.len() < n_chunks {
-            self.repair_scratch.resize_with(n_chunks, Default::default);
+        for s in &mut self.repair_scratch {
+            s.filled = false;
+            s.stats = RepairStats::default();
         }
-        // Each worker owns one pooled scratch slot (zip truncates to the
-        // partition chunks) and folds its counters with `reduce` (addition
-        // is commutative and associative, so the result is thread-count
-        // independent) rather than collecting a per-chunk Vec on the hot
-        // path.
-        let chunks = self.partitions.par_chunks_mut(chunk);
-        let scratch = self.repair_scratch.par_chunks_mut(1);
-        let sum = |mut a: RepairStats, b| {
-            a += b;
-            a
-        };
+        let (parts, scratch) = (&mut self.partitions[..], &mut self.repair_scratch);
         match out {
-            Some(out) => chunks
-                .zip(out.par_chunks_mut(chunk))
-                .zip(scratch)
-                .map(|((parts, traces), s)| {
-                    replay_chunk(g, weights, deltas, parts, Some(traces), &mut s[0])
-                })
-                .reduce(RepairStats::default, sum),
-            None => chunks
-                .zip(scratch)
-                .map(|(parts, s)| replay_chunk(g, weights, deltas, parts, None, &mut s[0]))
-                .reduce(RepairStats::default, sum),
+            Some(out) => rayon::for_each_with((parts, out), scratch, |_, (p, trace), s| {
+                replay_partition(g, weights, deltas, p, Some(trace), s)
+            }),
+            None => rayon::for_each_with(parts, scratch, |_, p, s| {
+                replay_partition(g, weights, deltas, p, None, s)
+            }),
         }
+        self.repair_scratch.iter().fold(RepairStats::default(), |mut sum, s| {
+            sum += s.stats;
+            sum
+        })
     }
 
     /// Approximate distance query in the style of the underlying Das Sarma
@@ -384,7 +340,7 @@ impl Pyramids {
     /// per-partition multiply is elementwise, so the fan-out is trivially
     /// deterministic.
     pub fn rescale(&mut self, mult: f64) {
-        self.partitions.par_iter_mut().for_each(|p| p.rescale(mult));
+        rayon::for_each(&mut self.partitions[..], |_, p| p.rescale(mult));
     }
 
     /// Total heap bytes used by the index.
@@ -408,15 +364,7 @@ impl Pyramids {
         needed_votes: usize,
         n: usize,
     ) -> Self {
-        Self {
-            partitions,
-            k,
-            levels,
-            needed_votes,
-            n,
-            repair_scratch: Vec::with_capacity(0),
-            seed_scratch: Vec::with_capacity(0),
-        }
+        Self { partitions, k, levels, needed_votes, n, repair_scratch: Vec::new() }
     }
 
     /// Checks the index shape against a graph of `n` nodes: built for `n`,
@@ -491,57 +439,58 @@ impl Pyramids {
     }
 }
 
-/// One worker's share of a grouped repair: replays `deltas` in order on
-/// each of its partitions, against the worker's private weight array —
-/// refilled in place with the final `weights`, then rewound to the
-/// pre-batch state before every partition. With `traces` (one buffer per
-/// partition of the chunk) a partition's affected nodes accumulate over the
-/// whole batch and are left sorted and deduplicated; without, they go to the
-/// scratch's discard sink.
-fn replay_chunk(
+/// One task of a grouped repair: replays `deltas` in order on partition
+/// `p`, against the running thread's private weight array — filled with the
+/// final `weights` by the thread's first task of the batch, then rewound to
+/// the pre-batch state. With `trace`, the partition's affected nodes
+/// accumulate over the whole batch and are left sorted and deduplicated;
+/// without, they go to the slot's discard sink.
+fn replay_partition(
     g: &Graph,
     weights: &[f64],
     deltas: &[(EdgeId, f64, f64)],
-    parts: &mut [VoronoiPartition],
-    mut traces: Option<&mut [Vec<NodeId>]>,
+    p: &mut VoronoiPartition,
+    trace: Option<&mut Vec<NodeId>>,
     scratch: &mut RepairScratch,
-) -> RepairStats {
-    let RepairScratch { weights: w, discard } = scratch;
-    w.clear();
-    w.extend_from_slice(weights);
-    let traced = traces.is_some();
-    let mut stats = RepairStats::default();
-    for (i, p) in parts.iter_mut().enumerate() {
-        for &(e, old_w, _) in deltas.iter().rev() {
-            w[e as usize] = old_w;
+) {
+    let RepairScratch { weights: w, filled, discard, stats } = scratch;
+    if !std::mem::replace(filled, true) {
+        w.clear();
+        w.extend_from_slice(weights);
+    }
+    for &(e, old_w, _) in deltas.iter().rev() {
+        w[e as usize] = old_w;
+    }
+    let traced = trace.is_some();
+    let sink = match trace {
+        Some(trace) => {
+            trace.clear();
+            trace
         }
-        let sink = match traces.as_deref_mut() {
-            Some(traces) => &mut traces[i],
-            None => &mut *discard,
-        };
-        for &(e, old_w, new_w) in deltas {
-            w[e as usize] = new_w;
-            if p.noop_weight_change(g, w, e, old_w) {
-                stats.skips += 1;
-            } else {
-                if !traced {
-                    sink.clear();
-                }
-                p.on_weight_change_into(g, w, e, old_w, sink);
-                stats.updates += 1;
+        None => discard,
+    };
+    for &(e, old_w, new_w) in deltas {
+        w[e as usize] = new_w;
+        if p.noop_weight_change(g, w, e, old_w) {
+            stats.skips += 1;
+        } else {
+            if !traced {
+                sink.clear();
             }
-        }
-        if traced {
-            sink.sort_unstable();
-            sink.dedup();
+            p.on_weight_change_into(g, w, e, old_w, sink);
+            stats.updates += 1;
         }
     }
-    // Replayed forward, the private array must be back at the final weights.
+    if traced {
+        sink.sort_unstable();
+        sink.dedup();
+    }
+    // Replayed forward, the private array is back at the final weights,
+    // ready for the thread's next partition.
     debug_assert!(
-        parts.is_empty() || deltas.iter().all(|&(e, _, _)| w[e as usize] == weights[e as usize]),
+        deltas.iter().all(|&(e, _, _)| w[e as usize] == weights[e as usize]),
         "last delta per edge must match the final weights"
     );
-    stats
 }
 
 #[cfg(test)]
@@ -679,6 +628,45 @@ mod tests {
             }
         }
         batched.check_invariants(g, &w).unwrap();
+    }
+
+    /// Consecutive grouped repairs run through the same per-thread slots,
+    /// with an (exact, power-of-two) rescale between them moving every
+    /// weight the slots hold: each batch must refill its thread's weight
+    /// array and reset its counters, so traced and untraced runs stay
+    /// bit-identical to the serial replay batch after batch.
+    #[test]
+    fn consecutive_batches_reuse_slots_without_leaking_state() {
+        let lg = connected_caveman(4, 5);
+        let g = &lg.graph;
+        let mut w = vec![1.0; g.m()];
+        let mut serial = Pyramids::build(g, &w, 3, 0.7, 9);
+        let (mut untraced, mut traced) = (serial.clone(), serial.clone());
+        let mut traces = vec![Vec::new(); 3 * serial.num_levels()];
+        for batch in [[(0, 0.3), (5, 4.0)], [(0, 2.0), (9, 0.1)], [(5, 0.2), (3, 7.0)]] {
+            w.iter_mut().for_each(|x| *x *= 0.5);
+            for pyr in [&mut serial, &mut untraced, &mut traced] {
+                pyr.rescale(0.5);
+            }
+            let mut deltas = Vec::new();
+            for (e, new_w) in batch {
+                let old = w[e as usize];
+                w[e as usize] = new_w;
+                serial.on_weight_change(g, &w, e, old);
+                deltas.push((e, old, new_w));
+            }
+            let stats = untraced.on_weight_change_batch(g, &w, &deltas);
+            assert_eq!(stats, traced.on_weight_change_batch_traced(g, &w, &deltas, &mut traces));
+            assert_eq!(stats.updates + stats.skips, 2 * 3 * serial.num_levels());
+            for pyr in [&untraced, &traced] {
+                for (a, b) in serial.partitions.iter().zip(&pyr.partitions) {
+                    let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
+                        (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()
+                    };
+                    assert_eq!(bits(a), bits(b));
+                }
+            }
+        }
     }
 
     /// In-place [`Pyramids::rebuild`] must be bit-identical to a fresh

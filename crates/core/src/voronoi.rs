@@ -42,23 +42,29 @@ impl VoronoiPartition {
     /// Builds the partition by multi-source Dijkstra from `seeds` under
     /// `weights` (indexed by edge id; must be positive and finite).
     pub fn build(g: &Graph, weights: &[f64], seeds: Vec<NodeId>) -> Self {
-        let mut part = Self {
-            seeds,
-            seed_of: Vec::new(),
-            dist: Vec::new(),
-            parent: Vec::new(),
-            scratch_heap: BinaryHeap::new(),
-        };
+        let mut part = Self::empty();
+        part.seeds = seeds;
         part.rebuild_from_own_seeds(g, weights);
         part
     }
 
+    /// A partition with no seeds and no nodes, for [`Self::rebuild`] to fill
+    /// (how [`crate::pyramid::Pyramids::build`] starts).
+    pub(crate) fn empty() -> Self {
+        Self {
+            seeds: Vec::new(),
+            seed_of: Vec::new(),
+            dist: Vec::new(),
+            parent: Vec::new(),
+            scratch_heap: BinaryHeap::new(),
+        }
+    }
+
     /// Rebuilds this partition in place from a fresh seed set, reusing every
-    /// buffer — the allocation-free path [`crate::pyramid::Pyramids::rebuild`]
-    /// takes on the per-batch adaptive rebuilds.
-    pub fn rebuild(&mut self, g: &Graph, weights: &[f64], seeds: &[NodeId]) {
+    /// buffer — the path [`crate::pyramid::Pyramids::rebuild`] takes.
+    pub fn rebuild(&mut self, g: &Graph, weights: &[f64], seeds: impl IntoIterator<Item = NodeId>) {
         self.seeds.clear();
-        self.seeds.extend_from_slice(seeds);
+        self.seeds.extend(seeds);
         self.rebuild_from_own_seeds(g, weights);
     }
 

@@ -11,9 +11,13 @@
 //! signal that their cluster may have changed.
 
 use anc_graph::{EdgeId, Graph, NodeId};
-use rayon::prelude::*;
+use rayon::Chunks;
 
 use crate::pyramid::Pyramids;
+
+/// Edges per pool task of [`VoteCache::build`] (`k · levels` votes each):
+/// tasks of tens of microseconds keep the claim counter cold.
+const BUILD_EDGES: usize = 256;
 
 /// A packed edge bitset (one bit per [`EdgeId`], 64 edges per word) — the
 /// storage behind the cluster cache's voted-edge set.
@@ -100,29 +104,21 @@ pub struct VoteFlip {
 }
 
 impl VoteCache {
-    /// Builds the full table (`O(m · levels · k)`), fanning edge-aligned
-    /// row ranges out over the thread pool. Each chunk task fills a
-    /// disjoint sub-slice of the table and every cell's value depends only
-    /// on its own edge and level, so the build is bit-identical for any
-    /// `RAYON_NUM_THREADS`.
+    /// Builds the full table (`O(m · levels · k)`), one pool task per run of
+    /// [`BUILD_EDGES`] edges' rows. Each task fills its own rows and every
+    /// cell's value depends only on its own edge and level, so the build is
+    /// bit-identical for any `RAYON_NUM_THREADS`.
     pub fn build(g: &Graph, pyr: &Pyramids) -> Self {
         let levels = pyr.num_levels();
         let mut counts = vec![0u16; g.m() * levels];
-        if levels > 0 && g.m() > 0 {
-            let chunk_edges = g.m().div_ceil(rayon::recommended_chunks(g.m()));
-            let tasks: Vec<(usize, &mut [u16])> =
-                counts.chunks_mut(chunk_edges * levels).enumerate().collect();
-            tasks.into_par_iter().for_each(|(i, rows)| {
-                let first = (i * chunk_edges) as EdgeId;
-                for (off, row) in rows.chunks_mut(levels).enumerate() {
-                    let e = first + off as EdgeId;
-                    let (u, v) = g.endpoints(e);
-                    for (l, cell) in row.iter_mut().enumerate() {
-                        *cell = pyr.votes(u, v, l) as u16;
-                    }
+        rayon::for_each(Chunks::new(&mut counts, BUILD_EDGES * levels), |i, rows| {
+            for (off, row) in rows.chunks_mut(levels).enumerate() {
+                let (u, v) = g.endpoints((i * BUILD_EDGES + off) as EdgeId);
+                for (l, cell) in row.iter_mut().enumerate() {
+                    *cell = pyr.votes(u, v, l) as u16;
                 }
-            });
-        }
+            }
+        });
         Self { counts, levels, needed: pyr.needed_votes() as u16 }
     }
 

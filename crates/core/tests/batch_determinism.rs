@@ -1,7 +1,7 @@
 //! The parallelism-never-changes-results invariant (DESIGN.md §7): the
 //! engine's state is a pure function of (graph, config, seed, stream). The
-//! rayon worker count is **not** an input — the index-repair fan-outs split
-//! work into contiguous, order-preserving chunks, so any thread count produces byte-identical snapshots *and*
+//! rayon worker count is **not** an input — every pool task writes only its
+//! own partition, so any thread count produces byte-identical snapshots *and*
 //! cluster extractions, even when the extraction itself runs from inside a
 //! nested `rayon::join` (pool tasks run nested parallel calls inline).
 //!

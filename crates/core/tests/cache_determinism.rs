@@ -1,6 +1,6 @@
 //! Thread-count determinism of the cluster cache's parallel cold voting
-//! pass: the word-aligned chunks merge in input order, so the packed bitset
-//! — and everything extracted from it — is byte-identical for any
+//! pass: each pool task writes its own run of bitset words, so the packed
+//! bitset — and everything extracted from it — is byte-identical for any
 //! `RAYON_NUM_THREADS`. The sweep also fingerprints the engine snapshot and
 //! runs a mixed workload whose cold fills execute from inside a nested
 //! `rayon::join` (pool tasks run nested parallel calls inline).

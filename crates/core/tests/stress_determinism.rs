@@ -4,11 +4,11 @@
 //! `batch_determinism.rs` proves the thread count is not an input to the
 //! engine's state; this suite closes the remaining gap: with the pool's
 //! seeded perturbation hooks active (`ANC_STRESS_SEED`, see
-//! `vendor/rayon/src/stress.rs`), workers win races against the submitter,
-//! steals interleave with owner pops, and completions race the latch wait —
-//! and the ingest snapshot plus every per-level cluster extraction must
-//! still be byte-identical to the unperturbed single-thread reference, at
-//! 2/4/8 threads across several fixed seeds.
+//! `vendor/rayon/src/stress.rs`), woken workers win races against the
+//! caller, claims interleave unevenly, and workers join late and leave while
+//! the caller waits — and the ingest snapshot plus every per-level cluster
+//! extraction must still be byte-identical to the unperturbed single-thread
+//! reference, at 2/4/8 threads across several fixed seeds.
 //!
 //! Without the feature the hooks are no-ops and this degrades to a plain
 //! determinism sweep; CI runs it with the feature enabled.
