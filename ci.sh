@@ -13,8 +13,8 @@
 #     thread count unset, repair completeness,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the cluster-cache property suites under debug-invariants
-#   - the determinism suites at 1 and 4 pool threads; wire_proto; serve_stress
-#     under debug-invariants at 1 and 4 pool threads
+#   - the determinism suites at 1 and 4 pool threads; wire_proto; serve_stress,
+#     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: perturbed-schedule determinism, pool lock ranks
 #   - bench/smoke.sh: anc-perf's own fmt, clippy, unit tests and every
@@ -149,13 +149,15 @@ echo "==> serving layer: wire protocol + reader/writer stress (1 and 4 threads)"
 # The serving stress suite sweeps RAYON_NUM_THREADS internally and compares
 # the served engine byte-for-byte against a serial replay; it runs under
 # debug-invariants so the writer validates the full engine invariant set
-# after every drained cycle. Two fixed pool sizes pin the harness extremes,
-# matching the determinism suites above.
+# after every drained cycle. Beside it, the member index every snapshot
+# carries is checked against a scan of its labels, and a snapshot no reader
+# holds must be freed while the server runs. Two fixed pool sizes pin the
+# harness extremes, matching the determinism suites above.
 cargo test -p anc-server --test wire_proto -q
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p anc-server --features debug-invariants \
-        --test serve_stress -q
+        --test serve_stress --test member_index --test retention -q
 done
 
 echo "==> seeded violations (the lints and the grep gates bite)"

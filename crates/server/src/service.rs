@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use anc_core::publish::Publisher;
@@ -28,7 +28,7 @@ use anc_core::{AncEngine, BatchStats, ClusterMode, DurableEngine, RestoreError};
 use anc_graph::EdgeId;
 
 use crate::hist::LatencyHistogram;
-use crate::snapshot::{ServeSnapshot, SnapshotReader};
+use crate::snapshot::{index_members, ServeSnapshot, SnapshotReader};
 
 /// The engine the writer thread owns: volatile, or WAL-backed durable.
 pub enum EngineBackend {
@@ -130,6 +130,7 @@ pub enum IngestError {
 enum Job {
     Ingest { seq: u64, t: f64, edges: Vec<EdgeId>, enqueued: Instant },
     Flush { done: SyncSender<u64> },
+    Subscribe { done: SyncSender<SnapshotReader> },
     Stop,
 }
 
@@ -246,7 +247,8 @@ pub struct ShutdownReport {
 /// [`SnapshotReader`].
 pub struct ServerCore {
     ingest: IngestHandle,
-    reader_seed: SnapshotReader,
+    /// A cursor at the last snapshot, left by the writer as it exits.
+    last: Arc<OnceLock<SnapshotReader>>,
     writer: Option<std::thread::JoinHandle<ShutdownReport>>,
 }
 
@@ -275,14 +277,16 @@ impl ServerCore {
             n: engine.graph().n(),
             num_levels,
             default_level: engine.default_level(),
+            members: index_members(&view, &[]),
             view,
             stats: stats.clone(),
         };
         let num_edges = engine.graph().m() as u32;
 
-        let publisher = Publisher::new(initial);
-        let reader_seed = SnapshotReader::new(publisher.subscribe());
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
+        let last = Arc::new(OnceLock::new());
+        let ends =
+            WriterEnds { jobs: rx, publisher: Publisher::new(initial), last: Arc::clone(&last) };
         let shed = Arc::new(AtomicU64::new(0));
         let ingest = IngestHandle {
             tx,
@@ -297,9 +301,9 @@ impl ServerCore {
         )]
         let writer = std::thread::Builder::new()
             .name("anc-serve-writer".into())
-            .spawn(move || writer_loop(backend, publisher, rx, cfg, levels, modes, shed, stats))
+            .spawn(move || writer_loop(backend, ends, cfg, levels, modes, shed, stats))
             .expect("spawn writer thread");
-        Ok(Self { ingest, reader_seed, writer: Some(writer) })
+        Ok(Self { ingest, last, writer: Some(writer) })
     }
 
     /// A cloneable submission handle.
@@ -307,9 +311,20 @@ impl ServerCore {
         self.ingest.clone()
     }
 
-    /// A fresh wait-free reader cursor.
+    /// A fresh wait-free reader cursor, at the newest snapshot. The writer
+    /// subscribes it between two cycles (publishing nothing for it), so this
+    /// waits for the cycle in progress; once the writer has exited it is a
+    /// cursor at the last snapshot.
     pub fn reader(&self) -> SnapshotReader {
-        self.reader_seed.clone()
+        let (done, rx) = mpsc::sync_channel(1);
+        if self.ingest.tx.send(Job::Subscribe { done }).is_ok() {
+            if let Ok(reader) = rx.recv() {
+                return reader;
+            }
+        }
+        // The writer has exited, and its `WriterEnds` set `last` before the
+        // job queue (and the reply sender in it) closed.
+        self.last.wait().clone()
     }
 
     /// Graceful shutdown: queues a stop marker behind all pending ingest
@@ -365,12 +380,27 @@ fn apply_run(
     }
 }
 
+/// What the writer thread owns of the handoff: the job queue's receiving
+/// end and the chain's publishing end.
+struct WriterEnds {
+    jobs: Receiver<Job>,
+    publisher: Publisher<ServeSnapshot>,
+    last: Arc<OnceLock<SnapshotReader>>,
+}
+
+impl Drop for WriterEnds {
+    /// On the writer's exit, by any path: leaves a cursor at the last
+    /// snapshot for [`ServerCore::reader`]. This runs before the fields drop,
+    /// so before the queue closes on whatever `Subscribe` is still in it.
+    fn drop(&mut self) {
+        let _ = self.last.set(SnapshotReader::new(self.publisher.subscribe()));
+    }
+}
+
 /// The single-writer loop: drain → coalesce → apply → refresh → publish.
-#[allow(clippy::too_many_arguments)]
 fn writer_loop(
     mut backend: EngineBackend,
-    mut publisher: Publisher<ServeSnapshot>,
-    rx: Receiver<Job>,
+    mut ends: WriterEnds,
     cfg: ServeConfig,
     levels: Vec<usize>,
     modes: Vec<ClusterMode>,
@@ -386,23 +416,27 @@ fn writer_loop(
     // Reused across cycles: each is empty again by the end of one.
     let mut jobs: Vec<Job> = Vec::new();
     let mut flushes: Vec<SyncSender<u64>> = Vec::new();
+    let mut subscribers: Vec<SyncSender<SnapshotReader>> = Vec::new();
     let mut run_edges: Vec<EdgeId> = Vec::new();
     let mut run_meta: Vec<(u64, Instant)> = Vec::new();
 
     'serve: while !stop {
         // Block for the first job, then opportunistically drain what is
         // already queued — the coalesced cycle grows with queue depth.
-        let first = match rx.recv() {
+        let first = match ends.jobs.recv() {
             Ok(job) => job,
             Err(_) => break 'serve, // every handle dropped without Stop
         };
         jobs.push(first);
         while jobs.len() < cfg.coalesce_max {
-            match rx.try_recv() {
+            match ends.jobs.try_recv() {
                 Ok(job) => jobs.push(job),
                 Err(_) => break,
             }
         }
+        // A new cursor needs no new snapshot: a cycle of nothing else
+        // publishes none.
+        let publish = jobs.iter().any(|job| !matches!(job, Job::Subscribe { .. }));
 
         let mut run_t = 0.0f64;
         for job in jobs.drain(..) {
@@ -429,6 +463,7 @@ fn writer_loop(
                     run_meta.push((seq, enqueued));
                 }
                 Job::Flush { done } => flushes.push(done),
+                Job::Subscribe { done } => subscribers.push(done),
                 Job::Stop => {
                     stop = true;
                     break;
@@ -447,29 +482,36 @@ fn writer_loop(
         run_edges.clear();
         run_meta.clear();
 
-        #[cfg(feature = "debug-invariants")]
-        if let Err(violation) = backend.engine().check_invariants() {
-            panic!("serving invariant violation after apply: {violation:?}");
-        }
+        if publish {
+            #[cfg(feature = "debug-invariants")]
+            if let Err(violation) = backend.engine().check_invariants() {
+                panic!("serving invariant violation after apply: {violation:?}");
+            }
 
-        let view = backend.engine().refresh_view(&levels, &modes);
-        stats.query += view.query;
-        stats.shed = shed.load(Ordering::Acquire);
-        stats.publishes += 1;
-        let epoch = publisher.epoch() + 1;
-        let snapshot = ServeSnapshot {
-            epoch,
-            applied_seq,
-            n,
-            num_levels,
-            default_level,
-            view,
-            stats: stats.clone(),
-        };
-        publisher.publish(snapshot);
-        for done in flushes.drain(..) {
-            // A departed flusher is not an error.
-            let _ = done.send(epoch);
+            let view = backend.engine().refresh_view(&levels, &modes);
+            stats.query += view.query;
+            stats.shed = shed.load(Ordering::Acquire);
+            stats.publishes += 1;
+            let epoch = ends.publisher.epoch() + 1;
+            let snapshot = ServeSnapshot {
+                epoch,
+                applied_seq,
+                n,
+                num_levels,
+                default_level,
+                members: index_members(&view, &ends.publisher.current().members),
+                view,
+                stats: stats.clone(),
+            };
+            ends.publisher.publish(snapshot);
+            for done in flushes.drain(..) {
+                // A departed flusher is not an error.
+                let _ = done.send(epoch);
+            }
+        }
+        for done in subscribers.drain(..) {
+            // Nor is a departed subscriber.
+            let _ = done.send(SnapshotReader::new(ends.publisher.subscribe()));
         }
         if wal_error.is_some() {
             // Durability broken: stop serving rather than silently
@@ -486,5 +528,31 @@ fn writer_loop(
         }
     }
     stats.shed = shed.load(Ordering::Acquire);
-    ShutdownReport { backend, stats, final_epoch: publisher.epoch(), wal_error }
+    ShutdownReport { backend, stats, final_epoch: ends.publisher.epoch(), wal_error }
+}
+
+#[cfg(test)]
+mod tests {
+    use anc_core::AncConfig;
+    use anc_graph::gen::connected_caveman;
+
+    use super::*;
+
+    /// With no writer left to subscribe one, a new cursor is the one the
+    /// writer left at its last snapshot, whichever way the exit raced it.
+    #[test]
+    fn a_reader_taken_after_the_writer_exits_is_at_the_last_snapshot() {
+        let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
+        let engine = AncEngine::new(connected_caveman(4, 6).graph, cfg, 42);
+        let core = ServerCore::start(EngineBackend::Volatile(engine), ServeConfig::default())
+            .expect("server core");
+        let ingest = core.ingest_handle();
+        ingest.submit(1.0, vec![0, 1]).expect("queue has room");
+        ingest.tx.send(Job::Stop).expect("writer alive");
+        assert_eq!(ingest.flush(), Err(IngestError::Closed));
+        let mut reader = core.reader();
+        let report = core.shutdown();
+        assert!(report.final_epoch > 0);
+        assert_eq!(reader.snapshot().epoch, report.final_epoch);
+    }
 }

@@ -23,8 +23,8 @@ use anc_graph::codec::CodecError;
 use crate::service::{IngestError, IngestHandle, ServerCore, ShutdownReport};
 use crate::snapshot::SnapshotReader;
 use crate::wire::{
-    encode_labels, push_frame, ErrorCode, FrameError, FrameReader, Request, Response, StatsReply,
-    IO_BUF,
+    encode_labels, encode_members, push_frame, ErrorCode, FrameError, FrameReader, Request,
+    Response, StatsReply, IO_BUF,
 };
 
 /// Per-connection read timeout; bounds how long a quiet connection waits
@@ -92,8 +92,10 @@ impl ConnState {
             }
             Request::Members { v, level, mode } => {
                 let snap = self.reader.snapshot();
-                match snap.members_at(v, level, mode) {
-                    Some(members) => Response::Members { epoch: snap.epoch, members },
+                match snap.member_slice_at(v, level, mode) {
+                    // Straight from the snapshot's member index, like a
+                    // label dump.
+                    Some(members) => return encode_members(out, snap.epoch, members),
                     None => not_answerable(&snap, level, mode, Some(v)),
                 }
             }
@@ -232,6 +234,9 @@ fn serve_conn<S: Read + Write>(state: &mut ConnState, stream: &mut S) {
         if !send(stream, &mut out) || closing || state.stop.load(Ordering::Acquire) {
             return;
         }
+        // Once per pass, so an idle connection's cursor does not keep alive
+        // every snapshot published since its last query.
+        state.reader.snapshot();
         match frames.fill(stream) {
             Ok(true) | Err(FrameError::Idle) => {}
             Ok(false) | Err(_) => return, // clean close, or a dead or stalled peer
@@ -268,12 +273,15 @@ impl TcpServer {
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let ingest = core.ingest_handle();
-        let reader = core.reader();
+        let mut reader = core.reader();
         let accept_stop = Arc::clone(&stop);
         let accept =
             std::thread::Builder::new().name("anc-serve-accept".into()).spawn(move || {
                 let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 while !accept_stop.load(Ordering::Acquire) {
+                    // Every poll, so the cursor each connection clones from
+                    // pins nothing older than a few milliseconds.
+                    reader.snapshot();
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let state = ConnState {
@@ -479,6 +487,8 @@ mod tests {
         accepts: Option<usize>,
         probe: Option<SnapshotReader>,
         epochs: Vec<u64>,
+        /// Raises this stop flag during the read with this number.
+        raise: Option<(usize, Arc<AtomicBool>)>,
     }
 
     impl Scripted {
@@ -490,6 +500,9 @@ mod tests {
     impl Read for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             self.reads += 1;
+            if let Some((_, stop)) = self.raise.as_ref().filter(|(at, _)| *at == self.reads) {
+                stop.store(true, Ordering::Release);
+            }
             match self.steps.pop_front() {
                 Some(Step::Data(mut bytes)) => {
                     let k = bytes.len().min(buf.len());
@@ -659,6 +672,60 @@ mod tests {
         assert_eq!((stalled.reads, stalled.steps.len()), (52, 1));
     }
 
+    /// ROADMAP 4(d): a peer stalled inside a frame held a shutdown for the
+    /// whole stall budget (50 read polls, 5 s on a socket). The stop flag is
+    /// now seen after the read that timed out.
+    #[test]
+    fn a_stop_is_seen_one_read_into_a_stalled_half_frame() {
+        let ping = framed(&Request::Ping);
+        let (core, mut state, _) = conn();
+        let half = Step::Data(ping[..5].to_vec());
+        let mut stream =
+            Scripted::reading([half].into_iter().chain((0..60).map(|_| Step::Timeout)));
+        stream.raise = Some((2, Arc::clone(&state.stop)));
+        serve_conn(&mut state, &mut stream);
+        core.shutdown();
+        assert!(stream.writes.is_empty());
+        assert_eq!(stream.reads, 2, "the half frame, then the stall the stop was raised in");
+    }
+
+    /// A `Members` reply is encoded from the snapshot's member index, and its
+    /// bytes are those of the owned reply holding a scan of the labels.
+    #[test]
+    fn a_members_reply_from_the_index_is_byte_identical() {
+        let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
+        let engine = AncEngine::new(connected_caveman(6, 5).graph, cfg, 42);
+        let (n, level) = (engine.graph().n() as u32, engine.default_level());
+        let modes = vec![EVEN, ClusterMode::Power];
+        let serve = ServeConfig { levels: vec![level], modes: modes.clone(), ..Default::default() };
+        let core = ServerCore::start(EngineBackend::Volatile(engine), serve).expect("server core");
+        let mut state = ConnState {
+            ingest: core.ingest_handle(),
+            reader: core.reader(),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        for t in 0..4u32 {
+            if t > 0 {
+                state.ingest.submit(f64::from(t), (0..12 * t).collect()).expect("queue has room");
+                state.ingest.flush().expect("writer alive");
+            }
+            let snap = state.reader.snapshot();
+            for &mode in &modes {
+                let c = snap.clusters_at(level, mode).expect("published");
+                for v in 0..n {
+                    let members =
+                        (0..n).filter(|&u| !c.is_noise(v) && c.label(u) == c.label(v)).collect();
+                    let mut want = Vec::new();
+                    Response::Members { epoch: snap.epoch, members }.encode(&mut want);
+                    let mut got = Vec::new();
+                    state.respond(Request::Members { v, level, mode }, &mut got);
+                    assert_eq!(got, want, "v = {v}, {mode:?}, epoch {}", snap.epoch);
+                }
+            }
+        }
+        core.shutdown();
+    }
+
     /// Four bytes claiming a `MAX_FRAME` payload buy no memory: room is made
     /// for bytes that arrive, and the stalled frame is dropped on the budget.
     #[test]
@@ -670,7 +737,11 @@ mod tests {
         let mut stream = Scripted::reading([prefix].into_iter().chain(stalls()));
         assert!(matches!(frames.next_frame(), Ok(None)));
         assert!(matches!(frames.fill(&mut stream), Ok(true)));
-        assert!(matches!(frames.next_frame(), Ok(None)));
+        // One read a call: each stall inside the budget hands control back.
+        for _ in 0..50 {
+            assert!(matches!(frames.next_frame(), Ok(None)));
+            assert!(matches!(frames.fill(&mut stream), Ok(true)));
+        }
         assert!(matches!(frames.fill(&mut stream), Err(FrameError::Truncated)));
         assert_eq!(frames.capacity(), IO_BUF);
         assert_eq!(stream.reads, 52);

@@ -147,10 +147,12 @@ impl FrameReader {
     }
 
     /// One `read` into the free part of the buffer, after
-    /// [`Self::next_frame`] returned `None`. `Ok(false)` is a clean close at
-    /// a frame boundary; [`FrameError::Idle`] a timeout at one (poll the
-    /// stop flag and retry); [`FrameError::Truncated`] a close inside a
-    /// frame or a frame stalled past its budget.
+    /// [`Self::next_frame`] returned `None`. `Ok(true)` is bytes received,
+    /// or a timeout inside a frame within its stall budget (the partial
+    /// frame is kept: poll the stop flag and call again); `Ok(false)` a
+    /// clean close at a frame boundary; [`FrameError::Idle`] a timeout at
+    /// one (poll the stop flag and retry); [`FrameError::Truncated`] a close
+    /// inside a frame or a frame stalled past its budget.
     pub(crate) fn fill<R: Read>(&mut self, r: &mut R) -> Result<bool, FrameError> {
         if self.start > 0 {
             // What the parser left is less than one frame: move it to the front.
@@ -189,6 +191,7 @@ impl FrameReader {
                     if self.stalls > STALL_BUDGET {
                         return Err(FrameError::Truncated);
                     }
+                    return Ok(true);
                 }
                 Err(e) => return Err(FrameError::Io(e)),
             }
@@ -625,6 +628,17 @@ pub(crate) fn encode_labels(out: &mut Vec<u8>, epoch: u64, generation: u64, labe
     }
 }
 
+/// The payload of a [`Response::Members`], from borrowed members: the
+/// server encodes a members reply straight from the snapshot's member index.
+pub(crate) fn encode_members(out: &mut Vec<u8>, epoch: u64, members: &[NodeId]) {
+    put_u8(out, RESP_MEMBERS);
+    put_uvarint(out, epoch);
+    put_uvarint(out, members.len() as u64);
+    for &v in members {
+        put_uvarint(out, u64::from(v));
+    }
+}
+
 const RESP_PONG: u8 = 1;
 const RESP_INGESTED: u8 = 2;
 const RESP_FLUSHED: u8 = 3;
@@ -664,14 +678,7 @@ impl Response {
             Response::Labels { epoch, generation, labels } => {
                 encode_labels(out, *epoch, *generation, labels);
             }
-            Response::Members { epoch, members } => {
-                put_u8(out, RESP_MEMBERS);
-                put_uvarint(out, *epoch);
-                put_uvarint(out, members.len() as u64);
-                for &v in members {
-                    put_uvarint(out, u64::from(v));
-                }
-            }
+            Response::Members { epoch, members } => encode_members(out, *epoch, members),
             Response::Stats(stats) => {
                 put_u8(out, RESP_STATS);
                 stats.encode(out);
