@@ -13,7 +13,8 @@
 #     thread count unset, repair completeness,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the cluster-cache property suites under debug-invariants
-#   - the determinism suites at 1 and 4 pool threads; wire_proto; serve_stress,
+#   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
+#     equivalence proptest and the pinned build digest; wire_proto; serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: perturbed-schedule determinism, pool lock ranks
@@ -138,11 +139,18 @@ echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
 # harness (and every other parallel path they pass through) also runs under
 # whatever the variable says at process start. Two fixed-size passes pin
 # both extremes: the pure sequential path and a real 4-worker pool.
+# Beside them, in release: S₀ from one σ table equals the per-edge
+# reinforcement loop bit for bit, and one n = 600 build matches its pinned
+# digest (`Pyramids::build` runs on the pool; the digest must not see it).
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p rayon -q
     RAYON_NUM_THREADS=$t cargo test -p anc-core --test batch_determinism \
         --test cache_determinism --test prop_batch -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
+        row_table_sweep_equals_per_edge_reinforcement -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
+        s0_build_digest_is_pinned -q
 done
 
 echo "==> serving layer: wire protocol + reader/writer stress (1 and 4 threads)"

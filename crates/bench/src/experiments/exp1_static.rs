@@ -21,13 +21,39 @@ use crate::time;
 use anc_baselines::lwep::LwepEngine;
 use anc_core::{AncConfig, AncEngine};
 
+/// A Table III row: an offline method, or LWEP's initial label propagation.
+#[derive(Clone, Copy)]
+enum Method {
+    Offline(Offline),
+    Lwep,
+}
+
+impl Method {
+    fn name(self) -> String {
+        match self {
+            Method::Offline(m) => m.name(),
+            Method::Lwep => "LWEP".into(),
+        }
+    }
+}
+
+/// The table's rows, in print order.
+const METHODS: [Method; 7] = [
+    Method::Offline(Offline::Scan),
+    Method::Offline(Offline::Attr),
+    Method::Offline(Offline::Louv),
+    Method::Lwep,
+    Method::Offline(Offline::AncF(1)),
+    Method::Offline(Offline::AncF(5)),
+    Method::Offline(Offline::AncF(9)),
+];
+
 /// Runs the experiment. The default scale 0.12 keeps DB/AM/YT stand-ins
 /// ≈10k nodes so the whole table builds in minutes; pass `--scale 1` for the
 /// full-size run.
 pub fn run(ctx: &Ctx) -> serde_json::Value {
     let names = ctx.names(&["LA", "DB", "AM", "YT"]);
 
-    let methods: Vec<&str> = vec!["SCAN", "ATTR", "LOUV", "LWEP", "ANCF1", "ANCF5", "ANCF9"];
     let mut per_measure: std::collections::HashMap<String, Table> = Default::default();
     for measure in ["Modularity", "Conductance", "NMI", "Purity", "F1-Measure"] {
         let mut headers = vec!["method".to_string()];
@@ -37,7 +63,7 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
     let mut json_rows = Vec::new();
 
     // method → dataset → Scores
-    let mut all: Vec<Vec<Scores>> = vec![Vec::new(); methods.len()];
+    let mut all: Vec<Vec<Scores>> = vec![Vec::new(); METHODS.len()];
 
     for name in &names {
         // LA keeps full size (it is small); larger graphs scale.
@@ -66,17 +92,12 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
         let (mut engine, build_secs) = time(|| AncEngine::new(g.clone(), cfg, ctx.seed));
         eprintln!("[exp1] {name}: index scaffold built in {build_secs:.2}s");
 
-        for (mi, method) in methods.iter().enumerate() {
-            let (clustering, secs) = match *method {
-                "LWEP" => time(|| LwepEngine::new(g.clone(), w.clone(), 0.1).clustering()),
-                "SCAN" => time(|| Offline::Scan.run(g, &w, None, target_k)),
-                "ATTR" => time(|| Offline::Attr.run(g, &w, None, target_k)),
-                "LOUV" => time(|| Offline::Louv.run(g, &w, None, target_k)),
-                m => {
-                    let rep: usize = m.trim_start_matches("ANCF").parse().unwrap();
-                    time(|| Offline::AncF(rep).run(g, &w, Some(&mut engine), target_k))
-                }
+        for (mi, method) in METHODS.into_iter().enumerate() {
+            let (clustering, secs) = match method {
+                Method::Lwep => time(|| LwepEngine::new(g.clone(), w.clone(), 0.1).clustering()),
+                Method::Offline(m) => time(|| m.run(g, &w, Some(&mut engine), target_k)),
             };
+            let method = method.name();
             let s = score(g, &w, &clustering, &ds.labels);
             eprintln!(
                 "[exp1] {name} {method}: NMI {:.3} purity {:.3} F1 {:.3} Q {:.3} φ {:.3} ({} clusters, {secs:.2}s)",
@@ -100,8 +121,8 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
         ("F1-Measure", |s| s.f1),
     ] {
         let t = per_measure.get_mut(measure).unwrap();
-        for (mi, method) in methods.iter().enumerate() {
-            let mut row = vec![method.to_string()];
+        for (mi, method) in METHODS.into_iter().enumerate() {
+            let mut row = vec![method.name()];
             row.extend(all[mi].iter().map(|s| f3(get(s))));
             t.row(row);
         }

@@ -40,7 +40,7 @@ use crate::config::AncConfig;
 use crate::invariant::{self, InvariantViolation};
 use crate::pyramid::Pyramids;
 use crate::query;
-use crate::reinforce::{apply_reinforcement, ReinforceParams};
+use crate::reinforce::{self, apply_reinforcement, ReinforceParams, SigmaRows};
 use crate::similarity::{NodeType, Scratch, SimilarityCtx};
 
 /// Counters and timing from one [`AncEngine::activate_batch`] call — the
@@ -162,19 +162,9 @@ impl AncEngine {
             node_sum[u as usize] += act.anchored(e);
             node_sum[v as usize] += act.anchored(e);
         }
-        let mut sim = vec![1.0; m];
         let mut scratch = Scratch::new(g.n());
-        let params = ReinforceParams {
-            epsilon: cfg.epsilon,
-            mu: cfg.mu,
-            floor_anchored: cfg.floor.max(cfg.floor_rel),
-        };
-        {
-            let ctx = SimilarityCtx { g: &g, act: act.as_slice(), node_sum: &node_sum };
-            for _ in 0..cfg.rep {
-                crate::reinforce::full_pass(&ctx, &mut sim, &params, &mut scratch);
-            }
-        }
+        let ctx = SimilarityCtx { g: &g, act: act.as_slice(), node_sum: &node_sum };
+        let sim = initial_similarity(&ctx, &cfg, cfg.rep, &mut scratch);
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids = Pyramids::build(&g, &recip, cfg.k, cfg.theta, seed);
         let sim_sum = sim.iter().sum();
@@ -600,20 +590,8 @@ impl AncEngine {
     /// reinforcement passes against the current activeness, and rebuilds the
     /// index from scratch. The engine itself is unchanged.
     pub fn offline_snapshot(&mut self, rep: usize) -> OfflineSnapshot {
-        let mut sim = vec![1.0; self.g.m()];
-        // Fresh S₀ starts at mean 1, so the relative floor applies directly.
-        let params = ReinforceParams {
-            epsilon: self.cfg.epsilon,
-            mu: self.cfg.mu,
-            floor_anchored: self.cfg.floor.max(self.cfg.floor_rel),
-        };
-        {
-            let ctx =
-                SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-            for _ in 0..rep {
-                crate::reinforce::full_pass(&ctx, &mut sim, &params, &mut self.scratch);
-            }
-        }
+        let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
+        let sim = initial_similarity(&ctx, &self.cfg, rep, &mut self.scratch);
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids =
             Pyramids::build(&self.g, &recip, self.cfg.k, self.cfg.theta, self.index_seed);
@@ -743,6 +721,27 @@ impl AncEngine {
     pub fn corrupt_node_sum_for_test(&mut self, v: NodeId, delta: f64) {
         self.node_sum[v as usize] += delta;
     }
+}
+
+/// `S₀` for the activeness in `ctx` (paper Section IV-C), shared by
+/// [`AncEngine::new`] and ANCF: all ones, then `rep` full reinforcement
+/// passes over one σ table (no pass changes activeness, so none changes σ).
+/// A fresh `S` starts at mean 1, so the relative floor applies directly.
+fn initial_similarity(
+    ctx: &SimilarityCtx<'_>,
+    cfg: &AncConfig,
+    rep: usize,
+    scratch: &mut Scratch,
+) -> Vec<f64> {
+    let mut sim = vec![1.0; ctx.g.m()];
+    if rep > 0 {
+        let rows = SigmaRows::build(ctx, cfg.epsilon, cfg.mu, scratch);
+        let floor_anchored = cfg.floor.max(cfg.floor_rel);
+        for _ in 0..rep {
+            reinforce::sweep(ctx, &mut sim, &rows, floor_anchored, scratch);
+        }
+    }
+    sim
 }
 
 impl OfflineSnapshot {

@@ -209,9 +209,72 @@ pub fn apply_reinforcement_cached(
     }
 }
 
+/// Every node's `sigma_all` row and classification for one activeness
+/// state. σ is NeuM and reads activeness only, never `sim`, so a table built
+/// once serves every full pass over that state: `n` rows instead of two per
+/// trigger edge per pass.
+#[derive(Debug)]
+pub(crate) struct SigmaRows {
+    /// Node `u`'s row is `sigmas[start[u]..start[u + 1]]`.
+    start: Vec<usize>,
+    /// σ per adjacency slot, each row aligned with `g.edges_of(u)`.
+    sigmas: Vec<f64>,
+    /// Classification per node under `(ε, µ)`.
+    types: Vec<NodeType>,
+}
+
+impl SigmaRows {
+    /// Computes the row and classification of every node of `ctx.g`.
+    pub(crate) fn build(
+        ctx: &SimilarityCtx<'_>,
+        epsilon: f64,
+        mu: usize,
+        scratch: &mut Scratch,
+    ) -> Self {
+        let g = ctx.g;
+        let mut start = Vec::with_capacity(g.n() + 1);
+        let mut sigmas = Vec::with_capacity(2 * g.m());
+        let mut types = Vec::with_capacity(g.n());
+        start.push(0);
+        for u in 0..g.n() as NodeId {
+            ctx.sigma_all(u, scratch);
+            types.push(ctx.node_type_from_sigmas(u, epsilon, mu, &scratch.sigmas));
+            sigmas.extend_from_slice(&scratch.sigmas);
+            start.push(sigmas.len());
+        }
+        Self { start, sigmas, types }
+    }
+
+    /// Node `u`'s row and classification.
+    fn trigger(&self, u: NodeId) -> CachedTrigger<'_> {
+        let u = u as usize;
+        CachedTrigger {
+            sigmas: &self.sigmas[self.start[u]..self.start[u + 1]],
+            node_type: self.types[u],
+        }
+    }
+}
+
 /// Runs one full-graph reinforcement pass: every edge is treated as a
 /// trigger once, in edge-id order (the paper's `S_0` initialization appends
 /// "activations over all edges in E (in arbitrary order)" per repetition).
+/// Builds every node's σ row, runs one sweep with them and renormalizes
+/// `sim` to mean 1; the engine's S₀ builds the rows once for all of its
+/// `rep` passes instead.
+pub fn full_pass(
+    ctx: &SimilarityCtx<'_>,
+    sim: &mut [f64],
+    params: &ReinforceParams,
+    scratch: &mut Scratch,
+) {
+    let rows = SigmaRows::build(ctx, params.epsilon, params.mu, scratch);
+    sweep(ctx, sim, &rows, params.floor_anchored, scratch);
+}
+
+/// One full pass over a prebuilt σ table: each edge in edge-id order goes
+/// through [`apply_reinforcement_cached`], reading `sim` as the earlier edges
+/// left it — the same updates, bit for bit, as [`apply_reinforcement`] per
+/// edge.
 ///
 /// After the pass the similarity vector is renormalized to mean 1. The
 /// reinforcement update is 1-homogeneous in `F` (AF, TF and WSF are all
@@ -221,19 +284,29 @@ pub fn apply_reinforcement_cached(
 /// the same property the global decay factor relies on — the
 /// renormalization is unobservable except that it keeps the floor clamp
 /// from artificially severing edges after many repetitions.
-pub fn full_pass(
+pub(crate) fn sweep(
     ctx: &SimilarityCtx<'_>,
     sim: &mut [f64],
-    params: &ReinforceParams,
+    rows: &SigmaRows,
+    floor_anchored: f64,
     scratch: &mut Scratch,
 ) {
     for e in 0..ctx.g.m() as EdgeId {
-        apply_reinforcement(ctx, sim, e, params, scratch);
+        let (u, v) = ctx.g.endpoints(e);
+        apply_reinforcement_cached(
+            ctx,
+            sim,
+            e,
+            floor_anchored,
+            rows.trigger(u),
+            rows.trigger(v),
+            scratch,
+        );
     }
     let mean = sim.iter().sum::<f64>() / sim.len().max(1) as f64;
     if mean.is_finite() && mean > 0.0 {
         for s in sim.iter_mut() {
-            *s = (*s / mean).max(params.floor_anchored);
+            *s = (*s / mean).max(floor_anchored);
         }
     }
 }
