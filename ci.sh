@@ -10,7 +10,8 @@
 #     lengths a peer chose)
 #   - anc-bench smoke (snapshot-size gate, the paper's shape claims)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
-#     thread count unset, repair completeness,
+#     thread count unset, repair completeness, rescale/repair commutation,
+#     restore identity past rescales,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the cluster-cache property suites under debug-invariants
 #   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
@@ -120,7 +121,9 @@ cargo test -p anc-core --features debug-invariants --test cache_determinism -q
 
 echo "==> repair completeness + realistic-n cache checks (release)"
 # Every node a Voronoi repair writes must be in the affected set it returns
-# (n = 2 000, as built and after a non-power-of-two rescale), and the
+# (n = 2 000); a power-of-two rescale must commute with repair bit for
+# bit, so the rescaled partition writes the same nodes; a restored or reopened engine must stay
+# bit-identical to the live one across batched rescales; and the
 # n = 20 000 stream that crosses the first batched rescale must keep the
 # cluster cache in step with the index (ROADMAP item 1(a)'s reproducer).
 # Near-ties an ulp apart need realistic n, so these run by name in release.
@@ -129,6 +132,8 @@ echo "==> repair completeness + realistic-n cache checks (release)"
 # seed moved: a fall back to whole-graph re-voting or re-extraction fails
 # here without a timer (DESIGN.md §9.2).
 cargo test --release -p anc-core --test prop_voronoi affected_set_names_every_written_node -q
+cargo test --release -p anc-core --test prop_voronoi power_of_two_rescale_commutes_with_repair -q
+cargo test --release -p anc-core --test restore_identity -q
 cargo test --release -p anc-core --test prop_cluster_cache \
     post_rescale_cache_matches_index_at_realistic_n -q -- --ignored
 cargo test --release -p anc-core --test prop_cluster_cache \

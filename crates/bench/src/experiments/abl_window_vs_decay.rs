@@ -17,7 +17,7 @@ use crate::args::Ctx;
 use crate::report::{f3, Table};
 use anc_baselines::louvain;
 use anc_data::stream;
-use anc_decay::{ActivenessStore, DecayClock, Rescalable, SlidingWindow};
+use anc_decay::{ActivenessStore, DecayClock, SlidingWindow};
 use anc_metrics::nmi;
 
 /// Runs the ablation.

@@ -16,21 +16,20 @@
 //!   against the *current* activeness and rebuilds the index, exactly like
 //!   indexing a fresh snapshot.
 //!
-//! One batched rescale (`anc-decay`) is shared by every store: anchored
-//! activeness and similarity absorb `g` (PosM), reciprocal weights and all
-//! pyramid distances absorb `1/g` (NegM, Lemma 10). At rescale time no
-//! comparison outcome changes, so the index structure is untouched; but
-//! `dist·(1/g)` and `recip·(1/g)` round separately, so afterwards
-//! `dist[child] == dist[parent] + w` holds only to an ulp and a later exact
-//! compare at a near-tie may resolve differently than it would have without
-//! the rescale (ROADMAP item 1). Repairs report every node they write, so
-//! the cluster cache follows the index either way.
+//! One batched rescale (`anc-decay`) is shared by every store, decided and
+//! applied in [`AncEngine::force_rescale`]: anchored activeness, node sums
+//! and similarity absorb `g` (PosM), reciprocal weights and all pyramid
+//! distances absorb `1/g` (NegM, Lemma 10). The factor is a power of two, so
+//! every product is exact: `recip` stays exactly `1/S*`, every `dist` stays
+//! the exact sum along its shortest-path tree, and the index structure is
+//! untouched — the state a restore re-derives from the snapshot, bit for
+//! bit.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use anc_decay::{ActivenessStore, DecayClock, MaintainClass, Rescalable, Time};
+use anc_decay::{ActivenessStore, DecayClock, Time};
 use anc_graph::{EdgeId, Graph, NodeId};
 use anc_metrics::Clustering;
 
@@ -273,13 +272,12 @@ impl AncEngine {
     /// Processes one activation `(e, t)` — the ANCO per-activation path, a
     /// batch of one through the ingest loop (DESIGN.md §7):
     ///
-    /// 1. advance the clock and bump the anchored activeness (`O(1)`,
-    ///    Lemma 1);
+    /// 1. advance the clock, absorb a batched rescale if one is due, and
+    ///    bump the anchored activeness (`O(1)`, Lemma 1);
     /// 2. apply local reinforcement with trigger edge `e` (`O(deg u +
     ///    deg v)` neighborhood work, Lemma 5);
     /// 3. repair every Voronoi partition for the changed weight
-    ///    (Algorithms 1–3, bounded by the affected region, Lemma 12);
-    /// 4. absorb a batched rescale if one is due.
+    ///    (Algorithms 1–3, bounded by the affected region, Lemma 12).
     pub fn activate(&mut self, e: EdgeId, t: Time) {
         self.ingest(&[e], Some(t), &mut BatchStats::default());
     }
@@ -338,37 +336,40 @@ impl AncEngine {
     }
 
     /// The one ingest loop behind [`Self::activate`],
-    /// [`Self::activate_batch`] and [`Self::reinforce_edges`]: per edge
-    /// [`Self::bump`] (when a timestamp is given) → [`Self::reinforce`] →
-    /// queue the weight change; pending repairs are flushed before a due
-    /// rescale and once more at the end. On return `self.dirty` lists the
-    /// edges whose weight changed (with repeats).
+    /// [`Self::activate_batch`] and [`Self::reinforce_edges`]. Per edge,
+    /// when a timestamp is given: advance the clock → if a rescale is due,
+    /// flush the pending repairs and [`Self::force_rescale`] →
+    /// [`Self::bump`]; then, with or without one, [`Self::reinforce`] →
+    /// queue the weight change. The `reinforce_edges` path (no timestamp)
+    /// never rescales. Pending repairs are flushed once more at the end. On
+    /// return `self.dirty` lists the edges whose weight changed (with
+    /// repeats).
     fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>, stats: &mut BatchStats) {
         self.dirty.clear();
         self.traced = false;
         for &e in edges {
             if let Some(t) = t {
-                self.bump(e, t);
+                self.clock.advance_to(t);
+                // The one rescale site: before `bump` reads `boost()`, so
+                // `boost() ≤ e^guard` always holds, and after the pending
+                // repairs have landed at the pre-rescale weights.
+                if self.clock.needs_rescale() {
+                    self.flush(stats);
+                    self.force_rescale();
+                }
+                self.bump(e);
             }
             if let Some(delta) = self.reinforce(e) {
                 self.deltas.push(delta);
                 self.dirty.push(e);
             }
-            // The serial semantics check for a due rescale after every
-            // activation's repair; pending repairs must land at the
-            // pre-rescale weights first.
-            if self.clock.needs_rescale() {
-                self.flush(stats);
-                self.force_rescale();
-            }
         }
         self.flush(stats);
     }
 
-    /// Ingest stage 1: advances the clock to `t` and bumps the anchored
-    /// activeness of `e` and both endpoint sums (`O(1)`, Lemma 1).
-    fn bump(&mut self, e: EdgeId, t: Time) {
-        self.clock.advance_to(t);
+    /// Ingest stage 1: bumps the anchored activeness of `e` and both
+    /// endpoint sums at the clock's time (`O(1)`, Lemma 1).
+    fn bump(&mut self, e: EdgeId) {
         self.act.activate(e, &self.clock);
         let (u, v) = self.g.endpoints(e);
         let boost = self.clock.boost();
@@ -445,15 +446,27 @@ impl AncEngine {
         self.deltas.clear();
     }
 
-    /// Forces a batched rescale now (exposed for tests and ablations).
+    /// Performs a batched rescale now; the ingest loop calls it when one is
+    /// due, tests and ablations may call it any time. Absorbs the exact
+    /// power-of-two factor `g` of [`DecayClock::take_rescale`]: PosM stores
+    /// multiply by `g`, NegM stores by `1/g`. When `g = 1` (less than one
+    /// halving has elapsed) no store moves and [`Self::rescales`] does not
+    /// count it.
     pub fn force_rescale(&mut self) {
         let g = self.clock.take_rescale();
+        if g == 1.0 {
+            return;
+        }
         self.act.rescale(g);
-        anc_decay::absorb(MaintainClass::Pos, &mut self.node_sum, g);
-        anc_decay::absorb(MaintainClass::Pos, &mut self.sim, g);
-        anc_decay::absorb(MaintainClass::Neg, &mut self.recip, g);
-        self.pyramids.rescale(1.0 / g);
+        for x in self.node_sum.iter_mut().chain(&mut self.sim) {
+            *x *= g;
+        }
         self.sim_sum *= g;
+        let inv = 1.0 / g;
+        for w in &mut self.recip {
+            *w *= inv;
+        }
+        self.pyramids.rescale(inv);
         self.rescales += 1;
     }
 
@@ -884,13 +897,15 @@ mod tests {
         let before = engine.cluster_all(level, ClusterMode::Power);
         let sim_before = engine.similarity(0);
         let act_before = engine.activeness(0);
+        // λt = 1.9 holds two halvings of g.
+        assert_eq!(engine.rescales(), 0);
         engine.force_rescale();
+        assert_eq!(engine.rescales(), 1, "the rescale must not be a no-op");
         engine.check_invariants().unwrap();
         let after = engine.cluster_all(level, ClusterMode::Power);
         assert_eq!(before, after, "rescale must not change clustering");
         assert!((engine.similarity(0) - sim_before).abs() < 1e-9 * (1.0 + sim_before));
         assert!((engine.activeness(0) - act_before).abs() < 1e-9 * (1.0 + act_before));
-        assert!(engine.rescales() >= 1);
     }
 
     #[test]
@@ -1013,9 +1028,18 @@ mod tests {
     #[test]
     fn exact_batch_is_bitwise_identical_to_serial_loop() {
         let lg = connected_caveman(4, 6);
-        // A tiny rescale interval forces several mid-batch rescales.
+        // A tiny rescale interval forces several mid-batch rescales; λ = 1
+        // makes the steps of 0.5 add up to whole halvings of g.
         let rescale = anc_decay::RescaleConfig { every_activations: 7, exponent_guard: 200.0 };
-        let cfg = AncConfig { rep: 1, mu: 3, epsilon: 0.25, k: 3, rescale, ..Default::default() };
+        let cfg = AncConfig {
+            lambda: 1.0,
+            rep: 1,
+            mu: 3,
+            epsilon: 0.25,
+            k: 3,
+            rescale,
+            ..Default::default()
+        };
         let mut serial = AncEngine::new(lg.graph.clone(), cfg.clone(), 42);
         let mut batched = AncEngine::new(lg.graph, cfg, 42);
         let m = serial.graph().m() as u32;
@@ -1052,14 +1076,16 @@ mod tests {
     fn rescale_and_empty_batch_preserve_cache_generation() {
         let mut engine = engine_fixture(1);
         let m = engine.graph().m() as u32;
+        // λt = 0.97 at the last activation: one halving of g.
         for i in 0..30u32 {
-            engine.activate(i % m, 1.0 + i as f64 * 0.1);
+            engine.activate(i % m, 1.0 + i as f64 * 0.3);
         }
         let level = engine.default_level();
         let (before, s0) = engine.cluster_all_cached(level, ClusterMode::Power);
         let gen = engine.cluster_cache().generation();
         let _ = engine.activate_batch(&[], 10.0);
         engine.force_rescale();
+        assert_eq!(engine.rescales(), 1, "the rescale must not be a no-op");
         assert_eq!(engine.cluster_cache().generation(), gen);
         assert_eq!(engine.cluster_cache().pending_count(level), Some(0));
         let (after, s1) = engine.cluster_all_cached(level, ClusterMode::Power);

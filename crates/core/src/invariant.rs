@@ -12,7 +12,7 @@
 //!   incremental `+= 1/g` bumps must agree with a full rescan);
 //! * anchored similarity is finite and strictly positive (Eq. 1 composed
 //!   with the reinforcement floor), and the materialized reciprocal weights
-//!   are `1/S*` (NegM, Lemma 4);
+//!   are exactly `1/S*` (NegM, Lemma 4);
 //! * the pyramids index has exactly `k · ⌈log₂ n⌉` partitions with the
 //!   prescribed seed counts, and each Voronoi partition is a certified
 //!   shortest-path forest (no relaxable edge, acyclic parents — see
@@ -105,7 +105,9 @@ pub fn check_similarities(sim: &[f64]) -> Result<(), InvariantViolation> {
 }
 
 /// Checks that the materialized reciprocal weights equal `1/S*` edge for
-/// edge (NegM, Lemma 4). Assumes [`check_similarities`] already passed.
+/// edge, bit for bit (NegM, Lemma 4): a power-of-two rescale keeps
+/// `fl(1/s)·2^j == fl(1/(s·2^-j))`, and a restore re-derives `recip` as
+/// `1/S*`. Assumes [`check_similarities`] already passed.
 pub fn check_recip_sync(sim: &[f64], recip: &[f64]) -> Result<(), InvariantViolation> {
     if sim.len() != recip.len() {
         return Err(InvariantViolation::Similarity(format!(
@@ -115,7 +117,7 @@ pub fn check_recip_sync(sim: &[f64], recip: &[f64]) -> Result<(), InvariantViola
         )));
     }
     for (e, (s, r)) in sim.iter().zip(recip).enumerate() {
-        if (r - 1.0 / s).abs() > 1e-9 * r.abs() {
+        if r.to_bits() != (1.0 / s).to_bits() {
             return Err(InvariantViolation::Similarity(format!(
                 "recip of edge {e} out of sync: {r} vs 1/{s}"
             )));
@@ -367,6 +369,9 @@ mod tests {
     fn recip_sync_detects_drift() {
         check_recip_sync(&[2.0, 4.0], &[0.5, 0.25]).unwrap();
         assert!(check_recip_sync(&[2.0], &[0.5000001]).is_err());
+        // One ulp off is out of sync too.
+        let third = 1.0f64 / 3.0;
+        assert!(check_recip_sync(&[3.0], &[f64::from_bits(third.to_bits() + 1)]).is_err());
         assert!(check_recip_sync(&[2.0, 4.0], &[0.5]).is_err());
     }
 

@@ -28,9 +28,8 @@
 //! The payload is a kind byte plus the call's arguments (timestamps as raw
 //! `f64` bits, edge ids as varints); the arguments are validated *before*
 //! the record is appended, so the log never holds a call the engine would
-//! panic on. Triggered rescales are *not* logged:
-//! they are a deterministic function of engine state, so replay reproduces
-//! them; only explicit [`AncEngine::force_rescale`] calls need a record.
+//! panic on. Rescales are *not* logged: they are a deterministic function
+//! of engine state and the logged inputs, so replay reproduces them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -81,16 +80,15 @@ pub enum WalRecord {
         /// Reinforced edges, in call order.
         edges: Vec<EdgeId>,
     },
-    /// An explicit [`AncEngine::force_rescale`] call.
-    ForceRescale,
 }
 
 const KIND_ACTIVATE: u8 = 1;
 const KIND_BATCH: u8 = 2;
-// Kind 3 was `ActivateBatchAdaptive`, retired with the method it logged. The
-// byte stays reserved — never reuse it: a log holding one is refused.
+// Kind 3 was `ActivateBatchAdaptive`, retired with the method it logged, and
+// kind 5 was an explicit rescale, retired when rescales became a function of
+// the logged inputs alone. Both bytes stay reserved — never reuse them: a log
+// holding one is refused.
 const KIND_REINFORCE: u8 = 4;
-const KIND_FORCE_RESCALE: u8 = 5;
 
 fn put_edges(out: &mut Vec<u8>, edges: &[EdgeId]) {
     put_uvarint(out, edges.len() as u64);
@@ -158,7 +156,6 @@ impl WalRecord {
             WalRecord::Activate { e, t } => payload_activate(out, *e, *t),
             WalRecord::ActivateBatch { t, edges } => payload_batch(out, *t, edges),
             WalRecord::ReinforceEdges { edges } => payload_reinforce(out, edges),
-            WalRecord::ForceRescale => put_u8(out, KIND_FORCE_RESCALE),
         }
     }
 
@@ -178,7 +175,6 @@ impl WalRecord {
                 WalRecord::ActivateBatch { t, edges: read_edges(&mut r)? }
             }
             KIND_REINFORCE => WalRecord::ReinforceEdges { edges: read_edges(&mut r)? },
-            KIND_FORCE_RESCALE => WalRecord::ForceRescale,
             other => {
                 return Err(RestoreError::Codec(format!("unknown or retired record kind {other}")));
             }
@@ -200,7 +196,6 @@ impl WalRecord {
             WalRecord::Activate { e, t } => check_input(engine, &[*e], Some(*t)),
             WalRecord::ActivateBatch { t, edges } => check_input(engine, edges, Some(*t)),
             WalRecord::ReinforceEdges { edges } => check_input(engine, edges, None),
-            WalRecord::ForceRescale => Ok(()),
         }
     }
 
@@ -219,7 +214,6 @@ impl WalRecord {
                 let _ = engine.activate_batch(edges, *t);
             }
             WalRecord::ReinforceEdges { edges } => engine.reinforce_edges(edges),
-            WalRecord::ForceRescale => engine.force_rescale(),
         }
     }
 }
@@ -558,15 +552,6 @@ impl DurableEngine {
         self.maybe_compact()
     }
 
-    /// Logged [`AncEngine::force_rescale`].
-    pub fn force_rescale(&mut self) -> Result<(), RestoreError> {
-        self.payload_buf.clear();
-        put_u8(&mut self.payload_buf, KIND_FORCE_RESCALE);
-        self.append_payload()?;
-        self.engine.force_rescale();
-        self.maybe_compact()
-    }
-
     /// Write-ahead: the framed payload in `payload_buf` hits the log before
     /// the engine mutates, so a crash mid-apply replays the record on
     /// recovery instead of losing it.
@@ -642,7 +627,6 @@ mod tests {
             WalRecord::Activate { e: 7, t: 1.25 },
             WalRecord::ActivateBatch { t: 2.0, edges: vec![0, 3, 3, 9] },
             WalRecord::ReinforceEdges { edges: vec![4, 4] },
-            WalRecord::ForceRescale,
         ];
         let mut log = encode_header(0);
         let mut scratch = Vec::new();
@@ -667,7 +651,6 @@ mod tests {
         }
         let _ = durable.activate_batch(&[1, 3, 1], 11.0).unwrap();
         durable.reinforce_edges(&[0, 2]).unwrap();
-        durable.force_rescale().unwrap();
         let want = exact_bytes(durable.engine());
         drop(durable); // "crash": nothing beyond the appends is persisted
 
@@ -724,8 +707,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A record that passes its CRC but cannot be decoded (retired kind 3,
-    /// unknown kind 9), or that decodes to a call the engine would panic on
+    /// A record that passes its CRC but cannot be decoded (retired kinds 3
+    /// and 5, unknown kind 9), or that decodes to a call the engine would panic on
     /// (`e = m`), is skew, not a tear: `open` must refuse with the typed
     /// error and leave every byte of the log — including the valid records
     /// behind the bad one — in place.
@@ -742,6 +725,7 @@ mod tests {
         // the record that decodes but is out of range).
         let cases = [
             ("retired", retired, Some("kind 3")),
+            ("rescale", vec![5u8], Some("kind 5")),
             ("unknown", vec![9u8], Some("kind 9")),
             ("range", out_of_range, None),
         ];

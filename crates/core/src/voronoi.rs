@@ -146,13 +146,13 @@ impl VoronoiPartition {
     }
 
     /// Absorbs a batched rescale: all anchored distances scale by `mult`
-    /// (`1/g` for the NegM distance metric, Lemma 10). Tree structure is
-    /// invariant because the scaling is uniform.
+    /// (`1/g` for the NegM distance metric, Lemma 10; ∞ stays ∞). Tree
+    /// structure is invariant because the scaling is uniform, and with a
+    /// power-of-two `mult` every distance stays the exact sum of the
+    /// rescaled weights along its tree path.
     pub fn rescale(&mut self, mult: f64) {
         for d in &mut self.dist {
-            if d.is_finite() {
-                *d *= mult;
-            }
+            *d *= mult;
         }
     }
 
@@ -604,15 +604,19 @@ mod tests {
         let seeds_before: Vec<NodeId> = (0..g.n() as NodeId).map(|v| p.seed_of(v)).collect();
         let parents_before: Vec<NodeId> = (0..g.n() as NodeId).map(|v| p.parent(v)).collect();
         let d5 = p.dist(5);
-        p.rescale(2.5);
+        p.rescale(4.0);
         let seeds_after: Vec<NodeId> = (0..g.n() as NodeId).map(|v| p.seed_of(v)).collect();
         let parents_after: Vec<NodeId> = (0..g.n() as NodeId).map(|v| p.parent(v)).collect();
         assert_eq!(seeds_before, seeds_after);
         assert_eq!(parents_before, parents_after);
-        assert!((p.dist(5) - 2.5 * d5).abs() < 1e-12);
-        // Consistent with uniformly rescaled weights.
-        let w2: Vec<f64> = w.iter().map(|x| x * 2.5).collect();
+        assert_eq!(p.dist(5), 4.0 * d5);
+        // Bit for bit a build over the uniformly rescaled weights.
+        let w2: Vec<f64> = w.iter().map(|x| x * 4.0).collect();
         p.check_invariants(&g, &w2).unwrap();
+        let fresh = VoronoiPartition::build(&g, &w2, p.seeds().to_vec());
+        for v in 0..g.n() as NodeId {
+            assert_eq!(p.dist(v).to_bits(), fresh.dist(v).to_bits(), "node {v}");
+        }
     }
 
     #[test]

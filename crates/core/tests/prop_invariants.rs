@@ -31,10 +31,12 @@ fn stream_strategy() -> impl Strategy<Value = (u64, Vec<(Event, f64)>)> {
     (0u64..32, prop::collection::vec((event_strategy(), 0.0f64..1.5), 1..16))
 }
 
-/// Rescale every 9 activations so a typical fuzz stream crosses several
-/// PosM/NegM rescale boundaries (Lemma 10's exercised path).
+/// Rescale every 9 activations, at λ = 1 so that most of them halve `g` at
+/// least once: a typical fuzz stream crosses several PosM/NegM rescale
+/// boundaries (Lemma 10's exercised path).
 fn fuzz_cfg() -> AncConfig {
     AncConfig {
+        lambda: 1.0,
         k: 2,
         rep: 1,
         mu: 2,
@@ -114,10 +116,9 @@ proptest! {
         }
 
         // An Exact restore taken now must track the live engine through a
-        // continuation stream: decayed state byte-identical, index distances
-        // equal up to last-ulp rounding (the restore derives `1/S*` afresh,
-        // so post-restore repairs can differ from the live engine's
-        // accumulated rescale products in the final bits).
+        // continuation stream bit for bit, index distances included: the
+        // restore derives `1/S*` afresh, which a power-of-two rescale keeps
+        // equal to the live engine's rescaled `recip`.
         let mut exact = Vec::new();
         engine.save_binary(&mut exact, SnapshotProfile::Exact).unwrap();
         let mut restored = AncEngine::load_binary(exact.as_slice()).unwrap();
@@ -149,9 +150,7 @@ proptest! {
                         engine.pyramids().partition(p, l).dist(v),
                         restored.pyramids().partition(p, l).dist(v),
                     );
-                    // Exact equality covers matching infinities on nodes
-                    // unreachable from every seed (∞ − ∞ is NaN).
-                    prop_assert!(da == db || (da - db).abs() <= 1e-9 * (1.0 + db.abs()),
+                    prop_assert_eq!(da.to_bits(), db.to_bits(),
                         "pyramid {} level {} node {}: {} vs {}", p, l, v, da, db);
                 }
             }

@@ -117,52 +117,81 @@ proptest! {
     }
 }
 
-/// Replays 4 000 random ×1.3 / ×0.8 weight changes on one 64-seed partition
-/// of a realistic graph (n = 2 000, weights `1/S₀` as the engine builds
-/// them), diffing every node's `(dist bits, seed_of, parent)` around each
-/// update. Returns how many nodes changed without being named in the
-/// returned affected set — the cluster cache never hears about those.
-///
-/// With `rescale = Some(m)` the partition absorbs `m` the way
-/// [`anc_core::Pyramids::rescale`] does while the weights are multiplied
-/// separately, so `dist[child] == dist[parent] + w` stops holding to the
-/// bit and near-ties resolve an ulp apart: the state the engine is in after
-/// every batched rescale.
-fn unreported_writes(rescale: Option<f64>) -> usize {
+/// One 64-seed partition of a realistic graph (n = 2 000, weights `1/S₀`
+/// as the engine builds them) and the seeded RNG of the 4 000 random
+/// ×1.3 / ×0.8 weight changes the tests below replay on it.
+fn realistic_partition() -> (anc_graph::Graph, Vec<f64>, VoronoiPartition, ChaCha8Rng) {
     let lg = planted_partition(&PlantedConfig::default_for(2_000), 7);
     let engine = AncEngine::new(lg.graph, AncConfig::default(), 7);
-    let g = engine.graph();
-    let n = g.n() as NodeId;
-    let mut w: Vec<f64> = engine.sim_anchored().iter().map(|s| 1.0 / s).collect();
+    let w: Vec<f64> = engine.sim_anchored().iter().map(|s| 1.0 / s).collect();
     let seeds: Vec<NodeId> = (0..64).map(|i| i * 31).collect();
-    let mut p = VoronoiPartition::build(g, &w, seeds);
-    if let Some(m) = rescale {
-        p.rescale(m);
-        w.iter_mut().for_each(|x| *x *= m);
-    }
+    let p = VoronoiPartition::build(engine.graph(), &w, seeds);
+    (engine.graph().clone(), w, p, ChaCha8Rng::seed_from_u64(11))
+}
+
+/// The next random weight change: an edge and its new weight.
+fn next_change(rng: &mut ChaCha8Rng, w: &[f64]) -> (EdgeId, f64) {
+    let e = rng.gen_range(0..w.len()) as EdgeId;
+    (e, w[e as usize] * if rng.gen_bool(0.5) { 1.3 } else { 0.8 })
+}
+
+/// Replays the 4 000 weight changes on the realistic partition, diffing
+/// every node's `(dist bits, seed_of, parent)` around each update. Returns
+/// how many nodes changed without being named in the returned affected
+/// set — the cluster cache never hears about those. A rescaled partition
+/// needs no run of its own: `power_of_two_rescale_commutes_with_repair`
+/// shows it writes the same nodes, bit for bit, as this one.
+fn unreported_writes() -> usize {
+    let (g, mut w, mut p, mut rng) = realistic_partition();
+    let n = g.n() as NodeId;
     let state = |p: &VoronoiPartition, v: NodeId| (p.dist(v).to_bits(), p.seed_of(v), p.parent(v));
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut unreported = 0;
     for _ in 0..4_000 {
-        let e = rng.gen_range(0..g.m()) as EdgeId;
-        let old = w[e as usize];
-        w[e as usize] = old * if rng.gen_bool(0.5) { 1.3 } else { 0.8 };
+        let (e, new_w) = next_change(&mut rng, &w);
+        let old = std::mem::replace(&mut w[e as usize], new_w);
         let before: Vec<_> = (0..n).map(|v| state(&p, v)).collect();
-        let affected = p.on_weight_change(g, &w, e, old);
+        let affected = p.on_weight_change(&g, &w, e, old);
         unreported += (0..n)
             .filter(|&v| before[v as usize] != state(&p, v) && affected.binary_search(&v).is_err())
             .count();
     }
-    p.check_invariants(g, &w).unwrap();
+    p.check_invariants(&g, &w).unwrap();
     unreported
 }
 
 #[test]
 fn affected_set_names_every_written_node() {
-    assert_eq!(unreported_writes(None), 0);
+    assert_eq!(unreported_writes(), 0);
 }
 
+/// A power-of-two rescale commutes with repair, bit for bit: a partition
+/// rescaled by `f` and then fed the 4 000 weight changes (each times `f`)
+/// holds, after every change, exactly `f` times the distances of an
+/// unrescaled twin fed the same changes, and the same seeds and parents.
+/// (With `f = 1/1.234_567_8` almost every step differs somewhere.)
 #[test]
-fn affected_set_names_every_written_node_after_rescale() {
-    assert_eq!(unreported_writes(Some(1.0 / 1.234_567_8)), 0);
+fn power_of_two_rescale_commutes_with_repair() {
+    let (g, w0, p0, rng0) = realistic_partition();
+    for f in [2f64.powi(40), 0.5f64.powi(300)] {
+        let (mut w, mut plain, mut rng) = (w0.clone(), p0.clone(), rng0.clone());
+        let mut scaled = plain.clone();
+        scaled.rescale(f);
+        let mut ws: Vec<f64> = w.iter().map(|x| x * f).collect();
+        for step in 0..4_000 {
+            let (e, new_w) = next_change(&mut rng, &w);
+            let old = std::mem::replace(&mut w[e as usize], new_w);
+            let old_s = std::mem::replace(&mut ws[e as usize], new_w * f);
+            plain.on_weight_change(&g, &w, e, old);
+            scaled.on_weight_change(&g, &ws, e, old_s);
+            for v in 0..g.n() as NodeId {
+                assert_eq!(
+                    scaled.dist(v).to_bits(),
+                    (plain.dist(v) * f).to_bits(),
+                    "f = {f:e}, step {step}, node {v}: dist"
+                );
+                assert_eq!(scaled.seed_of(v), plain.seed_of(v), "f = {f:e}, step {step}, node {v}");
+                assert_eq!(scaled.parent(v), plain.parent(v), "f = {f:e}, step {step}, node {v}");
+            }
+        }
+    }
 }

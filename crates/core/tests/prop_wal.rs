@@ -33,24 +33,24 @@ enum Op {
     Activate(usize),
     Batch(Vec<usize>),
     Reinforce(Vec<usize>),
-    Rescale,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..4, 0usize..10_000, prop::collection::vec(0usize..10_000, 1..12)).prop_map(
+    (0u8..3, 0usize..10_000, prop::collection::vec(0usize..10_000, 1..12)).prop_map(
         |(kind, single, list)| match kind {
             0 => Op::Activate(single),
             1 => Op::Batch(list),
-            2 => Op::Reinforce(list),
-            _ => Op::Rescale,
+            _ => Op::Reinforce(list),
         },
     )
 }
 
-/// Rescale every 7 activations so streams cross rescale boundaries and the
-/// log interleaves with triggered (unlogged, deterministic) rescales.
+/// Rescale every 7 activations, at λ = 1 so that most of them halve `g` at
+/// least once: streams cross rescale boundaries and the log interleaves
+/// with triggered (unlogged, deterministic) rescales.
 fn fuzz_cfg() -> AncConfig {
     AncConfig {
+        lambda: 1.0,
         k: 2,
         rep: 1,
         mu: 2,
@@ -69,7 +69,6 @@ fn apply_durable(d: &mut DurableEngine, op: &Op, t: f64) {
             let _ = d.activate_batch(&to_edges(sels), t).unwrap();
         }
         Op::Reinforce(sels) => d.reinforce_edges(&to_edges(sels)).unwrap(),
-        Op::Rescale => d.force_rescale().unwrap(),
     }
 }
 

@@ -26,24 +26,24 @@ impl Default for RescaleConfig {
 /// `λ`; decides when a batched rescale is due.
 ///
 /// ```
-/// use anc_decay::{ActivenessStore, DecayClock, Rescalable};
+/// use anc_decay::{ActivenessStore, DecayClock};
 ///
-/// // Paper Example 1: λ = 0.1, activations at t = 0 and t = 2.
+/// // Paper Example 1's λ = 0.1, activations at t = 0 and t = 10.
 /// let mut clock = DecayClock::new(0.1);
 /// let mut act = ActivenessStore::new(1, 0.0);
 /// act.activate(0, &clock);
-/// clock.advance_to(2.0);
+/// clock.advance_to(10.0);
 /// act.activate(0, &clock);
-/// assert!((act.current(0, &clock) - 1.8187).abs() < 5e-4);
-/// // A batched rescale is unobservable:
+/// assert!((act.current(0, &clock) - 1.3679).abs() < 5e-4);
+/// // A batched rescale (here g = 2^-1) is unobservable:
 /// let g = clock.take_rescale();
+/// assert_eq!(g, 0.5);
 /// act.rescale(g);
-/// assert!((act.current(0, &clock) - 1.8187).abs() < 5e-4);
+/// assert!((act.current(0, &clock) - 1.3679).abs() < 5e-4);
 /// ```
 ///
-/// The clock itself holds no per-edge state — stores implementing
-/// [`crate::Rescalable`] absorb the factor returned by
-/// [`DecayClock::take_rescale`].
+/// The clock itself holds no per-edge state — the stores absorb the factor
+/// returned by [`DecayClock::take_rescale`].
 #[derive(Clone, Debug)]
 pub struct DecayClock {
     lambda: f64,
@@ -147,12 +147,24 @@ impl DecayClock {
     }
 
     /// Performs the clock side of a batched rescale: returns the factor `g`
-    /// that every anchored store must absorb (via [`crate::Rescalable`]) and
-    /// resets `t* ← t`.
+    /// every anchored store must absorb (PosM values multiply by `g`, NegM
+    /// values by `1/g`) and moves the anchor `t*` to match.
+    ///
+    /// The paper resets `t* ← t`; here `g = 2^-j` with
+    /// `j = ⌊λ(t − t*)/ln 2⌋` and `t*` advances by `j·ln 2/λ`, leaving a
+    /// residual `λ(t − t*) < ln 2`. Scaling a normal `f64` by `2^±j` is
+    /// exact, so a rescaled store holds the same bits a from-scratch
+    /// computation over the rescaled inputs would. When `j = 0` the factor
+    /// is 1 and only the activation counter resets.
     pub fn take_rescale(&mut self) -> f64 {
-        let g = self.global_factor();
-        self.anchor = self.now;
         self.activations_since_rescale = 0;
+        let j = (self.lambda * (self.now - self.anchor) / std::f64::consts::LN_2).floor();
+        if j < 1.0 {
+            return 1.0;
+        }
+        // `j as i32` saturates; past 2^-1074 the factor is 0 either way.
+        let g = 0.5f64.powi(j as i32);
+        self.anchor = (self.anchor + j * std::f64::consts::LN_2 / self.lambda).min(self.now);
         g
     }
 }
@@ -188,13 +200,31 @@ mod tests {
     }
 
     #[test]
-    fn rescale_resets_anchor() {
+    fn rescale_moves_anchor_by_whole_halvings() {
+        // λ(t − t*) = 1.5 = 2·ln 2 + 0.114: two halvings, residual 0.114.
         let mut c = DecayClock::new(0.5);
         c.advance_to(3.0);
+        let before = c.global_factor();
         let g = c.take_rescale();
-        assert!((g - (-1.5f64).exp()).abs() < 1e-15);
-        assert_eq!(c.anchor(), 3.0);
-        assert!((c.global_factor() - 1.0).abs() < 1e-15);
+        assert_eq!(g, 0.25);
+        assert!((c.anchor() - 4.0 * std::f64::consts::LN_2).abs() < 1e-15);
+        // The true factor is unchanged: g × (new factor) = old factor.
+        assert!((g * c.global_factor() - before).abs() < 1e-15);
+        assert!(c.lambda() * (c.now() - c.anchor()) < std::f64::consts::LN_2);
+        // Below one halving the rescale is a no-op.
+        assert_eq!(c.take_rescale(), 1.0);
+        assert!((c.anchor() - 4.0 * std::f64::consts::LN_2).abs() < 1e-15);
+    }
+
+    #[test]
+    fn rescale_factor_is_an_exact_power_of_two() {
+        let lambda = 0.37;
+        for j in [1i32, 2, 7, 200, 288, 1000] {
+            let mut c = DecayClock::new(lambda);
+            c.advance_to((f64::from(j) + 0.5) * std::f64::consts::LN_2 / lambda);
+            let g = c.take_rescale();
+            assert_eq!(g, f64::from_bits(((1023 - j) as u64) << 52), "j = {j}");
+        }
     }
 
     #[test]

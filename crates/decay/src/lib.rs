@@ -20,19 +20,22 @@
 //! `1 / g(t, t*)`), so maintenance is `O(1)` per activation (Lemma 1).
 //!
 //! A **batched rescale** periodically folds `g` back into the stored values
-//! and resets `t* ← t`; crucial in practice because `1/g = e^{λ(t - t*)}`
-//! overflows `f64` once `λ(t - t*) > ~709`. [`DecayClock`] triggers the
-//! rescale well before that.
+//! and moves the anchor `t*` up to `t`; crucial in practice because
+//! `1/g = e^{λ(t - t*)}` overflows `f64` once `λ(t - t*) > ~709`.
+//! [`DecayClock`] triggers the rescale well before that, and quantises the
+//! factor to a power of two so absorbing it is exact (see
+//! [`DecayClock::take_rescale`]).
 //!
 //! ## Maintainability classes (Definition 2, Lemma 2)
 //!
 //! Derived functions of the activeness fall into three classes describing
 //! how their anchored representation relates to the true value:
-//! [`MaintainClass::Pos`] (`F = f(a*) · g`, e.g. the similarity `S_t`),
-//! [`MaintainClass::Neg`] (`F = f(a*) / g`, e.g. the reciprocal similarity
-//! `1/S_t` and the distance metric — Lemmas 6 & 10), and
-//! [`MaintainClass::Neu`] (`g` cancels, e.g. the active similarity σ —
-//! Lemma 3).
+//! **PosM** (`F = f(a*) · g`, e.g. the activeness itself and the similarity
+//! `S_t`, Lemma 4; a rescale multiplies them by `g`), **NegM**
+//! (`F = f(a*) / g`, e.g. the reciprocal similarity `1/S_t` and the
+//! distance metric, Lemmas 6 & 10; a rescale multiplies them by `1/g`) and
+//! **NeuM** (`g` cancels, e.g. the active similarity σ, a ratio of PosM
+//! quantities, Lemma 3; a rescale leaves them alone).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -50,13 +53,11 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod maintain;
 mod raw;
 mod store;
 pub mod window;
 
 pub use clock::{ClockParts, DecayClock, RescaleConfig};
-pub use maintain::{absorb, MaintainClass, Rescalable};
 pub use raw::RawActivations;
 pub use store::ActivenessStore;
 pub use window::SlidingWindow;

@@ -2,7 +2,7 @@
 
 use anc_graph::EdgeId;
 
-use crate::{DecayClock, MaintainClass, Rescalable};
+use crate::DecayClock;
 
 /// Per-edge anchored activeness `a*_t(e)` (PosM).
 ///
@@ -62,15 +62,18 @@ impl ActivenessStore {
         Self { anchored }
     }
 
+    /// Absorbs the factor `g` of a batched rescale
+    /// ([`DecayClock::take_rescale`]): anchored activeness is PosM, so every
+    /// value multiplies by `g`.
+    pub fn rescale(&mut self, g: f64) {
+        for a in &mut self.anchored {
+            *a *= g;
+        }
+    }
+
     /// Heap bytes used.
     pub fn memory_bytes(&self) -> usize {
         self.anchored.len() * std::mem::size_of::<f64>()
-    }
-}
-
-impl Rescalable for ActivenessStore {
-    fn rescale(&mut self, g: f64) {
-        crate::absorb(MaintainClass::Pos, &mut self.anchored, g);
     }
 }
 
@@ -101,11 +104,24 @@ mod tests {
         // a_2 = a*_2 × g(2, 0) ≈ 1.8187.
         assert!((store.current(0, &clock) - 1.8187).abs() < 5e-4);
 
-        // Batched rescale at t = 2: t* ← 2 and a*_2 = a_2 = 1.8187.
+        // Batched rescale at t = 2. The paper resets t* ← 2, so a*_2 = a_2.
+        // Ours moves t* by whole halvings of g only; λ(t − t*) = 0.2 < ln 2
+        // is none, so the rescale is a no-op and a*_2 stays 2.2214.
         let g = clock.take_rescale();
+        assert_eq!(g, 1.0);
         store.rescale(g);
-        assert!((store.anchored(0) - 1.8187).abs() < 5e-4);
+        assert!((store.anchored(0) - 2.2214).abs() < 5e-4);
         assert!((store.current(0, &clock) - 1.8187).abs() < 5e-4);
+
+        // At t = 10, λ(t − t*) = 1 holds one halving: t* ← ln 2 / λ and
+        // a* halves; the true activeness is unchanged.
+        clock.advance_to(10.0);
+        let a10 = store.current(0, &clock);
+        let g = clock.take_rescale();
+        assert_eq!(g, 0.5);
+        store.rescale(g);
+        assert!((store.anchored(0) - 1.1107).abs() < 5e-4);
+        assert!((store.current(0, &clock) - a10).abs() < 1e-12);
     }
 
     #[test]

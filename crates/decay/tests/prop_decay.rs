@@ -2,7 +2,7 @@
 //! rescale) is exactly equivalent to direct evaluation of Eq. 1, for
 //! arbitrary activation streams and arbitrary rescale schedules.
 
-use anc_decay::{ActivenessStore, DecayClock, RawActivations, Rescalable};
+use anc_decay::{ActivenessStore, DecayClock, RawActivations};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]

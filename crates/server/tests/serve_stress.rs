@@ -63,7 +63,9 @@ fn run_stress(threads: &str) {
                 let mut last_epoch = 0u64;
                 let mut last_seq = 0u64;
                 let mut observed = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                // One snapshot before the first `stop` check: a reader the
+                // scheduler starts late must still observe one.
+                loop {
                     let snap = reader.snapshot();
                     observed += 1;
                     assert!(
@@ -99,6 +101,9 @@ fn run_stress(threads: &str) {
                         } else {
                             assert!(members.contains(&u), "cluster missing its probe node");
                         }
+                    }
+                    if stop.load(Ordering::Acquire) {
+                        break;
                     }
                 }
                 observed

@@ -6,7 +6,7 @@
 
 use anc::core::voronoi::VoronoiPartition;
 use anc::core::{AncConfig, AncEngine, Pyramids};
-use anc::decay::{ActivenessStore, DecayClock, Rescalable};
+use anc::decay::{ActivenessStore, DecayClock};
 use anc::graph::gen::paper_figure2;
 
 /// Examples 1 & 2: λ = 0.1, activations on (v8, v11) at t = 0 and t = 2.
@@ -25,10 +25,14 @@ fn paper_examples_1_and_2() {
     assert!((store.anchored(0) - 2.221).abs() < 5e-4); // a*₂(e)
     assert!((store.current(0, &clock) - 1.8187).abs() < 5e-4); // a₂(e)
 
-    // Batched rescale at t = 2: t* ← 2, anchored = true value.
+    // Batched rescale at t = 2. The paper resets t* ← 2 (anchored = true
+    // value); ours moves t* by whole halvings of g, and λ(t − t*) = 0.2 <
+    // ln 2 is none: the rescale is a no-op and a*₂(e) stays 2.2214.
     let g = clock.take_rescale();
+    assert_eq!(g, 1.0);
     store.rescale(g);
-    assert!((store.anchored(0) - 1.8187).abs() < 5e-4);
+    assert!((store.anchored(0) - 2.2214).abs() < 5e-4);
+    assert!((store.current(0, &clock) - 1.8187).abs() < 5e-4);
 }
 
 /// Example 3: the 13-node graph gets ⌈log₂ 13⌉ = 4 levels per pyramid with
