@@ -8,7 +8,8 @@
 #   - by name: the WAL and snapshot property suites; in release, the wrapping
 #     edge-gap decode check and all of anc-server (framing arithmetic on
 #     lengths a peer chose)
-#   - anc-bench smoke (snapshot-size gate, the paper's shape claims)
+#   - anc-bench smoke (snapshot-size gate, the paper's shape claims), and the
+#     community_watch example (monitor reports checked against a recount)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales,
@@ -74,6 +75,9 @@ echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
 # stream), then Figure 8, Table IV and Table III at small scale with the
 # shapes EXPERIMENTS.md reports asserted on the returned JSON.
 cargo run --release -q -p anc-bench -- smoke > /dev/null
+# The monitoring example checks every change report against a recount of the
+# watched votes, so it is run, not only compiled.
+cargo run --release -q --example community_watch > /dev/null
 
 echo "==> no serde in the product crates"
 # Engine state has one codec (persist::binary); serde_json is for reports.

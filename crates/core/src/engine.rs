@@ -59,19 +59,6 @@ pub struct BatchStats {
     pub wall: Duration,
 }
 
-/// Merges two batch records: every counter sums and the wall times add — so
-/// a thread (or the serving writer loop) can fold per-batch records into one
-/// cumulative tally with `total += stats`.
-impl std::ops::AddAssign<BatchStats> for BatchStats {
-    fn add_assign(&mut self, rhs: BatchStats) {
-        self.edges_in += rhs.edges_in;
-        self.dirty_edges += rhs.dirty_edges;
-        self.repair_updates += rhs.repair_updates;
-        self.repair_skips += rhs.repair_skips;
-        self.wall += rhs.wall;
-    }
-}
-
 /// The online activation-network clustering engine (ANCO core).
 ///
 /// ```
@@ -119,12 +106,9 @@ pub struct AncEngine {
     /// boundary, so the `RefCell` cannot be observed locked).
     cache: RefCell<ClusterCache>,
     /// Pooled affected-set buffers of the last traced repair, one per
-    /// partition (the grouped repair fills them only while the cache has
-    /// materialized levels).
+    /// partition: the cluster cache's feed (the grouped repair fills them
+    /// only while the cache has materialized levels).
     trace_bufs: Vec<Vec<NodeId>>,
-    /// Whether `trace_bufs` holds the footprint of the last ingest call's
-    /// last repair (see [`Self::last_trace`]).
-    traced: bool,
     /// Pooled accumulator of the ingest loop: the `(e, old_w, new_w)` weight
     /// changes not yet repaired into the index.
     deltas: Vec<(EdgeId, f64, f64)>,
@@ -185,7 +169,6 @@ impl AncEngine {
             rescales: 0,
             cache,
             trace_bufs,
-            traced: false,
             deltas: Vec::new(),
             dirty: Vec::new(),
         }
@@ -282,23 +265,6 @@ impl AncEngine {
         self.ingest(&[e], Some(t), &mut BatchStats::default());
     }
 
-    /// The footprint of the last index repair: the per-partition
-    /// affected-node lists (pyramid-major order), ready to be fed to a
-    /// [`crate::VoteCache`] / [`crate::ClusterMonitor`] for real-time change
-    /// reporting (the paper's Section V-C Remarks). Borrowed from the
-    /// engine's pooled buffers, valid until the next mutating call.
-    ///
-    /// Empty when the last [`Self::activate`] left the similarity (and hence
-    /// the index) unchanged, or when the last repair was an untraced grouped
-    /// flush (a batch while the cluster cache has no materialized level).
-    pub fn last_trace(&self) -> &[Vec<NodeId>] {
-        if self.traced {
-            &self.trace_bufs
-        } else {
-            &[]
-        }
-    }
-
     /// Processes a batch of activations arriving at the same time `t`
     /// through the ingest loop (DESIGN.md §7).
     ///
@@ -346,7 +312,6 @@ impl AncEngine {
     /// repeats).
     fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>, stats: &mut BatchStats) {
         self.dirty.clear();
-        self.traced = false;
         for &e in edges {
             if let Some(t) = t {
                 self.clock.advance_to(t);
@@ -420,13 +385,12 @@ impl AncEngine {
                     &mut self.trace_bufs,
                 );
                 self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
-                self.traced = true;
                 // No precheck here: every partition runs its bounded update.
                 stats.repair_updates += self.trace_bufs.len();
             }
             _ => {
-                self.traced = self.cache.get_mut().has_materialized_levels();
-                let rs = if self.traced {
+                let traced = self.cache.get_mut().has_materialized_levels();
+                let rs = if traced {
                     let rs = self.pyramids.on_weight_change_batch_traced(
                         &self.g,
                         &self.recip,
@@ -558,11 +522,6 @@ impl AncEngine {
         query::local_cluster(&self.g, &self.pyramids, v, level)
     }
 
-    /// The cluster containing `v` under power-clustering semantics.
-    pub fn local_cluster_power(&self, v: NodeId, level: usize) -> Vec<NodeId> {
-        query::local_cluster_power(&self.g, &self.pyramids, v, level)
-    }
-
     /// The smallest cluster containing `v` (finest granularity).
     pub fn smallest_cluster(&self, v: NodeId) -> Vec<NodeId> {
         query::smallest_cluster(&self.g, &self.pyramids, v)
@@ -686,7 +645,6 @@ impl AncEngine {
             rescales: snapshot.rescales,
             cache,
             trace_bufs,
-            traced: false,
             deltas: Vec::new(),
             dirty: Vec::new(),
         })
@@ -969,29 +927,6 @@ mod tests {
             }
         }
         engine.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn traced_activation_reports_footprint() {
-        let mut engine = engine_fixture(1);
-        let m = engine.graph().m() as u32;
-        let mut any_nonempty = false;
-        for i in 0..20u32 {
-            engine.activate(i % m, 1.0 + i as f64 * 0.5);
-            let trace = engine.last_trace();
-            if trace.is_empty() {
-                continue;
-            }
-            any_nonempty = true;
-            // One entry per partition.
-            assert_eq!(trace.len(), engine.pyramids().k() * engine.num_levels(), "trace arity");
-            for nodes in trace {
-                for &x in nodes {
-                    assert!((x as usize) < engine.graph().n());
-                }
-            }
-        }
-        assert!(any_nonempty, "some activation must move the index");
     }
 
     #[test]

@@ -70,4 +70,4 @@ pub use persist::{
 pub use publish::{Publisher, ReadHandle};
 pub use pyramid::{Pyramids, RepairStats};
 pub use similarity::NodeType;
-pub use vote::{ClusterMonitor, EdgeBits, VoteCache};
+pub use vote::{ClusterMonitor, EdgeBits};

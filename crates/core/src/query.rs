@@ -30,74 +30,6 @@ pub fn local_cluster(g: &Graph, pyr: &Pyramids, v: NodeId, level: usize) -> Vec<
     out
 }
 
-/// The cluster containing `v` under power-clustering semantics,
-/// approximated locally: ascend from `v` to its dominating local leader
-/// (following reverse edge orientation to strictly higher-ranked voted
-/// neighbors), then collect the leader's directed reachable set.
-///
-/// This reproduces the global `DirectedCluster` assignment whenever `v`'s
-/// leader chain is unambiguous; like the global algorithm it touches only
-/// the reported region.
-pub fn local_cluster_power(g: &Graph, pyr: &Pyramids, v: NodeId, level: usize) -> Vec<NodeId> {
-    // Voted degree of a node, computed lazily.
-    let kept_deg = |x: NodeId| -> u32 {
-        g.edges_of(x).filter(|&(y, _)| pyr.same_cluster(x, y, level)).count() as u32
-    };
-    let rank_above = |a: NodeId, da: u32, b: NodeId, db: u32| da > db || (da == db && a < b);
-
-    // Ascend to the local leader.
-    let mut cur = v;
-    let mut cur_deg = kept_deg(cur);
-    loop {
-        let mut best: Option<(NodeId, u32)> = None;
-        for (w, _) in g.edges_of(cur) {
-            if !pyr.same_cluster(cur, w, level) {
-                continue;
-            }
-            let dw = kept_deg(w);
-            if rank_above(w, dw, cur, cur_deg) {
-                let better = match best {
-                    None => true,
-                    Some((bw, bd)) => rank_above(w, dw, bw, bd),
-                };
-                if better {
-                    best = Some((w, dw));
-                }
-            }
-        }
-        match best {
-            Some((w, dw)) => {
-                cur = w;
-                cur_deg = dw;
-            }
-            None => break,
-        }
-    }
-
-    // Directed collection from the leader.
-    let leader = cur;
-    let mut visited = std::collections::HashMap::new();
-    visited.insert(leader, kept_deg(leader));
-    let mut queue = std::collections::VecDeque::from([leader]);
-    let mut out = vec![leader];
-    while let Some(x) = queue.pop_front() {
-        let dx = visited[&x];
-        for (y, _) in g.edges_of(x) {
-            if visited.contains_key(&y) || !pyr.same_cluster(x, y, level) {
-                continue;
-            }
-            let dy = kept_deg(y);
-            if rank_above(x, dx, y, dy) {
-                visited.insert(y, dy);
-                out.push(y);
-                queue.push_back(y);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// The smallest reported cluster containing `v`: its cluster at the finest
 /// granularity (Problem 1(2), "the smallest cluster that contains v, and
 /// then allow repetitive zoom-out operations").
@@ -122,7 +54,7 @@ mod tests {
     use crate::pyramid::Pyramids;
     use anc_graph::gen::connected_caveman;
 
-    fn weighted_caveman() -> (anc_graph::Graph, Vec<f64>, Vec<u32>) {
+    fn weighted_caveman() -> (anc_graph::Graph, Vec<f64>) {
         let lg = connected_caveman(4, 6);
         let w: Vec<f64> = lg
             .graph
@@ -137,12 +69,12 @@ mod tests {
                 },
             )
             .collect();
-        (lg.graph, w, lg.labels)
+        (lg.graph, w)
     }
 
     #[test]
     fn local_matches_global_even() {
-        let (g, w, _) = weighted_caveman();
+        let (g, w) = weighted_caveman();
         let pyr = Pyramids::build(&g, &w, 4, 0.7, 21);
         for level in 0..pyr.num_levels() {
             let global = cluster_all(&g, &pyr, level, ClusterMode::Even);
@@ -158,13 +90,11 @@ mod tests {
 
     #[test]
     fn query_contains_query_node() {
-        let (g, w, _) = weighted_caveman();
+        let (g, w) = weighted_caveman();
         let pyr = Pyramids::build(&g, &w, 2, 0.7, 3);
         for v in 0..g.n() as u32 {
             let c = local_cluster(&g, &pyr, v, pyr.default_level());
             assert!(c.contains(&v));
-            let cp = local_cluster_power(&g, &pyr, v, pyr.default_level());
-            assert!(!cp.is_empty());
         }
     }
 
@@ -172,7 +102,7 @@ mod tests {
     fn zoom_monotonicity() {
         // Coarser levels produce clusters that are supersets of finer ones
         // for the even semantics on this clean fixture.
-        let (g, w, _) = weighted_caveman();
+        let (g, w) = weighted_caveman();
         let pyr = Pyramids::build(&g, &w, 4, 0.7, 5);
         let fine = local_cluster(&g, &pyr, 0, pyr.num_levels() - 1);
         let coarse = local_cluster(&g, &pyr, 0, 0);
@@ -182,7 +112,7 @@ mod tests {
 
     #[test]
     fn zoom_operators() {
-        let (g, w, _) = weighted_caveman();
+        let (g, w) = weighted_caveman();
         let pyr = Pyramids::build(&g, &w, 2, 0.7, 1);
         let top = pyr.num_levels() - 1;
         assert_eq!(zoom_in(&pyr, top), top);
@@ -193,7 +123,7 @@ mod tests {
 
     #[test]
     fn smallest_cluster_is_finest() {
-        let (g, w, _) = weighted_caveman();
+        let (g, w) = weighted_caveman();
         let pyr = Pyramids::build(&g, &w, 4, 0.7, 9);
         let s = smallest_cluster(&g, &pyr, 3);
         let finest = local_cluster(&g, &pyr, 3, pyr.num_levels() - 1);
@@ -207,18 +137,6 @@ mod tests {
         let pyr = Pyramids::build(&g, &w, 2, 0.7, 1);
         for level in 0..pyr.num_levels() {
             assert_eq!(local_cluster(&g, &pyr, 3, level), vec![3]);
-            assert_eq!(local_cluster_power(&g, &pyr, 3, level), vec![3]);
         }
-    }
-
-    #[test]
-    fn power_local_respects_community_boundary() {
-        let (g, w, labels) = weighted_caveman();
-        let pyr = Pyramids::build(&g, &w, 4, 0.7, 13);
-        // At the default level the heavy bridges should rarely be voted in;
-        // a local power query from inside a clique stays inside it.
-        let c = local_cluster_power(&g, &pyr, 2, pyr.default_level());
-        let lab = labels[2];
-        assert!(c.iter().all(|&x| labels[x as usize] == lab), "leaked outside the clique: {c:?}");
     }
 }

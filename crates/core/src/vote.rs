@@ -1,23 +1,17 @@
-//! Incremental vote maintenance and cluster-change monitoring — the
-//! paper's Section V-C Remarks: *"Due to the 'local' feature of the update,
-//! we can maintain a voting count (among Pyramids) for each level, each
-//! edge in real time. This allows us to report changes on user specified
-//! nodes at a cost equal to the reporting."*
+//! Vote storage and cluster-change monitoring — the paper's Section V-C
+//! Remarks: *"Due to the 'local' feature of the update, we can maintain a
+//! voting count (among Pyramids) for each level, each edge in real time.
+//! This allows us to report changes on user specified nodes at a cost equal
+//! to the reporting."*
 //!
-//! [`VoteCache`] materializes the vote count of every edge at every
-//! granularity level and repairs exactly the edges incident to the nodes an
-//! index update touched. [`ClusterMonitor`] layers a watch list on top and
-//! reports which watched nodes saw a voting flip on an incident edge — the
-//! signal that their cluster may have changed.
+//! The votes kept current for extraction live in the cluster cache
+//! ([`crate::cache`]), as [`EdgeBits`]. [`ClusterMonitor`] reports which
+//! watched nodes saw a voting flip on an incident edge by re-reading those
+//! edges' votes from the index when polled.
 
 use anc_graph::{EdgeId, Graph, NodeId};
-use rayon::Chunks;
 
 use crate::pyramid::Pyramids;
-
-/// Edges per pool task of [`VoteCache::build`] (`k · levels` votes each):
-/// tasks of tens of microseconds keep the claim counter cold.
-const BUILD_EDGES: usize = 256;
 
 /// A packed edge bitset (one bit per [`EdgeId`], 64 edges per word) — the
 /// storage behind the cluster cache's voted-edge set.
@@ -83,182 +77,63 @@ impl EdgeBits {
     }
 }
 
-/// A materialized `votes(e, l)` table maintained incrementally.
-#[derive(Clone, Debug)]
-pub struct VoteCache {
-    /// `counts[e * levels + l]` = number of agreeing pyramids.
-    counts: Vec<u16>,
-    levels: usize,
-    needed: u16,
-}
-
-/// One voting flip produced by an update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoteFlip {
-    /// The edge whose voting result changed.
-    pub edge: EdgeId,
-    /// The granularity level at which it changed.
-    pub level: usize,
-    /// The new value of `H_l` (true = co-clustered).
-    pub now_voted: bool,
-}
-
-impl VoteCache {
-    /// Builds the full table (`O(m · levels · k)`), one pool task per run of
-    /// [`BUILD_EDGES`] edges' rows. Each task fills its own rows and every
-    /// cell's value depends only on its own edge and level, so the build is
-    /// bit-identical for any `RAYON_NUM_THREADS`.
-    pub fn build(g: &Graph, pyr: &Pyramids) -> Self {
-        let levels = pyr.num_levels();
-        let mut counts = vec![0u16; g.m() * levels];
-        rayon::for_each(Chunks::new(&mut counts, BUILD_EDGES * levels), |i, rows| {
-            for (off, row) in rows.chunks_mut(levels).enumerate() {
-                let (u, v) = g.endpoints((i * BUILD_EDGES + off) as EdgeId);
-                for (l, cell) in row.iter_mut().enumerate() {
-                    *cell = pyr.votes(u, v, l) as u16;
-                }
-            }
-        });
-        Self { counts, levels, needed: pyr.needed_votes() as u16 }
-    }
-
-    /// Current vote count of edge `e` at level `l`.
-    #[inline]
-    pub fn votes(&self, e: EdgeId, l: usize) -> usize {
-        self.counts[e as usize * self.levels + l] as usize
-    }
-
-    /// The cached voting function `H_l(e)`.
-    #[inline]
-    pub fn is_voted(&self, e: EdgeId, l: usize) -> bool {
-        self.counts[e as usize * self.levels + l] >= self.needed
-    }
-
-    /// Repairs the cache after an index update and returns every voting
-    /// flip. `affected` is the per-partition affected-node list returned by
-    /// [`Pyramids::on_weight_change`] (pyramid-major order); `trigger` is
-    /// the updated edge (its seeds may change without any node's seed
-    /// moving, so it is always re-evaluated at every level).
-    ///
-    /// Cost: `O(Σ_{x ∈ affected} deg(x) · k)` — proportional to the update's
-    /// own footprint, as the paper claims.
-    pub fn apply_update(
-        &mut self,
-        g: &Graph,
-        pyr: &Pyramids,
-        trigger: EdgeId,
-        affected: &[Vec<NodeId>],
-    ) -> Vec<VoteFlip> {
-        let levels = self.levels;
-        debug_assert_eq!(affected.len(), pyr.k() * levels);
-        let mut flips = Vec::new();
-        // Touched levels → set of edges to re-evaluate at that level: an
-        // edge's vote can only change when an endpoint's seed changed in some
-        // partition of the level, and every such endpoint is in that
-        // partition's affected set.
-        let mut edges_per_level: Vec<Vec<EdgeId>> = vec![Vec::new(); levels];
-        for (slot, nodes) in affected.iter().enumerate() {
-            let edges = &mut edges_per_level[slot % levels];
-            edges.extend(nodes.iter().flat_map(|&x| g.edges_of(x)).map(|(_, e)| e));
-        }
-        for (l, level_edges) in edges_per_level.iter_mut().enumerate() {
-            level_edges.push(trigger);
-            level_edges.sort_unstable();
-            level_edges.dedup();
-            for &e in level_edges.iter() {
-                let (u, v) = g.endpoints(e);
-                let new = pyr.votes(u, v, l) as u16;
-                let idx = e as usize * levels + l;
-                let old = self.counts[idx];
-                if new != old {
-                    let was = old >= self.needed;
-                    let now = new >= self.needed;
-                    self.counts[idx] = new;
-                    if was != now {
-                        flips.push(VoteFlip { edge: e, level: l, now_voted: now });
-                    }
-                }
-            }
-        }
-        flips
-    }
-
-    /// Heap bytes used.
-    pub fn memory_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u16>()
-    }
-
-    /// Full re-check against the index (testing aid): returns the first
-    /// stale entry, if any.
-    pub fn check_against(&self, g: &Graph, pyr: &Pyramids) -> Result<(), String> {
-        for (e, u, v) in g.iter_edges() {
-            for l in 0..self.levels {
-                let truth = pyr.votes(u, v, l) as u16;
-                let cached = self.counts[e as usize * self.levels + l];
-                if truth != cached {
-                    return Err(format!("edge {e} level {l}: cached {cached} vs actual {truth}"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Watches a set of nodes at one granularity level and reports, after each
-/// update, which of them may have a changed cluster (an incident edge's
-/// voting result flipped).
+/// Watches a set of nodes at one granularity level and reports, when
+/// polled, which of them saw the vote `H_l` of an incident edge flip since
+/// the last poll — the signal that their cluster may have changed.
+///
+/// Nothing is hooked into the engine: a poll re-reads the votes from the
+/// index, so the report is exact (no false alarms, no misses) whatever moved
+/// the index in between — single or batched activations, reinforcement
+/// replays, a rebuild or a restore.
 #[derive(Clone, Debug)]
 pub struct ClusterMonitor {
-    cache: VoteCache,
-    watched: std::collections::HashSet<NodeId>,
+    /// The watched nodes, sorted and deduplicated.
+    nodes: Vec<NodeId>,
+    /// `H_l` of every edge incident to a watched node at the last poll,
+    /// node by node in adjacency order.
+    votes: Vec<bool>,
     level: usize,
 }
 
 impl ClusterMonitor {
-    /// Creates a monitor over `nodes` at granularity `level`.
+    /// Creates a monitor over `nodes` at granularity `level` and records
+    /// their incident votes.
     pub fn new(g: &Graph, pyr: &Pyramids, nodes: &[NodeId], level: usize) -> Self {
-        Self { cache: VoteCache::build(g, pyr), watched: nodes.iter().copied().collect(), level }
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let votes = nodes
+            .iter()
+            .flat_map(|&v| g.edges_of(v).map(move |(y, _)| pyr.same_cluster(v, y, level)))
+            .collect();
+        Self { nodes, votes, level }
     }
 
-    /// Adds a node to the watch list.
-    pub fn watch(&mut self, v: NodeId) {
-        self.watched.insert(v);
-    }
-
-    /// Removes a node from the watch list.
-    pub fn unwatch(&mut self, v: NodeId) {
-        self.watched.remove(&v);
-    }
-
-    /// The underlying vote cache.
-    pub fn cache(&self) -> &VoteCache {
-        &self.cache
-    }
-
-    /// Feeds one update's affected sets; returns the watched nodes whose
-    /// cluster membership may have changed (sorted, deduplicated).
-    pub fn apply_update(
-        &mut self,
-        g: &Graph,
-        pyr: &Pyramids,
-        trigger: EdgeId,
-        affected: &[Vec<NodeId>],
-    ) -> Vec<NodeId> {
-        let flips = self.cache.apply_update(g, pyr, trigger, affected);
-        let mut changed = Vec::new();
-        for flip in flips {
-            if flip.level != self.level {
-                continue;
-            }
-            let (u, v) = g.endpoints(flip.edge);
-            for x in [u, v] {
-                if self.watched.contains(&x) {
-                    changed.push(x);
+    /// Re-reads the watched nodes' incident votes and returns, sorted, the
+    /// watched nodes with an incident edge whose vote differs from the last
+    /// poll; the new votes become the baseline of the next poll.
+    ///
+    /// Cost: `Σ_{v ∈ watched} deg(v)` calls to [`Pyramids::same_cluster`] —
+    /// independent of `n`, `m` and the updates since the last poll.
+    pub fn poll(&mut self, g: &Graph, pyr: &Pyramids) -> Vec<NodeId> {
+        let level = self.level;
+        let mut votes = self.votes.iter_mut();
+        let changed = self
+            .nodes
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let mut flipped = false;
+                for (y, _) in g.edges_of(v) {
+                    let now = pyr.same_cluster(v, y, level);
+                    if let Some(was) = votes.next() {
+                        flipped |= std::mem::replace(was, now) != now;
+                    }
                 }
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
+                flipped
+            })
+            .collect();
+        debug_assert!(votes.next().is_none(), "polled against a different graph");
         changed
     }
 }
@@ -268,75 +143,65 @@ mod tests {
     use super::*;
     use anc_graph::gen::paper_figure2;
 
-    fn fixture() -> (anc_graph::Graph, Vec<f64>, Pyramids) {
-        let (g, w) = paper_figure2();
-        let pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
-        (g, w, pyr)
+    /// `H_l` of every edge at every level.
+    fn all_votes(g: &Graph, pyr: &Pyramids) -> Vec<Vec<bool>> {
+        (0..pyr.num_levels())
+            .map(|l| g.iter_edges().map(|(_, u, v)| pyr.same_cluster(u, v, l)).collect())
+            .collect()
     }
 
     #[test]
-    fn build_matches_direct_votes() {
-        let (g, _, pyr) = fixture();
-        let cache = VoteCache::build(&g, &pyr);
-        cache.check_against(&g, &pyr).unwrap();
-        for (e, u, v) in g.iter_edges() {
-            for l in 0..pyr.num_levels() {
-                assert_eq!(cache.votes(e, l), pyr.votes(u, v, l));
-                assert_eq!(cache.is_voted(e, l), pyr.same_cluster(u, v, l));
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_updates_stay_exact() {
-        let (g, mut w, mut pyr) = fixture();
-        let mut cache = VoteCache::build(&g, &pyr);
+    fn poll_reports_exactly_the_watched_endpoints_of_flipped_edges() {
+        let (g, mut w) = paper_figure2();
+        let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
+        let levels = pyr.num_levels();
+        // Odd nodes plus a repeat: the watch list is deduplicated.
+        let odd: Vec<NodeId> = (1..g.n() as NodeId).step_by(2).collect();
+        let watched: Vec<NodeId> = odd.iter().copied().chain([1]).collect();
+        let mut monitors: Vec<_> =
+            (0..levels).map(|l| ClusterMonitor::new(&g, &pyr, &watched, l)).collect();
+        let mut before = all_votes(&g, &pyr);
+        let (mut reported, mut quiet) = (0, 0);
         let changes: &[(u32, u32, f64)] =
             &[(5, 6, 0.5), (1, 3, 9.0), (7, 8, 0.1), (7, 8, 12.0), (9, 10, 1.0)];
         for &(a, b, new_w) in changes {
             let e = g.edge_id(a - 1, b - 1).unwrap();
             let old = w[e as usize];
             w[e as usize] = new_w;
-            let affected = pyr.on_weight_change(&g, &w, e, old);
-            cache.apply_update(&g, &pyr, e, &affected);
-            cache
-                .check_against(&g, &pyr)
-                .unwrap_or_else(|err| panic!("after ({a},{b})→{new_w}: {err}"));
+            let _ = pyr.on_weight_change(&g, &w, e, old);
+            let after = all_votes(&g, &pyr);
+            for (l, mon) in monitors.iter_mut().enumerate() {
+                let mut want: Vec<NodeId> = g
+                    .iter_edges()
+                    .filter(|&(e, _, _)| before[l][e as usize] != after[l][e as usize])
+                    .flat_map(|(_, u, v)| [u, v])
+                    .filter(|x| odd.contains(x))
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                let got = mon.poll(&g, &pyr);
+                assert_eq!(got, want, "after ({a},{b})→{new_w}, level {l}");
+                if !got.is_empty() {
+                    reported += 1;
+                    quiet += odd.len() - got.len();
+                }
+                assert!(mon.poll(&g, &pyr).is_empty(), "a repeat poll reports nothing");
+            }
+            before = after;
         }
+        assert!(reported > 0, "some poll must report a flip");
+        assert!(quiet > 0, "some poll that reports must leave a watched node out");
     }
 
     #[test]
-    fn monitor_reports_watched_changes_only() {
-        let (g, mut w, mut pyr) = fixture();
-        // Watch v5 (idx 4) at the finest level.
-        let level = pyr.num_levels() - 1;
-        let mut mon = ClusterMonitor::new(&g, &pyr, &[4], level);
-
-        // A change far from v5 (edge v1–v2) should not report it.
-        let e = g.edge_id(0, 1).unwrap();
-        let old = w[e as usize];
-        w[e as usize] = 0.01;
-        let affected = pyr.on_weight_change(&g, &w, e, old);
-        let changed = mon.apply_update(&g, &pyr, e, &affected);
-        assert!(!changed.contains(&4), "v5 unaffected by a far-away change");
-
-        // A drastic change on v5's own edge may flip its votes.
-        let e = g.edge_id(4, 6).unwrap(); // (v5, v7)
+    fn empty_watch_list_polls_to_empty() {
+        let (g, mut w) = paper_figure2();
+        let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
+        let mut mon = ClusterMonitor::new(&g, &pyr, &[], 0);
+        let e = g.edge_id(4, 6).unwrap();
         let old = w[e as usize];
         w[e as usize] = 0.0001;
-        let affected = pyr.on_weight_change(&g, &w, e, old);
-        let _ = mon.apply_update(&g, &pyr, e, &affected);
-        mon.cache().check_against(&g, &pyr).unwrap();
-    }
-
-    #[test]
-    fn watch_unwatch() {
-        let (g, _, pyr) = fixture();
-        let mut mon = ClusterMonitor::new(&g, &pyr, &[], 0);
-        mon.watch(3);
-        mon.unwatch(3);
-        mon.watch(5);
-        // No updates fed: nothing to report; structure is sane.
-        assert!(mon.cache().memory_bytes() > 0);
+        let _ = pyr.on_weight_change(&g, &w, e, old);
+        assert!(mon.poll(&g, &pyr).is_empty());
     }
 }

@@ -219,8 +219,6 @@ pub struct ServerStats {
     pub shed: u64,
     /// Publications (equals the snapshot's epoch).
     pub publishes: u64,
-    /// Merged engine-side batch work counters.
-    pub batch: BatchStats,
     /// Merged cache refresh stats; `query.hits`/`query.misses` are the
     /// cache-lifetime cumulative counters.
     pub query: anc_core::QueryStats,
@@ -356,14 +354,10 @@ fn apply_run(
     if edges.is_empty() || wal_error.is_some() {
         return;
     }
-    let bs = match backend.activate_batch(edges, t) {
-        Ok(bs) => bs,
-        Err(e) => {
-            *wal_error = Some(e);
-            return;
-        }
-    };
-    stats.batch += bs;
+    if let Err(e) = backend.activate_batch(edges, t) {
+        *wal_error = Some(e);
+        return;
+    }
     stats.applied_batches += 1;
     stats.ingested_jobs += job_meta.len() as u64;
     stats.ingested_edges += edges.len() as u64;

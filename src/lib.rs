@@ -13,10 +13,9 @@
 //!   reinforcement, the shortest-distance metric, the **pyramids** index,
 //!   voting-based clustering with zoom-in/zoom-out and bounded incremental
 //!   updates, and the ANCF/ANCO/ANCOR engines — plus the Remarks-section
-//!   extensions: the incremental vote cache / cluster monitor
-//!   (`core::vote`), index-answered approximate distances
-//!   (`core::Pyramids::approx_distance`) and engine checkpointing
-//!   (`core::persist`).
+//!   extensions: the polled cluster monitor (`core::vote`), index-answered
+//!   approximate distances (`core::Pyramids::approx_distance`) and engine
+//!   checkpointing (`core::persist`).
 //! * [`baselines`] — SCAN, Attractor, Louvain, DynaMo-style and LWEP-style
 //!   baselines plus spectral clustering used as a ground-truth oracle.
 //! * [`metrics`] — NMI, Purity, F1, Modularity, Conductance.
