@@ -2,6 +2,9 @@
 # Repo CI gate. Everything is offline (vendored dependencies only). It runs:
 #   - cargo fmt --check; cargo clippy --workspace --all-targets -D warnings
 #     (the static rules are clippy lints, crates/clippy.toml); release build
+#   - bench/smoke.sh: anc-perf's own fmt, clippy, unit tests and every
+#     workload at smoke scale, early, so a change to an API anc-perf names
+#     (a return type is enough) fails in minutes, not after the long suites
 #   - grep gates: every crate root forbids unsafe code; no serde in the product
 #     crates; no relaxed atomics; no thread pool under crates/server
 #   - cargo test --workspace, then anc-core under debug-invariants
@@ -20,8 +23,6 @@
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: perturbed-schedule determinism, pool lock ranks
-#   - bench/smoke.sh: anc-perf's own fmt, clippy, unit tests and every
-#     workload at smoke scale
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,6 +34,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> bench/smoke.sh (anc-perf: lints, unit tests, every workload at smoke scale)"
+bench/smoke.sh
 
 echo "==> every crate root forbids unsafe code"
 # `forbid` cannot be overridden further down a crate, so the only way to land
@@ -310,8 +314,5 @@ RAYON_NUM_THREADS=4 cargo test -p rayon --features stress-schedules \
     --lib --test stress_schedules -q
 RAYON_NUM_THREADS=4 cargo test -p anc-core --features stress-schedules \
     --test stress_determinism -q
-
-echo "==> bench/smoke.sh (anc-perf: lints, unit tests, every workload at smoke scale)"
-bench/smoke.sh
 
 echo "CI OK"

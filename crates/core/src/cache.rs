@@ -57,9 +57,9 @@ use crate::cluster::{even_clustering_with, grow_power_clusters, ClusterMode};
 use crate::pyramid::Pyramids;
 use crate::vote::EdgeBits;
 
-/// Default share of the graph's `2m` adjacency slots that the changed nodes
-/// may own before a query refills the whole level instead of repairing it
-/// (see [`ClusterCache::set_dirty_rebuild_fraction`]).
+/// Share of the graph's `2m` adjacency slots that the changed nodes may own
+/// before a query refills the whole level instead of repairing it: compared
+/// with the slots they own ([`QueryStats::dirty_edges`]).
 pub const DIRTY_REBUILD_FRACTION: f64 = 0.25;
 
 /// Bitset words per pool task of the cold voting pass (1 024 edges).
@@ -85,7 +85,8 @@ pub enum QueryDecision {
     ColdFill,
 }
 
-/// Observability record returned by every [`ClusterCache::query`].
+/// Observability record of one [`ClusterCache::query`] (the lifetime
+/// counters are [`ClusterCache::hits`] and [`ClusterCache::misses`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Cache generation at answer time. Advances with every index-mutating
@@ -112,49 +113,6 @@ pub struct QueryStats {
     pub region_nodes: usize,
     /// The repair-vs-rebuild decision taken.
     pub decision: QueryDecision,
-    /// Cumulative queries answered with an already-cached `Arc`.
-    pub hits: u64,
-    /// Cumulative queries that had to (re)extract a clustering.
-    pub misses: u64,
-}
-
-impl QueryDecision {
-    /// Work rank of the decision (`Hit` cheapest … `ColdFill` costliest);
-    /// merging keeps the costlier side.
-    fn cost_rank(self) -> u8 {
-        match self {
-            QueryDecision::Hit => 0,
-            QueryDecision::Extract => 1,
-            QueryDecision::Repair => 2,
-            QueryDecision::Rebuild => 3,
-            QueryDecision::ColdFill => 4,
-        }
-    }
-}
-
-/// Merges two query records so per-query stats can be folded into one
-/// cumulative tally (`total += stats`), e.g. by the serving writer loop.
-///
-/// Per-query work counters (`changed_nodes`, `dirty_edges`, `revoted`,
-/// `flips`, `region_nodes`) sum; `generation`/`epoch` keep the newest; the
-/// cumulative cache counters (`hits`, `misses`) keep the max since every
-/// record already carries the cache-lifetime totals; `decision` keeps the
-/// costlier of the two.
-impl std::ops::AddAssign<QueryStats> for QueryStats {
-    fn add_assign(&mut self, rhs: QueryStats) {
-        self.generation = self.generation.max(rhs.generation);
-        self.epoch = self.epoch.max(rhs.epoch);
-        self.changed_nodes += rhs.changed_nodes;
-        self.dirty_edges += rhs.dirty_edges;
-        self.revoted += rhs.revoted;
-        self.flips += rhs.flips;
-        self.region_nodes += rhs.region_nodes;
-        if rhs.decision.cost_rank() > self.decision.cost_rank() {
-            self.decision = rhs.decision;
-        }
-        self.hits = self.hits.max(rhs.hits);
-        self.misses = self.misses.max(rhs.misses);
-    }
 }
 
 /// The vote of one edge from its endpoints' seed rows: at least `needed`
@@ -211,7 +169,6 @@ pub struct ClusterCache {
     generation: u64,
     hits: u64,
     misses: u64,
-    dirty_rebuild_fraction: f64,
     /// Query scratch, all clear between queries: the changed nodes, the
     /// flipped edges, the region (component by component, `bounds` holding
     /// each component's start) and a node mark shared by both phases.
@@ -231,12 +188,7 @@ impl ClusterCache {
     pub fn new(levels: usize) -> Self {
         let mut per_level = Vec::with_capacity(levels);
         per_level.resize_with(levels, || None);
-        Self {
-            levels,
-            per_level,
-            dirty_rebuild_fraction: DIRTY_REBUILD_FRACTION,
-            ..Default::default()
-        }
+        Self { levels, per_level, ..Default::default() }
     }
 
     /// Number of levels covered.
@@ -287,11 +239,6 @@ impl ClusterCache {
         self.level(level).map(|lc| lc.pending.iter().map(Vec::len).sum())
     }
 
-    /// The fill epoch of `level` (`None` if not materialized).
-    pub fn level_epoch(&self, level: usize) -> Option<u64> {
-        self.level(level).map(|lc| lc.epoch)
-    }
-
     /// The materialized voted-edge bitset of `level`, if any: every bit is
     /// the vote of its edge's two [`Self::seed_rows`].
     pub fn voted_bits(&self, level: usize) -> Option<&EdgeBits> {
@@ -318,16 +265,6 @@ impl ClusterCache {
             ClusterMode::Even => lc.even.clone(),
             ClusterMode::Power => lc.power.clone(),
         }
-    }
-
-    /// Overrides the threshold above which a query refills the level
-    /// wholesale instead of repairing it (default
-    /// [`DIRTY_REBUILD_FRACTION`]): a fraction of the graph's `2m` adjacency
-    /// slots, compared with the slots the changed nodes own
-    /// ([`QueryStats::dirty_edges`]). Values ≥ 1 disable threshold rebuilds;
-    /// 0 makes every query that finds a moved seed rebuild.
-    pub fn set_dirty_rebuild_fraction(&mut self, fraction: f64) {
-        self.dirty_rebuild_fraction = fraction.max(0.0);
     }
 
     /// Records index updates applied without affected-set tracing (legal
@@ -421,7 +358,7 @@ impl ClusterCache {
         };
 
         if !self.changed.is_empty() {
-            let threshold = (self.dirty_rebuild_fraction * (2 * g.m()) as f64).floor() as usize;
+            let threshold = (DIRTY_REBUILD_FRACTION * (2 * g.m()) as f64).floor() as usize;
             if stats.dirty_edges > threshold {
                 stats.decision = QueryDecision::Rebuild;
                 stats.revoted = g.m();
@@ -453,8 +390,6 @@ impl ClusterCache {
         let clustering = self.extract(g, &mut lc, mode);
 
         stats.epoch = lc.epoch;
-        stats.hits = self.hits;
-        stats.misses = self.misses;
         self.per_level[level] = Some(lc);
         (clustering, stats)
     }
@@ -703,11 +638,12 @@ mod tests {
         let mut cache = ClusterCache::new(pyr.num_levels());
         let l = pyr.default_level();
         let (a, s0) = cache.query(&g, &pyr, l, ClusterMode::Power);
+        let hits = cache.hits();
         let (b, s1) = cache.query(&g, &pyr, l, ClusterMode::Power);
         assert!(Arc::ptr_eq(&a, &b), "repeat query must share the Arc");
         assert_eq!(s1.decision, QueryDecision::Hit);
         assert_eq!(s1.generation, s0.generation);
-        assert_eq!(s1.hits, s0.hits + 1);
+        assert_eq!(cache.hits(), hits + 1);
     }
 
     #[test]
@@ -824,26 +760,26 @@ mod tests {
         }
     }
 
+    /// Updates whose moved nodes own more than [`DIRTY_REBUILD_FRACTION`] of
+    /// the `2m` adjacency slots make the next query refill the level.
     #[test]
-    fn threshold_zero_forces_rebuild_and_stays_correct() {
+    fn wide_seed_moves_force_rebuild_and_stay_correct() {
         let (g, mut w, mut pyr) = fixture();
         let mut cache = ClusterCache::new(pyr.num_levels());
-        cache.set_dirty_rebuild_fraction(0.0);
-        let l = pyr.num_levels() - 1;
-        cache.query(&g, &pyr, l, ClusterMode::Power);
-        let epoch0 = cache.level_epoch(l).expect("materialized");
-        let e = 3u32;
-        let old = w[e as usize];
-        w[e as usize] = 0.01;
-        let affected = pyr.on_weight_change(&g, &w, e, old);
-        cache.note_affected(&g, &affected);
+        let l = pyr.default_level();
+        let (_, s0) = cache.query(&g, &pyr, l, ClusterMode::Power);
+        // Scatter every weight over [0.05, 96], bridges and cliques alike.
+        for e in 0..g.m() as EdgeId {
+            let old = w[e as usize];
+            w[e as usize] = 0.05 + (e * 7_919 % 97) as f64;
+            let affected = pyr.on_weight_change(&g, &w, e, old);
+            cache.note_affected(&g, &affected);
+        }
         let (c, stats) = cache.query(&g, &pyr, l, ClusterMode::Power);
-        assert!(
-            stats.changed_nodes > 0,
-            "a near-zero intra edge must move a seed at the top level"
-        );
+        let threshold = (DIRTY_REBUILD_FRACTION * (2 * g.m()) as f64) as usize;
+        assert!(stats.dirty_edges > threshold, "{stats:?}");
         assert_eq!(stats.decision, QueryDecision::Rebuild);
-        assert!(stats.epoch > epoch0, "rebuild must advance the epoch");
+        assert!(stats.epoch > s0.epoch, "rebuild must advance the epoch");
         assert_eq!(*c, cluster_all(&g, &pyr, l, ClusterMode::Power));
     }
 

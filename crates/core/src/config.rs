@@ -78,11 +78,19 @@ impl AncConfig {
         assert!(self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)");
     }
 
-    /// Minimum number of agreeing pyramids for a positive vote:
-    /// `⌈θ·k⌉`, at least 1.
+    /// Minimum number of agreeing pyramids for a positive vote: `⌈θ·k⌉`,
+    /// at least 1 and at most `k`.
     pub fn needed_votes(&self) -> usize {
-        ((self.theta * self.k as f64).ceil() as usize).max(1)
+        needed_votes(self.theta, self.k)
     }
+}
+
+/// Minimum number of agreeing pyramids among `k` for a positive vote at
+/// support threshold `theta`: `⌈θ·k⌉`, at least 1 and at most `k`. The one
+/// rule behind [`AncConfig::needed_votes`] and the threshold
+/// [`crate::Pyramids::build`] stores.
+pub(crate) fn needed_votes(theta: f64, k: usize) -> usize {
+    ((theta * k as f64).ceil() as usize).min(k).max(1)
 }
 
 #[cfg(test)]

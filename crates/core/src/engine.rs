@@ -37,6 +37,7 @@ use crate::cache::{ClusterCache, QueryStats};
 use crate::cluster::{cluster_all, ClusterMode};
 use crate::config::AncConfig;
 use crate::invariant::{self, InvariantViolation};
+use crate::persist::{EngineSnapshot, RestoreError};
 use crate::pyramid::Pyramids;
 use crate::query;
 use crate::reinforce::{self, apply_reinforcement, ReinforceParams, SigmaRows};
@@ -78,29 +79,15 @@ pub struct BatchStats {
 /// # engine.check_invariants().unwrap();
 /// ```
 pub struct AncEngine {
-    g: Graph,
-    cfg: AncConfig,
-    clock: DecayClock,
-    /// Anchored activeness per edge (PosM).
-    act: ActivenessStore,
-    /// Anchored per-node activeness sums `A(v)` (PosM; σ denominators).
-    node_sum: Vec<f64>,
-    /// Anchored similarity `S*` per edge (PosM, Lemma 4).
-    sim: Vec<f64>,
+    /// Everything a snapshot persists (DESIGN.md §11): the graph, config,
+    /// clock, anchored activeness, node sums and similarity (PosM), the
+    /// pyramids and the counters. Every other field is derived from it or
+    /// transient.
+    state: EngineSnapshot,
     /// Anchored reciprocal similarity `1/S*` per edge (NegM) — the index's
     /// edge weights, kept materialized so partitions can read a plain slice.
     recip: Vec<f64>,
-    /// The pyramids index.
-    pyramids: Pyramids,
-    /// Index RNG seed (reused by offline rebuilds for comparability).
-    index_seed: u64,
     scratch: Scratch,
-    /// Running sum of the anchored similarities (for the relative floor).
-    sim_sum: f64,
-    /// Total activations processed.
-    activations: u64,
-    /// Total batched rescales performed.
-    rescales: u64,
     /// The incremental cluster-query cache (interior mutability so
     /// `&self` queries can repair lazily; never borrowed across a call
     /// boundary, so the `RefCell` cannot be observed locked).
@@ -137,118 +124,128 @@ impl AncEngine {
     /// experiments, Section VI).
     pub fn new(g: Graph, cfg: AncConfig, seed: u64) -> Self {
         cfg.validate();
-        let m = g.m();
         let clock = DecayClock::with_config(cfg.lambda, cfg.rescale);
-        let act = ActivenessStore::new(m, 1.0);
+        let act = ActivenessStore::new(g.m(), 1.0);
         let mut node_sum = vec![0.0; g.n()];
         for (e, u, v) in g.iter_edges() {
             node_sum[u as usize] += act.anchored(e);
             node_sum[v as usize] += act.anchored(e);
         }
-        let mut scratch = Scratch::new(g.n());
         let ctx = SimilarityCtx { g: &g, act: act.as_slice(), node_sum: &node_sum };
-        let sim = initial_similarity(&ctx, &cfg, cfg.rep, &mut scratch);
+        let sim = initial_similarity(&ctx, &cfg, cfg.rep, &mut Scratch::new(g.n()));
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids = Pyramids::build(&g, &recip, cfg.k, cfg.theta, seed);
         let sim_sum = sim.iter().sum();
-        let cache = RefCell::new(ClusterCache::new(pyramids.num_levels()));
-        let trace_bufs = vec![Vec::new(); pyramids.k() * pyramids.num_levels()];
-        Self {
-            g,
-            cfg,
+        Self::from_state(EngineSnapshot {
+            graph: g,
+            config: cfg,
             clock,
-            act,
+            activeness: act,
             node_sum,
             sim,
-            recip,
             pyramids,
             index_seed: seed,
-            scratch,
             sim_sum,
             activations: 0,
             rescales: 0,
-            cache,
-            trace_bufs,
+        })
+    }
+
+    /// The one constructor: adopts `state` and derives the rest — the
+    /// reciprocal weights (`O(m)`, the same bits the index was built or
+    /// repaired against), scratch, an empty cluster cache (never persisted,
+    /// it refills lazily on first query) and empty pooled buffers.
+    fn from_state(state: EngineSnapshot) -> Self {
+        let recip = state.sim.iter().map(|s| 1.0 / s).collect();
+        let (k, levels) = (state.pyramids.k(), state.pyramids.num_levels());
+        Self {
+            recip,
+            scratch: Scratch::new(state.graph.n()),
+            cache: RefCell::new(ClusterCache::new(levels)),
+            trace_bufs: vec![Vec::new(); k * levels],
             deltas: Vec::new(),
             dirty: Vec::new(),
+            state,
         }
+    }
+
+    /// The persisted state, borrowed (the binary encoder's input).
+    pub(crate) fn state(&self) -> &EngineSnapshot {
+        &self.state
     }
 
     /// The relation network.
     pub fn graph(&self) -> &Graph {
-        &self.g
+        &self.state.graph
     }
 
     /// The configuration.
     pub fn config(&self) -> &AncConfig {
-        &self.cfg
+        &self.state.config
     }
 
     /// The index.
     pub fn pyramids(&self) -> &Pyramids {
-        &self.pyramids
+        &self.state.pyramids
     }
 
     /// Current time.
     pub fn now(&self) -> Time {
-        self.clock.now()
+        self.state.clock.now()
     }
 
     /// Activations processed so far.
     pub fn activations(&self) -> u64 {
-        self.activations
+        self.state.activations
     }
 
     /// Batched rescales performed so far.
     pub fn rescales(&self) -> u64 {
-        self.rescales
+        self.state.rescales
     }
 
     /// True (de-anchored) activeness of `e` at the current time.
     #[must_use = "pure query; the activeness value is the only effect"]
     pub fn activeness(&self, e: EdgeId) -> f64 {
-        self.act.current(e, &self.clock)
+        self.state.activeness.current(e, &self.state.clock)
     }
 
     /// True similarity `S_t(e)` at the current time.
     #[must_use = "pure query; the similarity value is the only effect"]
     pub fn similarity(&self, e: EdgeId) -> f64 {
-        self.sim[e as usize] * self.clock.global_factor()
+        self.state.sim[e as usize] * self.state.clock.global_factor()
     }
 
     /// Anchored similarity slice (for metric computations; anchored values
     /// preserve all comparisons).
     pub fn sim_anchored(&self) -> &[f64] {
-        &self.sim
+        &self.state.sim
     }
 
     /// Active similarity σ(u, v) of an edge's endpoints (NeuM — identical
     /// for anchored and true activeness, Lemma 3).
     #[must_use = "pure query; the σ value is the only effect"]
     pub fn sigma(&self, u: NodeId, v: NodeId) -> f64 {
-        self.ctx().sigma(u, v)
+        ctx(&self.state).sigma(u, v)
     }
 
     /// Node classification under the configured `(ε, µ)`.
     #[must_use = "pure query (scratch reuse aside); the classification is the only effect"]
     pub fn node_type(&mut self, v: NodeId) -> NodeType {
-        let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-        ctx.node_type(v, self.cfg.epsilon, self.cfg.mu, &mut self.scratch)
-    }
-
-    fn ctx(&self) -> SimilarityCtx<'_> {
-        SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum }
+        let cfg = &self.state.config;
+        ctx(&self.state).node_type(v, cfg.epsilon, cfg.mu, &mut self.scratch)
     }
 
     fn reinforce_params(&self) -> ReinforceParams {
         // The anchored floor is the larger of the absolute floor on the
         // *true* similarity (`floor × 1/g`) and the mean-relative floor on
         // the anchored values.
-        let mean = self.sim_sum / self.g.m().max(1) as f64;
+        let s = &self.state;
+        let mean = s.sim_sum / s.graph.m().max(1) as f64;
         ReinforceParams {
-            epsilon: self.cfg.epsilon,
-            mu: self.cfg.mu,
-            floor_anchored: (self.cfg.floor * self.clock.boost()).max(self.cfg.floor_rel * mean),
+            epsilon: s.config.epsilon,
+            mu: s.config.mu,
+            floor_anchored: (s.config.floor * s.clock.boost()).max(s.config.floor_rel * mean),
         }
     }
 
@@ -314,11 +311,11 @@ impl AncEngine {
         self.dirty.clear();
         for &e in edges {
             if let Some(t) = t {
-                self.clock.advance_to(t);
+                self.state.clock.advance_to(t);
                 // The one rescale site: before `bump` reads `boost()`, so
                 // `boost() ≤ e^guard` always holds, and after the pending
                 // repairs have landed at the pre-rescale weights.
-                if self.clock.needs_rescale() {
+                if self.state.clock.needs_rescale() {
                     self.flush(stats);
                     self.force_rescale();
                 }
@@ -335,13 +332,14 @@ impl AncEngine {
     /// Ingest stage 1: bumps the anchored activeness of `e` and both
     /// endpoint sums at the clock's time (`O(1)`, Lemma 1).
     fn bump(&mut self, e: EdgeId) {
-        self.act.activate(e, &self.clock);
-        let (u, v) = self.g.endpoints(e);
-        let boost = self.clock.boost();
-        self.node_sum[u as usize] += boost;
-        self.node_sum[v as usize] += boost;
-        self.clock.note_activation();
-        self.activations += 1;
+        let s = &mut self.state;
+        s.activeness.activate(e, &s.clock);
+        let (u, v) = s.graph.endpoints(e);
+        let boost = s.clock.boost();
+        s.node_sum[u as usize] += boost;
+        s.node_sum[v as usize] += boost;
+        s.clock.note_activation();
+        s.activations += 1;
     }
 
     /// Ingest stage 2: one local reinforcement with trigger edge `e`
@@ -349,9 +347,11 @@ impl AncEngine {
     /// `S(e)` moved.
     fn reinforce(&mut self, e: EdgeId) -> Option<(EdgeId, f64, f64)> {
         let params = self.reinforce_params();
-        let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-        let out = apply_reinforcement(&ctx, &mut self.sim, e, &params, &mut self.scratch);
-        self.sim_sum += out.new_sim - out.old_sim;
+        let s = &mut self.state;
+        let ctx =
+            SimilarityCtx { g: &s.graph, act: s.activeness.as_slice(), node_sum: &s.node_sum };
+        let out = apply_reinforcement(&ctx, &mut s.sim, e, &params, &mut self.scratch);
+        s.sim_sum += out.new_sim - out.old_sim;
         if out.new_sim == out.old_sim {
             return None;
         }
@@ -374,34 +374,35 @@ impl AncEngine {
     ///   cluster cache has materialized levels (so it hears which nodes to
     ///   re-check) and untraced otherwise.
     fn flush(&mut self, stats: &mut BatchStats) {
+        let (g, pyramids) = (&self.state.graph, &mut self.state.pyramids);
+        let cache = self.cache.get_mut();
         match self.deltas[..] {
             [] => return,
             [(e, old_w, _)] => {
-                self.pyramids.on_weight_change_serial_into(
-                    &self.g,
+                pyramids.on_weight_change_serial_into(
+                    g,
                     &self.recip,
                     e,
                     old_w,
                     &mut self.trace_bufs,
                 );
-                self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
+                cache.note_affected(g, &self.trace_bufs);
                 // No precheck here: every partition runs its bounded update.
                 stats.repair_updates += self.trace_bufs.len();
             }
             _ => {
-                let traced = self.cache.get_mut().has_materialized_levels();
-                let rs = if traced {
-                    let rs = self.pyramids.on_weight_change_batch_traced(
-                        &self.g,
+                let rs = if cache.has_materialized_levels() {
+                    let rs = pyramids.on_weight_change_batch_traced(
+                        g,
                         &self.recip,
                         &self.deltas,
                         &mut self.trace_bufs,
                     );
-                    self.cache.get_mut().note_affected(&self.g, &self.trace_bufs);
+                    cache.note_affected(g, &self.trace_bufs);
                     rs
                 } else {
-                    self.cache.get_mut().note_untracked_updates();
-                    self.pyramids.on_weight_change_batch(&self.g, &self.recip, &self.deltas)
+                    cache.note_untracked_updates();
+                    pyramids.on_weight_change_batch(g, &self.recip, &self.deltas)
                 };
                 stats.repair_updates += rs.updates;
                 stats.repair_skips += rs.skips;
@@ -417,33 +418,34 @@ impl AncEngine {
     /// halving has elapsed) no store moves and [`Self::rescales`] does not
     /// count it.
     pub fn force_rescale(&mut self) {
-        let g = self.clock.take_rescale();
+        let s = &mut self.state;
+        let g = s.clock.take_rescale();
         if g == 1.0 {
             return;
         }
-        self.act.rescale(g);
-        for x in self.node_sum.iter_mut().chain(&mut self.sim) {
+        s.activeness.rescale(g);
+        for x in s.node_sum.iter_mut().chain(&mut s.sim) {
             *x *= g;
         }
-        self.sim_sum *= g;
+        s.sim_sum *= g;
         let inv = 1.0 / g;
         for w in &mut self.recip {
             *w *= inv;
         }
-        self.pyramids.rescale(inv);
-        self.rescales += 1;
+        s.pyramids.rescale(inv);
+        s.rescales += 1;
     }
 
     // --- queries ----------------------------------------------------------
 
     /// Number of granularity levels (`⌈log₂ n⌉`).
     pub fn num_levels(&self) -> usize {
-        self.pyramids.num_levels()
+        self.state.pyramids.num_levels()
     }
 
     /// The `Θ(√n)`-clusters entry level of Problem 1.
     pub fn default_level(&self) -> usize {
-        self.pyramids.default_level()
+        self.state.pyramids.default_level()
     }
 
     /// All clusters at `level` (Problem 1(1)).
@@ -473,17 +475,17 @@ impl AncEngine {
         level: usize,
         mode: ClusterMode,
     ) -> (Arc<Clustering>, QueryStats) {
-        self.cache.borrow_mut().query(&self.g, &self.pyramids, level, mode)
+        self.cache.borrow_mut().query(&self.state.graph, &self.state.pyramids, level, mode)
     }
 
     /// Read access to the cluster-query cache (observability: generation,
-    /// hit/miss counters, per-level pending counts and epochs).
+    /// hit/miss counters, per-level pending counts).
     pub fn cluster_cache(&self) -> std::cell::Ref<'_, ClusterCache> {
         self.cache.borrow()
     }
 
-    /// Mutable access to the cluster-query cache (tuning knobs such as
-    /// [`ClusterCache::set_dirty_rebuild_fraction`]).
+    /// Mutable access to the cluster-query cache (negative invariant tests
+    /// break it through [`ClusterCache::corrupt_for_test`]).
     pub fn cluster_cache_mut(&mut self) -> &mut ClusterCache {
         self.cache.get_mut()
     }
@@ -500,18 +502,11 @@ impl AncEngine {
     pub fn refresh_view(&self, levels: &[usize], modes: &[ClusterMode]) -> ClusterView {
         let mut view = ClusterView::default();
         for &level in levels {
-            let mut lc = LevelClusters { level, epoch: 0, even: None, power: None };
             for &mode in modes {
                 let (c, qs) = self.cluster_all_cached(level, mode);
                 view.generation = view.generation.max(qs.generation);
-                lc.epoch = lc.epoch.max(qs.epoch);
-                view.query += qs;
-                match mode {
-                    ClusterMode::Even => lc.even = Some(c),
-                    ClusterMode::Power => lc.power = Some(c),
-                }
+                view.clusterings.push((level, mode, c));
             }
-            view.levels.push(lc);
         }
         view
     }
@@ -519,12 +514,12 @@ impl AncEngine {
     /// The cluster containing `v` at `level` (Problem 1(2)); even-clustering
     /// semantics, cost proportional to the result (Lemma 9).
     pub fn local_cluster(&self, v: NodeId, level: usize) -> Vec<NodeId> {
-        query::local_cluster(&self.g, &self.pyramids, v, level)
+        query::local_cluster(&self.state.graph, &self.state.pyramids, v, level)
     }
 
     /// The smallest cluster containing `v` (finest granularity).
     pub fn smallest_cluster(&self, v: NodeId) -> Vec<NodeId> {
-        query::smallest_cluster(&self.g, &self.pyramids, v)
+        query::smallest_cluster(&self.state.graph, &self.state.pyramids, v)
     }
 
     /// Whether `u` and `v` share a cluster at `level` (Problem 1(3)).
@@ -534,7 +529,7 @@ impl AncEngine {
     #[inline]
     #[must_use = "pure query; the membership answer is the only effect"]
     pub fn same_cluster(&self, u: NodeId, v: NodeId, level: usize) -> bool {
-        self.pyramids.same_cluster(u, v, level)
+        self.state.pyramids.same_cluster(u, v, level)
     }
 
     /// Approximate *true* (de-anchored) distance `M_t(u, v)` answered from
@@ -546,14 +541,15 @@ impl AncEngine {
         // Stored distances are anchored (weights 1/S*); the true NegM value
         // divides by the global factor g... true w = w*/g, so true dist =
         // anchored / g.
-        self.pyramids.approx_distance(u, v) / self.clock.global_factor()
+        self.state.pyramids.approx_distance(u, v) / self.state.clock.global_factor()
     }
 
     /// Exact *true* distance `M_t(u, v)` by on-line Dijkstra (`O(m log n)`),
     /// the reference for [`Self::approx_distance`].
     #[must_use = "pure query; the distance is the only effect"]
     pub fn exact_distance(&self, u: NodeId, v: NodeId) -> f64 {
-        crate::metric::distance(&self.g, &self.sim, u, v) / self.clock.global_factor()
+        let s = &self.state;
+        crate::metric::distance(&s.graph, &s.sim, u, v) / s.clock.global_factor()
     }
 
     // --- offline (ANCF) & maintenance -------------------------------------
@@ -562,11 +558,10 @@ impl AncEngine {
     /// reinforcement passes against the current activeness, and rebuilds the
     /// index from scratch. The engine itself is unchanged.
     pub fn offline_snapshot(&mut self, rep: usize) -> OfflineSnapshot {
-        let ctx = SimilarityCtx { g: &self.g, act: self.act.as_slice(), node_sum: &self.node_sum };
-        let sim = initial_similarity(&ctx, &self.cfg, rep, &mut self.scratch);
+        let s = &self.state;
+        let sim = initial_similarity(&ctx(s), &s.config, rep, &mut self.scratch);
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
-        let pyramids =
-            Pyramids::build(&self.g, &recip, self.cfg.k, self.cfg.theta, self.index_seed);
+        let pyramids = Pyramids::build(&s.graph, &recip, s.config.k, s.config.theta, s.index_seed);
         OfflineSnapshot { sim, recip, pyramids }
     }
 
@@ -576,86 +571,32 @@ impl AncEngine {
     /// invalidated wholesale and refills lazily. The rebuild reuses the
     /// index's own buffers (bit-identical to a fresh build).
     pub fn reconstruct_index(&mut self) {
-        self.pyramids.rebuild(&self.g, &self.recip, self.index_seed);
+        let s = &mut self.state;
+        s.pyramids.rebuild(&s.graph, &self.recip, s.index_seed);
         self.cache.get_mut().invalidate_all();
     }
 
     /// Captures the complete engine state for checkpointing
     /// (see [`crate::persist`]).
-    pub fn to_snapshot(&self) -> crate::persist::EngineSnapshot {
-        crate::persist::EngineSnapshot {
-            graph: self.g.clone(),
-            config: self.cfg.clone(),
-            clock: self.clock.clone(),
-            activeness: self.act.clone(),
-            node_sum: self.node_sum.clone(),
-            sim: self.sim.clone(),
-            pyramids: self.pyramids.clone(),
-            index_seed: self.index_seed,
-            sim_sum: self.sim_sum,
-            activations: self.activations,
-            rescales: self.rescales,
-        }
+    pub fn to_snapshot(&self) -> EngineSnapshot {
+        self.state.clone()
     }
 
-    /// Borrows every persisted field at once (no cloning) for the binary
-    /// snapshot encoder (see [`crate::persist::binary`]).
-    pub(crate) fn persist_view(&self) -> crate::persist::PersistView<'_> {
-        crate::persist::PersistView {
-            graph: &self.g,
-            config: &self.cfg,
-            clock: &self.clock,
-            activeness: self.act.as_slice(),
-            node_sum: &self.node_sum,
-            sim: &self.sim,
-            pyramids: &self.pyramids,
-            index_seed: self.index_seed,
-            sim_sum: self.sim_sum,
-            activations: self.activations,
-            rescales: self.rescales,
-        }
-    }
-
-    /// Restores an engine from a snapshot. Validates consistency; scratch
-    /// buffers and the derived reciprocal weights are rebuilt (`O(n + m)`),
-    /// everything else is adopted as-is.
-    pub fn from_snapshot(
-        snapshot: crate::persist::EngineSnapshot,
-    ) -> Result<Self, crate::persist::RestoreError> {
+    /// Restores an engine from a snapshot: validates it, then derives what
+    /// the snapshot leaves out (`O(n + m)`: the reciprocal weights, scratch,
+    /// an empty cluster cache), exactly as [`Self::new`] does.
+    pub fn from_snapshot(snapshot: EngineSnapshot) -> Result<Self, RestoreError> {
         snapshot.validate()?;
-        let recip: Vec<f64> = snapshot.sim.iter().map(|s| 1.0 / s).collect();
-        let scratch = Scratch::new(snapshot.graph.n());
-        // The cluster cache is never serialized (see `crate::persist`): a
-        // restored engine starts cold and refills lazily on first query.
-        let cache = RefCell::new(ClusterCache::new(snapshot.pyramids.num_levels()));
-        let trace_bufs = vec![Vec::new(); snapshot.pyramids.k() * snapshot.pyramids.num_levels()];
-        Ok(Self {
-            g: snapshot.graph,
-            cfg: snapshot.config,
-            clock: snapshot.clock,
-            act: snapshot.activeness,
-            node_sum: snapshot.node_sum,
-            sim: snapshot.sim,
-            recip,
-            pyramids: snapshot.pyramids,
-            index_seed: snapshot.index_seed,
-            scratch,
-            sim_sum: snapshot.sim_sum,
-            activations: snapshot.activations,
-            rescales: snapshot.rescales,
-            cache,
-            trace_bufs,
-            deltas: Vec::new(),
-            dirty: Vec::new(),
-        })
+        Ok(Self::from_state(snapshot))
     }
 
     /// Total heap bytes: index plus per-edge state (graph excluded, matching
     /// the paper's "space for storing the graph is excluded" in Exp 4).
     pub fn memory_bytes(&self) -> usize {
-        self.pyramids.memory_bytes()
-            + self.act.memory_bytes()
-            + (self.node_sum.len() + self.sim.len() + self.recip.len()) * std::mem::size_of::<f64>()
+        let s = &self.state;
+        s.pyramids.memory_bytes()
+            + s.activeness.memory_bytes()
+            + (s.node_sum.len() + s.sim.len() + self.recip.len()) * std::mem::size_of::<f64>()
     }
 
     /// Verifies every engine invariant against the current state (testing
@@ -665,14 +606,16 @@ impl AncEngine {
     /// validity of the default-level clustering. See [`crate::invariant`]
     /// for the catalogue.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        invariant::check_graph(&self.g)?;
-        invariant::check_activeness(&self.g, self.act.as_slice(), &self.node_sum)?;
-        invariant::check_similarities(&self.sim)?;
-        invariant::check_recip_sync(&self.sim, &self.recip)?;
-        self.pyramids.check_invariants(&self.g, &self.recip)?;
-        let c = cluster_all(&self.g, &self.pyramids, self.default_level(), ClusterMode::Power);
-        invariant::check_clustering(&self.g, &c)?;
-        invariant::check_cluster_cache(&self.g, &self.pyramids, &self.cache.borrow())
+        let s = &self.state;
+        let (g, pyramids) = (&s.graph, &s.pyramids);
+        invariant::check_graph(g)?;
+        invariant::check_activeness(g, s.activeness.as_slice(), &s.node_sum)?;
+        invariant::check_similarities(&s.sim)?;
+        invariant::check_recip_sync(&s.sim, &self.recip)?;
+        pyramids.check_invariants(g, &self.recip)?;
+        let c = cluster_all(g, pyramids, self.default_level(), ClusterMode::Power);
+        invariant::check_clustering(g, &c)?;
+        invariant::check_cluster_cache(g, pyramids, &self.cache.borrow())
     }
 
     /// Batch-boundary hook of the `debug-invariants` feature: panics on the
@@ -690,7 +633,7 @@ impl AncEngine {
     /// of the public API.
     #[doc(hidden)]
     pub fn corrupt_node_sum_for_test(&mut self, v: NodeId, delta: f64) {
-        self.node_sum[v as usize] += delta;
+        self.state.node_sum[v as usize] += delta;
     }
 }
 
@@ -715,6 +658,11 @@ fn initial_similarity(
     sim
 }
 
+/// The σ context over a state's graph, activeness and node sums.
+fn ctx(s: &EngineSnapshot) -> SimilarityCtx<'_> {
+    SimilarityCtx { g: &s.graph, act: s.activeness.as_slice(), node_sum: &s.node_sum }
+}
+
 impl OfflineSnapshot {
     /// All clusters at `level` from the snapshot index.
     pub fn cluster_all(&self, g: &Graph, level: usize, mode: ClusterMode) -> Clustering {
@@ -722,48 +670,18 @@ impl OfflineSnapshot {
     }
 }
 
-/// The cached clusterings of one level inside a [`ClusterView`].
-#[derive(Clone, Debug)]
-pub struct LevelClusters {
-    /// The granularity level these clusterings answer.
-    pub level: usize,
-    /// The level's rebuild epoch at refresh time (see
-    /// [`QueryStats::epoch`]).
-    pub epoch: u64,
-    /// Even-mode clustering, if requested from [`AncEngine::refresh_view`].
-    pub even: Option<Arc<Clustering>>,
-    /// Power-mode clustering, if requested.
-    pub power: Option<Arc<Clustering>>,
-}
-
 /// An immutable, shareable view of the cached clusterings at a set of
-/// levels — the unit the serving layer publishes to its readers after each
-/// drained ingest batch ([`AncEngine::refresh_view`], DESIGN.md §12).
+/// `(level, mode)` pairs — the unit the serving layer publishes to its
+/// readers after each drained ingest batch ([`AncEngine::refresh_view`],
+/// DESIGN.md §12).
 #[derive(Clone, Debug, Default)]
 pub struct ClusterView {
     /// Cache generation every clustering in this view was refreshed at; two
     /// views with equal generation saw the same logical index state.
     pub generation: u64,
-    /// One entry per requested level, in request order.
-    pub levels: Vec<LevelClusters>,
-    /// The refresh queries' merged [`QueryStats`].
-    pub query: QueryStats,
-}
-
-impl ClusterView {
-    /// The view's entry for `level`, if it was requested.
-    pub fn at_level(&self, level: usize) -> Option<&LevelClusters> {
-        self.levels.iter().find(|l| l.level == level)
-    }
-
-    /// The clustering at `(level, mode)`, if the view carries it.
-    pub fn clusters(&self, level: usize, mode: ClusterMode) -> Option<&Arc<Clustering>> {
-        let lc = self.at_level(level)?;
-        match mode {
-            ClusterMode::Even => lc.even.as_ref(),
-            ClusterMode::Power => lc.power.as_ref(),
-        }
-    }
+    /// One `(level, mode, clustering)` entry per requested pair, in request
+    /// order (levels outer, modes inner).
+    pub clusterings: Vec<(usize, ClusterMode, Arc<Clustering>)>,
 }
 
 #[cfg(test)]
@@ -994,7 +912,7 @@ mod tests {
         assert_eq!(serial.rescales(), batched.rescales());
         assert!(stats_total.repair_updates > 0);
         for e in 0..m as usize {
-            assert_eq!(serial.sim[e].to_bits(), batched.sim[e].to_bits(), "sim {e}");
+            assert_eq!(serial.state.sim[e].to_bits(), batched.state.sim[e].to_bits(), "sim {e}");
             assert_eq!(serial.recip[e].to_bits(), batched.recip[e].to_bits(), "recip {e}");
         }
         // The serialized snapshots (state + every partition) must be

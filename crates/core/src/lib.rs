@@ -61,7 +61,7 @@ pub mod vote;
 pub use cache::{ClusterCache, QueryDecision, QueryStats};
 pub use cluster::ClusterMode;
 pub use config::AncConfig;
-pub use engine::{AncEngine, BatchStats, ClusterView, LevelClusters, OfflineSnapshot};
+pub use engine::{AncEngine, BatchStats, ClusterView, OfflineSnapshot};
 pub use invariant::InvariantViolation;
 pub use persist::{
     DurabilityOptions, DurableEngine, EngineSnapshot, RestoreError, SnapshotProfile, WalReader,

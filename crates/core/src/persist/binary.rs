@@ -59,7 +59,7 @@ use crate::pyramid::Pyramids;
 use crate::voronoi::VoronoiPartition;
 use crate::AncConfig;
 
-use super::{le_u32, EngineSnapshot, PersistView, RestoreError};
+use super::{le_u32, EngineSnapshot, RestoreError};
 
 /// Magic bytes opening every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
@@ -367,32 +367,33 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
 // Whole-snapshot encode/decode
 // ---------------------------------------------------------------------------
 
-/// Encodes the complete engine state into the binary snapshot format.
-pub(crate) fn encode_snapshot(view: &PersistView<'_>, profile: SnapshotProfile) -> Vec<u8> {
-    let (n, m) = (view.graph.n(), view.graph.m());
+/// Encodes the complete engine state into the binary snapshot format — the
+/// mirror of [`decode_snapshot`].
+pub(crate) fn encode_snapshot(s: &EngineSnapshot, profile: SnapshotProfile) -> Vec<u8> {
+    let (n, m) = (s.graph.n(), s.graph.m());
     // Rough pre-size: topology + two per-edge arrays + pyramids.
     let mut out = Vec::with_capacity(64 + 12 * m + 16 * n);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u32(&mut out, BINARY_VERSION);
     put_u8(&mut out, profile.to_byte());
-    encode_config(&mut out, view.config);
-    encode_clock(&mut out, view.clock);
-    encode_graph(view.graph, &mut out);
-    put_float_array(&mut out, view.activeness, profile);
+    encode_config(&mut out, &s.config);
+    encode_clock(&mut out, &s.clock);
+    encode_graph(&s.graph, &mut out);
+    put_float_array(&mut out, s.activeness.as_slice(), profile);
     if profile == SnapshotProfile::Exact {
         // Compact recomputes these aggregates on load instead.
-        for &v in view.node_sum {
+        for &v in &s.node_sum {
             put_f64(&mut out, v);
         }
     }
-    put_float_array(&mut out, view.sim, profile);
+    put_float_array(&mut out, &s.sim, profile);
     if profile == SnapshotProfile::Exact {
-        put_f64(&mut out, view.sim_sum);
+        put_f64(&mut out, s.sim_sum);
     }
-    put_u64(&mut out, view.index_seed);
-    put_uvarint(&mut out, view.activations);
-    put_uvarint(&mut out, view.rescales);
-    encode_pyramids(&mut out, view.pyramids, profile);
+    put_u64(&mut out, s.index_seed);
+    put_uvarint(&mut out, s.activations);
+    put_uvarint(&mut out, s.rescales);
+    encode_pyramids(&mut out, &s.pyramids, profile);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
@@ -402,7 +403,7 @@ pub(crate) fn encode_snapshot(view: &PersistView<'_>, profile: SnapshotProfile) 
 /// (raw `f64` bits), so equal bytes mean bit-identical engines.
 #[cfg(test)]
 pub(crate) fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
-    encode_snapshot(&engine.persist_view(), SnapshotProfile::Exact)
+    encode_snapshot(engine.state(), SnapshotProfile::Exact)
 }
 
 /// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
@@ -492,7 +493,7 @@ impl AncEngine {
         mut writer: W,
         profile: SnapshotProfile,
     ) -> Result<(), RestoreError> {
-        let bytes = encode_snapshot(&self.persist_view(), profile);
+        let bytes = encode_snapshot(self.state(), profile);
         writer.write_all(&bytes)?;
         Ok(())
     }

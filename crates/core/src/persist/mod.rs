@@ -50,7 +50,8 @@ pub mod wal;
 pub use binary::SnapshotProfile;
 pub use wal::{DurabilityOptions, DurableEngine, WalReader, WalRecord, SNAPSHOT_FILE, WAL_FILE};
 
-/// The complete persisted state of an [`crate::AncEngine`], decoded.
+/// The complete persisted state of an [`crate::AncEngine`]: the engine holds
+/// one and derives everything else from it (DESIGN.md §11).
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
     /// The relation network.
@@ -181,24 +182,6 @@ pub(crate) fn le_u32(b: &[u8]) -> u32 {
 /// Little-endian `u64` from the first 8 bytes of a (length-checked) slice.
 pub(crate) fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// Borrowed view of every persisted engine field — lets the binary codec
-/// encode straight from a live engine without the full-state clone
-/// [`crate::AncEngine::to_snapshot`] performs (which at `n = 10⁶` would copy
-/// hundreds of megabytes just to serialize them).
-pub(crate) struct PersistView<'a> {
-    pub graph: &'a Graph,
-    pub config: &'a AncConfig,
-    pub clock: &'a DecayClock,
-    pub activeness: &'a [f64],
-    pub node_sum: &'a [f64],
-    pub sim: &'a [f64],
-    pub pyramids: &'a Pyramids,
-    pub index_seed: u64,
-    pub sim_sum: f64,
-    pub activations: u64,
-    pub rescales: u64,
 }
 
 impl EngineSnapshot {

@@ -17,6 +17,7 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::config::needed_votes;
 use crate::invariant::InvariantViolation;
 use crate::voronoi::VoronoiPartition;
 
@@ -97,7 +98,7 @@ impl Pyramids {
             partitions: (0..k * levels).map(|_| VoronoiPartition::empty()).collect(),
             k,
             levels,
-            needed_votes: ((theta * k as f64).ceil() as usize).clamp(1, k),
+            needed_votes: needed_votes(theta, k),
             n,
             repair_scratch: Vec::new(),
         };

@@ -166,36 +166,36 @@ proptest! {
             prop_assert_eq!(sb.dirty_edges, 0, "second read must see a clean level");
         }
     }
+}
 
-    /// Forcing the threshold to 0 (every repair becomes a wholesale rebuild)
-    /// must never change any answer — the repair and rebuild paths are
-    /// interchangeable implementations of the same function.
-    #[test]
-    fn rebuild_threshold_never_changes_answers((seed, steps) in stream()) {
+/// The rebuild threshold is behavior-neutral: over streams whose queries
+/// take both the repair and the rebuild path, every cached answer is the
+/// cold extraction. Graphs this small cross the threshold on their own (a
+/// quarter of the `2m` adjacency slots is a few dozen; `anc-perf`'s fixture
+/// notes that at n ≤ 1 000 nearly every query rebuilds).
+#[test]
+fn rebuild_threshold_never_changes_answers() {
+    let (mut repairs, mut rebuilds) = (0, 0);
+    for seed in 0..8 {
         let g = graph_for(seed);
-        let m = g.m();
-        let mut repair = AncEngine::new(g.clone(), small_cfg(), seed);
-        let mut rebuild = AncEngine::new(g, small_cfg(), seed);
-        rebuild.cluster_cache_mut().set_dirty_rebuild_fraction(0.0);
-        let level = repair.default_level();
-        repair.cluster_all_cached(level, ClusterMode::Even);
-        rebuild.cluster_all_cached(level, ClusterMode::Even);
-        let mut t = 0.0;
-        for (step, dt) in steps {
-            t += dt;
-            let edges: Vec<u32> = match step {
-                Step::Single(raw) => vec![(raw % m) as u32],
-                Step::Batch(raw) | Step::Reconstruct(raw) => {
-                    raw.into_iter().map(|i| (i % m) as u32).collect()
-                }
-            };
-            let _ = repair.activate_batch(&edges, t);
-            let _ = rebuild.activate_batch(&edges, t);
-            let (a, _) = repair.cluster_all_cached(level, ClusterMode::Even);
-            let (b, _) = rebuild.cluster_all_cached(level, ClusterMode::Even);
-            prop_assert_eq!(&*a, &*b, "threshold must be behavior-neutral");
+        let m = g.m() as u32;
+        let mut engine = AncEngine::new(g, small_cfg(), seed);
+        let level = engine.default_level();
+        engine.cluster_all_cached(level, ClusterMode::Even);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for step in 1..=24 {
+            let edges: Vec<u32> = (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..m)).collect();
+            let _ = engine.activate_batch(&edges, 0.1 * step as f64);
+            for mode in [ClusterMode::Even, ClusterMode::Power] {
+                let (cached, stats) = engine.cluster_all_cached(level, mode);
+                let cold = cluster_all(engine.graph(), engine.pyramids(), level, mode);
+                assert_eq!(*cached, cold, "seed {seed} step {step} {mode:?} ({stats:?})");
+                repairs += usize::from(stats.decision == QueryDecision::Repair);
+                rebuilds += usize::from(stats.decision == QueryDecision::Rebuild);
+            }
         }
     }
+    assert!(repairs > 0 && rebuilds > 0, "{repairs} repairs, {rebuilds} rebuilds");
 }
 
 /// The planted-partition stream of `anc-perf`'s fixture: 80 % of the

@@ -258,77 +258,6 @@ pub fn planted_partition(cfg: &PlantedConfig, seed: u64) -> LabeledGraph {
     LabeledGraph { graph: b.build(), labels }
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice (`k` nearest neighbors
-/// on each side) with each edge rewired to a uniform random endpoint with
-/// probability `beta`. High clustering with short paths — the regime where
-/// shortest-distance propagation differs most from hop counting.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
-    assert!(k >= 1 && 2 * k < n, "watts_strogatz: need 1 <= k < n/2");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut rng = rng_for(seed);
-    let mut b = GraphBuilder::with_capacity(n, n * k);
-    let mut existing = std::collections::HashSet::new();
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * k);
-    for v in 0..n {
-        for j in 1..=k {
-            let w = (v + j) % n;
-            let key = ((v.min(w)) as NodeId, (v.max(w)) as NodeId);
-            if existing.insert(key) {
-                edges.push(key);
-            }
-        }
-    }
-    for (u, v) in edges {
-        if rng.gen_bool(beta) {
-            // Rewire the far endpoint.
-            let mut tries = 0;
-            loop {
-                let w = rng.gen_range(0..n as NodeId);
-                let key = (u.min(w), u.max(w));
-                if w != u && !existing.contains(&key) {
-                    existing.remove(&(u.min(v), u.max(v)));
-                    existing.insert(key);
-                    b.add_edge(u, w);
-                    break;
-                }
-                tries += 1;
-                if tries > 32 {
-                    b.add_edge(u, v); // dense corner case: keep the original
-                    break;
-                }
-            }
-        } else {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
-/// Power-law degree-sequence graph via the configuration model (simplified:
-/// stubs matched uniformly, self-loops and duplicates dropped). Gives the
-/// heavy-tailed degree distributions of the paper's social graphs without
-/// planted communities — used for stress tests and efficiency experiments.
-pub fn powerlaw_configuration(n: usize, exponent: f64, min_degree: usize, seed: u64) -> Graph {
-    assert!(exponent > 1.0, "powerlaw exponent must exceed 1");
-    assert!(min_degree >= 1);
-    let mut rng = rng_for(seed);
-    // Sample degrees d ~ min_degree · u^{-1/(exponent-1)}, capped at √(n·min).
-    let cap = (((n * min_degree) as f64).sqrt() as usize).max(min_degree + 1);
-    let mut stubs: Vec<NodeId> = Vec::new();
-    for v in 0..n as NodeId {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let d = ((min_degree as f64) * u.powf(-1.0 / (exponent - 1.0))) as usize;
-        let d = d.clamp(min_degree, cap);
-        stubs.extend(std::iter::repeat_n(v, d));
-    }
-    stubs.shuffle(&mut rng);
-    let mut b = GraphBuilder::with_capacity(n, stubs.len() / 2);
-    for pair in stubs.chunks_exact(2) {
-        b.add_edge(pair[0], pair[1]); // self-loops/dupes dropped by builder
-    }
-    b.build()
-}
-
 /// 2-D grid graph (`rows × cols` nodes, 4-neighborhood). Used by tests that
 /// need predictable shortest-path structure.
 pub fn grid(rows: usize, cols: usize) -> Graph {
@@ -507,44 +436,6 @@ mod tests {
         assert_eq!(lg.num_communities(), 4);
         let c = connected_components(&lg.graph);
         assert_eq!(c.count, 1, "bridged caveman must be connected");
-    }
-
-    #[test]
-    fn watts_strogatz_small_world() {
-        let g = watts_strogatz(200, 3, 0.1, 4);
-        // Ring lattice keeps ~n·k edges.
-        assert!(g.m() >= 200 * 3 - 40 && g.m() <= 200 * 3);
-        // Low rewiring keeps clustering high relative to ER of the same size.
-        let cc_ws = crate::algo::average_clustering(&g);
-        let er = erdos_renyi(200, g.m(), 4);
-        let cc_er = crate::algo::average_clustering(&er);
-        assert!(cc_ws > 2.0 * cc_er, "WS {cc_ws} vs ER {cc_er}");
-        // Deterministic.
-        let g2 = watts_strogatz(200, 3, 0.1, 4);
-        assert_eq!(g.m(), g2.m());
-    }
-
-    #[test]
-    fn watts_strogatz_beta_extremes() {
-        let lattice = watts_strogatz(60, 2, 0.0, 1);
-        // Pure lattice: every node has degree exactly 2k.
-        assert!((0..60u32).all(|v| lattice.degree(v) == 4));
-        let random = watts_strogatz(60, 2, 1.0, 1);
-        assert!(random.m() > 0);
-    }
-
-    #[test]
-    fn powerlaw_configuration_degrees() {
-        let g = powerlaw_configuration(2000, 2.5, 2, 9);
-        assert_eq!(g.n(), 2000);
-        let mut degs: Vec<usize> = (0..g.n()).map(|v| g.degree(v as u32)).collect();
-        degs.sort_unstable();
-        let median = degs[degs.len() / 2];
-        let max = *degs.last().unwrap();
-        assert!(max >= 5 * median.max(1), "heavy tail expected: max {max}, median {median}");
-        // Determinism.
-        let g2 = powerlaw_configuration(2000, 2.5, 2, 9);
-        assert_eq!(g.m(), g2.m());
     }
 
     #[test]

@@ -200,11 +200,6 @@ impl GraphBuilder {
         Self { n, edges: Vec::with_capacity(m) }
     }
 
-    /// Number of (not yet deduplicated) edges added.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge. Self-loops are silently dropped.
     ///
     /// # Panics

@@ -1,8 +1,7 @@
-//! Traversal utilities: BFS, connected components, degree orderings.
+//! Connected components, plain and over a filtered edge set.
 //!
-//! These back the clustering extraction (paper Section V-B): even clustering
-//! is connected components over voted edges; power clustering searches nodes
-//! in decreasing-degree order (ties broken by node id).
+//! These back the even clustering of the extraction (paper Section V-B):
+//! connected components over voted edges.
 
 use crate::{Graph, NodeId};
 
@@ -72,43 +71,6 @@ where
     Components { label, count: count as usize }
 }
 
-/// BFS distances (in hops) from `source`; unreachable nodes get `u32::MAX`.
-pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &w in g.neighbors(v) {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = dv + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// Nodes in decreasing-degree order, ties broken by increasing node id.
-///
-/// This is the search order of the paper's *power clustering* ("Set a
-/// direction to each edge that heads from high degree node to low degree node
-/// (use node id to break ties)").
-pub fn degree_order_desc(g: &Graph) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..g.n() as NodeId).collect();
-    order.sort_unstable_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then_with(|| a.cmp(&b)));
-    order
-}
-
-/// Returns true iff the directed power-clustering edge orientation points
-/// from `from` to `to` (higher degree → lower degree, node id breaks ties).
-#[inline]
-pub fn power_edge_points(g: &Graph, from: NodeId, to: NodeId) -> bool {
-    let (df, dt) = (g.degree(from), g.degree(to));
-    df > dt || (df == dt && from < to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,29 +110,5 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1)]);
         let c = connected_components(&g);
         assert_eq!(c.count, 3);
-    }
-
-    #[test]
-    fn bfs_hops() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[..4], [0, 1, 2, 3]);
-        assert_eq!(d[4], u32::MAX); // isolated
-    }
-
-    #[test]
-    fn degree_order_ties_by_id() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
-        // degrees: 0→2, 1→2, 2→3, 3→1
-        assert_eq!(degree_order_desc(&g), vec![2, 0, 1, 3]);
-    }
-
-    #[test]
-    fn power_orientation() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
-        assert!(power_edge_points(&g, 2, 0)); // deg 3 > deg 2
-        assert!(!power_edge_points(&g, 0, 2));
-        assert!(power_edge_points(&g, 0, 1)); // equal degree, id 0 < 1
-        assert!(!power_edge_points(&g, 1, 0));
     }
 }

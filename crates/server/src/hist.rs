@@ -7,8 +7,7 @@
 //! exact buckets, and every power-of-two octave above that is split into
 //! four sub-buckets, so the reported quantile is within ~12.5% of the true
 //! value at any magnitude. Recording is a handful of integer ops plus one
-//! array increment — no allocation, no locks — and histograms merge by
-//! bucket-wise addition, so per-thread tallies fold into one report.
+//! array increment — no allocation, no locks.
 
 /// Number of buckets: 8 exact values plus 4 sub-buckets for each of the
 /// 61 octaves `[2^3, 2^4) .. [2^63, 2^64)`.
@@ -64,16 +63,6 @@ impl LatencyHistogram {
         self.total += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
-    }
-
-    /// Folds `other` into `self` bucket-wise (cross-thread aggregation).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Total samples recorded.
@@ -156,28 +145,6 @@ mod tests {
         assert!(h.quantile(0.0) >= 1);
         let mean = h.mean();
         assert!((mean - 5_000.5).abs() < 1e-9, "mean = {mean}");
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for v in 0..1_000u64 {
-            let sample = v * v % 7_919;
-            if v % 2 == 0 {
-                a.record(sample);
-            } else {
-                b.record(sample);
-            }
-            whole.record(sample);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(a.quantile(q), whole.quantile(q), "q = {q}");
-        }
     }
 
     #[test]

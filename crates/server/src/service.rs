@@ -219,9 +219,12 @@ pub struct ServerStats {
     pub shed: u64,
     /// Publications (equals the snapshot's epoch).
     pub publishes: u64,
-    /// Merged cache refresh stats; `query.hits`/`query.misses` are the
-    /// cache-lifetime cumulative counters.
-    pub query: anc_core::QueryStats,
+    /// Cluster-cache queries answered with an already-cached `Arc`, over the
+    /// cache's lifetime (read at publish).
+    pub cache_hits: u64,
+    /// Cluster-cache queries that had to (re)extract a clustering, over the
+    /// cache's lifetime (read at publish).
+    pub cache_misses: u64,
     /// Enqueue-to-apply latency per ingest job, nanoseconds.
     pub apply_latency: LatencyHistogram,
 }
@@ -266,16 +269,16 @@ impl ServerCore {
         }
         let modes = if cfg.modes.is_empty() { vec![ClusterMode::Even] } else { cfg.modes.clone() };
 
-        let mut stats = ServerStats::default();
         let view = engine.refresh_view(&levels, &modes);
-        stats.query += view.query;
+        let mut stats = ServerStats::default();
+        note_cache(&mut stats, engine);
         let initial = ServeSnapshot {
             epoch: 0,
             applied_seq: 0,
             n: engine.graph().n(),
             num_levels,
             default_level: engine.default_level(),
-            members: index_members(&view, &[]),
+            members: index_members(&view, None),
             view,
             stats: stats.clone(),
         };
@@ -372,6 +375,12 @@ fn apply_run(
         stats.apply_latency.record(nanos);
         *applied_seq = (*applied_seq).max(seq);
     }
+}
+
+/// Copies the engine's lifetime cluster-cache counters into `stats`.
+fn note_cache(stats: &mut ServerStats, engine: &AncEngine) {
+    let cache = engine.cluster_cache();
+    (stats.cache_hits, stats.cache_misses) = (cache.hits(), cache.misses());
 }
 
 /// What the writer thread owns of the handoff: the job queue's receiving
@@ -483,7 +492,7 @@ fn writer_loop(
             }
 
             let view = backend.engine().refresh_view(&levels, &modes);
-            stats.query += view.query;
+            note_cache(&mut stats, backend.engine());
             stats.shed = shed.load(Ordering::Acquire);
             stats.publishes += 1;
             let epoch = ends.publisher.epoch() + 1;
@@ -493,7 +502,7 @@ fn writer_loop(
                 n,
                 num_levels,
                 default_level,
-                members: index_members(&view, &ends.publisher.current().members),
+                members: index_members(&view, Some(&ends.publisher.current())),
                 view,
                 stats: stats.clone(),
             };

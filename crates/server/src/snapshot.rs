@@ -43,9 +43,9 @@ pub struct ServeSnapshot {
     /// The clusterings published at this epoch (the levels/modes selected
     /// in [`crate::service::ServeConfig`]).
     pub view: ClusterView,
-    /// The member index of every clustering in `view`, built by the writer
-    /// with [`index_members`].
-    pub(crate) members: Vec<Indexed>,
+    /// The member index of every clustering in `view`, at the same
+    /// position, built by the writer with [`index_members`].
+    pub(crate) members: Vec<Arc<MemberIndex>>,
     /// Cumulative server counters as of this publication.
     pub stats: ServerStats,
 }
@@ -58,10 +58,15 @@ const _: () = {
 };
 
 impl ServeSnapshot {
+    /// The position of `(level, mode)` in `view.clusterings` and `members`.
+    fn entry(&self, level: usize, mode: ClusterMode) -> Option<usize> {
+        self.view.clusterings.iter().position(|&(l, m, _)| l == level && m == mode)
+    }
+
     /// The published clustering at `(level, mode)`, if this snapshot
     /// carries it. Wait-free.
     pub fn clusters_at(&self, level: usize, mode: ClusterMode) -> Option<&Arc<Clustering>> {
-        self.view.clusters(level, mode)
+        self.entry(level, mode).map(|i| &self.view.clusterings[i].2)
     }
 
     /// Whether `u` and `v` share a cluster in the published clustering at
@@ -86,15 +91,15 @@ impl ServeSnapshot {
     /// `None` when `v` is out of range or the level is not published.
     /// Wait-free and O(1): one lookup, one slice.
     pub fn member_slice_at(&self, v: NodeId, level: usize, mode: ClusterMode) -> Option<&[NodeId]> {
-        let at = self.members.iter().find(|m| m.level == level && m.mode == mode)?;
-        let c = &at.clustering;
+        let i = self.entry(level, mode)?;
+        let c = &self.view.clusterings[i].2;
         if (v as usize) >= c.n() {
             return None;
         }
         if c.is_noise(v) {
             return Some(&[]);
         }
-        Some(at.members.cluster(c.label(v)))
+        Some(self.members[i].cluster(c.label(v)))
     }
 
     /// [`Self::member_slice_at`], copied out: O(|C|).
@@ -107,7 +112,7 @@ impl ServeSnapshot {
 /// sort of its labels, so a members query costs the cluster's size (Lemma 9)
 /// rather than a scan of all n labels.
 #[derive(Debug)]
-struct MemberIndex {
+pub(crate) struct MemberIndex {
     /// Cluster `c`'s members are `nodes[start[c]..start[c + 1]]`.
     start: Vec<u32>,
     /// The non-noise node ids, ascending within each cluster.
@@ -150,31 +155,23 @@ impl MemberIndex {
     }
 }
 
-/// One published clustering and its member index.
-#[derive(Clone, Debug)]
-pub(crate) struct Indexed {
-    level: usize,
-    mode: ClusterMode,
-    clustering: Arc<Clustering>,
-    members: Arc<MemberIndex>,
-}
-
-/// Indexes the members of every clustering in `view`. A clustering `prev`
-/// already indexed — the same `Arc`, which a cycle that left it unchanged
-/// publishes again — keeps its index.
-pub(crate) fn index_members(view: &ClusterView, prev: &[Indexed]) -> Vec<Indexed> {
-    let mut out = Vec::new();
-    for lc in &view.levels {
-        for (mode, c) in [(ClusterMode::Even, &lc.even), (ClusterMode::Power, &lc.power)] {
-            let Some(c) = c else { continue };
-            let members = match prev.iter().find(|p| Arc::ptr_eq(&p.clustering, c)) {
-                Some(p) => Arc::clone(&p.members),
-                None => Arc::new(MemberIndex::new(c)),
-            };
-            out.push(Indexed { level: lc.level, mode, clustering: Arc::clone(c), members });
-        }
-    }
-    out
+/// Indexes the members of every clustering in `view`, position for position.
+/// A clustering `prev` already indexed — the same `Arc`, which a cycle that
+/// left it unchanged publishes again — keeps its index.
+pub(crate) fn index_members(
+    view: &ClusterView,
+    prev: Option<&ServeSnapshot>,
+) -> Vec<Arc<MemberIndex>> {
+    view.clusterings
+        .iter()
+        .map(|(_, _, c)| {
+            let kept = prev.and_then(|p| {
+                let i = p.view.clusterings.iter().position(|(_, _, q)| Arc::ptr_eq(q, c))?;
+                Some(Arc::clone(&p.members[i]))
+            });
+            kept.unwrap_or_else(|| Arc::new(MemberIndex::new(c)))
+        })
+        .collect()
 }
 
 /// A per-reader cursor over the published snapshot chain.

@@ -112,8 +112,8 @@ impl ConnState {
                     coalesced_jobs: s.coalesced_jobs,
                     max_batch_edges: s.max_batch_edges,
                     shed: self.ingest.shed(),
-                    cache_hits: s.query.hits,
-                    cache_misses: s.query.misses,
+                    cache_hits: s.cache_hits,
+                    cache_misses: s.cache_misses,
                     apply_count: s.apply_latency.count(),
                     apply_p50_ns: s.apply_latency.quantile(0.50),
                     apply_p99_ns: s.apply_latency.quantile(0.99),
@@ -280,8 +280,12 @@ impl TcpServer {
                 let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 while !accept_stop.load(Ordering::Acquire) {
                     // Every poll, so the cursor each connection clones from
-                    // pins nothing older than a few milliseconds.
+                    // pins nothing older than a few milliseconds, and an
+                    // exited connection's thread (its stack mapping) is freed.
                     reader.snapshot();
+                    for done in conns.extract_if(.., |handle| handle.is_finished()) {
+                        let _ = done.join();
+                    }
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let state = ConnState {
