@@ -9,7 +9,9 @@
 #     crates; no relaxed atomics; no thread pool under crates/server
 #   - cargo test --workspace, then anc-core under debug-invariants
 #   - by name: the WAL and snapshot property suites; in release, the wrapping
-#     edge-gap decode check and all of anc-server (framing arithmetic on
+#     edge-gap decode check, the sliced CRC-32 against the bytewise loop
+#     (crc32_equals_the_bytewise_loop), the pinned wire, WAL and snapshot
+#     bytes (pinned_bytes) and all of anc-server (framing arithmetic on
 #     lengths a peer chose)
 #   - anc-bench smoke (snapshot-size gate, the paper's shape claims), and the
 #     community_watch example (monitor reports checked against a recount)
@@ -67,6 +69,11 @@ cargo test -p anc-core --test prop_invariants -q
 # A forged edge list whose gaps wrap u64 used to panic in debug and decode to
 # edge (0, 1) in release; the workspace run above covered debug.
 cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
+# Every frame, WAL record and snapshot ends in a CRC-32 computed 16 bytes at a
+# time: it must equal the bytewise loop at every length and offset, and the
+# bytes it seals must stay those the bytewise loop produced.
+cargo test --release -p anc-graph --lib crc32_equals_the_bytewise_loop -q
+cargo test --release -p anc-server --test pinned_bytes -q
 # The frame parser's offsets come from a length the peer chose: its tests
 # (scripted streams cut at every byte, hostile prefixes, the write timeout)
 # ran in debug above, where such arithmetic panics; here it would wrap.

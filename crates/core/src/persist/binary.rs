@@ -49,8 +49,8 @@
 
 use anc_decay::{ActivenessStore, ClockParts, DecayClock, RescaleConfig};
 use anc_graph::codec::{
-    crc32, decode_graph, encode_graph, put_f32, put_f64, put_ivarint, put_u32, put_u64, put_u8,
-    put_uvarint, Reader,
+    crc32, decode_graph, encode_graph, put_f64, put_ivarint, put_u32, put_u64, put_u8, put_uvarint,
+    Reader,
 };
 use anc_graph::{Graph, NodeId, NO_NODE};
 
@@ -59,7 +59,7 @@ use crate::pyramid::Pyramids;
 use crate::voronoi::VoronoiPartition;
 use crate::AncConfig;
 
-use super::{le_u32, EngineSnapshot, RestoreError};
+use super::{le_u32, le_u64, EngineSnapshot, RestoreError};
 
 /// Magic bytes opening every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
@@ -127,37 +127,42 @@ fn put_float_array(out: &mut Vec<u8>, vals: &[f64], profile: SnapshotProfile) {
     let quantize = profile == SnapshotProfile::Compact && f32_faithful(vals);
     if quantize {
         put_u8(out, TAG_F32);
-        for &v in vals {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "the tagged Compact profile: taken only when f32_faithful(vals)"
-            )]
-            put_f32(out, v as f32);
-        }
+        out.reserve(4 * vals.len());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the tagged Compact profile: taken only when f32_faithful(vals)"
+        )]
+        out.extend(vals.iter().flat_map(|&v| (v as f32).to_bits().to_le_bytes()));
     } else {
         put_u8(out, TAG_F64);
-        for &v in vals {
-            put_f64(out, v);
-        }
+        put_f64s(out, vals);
     }
 }
 
+/// `vals` as raw little-endian `f64` bits, back to back.
+fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
+    out.reserve(8 * vals.len());
+    out.extend(vals.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+}
+
 fn read_float_array(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, RestoreError> {
-    let mut vals = Vec::with_capacity(len);
     match r.u8()? {
-        TAG_F64 => {
-            for _ in 0..len {
-                vals.push(r.f64()?);
-            }
-        }
-        TAG_F32 => {
-            for _ in 0..len {
-                vals.push(r.f32()? as f64);
-            }
-        }
-        other => return Err(RestoreError::Codec(format!("unknown float-array tag {other}"))),
+        TAG_F64 => read_f64s(r, len),
+        // One bounds check for the array; a length past the input (or past
+        // `usize`) is a truncation.
+        TAG_F32 => Ok(r
+            .bytes(len.saturating_mul(4))?
+            .chunks_exact(4)
+            .map(|b| f64::from(f32::from_bits(le_u32(b))))
+            .collect()),
+        other => Err(RestoreError::Codec(format!("unknown float-array tag {other}"))),
     }
-    Ok(vals)
+}
+
+/// `len` raw `f64`s written by [`put_f64s`], read in one pass.
+fn read_f64s(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, RestoreError> {
+    let bytes = r.bytes(len.saturating_mul(8))?;
+    Ok(bytes.chunks_exact(8).map(|b| f64::from_bits(le_u64(b))).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -382,9 +387,7 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot, profile: SnapshotProfile) -> V
     put_float_array(&mut out, s.activeness.as_slice(), profile);
     if profile == SnapshotProfile::Exact {
         // Compact recomputes these aggregates on load instead.
-        for &v in &s.node_sum {
-            put_f64(&mut out, v);
-        }
+        put_f64s(&mut out, &s.node_sum);
     }
     put_float_array(&mut out, &s.sim, profile);
     if profile == SnapshotProfile::Exact {
@@ -439,13 +442,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     let node_end = n as NodeId;
     let activeness = read_float_array(&mut r, m)?;
     let node_sum = match profile {
-        SnapshotProfile::Exact => {
-            let mut sums = Vec::with_capacity(n);
-            for _ in 0..n {
-                sums.push(r.f64()?);
-            }
-            sums
-        }
+        SnapshotProfile::Exact => read_f64s(&mut r, n)?,
         // Recomputed in the exact order `invariant::check_activeness` sums
         // incident edges, so the restored aggregate matches the checker
         // bit for bit.

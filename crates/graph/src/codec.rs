@@ -2,8 +2,8 @@
 //!
 //! Everything here is hand-rolled (the workspace is offline): LEB128
 //! varints, zigzag signed varints, raw little-endian IEEE-754 floats, a
-//! table-driven CRC-32 (IEEE/ISO-HDLC polynomial, the same one zlib and
-//! PNG use), and a bounds-checked [`Reader`] over a byte slice. The
+//! table-driven CRC-32 sliced by 16 (IEEE/ISO-HDLC polynomial, the same one
+//! zlib and PNG use), and a bounds-checked [`Reader`] over a byte slice. The
 //! snapshot and WAL formats in `anc-core::persist` are built entirely from
 //! these primitives, plus [`encode_graph`]/[`decode_graph`] which
 //! delta-encode the CSR topology from the canonical sorted edge list.
@@ -54,11 +54,15 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected), table generated at compile time
+// CRC-32 (IEEE 802.3 polynomial, reflected), sliced by 16, tables generated
+// at compile time
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the bytewise table; `T[k][i]` is the CRC contribution of byte
+/// `i` followed by `k` zero bytes, so 16 bytes fold with 16 independent
+/// lookups instead of 16 dependent ones.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0u32;
     while i < 256 {
         let mut c = i;
@@ -67,19 +71,41 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i as usize] = c;
+        t[0][i as usize] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (IEEE) of `data`. Matches zlib's `crc32(0, data)`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        // The running CRC folds into the block's first four bytes; byte `j`
+        // then stands `15 - j` bytes ahead of the block's end.
+        let mut b = [0u8; 16];
+        b.copy_from_slice(block);
+        for (x, y) in b.iter_mut().zip(c.to_le_bytes()) {
+            *x ^= y;
+        }
+        c = (0..16).fold(0, |acc, j| acc ^ t[15 - j][usize::from(b[j])]);
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -128,12 +154,6 @@ pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
 /// round-trip is bit-identical, including NaN payloads and signed zeros.
 #[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Appends an `f32` as its raw IEEE-754 bits, little-endian.
-#[inline]
-pub fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
@@ -238,11 +258,6 @@ impl<'a> Reader<'a> {
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
-
-    /// Reads a raw-bits little-endian `f32`.
-    pub fn f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -321,6 +336,48 @@ pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise loop `crc32` replaced, with a table of its own, so a
+    /// wrong entry in any of the sliced tables shows: one dependent lookup
+    /// per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in (0u32..).zip(&mut table) {
+            *entry =
+                (0..8).fold(i, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 });
+        }
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// `len` bytes from a fixed xorshift stream.
+    fn seeded_bytes(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop() {
+        let buf = seeded_bytes(96);
+        for start in 0..16 {
+            for len in 0..=80 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {start}, length {len}");
+            }
+        }
+        let big = seeded_bytes(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big), "1 MiB");
+    }
 
     #[test]
     fn crc32_known_vectors() {

@@ -1,8 +1,9 @@
 //! The hand-rolled TCP front end and a matching blocking client.
 //!
 //! One accept thread (non-blocking listener polled against the stop
-//! flag), one thread per connection. Each connection owns a cloned
-//! [`IngestHandle`] and a private [`SnapshotReader`], so request handling
+//! flag), one thread per connection, at most [`MAX_CONNECTIONS`] of them.
+//! Each connection owns a cloned [`IngestHandle`] and a private
+//! [`SnapshotReader`], so request handling
 //! ([`ConnState::respond`]) touches no shared mutable state: queries are
 //! wait-free snapshot reads, ingest is a non-blocking `try_send`, and
 //! every failure becomes a typed [`Response::Error`] frame — the handler
@@ -36,6 +37,9 @@ const READ_POLL: Duration = Duration::from_millis(100);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept-loop poll interval while the listener has no pending connection.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Live connections (threads) the accept loop serves at once. One past it
+/// is sent an `Overloaded` error frame and closed.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Per-connection request handler state.
 pub struct ConnState {
@@ -244,6 +248,21 @@ fn serve_conn<S: Read + Write>(state: &mut ConnState, stream: &mut S) {
     }
 }
 
+/// Turns away a connection over [`MAX_CONNECTIONS`]: one error frame, then
+/// close. The frame fits a fresh socket's send buffer, so the accept loop
+/// does not wait on the peer.
+fn refuse(mut stream: TcpStream) {
+    let mut out = Vec::new();
+    push_frame(&mut out, |out| {
+        Response::Error {
+            code: ErrorCode::Overloaded,
+            msg: format!("connection limit {MAX_CONNECTIONS} reached"),
+        }
+        .encode(out);
+    });
+    let _ = stream.write_all(&out);
+}
+
 fn handle_conn(mut state: ConnState, mut stream: TcpStream) {
     // The listener is non-blocking; the accepted stream must not be.
     if stream.set_nonblocking(false).is_err()
@@ -287,6 +306,7 @@ impl TcpServer {
                         let _ = done.join();
                     }
                     match listener.accept() {
+                        Ok((stream, _)) if conns.len() >= MAX_CONNECTIONS => refuse(stream),
                         Ok((stream, _)) => {
                             let state = ConnState {
                                 ingest: ingest.clone(),

@@ -19,7 +19,7 @@
 use std::io::{ErrorKind, Read, Write};
 
 use anc_core::ClusterMode;
-use anc_graph::codec::{crc32, put_f64, put_u32, put_u8, put_uvarint, CodecError, Reader};
+use anc_graph::codec::{crc32, put_f64, put_u8, put_uvarint, CodecError, Reader};
 use anc_graph::{EdgeId, NodeId};
 
 /// Largest accepted frame payload (8 MiB — a full label vector for a
@@ -623,9 +623,7 @@ pub(crate) fn encode_labels(out: &mut Vec<u8>, epoch: u64, generation: u64, labe
     put_uvarint(out, generation);
     put_uvarint(out, labels.len() as u64);
     out.reserve(4 * labels.len());
-    for &l in labels {
-        put_u32(out, l);
-    }
+    out.extend(labels.iter().flat_map(|l| l.to_le_bytes()));
 }
 
 /// The payload of a [`Response::Members`], from borrowed members: the
@@ -723,10 +721,13 @@ impl Response {
                 if len > MAX_FRAME as usize / 4 {
                     return Err(CodecError::Invalid { what: format!("label vector of {len}") });
                 }
-                let mut labels = Vec::with_capacity(len.min(65_536));
-                for _ in 0..len {
-                    labels.push(r.u32()?);
-                }
+                // One bounds check for the whole vector: a short payload
+                // fails here, before anything is allocated.
+                let labels = r
+                    .bytes(4 * len)?
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
                 Response::Labels { epoch, generation, labels }
             }
             RESP_MEMBERS => {
@@ -756,5 +757,35 @@ impl Response {
             });
         }
         Ok(resp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_short_or_long_label_dump_is_a_typed_error() {
+        let labels: Vec<u32> = (0..37).map(|v| if v % 5 == 0 { u32::MAX } else { v / 3 }).collect();
+        let mut buf = Vec::new();
+        encode_labels(&mut buf, 4, 2, &labels);
+        assert_eq!(
+            Response::decode(&buf).expect("whole dump"),
+            Response::Labels { epoch: 4, generation: 2, labels }
+        );
+        for cut in 0..buf.len() {
+            assert!(Response::decode(&buf[..cut]).is_err(), "dump cut to {cut} bytes decoded");
+        }
+        buf.push(0);
+        assert!(
+            matches!(Response::decode(&buf), Err(CodecError::Invalid { what }) if what.contains("trailing")),
+            "trailing byte accepted"
+        );
+        let mut huge = Vec::new();
+        put_u8(&mut huge, RESP_LABELS);
+        put_uvarint(&mut huge, 0);
+        put_uvarint(&mut huge, 0);
+        put_uvarint(&mut huge, u64::from(MAX_FRAME / 4) + 1);
+        assert!(matches!(Response::decode(&huge), Err(CodecError::Invalid { .. })));
     }
 }
