@@ -80,10 +80,9 @@ cargo test --release -p anc-server --test pinned_bytes -q
 cargo test --release -p anc-server -q
 
 echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
-# The n = 2 000 row of the scale sweep (saves and loads both snapshot
-# profiles end to end; Exact must stay under the resident state's bytes,
-# Compact under its share of Exact, and every invariant must hold after the
-# stream), then Figure 8, Table IV and Table III at small scale with the
+# The n = 2 000 row of the scale sweep (saves and loads the binary snapshot
+# end to end; it must stay under the resident state's bytes, and every
+# invariant must hold after the stream), then Figure 8, Table IV and Table III at small scale with the
 # shapes EXPERIMENTS.md reports asserted on the returned JSON.
 cargo run --release -q -p anc-bench -- smoke > /dev/null
 # The monitoring example checks every change report against a recount of the
@@ -193,9 +192,9 @@ echo "==> seeded violations (the lints and the grep gates bite)"
 # crate that rule guards; `cargo clippy -- -D warnings` must then fail naming
 # the lint, and the two grep gates above must fail on their probes. Crates
 # are probed leaf first and restored before the next, so each run sees clean
-# dependencies. Rules whose home is an `#[expect]` on a justified site (wall
-# clock in core, the server's thread expects, the Compact casts) are also
-# pinned by the main clippy step: an expectation that stops firing fails it.
+# dependencies. The one rule whose home is an `#[expect]` on a justified site
+# (`expect_used` at the server's writer-thread spawn and join) is also pinned
+# by the main clippy step: an expectation that stops firing fails it.
 copy=$(mktemp -d)
 trap 'rm -rf "$copy"' EXIT
 cp -r Cargo.toml Cargo.lock crates vendor src "$copy"

@@ -5,8 +5,8 @@
 //! dataset-size/index-size ratio the paper reports (average 0.53 on graphs
 //! with > 1M edges).
 //!
-//! Also reports, at k = 4, the on-disk snapshot cost per node for each
-//! binary snapshot profile (DESIGN.md §11): Exact and Compact.
+//! Also reports, at k = 4, the on-disk binary snapshot cost per node
+//! (DESIGN.md §11).
 //!
 //! Expected shape (paper): memory linear in k and driven by the vertex
 //! count (`O(n log² n)`, Lemma 7), largely independent of m.
@@ -28,7 +28,6 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
         h.extend(ks.iter().map(|k| format!("k={k} MB")));
         h.push("data/index (k=4)".into());
         h.push("exact B/n".into());
-        h.push("compact B/n".into());
         h
     });
     let mut json = Vec::new();
@@ -55,27 +54,18 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
         }
         row.push(format!("{ratio_k4:.2}"));
 
-        // Snapshot cost per node at k = 4, one column per profile.
+        // Snapshot cost per node at k = 4.
         let cfg = AncConfig { k: 4, rep: 1, ..Default::default() };
         let engine = AncEngine::new(g.clone(), cfg, ctx.seed);
         let mut exact_buf = Vec::new();
         engine.save_binary(&mut exact_buf, SnapshotProfile::Exact).unwrap();
-        let mut compact_buf = Vec::new();
-        engine.save_binary(&mut compact_buf, SnapshotProfile::Compact).unwrap();
-        let bpn = |b: usize| b as f64 / g.n() as f64;
-        eprintln!(
-            "[exp4] {name} snapshots: exact {} B, compact {} B",
-            exact_buf.len(),
-            compact_buf.len()
-        );
-        row.push(format!("{:.1}", bpn(exact_buf.len())));
-        row.push(format!("{:.1}", bpn(compact_buf.len())));
+        let bytes_per_node = exact_buf.len() as f64 / g.n() as f64;
+        eprintln!("[exp4] {name} snapshot: {} B", exact_buf.len());
+        row.push(format!("{bytes_per_node:.1}"));
         json.push(serde_json::json!({
             "dataset": name, "n": g.n(), "m": g.m(), "k": 4,
             "snapshot_binary_exact_bytes": exact_buf.len(),
-            "snapshot_binary_compact_bytes": compact_buf.len(),
-            "snapshot_binary_exact_bytes_per_node": bpn(exact_buf.len()),
-            "snapshot_binary_compact_bytes_per_node": bpn(compact_buf.len()),
+            "snapshot_binary_exact_bytes_per_node": bytes_per_node,
         }));
         table.row(row);
     }

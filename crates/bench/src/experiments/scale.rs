@@ -5,10 +5,9 @@
 //! Barabási–Albert) and records, per (generator, n):
 //!
 //! * index build time and resident index bytes/node;
-//! * snapshot bytes/node for both binary profiles, Exact and Compact, plus
-//!   save/load wall times, with two size ratios asserted on every row:
-//!   Exact against the resident `memory_bytes()` (`EXACT_OVER_MEMORY_MAX`)
-//!   and Compact against Exact (`COMPACT_OVER_EXACT_MAX`);
+//! * binary snapshot bytes/node plus save/load wall times, with the size
+//!   over the resident `memory_bytes()` asserted on every row
+//!   (`EXACT_OVER_MEMORY_MAX`);
 //! * ingest throughput through `activate_batch`, and `check_invariants()`
 //!   on the streamed engine;
 //! * cold (`cluster_all` from scratch) and cached ([`ClusterCache`] hit)
@@ -35,11 +34,6 @@ use anc_graph::Graph;
 /// row), 0.77 (10⁵), 0.80 (10⁶), the same on both families.
 const EXACT_OVER_MEMORY_MAX: f64 = 0.9;
 
-/// Ceiling on Compact snapshot bytes over Exact: the float arrays halve, the
-/// varint ids do not. Measured 0.60 (n = 10³), 0.61 (the smoke row), 0.65
-/// (10⁵), 0.67 (10⁶).
-const COMPACT_OVER_EXACT_MAX: f64 = 0.75;
-
 fn make_graph(family: &str, n: usize, seed: u64) -> Graph {
     match family {
         "planted" => planted_partition(&PlantedConfig::default_for(n), seed).graph,
@@ -54,9 +48,9 @@ struct SnapshotStats {
     load_s: f64,
 }
 
-fn binary_stats(engine: &AncEngine, profile: SnapshotProfile) -> SnapshotStats {
+fn binary_stats(engine: &AncEngine) -> SnapshotStats {
     let mut buf = Vec::new();
-    let (r, save_s) = time(|| engine.save_binary(&mut buf, profile));
+    let (r, save_s) = time(|| engine.save_binary(&mut buf, SnapshotProfile::Exact));
     r.unwrap();
     let (restored, load_s) = time(|| AncEngine::load_binary(buf.as_slice()).unwrap());
     std::hint::black_box(restored.activations());
@@ -73,8 +67,8 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
 }
 
 /// One row per (size, family), streaming about `target_acts` activations
-/// into each; panics on a row over a snapshot-size ceiling or with a broken
-/// invariant.
+/// into each; panics on a row over the snapshot-size ceiling or with a
+/// broken invariant.
 pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_json::Value {
     let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
 
@@ -84,9 +78,7 @@ pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_jso
         "build s",
         "index B/node",
         "exact B/node",
-        "compact B/node",
         "exact/index",
-        "compact/exact",
         "acts/s",
         "cold q s",
         "cached q s",
@@ -120,25 +112,17 @@ pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_jso
             eprintln!("[scale] {family} n={n}: {acts} acts in {ingest_s:.2}s ({acts_per_s:.0}/s)");
             engine.check_invariants().expect("all invariants hold after the stream");
 
-            // --- Snapshot encodings. -------------------------------------
-            let exact = binary_stats(&engine, SnapshotProfile::Exact);
-            let compact = binary_stats(&engine, SnapshotProfile::Compact);
+            // --- Snapshot encoding. --------------------------------------
+            let exact = binary_stats(&engine);
             let exact_over_memory = exact.bytes as f64 / index_bytes as f64;
-            let compact_over_exact = compact.bytes as f64 / exact.bytes as f64;
             eprintln!(
-                "[scale] {family} n={n}: exact {} B ({exact_over_memory:.2}x resident), \
-                 compact {} B ({compact_over_exact:.2}x exact)",
-                exact.bytes, compact.bytes
+                "[scale] {family} n={n}: exact {} B ({exact_over_memory:.2}x resident)",
+                exact.bytes
             );
             assert!(
                 exact_over_memory <= EXACT_OVER_MEMORY_MAX,
                 "{family} n={n}: Exact snapshot is {exact_over_memory:.2}x the resident state, \
                  ceiling {EXACT_OVER_MEMORY_MAX}"
-            );
-            assert!(
-                compact_over_exact <= COMPACT_OVER_EXACT_MAX,
-                "{family} n={n}: Compact snapshot is {compact_over_exact:.2}x Exact, \
-                 ceiling {COMPACT_OVER_EXACT_MAX}"
             );
 
             // --- Query latency: cold vs cached. --------------------------
@@ -179,9 +163,7 @@ pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_jso
                 secs(build_s),
                 format!("{:.1}", bpn(index_bytes)),
                 format!("{:.1}", bpn(exact.bytes)),
-                format!("{:.1}", bpn(compact.bytes)),
                 format!("{exact_over_memory:.2}"),
-                format!("{compact_over_exact:.2}"),
                 format!("{acts_per_s:.0}"),
                 secs(cold_q),
                 secs(cached_q),
@@ -196,11 +178,7 @@ pub(crate) fn sweep(sizes: &[usize], target_acts: usize, seed: u64) -> serde_jso
                 "binary_exact_bytes": exact.bytes,
                 "binary_exact_save_seconds": exact.save_s,
                 "binary_exact_load_seconds": exact.load_s,
-                "binary_compact_bytes": compact.bytes,
-                "binary_compact_save_seconds": compact.save_s,
-                "binary_compact_load_seconds": compact.load_s,
                 "exact_over_memory_ratio": exact_over_memory,
-                "compact_over_exact_ratio": compact_over_exact,
                 "ingest_activations": acts,
                 "ingest_seconds": ingest_s,
                 "ingest_acts_per_second": acts_per_s,

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 
-use anc_core::{AncConfig, AncEngine, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterMode, RepairStats, SnapshotProfile};
 use anc_data::{registry, stream};
 use anc_graph::{algo, io as gio, traverse, Graph};
 
@@ -162,22 +162,21 @@ pub fn stream(opts: &Options) -> Result<String, String> {
     };
     let t0 = engine.now();
     let started = std::time::Instant::now();
-    let (mut dirty, mut repairs, mut skips) = (0usize, 0usize, 0usize);
+    let mut repairs = RepairStats::default();
     for batch in &s.batches {
-        let stats = engine.activate_batch(&batch.edges, t0 + batch.time);
-        dirty += stats.dirty_edges;
-        repairs += stats.repair_updates;
-        skips += stats.repair_skips;
+        repairs += engine.activate_batch(&batch.edges, t0 + batch.time);
     }
     let secs = started.elapsed().as_secs_f64();
     save_engine(&engine, out)?;
     Ok(format!(
         "streamed {} activations over {} batches in {secs:.2}s ({:.1}k act/s); \
-         {dirty} dirty edges, {repairs} index repairs ({skips} skipped); \
+         {} index repairs ({} skipped); \
          engine now at t = {} with {} lifetime activations → {out}\n",
         s.total_activations(),
         s.batches.len(),
         s.total_activations() as f64 / secs / 1e3,
+        repairs.updates,
+        repairs.skips,
         engine.now(),
         engine.activations(),
     ))

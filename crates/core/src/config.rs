@@ -67,21 +67,47 @@ impl AncConfig {
     /// Validates parameter ranges; called by the engine constructor.
     ///
     /// # Panics
-    /// Panics with a descriptive message on an invalid combination.
+    /// Panics with the first violated rule's message on an invalid
+    /// combination.
     pub fn validate(&self) {
-        assert!(self.lambda >= 0.0 && self.lambda.is_finite(), "lambda must be >= 0");
-        assert!((0.0..=1.0).contains(&self.epsilon), "epsilon must be in [0, 1]");
-        assert!(self.mu >= 1, "mu must be >= 1");
-        assert!(self.k >= 1, "k must be >= 1");
-        assert!((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]");
-        assert!(self.floor > 0.0, "floor must be positive (1/S must stay finite)");
-        assert!(self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)");
+        let checked = self.check();
+        assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
+    }
+
+    /// The one parameter-range check: the first violated rule's message, or
+    /// `Ok`. [`Self::validate`] panics on it; a snapshot restore maps it to a
+    /// typed error.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let rules = [
+            (self.lambda >= 0.0 && self.lambda.is_finite(), "lambda must be >= 0"),
+            ((0.0..=1.0).contains(&self.epsilon), "epsilon must be in [0, 1]"),
+            (self.mu >= 1, "mu must be >= 1"),
+            (self.k >= 1, "k must be >= 1"),
+            ((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]"),
+            (self.floor > 0.0, "floor must be positive (1/S must stay finite)"),
+            (self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)"),
+        ];
+        match rules.into_iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err(msg),
+            None => check_rescale(&self.rescale),
+        }
     }
 
     /// Minimum number of agreeing pyramids for a positive vote: `⌈θ·k⌉`,
     /// at least 1 and at most `k`.
     pub fn needed_votes(&self) -> usize {
         needed_votes(self.theta, self.k)
+    }
+}
+
+/// The rescale policy's guard check: `boost() = e^{λ(t - t*)}` stays below
+/// `e^guard`, which must itself be a finite `f64`, so the guard may not be
+/// NaN or exceed `ln(f64::MAX)` ≈ 709.78.
+pub(crate) fn check_rescale(rescale: &RescaleConfig) -> Result<(), &'static str> {
+    if rescale.exponent_guard <= f64::MAX.ln() {
+        Ok(())
+    } else {
+        Err("rescale.exponent_guard must be at most ln(f64::MAX) ≈ 709.78")
     }
 }
 
@@ -121,5 +147,24 @@ mod tests {
     #[should_panic(expected = "floor")]
     fn zero_floor_rejected() {
         AncConfig { floor: 0.0, ..Default::default() }.validate();
+    }
+
+    /// An unbounded guard never triggers a rescale, so `boost()` overflows
+    /// to ∞ once `λ(t - t*)` passes `ln(f64::MAX)`.
+    #[test]
+    #[should_panic(expected = "exponent_guard")]
+    fn infinite_exponent_guard_rejected() {
+        let rescale = RescaleConfig { exponent_guard: f64::INFINITY, ..Default::default() };
+        AncConfig { rescale, ..Default::default() }.validate();
+    }
+
+    #[test]
+    fn exponent_guard_bounded_by_f64_range() {
+        for guard in [1e6, f64::NAN, 709.79] {
+            let rescale = RescaleConfig { exponent_guard: guard, ..Default::default() };
+            assert!(AncConfig { rescale, ..Default::default() }.check().is_err(), "{guard}");
+        }
+        let rescale = RescaleConfig { exponent_guard: 709.78, ..Default::default() };
+        assert_eq!(AncConfig { rescale, ..Default::default() }.check(), Ok(()));
     }
 }

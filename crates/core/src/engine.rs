@@ -27,7 +27,6 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use anc_decay::{ActivenessStore, DecayClock, Time};
 use anc_graph::{EdgeId, Graph, NodeId};
@@ -38,27 +37,10 @@ use crate::cluster::{cluster_all, ClusterMode};
 use crate::config::AncConfig;
 use crate::invariant::{self, InvariantViolation};
 use crate::persist::{EngineSnapshot, RestoreError};
-use crate::pyramid::Pyramids;
+use crate::pyramid::{Pyramids, RepairStats};
 use crate::query;
 use crate::reinforce::{self, apply_reinforcement, ReinforceParams, SigmaRows};
 use crate::similarity::{NodeType, Scratch, SimilarityCtx};
-
-/// Counters and timing from one [`AncEngine::activate_batch`] call — the
-/// observability surface of the ingest loop (see DESIGN.md §7).
-#[derive(Clone, Copy, Debug, Default)]
-#[must_use = "BatchStats carries the batch's dirty-set and repair counters"]
-pub struct BatchStats {
-    /// Activations fed into the batch.
-    pub edges_in: usize,
-    /// Distinct edges whose weight actually changed (the dirty set).
-    pub dirty_edges: usize,
-    /// Bounded Voronoi updates executed across all partitions.
-    pub repair_updates: usize,
-    /// Delta × partition pairs short-circuited by the no-op precheck.
-    pub repair_skips: usize,
-    /// Wall time of the whole batch call.
-    pub wall: Duration,
-}
 
 /// The online activation-network clustering engine (ANCO core).
 ///
@@ -99,9 +81,6 @@ pub struct AncEngine {
     /// Pooled accumulator of the ingest loop: the `(e, old_w, new_w)` weight
     /// changes not yet repaired into the index.
     deltas: Vec<(EdgeId, f64, f64)>,
-    /// Pooled accumulator of the ingest loop: every edge whose weight
-    /// changed during the current call (with repeats).
-    dirty: Vec<EdgeId>,
 }
 
 /// An offline (ANCF) snapshot: a freshly initialized similarity and index
@@ -164,7 +143,6 @@ impl AncEngine {
             cache: RefCell::new(ClusterCache::new(levels)),
             trace_bufs: vec![Vec::new(); k * levels],
             deltas: Vec::new(),
-            dirty: Vec::new(),
             state,
         }
     }
@@ -259,7 +237,7 @@ impl AncEngine {
     /// 3. repair every Voronoi partition for the changed weight
     ///    (Algorithms 1–3, bounded by the affected region, Lemma 12).
     pub fn activate(&mut self, e: EdgeId, t: Time) {
-        self.ingest(&[e], Some(t), &mut BatchStats::default());
+        self.ingest(&[e], Some(t));
     }
 
     /// Processes a batch of activations arriving at the same time `t`
@@ -274,18 +252,10 @@ impl AncEngine {
     /// grouped repair replays every delta at its exact per-step weights, so
     /// the result is **bit-identical** to the serial loop and independent of
     /// the rayon thread count.
-    pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> BatchStats {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "BatchStats.wall is reported, never consumed: it feeds no algorithm and no snapshot"
-        )]
-        let start = Instant::now();
-        let mut stats = BatchStats { edges_in: edges.len(), ..Default::default() };
-        self.ingest(edges, Some(t), &mut stats);
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        stats.dirty_edges = self.dirty.len();
-        stats.wall = start.elapsed();
+    ///
+    /// Returns the index repair work its flushes summed (DESIGN.md §7).
+    pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> RepairStats {
+        let stats = self.ingest(edges, Some(t));
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants("activate_batch");
         stats
@@ -295,7 +265,7 @@ impl AncEngine {
     /// index repair) per edge in `edges` at the current time — the ingest
     /// loop without the activeness bump.
     pub fn reinforce_edges(&mut self, edges: &[EdgeId]) {
-        self.ingest(edges, None, &mut BatchStats::default());
+        self.ingest(edges, None);
     }
 
     /// The one ingest loop behind [`Self::activate`],
@@ -304,11 +274,10 @@ impl AncEngine {
     /// flush the pending repairs and [`Self::force_rescale`] →
     /// [`Self::bump`]; then, with or without one, [`Self::reinforce`] →
     /// queue the weight change. The `reinforce_edges` path (no timestamp)
-    /// never rescales. Pending repairs are flushed once more at the end. On
-    /// return `self.dirty` lists the edges whose weight changed (with
-    /// repeats).
-    fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>, stats: &mut BatchStats) {
-        self.dirty.clear();
+    /// never rescales. Pending repairs are flushed once more at the end.
+    /// Returns the repair work of every flush.
+    fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>) -> RepairStats {
+        let mut stats = RepairStats::default();
         for &e in edges {
             if let Some(t) = t {
                 self.state.clock.advance_to(t);
@@ -316,17 +285,17 @@ impl AncEngine {
                 // `boost() ≤ e^guard` always holds, and after the pending
                 // repairs have landed at the pre-rescale weights.
                 if self.state.clock.needs_rescale() {
-                    self.flush(stats);
+                    stats += self.flush();
                     self.force_rescale();
                 }
                 self.bump(e);
             }
             if let Some(delta) = self.reinforce(e) {
                 self.deltas.push(delta);
-                self.dirty.push(e);
             }
         }
-        self.flush(stats);
+        stats += self.flush();
+        stats
     }
 
     /// Ingest stage 1: bumps the anchored activeness of `e` and both
@@ -361,11 +330,11 @@ impl AncEngine {
         Some((e, old_w, new_w))
     }
 
-    /// Ingest stage 3: repairs the index for the pending weight changes and
-    /// clears the accumulator. The kernel follows from the input, and both
-    /// replay [`crate::voronoi::VoronoiPartition::on_weight_change_into`] at
-    /// the exact per-step weights, so the choice cannot change a bit of
-    /// state:
+    /// Ingest stage 3: repairs the index for the pending weight changes,
+    /// clears the accumulator and returns the repair work. The kernel
+    /// follows from the input, and both replay
+    /// [`crate::voronoi::VoronoiPartition::on_weight_change_into`] at the
+    /// exact per-step weights, so the choice cannot change a bit of state:
     ///
     /// * one delta — the single-edge repair straight into the pooled trace
     ///   buffers (the grouped kernel refills an `O(m)` private weight array
@@ -373,11 +342,11 @@ impl AncEngine {
     /// * two or more — one grouped parallel fan-out, traced while the
     ///   cluster cache has materialized levels (so it hears which nodes to
     ///   re-check) and untraced otherwise.
-    fn flush(&mut self, stats: &mut BatchStats) {
+    fn flush(&mut self) -> RepairStats {
         let (g, pyramids) = (&self.state.graph, &mut self.state.pyramids);
         let cache = self.cache.get_mut();
-        match self.deltas[..] {
-            [] => return,
+        let stats = match self.deltas[..] {
+            [] => return RepairStats::default(),
             [(e, old_w, _)] => {
                 pyramids.on_weight_change_serial_into(
                     g,
@@ -388,10 +357,10 @@ impl AncEngine {
                 );
                 cache.note_affected(g, &self.trace_bufs);
                 // No precheck here: every partition runs its bounded update.
-                stats.repair_updates += self.trace_bufs.len();
+                RepairStats { updates: self.trace_bufs.len(), skips: 0 }
             }
             _ => {
-                let rs = if cache.has_materialized_levels() {
+                if cache.has_materialized_levels() {
                     let rs = pyramids.on_weight_change_batch_traced(
                         g,
                         &self.recip,
@@ -403,12 +372,11 @@ impl AncEngine {
                 } else {
                     cache.note_untracked_updates();
                     pyramids.on_weight_change_batch(g, &self.recip, &self.deltas)
-                };
-                stats.repair_updates += rs.updates;
-                stats.repair_skips += rs.skips;
+                }
             }
-        }
+        };
         self.deltas.clear();
+        stats
     }
 
     /// Performs a batched rescale now; the ingest loop calls it when one is
@@ -799,9 +767,7 @@ mod tests {
             .map(|(e, _, _)| e)
             .collect();
         for t in 1..=30 {
-            let edges = clique0.clone();
-            let stats = engine.activate_batch(&edges, t as f64);
-            assert_eq!(stats.edges_in, edges.len());
+            engine.activate_batch(&clique0, t as f64);
         }
         let hot = engine.similarity(clique0[0]);
         let cold_edge = engine
@@ -896,21 +862,18 @@ mod tests {
         let mut serial = AncEngine::new(lg.graph.clone(), cfg.clone(), 42);
         let mut batched = AncEngine::new(lg.graph, cfg, 42);
         let m = serial.graph().m() as u32;
-        let mut stats_total = BatchStats::default();
+        let mut stats_total = RepairStats::default();
         for step in 0..6u32 {
             let t = 1.0 + step as f64 * 0.5;
             let batch: Vec<u32> = (0..25).map(|i| (i * 7 + step * 3) % m).collect();
             for &e in &batch {
                 serial.activate(e, t);
             }
-            let s = batched.activate_batch(&batch, t);
-            assert_eq!(s.edges_in, batch.len());
-            stats_total.repair_updates += s.repair_updates;
-            stats_total.repair_skips += s.repair_skips;
+            stats_total += batched.activate_batch(&batch, t);
         }
         assert!(serial.rescales() >= 2, "test must cross rescales");
         assert_eq!(serial.rescales(), batched.rescales());
-        assert!(stats_total.repair_updates > 0);
+        assert!(stats_total.updates > 0);
         for e in 0..m as usize {
             assert_eq!(serial.state.sim[e].to_bits(), batched.state.sim[e].to_bits(), "sim {e}");
             assert_eq!(serial.recip[e].to_bits(), batched.recip[e].to_bits(), "recip {e}");
@@ -987,9 +950,7 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let mut engine = engine_fixture(1);
         let before = exact_bytes(&engine);
-        let stats = engine.activate_batch(&[], 5.0);
-        assert_eq!(stats.edges_in, 0);
-        assert_eq!(stats.dirty_edges, 0);
+        assert_eq!(engine.activate_batch(&[], 5.0), RepairStats::default());
         assert_eq!(before, exact_bytes(&engine));
     }
 }

@@ -1,4 +1,4 @@
-//! Compact versioned binary snapshot format (DESIGN.md §11).
+//! Versioned binary snapshot format (DESIGN.md §11).
 //!
 //! Layout (all integers little-endian; varints are LEB128, signed values
 //! zigzag-mapped):
@@ -6,15 +6,15 @@
 //! ```text
 //! "ANCS"  magic (4 bytes)
 //! u32     format version (currently 1)
-//! u8      profile: 0 = Exact, 1 = Compact
+//! u8      profile: always 0 (Exact)
 //! body    (see below)
 //! u32     CRC-32 (IEEE) over every preceding byte
 //! ```
 //!
 //! Body, in order: config, decay-clock parts, delta-encoded CSR topology
 //! ([`anc_graph::codec::encode_graph`]), anchored activeness per edge,
-//! per-node activeness sums (Exact only), anchored similarity per edge,
-//! running similarity sum (Exact only), index RNG seed, lifetime counters,
+//! per-node activeness sums, anchored similarity per edge, running
+//! similarity sum, index RNG seed, lifetime counters,
 //! then the pyramids — per partition its whole state
 //! `(seeds, seed_of, dist, parent)`:
 //!
@@ -23,29 +23,17 @@
 //!   unreachable, else index + 1) — 1–3 bytes instead of a raw node id;
 //! * `parent` as the zigzag delta `parent − v` (`0` = no parent; a parent
 //!   is never the node itself, so the delta is never 0);
-//! * `dist` as a tagged float array (see below).
+//! * `dist` as a float array.
 //!
 //! That is everything a [`crate::voronoi::VoronoiPartition`] holds, so a
 //! restored engine evolves bit-identically to the live one by construction.
 //!
-//! ## Profiles and the exactness escape hatch
-//!
-//! [`SnapshotProfile::Exact`] stores every float as raw `f64` bits — a
-//! restored engine is bit-identical to the saved one. This is the profile
-//! the write-ahead log builds on ([`crate::persist::wal`]).
-//!
-//! [`SnapshotProfile::Compact`] quantizes the big per-edge/per-node float
-//! arrays (activeness, similarity, per-partition distances) to `f32` and
-//! recomputes the derived `node_sum`/`sim_sum` aggregates on load. The
-//! engine's invariant tolerances are relative `1e-6`; `f32` rounding is
-//! relative `~1.2e-7`, so a Compact restore still passes every invariant
-//! check while roughly halving the file. Each array carries a one-byte
-//! tag, and quantization falls back to raw `f64` for any array holding a
-//! value `f32` cannot represent faithfully (overflow to ∞, or a nonzero
-//! collapsing to zero/subnormal) — the escape hatch that keeps the format
-//! exactness-preserving even for extreme anchored magnitudes near the
-//! rescale exponent guard. Both profiles are *re-save idempotent*:
-//! `save(load(bytes))` reproduces `bytes` exactly.
+//! Every float is stored as raw `f64` bits: a restored engine is
+//! bit-identical to the saved one, `save(load(bytes))` reproduces `bytes`
+//! exactly, and the write-ahead log builds on that ([`crate::persist::wal`]).
+//! The activeness, similarity and distance arrays open with a one-byte tag;
+//! it and the header's profile byte are always 0, and any other value is a
+//! typed [`RestoreError::Codec`].
 
 use anc_decay::{ActivenessStore, ClockParts, DecayClock, RescaleConfig};
 use anc_graph::codec::{
@@ -54,6 +42,7 @@ use anc_graph::codec::{
 };
 use anc_graph::{Graph, NodeId, NO_NODE};
 
+use crate::config::check_rescale;
 use crate::engine::AncEngine;
 use crate::pyramid::Pyramids;
 use crate::voronoi::VoronoiPartition;
@@ -67,76 +56,30 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
 /// Binary snapshot format version.
 pub const BINARY_VERSION: u32 = 1;
 
-/// Float fidelity of a binary snapshot (see the module docs).
+/// Float fidelity of a binary snapshot: raw `f64` bits everywhere, so a
+/// restore is bit-identical. The header still records it as one byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotProfile {
-    /// Raw `f64` bits everywhere; restore is bit-identical. The WAL's base
-    /// snapshots always use this profile.
+    /// Raw `f64` bits everywhere; restore is bit-identical.
     Exact,
-    /// `f32`-quantized float arrays with a per-array raw-`f64` fallback;
-    /// derived aggregates recomputed on load. Roughly half the size.
-    Compact,
 }
 
-impl SnapshotProfile {
-    fn to_byte(self) -> u8 {
-        match self {
-            SnapshotProfile::Exact => 0,
-            SnapshotProfile::Compact => 1,
-        }
-    }
+/// The header's profile byte and every float array's tag byte: the one
+/// value this build writes and reads.
+const EXACT: u8 = 0;
 
-    fn from_byte(b: u8) -> Result<Self, RestoreError> {
-        match b {
-            0 => Ok(SnapshotProfile::Exact),
-            1 => Ok(SnapshotProfile::Compact),
-            other => Err(RestoreError::Codec(format!("unknown snapshot profile {other}"))),
-        }
+/// Reads a header or array tag byte, refusing anything but [`EXACT`].
+fn expect_exact(r: &mut Reader<'_>, what: &str) -> Result<(), RestoreError> {
+    match r.u8()? {
+        EXACT => Ok(()),
+        other => Err(RestoreError::Codec(format!("unknown {what} {other}"))),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tagged float arrays (the quantization escape hatch)
-// ---------------------------------------------------------------------------
-
-const TAG_F64: u8 = 0;
-const TAG_F32: u8 = 1;
-
-/// Whether every value survives an `f64 → f32 → f64` round trip with full
-/// relative precision: finite values must stay finite and normal (or zero),
-/// infinities must stay infinite. NaN never appears in engine state, so it
-/// conservatively forces the raw fallback.
-fn f32_faithful(vals: &[f64]) -> bool {
-    vals.iter().all(|&x| {
-        if x.is_nan() {
-            return false;
-        }
-        if x.is_infinite() {
-            return true; // ±∞ narrows to ±∞
-        }
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "the narrowing is the probe: it decides whether f32 is faithful"
-        )]
-        let y = x as f32;
-        x == 0.0 || (y.is_finite() && y.abs() >= f32::MIN_POSITIVE)
-    })
-}
-
-fn put_float_array(out: &mut Vec<u8>, vals: &[f64], profile: SnapshotProfile) {
-    let quantize = profile == SnapshotProfile::Compact && f32_faithful(vals);
-    if quantize {
-        put_u8(out, TAG_F32);
-        out.reserve(4 * vals.len());
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "the tagged Compact profile: taken only when f32_faithful(vals)"
-        )]
-        out.extend(vals.iter().flat_map(|&v| (v as f32).to_bits().to_le_bytes()));
-    } else {
-        put_u8(out, TAG_F64);
-        put_f64s(out, vals);
-    }
+/// A tagged float array: the tag, then [`put_f64s`].
+fn put_float_array(out: &mut Vec<u8>, vals: &[f64]) {
+    put_u8(out, EXACT);
+    put_f64s(out, vals);
 }
 
 /// `vals` as raw little-endian `f64` bits, back to back.
@@ -146,17 +89,8 @@ fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
 }
 
 fn read_float_array(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, RestoreError> {
-    match r.u8()? {
-        TAG_F64 => read_f64s(r, len),
-        // One bounds check for the array; a length past the input (or past
-        // `usize`) is a truncation.
-        TAG_F32 => Ok(r
-            .bytes(len.saturating_mul(4))?
-            .chunks_exact(4)
-            .map(|b| f64::from(f32::from_bits(le_u32(b))))
-            .collect()),
-        other => Err(RestoreError::Codec(format!("unknown float-array tag {other}"))),
-    }
+    expect_exact(r, "float-array tag")?;
+    read_f64s(r, len)
 }
 
 /// `len` raw `f64`s written by [`put_f64s`], read in one pass.
@@ -208,22 +142,15 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
             other => return Err(RestoreError::Codec(format!("unknown {knob} {other}"))),
         }
     }
-    // Mirror `AncConfig::validate` without its panics: the CRC has already
-    // passed by the time state is adopted, but a version-skewed or
-    // hand-edited file must surface a typed error, not an assert.
-    let ok = cfg.lambda >= 0.0
-        && cfg.lambda.is_finite()
-        && (0.0..=1.0).contains(&cfg.epsilon)
-        && cfg.mu >= 1
-        && cfg.k >= 1
-        && (0.0..=1.0).contains(&cfg.theta)
-        && cfg.floor > 0.0
-        && cfg.floor_rel > 0.0
-        && cfg.floor_rel < 1.0;
-    if !ok {
-        return Err(RestoreError::Inconsistent(format!("config out of range: {cfg:?}")));
+    // The CRC has already passed by the time state is adopted, but a
+    // version-skewed or hand-edited file must surface a typed error, not
+    // `AncConfig::validate`'s panic.
+    match cfg.check() {
+        Ok(()) => Ok(cfg),
+        Err(msg) => {
+            Err(RestoreError::Inconsistent(format!("config out of range ({msg}): {cfg:?}")))
+        }
     }
-    Ok(cfg)
 }
 
 fn encode_clock(out: &mut Vec<u8>, clock: &DecayClock) {
@@ -247,6 +174,7 @@ fn decode_clock(r: &mut Reader<'_>) -> Result<DecayClock, RestoreError> {
     if !(parts.lambda >= 0.0 && parts.lambda.is_finite()) {
         return Err(RestoreError::Inconsistent(format!("clock lambda {} invalid", parts.lambda)));
     }
+    check_rescale(&parts.cfg).map_err(|msg| RestoreError::Inconsistent(format!("clock: {msg}")))?;
     Ok(DecayClock::from_parts(parts))
 }
 
@@ -254,7 +182,7 @@ fn decode_clock(r: &mut Reader<'_>) -> Result<DecayClock, RestoreError> {
 // Pyramids
 // ---------------------------------------------------------------------------
 
-fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids, profile: SnapshotProfile) {
+fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids) {
     let (partitions, k, levels, needed_votes, n) = pyr.persist_parts();
     put_uvarint(out, k as u64);
     put_uvarint(out, levels as u64);
@@ -293,7 +221,7 @@ fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids, profile: SnapshotProfile) 
                 put_ivarint(out, p as i64 - v as i64);
             }
         }
-        put_float_array(out, dist, profile);
+        put_float_array(out, dist);
     }
 }
 
@@ -374,39 +302,34 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
 
 /// Encodes the complete engine state into the binary snapshot format — the
 /// mirror of [`decode_snapshot`].
-pub(crate) fn encode_snapshot(s: &EngineSnapshot, profile: SnapshotProfile) -> Vec<u8> {
+pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
     let (n, m) = (s.graph.n(), s.graph.m());
     // Rough pre-size: topology + two per-edge arrays + pyramids.
     let mut out = Vec::with_capacity(64 + 12 * m + 16 * n);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u32(&mut out, BINARY_VERSION);
-    put_u8(&mut out, profile.to_byte());
+    put_u8(&mut out, EXACT);
     encode_config(&mut out, &s.config);
     encode_clock(&mut out, &s.clock);
     encode_graph(&s.graph, &mut out);
-    put_float_array(&mut out, s.activeness.as_slice(), profile);
-    if profile == SnapshotProfile::Exact {
-        // Compact recomputes these aggregates on load instead.
-        put_f64s(&mut out, &s.node_sum);
-    }
-    put_float_array(&mut out, &s.sim, profile);
-    if profile == SnapshotProfile::Exact {
-        put_f64(&mut out, s.sim_sum);
-    }
+    put_float_array(&mut out, s.activeness.as_slice());
+    put_f64s(&mut out, &s.node_sum);
+    put_float_array(&mut out, &s.sim);
+    put_f64(&mut out, s.sim_sum);
     put_u64(&mut out, s.index_seed);
     put_uvarint(&mut out, s.activations);
     put_uvarint(&mut out, s.rescales);
-    encode_pyramids(&mut out, &s.pyramids, profile);
+    encode_pyramids(&mut out, &s.pyramids);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
 }
 
-/// The unit tests' state digest: the whole persisted state as Exact bytes
-/// (raw `f64` bits), so equal bytes mean bit-identical engines.
+/// The unit tests' state digest: the whole persisted state as snapshot
+/// bytes (raw `f64` bits), so equal bytes mean bit-identical engines.
 #[cfg(test)]
 pub(crate) fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
-    encode_snapshot(engine.state(), SnapshotProfile::Exact)
+    encode_snapshot(engine.state())
 }
 
 /// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
@@ -433,28 +356,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if version != BINARY_VERSION {
         return Err(RestoreError::UnsupportedVersion(version));
     }
-    let profile = SnapshotProfile::from_byte(r.u8()?)?;
+    expect_exact(&mut r, "snapshot profile")?;
     let config = decode_config(&mut r)?;
     let clock = decode_clock(&mut r)?;
     let graph = decode_graph(&mut r).map_err(RestoreError::from)?;
     let (n, m) = (graph.n(), graph.m());
-    #[expect(clippy::cast_possible_truncation, reason = "decode_graph refuses n > NodeId::MAX")]
-    let node_end = n as NodeId;
     let activeness = read_float_array(&mut r, m)?;
-    let node_sum = match profile {
-        SnapshotProfile::Exact => read_f64s(&mut r, n)?,
-        // Recomputed in the exact order `invariant::check_activeness` sums
-        // incident edges, so the restored aggregate matches the checker
-        // bit for bit.
-        SnapshotProfile::Compact => (0..node_end)
-            .map(|v| graph.neighbor_edge_ids(v).iter().map(|&e| activeness[e as usize]).sum())
-            .collect(),
-    };
+    let node_sum = read_f64s(&mut r, n)?;
     let sim = read_float_array(&mut r, m)?;
-    let sim_sum = match profile {
-        SnapshotProfile::Exact => r.f64()?,
-        SnapshotProfile::Compact => sim.iter().sum(),
-    };
+    let sim_sum = r.f64()?;
     let index_seed = r.u64()?;
     let activations = r.uvarint()?;
     let rescales = r.uvarint()?;
@@ -481,23 +391,21 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
 }
 
 impl AncEngine {
-    /// Serializes the engine into the compact binary snapshot format
-    /// (DESIGN.md §11). [`SnapshotProfile::Exact`] restores bit-identically;
-    /// [`SnapshotProfile::Compact`] quantizes the float arrays to `f32`
-    /// (with a per-array exactness fallback) for roughly half the bytes.
+    /// Serializes the engine into the binary snapshot format (DESIGN.md
+    /// §11); [`Self::load_binary`] restores it bit-identically.
+    /// [`SnapshotProfile::Exact`] is the only profile.
     pub fn save_binary<W: std::io::Write>(
         &self,
         mut writer: W,
-        profile: SnapshotProfile,
+        _profile: SnapshotProfile,
     ) -> Result<(), RestoreError> {
-        let bytes = encode_snapshot(self.state(), profile);
+        let bytes = encode_snapshot(self.state());
         writer.write_all(&bytes)?;
         Ok(())
     }
 
     /// Restores an engine from a binary snapshot produced by
-    /// [`AncEngine::save_binary`] (either profile; the profile byte in the
-    /// header is self-describing). Verifies the CRC-32 trailer, decodes with
+    /// [`AncEngine::save_binary`]. Verifies the CRC-32 trailer, decodes with
     /// range checks, then runs [`EngineSnapshot::validate`].
     pub fn load_binary<R: std::io::Read>(mut reader: R) -> Result<Self, RestoreError> {
         let mut bytes = Vec::new();
@@ -523,9 +431,9 @@ mod tests {
         engine
     }
 
-    fn save(engine: &AncEngine, profile: SnapshotProfile) -> Vec<u8> {
+    fn save(engine: &AncEngine) -> Vec<u8> {
         let mut buf = Vec::new();
-        engine.save_binary(&mut buf, profile).unwrap();
+        engine.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
         buf
     }
 
@@ -547,10 +455,10 @@ mod tests {
     #[test]
     fn exact_roundtrip_is_bit_identical() {
         let engine = streamed_engine();
-        let bytes = save(&engine, SnapshotProfile::Exact);
+        let bytes = save(&engine);
         let restored = AncEngine::load_binary(bytes.as_slice()).unwrap();
         // Bit-identical state: the re-save reproduces every byte…
-        assert_eq!(bytes, save(&restored, SnapshotProfile::Exact), "Exact restore diverged");
+        assert_eq!(bytes, save(&restored), "Exact restore diverged");
         // …so everything observable agrees.
         assert_eq!(restored.now(), engine.now());
         assert_eq!(restored.activations(), engine.activations());
@@ -579,7 +487,7 @@ mod tests {
             restamp_crc(&mut old);
             match AncEngine::load_binary(old.as_slice()) {
                 Ok(legacy) if byte == 1 => {
-                    assert_eq!(bytes, save(&legacy, SnapshotProfile::Exact));
+                    assert_eq!(bytes, save(&legacy));
                 }
                 Err(RestoreError::Codec(msg)) if byte == 2 => {
                     assert!(msg.contains("unknown"), "{msg}");
@@ -595,9 +503,9 @@ mod tests {
     #[test]
     fn forged_index_shape_rejected() {
         let engine = streamed_engine();
-        let bytes = save(&engine, SnapshotProfile::Exact);
+        let bytes = save(&engine);
         let mut pyramids = Vec::new();
-        encode_pyramids(&mut pyramids, engine.pyramids(), SnapshotProfile::Exact);
+        encode_pyramids(&mut pyramids, engine.pyramids());
         let header_at = bytes.len() - 4 - pyramids.len();
         assert_eq!(bytes[header_at..header_at + 4], [2, 4, 2, 15], "k, levels, votes, n");
         for (k, levels, votes) in [(4u8, 2u8, 2u8), (1, 8, 2), (8, 1, 2), (2, 4, 9)] {
@@ -665,7 +573,7 @@ mod tests {
     #[test]
     fn exact_restore_evolves_bit_identically() {
         let engine = streamed_engine();
-        let bytes = save(&engine, SnapshotProfile::Exact);
+        let bytes = save(&engine);
         let mut live = engine;
         let mut restored = AncEngine::load_binary(bytes.as_slice()).unwrap();
         let m = live.graph().m() as u32;
@@ -686,30 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_roundtrip_passes_invariants_and_is_idempotent() {
-        let engine = streamed_engine();
-        let bytes = save(&engine, SnapshotProfile::Compact);
-        let exact = save(&engine, SnapshotProfile::Exact);
-        assert!(bytes.len() < exact.len(), "Compact must shrink the snapshot");
-        let restored = AncEngine::load_binary(bytes.as_slice()).unwrap();
-        restored.check_invariants().unwrap();
-        // Quantization is idempotent: re-saving the restored engine
-        // reproduces the file byte for byte.
-        assert_eq!(bytes, save(&restored, SnapshotProfile::Compact));
-        // Quantized similarities stay within f32 relative error.
-        for e in 0..engine.graph().m() as u32 {
-            let (a, b) = (engine.similarity(e), restored.similarity(e));
-            assert!((a - b).abs() <= 1e-6 * a.abs(), "edge {e}: {a} vs {b}");
-        }
-        // Cluster structure survives quantization on this stream.
-        let level = engine.default_level();
-        assert_eq!(
-            engine.cluster_all(level, ClusterMode::Power),
-            restored.cluster_all(level, ClusterMode::Power)
-        );
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let err = load_err(b"NOPE-not-a-snapshot");
         assert!(matches!(err, RestoreError::BadMagic), "{err}");
@@ -720,7 +604,7 @@ mod tests {
     #[test]
     fn corruption_detected_by_crc() {
         let engine = streamed_engine();
-        let mut bytes = save(&engine, SnapshotProfile::Exact);
+        let mut bytes = save(&engine);
         // Flip one bit somewhere in the body.
         let at = bytes.len() / 2;
         bytes[at] ^= 0x40;
@@ -731,7 +615,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let engine = streamed_engine();
-        let bytes = save(&engine, SnapshotProfile::Exact);
+        let bytes = save(&engine);
         // A truncated body either fails the CRC (trailer now misaligned) —
         // never panics, never yields a half-restored engine.
         for cut in [5, 13, bytes.len() / 3, bytes.len() - 1] {
@@ -749,22 +633,74 @@ mod tests {
     #[test]
     fn unsupported_version_rejected() {
         let engine = streamed_engine();
-        let mut bytes = save(&engine, SnapshotProfile::Exact);
+        let mut bytes = save(&engine);
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(99)), "{err}");
+
+        // A profile byte or a float-array tag other than 0 — the `f32`
+        // Compact profile of older builds wrote 1 in both — is a typed
+        // codec error. The first float array opens right after the graph.
+        let bytes = save(&engine);
+        let mut prefix = Vec::new();
+        encode_config(&mut prefix, engine.config());
+        encode_clock(&mut prefix, &engine.state().clock);
+        encode_graph(engine.graph(), &mut prefix);
+        let first_tag = 4 + 4 + 1 + prefix.len();
+        assert_eq!(bytes[first_tag], EXACT);
+        for (at, what) in [(8, "snapshot profile"), (first_tag, "float-array tag")] {
+            let mut forged = bytes.clone();
+            forged[at] = 1;
+            restamp_crc(&mut forged);
+            match load_err(&forged) {
+                RestoreError::Codec(msg) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected Codec, got {other}"),
+            }
+        }
+    }
+
+    /// A rescale guard past `ln(f64::MAX)` lets `boost()` overflow to ∞; in
+    /// the config or in the clock's own copy it is refused on load.
+    #[test]
+    fn unbounded_exponent_guard_rejected() {
+        let engine = streamed_engine();
+        let bytes = save(&engine);
+        let guard = engine.config().rescale.exponent_guard.to_le_bytes();
+        let mut header = Vec::new();
+        encode_config(&mut header, engine.config());
+        encode_clock(&mut header, &engine.state().clock);
+        let header_end = 4 + 4 + 1 + header.len();
+        let sites: Vec<usize> = (0..header_end - 8).filter(|&i| bytes[i..i + 8] == guard).collect();
+        assert_eq!(sites.len(), 2, "the config's and the clock's guard");
+        for at in sites {
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+            restamp_crc(&mut forged);
+            match load_err(&forged) {
+                RestoreError::Inconsistent(msg) => assert!(msg.contains("exponent_guard"), "{msg}"),
+                other => panic!("guard at {at}: expected Inconsistent, got {other}"),
+            }
+        }
     }
 
     #[test]
-    fn infinity_distances_survive_compact() {
+    fn infinity_distances_survive_roundtrip() {
         // A disconnected pair leaves unreachable nodes with dist = ∞ and
-        // seed NO_NODE — the Compact narrowing must preserve them.
+        // seed NO_NODE; the round trip must keep both, bit for bit.
         let g = anc_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let engine = AncEngine::new(g, AncConfig { k: 2, rep: 1, ..Default::default() }, 3);
-        let bytes = save(&engine, SnapshotProfile::Compact);
+        let bytes = save(&engine);
         let restored = AncEngine::load_binary(bytes.as_slice()).unwrap();
         restored.check_invariants().unwrap();
+        assert_eq!(bytes, save(&restored));
         assert!(restored.pyramids().approx_distance(0, 2).is_infinite());
+        // The stream really holds both: some partition leaves a node with
+        // no seed at distance ∞.
+        let unreachable = restored.pyramids().persist_parts().0.iter().any(|part| {
+            let (_, seed_of, dist, _) = part.persist_parts();
+            seed_of.iter().zip(dist).any(|(&s, d)| s == NO_NODE && d.is_infinite())
+        });
+        assert!(unreachable, "no unreachable node to round-trip");
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * **Binary** ([`binary`], [`crate::AncEngine::save_binary`] /
 //!   [`crate::AncEngine::load_binary`]) — versioned compact format with
-//!   delta-encoded topology, varint ids and optionally `f32`-quantized
-//!   float arrays, integrity-checked end to end by a CRC-32 trailer.
+//!   delta-encoded topology, varint ids and raw `f64` float arrays,
+//!   integrity-checked end to end by a CRC-32 trailer.
 //! * **Delta log** ([`wal`], [`wal::DurableEngine`]) — an append-only
 //!   activation log over a base binary snapshot with per-record checksums,
 //!   periodic compaction and crash recovery by suffix replay.

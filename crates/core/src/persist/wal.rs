@@ -38,7 +38,8 @@ use std::path::{Path, PathBuf};
 use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_u8, put_uvarint, Reader};
 use anc_graph::EdgeId;
 
-use crate::engine::{AncEngine, BatchStats};
+use crate::engine::AncEngine;
+use crate::pyramid::RepairStats;
 
 use super::binary::SnapshotProfile;
 use super::{le_u32, le_u64, RestoreError};
@@ -207,11 +208,7 @@ impl WalRecord {
         match self {
             WalRecord::Activate { e, t } => engine.activate(*e, *t),
             WalRecord::ActivateBatch { t, edges } => {
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "BatchStats is observability only; replay is infallible"
-                )]
-                let _ = engine.activate_batch(edges, *t);
+                engine.activate_batch(edges, *t);
             }
             WalRecord::ReinforceEdges { edges } => engine.reinforce_edges(edges),
         }
@@ -350,17 +347,11 @@ pub struct DurabilityOptions {
     /// Compact (fold the log into a fresh snapshot) after this many
     /// records.
     pub compact_every: usize,
-    /// Profile of the base snapshots. [`SnapshotProfile::Exact`] (the
-    /// default) makes recovery bit-identical to the pre-crash engine;
-    /// Compact trades that for smaller checkpoints (recovery is then
-    /// bit-identical to *replay over the quantized base*, still fully
-    /// self-consistent).
-    pub profile: SnapshotProfile,
 }
 
 impl Default for DurabilityOptions {
     fn default() -> Self {
-        Self { compact_every: 4096, profile: SnapshotProfile::Exact }
+        Self { compact_every: 4096 }
     }
 }
 
@@ -414,7 +405,7 @@ impl DurableEngine {
     ) -> Result<Self, RestoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        write_snapshot_atomic(&engine, &dir, opts.profile)?;
+        write_snapshot_atomic(&engine, &dir)?;
         let wal = reset_wal(&dir, engine.activations())?;
         Ok(Self {
             engine,
@@ -532,7 +523,11 @@ impl DurableEngine {
     }
 
     /// Logged [`AncEngine::activate_batch`].
-    pub fn activate_batch(&mut self, edges: &[EdgeId], t: f64) -> Result<BatchStats, RestoreError> {
+    pub fn activate_batch(
+        &mut self,
+        edges: &[EdgeId],
+        t: f64,
+    ) -> Result<RepairStats, RestoreError> {
         check_input(&self.engine, edges, Some(t))?;
         self.payload_buf.clear();
         payload_batch(&mut self.payload_buf, t, edges);
@@ -575,21 +570,17 @@ impl DurableEngine {
     /// leaves a log whose base predates the new snapshot — [`Self::open`]
     /// detects and discards it.
     pub fn compact(&mut self) -> Result<(), RestoreError> {
-        write_snapshot_atomic(&self.engine, &self.dir, self.opts.profile)?;
+        write_snapshot_atomic(&self.engine, &self.dir)?;
         self.wal = reset_wal(&self.dir, self.engine.activations())?;
         self.wal_records = 0;
         Ok(())
     }
 }
 
-fn write_snapshot_atomic(
-    engine: &AncEngine,
-    dir: &Path,
-    profile: SnapshotProfile,
-) -> Result<(), RestoreError> {
+fn write_snapshot_atomic(engine: &AncEngine, dir: &Path) -> Result<(), RestoreError> {
     let tmp = dir.join(SNAPSHOT_TMP);
     let mut f = File::create(&tmp)?;
-    engine.save_binary(&mut f, profile)?;
+    engine.save_binary(&mut f, SnapshotProfile::Exact)?;
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
@@ -663,7 +654,7 @@ mod tests {
     #[test]
     fn compaction_folds_log_and_recovery_still_works() {
         let dir = tmp_dir("compact");
-        let opts = DurabilityOptions { compact_every: 8, ..Default::default() };
+        let opts = DurabilityOptions { compact_every: 8 };
         let mut durable = DurableEngine::create(fresh_engine(), &dir, opts).unwrap();
         let m = durable.engine().graph().m() as u32;
         for i in 0..30u32 {
@@ -801,7 +792,7 @@ mod tests {
         let want = exact_bytes(durable.engine());
         // Simulate a crash *between* compaction's snapshot rename and its
         // log reset: new snapshot on disk, old log untouched.
-        write_snapshot_atomic(&durable.engine, &dir, SnapshotProfile::Exact).unwrap();
+        write_snapshot_atomic(&durable.engine, &dir).unwrap();
         drop(durable);
 
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();

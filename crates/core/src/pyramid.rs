@@ -22,9 +22,9 @@ use crate::invariant::InvariantViolation;
 use crate::voronoi::VoronoiPartition;
 
 /// Counters from one grouped batch repair
-/// ([`Pyramids::on_weight_change_batch`]), summed over all partitions.
+/// ([`Pyramids::on_weight_change_batch`]), summed over all partitions; also
+/// what [`crate::AncEngine::activate_batch`] reports for a whole batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[must_use = "RepairStats carries the repair's update/skip counters"]
 pub struct RepairStats {
     /// Bounded updates actually executed (Algorithms 1–3 invocations).
     pub updates: usize,

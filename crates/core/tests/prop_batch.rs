@@ -77,9 +77,7 @@ fn check_batch_equals_serial(
         for &e in &batch {
             serial.activate(e, t);
         }
-        let stats = batched.activate_batch(&batch, t);
-        prop_assert_eq!(stats.edges_in, batch.len());
-        prop_assert!(stats.dirty_edges <= batch.len());
+        batched.activate_batch(&batch, t);
     }
     // Identical anchored similarities, bit for bit…
     for (e, (a, b)) in serial.sim_anchored().iter().zip(batched.sim_anchored()).enumerate() {

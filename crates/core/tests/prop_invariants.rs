@@ -52,13 +52,11 @@ fn apply(engine: &mut AncEngine, event: &Event, t: f64) {
         Event::Single(sel) => engine.activate((sel % m) as u32, t),
         Event::Batch(sels) => {
             let edges: Vec<u32> = sels.iter().map(|s| (s % m) as u32).collect();
-            let stats = engine.activate_batch(&edges, t);
-            assert_eq!(stats.edges_in, edges.len());
+            engine.activate_batch(&edges, t);
         }
         Event::Reconstruct(sels) => {
             let edges: Vec<u32> = sels.iter().map(|s| (s % m) as u32).collect();
-            let stats = engine.activate_batch(&edges, t);
-            assert_eq!(stats.edges_in, edges.len());
+            engine.activate_batch(&edges, t);
             engine.reconstruct_index();
         }
     }
@@ -84,10 +82,10 @@ proptest! {
     }
 
     /// Binary snapshots round-trip at every step of a mixed stream that
-    /// crosses rescale boundaries (DESIGN.md §11): both profiles restore
-    /// invariant-clean and re-save byte-identically (idempotent encoding),
-    /// and an Exact restore then *evolves* bit-identically to the live
-    /// engine under the remaining stream suffix.
+    /// crosses rescale boundaries (DESIGN.md §11): each restores
+    /// invariant-clean and re-saves byte-identically (idempotent encoding),
+    /// and a restore then *evolves* bit-identically to the live engine under
+    /// the remaining stream suffix.
     #[test]
     fn binary_roundtrip_fuzz_mid_stream((seed, events) in stream_strategy()) {
         let g = erdos_renyi(20, 45, seed);
@@ -105,14 +103,6 @@ proptest! {
             let mut resave = Vec::new();
             restored.save_binary(&mut resave, SnapshotProfile::Exact).unwrap();
             prop_assert_eq!(&exact, &resave, "Exact re-save diverged at t={}", t);
-
-            let mut compact = Vec::new();
-            engine.save_binary(&mut compact, SnapshotProfile::Compact).unwrap();
-            let restored_c = AncEngine::load_binary(compact.as_slice()).unwrap();
-            prop_assert!(restored_c.check_invariants().is_ok());
-            let mut resave_c = Vec::new();
-            restored_c.save_binary(&mut resave_c, SnapshotProfile::Compact).unwrap();
-            prop_assert_eq!(&compact, &resave_c, "Compact re-save diverged at t={}", t);
         }
 
         // An Exact restore taken now must track the live engine through a

@@ -81,7 +81,7 @@ fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
 /// No compaction mid-stream: the whole history stays in one log file, so a
 /// truncation point can land inside any record of the run.
 fn no_compact() -> DurabilityOptions {
-    DurabilityOptions { compact_every: usize::MAX, profile: SnapshotProfile::Exact }
+    DurabilityOptions { compact_every: usize::MAX }
 }
 
 proptest! {

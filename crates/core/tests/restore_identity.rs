@@ -62,7 +62,7 @@ fn reopened_durable_engine_stays_bit_identical_past_rescales() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("anc-restore-identity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DurabilityOptions { compact_every: 64, profile: SnapshotProfile::Exact };
+    let opts = DurabilityOptions { compact_every: 64 };
     let (mut reference, stream) = fixture();
     let (engine, _) = fixture();
     let mut durable = DurableEngine::create(engine, &dir, opts).unwrap();

@@ -30,8 +30,7 @@ fn ingest_fingerprint() -> (Vec<u8>, Vec<Vec<u32>>) {
     let m = engine.graph().m() as u32;
     for step in 0..6u32 {
         let edges: Vec<u32> = (0..40).map(|i| (i * 7 + step * 3) % m).collect();
-        let stats = engine.activate_batch(&edges, 1.0 + step as f64 * 0.4);
-        assert_eq!(stats.edges_in, edges.len());
+        engine.activate_batch(&edges, 1.0 + step as f64 * 0.4);
     }
     engine.check_invariants().unwrap();
     let mut snapshot = Vec::new();

@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use anc_core::publish::Publisher;
-use anc_core::{AncEngine, BatchStats, ClusterMode, DurableEngine, RestoreError};
+use anc_core::{AncEngine, ClusterMode, DurableEngine, RepairStats, RestoreError};
 use anc_graph::EdgeId;
 
 use crate::hist::LatencyHistogram;
@@ -51,7 +51,11 @@ impl EngineBackend {
 
     /// [`AncEngine::activate_batch`] on the wrapped engine — write-ahead
     /// logged first when durable, which is the only way it can fail.
-    pub fn activate_batch(&mut self, edges: &[EdgeId], t: f64) -> Result<BatchStats, RestoreError> {
+    pub fn activate_batch(
+        &mut self,
+        edges: &[EdgeId],
+        t: f64,
+    ) -> Result<RepairStats, RestoreError> {
         match self {
             EngineBackend::Volatile(e) => Ok(e.activate_batch(edges, t)),
             EngineBackend::Durable(d) => d.activate_batch(edges, t),

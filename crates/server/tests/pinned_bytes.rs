@@ -1,7 +1,7 @@
 //! The bytes on the wire and on disk, pinned.
 //!
 //! One frame of every request and response kind, a short write-ahead log and
-//! an Exact and a Compact snapshot of a fixed engine are encoded, and each
+//! a snapshot of a fixed engine are encoded, and each
 //! byte string's length and FNV-1a hash are checked against constants. Every
 //! frame, log record and snapshot ends in a CRC-32, so a checksum that drifts
 //! from the IEEE polynomial (a wrong table entry, bytes folded out of order)
@@ -111,7 +111,7 @@ fn short_wal() -> Vec<u8> {
 
 /// (name, length, FNV-1a) of every pinned byte string, recorded with the
 /// bytewise CRC-32.
-const PINNED: [(&str, usize, u64); 22] = [
+const PINNED: [(&str, usize, u64); 21] = [
     ("req Ping", 9, 0xe6e3972751f8f0b3),
     ("req Ingest", 27, 0x5e7dde3d2b949efe),
     ("req Flush", 9, 0xb474b4cfd9987126),
@@ -133,7 +133,6 @@ const PINNED: [(&str, usize, u64); 22] = [
     ("resp Error", 35, 0x85129c577ae7b23e),
     ("wal", 140, 0x6f318164daee6bfb),
     ("snapshot Exact", 84017, 0xafdaaa8db8e585c4),
-    ("snapshot Compact", 50617, 0x32dd7305864acf67),
 ];
 
 #[test]
@@ -142,12 +141,9 @@ fn wire_wal_and_snapshot_bytes_are_pinned() {
     got.extend(requests().iter().map(|req| framed(|out| req.encode(out))));
     got.extend(responses().iter().map(|resp| framed(|out| resp.encode(out))));
     got.push(short_wal());
-    let engine = fixed_engine();
-    for profile in [SnapshotProfile::Exact, SnapshotProfile::Compact] {
-        let mut bytes = Vec::new();
-        engine.save_binary(&mut bytes, profile).expect("save");
-        got.push(bytes);
-    }
+    let mut snapshot = Vec::new();
+    fixed_engine().save_binary(&mut snapshot, SnapshotProfile::Exact).expect("save");
+    got.push(snapshot);
     assert_eq!(got.len(), PINNED.len());
     let drifted: Vec<String> = PINNED
         .iter()
