@@ -7,21 +7,21 @@
 #     (a return type is enough) fails in minutes, not after the long suites
 #   - grep gates: every crate root forbids unsafe code; no serde in the product
 #     crates; no relaxed atomics; no thread pool under crates/server
-#   - cargo test --workspace, then anc-core under debug-invariants
-#   - by name: the WAL and snapshot property suites; in release, the wrapping
-#     edge-gap decode check, the sliced CRC-32 against the bytewise loop
-#     (crc32_equals_the_bytewise_loop), the pinned wire, WAL and snapshot
-#     bytes (pinned_bytes) and all of anc-server (framing arithmetic on
-#     lengths a peer chose)
+#   - cargo test --workspace (the WAL and snapshot property suites and the
+#     wire protocol among them), then anc-core under debug-invariants (the
+#     cluster-cache property suites among them)
+#   - in release: the wrapping edge-gap decode check, the sliced CRC-32
+#     against the bytewise loop (crc32_equals_the_bytewise_loop), and all of
+#     anc-server (framing arithmetic on lengths a peer chose; the pinned
+#     wire, WAL and snapshot bytes, pinned_bytes)
 #   - anc-bench smoke (snapshot-size gate, the paper's shape claims), and the
 #     community_watch example (monitor reports checked against a recount)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
-#   - the cluster-cache property suites under debug-invariants
 #   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
-#     equivalence proptest and the pinned build digest; wire_proto; serve_stress,
+#     equivalence proptest and the pinned build digest; serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: perturbed-schedule determinism, pool lock ranks
@@ -55,17 +55,17 @@ forbid_unsafe_roots() {
 forbid_unsafe_roots .
 
 echo "==> cargo test --workspace -q"
+# Among them: the WAL recovery contract (arbitrary-offset log truncation ==
+# prefix replay, bit for bit, prop_wal) and the snapshot round-trip fuzz
+# (prop_invariants) of DESIGN.md §11, and the wire protocol (wire_proto).
 cargo test --workspace -q
 
 echo "==> cargo test -p anc-core --features debug-invariants -q"
+# Among them: the cluster-cache equivalence suites (cached == cold at every
+# level across mixed update streams; prop_cluster_cache, cache_determinism).
 cargo test -p anc-core --features debug-invariants -q
 
-echo "==> persistence: crash-recovery + binary round-trip property suites"
-# The WAL recovery contract (arbitrary-offset log truncation == prefix
-# replay, bit for bit) and the snapshot round-trip fuzz run again by name
-# so a persistence regression is attributed to DESIGN.md §11 directly.
-cargo test -p anc-core --test prop_wal -q
-cargo test -p anc-core --test prop_invariants -q
+echo "==> persistence and framing in release"
 # A forged edge list whose gaps wrap u64 used to panic in debug and decode to
 # edge (0, 1) in release; the workspace run above covered debug.
 cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
@@ -73,10 +73,10 @@ cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversi
 # time: it must equal the bytewise loop at every length and offset, and the
 # bytes it seals must stay those the bytewise loop produced.
 cargo test --release -p anc-graph --lib crc32_equals_the_bytewise_loop -q
-cargo test --release -p anc-server --test pinned_bytes -q
 # The frame parser's offsets come from a length the peer chose: its tests
 # (scripted streams cut at every byte, hostile prefixes, the write timeout)
-# ran in debug above, where such arithmetic panics; here it would wrap.
+# ran in debug above, where such arithmetic panics; here it would wrap. The
+# pinned wire, WAL and snapshot bytes (pinned_bytes) run here too.
 cargo test --release -p anc-server -q
 
 echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
@@ -126,13 +126,6 @@ done
 echo "    RAYON_NUM_THREADS unset"
 env -u RAYON_NUM_THREADS cargo test --release -p anc-core --test alloc_steady_state -q
 
-echo "==> cluster-cache property suite under debug-invariants"
-# The cache equivalence proptests (cached == cold at every level across
-# mixed update streams) run again here by name so a failure is attributed
-# to the cache layer rather than buried in the full suite's output.
-cargo test -p anc-core --features debug-invariants --test prop_cluster_cache -q
-cargo test -p anc-core --features debug-invariants --test cache_determinism -q
-
 echo "==> repair completeness + realistic-n cache checks (release)"
 # Every node a Voronoi repair writes must be in the affected set it returns
 # (n = 2 000); a power-of-two rescale must commute with repair bit for
@@ -172,15 +165,15 @@ for t in 1 4; do
         s0_build_digest_is_pinned -q
 done
 
-echo "==> serving layer: wire protocol + reader/writer stress (1 and 4 threads)"
+echo "==> serving layer: reader/writer stress (1 and 4 threads)"
 # The serving stress suite sweeps RAYON_NUM_THREADS internally and compares
 # the served engine byte-for-byte against a serial replay; it runs under
 # debug-invariants so the writer validates the full engine invariant set
 # after every drained cycle. Beside it, the member index every snapshot
 # carries is checked against a scan of its labels, and a snapshot no reader
 # holds must be freed while the server runs. Two fixed pool sizes pin the
-# harness extremes, matching the determinism suites above.
-cargo test -p anc-server --test wire_proto -q
+# harness extremes, matching the determinism suites above. (The wire
+# protocol suite ran in the workspace pass.)
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p anc-server --features debug-invariants \

@@ -168,14 +168,6 @@ impl DynaEngine {
             }
         }
     }
-
-    /// Full Louvain refresh (used by the offline variant LOUV in the
-    /// experiment harness and for drift measurements).
-    pub fn refresh_full(&mut self) {
-        let c = louvain::cluster(&self.g, &self.weights, &LouvainParams::default());
-        self.comm = c.labels().to_vec();
-        self.recompute_aggregates();
-    }
 }
 
 #[cfg(test)]
@@ -233,21 +225,5 @@ mod tests {
         }
         let after = engine.clustering().num_clusters();
         assert!(after <= before, "hot bridge should merge clusters: {before} → {after}");
-    }
-
-    #[test]
-    fn refresh_full_restores_quality() {
-        let lg = connected_caveman(4, 5);
-        let w = vec![1.0; lg.graph.m()];
-        let mut engine = DynaEngine::new(lg.graph.clone(), w, 0.1);
-        // Drift with random-ish activations.
-        for t in 1..=20 {
-            let acts: Vec<u32> = (0..4).map(|i| ((t * 7 + i * 3) % lg.graph.m()) as u32).collect();
-            engine.step(t as f64, &acts);
-        }
-        engine.refresh_full();
-        let truth = Clustering::from_labels(&lg.labels);
-        // A full refresh on near-uniform weights should still see cliques.
-        assert!(anc_metrics::nmi(&engine.clustering(), &truth) > 0.5);
     }
 }

@@ -13,6 +13,13 @@
 use anc_graph::{EdgeId, Graph};
 use anc_metrics::Clustering;
 
+/// Hop radius around changed edges for the focused propagation.
+const HOPS: usize = 2;
+/// Maximum global sweeps per step.
+const STEP_SWEEPS: usize = 5;
+/// Maximum global sweeps of the initial propagation.
+const INIT_SWEEPS: usize = 10;
+
 /// The stream engine.
 pub struct LwepEngine {
     g: Graph,
@@ -20,10 +27,6 @@ pub struct LwepEngine {
     labels: Vec<u32>,
     lambda: f64,
     now: f64,
-    /// Hop radius around changed edges for the focused propagation.
-    pub hops: usize,
-    /// Maximum global sweeps per step.
-    pub max_sweeps: usize,
 }
 
 impl LwepEngine {
@@ -50,8 +53,7 @@ impl LwepEngine {
                 best.0
             })
             .collect();
-        let mut engine =
-            Self { g, weights: initial_weights, labels, lambda, now: 0.0, hops: 2, max_sweeps: 5 };
+        let mut engine = Self { g, weights: initial_weights, labels, lambda, now: 0.0 };
         engine.propagate_all();
         engine
     }
@@ -97,7 +99,7 @@ impl LwepEngine {
     }
 
     fn propagate_all(&mut self) {
-        for _ in 0..self.max_sweeps.max(10) {
+        for _ in 0..INIT_SWEEPS {
             let mut changed = false;
             for v in 0..self.g.n() as u32 {
                 changed |= self.visit(v);
@@ -135,7 +137,7 @@ impl LwepEngine {
                 }
             }
         }
-        for _ in 0..self.hops {
+        for _ in 0..HOPS {
             let mut next = Vec::new();
             for &x in &frontier {
                 self.visit(x);
@@ -149,7 +151,7 @@ impl LwepEngine {
             frontier = next;
         }
         // Global stabilization — the expensive part the paper observes.
-        for _ in 0..self.max_sweeps {
+        for _ in 0..STEP_SWEEPS {
             let mut changed = false;
             for v in 0..self.g.n() as u32 {
                 changed |= self.visit(v);

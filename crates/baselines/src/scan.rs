@@ -70,43 +70,6 @@ pub fn cluster_weighted(g: &Graph, weights: &[f64], params: &ScanParams) -> Clus
     cluster_impl(g, params, |u, v| weighted_similarity(g, weights, &wdeg, u, v))
 }
 
-/// Role of a node in a SCAN result (the paper's hubs-and-outliers
-/// classification of non-members).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanRole {
-    /// Belongs to a cluster.
-    Member,
-    /// Noise adjacent to two or more different clusters — a bridge.
-    Hub,
-    /// Noise adjacent to at most one cluster.
-    Outlier,
-}
-
-/// Classifies every node of a SCAN clustering: members keep their cluster,
-/// noise nodes split into hubs (neighbors in ≥ 2 clusters) and outliers.
-pub fn classify_roles(g: &Graph, clustering: &Clustering) -> Vec<ScanRole> {
-    (0..g.n() as NodeId)
-        .map(|v| {
-            if !clustering.is_noise(v) {
-                return ScanRole::Member;
-            }
-            let mut seen = None;
-            for &w in g.neighbors(v) {
-                let l = clustering.label(w);
-                if l == NOISE {
-                    continue;
-                }
-                match seen {
-                    None => seen = Some(l),
-                    Some(prev) if prev != l => return ScanRole::Hub,
-                    _ => {}
-                }
-            }
-            ScanRole::Outlier
-        })
-        .collect()
-}
-
 fn cluster_impl<S: Fn(NodeId, NodeId) -> f64>(
     g: &Graph,
     params: &ScanParams,
@@ -213,32 +176,6 @@ mod tests {
         // Clique 0 must survive as one cluster; clique 1's similarity shrinks.
         let c0: Vec<u32> = (0..5).map(|v| c.label(v)).collect();
         assert!(c0.iter().all(|&l| l == c0[0] && l != NOISE), "{c0:?}");
-    }
-
-    #[test]
-    fn hubs_and_outliers() {
-        // Two triangles bridged by a noise node 6; node 7 dangles off one
-        // triangle; node 8 is isolated.
-        let g = Graph::from_edges(
-            9,
-            &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (6, 3), (0, 7)],
-        );
-        let c = Clustering::from_groups(9, &[vec![0, 1, 2], vec![3, 4, 5]]);
-        let roles = classify_roles(&g, &c);
-        assert_eq!(roles[0], ScanRole::Member);
-        assert_eq!(roles[6], ScanRole::Hub, "bridges two clusters");
-        assert_eq!(roles[7], ScanRole::Outlier, "touches one cluster");
-        assert_eq!(roles[8], ScanRole::Outlier, "isolated");
-    }
-
-    #[test]
-    fn roles_on_real_scan_output() {
-        let lg = connected_caveman(3, 5);
-        let c = cluster(&lg.graph, &ScanParams { epsilon: 0.6, mu: 3 });
-        let roles = classify_roles(&lg.graph, &c);
-        assert_eq!(roles.len(), lg.graph.n());
-        let members = roles.iter().filter(|&&r| r == ScanRole::Member).count();
-        assert_eq!(members, c.num_assigned());
     }
 
     #[test]

@@ -224,6 +224,9 @@ pub fn query(opts: &Options) -> Result<String, String> {
     let mut level: usize = opts.get_or("level", engine.default_level())?;
     let zoom_out: usize = opts.get_or("zoom-out", 0)?;
     level = level.saturating_sub(zoom_out);
+    if level >= engine.num_levels() {
+        return Err(format!("--level must be < {}", engine.num_levels()));
+    }
     let cluster = engine.local_cluster(node, level);
     let mut s = String::new();
     let _ =

@@ -163,6 +163,16 @@ fn query_bounds_checked() {
     run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
     let err = run(&argv(&["query", "--engine", ep, "--node", "999999"])).unwrap_err();
     assert!(err.contains("--node must be"), "{err}");
+    // One past the top level read another pyramid's partition; further past
+    // it indexed out of bounds.
+    let levels = anc_core::AncEngine::load_binary(std::fs::read(&engine).unwrap().as_slice())
+        .unwrap()
+        .num_levels();
+    for level in [levels.to_string(), "99".to_string()] {
+        let err =
+            run(&argv(&["query", "--engine", ep, "--node", "0", "--level", &level])).unwrap_err();
+        assert_eq!(err, format!("--level must be < {levels}"), "--level {level}");
+    }
     let err =
         run(&argv(&["distance", "--engine", ep, "--from", "0", "--to", "999999"])).unwrap_err();
     assert!(err.contains("must be"), "{err}");

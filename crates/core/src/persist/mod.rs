@@ -186,8 +186,9 @@ pub(crate) fn le_u64(b: &[u8]) -> u64 {
 
 impl EngineSnapshot {
     /// Validates internal consistency: sizes line up, similarities are
-    /// positive, the CSR is well formed, and the index has the shape the
-    /// graph and config imply (`O(n + m)`; the `O(k · m log n)` forest check
+    /// positive, the CSR is well formed, the clock decays at the config's λ
+    /// under its rescale policy, and the index has the shape the graph and
+    /// config imply (`O(n + m)`; the `O(k · m log n)` forest check
     /// stays with [`crate::AncEngine::check_invariants`]).
     pub fn validate(&self) -> Result<(), RestoreError> {
         let (n, m) = (self.graph.n(), self.graph.m());
@@ -212,6 +213,19 @@ impl EngineSnapshot {
         // Shared with the engine's own checker — one validator, two callers.
         crate::invariant::check_similarities(&self.sim).map_err(RestoreError::Invariant)?;
         crate::invariant::check_graph(&self.graph).map_err(RestoreError::Invariant)?;
+        // λ and the rescale policy travel twice, in the config and in the
+        // clock; the engine decays by the clock's, so they must agree bit for
+        // bit.
+        let (clock, cfg) = (self.clock.to_parts(), &self.config);
+        if clock.lambda.to_bits() != cfg.lambda.to_bits()
+            || clock.cfg.every_activations != cfg.rescale.every_activations
+            || clock.cfg.exponent_guard.to_bits() != cfg.rescale.exponent_guard.to_bits()
+        {
+            return Err(RestoreError::Inconsistent(format!(
+                "clock has lambda = {} and {:?}, config says lambda = {} and {:?}",
+                clock.lambda, clock.cfg, cfg.lambda, cfg.rescale
+            )));
+        }
         self.pyramids.check_shape(n).map_err(RestoreError::Invariant)?;
         let (k, votes) = (self.pyramids.k(), self.pyramids.needed_votes());
         if k != self.config.k || votes != self.config.needed_votes() {
@@ -229,6 +243,7 @@ impl EngineSnapshot {
 mod tests {
     use super::*;
     use crate::{AncEngine, ClusterMode};
+    use anc_decay::ClockParts;
     use anc_graph::gen::connected_caveman;
 
     fn streamed_engine() -> AncEngine {
@@ -284,6 +299,18 @@ mod tests {
         for edit in [|c: &mut AncConfig| c.k = 3, |c: &mut AncConfig| c.theta = 0.5] {
             let mut snap = engine.to_snapshot();
             edit(&mut snap.config);
+            let err = AncEngine::from_snapshot(snap).err().expect("must fail");
+            assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
+        }
+        // A clock that disagrees with the config: another λ, or another
+        // rescale cadence.
+        for edit in
+            [|p: &mut ClockParts| p.lambda = 0.5, |p: &mut ClockParts| p.cfg.every_activations += 1]
+        {
+            let mut snap = engine.to_snapshot();
+            let mut parts = snap.clock.to_parts();
+            edit(&mut parts);
+            snap.clock = DecayClock::from_parts(parts);
             let err = AncEngine::from_snapshot(snap).err().expect("must fail");
             assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
         }

@@ -6,7 +6,8 @@
 //! inputs is enough. [`DurableEngine`] wraps an [`AncEngine`] with
 //! write-ahead logging:
 //!
-//! * every mutating call is encoded as a [`WalRecord`] and appended (with
+//! * every activated batch — the edges activated at one time, the served
+//!   system's one input — is encoded as a [`WalRecord`] and appended (with
 //!   a per-record CRC-32) to `wal.anc` **before** it is applied;
 //! * every `compact_every` records, the log is folded away: the engine is
 //!   snapshotted to `snapshot.anc` (atomically, via a tmp file + rename)
@@ -25,11 +26,11 @@
 //!           ∥ record*        where record = u32 len ∥ u32 crc(payload) ∥ payload
 //! ```
 //!
-//! The payload is a kind byte plus the call's arguments (timestamps as raw
-//! `f64` bits, edge ids as varints); the arguments are validated *before*
-//! the record is appended, so the log never holds a call the engine would
-//! panic on. Rescales are *not* logged: they are a deterministic function
-//! of engine state and the logged inputs, so replay reproduces them.
+//! The payload is the kind byte 2, the batch time as raw `f64` bits and the
+//! edge ids as varints; they are validated *before* the record is appended,
+//! so the log never holds a call the engine would panic on. Rescales are
+//! *not* logged: they are a deterministic function of engine state and the
+//! logged inputs, so replay reproduces them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -56,40 +57,26 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + base + crc
 /// trigger a huge allocation).
 const MAX_RECORD_LEN: usize = 1 << 30;
 
-/// One logged engine mutation. Encodes the *inputs* of a mutating
-/// [`AncEngine`] call; replaying the records in order against the base
+/// One logged engine mutation: the inputs of
+/// [`AncEngine::activate_batch`]`(&edges, t)`, the one call a
+/// [`DurableEngine`] logs. Replaying the records in order against the base
 /// snapshot reproduces the engine state exactly (the engine is
 /// deterministic).
 #[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
-    /// [`AncEngine::activate`]`(e, t)`.
-    Activate {
-        /// Activated edge.
-        e: EdgeId,
-        /// Arrival time.
-        t: f64,
-    },
-    /// [`AncEngine::activate_batch`]`(&edges, t)`.
-    ActivateBatch {
-        /// Arrival time of the whole batch.
-        t: f64,
-        /// Activated edges, in batch order.
-        edges: Vec<EdgeId>,
-    },
-    /// [`AncEngine::reinforce_edges`]`(&edges)`.
-    ReinforceEdges {
-        /// Reinforced edges, in call order.
-        edges: Vec<EdgeId>,
-    },
+pub struct WalRecord {
+    /// Arrival time of the whole batch.
+    pub t: f64,
+    /// Activated edges, in batch order.
+    pub edges: Vec<EdgeId>,
 }
 
-const KIND_ACTIVATE: u8 = 1;
+/// The one record kind a log holds.
 const KIND_BATCH: u8 = 2;
-// Kind 3 was `ActivateBatchAdaptive`, retired with the method it logged, and
-// kind 5 was an explicit rescale, retired when rescales became a function of
-// the logged inputs alone. Both bytes stay reserved — never reuse them: a log
-// holding one is refused.
-const KIND_REINFORCE: u8 = 4;
+// Kinds 1, 3, 4 and 5 are retired and stay reserved — never reuse them: a
+// log holding one is refused. Kind 1 was a single activation and kind 4
+// ANCOR's reinforcement replay, logged only by tests; kind 3 was the
+// adaptive batch, retired with the method it logged; kind 5 an explicit
+// rescale, retired when rescales became a function of the logged inputs.
 
 fn put_edges(out: &mut Vec<u8>, edges: &[EdgeId]) {
     put_uvarint(out, edges.len() as u64);
@@ -114,30 +101,20 @@ fn read_edges(r: &mut Reader<'_>) -> Result<Vec<EdgeId>, RestoreError> {
     Ok(edges)
 }
 
-// Payload encoders take borrowed arguments so the [`DurableEngine`] write
-// path can log straight from caller slices without building owned records.
-fn payload_activate(out: &mut Vec<u8>, e: EdgeId, t: f64) {
-    put_u8(out, KIND_ACTIVATE);
-    put_f64(out, t);
-    put_uvarint(out, e as u64);
-}
-
-fn payload_batch(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
+/// Appends a record payload (kind byte, time, edges). It takes borrowed
+/// arguments so the [`DurableEngine`] write path can log straight from the
+/// caller's slice without building an owned record.
+fn encode_payload(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
     put_u8(out, KIND_BATCH);
     put_f64(out, t);
-    put_edges(out, edges);
-}
-
-fn payload_reinforce(out: &mut Vec<u8>, edges: &[EdgeId]) {
-    put_u8(out, KIND_REINFORCE);
     put_edges(out, edges);
 }
 
 /// Rejects the inputs the engine would panic on — an edge id at or past the
 /// network's edge count, a non-finite timestamp — so they are refused
 /// before a record is logged and before a logged one is replayed.
-fn check_input(engine: &AncEngine, edges: &[EdgeId], t: Option<f64>) -> Result<(), RestoreError> {
-    if let Some(t) = t.filter(|t| !t.is_finite()) {
+fn check_input(engine: &AncEngine, edges: &[EdgeId], t: f64) -> Result<(), RestoreError> {
+    if !t.is_finite() {
         return Err(RestoreError::InvalidTime(t));
     }
     let num_edges = engine.graph().m();
@@ -148,70 +125,30 @@ fn check_input(engine: &AncEngine, edges: &[EdgeId], t: Option<f64>) -> Result<(
 }
 
 impl WalRecord {
-    /// Appends the record payload (kind byte + arguments). The live write
-    /// path encodes straight from borrowed slices (see [`DurableEngine`]);
-    /// this owned-record variant serves tests that author logs by hand.
-    #[cfg(test)]
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Activate { e, t } => payload_activate(out, *e, *t),
-            WalRecord::ActivateBatch { t, edges } => payload_batch(out, *t, edges),
-            WalRecord::ReinforceEdges { edges } => payload_reinforce(out, edges),
-        }
-    }
-
-    /// Decodes one record payload (inverse of `encode`).
+    /// Decodes one record payload (inverse of [`encode_payload`]).
     fn decode(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = Reader::new(payload);
-        let rec = match r.u8()? {
-            KIND_ACTIVATE => {
-                let t = r.f64()?;
-                let e = r.uvarint()?;
-                let e = u32::try_from(e)
-                    .map_err(|_| RestoreError::Codec(format!("edge id {e} out of range")))?;
-                WalRecord::Activate { e, t }
-            }
-            KIND_BATCH => {
-                let t = r.f64()?;
-                WalRecord::ActivateBatch { t, edges: read_edges(&mut r)? }
-            }
-            KIND_REINFORCE => WalRecord::ReinforceEdges { edges: read_edges(&mut r)? },
-            other => {
-                return Err(RestoreError::Codec(format!("unknown or retired record kind {other}")));
-            }
-        };
+        let kind = r.u8()?;
+        if kind != KIND_BATCH {
+            return Err(RestoreError::Codec(format!("unknown or retired record kind {kind}")));
+        }
+        let t = r.f64()?;
+        let edges = read_edges(&mut r)?;
         if !r.is_empty() {
             return Err(RestoreError::Codec(format!(
                 "{} trailing bytes in WAL record",
                 r.remaining()
             )));
         }
-        Ok(rec)
-    }
-
-    /// Whether `engine` accepts this record's arguments (see
-    /// [`check_input`]); recovery checks every decoded record before
-    /// applying it.
-    fn check(&self, engine: &AncEngine) -> Result<(), RestoreError> {
-        match self {
-            WalRecord::Activate { e, t } => check_input(engine, &[*e], Some(*t)),
-            WalRecord::ActivateBatch { t, edges } => check_input(engine, edges, Some(*t)),
-            WalRecord::ReinforceEdges { edges } => check_input(engine, edges, None),
-        }
+        Ok(WalRecord { t, edges })
     }
 
     /// Replays this record against an engine — the exact call that was
     /// logged. Public so recovery tests can compare a recovered engine to
-    /// an explicit prefix replay. Panics, like the engine calls it wraps, on
+    /// an explicit prefix replay. Panics, like the engine call it wraps, on
     /// an edge id or time the engine does not accept.
     pub fn apply(&self, engine: &mut AncEngine) {
-        match self {
-            WalRecord::Activate { e, t } => engine.activate(*e, *t),
-            WalRecord::ActivateBatch { t, edges } => {
-                engine.activate_batch(edges, *t);
-            }
-            WalRecord::ReinforceEdges { edges } => engine.reinforce_edges(edges),
-        }
+        engine.activate_batch(&self.edges, self.t);
     }
 }
 
@@ -248,7 +185,7 @@ fn frame_payload(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), RestoreError> 
 #[cfg(test)]
 fn frame_record(out: &mut Vec<u8>, record: &WalRecord, scratch: &mut Vec<u8>) {
     scratch.clear();
-    record.encode(scratch);
+    encode_payload(scratch, record.t, &record.edges);
     frame_payload(out, scratch).expect("test records are far below the length cap");
 }
 
@@ -357,11 +294,12 @@ impl Default for DurabilityOptions {
 
 /// An [`AncEngine`] wrapped with write-ahead logging and crash recovery.
 ///
-/// All mutating engine calls go through this wrapper (the inner engine is
-/// only exposed immutably), so the on-disk `snapshot.anc` + `wal.anc` pair
-/// is always sufficient to reconstruct the exact current state. Each
-/// mutator validates its input first: an out-of-range edge or a non-finite
-/// time returns a typed error with neither the log nor the engine touched.
+/// Its one mutator, [`DurableEngine::activate_batch`], is the only way to
+/// change the engine (which is only exposed immutably), so the on-disk
+/// `snapshot.anc` + `wal.anc` pair is always sufficient to reconstruct the
+/// exact current state. It validates its input first: an out-of-range edge
+/// or a non-finite time returns a typed error with neither the log nor the
+/// engine touched. A single activation is a batch of one.
 ///
 /// ```no_run
 /// use anc_core::persist::{DurabilityOptions, DurableEngine};
@@ -371,7 +309,7 @@ impl Default for DurabilityOptions {
 /// let engine = AncEngine::new(g, AncConfig::default(), 42);
 /// let mut durable =
 ///     DurableEngine::create(engine, "state_dir", DurabilityOptions::default()).unwrap();
-/// durable.activate(3, 0.5).unwrap();
+/// durable.activate_batch(&[3], 0.5).unwrap();
 /// drop(durable); // crash at any point…
 /// let recovered = DurableEngine::open("state_dir", DurabilityOptions::default()).unwrap();
 /// assert_eq!(recovered.engine().activations(), 1);
@@ -468,7 +406,7 @@ impl DurableEngine {
                     let valid_end = loop {
                         match reader.next() {
                             Ok(Some(record)) => {
-                                record.check(&engine)?;
+                                check_input(&engine, &record.edges, record.t)?;
                                 record.apply(&mut engine);
                                 replayed += 1;
                             }
@@ -512,39 +450,19 @@ impl DurableEngine {
         self.wal_records
     }
 
-    /// Logged [`AncEngine::activate`].
-    pub fn activate(&mut self, e: EdgeId, t: f64) -> Result<(), RestoreError> {
-        check_input(&self.engine, &[e], Some(t))?;
-        self.payload_buf.clear();
-        payload_activate(&mut self.payload_buf, e, t);
-        self.append_payload()?;
-        self.engine.activate(e, t);
-        self.maybe_compact()
-    }
-
     /// Logged [`AncEngine::activate_batch`].
     pub fn activate_batch(
         &mut self,
         edges: &[EdgeId],
         t: f64,
     ) -> Result<RepairStats, RestoreError> {
-        check_input(&self.engine, edges, Some(t))?;
+        check_input(&self.engine, edges, t)?;
         self.payload_buf.clear();
-        payload_batch(&mut self.payload_buf, t, edges);
+        encode_payload(&mut self.payload_buf, t, edges);
         self.append_payload()?;
         let stats = self.engine.activate_batch(edges, t);
         self.maybe_compact()?;
         Ok(stats)
-    }
-
-    /// Logged [`AncEngine::reinforce_edges`].
-    pub fn reinforce_edges(&mut self, edges: &[EdgeId]) -> Result<(), RestoreError> {
-        check_input(&self.engine, edges, None)?;
-        self.payload_buf.clear();
-        payload_reinforce(&mut self.payload_buf, edges);
-        self.append_payload()?;
-        self.engine.reinforce_edges(edges);
-        self.maybe_compact()
     }
 
     /// Write-ahead: the framed payload in `payload_buf` hits the log before
@@ -615,9 +533,9 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let records = [
-            WalRecord::Activate { e: 7, t: 1.25 },
-            WalRecord::ActivateBatch { t: 2.0, edges: vec![0, 3, 3, 9] },
-            WalRecord::ReinforceEdges { edges: vec![4, 4] },
+            WalRecord { t: 1.25, edges: vec![7] },
+            WalRecord { t: 2.0, edges: vec![0, 3, 3, 9] },
+            WalRecord { t: 2.0, edges: vec![] },
         ];
         let mut log = encode_header(0);
         let mut scratch = Vec::new();
@@ -638,10 +556,9 @@ mod tests {
             DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
         let m = durable.engine().graph().m() as u32;
         for i in 0..25u32 {
-            durable.activate((i * 7 + 2) % m, i as f64 * 0.4).unwrap();
+            durable.activate_batch(&[(i * 7 + 2) % m], i as f64 * 0.4).unwrap();
         }
-        let _ = durable.activate_batch(&[1, 3, 1], 11.0).unwrap();
-        durable.reinforce_edges(&[0, 2]).unwrap();
+        durable.activate_batch(&[1, 3, 1], 11.0).unwrap();
         let want = exact_bytes(durable.engine());
         drop(durable); // "crash": nothing beyond the appends is persisted
 
@@ -658,7 +575,7 @@ mod tests {
         let mut durable = DurableEngine::create(fresh_engine(), &dir, opts).unwrap();
         let m = durable.engine().graph().m() as u32;
         for i in 0..30u32 {
-            durable.activate((i * 5 + 1) % m, i as f64 * 0.3).unwrap();
+            durable.activate_batch(&[(i * 5 + 1) % m], i as f64 * 0.3).unwrap();
         }
         assert!(durable.wal_records() < 30, "compaction must have reset the log");
         let want = exact_bytes(durable.engine());
@@ -676,7 +593,7 @@ mod tests {
             DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
         let m = durable.engine().graph().m() as u32;
         for i in 0..10u32 {
-            durable.activate((i * 7 + 2) % m, i as f64 * 0.4).unwrap();
+            durable.activate_batch(&[(i * 7 + 2) % m], i as f64 * 0.4).unwrap();
         }
         drop(durable);
         // Tear the last record: chop 3 bytes off the log.
@@ -698,24 +615,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A record that passes its CRC but cannot be decoded (retired kinds 3
-    /// and 5, unknown kind 9), or that decodes to a call the engine would panic on
-    /// (`e = m`), is skew, not a tear: `open` must refuse with the typed
-    /// error and leave every byte of the log — including the valid records
-    /// behind the bad one — in place.
+    /// A record that passes its CRC but cannot be decoded (retired kinds 1,
+    /// 3, 4 and 5, unknown kind 9), or that decodes to a call the engine
+    /// would panic on (`e = m`), is skew, not a tear: `open` must refuse with
+    /// the typed error and leave every byte of the log — including the valid
+    /// records behind the bad one — in place.
     #[test]
     fn verified_records_that_cannot_be_replayed_are_refused_not_truncated() {
         let m = fresh_engine().graph().m() as u32;
-        let mut retired = vec![3u8]; // as written: kind 3, t = 2.0, no threshold, edges [1]
-        put_f64(&mut retired, 2.0);
-        put_u8(&mut retired, 0);
-        put_edges(&mut retired, &[1]);
+        // Each retired kind as older builds wrote it.
+        let mut single = vec![1u8]; // kind 1: t = 2.0, edge 1
+        put_f64(&mut single, 2.0);
+        put_uvarint(&mut single, 1);
+        let mut adaptive = vec![3u8]; // kind 3: t = 2.0, no threshold, edges [1]
+        put_f64(&mut adaptive, 2.0);
+        put_u8(&mut adaptive, 0);
+        put_edges(&mut adaptive, &[1]);
+        let mut reinforce = vec![4u8]; // kind 4: edges [0, 2]
+        put_edges(&mut reinforce, &[0, 2]);
         let mut out_of_range = Vec::new();
-        payload_batch(&mut out_of_range, 2.0, &[1, m]);
+        encode_payload(&mut out_of_range, 2.0, &[1, m]);
         // (tag, payload, the kind named by `UndecodableRecord` — `None` for
         // the record that decodes but is out of range).
         let cases = [
-            ("retired", retired, Some("kind 3")),
+            ("single", single, Some("kind 1")),
+            ("adaptive", adaptive, Some("kind 3")),
+            ("reinforce", reinforce, Some("kind 4")),
             ("rescale", vec![5u8], Some("kind 5")),
             ("unknown", vec![9u8], Some("kind 9")),
             ("range", out_of_range, None),
@@ -727,10 +652,10 @@ mod tests {
             );
             let mut log = encode_header(0);
             let mut scratch = Vec::new();
-            frame_record(&mut log, &WalRecord::Activate { e: 1, t: 1.0 }, &mut scratch);
+            frame_record(&mut log, &WalRecord { t: 1.0, edges: vec![1] }, &mut scratch);
             let bad_at = log.len();
             frame_payload(&mut log, &payload).unwrap();
-            frame_record(&mut log, &WalRecord::Activate { e: 2, t: 3.0 }, &mut scratch);
+            frame_record(&mut log, &WalRecord { t: 3.0, edges: vec![2] }, &mut scratch);
             std::fs::write(dir.join(WAL_FILE), &log).unwrap();
 
             let err = DurableEngine::open(&dir, DurabilityOptions::default())
@@ -760,15 +685,15 @@ mod tests {
         let mut durable =
             DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
         let m = durable.engine().graph().m() as u32;
-        durable.activate(1, 1.0).unwrap();
+        durable.activate_batch(&[1], 1.0).unwrap();
         let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         let (len, state) = (wal_len(), exact_bytes(durable.engine()));
 
         let err = durable.activate_batch(&[1, m + 5], 2.0).unwrap_err();
         assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m + 5), "{err}");
-        let err = durable.activate(0, f64::NAN).unwrap_err();
+        let err = durable.activate_batch(&[0], f64::NAN).unwrap_err();
         assert!(matches!(err, RestoreError::InvalidTime(t) if t.is_nan()), "{err}");
-        let err = durable.reinforce_edges(&[m]).unwrap_err();
+        let err = durable.activate_batch(&[m], 3.0).unwrap_err();
         assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m), "{err}");
 
         assert_eq!(wal_len(), len, "a rejected call must not reach the log");
@@ -787,7 +712,7 @@ mod tests {
             DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
         let m = durable.engine().graph().m() as u32;
         for i in 0..12u32 {
-            durable.activate((i * 7 + 2) % m, i as f64 * 0.4).unwrap();
+            durable.activate_batch(&[(i * 7 + 2) % m], i as f64 * 0.4).unwrap();
         }
         let want = exact_bytes(durable.engine());
         // Simulate a crash *between* compaction's snapshot rename and its
@@ -826,7 +751,7 @@ mod tests {
     fn record_corruption_is_typed() {
         let mut log = encode_header(0);
         let mut scratch = Vec::new();
-        frame_record(&mut log, &WalRecord::Activate { e: 1, t: 2.0 }, &mut scratch);
+        frame_record(&mut log, &WalRecord { t: 2.0, edges: vec![1] }, &mut scratch);
         let payload_at = HEADER_LEN + 8;
         let mut bad = log.clone();
         bad[payload_at] ^= 0xFF;

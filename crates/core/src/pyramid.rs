@@ -155,6 +155,7 @@ impl Pyramids {
 
     /// Access a partition (pyramid `p`, 0-based level `l`).
     pub fn partition(&self, p: usize, l: usize) -> &VoronoiPartition {
+        debug_assert!(p < self.k && l < self.levels, "partition ({p}, {l}) out of range");
         &self.partitions[p * self.levels + l]
     }
 

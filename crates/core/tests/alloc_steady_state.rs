@@ -154,26 +154,41 @@ fn single_activations_are_amortised_allocation_free() {
         reinforce <= SINGLES_BOUND,
         "{reinforce} allocations in {SINGLES} reinforce_edges calls"
     );
+}
 
-    // Write-ahead logging frames into pooled buffers too (compaction, which
-    // encodes a whole snapshot, is switched off).
+/// Write-ahead logging frames into pooled buffers too: a logged batch of one
+/// edge is as allocation-free as `activate` (compaction, which encodes a
+/// whole snapshot, is switched off).
+#[test]
+#[cfg_attr(
+    feature = "debug-invariants",
+    ignore = "the invariant checker allocates at every batch boundary"
+)]
+fn durable_single_edge_batches_are_amortised_allocation_free() {
+    let engine = fixture();
+    let mut stream = activations(engine.graph().m());
+    let level = engine.default_level();
+    let _ = engine.cluster_all_cached(level, ClusterMode::Power);
     let dir = std::env::temp_dir().join(format!("anc-alloc-steady-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = DurabilityOptions { compact_every: usize::MAX };
     let mut durable = DurableEngine::create(engine, &dir, opts).unwrap();
-    for _ in 0..64 {
+    for _ in 0..2 * SINGLES {
         let (e, t) = stream.next().unwrap();
-        durable.activate(e, t).unwrap();
+        durable.activate_batch(&[e], t).unwrap();
     }
     let logged = allocations(|| {
         for _ in 0..SINGLES {
             let (e, t) = stream.next().unwrap();
-            durable.activate(e, t).unwrap();
+            durable.activate_batch(&[e], t).unwrap();
         }
     });
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(logged <= SINGLES_BOUND, "{logged} allocations in {SINGLES} durable activate calls");
+    assert!(
+        logged <= SINGLES_BOUND,
+        "{logged} allocations in {SINGLES} durable activate_batch calls of one edge"
+    );
 }
 
 /// Allocations per `activate_batch` call over `CALLS` batches of `len`:

@@ -67,7 +67,7 @@ fn reopened_durable_engine_stays_bit_identical_past_rescales() {
     let (engine, _) = fixture();
     let mut durable = DurableEngine::create(engine, &dir, opts).unwrap();
     for (i, &e) in stream[..BEFORE].iter().enumerate() {
-        durable.activate(e, time_of(i)).unwrap();
+        durable.activate_batch(&[e], time_of(i)).unwrap();
         reference.activate(e, time_of(i));
     }
     assert!(reference.rescales() > 0, "the compactions must land past a rescale");
@@ -75,7 +75,7 @@ fn reopened_durable_engine_stays_bit_identical_past_rescales() {
     drop(durable);
     let mut durable = DurableEngine::open(&dir, opts).unwrap();
     for (i, &e) in stream.iter().enumerate().skip(BEFORE) {
-        durable.activate(e, time_of(i)).unwrap();
+        durable.activate_batch(&[e], time_of(i)).unwrap();
         reference.activate(e, time_of(i));
     }
     assert!(exact_bytes(durable.engine()) == exact_bytes(&reference), "reopened engine drifted");

@@ -106,51 +106,6 @@ pub fn avg_f1(found: &Clustering, truth: &Clustering) -> f64 {
     0.5 * (mean_found + mean_truth)
 }
 
-/// Adjusted Rand Index (Hubert & Arabie 1985): pair-counting agreement
-/// corrected for chance; 1 for identical partitions, ≈0 for independent
-/// ones, can be negative for adversarial ones.
-pub fn ari(found: &Clustering, truth: &Clustering) -> f64 {
-    let (counts, rows, cols, n) = contingency(found, truth);
-    if n < 2.0 {
-        return 0.0;
-    }
-    let c2 = |x: f64| x * (x - 1.0) / 2.0;
-    let sum_ij: f64 = counts.values().map(|&c| c2(c)).sum();
-    let sum_i: f64 = rows.iter().map(|&r| c2(r)).sum();
-    let sum_j: f64 = cols.iter().map(|&c| c2(c)).sum();
-    let expected = sum_i * sum_j / c2(n);
-    let max_index = 0.5 * (sum_i + sum_j);
-    if (max_index - expected).abs() < 1e-300 {
-        // Degenerate case (e.g. both partitions all singletons): perfect
-        // agreement scores 1, anything else 0 — the sklearn convention.
-        return if (sum_ij - sum_i).abs() < 1e-12 && (sum_ij - sum_j).abs() < 1e-12 {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    (sum_ij - expected) / (max_index - expected)
-}
-
-/// Pairwise F1: precision/recall over node pairs co-clustered in the found
-/// vs. truth partitions.
-pub fn pairwise_f1(found: &Clustering, truth: &Clustering) -> f64 {
-    let (counts, rows, cols, n) = contingency(found, truth);
-    if n == 0.0 {
-        return 0.0;
-    }
-    let pairs = |x: f64| x * (x - 1.0) / 2.0;
-    let tp: f64 = counts.values().map(|&c| pairs(c)).sum();
-    let found_pairs: f64 = rows.iter().map(|&r| pairs(r)).sum();
-    let truth_pairs: f64 = cols.iter().map(|&c| pairs(c)).sum();
-    if found_pairs == 0.0 || truth_pairs == 0.0 || tp == 0.0 {
-        return 0.0;
-    }
-    let precision = tp / found_pairs;
-    let recall = tp / truth_pairs;
-    2.0 * precision * recall / (precision + recall)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +121,6 @@ mod tests {
         assert!((nmi(&a, &b) - 1.0).abs() < 1e-12);
         assert!((purity(&a, &b) - 1.0).abs() < 1e-12);
         assert!((avg_f1(&a, &b) - 1.0).abs() < 1e-12);
-        assert!((pairwise_f1(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -192,7 +146,6 @@ mod tests {
         let truth = Clustering::from_labels(&[0, 0, 0, 1, 1, 1]);
         let single = Clustering::singletons(6);
         assert!((purity(&single, &truth) - 1.0).abs() < 1e-12);
-        assert!(pairwise_f1(&single, &truth) < 0.01);
         assert!(avg_f1(&single, &truth) < 0.6);
     }
 
@@ -211,7 +164,6 @@ mod tests {
         let found = Clustering::from_labels(&[0, 0, 1, 1, 0, 0, 1, 1]);
         assert!(nmi(&found, &truth) < 0.1);
         assert!((purity(&found, &truth) - 0.5).abs() < 1e-12);
-        assert!(pairwise_f1(&found, &truth) < 0.5);
     }
 
     #[test]
@@ -221,36 +173,6 @@ mod tests {
         assert_eq!(nmi(&a, &b), 0.0);
         assert_eq!(purity(&a, &b), 0.0);
         assert_eq!(avg_f1(&a, &b), 0.0);
-        assert_eq!(pairwise_f1(&a, &b), 0.0);
-    }
-
-    #[test]
-    fn ari_identical_and_independent() {
-        let truth = Clustering::from_labels(&[0, 0, 0, 1, 1, 1, 2, 2, 2]);
-        assert!((ari(&truth, &truth) - 1.0).abs() < 1e-12);
-        // Round robin splits every true pair — worse than chance, so the
-        // chance-corrected index goes negative (here exactly −1/3).
-        let rr = Clustering::from_labels(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        let score = ari(&rr, &truth);
-        assert!(score < 0.0, "adversarial partition must be below chance, got {score}");
-        assert!((score + 1.0 / 3.0).abs() < 1e-12);
-        // Permuted labels stay perfect.
-        let perm = Clustering::from_labels(&[5, 5, 5, 9, 9, 9, 1, 1, 1]);
-        assert!((ari(&perm, &truth) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ari_degenerate_inputs() {
-        // Single cluster vs itself: agreement is trivially perfect.
-        let a = Clustering::from_labels(&[0, 0, 0, 0]);
-        assert_eq!(ari(&a, &a), 1.0);
-        // All singletons vs themselves: likewise (sklearn convention).
-        let s = Clustering::singletons(4);
-        assert_eq!(ari(&s, &s), 1.0);
-        // Singletons vs one block: zero pair agreement possible → 0.
-        assert_eq!(ari(&s, &a), 0.0);
-        let noise = Clustering::all_noise(4);
-        assert_eq!(ari(&noise, &a), 0.0);
     }
 
     #[test]
@@ -260,6 +182,5 @@ mod tests {
         let split = Clustering::from_labels(&[0, 0, 2, 2, 1, 1, 3, 3]);
         assert!((purity(&split, &truth) - 1.0).abs() < 1e-12);
         assert!(avg_f1(&split, &truth) < 1.0);
-        assert!(pairwise_f1(&split, &truth) < 1.0);
     }
 }

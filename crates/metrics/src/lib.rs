@@ -3,8 +3,7 @@
 //! Clustering-quality metrics used in the paper's evaluation (Section VI-A):
 //!
 //! * Ground-truth measures: **NMI** (Strehl & Ghosh normalization),
-//!   **Purity**, **F1** (both best-match average-F1 à la Yang & Leskovec
-//!   and pairwise F1), and the **Adjusted Rand Index**.
+//!   **Purity** and best-match average **F1** (Yang & Leskovec).
 //! * Structural measures: weighted **Modularity** (Newman) and average
 //!   **Conductance** (Yang & Leskovec).
 //!
@@ -20,5 +19,5 @@ mod ground_truth;
 mod structural;
 
 pub use clustering::{Clustering, NOISE};
-pub use ground_truth::{ari, avg_f1, nmi, pairwise_f1, purity};
+pub use ground_truth::{avg_f1, nmi, purity};
 pub use structural::{avg_conductance, modularity};
