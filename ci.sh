@@ -18,7 +18,7 @@
 #     community_watch example (monitor reports checked against a recount)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
 #     thread count unset, repair completeness, rescale/repair commutation,
-#     restore identity past rescales,
+#     restore identity past rescales, live index = rebuild up to n = 20 000,
 #     the n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
 #     equivalence proptest and the pinned build digest; serve_stress,
@@ -130,7 +130,9 @@ echo "==> repair completeness + realistic-n cache checks (release)"
 # Every node a Voronoi repair writes must be in the affected set it returns
 # (n = 2 000); a power-of-two rescale must commute with repair bit for
 # bit, so the rescaled partition writes the same nodes; a restored or reopened engine must stay
-# bit-identical to the live one across batched rescales; and the
+# bit-identical to the live one across batched rescales, and the live index
+# must equal reconstruct_index() in every array at n = 2 000 (with and
+# without rescales) and at n = 20 000 (release only); and the
 # n = 20 000 stream that crosses the first batched rescale must keep the
 # cluster cache in step with the index (ROADMAP item 1(a)'s reproducer).
 # Near-ties an ulp apart need realistic n, so these run by name in release.

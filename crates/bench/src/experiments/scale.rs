@@ -29,9 +29,9 @@ use anc_graph::gen::{barabasi_albert, planted_partition, PlantedConfig};
 use anc_graph::Graph;
 
 /// Ceiling on Exact snapshot bytes over resident `memory_bytes()`. The file
-/// adds the topology but drops the derived `1/S*` array and stores ids as
-/// varints, which widen with n: measured 0.70 (n = 10³), 0.71 (the smoke
-/// row), 0.77 (10⁵), 0.80 (10⁶), the same on both families.
+/// adds the topology but drops the index and the derived `1/S*` array:
+/// measured 0.20 (n = 10³), 0.19 (the smoke row), 0.17 (10⁴) and 0.15
+/// (10⁵) on the planted family, 0.01–0.02 lower on BA.
 const EXACT_OVER_MEMORY_MAX: f64 = 0.9;
 
 fn make_graph(family: &str, n: usize, seed: u64) -> Graph {

@@ -82,7 +82,9 @@ impl AncConfig {
             (self.lambda >= 0.0 && self.lambda.is_finite(), "lambda must be >= 0"),
             ((0.0..=1.0).contains(&self.epsilon), "epsilon must be in [0, 1]"),
             (self.mu >= 1, "mu must be >= 1"),
-            (self.k >= 1, "k must be >= 1"),
+            // A restore sizes a `k · ⌈log₂ n⌉`-partition build from a
+            // decoded `k`, so it is bounded before anything is allocated.
+            ((1..=1_024).contains(&self.k), "k must be in 1..=1024"),
             ((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]"),
             (self.floor > 0.0, "floor must be positive (1/S must stay finite)"),
             (self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)"),
@@ -156,6 +158,14 @@ mod tests {
     fn infinite_exponent_guard_rejected() {
         let rescale = RescaleConfig { exponent_guard: f64::INFINITY, ..Default::default() };
         AncConfig { rescale, ..Default::default() }.validate();
+    }
+
+    #[test]
+    fn k_bounded() {
+        assert_eq!(AncConfig { k: 1_024, ..Default::default() }.check(), Ok(()));
+        for k in [0, 1_025, 1 << 62] {
+            assert!(AncConfig { k, ..Default::default() }.check().is_err(), "{k}");
+        }
     }
 
     #[test]

@@ -61,10 +61,10 @@ use crate::similarity::{NodeType, Scratch, SimilarityCtx};
 /// # engine.check_invariants().unwrap();
 /// ```
 pub struct AncEngine {
-    /// Everything a snapshot persists (DESIGN.md §11): the graph, config,
-    /// clock, anchored activeness, node sums and similarity (PosM), the
-    /// pyramids and the counters. Every other field is derived from it or
-    /// transient.
+    /// The engine's whole state (DESIGN.md §11): the graph, config, clock,
+    /// anchored activeness, node sums and similarity (PosM), the pyramids
+    /// (which the binary file rebuilds rather than stores) and the
+    /// counters. Every other field is derived from it or transient.
     state: EngineSnapshot,
     /// Anchored reciprocal similarity `1/S*` per edge (NegM) — the index's
     /// edge weights, kept materialized so partitions can read a plain slice.
@@ -655,7 +655,6 @@ pub struct ClusterView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::binary::exact_bytes;
     use anc_graph::gen::connected_caveman;
 
     fn engine_fixture(rep: usize) -> AncEngine {
@@ -699,35 +698,16 @@ mod tests {
     fn online_update_matches_full_rebuild() {
         // The decisive end-to-end property: after a stream of activations,
         // the incrementally maintained index must equal an index rebuilt
-        // from scratch over the same weights (same seeds → same partitions).
+        // from scratch over the same weights (same seeds → same partitions),
+        // bit for bit in every array.
         let mut engine = engine_fixture(1);
         let m = engine.graph().m() as u32;
         for i in 0..40u32 {
             engine.activate((i * 11 + 3) % m, (i / 4) as f64);
         }
-        let live_dists: Vec<Vec<f64>> = (0..engine.pyramids().k())
-            .flat_map(|p| (0..engine.num_levels()).map(move |l| (p, l)))
-            .map(|(p, l)| {
-                (0..engine.graph().n() as u32)
-                    .map(|v| engine.pyramids().partition(p, l).dist(v))
-                    .collect()
-            })
-            .collect();
+        let live = engine.state_bytes_for_test();
         engine.reconstruct_index();
-        let mut idx = 0;
-        for p in 0..engine.pyramids().k() {
-            for l in 0..engine.num_levels() {
-                for v in 0..engine.graph().n() as u32 {
-                    let fresh = engine.pyramids().partition(p, l).dist(v);
-                    let live = live_dists[idx][v as usize];
-                    assert!(
-                        (fresh - live).abs() <= 1e-6 * (1.0 + fresh.abs()),
-                        "pyramid {p} level {l} node {v}: live {live} vs rebuild {fresh}"
-                    );
-                }
-                idx += 1;
-            }
-        }
+        assert!(live == engine.state_bytes_for_test(), "live index differs from the rebuild");
     }
 
     #[test]
@@ -880,7 +860,11 @@ mod tests {
         }
         // The serialized snapshots (state + every partition) must be
         // byte-identical.
-        assert_eq!(exact_bytes(&serial), exact_bytes(&batched), "snapshots diverge");
+        assert_eq!(
+            serial.state_bytes_for_test(),
+            batched.state_bytes_for_test(),
+            "snapshots diverge"
+        );
         batched.check_invariants().unwrap();
     }
 
@@ -949,8 +933,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut engine = engine_fixture(1);
-        let before = exact_bytes(&engine);
+        let before = engine.state_bytes_for_test();
         assert_eq!(engine.activate_batch(&[], 5.0), RepairStats::default());
-        assert_eq!(before, exact_bytes(&engine));
+        assert_eq!(before, engine.state_bytes_for_test());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! "ANCS"  magic (4 bytes)
-//! u32     format version (currently 1)
+//! u32     format version (currently 2; 1 stored the pyramids and is refused)
 //! u8      profile: always 0 (Exact)
 //! body    (see below)
 //! u32     CRC-32 (IEEE) over every preceding byte
@@ -14,19 +14,14 @@
 //! Body, in order: config, decay-clock parts, delta-encoded CSR topology
 //! ([`anc_graph::codec::encode_graph`]), anchored activeness per edge,
 //! per-node activeness sums, anchored similarity per edge, running
-//! similarity sum, index RNG seed, lifetime counters,
-//! then the pyramids — per partition its whole state
-//! `(seeds, seed_of, dist, parent)`:
+//! similarity sum, index RNG seed, lifetime counters.
 //!
-//! * seeds as zigzag deltas in stored (sampling) order;
-//! * `seed_of` as a varint index into the partition's seed list (`0` =
-//!   unreachable, else index + 1) — 1–3 bytes instead of a raw node id;
-//! * `parent` as the zigzag delta `parent − v` (`0` = no parent; a parent
-//!   is never the node itself, so the delta is never 0);
-//! * `dist` as a float array.
-//!
-//! That is everything a [`crate::voronoi::VoronoiPartition`] holds, so a
-//! restored engine evolves bit-identically to the live one by construction.
+//! The pyramids are not stored. The index is a function of the weights
+//! `1/S*` and the seeds its RNG seed samples: the repairs keep the build's
+//! tie rule ([`crate::voronoi`]), so the live index always equals a fresh
+//! build. [`decode_snapshot`] checks the decoded state, then rebuilds the
+//! index from it with [`Pyramids::build`], and the restored engine evolves
+//! bit-identically to the live one.
 //!
 //! Every float is stored as raw `f64` bits: a restored engine is
 //! bit-identical to the saved one, `save(load(bytes))` reproduces `bytes`
@@ -37,24 +32,21 @@
 
 use anc_decay::{ActivenessStore, ClockParts, DecayClock, RescaleConfig};
 use anc_graph::codec::{
-    crc32, decode_graph, encode_graph, put_f64, put_ivarint, put_u32, put_u64, put_u8, put_uvarint,
-    Reader,
+    crc32, decode_graph, encode_graph, put_f64, put_u32, put_u64, put_u8, put_uvarint, Reader,
 };
-use anc_graph::{Graph, NodeId, NO_NODE};
 
 use crate::config::check_rescale;
 use crate::engine::AncEngine;
 use crate::pyramid::Pyramids;
-use crate::voronoi::VoronoiPartition;
 use crate::AncConfig;
 
-use super::{le_u32, le_u64, EngineSnapshot, RestoreError};
+use super::{check_state, le_u32, le_u64, EngineSnapshot, RestoreError};
 
 /// Magic bytes opening every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
 
 /// Binary snapshot format version.
-pub const BINARY_VERSION: u32 = 1;
+pub const BINARY_VERSION: u32 = 2;
 
 /// Float fidelity of a binary snapshot: raw `f64` bits everywhere, so a
 /// restore is bit-identical. The header still records it as one byte.
@@ -121,6 +113,8 @@ fn encode_config(out: &mut Vec<u8>, c: &AncConfig) {
     put_u8(out, 0);
 }
 
+/// The config as stored; its ranges are checked with the rest of the state
+/// ([`check_state`]).
 fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
     let cfg = AncConfig {
         lambda: r.f64()?,
@@ -142,15 +136,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
             other => return Err(RestoreError::Codec(format!("unknown {knob} {other}"))),
         }
     }
-    // The CRC has already passed by the time state is adopted, but a
-    // version-skewed or hand-edited file must surface a typed error, not
-    // `AncConfig::validate`'s panic.
-    match cfg.check() {
-        Ok(()) => Ok(cfg),
-        Err(msg) => {
-            Err(RestoreError::Inconsistent(format!("config out of range ({msg}): {cfg:?}")))
-        }
-    }
+    Ok(cfg)
 }
 
 fn encode_clock(out: &mut Vec<u8>, clock: &DecayClock) {
@@ -179,124 +165,6 @@ fn decode_clock(r: &mut Reader<'_>) -> Result<DecayClock, RestoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// Pyramids
-// ---------------------------------------------------------------------------
-
-fn encode_pyramids(out: &mut Vec<u8>, pyr: &Pyramids) {
-    let (partitions, k, levels, needed_votes, n) = pyr.persist_parts();
-    put_uvarint(out, k as u64);
-    put_uvarint(out, levels as u64);
-    put_uvarint(out, needed_votes as u64);
-    put_uvarint(out, n as u64);
-    // Scratch map node id → index in the current partition's seed list;
-    // only the touched entries are reset between partitions.
-    let mut seed_index: Vec<u32> = Vec::with_capacity(n);
-    seed_index.resize(n, u32::MAX);
-    for part in partitions {
-        let (seeds, seed_of, dist, parent) = part.persist_parts();
-        put_uvarint(out, seeds.len() as u64);
-        let mut prev: i64 = 0;
-        for &s in seeds {
-            put_ivarint(out, s as i64 - prev);
-            prev = s as i64;
-        }
-        for (i, &s) in (0u32..).zip(seeds) {
-            seed_index[s as usize] = i;
-        }
-        for &sv in seed_of {
-            if sv == NO_NODE {
-                put_uvarint(out, 0);
-            } else {
-                put_uvarint(out, seed_index[sv as usize] as u64 + 1);
-            }
-        }
-        for &s in seeds {
-            seed_index[s as usize] = u32::MAX;
-        }
-        for (v, &p) in parent.iter().enumerate() {
-            if p == NO_NODE {
-                put_uvarint(out, 0);
-            } else {
-                // parent ≠ v, so the zigzag varint is never the 0 sentinel.
-                put_ivarint(out, p as i64 - v as i64);
-            }
-        }
-        put_float_array(out, dist);
-    }
-}
-
-/// `base + delta` as a node id below `n`. Both operands can come from the
-/// file, so the sum is checked and the id converted, never wrapped or cast.
-fn node_at(base: i64, delta: i64, n: usize) -> Option<NodeId> {
-    let v = NodeId::try_from(base.checked_add(delta)?).ok()?;
-    ((v as usize) < n).then_some(v)
-}
-
-fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreError> {
-    let k = r.uvarint_len()?;
-    let levels = r.uvarint_len()?;
-    let needed_votes = r.uvarint_len()?;
-    let n = r.uvarint_len()?;
-    if n != g.n() {
-        return Err(RestoreError::Inconsistent(format!(
-            "pyramids built for {n} nodes, graph has {}",
-            g.n()
-        )));
-    }
-    let total = k.checked_mul(levels).ok_or_else(|| {
-        RestoreError::Inconsistent(format!("k = {k} × levels = {levels} overflows"))
-    })?;
-    let mut partitions = Vec::with_capacity(total);
-    for _ in 0..total {
-        let seed_count = r.uvarint_len()?;
-        if seed_count > n {
-            return Err(RestoreError::Inconsistent(format!(
-                "partition has {seed_count} seeds for {n} nodes"
-            )));
-        }
-        let mut seeds = Vec::with_capacity(seed_count);
-        let mut prev: i64 = 0;
-        for i in 0..seed_count {
-            let s = node_at(prev, r.ivarint()?, n).ok_or_else(|| {
-                RestoreError::Inconsistent(format!("seed {i} out of range for {n} nodes"))
-            })?;
-            seeds.push(s);
-            prev = i64::from(s);
-        }
-        let mut seed_of = Vec::with_capacity(n);
-        for v in 0..n {
-            let z = r.uvarint()?;
-            if z == 0 {
-                seed_of.push(NO_NODE);
-            } else {
-                let idx = z - 1;
-                let seed =
-                    usize::try_from(idx).ok().and_then(|i| seeds.get(i)).ok_or_else(|| {
-                        RestoreError::Inconsistent(format!(
-                            "node {v}: seed index {idx} out of range for {seed_count} seeds"
-                        ))
-                    })?;
-                seed_of.push(*seed);
-            }
-        }
-        let mut parent = Vec::with_capacity(n);
-        for v in 0..n {
-            let d = r.ivarint()?;
-            if d == 0 {
-                parent.push(NO_NODE);
-            } else {
-                parent.push(node_at(v as i64, d, n).ok_or_else(|| {
-                    RestoreError::Inconsistent(format!("node {v}: parent out of range"))
-                })?);
-            }
-        }
-        let dist = read_float_array(r, n)?;
-        partitions.push(VoronoiPartition::from_persist_parts(seeds, seed_of, dist, parent));
-    }
-    Ok(Pyramids::from_persist_parts(partitions, k, levels, needed_votes, n))
-}
-
-// ---------------------------------------------------------------------------
 // Whole-snapshot encode/decode
 // ---------------------------------------------------------------------------
 
@@ -304,8 +172,8 @@ fn decode_pyramids(r: &mut Reader<'_>, g: &Graph) -> Result<Pyramids, RestoreErr
 /// mirror of [`decode_snapshot`].
 pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
     let (n, m) = (s.graph.n(), s.graph.m());
-    // Rough pre-size: topology + two per-edge arrays + pyramids.
-    let mut out = Vec::with_capacity(64 + 12 * m + 16 * n);
+    // Rough pre-size: topology + two per-edge float arrays + node sums.
+    let mut out = Vec::with_capacity(64 + 20 * m + 8 * n);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u32(&mut out, BINARY_VERSION);
     put_u8(&mut out, EXACT);
@@ -319,21 +187,16 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
     put_u64(&mut out, s.index_seed);
     put_uvarint(&mut out, s.activations);
     put_uvarint(&mut out, s.rescales);
-    encode_pyramids(&mut out, &s.pyramids);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
 }
 
-/// The unit tests' state digest: the whole persisted state as snapshot
-/// bytes (raw `f64` bits), so equal bytes mean bit-identical engines.
-#[cfg(test)]
-pub(crate) fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
-    encode_snapshot(engine.state())
-}
-
 /// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
-/// magic, version and CRC-32 trailer first.
+/// magic, version and CRC-32 trailer first. The decoded state passes the
+/// checks [`EngineSnapshot::validate`] applies to it before the index is
+/// rebuilt from it, so a forged config or similarity is refused, typed,
+/// before it can size or weight a build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() {
         return Err(RestoreError::Truncated { offset: bytes.len() });
@@ -368,18 +231,21 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     let index_seed = r.u64()?;
     let activations = r.uvarint()?;
     let rescales = r.uvarint()?;
-    let pyramids = decode_pyramids(&mut r, &graph)?;
     if !r.is_empty() {
         return Err(RestoreError::Codec(format!(
             "{} trailing bytes after snapshot",
             r.remaining()
         )));
     }
+    let activeness = ActivenessStore::from_anchored(activeness);
+    check_state(&graph, &config, &clock, &activeness, &node_sum, &sim)?;
+    let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
+    let pyramids = Pyramids::build(&graph, &recip, config.k, config.theta, index_seed);
     Ok(EngineSnapshot {
         graph,
         config,
         clock,
-        activeness: ActivenessStore::from_anchored(activeness),
+        activeness,
         node_sum,
         sim,
         pyramids,
@@ -404,9 +270,31 @@ impl AncEngine {
         Ok(())
     }
 
+    /// The whole state as bytes, for tests that compare engines bit for
+    /// bit: the Exact snapshot, then every partition's `(dist bits,
+    /// seed_of, parent)` per node, since the snapshot stores no index.
+    /// Not part of the public API.
+    #[doc(hidden)]
+    pub fn state_bytes_for_test(&self) -> Vec<u8> {
+        let mut out = encode_snapshot(self.state());
+        let pyr = self.pyramids();
+        for p in 0..pyr.k() {
+            for l in 0..pyr.num_levels() {
+                let part = pyr.partition(p, l);
+                for v in (0..).take(self.graph().n()) {
+                    put_u64(&mut out, part.dist(v).to_bits());
+                    put_u32(&mut out, part.seed_of(v));
+                    put_u32(&mut out, part.parent(v));
+                }
+            }
+        }
+        out
+    }
+
     /// Restores an engine from a binary snapshot produced by
     /// [`AncEngine::save_binary`]. Verifies the CRC-32 trailer, decodes with
-    /// range checks, then runs [`EngineSnapshot::validate`].
+    /// range checks, rebuilds the index ([`decode_snapshot`]), then runs
+    /// [`EngineSnapshot::validate`].
     pub fn load_binary<R: std::io::Read>(mut reader: R) -> Result<Self, RestoreError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
@@ -417,8 +305,9 @@ impl AncEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterMode, InvariantViolation};
+    use crate::ClusterMode;
     use anc_graph::gen::connected_caveman;
+    use anc_graph::NO_NODE;
 
     fn streamed_engine() -> AncEngine {
         let lg = connected_caveman(3, 5);
@@ -497,77 +386,40 @@ mod tests {
         }
     }
 
-    /// A CRC-valid snapshot whose pyramid header disagrees with the graph or
-    /// the config must not load: every rewrite below keeps `k · levels = 8`
-    /// partitions on the wire, so only the shape check can refuse it.
+    /// The index is rebuilt from the decoded config, so a `k` past the
+    /// config's bound is refused, typed, before a `k · levels` build is
+    /// sized from it.
     #[test]
-    fn forged_index_shape_rejected() {
+    fn oversized_k_rejected_before_the_build() {
         let engine = streamed_engine();
         let bytes = save(&engine);
-        let mut pyramids = Vec::new();
-        encode_pyramids(&mut pyramids, engine.pyramids());
-        let header_at = bytes.len() - 4 - pyramids.len();
-        assert_eq!(bytes[header_at..header_at + 4], [2, 4, 2, 15], "k, levels, votes, n");
-        for (k, levels, votes) in [(4u8, 2u8, 2u8), (1, 8, 2), (8, 1, 2), (2, 4, 9)] {
-            let mut forged = bytes.clone();
-            forged[header_at..header_at + 3].copy_from_slice(&[k, levels, votes]);
+        let mut config = Vec::new();
+        encode_config(&mut config, engine.config());
+        let (head, tail) = (&bytes[..9], &bytes[9 + config.len()..]);
+        for k in [1_025, 1 << 62] {
+            let mut forged = head.to_vec();
+            encode_config(&mut forged, &AncConfig { k, ..engine.config().clone() });
+            forged.extend_from_slice(tail);
             restamp_crc(&mut forged);
-            let err = load_err(&forged);
-            assert!(
-                matches!(err, RestoreError::Invariant(InvariantViolation::IndexShape(_))),
-                "k={k} levels={levels} votes={votes}: {err}"
-            );
+            match load_err(&forged) {
+                RestoreError::Inconsistent(msg) => assert!(msg.contains("k must be"), "{msg}"),
+                other => panic!("k = {k}: expected Inconsistent, got {other}"),
+            }
         }
-        // In range, but not the ⌈θk⌉ the config implies.
-        let mut forged = bytes.clone();
-        forged[header_at + 2] = 1;
-        restamp_crc(&mut forged);
-        let err = load_err(&forged);
-        assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
     }
 
-    /// Seed and parent ids are stored as deltas; a delta that overflows the
-    /// running sum or lands outside the node range is refused with a typed
-    /// error (the sums used to be unchecked `i64` adds: a debug-build panic).
+    /// A snapshot over no nodes, which no engine writes, is refused before
+    /// a build would look for seeds among them.
     #[test]
-    fn forged_pyramid_deltas_rejected() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        // k, levels, needed_votes, n, then one partition's seed count.
-        let header = |out: &mut Vec<u8>, seeds: u64| {
-            for v in [1, 1, 1, 3, seeds] {
-                put_uvarint(out, v);
-            }
-        };
-        let refused = |bytes: &[u8], what: &str| match decode_pyramids(&mut Reader::new(bytes), &g)
-        {
-            Err(RestoreError::Inconsistent(msg)) => assert!(msg.contains(what), "{msg}"),
-            other => panic!("{what}: expected Inconsistent, got {:?}", other.err()),
-        };
-
-        // Second seed = 1 + i64::MAX.
-        let mut bytes = Vec::new();
-        header(&mut bytes, 2);
-        put_ivarint(&mut bytes, 1);
-        put_ivarint(&mut bytes, i64::MAX);
-        refused(&bytes, "seed 1 out of range");
-
-        // One seed (node 0) owning every node; node 1's parent = 1 + i64::MAX.
-        let mut bytes = Vec::new();
-        header(&mut bytes, 1);
-        put_ivarint(&mut bytes, 0);
-        for _ in 0..3 {
-            put_uvarint(&mut bytes, 1);
+    fn empty_graph_rejected_before_the_build() {
+        let mut s = streamed_engine().to_snapshot();
+        s.graph = anc_graph::Graph::from_edges(0, &[]);
+        s.activeness = ActivenessStore::from_anchored(Vec::new());
+        (s.node_sum, s.sim) = (Vec::new(), Vec::new());
+        match decode_snapshot(&encode_snapshot(&s)) {
+            Err(RestoreError::Inconsistent(msg)) => assert!(msg.contains("no nodes"), "{msg}"),
+            other => panic!("expected Inconsistent, got {:?}", other.err()),
         }
-        put_uvarint(&mut bytes, 0);
-        put_ivarint(&mut bytes, i64::MAX);
-        refused(&bytes, "node 1: parent out of range");
-
-        // A seed index past the seed list (and past `usize` on 32-bit hosts).
-        let mut bytes = Vec::new();
-        header(&mut bytes, 1);
-        put_ivarint(&mut bytes, 0);
-        put_uvarint(&mut bytes, u64::MAX);
-        refused(&bytes, "node 0: seed index");
     }
 
     #[test]
@@ -638,6 +490,11 @@ mod tests {
         restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(99)), "{err}");
+        // Version 1 stored the pyramids; it is refused, not migrated.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        restamp_crc(&mut bytes);
+        let err = load_err(&bytes);
+        assert!(matches!(err, RestoreError::UnsupportedVersion(1)), "{err}");
 
         // A profile byte or a float-array tag other than 0 — the `f32`
         // Compact profile of older builds wrote 1 in both — is a typed
@@ -695,12 +552,12 @@ mod tests {
         restored.check_invariants().unwrap();
         assert_eq!(bytes, save(&restored));
         assert!(restored.pyramids().approx_distance(0, 2).is_infinite());
-        // The stream really holds both: some partition leaves a node with
-        // no seed at distance ∞.
-        let unreachable = restored.pyramids().persist_parts().0.iter().any(|part| {
-            let (_, seed_of, dist, _) = part.persist_parts();
-            seed_of.iter().zip(dist).any(|(&s, d)| s == NO_NODE && d.is_infinite())
-        });
+        // The restored index really holds both: some partition leaves a
+        // node with no seed at distance ∞.
+        let pyr = restored.pyramids();
+        let unreachable = (0..pyr.k())
+            .flat_map(|p| (0..pyr.num_levels()).map(move |l| pyr.partition(p, l)))
+            .any(|part| (0..4).any(|v| part.seed_of(v) == NO_NODE && part.dist(v).is_infinite()));
         assert!(unreachable, "no unreachable node to round-trip");
     }
 }

@@ -1,12 +1,13 @@
 //! Checkpoint and restore for the online engine.
 //!
 //! A production deployment of an activation-network index must survive
-//! restarts without replaying the entire activation history or paying a
-//! full re-index (`O(n log² n + m log n)`, Exp 3). [`EngineSnapshot`]
-//! captures the complete engine state — anchored activeness, similarity,
-//! the pyramids with their shortest-path forests, the decay clock — as the
-//! decoded form of a checkpoint; restoring is `O(state)` with no
-//! recomputation.
+//! restarts without replaying the entire activation history.
+//! [`EngineSnapshot`] captures the complete engine state — anchored
+//! activeness, similarity, the pyramids with their shortest-path forests,
+//! the decay clock — as the decoded form of a checkpoint. The binary file
+//! leaves the pyramids out: they are a function of the similarity and the
+//! index seed, so a restore rebuilds them (`O(n log² n + m log n)`, Exp 3's
+//! build without the `S₀` reinforcement passes).
 //!
 //! Two encodings share the snapshot model (DESIGN.md §11), and both restore
 //! through [`EngineSnapshot::validate`]:
@@ -19,13 +20,13 @@
 //!   activation log over a base binary snapshot with per-record checksums,
 //!   periodic compaction and crash recovery by suffix replay.
 //!
-//! **Derived state is excluded.** The incremental cluster-query cache
-//! ([`crate::ClusterCache`]) is deliberately not part of the snapshot: every
-//! cached bitset and clustering is a pure function of the pyramids, so
-//! serializing it would only duplicate state that can drift. A restored
-//! engine constructs an empty cache and refills it lazily — the first
-//! `cluster_all` per level pays one parallel voting pass and lands on
-//! labels identical to the pre-snapshot engine's.
+//! **Derived state is excluded.** The binary file stores no index (above),
+//! and the incremental cluster-query cache ([`crate::ClusterCache`]) is
+//! part of no snapshot: every cached bitset and clustering is a pure
+//! function of the pyramids, so serializing it would only duplicate state
+//! that can drift. A restored engine constructs an empty cache and refills
+//! it lazily — the first `cluster_all` per level pays one parallel voting
+//! pass and lands on labels identical to the pre-snapshot engine's.
 
 #![cfg_attr(
     not(test),
@@ -67,8 +68,11 @@ pub struct EngineSnapshot {
     /// Anchored similarity per edge.
     pub sim: Vec<f64>,
     /// The pyramids index (partitions, seeds, shortest-path forests).
+    /// [`crate::AncEngine::from_snapshot`] adopts it as given; the binary
+    /// snapshot does not store it.
     pub pyramids: Pyramids,
-    /// RNG seed the index was built with (reused by offline rebuilds).
+    /// RNG seed the index was built with: a binary restore rebuilds the
+    /// index from it, and offline rebuilds reuse it.
     pub index_seed: u64,
     /// Running anchored-similarity sum (relative floor).
     pub sim_sum: f64,
@@ -185,48 +189,20 @@ pub(crate) fn le_u64(b: &[u8]) -> u64 {
 }
 
 impl EngineSnapshot {
-    /// Validates internal consistency: sizes line up, similarities are
-    /// positive, the CSR is well formed, the clock decays at the config's λ
-    /// under its rescale policy, and the index has the shape the graph and
-    /// config imply (`O(n + m)`; the `O(k · m log n)` forest check
-    /// stays with [`crate::AncEngine::check_invariants`]).
+    /// Validates internal consistency: [`check_state`] on everything but the
+    /// index, then the index against the graph and the config (`O(n + m)`;
+    /// the `O(k · m log n)` forest check stays with
+    /// [`crate::AncEngine::check_invariants`]).
     pub fn validate(&self) -> Result<(), RestoreError> {
-        let (n, m) = (self.graph.n(), self.graph.m());
-        if self.sim.len() != m {
-            return Err(RestoreError::Inconsistent(format!(
-                "sim has {} entries for {m} edges",
-                self.sim.len()
-            )));
-        }
-        if self.activeness.len() != m {
-            return Err(RestoreError::Inconsistent(format!(
-                "activeness has {} entries for {m} edges",
-                self.activeness.len()
-            )));
-        }
-        if self.node_sum.len() != n {
-            return Err(RestoreError::Inconsistent(format!(
-                "node_sum has {} entries for {n} nodes",
-                self.node_sum.len()
-            )));
-        }
-        // Shared with the engine's own checker — one validator, two callers.
-        crate::invariant::check_similarities(&self.sim).map_err(RestoreError::Invariant)?;
-        crate::invariant::check_graph(&self.graph).map_err(RestoreError::Invariant)?;
-        // λ and the rescale policy travel twice, in the config and in the
-        // clock; the engine decays by the clock's, so they must agree bit for
-        // bit.
-        let (clock, cfg) = (self.clock.to_parts(), &self.config);
-        if clock.lambda.to_bits() != cfg.lambda.to_bits()
-            || clock.cfg.every_activations != cfg.rescale.every_activations
-            || clock.cfg.exponent_guard.to_bits() != cfg.rescale.exponent_guard.to_bits()
-        {
-            return Err(RestoreError::Inconsistent(format!(
-                "clock has lambda = {} and {:?}, config says lambda = {} and {:?}",
-                clock.lambda, clock.cfg, cfg.lambda, cfg.rescale
-            )));
-        }
-        self.pyramids.check_shape(n).map_err(RestoreError::Invariant)?;
+        check_state(
+            &self.graph,
+            &self.config,
+            &self.clock,
+            &self.activeness,
+            &self.node_sum,
+            &self.sim,
+        )?;
+        self.pyramids.check_shape(self.graph.n()).map_err(RestoreError::Invariant)?;
         let (k, votes) = (self.pyramids.k(), self.pyramids.needed_votes());
         if k != self.config.k || votes != self.config.needed_votes() {
             return Err(RestoreError::Inconsistent(format!(
@@ -237,6 +213,67 @@ impl EngineSnapshot {
         }
         Ok(())
     }
+}
+
+/// The checks on a snapshot's state apart from the index: the config's
+/// ranges, at least one node, array sizes, positive similarities, a
+/// well-formed CSR, and a clock that decays at the config's λ under its
+/// rescale policy (`O(n + m)`).
+/// [`EngineSnapshot::validate`] runs them, and a binary restore runs them
+/// before it builds the index from that state.
+pub(crate) fn check_state(
+    graph: &Graph,
+    config: &AncConfig,
+    clock: &DecayClock,
+    activeness: &ActivenessStore,
+    node_sum: &[f64],
+    sim: &[f64],
+) -> Result<(), RestoreError> {
+    // A version-skewed or hand-edited snapshot must surface a typed error,
+    // not `AncConfig::validate`'s panic.
+    config.check().map_err(|msg| {
+        RestoreError::Inconsistent(format!("config out of range ({msg}): {config:?}"))
+    })?;
+    let (n, m) = (graph.n(), graph.m());
+    if n == 0 {
+        // Every partition needs a seed; no engine is built over no nodes.
+        return Err(RestoreError::Inconsistent("graph has no nodes".into()));
+    }
+    if sim.len() != m {
+        return Err(RestoreError::Inconsistent(format!(
+            "sim has {} entries for {m} edges",
+            sim.len()
+        )));
+    }
+    if activeness.len() != m {
+        return Err(RestoreError::Inconsistent(format!(
+            "activeness has {} entries for {m} edges",
+            activeness.len()
+        )));
+    }
+    if node_sum.len() != n {
+        return Err(RestoreError::Inconsistent(format!(
+            "node_sum has {} entries for {n} nodes",
+            node_sum.len()
+        )));
+    }
+    // Shared with the engine's own checker — one validator, two callers.
+    crate::invariant::check_similarities(sim).map_err(RestoreError::Invariant)?;
+    crate::invariant::check_graph(graph).map_err(RestoreError::Invariant)?;
+    // λ and the rescale policy travel twice, in the config and in the
+    // clock; the engine decays by the clock's, so they must agree bit for
+    // bit.
+    let parts = clock.to_parts();
+    if parts.lambda.to_bits() != config.lambda.to_bits()
+        || parts.cfg.every_activations != config.rescale.every_activations
+        || parts.cfg.exponent_guard.to_bits() != config.rescale.exponent_guard.to_bits()
+    {
+        return Err(RestoreError::Inconsistent(format!(
+            "clock has lambda = {} and {:?}, config says lambda = {} and {:?}",
+            parts.lambda, parts.cfg, config.lambda, config.rescale
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

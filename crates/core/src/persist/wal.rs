@@ -514,7 +514,6 @@ fn reset_wal(dir: &Path, base_activations: u64) -> Result<File, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::binary::exact_bytes;
     use crate::AncConfig;
     use anc_graph::gen::connected_caveman;
 
@@ -559,11 +558,15 @@ mod tests {
             durable.activate_batch(&[(i * 7 + 2) % m], i as f64 * 0.4).unwrap();
         }
         durable.activate_batch(&[1, 3, 1], 11.0).unwrap();
-        let want = exact_bytes(durable.engine());
+        let want = durable.engine().state_bytes_for_test();
         drop(durable); // "crash": nothing beyond the appends is persisted
 
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(exact_bytes(recovered.engine()), want, "recovery must be bit-identical");
+        assert_eq!(
+            recovered.engine().state_bytes_for_test(),
+            want,
+            "recovery must be bit-identical"
+        );
         recovered.engine().check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -578,11 +581,11 @@ mod tests {
             durable.activate_batch(&[(i * 5 + 1) % m], i as f64 * 0.3).unwrap();
         }
         assert!(durable.wal_records() < 30, "compaction must have reset the log");
-        let want = exact_bytes(durable.engine());
+        let want = durable.engine().state_bytes_for_test();
         drop(durable);
 
         let recovered = DurableEngine::open(&dir, opts).unwrap();
-        assert_eq!(exact_bytes(recovered.engine()), want);
+        assert_eq!(recovered.engine().state_bytes_for_test(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -609,7 +612,7 @@ mod tests {
             reference.activate((i * 7 + 2) % m, i as f64 * 0.4);
         }
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(exact_bytes(recovered.engine()), exact_bytes(&reference));
+        assert_eq!(recovered.engine().state_bytes_for_test(), reference.state_bytes_for_test());
         // The torn bytes are gone from disk too.
         assert!(std::fs::metadata(&wal_path).unwrap().len() < len - 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -687,7 +690,7 @@ mod tests {
         let m = durable.engine().graph().m() as u32;
         durable.activate_batch(&[1], 1.0).unwrap();
         let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        let (len, state) = (wal_len(), exact_bytes(durable.engine()));
+        let (len, state) = (wal_len(), durable.engine().state_bytes_for_test());
 
         let err = durable.activate_batch(&[1, m + 5], 2.0).unwrap_err();
         assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m + 5), "{err}");
@@ -698,10 +701,10 @@ mod tests {
 
         assert_eq!(wal_len(), len, "a rejected call must not reach the log");
         assert_eq!(durable.wal_records(), 1);
-        assert_eq!(exact_bytes(durable.engine()), state);
+        assert_eq!(durable.engine().state_bytes_for_test(), state);
         drop(durable);
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(exact_bytes(recovered.engine()), state);
+        assert_eq!(recovered.engine().state_bytes_for_test(), state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -714,14 +717,18 @@ mod tests {
         for i in 0..12u32 {
             durable.activate_batch(&[(i * 7 + 2) % m], i as f64 * 0.4).unwrap();
         }
-        let want = exact_bytes(durable.engine());
+        let want = durable.engine().state_bytes_for_test();
         // Simulate a crash *between* compaction's snapshot rename and its
         // log reset: new snapshot on disk, old log untouched.
         write_snapshot_atomic(&durable.engine, &dir).unwrap();
         drop(durable);
 
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(exact_bytes(recovered.engine()), want, "stale records must not double-apply");
+        assert_eq!(
+            recovered.engine().state_bytes_for_test(),
+            want,
+            "stale records must not double-apply"
+        );
         assert_eq!(recovered.wal_records(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,11 +5,21 @@
 //! A partition is built from a seed set `S` by one multi-source Dijkstra
 //! under the reciprocal-similarity weights: each node records its closest
 //! seed (`seed_of`), its distance, and its parent in the shortest-path tree
-//! rooted at that seed. Those arrays and the seed list are the whole state
-//! — 16 B per node, exactly what a snapshot persists. The forest's children
-//! are not stored: a child of `x` is a neighbour `y` with `parent[y] == x`,
-//! so Update-Increase finds a detached subtree `T` by scanning adjacency, in
-//! the `Σ_{x ∈ T} deg x` it spends re-attaching `T` anyway (Lemma 12).
+//! rooted at that seed. Those arrays and the seed list are the whole state,
+//! 16 B per node. The forest's children are not stored: a child of `x` is a
+//! neighbour `y` with `parent[y] == x`, so Update-Increase finds a detached
+//! subtree `T` by scanning adjacency, in the `Σ_{x ∈ T} deg x` it spends
+//! re-attaching `T` anyway (Lemma 12).
+//!
+//! **The partition is a function of the weights and the seeds.** The build
+//! settles nodes in `(dist, node)` order and relaxes only on a strict `<`,
+//! so the parent of a reachable non-seed `v` is the neighbour `u` with the
+//! smallest `(dist(u), u)` among those strictly closer than `v` with
+//! `dist(u) + w(u, v) == dist(v)` exactly (in `f64`). The repairs keep that
+//! rule at every exact tie, so a repaired partition equals a fresh build
+//! in every `dist` bit, every `seed_of` and every `parent` — which is why a
+//! snapshot stores no index and a restore rebuilds it
+//! ([`crate::persist::binary`]).
 //!
 //! All distances are stored in *anchored* weight units (`1/S*`); a batched
 //! rescale multiplies them by a single constant
@@ -34,7 +44,7 @@ pub struct VoronoiPartition {
     /// Parent in the shortest-path tree ([`NO_NODE`] for seeds/unreachable).
     parent: Vec<NodeId>,
     /// Pooled Dijkstra frontier reused by build and both update algorithms.
-    /// Empty between calls — not logical state, so snapshots skip it.
+    /// Empty between calls — not logical state.
     scratch_heap: BinaryHeap<HeapEntry>,
 }
 
@@ -129,22 +139,6 @@ impl VoronoiPartition {
             + self.parent.len() * size_of::<NodeId>()
     }
 
-    /// The partition's state, borrowed for the binary snapshot codec:
-    /// `(seeds, seed_of, dist, parent)`.
-    pub(crate) fn persist_parts(&self) -> (&[NodeId], &[NodeId], &[f64], &[NodeId]) {
-        (&self.seeds, &self.seed_of, &self.dist, &self.parent)
-    }
-
-    /// Inverse of [`Self::persist_parts`].
-    pub(crate) fn from_persist_parts(
-        seeds: Vec<NodeId>,
-        seed_of: Vec<NodeId>,
-        dist: Vec<f64>,
-        parent: Vec<NodeId>,
-    ) -> Self {
-        Self { seeds, seed_of, dist, parent, scratch_heap: BinaryHeap::new() }
-    }
-
     /// Absorbs a batched rescale: all anchored distances scale by `mult`
     /// (`1/g` for the NegM distance metric, Lemma 10; ∞ stays ∞). Tree
     /// structure is invariant because the scaling is uniform, and with a
@@ -158,7 +152,9 @@ impl VoronoiPartition {
 
     /// Algorithm 2 (**Probe**): can `a`'s distance improve through neighbor
     /// `b` along edge weight `w_ab`? If so, adopt `b`'s seed, update the
-    /// distance and re-parent; return true.
+    /// distance and re-parent; return true. An exact tie re-parents too when
+    /// `b` is strictly closer than `a` and settles before `a`'s current
+    /// parent — the build's tie rule (see the module doc).
     ///
     /// Float-absorption guard: when distances span many orders of magnitude,
     /// a strict parent improvement `dist[b] + w` can round to exactly `a`'s
@@ -172,7 +168,8 @@ impl VoronoiPartition {
             return false;
         }
         let cand = db + w_ab;
-        if cand < self.dist[a as usize] {
+        let da = self.dist[a as usize];
+        if cand < da || (cand == da && self.tie_reparents(a, b)) {
             self.dist[a as usize] = cand;
             self.seed_of[a as usize] = self.seed_of[b as usize];
             self.parent[a as usize] = b;
@@ -187,15 +184,37 @@ impl VoronoiPartition {
         }
     }
 
+    /// Whether `a`, whose candidate through `b` equals its distance
+    /// exactly, is a tie the build would have resolved to `b`: `b` is
+    /// strictly closer than `a` and settles before `a`'s current parent.
+    /// Only a finite tie counts — an unreachable `a` (`∞ == ∞` through an
+    /// edge at weight ∞) has no parent. Callers test the equality first, so
+    /// the probe's common path pays one comparison for the rule.
+    #[inline]
+    fn tie_reparents(&self, a: NodeId, b: NodeId) -> bool {
+        let (da, p) = (self.dist[a as usize], self.parent[a as usize]);
+        da.is_finite() && self.dist[b as usize] < da && p != b && self.settles_before(b, p)
+    }
+
+    /// Whether `b` precedes `x` in Dijkstra's settle order `(dist, node)`.
+    #[inline]
+    fn settles_before(&self, b: NodeId, x: NodeId) -> bool {
+        let (db, dx) = (self.dist[b as usize], self.dist[x as usize]);
+        db < dx || (db == dx && b < x)
+    }
+
     /// Whether the initial [`Self::probe`] of `a` through `b` would fire —
-    /// the exact precondition, including the float-absorption guard.
+    /// the exact precondition, including the tie rule and the
+    /// float-absorption guard.
     #[inline]
     fn probe_would_fire(&self, a: NodeId, b: NodeId, w_ab: f64) -> bool {
         let db = self.dist[b as usize];
         if !db.is_finite() {
             return false;
         }
-        db + w_ab < self.dist[a as usize]
+        let (cand, da) = (db + w_ab, self.dist[a as usize]);
+        cand < da
+            || (cand == da && self.tie_reparents(a, b))
             || (self.parent[a as usize] == b
                 && self.seed_of[a as usize] != self.seed_of[b as usize])
     }
@@ -313,11 +332,16 @@ impl VoronoiPartition {
         // With all of T at ∞, a finite distance means "outside T". Every
         // candidate is computed before any distance is written back, so it
         // keeps meaning that; the candidates wait in the (pooled) frontier.
+        // A tie goes to the neighbour that settles first, as in the build.
         for &x in &out[start..] {
             let mut best = f64::INFINITY;
             for (y, e_xy) in g.edges_of(x) {
                 let cand = self.dist[y as usize] + weights[e_xy as usize];
-                if cand < best {
+                if cand < best
+                    || (cand == best
+                        && best.is_finite()
+                        && self.settles_before(y, self.parent[x as usize]))
+                {
                     best = cand;
                     self.parent[x as usize] = y;
                 }
@@ -381,7 +405,10 @@ impl VoronoiPartition {
     /// 3. no edge admits a relaxation (certifying true shortest distances);
     /// 4. unreachable nodes have no seed and no parent;
     /// 5. parent chains are acyclic — every chain reaches a parentless node
-    ///    (a seed or an unreachable node) in at most `n` steps.
+    ///    (a seed or an unreachable node) in at most `n` steps;
+    /// 6. every parent is canonical: no neighbour `u` strictly closer than
+    ///    `v` with `dist(u) + w(u, v) == dist(v)` exactly settles before
+    ///    `v`'s parent in `(dist, node)` order (the module doc's tie rule).
     ///
     /// Returns a description of the first violation, if any.
     pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), String> {
@@ -451,6 +478,17 @@ impl VoronoiPartition {
             if dv.is_finite() && dv + w < du - tol * (1.0 + du.abs()) {
                 return Err(format!("edge ({u},{v}) relaxes {u}"));
             }
+            let tie = if du + w == dv && self.tie_reparents(v, u) {
+                Some((v, u))
+            } else if dv + w == du && self.tie_reparents(u, v) {
+                Some((u, v))
+            } else {
+                None
+            };
+            if let Some((a, b)) = tie {
+                let p = self.parent[a as usize];
+                return Err(format!("{a} has parent {p}, but tie {b} settles first"));
+            }
         }
         Ok(())
     }
@@ -506,14 +544,13 @@ mod tests {
             p.on_weight_change(&g, &w, e, old);
             p.check_invariants(&g, &w)
                 .unwrap_or_else(|err| panic!("after ({a},{b},{delta:+}): {err}"));
-            // Distances must equal a fresh rebuild's.
+            // Every array must equal a fresh rebuild's, bit for bit.
             let fresh = VoronoiPartition::build(&g, &w, vec![3, 6]);
             for v in 0..g.n() as NodeId {
-                assert!(
-                    (p.dist(v) - fresh.dist(v)).abs() < 1e-9,
-                    "after ({a},{b},{delta:+}): dist({v}) = {} vs rebuild {}",
-                    p.dist(v),
-                    fresh.dist(v)
+                assert_eq!(
+                    (p.dist(v).to_bits(), p.seed_of(v), p.parent(v)),
+                    (fresh.dist(v).to_bits(), fresh.seed_of(v), fresh.parent(v)),
+                    "after ({a},{b},{delta:+}): node {v}"
                 );
             }
         }
@@ -584,6 +621,67 @@ mod tests {
         assert_eq!(p.dist(1), 5.0);
         assert_eq!(p.dist(2), 6.0);
         assert_eq!(p.seed_of(2), 0);
+    }
+
+    /// Invariant 6: on the four-cycle 0–1–3–2–0 with unit weights and seed
+    /// 0, node 3 ties between 1 and 2, and the build picks 1. A parent that
+    /// is a tie but settles later is refused.
+    #[test]
+    fn non_canonical_tie_parent_fails_the_check() {
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let w = vec![1.0; 4];
+        let mut p = VoronoiPartition::build(&g, &w, vec![0]);
+        assert_eq!((p.dist(3), p.parent(3)), (2.0, 1));
+        p.check_invariants(&g, &w).unwrap();
+        p.parent[3] = 2;
+        let err = p.check_invariants(&g, &w).expect_err("a later tie is not canonical");
+        assert!(err.contains("3 has parent 2, but tie 1 settles first"), "{err}");
+    }
+
+    /// Both repairs resolve an exact tie as the build does, to the
+    /// neighbour that settles first, and the no-op precheck sees a decrease
+    /// that only makes a tie. Seed 0; edges 0–1 (2), 0–2 (1), 1–3 (1),
+    /// 2–3 (2) and 0–3 (1), so 3 hangs off 0 with ties through 1 and 2 at
+    /// distance 3 behind it.
+    #[test]
+    fn repairs_resolve_ties_as_the_build_does() {
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]);
+        let mut w = vec![0.0; 5];
+        for (u, v, wt) in [(0, 1, 2.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 2.0), (0, 3, 1.0)] {
+            w[g.edge_id(u, v).unwrap() as usize] = wt;
+        }
+        let mut p = VoronoiPartition::build(&g, &w, vec![0]);
+        let mut step = |(u, v, wt): (NodeId, NodeId, f64), parent_of_3: NodeId| {
+            let e = g.edge_id(u, v).unwrap();
+            let old = std::mem::replace(&mut w[e as usize], wt);
+            assert!(!p.noop_weight_change(&g, &w, e, old), "({u},{v}) → {wt} is not inert");
+            p.on_weight_change(&g, &w, e, old);
+            assert_eq!(p.parent(3), parent_of_3, "after ({u},{v}) → {wt}");
+            let fresh = VoronoiPartition::build(&g, &w, vec![0]);
+            assert_eq!(
+                (&p.dist, &p.seed_of, &p.parent),
+                (&fresh.dist, &fresh.seed_of, &fresh.parent)
+            );
+        };
+        // Detached, 3 re-attaches at 3 through 1 (dist 2) or 2 (dist 1):
+        // 2 settles first, though 1 comes first in 3's adjacency.
+        step((0, 3, 10.0), 2);
+        // Lowered to 3, 0–3 only ties with 2's path, but 0 settles first.
+        step((0, 3, 3.0), 0);
+    }
+
+    /// An edge at weight ∞ (a similarity decayed to exactly 0) never
+    /// relaxes: its far end stays unreachable through repairs, and the
+    /// `∞ == ∞` candidate is not taken for a tie.
+    #[test]
+    fn infinite_weight_edge_is_no_tie() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut w = vec![1.0, f64::INFINITY];
+        let mut p = VoronoiPartition::build(&g, &w, vec![0]);
+        w[0] = 0.5;
+        assert_eq!(p.on_weight_change(&g, &w, 0, 1.0), vec![1]);
+        assert_eq!((p.dist(2), p.seed_of(2), p.parent(2)), (f64::INFINITY, NO_NODE, NO_NODE));
+        p.check_invariants(&g, &w).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `RAYON_NUM_THREADS` variable, which would race with sibling tests in the
 //! same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
 use anc_graph::gen::connected_caveman;
 
 /// Exact snapshot bytes plus per-level cluster labels, extracted through a
@@ -25,8 +25,7 @@ fn ingest_fingerprint(threads: &str) -> (Vec<u8>, Vec<Vec<u32>>) {
         engine.activate_batch(&edges, 1.0 + step as f64 * 0.4);
     }
     engine.check_invariants().unwrap();
-    let mut snapshot = Vec::new();
-    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
+    let snapshot = engine.state_bytes_for_test();
 
     // Mixed workload: both arms of the join extract clusters on their own
     // standalone cache (the engine's embedded cache is a RefCell and not

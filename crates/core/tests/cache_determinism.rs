@@ -9,7 +9,7 @@
 //! `RAYON_NUM_THREADS` variable, which would race with sibling tests in the
 //! same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
 use anc_graph::gen::connected_caveman;
 
 struct Fingerprint {
@@ -39,8 +39,7 @@ fn cold_fill_fingerprint(threads: &str) -> Fingerprint {
     for i in 0..60u32 {
         engine.activate((i * 7 + 3) % m, 1.0 + i as f64 * 0.2);
     }
-    let mut snapshot = Vec::new();
-    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
+    let snapshot = engine.state_bytes_for_test();
     let n = engine.graph().n() as u32;
 
     // A standalone cache so every query is a parallel cold fill under the

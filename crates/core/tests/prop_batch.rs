@@ -3,7 +3,7 @@
 //! same state (bit for bit, down to the serialized snapshot), same
 //! clusterings, across arbitrary streams, batch shapes and rescale timing.
 
-use anc_core::{AncConfig, AncEngine, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterMode};
 use anc_graph::gen::{connected_caveman, erdos_renyi};
 use anc_graph::Graph;
 use proptest::prelude::*;
@@ -22,13 +22,6 @@ fn small_cfg() -> AncConfig {
         rescale: anc_decay::RescaleConfig { every_activations: 9, exponent_guard: 200.0 },
         ..Default::default()
     }
-}
-
-/// The whole persisted state as Exact snapshot bytes (raw `f64` bits).
-fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    engine.save_binary(&mut bytes, SnapshotProfile::Exact).unwrap();
-    bytes
 }
 
 fn graph_for(seed: u64) -> Graph {
@@ -85,7 +78,7 @@ fn check_batch_equals_serial(
     }
     prop_assert_eq!(serial.rescales(), batched.rescales());
     // …identical snapshots (state and every partition), byte for byte…
-    prop_assert_eq!(exact_bytes(&serial), exact_bytes(&batched));
+    prop_assert_eq!(serial.state_bytes_for_test(), batched.state_bytes_for_test());
     // …and identical clusterings at every level, both semantics.
     for level in 0..serial.num_levels() {
         for mode in [ClusterMode::Even, ClusterMode::Power] {

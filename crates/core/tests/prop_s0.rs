@@ -7,7 +7,7 @@
 
 use anc_core::reinforce::{apply_reinforcement, full_pass, ReinforceParams};
 use anc_core::similarity::{Scratch, SimilarityCtx};
-use anc_core::{AncConfig, AncEngine, ClusterMode, Pyramids, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterMode, Pyramids};
 use anc_graph::gen::{planted_partition, PlantedConfig};
 use anc_graph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -132,15 +132,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// [`fnv1a`] of the Exact snapshot of `AncEngine::new` on a planted
 /// partition of 600 nodes (graph seed 7, index seed 42, default config, so
-/// `rep = 7`), recorded while S₀ still recomputed both σ rows per edge.
-const S0_BUILD_DIGEST: u64 = 0xd69d_2677_2045_7f8f;
+/// `rep = 7`), followed by every partition's `(dist bits, seed_of, parent)`
+/// per node — the snapshot stores no index, so the index is hashed beside
+/// it. Recorded at snapshot format version 2.
+const S0_BUILD_DIGEST: u64 = 0x8f4b_5e0b_a6e6_c3e7;
 
 #[test]
 fn s0_build_digest_is_pinned() {
     let graph = planted_partition(&PlantedConfig::default_for(600), 7).graph;
     let engine = AncEngine::new(graph, AncConfig::default(), 42);
-    let mut bytes = Vec::new();
-    engine.save_binary(&mut bytes, SnapshotProfile::Exact).unwrap();
+    let bytes = engine.state_bytes_for_test();
     let got = fnv1a(&bytes);
     assert_eq!(got, S0_BUILD_DIGEST, "S₀ or build bits moved: digest {got:#018x}");
 }

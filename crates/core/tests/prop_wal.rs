@@ -9,10 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anc_core::persist::{SNAPSHOT_FILE, WAL_FILE};
-use anc_core::{
-    AncConfig, AncEngine, DurabilityOptions, DurableEngine, RestoreError, SnapshotProfile,
-    WalReader,
-};
+use anc_core::{AncConfig, AncEngine, DurabilityOptions, DurableEngine, RestoreError, WalReader};
 use anc_decay::RescaleConfig;
 use anc_graph::gen::erdos_renyi;
 use proptest::prelude::*;
@@ -57,12 +54,6 @@ fn apply_durable(d: &mut DurableEngine, sels: &[usize], t: f64) {
     let m = d.engine().graph().m();
     let edges: Vec<u32> = sels.iter().map(|s| (s % m) as u32).collect();
     d.activate_batch(&edges, t).unwrap();
-}
-
-fn exact_bytes(engine: &AncEngine) -> Vec<u8> {
-    let mut buf = Vec::new();
-    engine.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
-    buf
 }
 
 /// No compaction mid-stream: the whole history stays in one log file, so a
@@ -125,8 +116,8 @@ proptest! {
         prop_assert!(recovered.engine().check_invariants().is_ok());
         prop_assert_eq!(recovered.wal_records(), prefix_records);
         prop_assert_eq!(
-            exact_bytes(recovered.engine()),
-            exact_bytes(&reference),
+            recovered.engine().state_bytes_for_test(),
+            reference.state_bytes_for_test(),
             "recovered state diverged from prefix replay (cut at {} of {})",
             cut, log.len()
         );

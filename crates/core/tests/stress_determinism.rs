@@ -17,7 +17,7 @@
 //! `RAYON_NUM_THREADS` and `ANC_STRESS_SEED` variables, which would race
 //! with sibling tests in the same binary.
 
-use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode};
 use anc_graph::gen::connected_caveman;
 
 /// Exact snapshot bytes plus per-level cluster labels, extracted through a
@@ -33,8 +33,7 @@ fn ingest_fingerprint() -> (Vec<u8>, Vec<Vec<u32>>) {
         engine.activate_batch(&edges, 1.0 + step as f64 * 0.4);
     }
     engine.check_invariants().unwrap();
-    let mut snapshot = Vec::new();
-    engine.save_binary(&mut snapshot, SnapshotProfile::Exact).unwrap();
+    let snapshot = engine.state_bytes_for_test();
 
     let n = engine.graph().n() as u32;
     let (g, pyr, levels) = (engine.graph(), engine.pyramids(), engine.num_levels());

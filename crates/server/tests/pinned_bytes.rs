@@ -132,7 +132,7 @@ const PINNED: [(&str, usize, u64); 21] = [
     ("resp ShuttingDown", 9, 0x878e9e8910650000),
     ("resp Error", 35, 0x85129c577ae7b23e),
     ("wal", 140, 0x6f318164daee6bfb),
-    ("snapshot Exact", 84017, 0xafdaaa8db8e585c4),
+    ("snapshot Exact", 15659, 0x981a8f15e5a23e12),
 ];
 
 #[test]

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use anc_core::{AncConfig, AncEngine, ClusterMode, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterMode};
 use anc_data::stream::uniform_per_step;
 use anc_graph::gen::{planted_partition, PlantedConfig};
 use anc_server::{EngineBackend, ServeConfig, ServerCore};
@@ -28,9 +28,7 @@ use anc_server::{EngineBackend, ServeConfig, ServerCore};
 const READERS: usize = 4;
 
 fn engine_bytes(engine: &AncEngine) -> Vec<u8> {
-    let mut buf = Vec::new();
-    engine.save_binary(&mut buf, SnapshotProfile::Exact).expect("snapshot encode");
-    buf
+    engine.state_bytes_for_test()
 }
 
 fn run_stress(threads: &str) {

@@ -61,8 +61,8 @@ fn snapshot_size_is_reasonable() {
     let engine = AncEngine::new(ds.graph, AncConfig { rep: 0, k: 2, ..Default::default() }, 1);
     let mut buf = Vec::new();
     engine.save_binary(&mut buf, SnapshotProfile::Exact).unwrap();
-    // The file holds the same state as memory minus the derived `1/S*` array
-    // and with ids as varints, so it must not outgrow the in-memory footprint.
+    // The file holds the state in memory minus the index and the derived
+    // `1/S*` array, so it must not outgrow the in-memory footprint.
     assert!(buf.len() < engine.memory_bytes());
     assert!(buf.len() > engine.graph().m() * 8, "snapshot must contain per-edge state");
 }
