@@ -73,6 +73,10 @@ cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversi
 # time: it must equal the bytewise loop at every length and offset, and the
 # bytes it seals must stay those the bytewise loop produced.
 cargo test --release -p anc-graph --lib crc32_equals_the_bytewise_loop -q
+# The snapshot and WAL decoder tests (forged configs, clocks, versions and
+# records, each behind a restamped CRC) ran in debug above; here integer
+# overflow wraps instead of panicking.
+cargo test --release -p anc-core --lib persist -q
 # The frame parser's offsets come from a length the peer chose: its tests
 # (scripted streams cut at every byte, hostile prefixes, the write timeout)
 # ran in debug above, where such arithmetic panics; here it would wrap. The

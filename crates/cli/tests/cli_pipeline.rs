@@ -136,6 +136,34 @@ fn damaged_checkpoints_fail_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace line whose time is `nan`, `inf` or `-inf` makes `anc stream`
+/// exit 1 naming the line, through the real binary: it neither panics in
+/// the decay clock (exit 101) nor streams the edges at another time.
+#[test]
+fn non_finite_trace_times_fail_typed() {
+    let dir = tmpdir("non_finite_trace_times_fail_typed");
+    let graph = dir.join("g.txt");
+    let engine = dir.join("engine.anc");
+    let (gp, ep) = (graph.to_str().unwrap(), engine.to_str().unwrap());
+    run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();
+    run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
+    let out_path = dir.join("never.anc");
+    for t in ["nan", "inf", "-inf"] {
+        let trace = dir.join(format!("{t}.txt"));
+        std::fs::write(&trace, format!("1 0\n{t} 1\n2 2\n")).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_anc"))
+            .args(["stream", "--engine", ep, "--trace", trace.to_str().unwrap()])
+            .args(["--out", out_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{t}: {stderr}");
+        assert!(stderr.contains("malformed trace line 2"), "{t}: {stderr}");
+    }
+    assert!(!out_path.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn helpful_errors() {
     assert!(run(&argv(&[])).is_err());

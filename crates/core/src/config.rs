@@ -88,10 +88,17 @@ impl AncConfig {
             ((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]"),
             (self.floor > 0.0, "floor must be positive (1/S must stay finite)"),
             (self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)"),
+            // `boost() = e^{λ(t - t*)}` stays below `e^guard`, which must
+            // itself be a finite `f64`: the guard may not be NaN or exceed
+            // `ln(f64::MAX)` ≈ 709.78.
+            (
+                self.rescale.exponent_guard <= f64::MAX.ln(),
+                "rescale.exponent_guard must be at most ln(f64::MAX) ≈ 709.78",
+            ),
         ];
         match rules.into_iter().find(|(ok, _)| !ok) {
             Some((_, msg)) => Err(msg),
-            None => check_rescale(&self.rescale),
+            None => Ok(()),
         }
     }
 
@@ -99,17 +106,6 @@ impl AncConfig {
     /// at least 1 and at most `k`.
     pub fn needed_votes(&self) -> usize {
         needed_votes(self.theta, self.k)
-    }
-}
-
-/// The rescale policy's guard check: `boost() = e^{λ(t - t*)}` stays below
-/// `e^guard`, which must itself be a finite `f64`, so the guard may not be
-/// NaN or exceed `ln(f64::MAX)` ≈ 709.78.
-pub(crate) fn check_rescale(rescale: &RescaleConfig) -> Result<(), &'static str> {
-    if rescale.exponent_guard <= f64::MAX.ln() {
-        Ok(())
-    } else {
-        Err("rescale.exponent_guard must be at most ln(f64::MAX) ≈ 709.78")
     }
 }
 

@@ -1,41 +1,37 @@
 //! Versioned binary snapshot format (DESIGN.md §11).
 //!
-//! Layout (all integers little-endian; varints are LEB128, signed values
-//! zigzag-mapped):
+//! Layout (all integers little-endian; varints are LEB128):
 //!
 //! ```text
 //! "ANCS"  magic (4 bytes)
-//! u32     format version (currently 2; 1 stored the pyramids and is refused)
-//! u8      profile: always 0 (Exact)
+//! u32     format version (currently 3; 1 and 2 are refused)
 //! body    (see below)
 //! u32     CRC-32 (IEEE) over every preceding byte
 //! ```
 //!
-//! Body, in order: config, decay-clock parts, delta-encoded CSR topology
-//! ([`anc_graph::codec::encode_graph`]), anchored activeness per edge,
-//! per-node activeness sums, anchored similarity per edge, running
-//! similarity sum, index RNG seed, lifetime counters.
+//! Body, in order: config, decay-clock state (`now`, anchor, activations
+//! since the last rescale — its λ and rescale policy are the config's),
+//! delta-encoded CSR topology ([`anc_graph::codec::encode_graph`]), anchored
+//! activeness per edge, per-node activeness sums, anchored similarity per
+//! edge, running similarity sum, index RNG seed, lifetime counters.
 //!
 //! The pyramids are not stored. The index is a function of the weights
 //! `1/S*` and the seeds its RNG seed samples: the repairs keep the build's
 //! tie rule ([`crate::voronoi`]), so the live index always equals a fresh
 //! build. [`decode_snapshot`] checks the decoded state, then rebuilds the
-//! index from it with [`Pyramids::build`], and the restored engine evolves
-//! bit-identically to the live one.
+//! clock and the index from it ([`Pyramids::build`]), and the restored
+//! engine evolves bit-identically to the live one.
 //!
-//! Every float is stored as raw `f64` bits: a restored engine is
-//! bit-identical to the saved one, `save(load(bytes))` reproduces `bytes`
-//! exactly, and the write-ahead log builds on that ([`crate::persist::wal`]).
-//! The activeness, similarity and distance arrays open with a one-byte tag;
-//! it and the header's profile byte are always 0, and any other value is a
-//! typed [`RestoreError::Codec`].
+//! Every float is stored as raw `f64` bits, and each float array is its
+//! values back to back: a restored engine is bit-identical to the saved
+//! one, `save(load(bytes))` reproduces `bytes` exactly, and the write-ahead
+//! log builds on that ([`crate::persist::wal`]).
 
 use anc_decay::{ActivenessStore, ClockParts, DecayClock, RescaleConfig};
 use anc_graph::codec::{
-    crc32, decode_graph, encode_graph, put_f64, put_u32, put_u64, put_u8, put_uvarint, Reader,
+    crc32, decode_graph, encode_graph, put_f64, put_u32, put_u64, put_uvarint, Reader,
 };
 
-use crate::config::check_rescale;
 use crate::engine::AncEngine;
 use crate::pyramid::Pyramids;
 use crate::AncConfig;
@@ -46,43 +42,21 @@ use super::{check_state, le_u32, le_u64, EngineSnapshot, RestoreError};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
 
 /// Binary snapshot format version.
-pub const BINARY_VERSION: u32 = 2;
+pub const BINARY_VERSION: u32 = 3;
 
 /// Float fidelity of a binary snapshot: raw `f64` bits everywhere, so a
-/// restore is bit-identical. The header still records it as one byte.
+/// restore is bit-identical. It is the only profile, and the file does not
+/// record it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotProfile {
     /// Raw `f64` bits everywhere; restore is bit-identical.
     Exact,
 }
 
-/// The header's profile byte and every float array's tag byte: the one
-/// value this build writes and reads.
-const EXACT: u8 = 0;
-
-/// Reads a header or array tag byte, refusing anything but [`EXACT`].
-fn expect_exact(r: &mut Reader<'_>, what: &str) -> Result<(), RestoreError> {
-    match r.u8()? {
-        EXACT => Ok(()),
-        other => Err(RestoreError::Codec(format!("unknown {what} {other}"))),
-    }
-}
-
-/// A tagged float array: the tag, then [`put_f64s`].
-fn put_float_array(out: &mut Vec<u8>, vals: &[f64]) {
-    put_u8(out, EXACT);
-    put_f64s(out, vals);
-}
-
 /// `vals` as raw little-endian `f64` bits, back to back.
 fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
     out.reserve(8 * vals.len());
     out.extend(vals.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-}
-
-fn read_float_array(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, RestoreError> {
-    expect_exact(r, "float-array tag")?;
-    read_f64s(r, len)
 }
 
 /// `len` raw `f64`s written by [`put_f64s`], read in one pass.
@@ -106,17 +80,12 @@ fn encode_config(out: &mut Vec<u8>, c: &AncConfig) {
     put_f64(out, c.floor_rel);
     put_uvarint(out, c.rescale.every_activations as u64);
     put_f64(out, c.rescale.exponent_guard);
-    // Two retired knobs — `parallel_updates` (0/1) and the batch mode
-    // (0 = Exact, 1 = Fused): still written, as 0, so the format version and
-    // every older reader stay valid.
-    put_u8(out, 0);
-    put_u8(out, 0);
 }
 
 /// The config as stored; its ranges are checked with the rest of the state
 /// ([`check_state`]).
 fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
-    let cfg = AncConfig {
+    Ok(AncConfig {
         lambda: r.f64()?,
         epsilon: r.f64()?,
         mu: r.uvarint_len()?,
@@ -126,42 +95,28 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
         floor: r.f64()?,
         floor_rel: r.f64()?,
         rescale: RescaleConfig { every_activations: r.uvarint_len()?, exponent_guard: r.f64()? },
-    };
-    // The retired knobs' bytes: either value an older build wrote loads (no
-    // state depended on `parallel_updates`; a log written under Fused now
-    // replays under the sequential semantics) and is discarded.
-    for knob in ["parallel_updates", "batch mode"] {
-        match r.u8()? {
-            0 | 1 => {}
-            other => return Err(RestoreError::Codec(format!("unknown {knob} {other}"))),
-        }
-    }
-    Ok(cfg)
+    })
 }
 
+/// The clock's own state; its λ and rescale policy are the config's.
 fn encode_clock(out: &mut Vec<u8>, clock: &DecayClock) {
     let p = clock.to_parts();
-    put_f64(out, p.lambda);
     put_f64(out, p.now);
     put_f64(out, p.anchor);
-    put_uvarint(out, p.cfg.every_activations as u64);
-    put_f64(out, p.cfg.exponent_guard);
     put_uvarint(out, p.activations_since_rescale as u64);
 }
 
-fn decode_clock(r: &mut Reader<'_>) -> Result<DecayClock, RestoreError> {
-    let parts = ClockParts {
-        lambda: r.f64()?,
+/// The stored clock state, completed with the config's λ and rescale
+/// policy. A [`DecayClock`] is built from it only once [`check_state`] has
+/// checked that λ: [`DecayClock::from_parts`] asserts on a bad one.
+fn decode_clock(r: &mut Reader<'_>, config: &AncConfig) -> Result<ClockParts, RestoreError> {
+    Ok(ClockParts {
+        lambda: config.lambda,
         now: r.f64()?,
         anchor: r.f64()?,
-        cfg: RescaleConfig { every_activations: r.uvarint_len()?, exponent_guard: r.f64()? },
+        cfg: config.rescale,
         activations_since_rescale: r.uvarint_len()?,
-    };
-    if !(parts.lambda >= 0.0 && parts.lambda.is_finite()) {
-        return Err(RestoreError::Inconsistent(format!("clock lambda {} invalid", parts.lambda)));
-    }
-    check_rescale(&parts.cfg).map_err(|msg| RestoreError::Inconsistent(format!("clock: {msg}")))?;
-    Ok(DecayClock::from_parts(parts))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -176,13 +131,12 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + 20 * m + 8 * n);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u32(&mut out, BINARY_VERSION);
-    put_u8(&mut out, EXACT);
     encode_config(&mut out, &s.config);
     encode_clock(&mut out, &s.clock);
     encode_graph(&s.graph, &mut out);
-    put_float_array(&mut out, s.activeness.as_slice());
+    put_f64s(&mut out, s.activeness.as_slice());
     put_f64s(&mut out, &s.node_sum);
-    put_float_array(&mut out, &s.sim);
+    put_f64s(&mut out, &s.sim);
     put_f64(&mut out, s.sim_sum);
     put_u64(&mut out, s.index_seed);
     put_uvarint(&mut out, s.activations);
@@ -194,9 +148,9 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
 
 /// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
 /// magic, version and CRC-32 trailer first. The decoded state passes the
-/// checks [`EngineSnapshot::validate`] applies to it before the index is
-/// rebuilt from it, so a forged config or similarity is refused, typed,
-/// before it can size or weight a build.
+/// checks [`EngineSnapshot::validate`] applies to it before the clock and
+/// the index are built from it, so a forged config or similarity is
+/// refused, typed, before it can reach the clock or size or weight a build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() {
         return Err(RestoreError::Truncated { offset: bytes.len() });
@@ -204,8 +158,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if bytes[..4] != SNAPSHOT_MAGIC {
         return Err(RestoreError::BadMagic);
     }
-    if bytes.len() < 13 {
-        // magic + version + profile + trailing crc
+    if bytes.len() < 12 {
+        // magic + version + trailing crc
         return Err(RestoreError::Truncated { offset: bytes.len() });
     }
     let body_end = bytes.len() - 4;
@@ -219,14 +173,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     if version != BINARY_VERSION {
         return Err(RestoreError::UnsupportedVersion(version));
     }
-    expect_exact(&mut r, "snapshot profile")?;
     let config = decode_config(&mut r)?;
-    let clock = decode_clock(&mut r)?;
+    let clock_parts = decode_clock(&mut r, &config)?;
     let graph = decode_graph(&mut r).map_err(RestoreError::from)?;
     let (n, m) = (graph.n(), graph.m());
-    let activeness = read_float_array(&mut r, m)?;
+    let activeness = read_f64s(&mut r, m)?;
     let node_sum = read_f64s(&mut r, n)?;
-    let sim = read_float_array(&mut r, m)?;
+    let sim = read_f64s(&mut r, m)?;
     let sim_sum = r.f64()?;
     let index_seed = r.u64()?;
     let activations = r.uvarint()?;
@@ -238,7 +191,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
         )));
     }
     let activeness = ActivenessStore::from_anchored(activeness);
-    check_state(&graph, &config, &clock, &activeness, &node_sum, &sim)?;
+    check_state(&graph, &config, &activeness, &node_sum, &sim)?;
+    let clock = DecayClock::from_parts(clock_parts);
     let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
     let pyramids = Pyramids::build(&graph, &recip, config.k, config.theta, index_seed);
     Ok(EngineSnapshot {
@@ -363,27 +317,6 @@ mod tests {
             );
         }
         restored.check_invariants().unwrap();
-
-        // Snapshots written while the config still carried its two retired
-        // knobs — `parallel_updates` set, or the second batch mode — load to
-        // the same state; a byte no build ever wrote is still refused.
-        let mut config = Vec::new();
-        encode_config(&mut config, engine.config());
-        let knobs_at = 4 + 4 + 1 + config.len() - 2;
-        for (at, byte) in [(knobs_at, 1u8), (knobs_at + 1, 1), (knobs_at, 2), (knobs_at + 1, 2)] {
-            let mut old = bytes.clone();
-            old[at] = byte;
-            restamp_crc(&mut old);
-            match AncEngine::load_binary(old.as_slice()) {
-                Ok(legacy) if byte == 1 => {
-                    assert_eq!(bytes, save(&legacy));
-                }
-                Err(RestoreError::Codec(msg)) if byte == 2 => {
-                    assert!(msg.contains("unknown"), "{msg}");
-                }
-                other => panic!("byte {byte} at {at}: unexpected {:?}", other.err()),
-            }
-        }
     }
 
     /// The index is rebuilt from the decoded config, so a `k` past the
@@ -395,7 +328,7 @@ mod tests {
         let bytes = save(&engine);
         let mut config = Vec::new();
         encode_config(&mut config, engine.config());
-        let (head, tail) = (&bytes[..9], &bytes[9 + config.len()..]);
+        let (head, tail) = (&bytes[..8], &bytes[8 + config.len()..]);
         for k in [1_025, 1 << 62] {
             let mut forged = head.to_vec();
             encode_config(&mut forged, &AncConfig { k, ..engine.config().clone() });
@@ -495,30 +428,17 @@ mod tests {
         restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(1)), "{err}");
-
-        // A profile byte or a float-array tag other than 0 — the `f32`
-        // Compact profile of older builds wrote 1 in both — is a typed
-        // codec error. The first float array opens right after the graph.
-        let bytes = save(&engine);
-        let mut prefix = Vec::new();
-        encode_config(&mut prefix, engine.config());
-        encode_clock(&mut prefix, &engine.state().clock);
-        encode_graph(engine.graph(), &mut prefix);
-        let first_tag = 4 + 4 + 1 + prefix.len();
-        assert_eq!(bytes[first_tag], EXACT);
-        for (at, what) in [(8, "snapshot profile"), (first_tag, "float-array tag")] {
-            let mut forged = bytes.clone();
-            forged[at] = 1;
-            restamp_crc(&mut forged);
-            match load_err(&forged) {
-                RestoreError::Codec(msg) => assert!(msg.contains(what), "{msg}"),
-                other => panic!("{what}: expected Codec, got {other}"),
-            }
-        }
+        // Version 2 stored λ and the rescale policy a second time in the
+        // clock, and a profile, two tag and two knob bytes; it is refused,
+        // not migrated.
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        restamp_crc(&mut bytes);
+        let err = load_err(&bytes);
+        assert!(matches!(err, RestoreError::UnsupportedVersion(2)), "{err}");
     }
 
-    /// A rescale guard past `ln(f64::MAX)` lets `boost()` overflow to ∞; in
-    /// the config or in the clock's own copy it is refused on load.
+    /// A rescale guard past `ln(f64::MAX)` lets `boost()` overflow to ∞; it
+    /// is refused on load.
     #[test]
     fn unbounded_exponent_guard_rejected() {
         let engine = streamed_engine();
@@ -527,9 +447,9 @@ mod tests {
         let mut header = Vec::new();
         encode_config(&mut header, engine.config());
         encode_clock(&mut header, &engine.state().clock);
-        let header_end = 4 + 4 + 1 + header.len();
+        let header_end = 4 + 4 + header.len();
         let sites: Vec<usize> = (0..header_end - 8).filter(|&i| bytes[i..i + 8] == guard).collect();
-        assert_eq!(sites.len(), 2, "the config's and the clock's guard");
+        assert_eq!(sites.len(), 1, "the config's guard, stored once");
         for at in sites {
             let mut forged = bytes.clone();
             forged[at..at + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
@@ -537,6 +457,47 @@ mod tests {
             match load_err(&forged) {
                 RestoreError::Inconsistent(msg) => assert!(msg.contains("exponent_guard"), "{msg}"),
                 other => panic!("guard at {at}: expected Inconsistent, got {other}"),
+            }
+        }
+    }
+
+    /// The clock is built from the config's λ, and [`DecayClock::from_parts`]
+    /// asserts on a bad one: a forged λ must be refused, typed, first.
+    #[test]
+    fn invalid_lambda_rejected_before_the_clock_is_built() {
+        let bytes = save(&streamed_engine());
+        for lambda in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut forged = bytes.clone();
+            forged[8..16].copy_from_slice(&lambda.to_le_bytes());
+            restamp_crc(&mut forged);
+            match load_err(&forged) {
+                RestoreError::Inconsistent(msg) => assert!(msg.contains("lambda must be"), "{msg}"),
+                other => panic!("lambda = {lambda}: expected Inconsistent, got {other}"),
+            }
+        }
+    }
+
+    /// No engine reaches a clock time outside `0 <= anchor <= now < ∞`, so
+    /// a file holding one is refused instead of decaying into NaN.
+    #[test]
+    fn unreachable_clock_time_rejected() {
+        let engine = streamed_engine();
+        let bytes = save(&engine);
+        let mut config = Vec::new();
+        encode_config(&mut config, engine.config());
+        let (now_at, now) = (8 + config.len(), engine.now());
+        for (at, value) in [
+            (now_at, f64::NAN),
+            (now_at, f64::INFINITY),
+            (now_at + 8, now + 1.0),
+            (now_at + 8, -1.0),
+        ] {
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            restamp_crc(&mut forged);
+            match load_err(&forged) {
+                RestoreError::Inconsistent(msg) => assert!(msg.contains("anchor"), "{msg}"),
+                other => panic!("{value} at {at}: expected Inconsistent, got {other}"),
             }
         }
     }

@@ -112,8 +112,8 @@ pub enum RestoreError {
     /// Codec failure.
     Codec(String),
     /// A write-ahead-log record whose CRC-32 verified but which this build
-    /// cannot decode (unknown or retired kind byte, trailing bytes, a field
-    /// out of range). A torn write cannot produce that — a newer or older
+    /// cannot decode (a payload cut short, trailing bytes, an edge count or
+    /// id out of range). A torn write cannot produce that — a newer or older
     /// writer can — so recovery refuses the log instead of truncating it.
     UndecodableRecord {
         /// Byte offset of the record's frame in the log.
@@ -190,18 +190,33 @@ pub(crate) fn le_u64(b: &[u8]) -> u64 {
 
 impl EngineSnapshot {
     /// Validates internal consistency: [`check_state`] on everything but the
-    /// index, then the index against the graph and the config (`O(n + m)`;
-    /// the `O(k · m log n)` forest check stays with
+    /// clock and the index, then the clock against the config, then the
+    /// index against the graph and the config (`O(n + m)`; the
+    /// `O(k · m log n)` forest check stays with
     /// [`crate::AncEngine::check_invariants`]).
     pub fn validate(&self) -> Result<(), RestoreError> {
-        check_state(
-            &self.graph,
-            &self.config,
-            &self.clock,
-            &self.activeness,
-            &self.node_sum,
-            &self.sim,
-        )?;
+        check_state(&self.graph, &self.config, &self.activeness, &self.node_sum, &self.sim)?;
+        // The clock holds λ and the rescale policy beside the config; the
+        // engine decays by the clock's, so they must agree bit for bit.
+        let parts = self.clock.to_parts();
+        let config = &self.config;
+        if parts.lambda.to_bits() != config.lambda.to_bits()
+            || parts.cfg.every_activations != config.rescale.every_activations
+            || parts.cfg.exponent_guard.to_bits() != config.rescale.exponent_guard.to_bits()
+        {
+            return Err(RestoreError::Inconsistent(format!(
+                "clock has lambda = {} and {:?}, config says lambda = {} and {:?}",
+                parts.lambda, parts.cfg, config.lambda, config.rescale
+            )));
+        }
+        // Every clock the engine builds starts at `t = t* = 0`, only raises
+        // `t`, and never moves `t*` past it.
+        let (now, anchor) = (parts.now, parts.anchor);
+        if !(0.0 <= anchor && anchor <= now && now.is_finite()) {
+            return Err(RestoreError::Inconsistent(format!(
+                "clock has now = {now} and anchor = {anchor}; want 0 <= anchor <= now, both finite"
+            )));
+        }
         self.pyramids.check_shape(self.graph.n()).map_err(RestoreError::Invariant)?;
         let (k, votes) = (self.pyramids.k(), self.pyramids.needed_votes());
         if k != self.config.k || votes != self.config.needed_votes() {
@@ -215,16 +230,14 @@ impl EngineSnapshot {
     }
 }
 
-/// The checks on a snapshot's state apart from the index: the config's
-/// ranges, at least one node, array sizes, positive similarities, a
-/// well-formed CSR, and a clock that decays at the config's λ under its
-/// rescale policy (`O(n + m)`).
-/// [`EngineSnapshot::validate`] runs them, and a binary restore runs them
-/// before it builds the index from that state.
+/// The checks on a snapshot's state apart from the clock and the index: the
+/// config's ranges, at least one node, array sizes, positive similarities
+/// and a well-formed CSR (`O(n + m)`). [`EngineSnapshot::validate`] runs
+/// them, and a binary restore runs them before it builds the clock and the
+/// index from that state.
 pub(crate) fn check_state(
     graph: &Graph,
     config: &AncConfig,
-    clock: &DecayClock,
     activeness: &ActivenessStore,
     node_sum: &[f64],
     sim: &[f64],
@@ -259,21 +272,7 @@ pub(crate) fn check_state(
     }
     // Shared with the engine's own checker — one validator, two callers.
     crate::invariant::check_similarities(sim).map_err(RestoreError::Invariant)?;
-    crate::invariant::check_graph(graph).map_err(RestoreError::Invariant)?;
-    // λ and the rescale policy travel twice, in the config and in the
-    // clock; the engine decays by the clock's, so they must agree bit for
-    // bit.
-    let parts = clock.to_parts();
-    if parts.lambda.to_bits() != config.lambda.to_bits()
-        || parts.cfg.every_activations != config.rescale.every_activations
-        || parts.cfg.exponent_guard.to_bits() != config.rescale.exponent_guard.to_bits()
-    {
-        return Err(RestoreError::Inconsistent(format!(
-            "clock has lambda = {} and {:?}, config says lambda = {} and {:?}",
-            parts.lambda, parts.cfg, config.lambda, config.rescale
-        )));
-    }
-    Ok(())
+    crate::invariant::check_graph(graph).map_err(RestoreError::Invariant)
 }
 
 #[cfg(test)]
@@ -350,6 +349,23 @@ mod tests {
             snap.clock = DecayClock::from_parts(parts);
             let err = AncEngine::from_snapshot(snap).err().expect("must fail");
             assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
+        }
+        // A clock time no engine reaches: `now` NaN or ∞, the anchor past
+        // `now` or before 0.
+        for edit in [
+            |p: &mut ClockParts| p.now = f64::NAN,
+            |p: &mut ClockParts| p.now = f64::INFINITY,
+            |p: &mut ClockParts| p.anchor = p.now + 1.0,
+            |p: &mut ClockParts| p.anchor = -1.0,
+        ] {
+            let mut snap = engine.to_snapshot();
+            let mut parts = snap.clock.to_parts();
+            edit(&mut parts);
+            snap.clock = DecayClock::from_parts(parts);
+            match AncEngine::from_snapshot(snap).err().expect("must fail") {
+                RestoreError::Inconsistent(msg) => assert!(msg.contains("anchor"), "{msg}"),
+                other => panic!("expected Inconsistent, got {other}"),
+            }
         }
     }
 }

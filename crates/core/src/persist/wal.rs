@@ -26,17 +26,17 @@
 //!           ∥ record*        where record = u32 len ∥ u32 crc(payload) ∥ payload
 //! ```
 //!
-//! The payload is the kind byte 2, the batch time as raw `f64` bits and the
-//! edge ids as varints; they are validated *before* the record is appended,
-//! so the log never holds a call the engine would panic on. Rescales are
-//! *not* logged: they are a deterministic function of engine state and the
-//! logged inputs, so replay reproduces them.
+//! The payload is `f64 t ∥ uvarint count ∥ uvarint edge*`: the batch time as
+//! raw `f64` bits, then the edge ids as varints. Both are validated *before*
+//! the record is appended, so the log never holds a call the engine would
+//! panic on. Rescales are *not* logged: they are a deterministic function of
+//! engine state and the logged inputs, so replay reproduces them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_u8, put_uvarint, Reader};
+use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_uvarint, Reader};
 use anc_graph::EdgeId;
 
 use crate::engine::AncEngine;
@@ -49,7 +49,7 @@ use super::{le_u32, le_u64, RestoreError};
 pub const WAL_MAGIC: [u8; 4] = *b"ANCW";
 
 /// Write-ahead log format version.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + base + crc
 
@@ -69,14 +69,6 @@ pub struct WalRecord {
     /// Activated edges, in batch order.
     pub edges: Vec<EdgeId>,
 }
-
-/// The one record kind a log holds.
-const KIND_BATCH: u8 = 2;
-// Kinds 1, 3, 4 and 5 are retired and stay reserved — never reuse them: a
-// log holding one is refused. Kind 1 was a single activation and kind 4
-// ANCOR's reinforcement replay, logged only by tests; kind 3 was the
-// adaptive batch, retired with the method it logged; kind 5 an explicit
-// rescale, retired when rescales became a function of the logged inputs.
 
 fn put_edges(out: &mut Vec<u8>, edges: &[EdgeId]) {
     put_uvarint(out, edges.len() as u64);
@@ -101,11 +93,10 @@ fn read_edges(r: &mut Reader<'_>) -> Result<Vec<EdgeId>, RestoreError> {
     Ok(edges)
 }
 
-/// Appends a record payload (kind byte, time, edges). It takes borrowed
-/// arguments so the [`DurableEngine`] write path can log straight from the
-/// caller's slice without building an owned record.
+/// Appends a record payload (time, edges). It takes borrowed arguments so
+/// the [`DurableEngine`] write path can log straight from the caller's slice
+/// without building an owned record.
 fn encode_payload(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
-    put_u8(out, KIND_BATCH);
     put_f64(out, t);
     put_edges(out, edges);
 }
@@ -128,10 +119,6 @@ impl WalRecord {
     /// Decodes one record payload (inverse of [`encode_payload`]).
     fn decode(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = Reader::new(payload);
-        let kind = r.u8()?;
-        if kind != KIND_BATCH {
-            return Err(RestoreError::Codec(format!("unknown or retired record kind {kind}")));
-        }
         let t = r.f64()?;
         let edges = read_edges(&mut r)?;
         if !r.is_empty() {
@@ -618,37 +605,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A record that passes its CRC but cannot be decoded (retired kinds 1,
-    /// 3, 4 and 5, unknown kind 9), or that decodes to a call the engine
-    /// would panic on (`e = m`), is skew, not a tear: `open` must refuse with
-    /// the typed error and leave every byte of the log — including the valid
-    /// records behind the bad one — in place.
+    /// A record that passes its CRC but cannot be decoded (cut inside its
+    /// time, a trailing byte, an edge count the payload cannot hold), or
+    /// that decodes to a call the engine would panic on (`e = m`), is skew,
+    /// not a tear: `open` must refuse with the typed error and leave every
+    /// byte of the log — including the valid records behind the bad one —
+    /// in place.
     #[test]
     fn verified_records_that_cannot_be_replayed_are_refused_not_truncated() {
         let m = fresh_engine().graph().m() as u32;
-        // Each retired kind as older builds wrote it.
-        let mut single = vec![1u8]; // kind 1: t = 2.0, edge 1
-        put_f64(&mut single, 2.0);
-        put_uvarint(&mut single, 1);
-        let mut adaptive = vec![3u8]; // kind 3: t = 2.0, no threshold, edges [1]
-        put_f64(&mut adaptive, 2.0);
-        put_u8(&mut adaptive, 0);
-        put_edges(&mut adaptive, &[1]);
-        let mut reinforce = vec![4u8]; // kind 4: edges [0, 2]
-        put_edges(&mut reinforce, &[0, 2]);
+        let mut valid = Vec::new();
+        encode_payload(&mut valid, 2.0, &[1]);
+        let cut_time = valid[..5].to_vec();
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let mut lying_count = Vec::new(); // 5 edges announced, 1 present
+        put_f64(&mut lying_count, 2.0);
+        put_uvarint(&mut lying_count, 5);
+        put_uvarint(&mut lying_count, 1);
         let mut out_of_range = Vec::new();
         encode_payload(&mut out_of_range, 2.0, &[1, m]);
-        // (tag, payload, the kind named by `UndecodableRecord` — `None` for
-        // the record that decodes but is out of range).
+        // (tag, payload, what `UndecodableRecord` names — `None` for the
+        // record that decodes but is out of range).
         let cases = [
-            ("single", single, Some("kind 1")),
-            ("adaptive", adaptive, Some("kind 3")),
-            ("reinforce", reinforce, Some("kind 4")),
-            ("rescale", vec![5u8], Some("kind 5")),
-            ("unknown", vec![9u8], Some("kind 9")),
+            ("cut", cut_time, Some("truncated")),
+            ("trailing", trailing, Some("trailing bytes")),
+            ("count", lying_count, Some("edge count 5")),
             ("range", out_of_range, None),
         ];
-        for (tag, payload, undecodable_kind) in cases {
+        for (tag, payload, undecodable) in cases {
             let dir = tmp_dir(tag);
             drop(
                 DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap(),
@@ -664,10 +649,10 @@ mod tests {
             let err = DurableEngine::open(&dir, DurabilityOptions::default())
                 .err()
                 .unwrap_or_else(|| panic!("{tag}: open must refuse the log"));
-            match (&err, undecodable_kind) {
-                (RestoreError::UndecodableRecord { offset, detail }, Some(kind)) => {
+            match (&err, undecodable) {
+                (RestoreError::UndecodableRecord { offset, detail }, Some(what)) => {
                     assert_eq!(*offset, bad_at, "{tag}");
-                    assert!(detail.contains(kind), "{tag}: {detail}");
+                    assert!(detail.contains(what), "{tag}: {detail}");
                 }
                 (RestoreError::EdgeOutOfRange { edge, num_edges }, None) => {
                     assert_eq!((*edge, *num_edges), (m, m as usize), "{tag}");
@@ -752,6 +737,12 @@ mod tests {
         let crc = crc32(&bad[..16]);
         bad[16..20].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(WalReader::new(&bad), Err(RestoreError::UnsupportedVersion(9))));
+        // Version 1 framed the same records with a kind byte ahead of the
+        // time; it is refused, not migrated.
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bad[..16]);
+        bad[16..20].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(WalReader::new(&bad), Err(RestoreError::UnsupportedVersion(1))));
     }
 
     #[test]

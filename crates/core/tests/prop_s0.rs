@@ -134,8 +134,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// partition of 600 nodes (graph seed 7, index seed 42, default config, so
 /// `rep = 7`), followed by every partition's `(dist bits, seed_of, parent)`
 /// per node — the snapshot stores no index, so the index is hashed beside
-/// it. Recorded at snapshot format version 2.
-const S0_BUILD_DIGEST: u64 = 0x8f4b_5e0b_a6e6_c3e7;
+/// it. Recorded at snapshot format version 3.
+const S0_BUILD_DIGEST: u64 = 0xb1c3_683b_eaa9_0a51;
 
 #[test]
 fn s0_build_digest_is_pinned() {

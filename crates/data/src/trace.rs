@@ -1,7 +1,7 @@
 //! Activation-trace files: record and replay streams.
 //!
-//! Format: one `t edge_id` pair per line in non-decreasing `t` order
-//! (`#` comments allowed). Traces make experiments shareable and make
+//! Format: one `t edge_id` pair per line, with finite `t` in non-decreasing
+//! order (`#` comments allowed). Traces make experiments shareable and make
 //! production incidents replayable against a checkpointed index.
 
 use std::io::{BufRead, Write};
@@ -15,7 +15,8 @@ use crate::stream::{ActivationStream, Batch};
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Line that is not `t edge` (1-based line number, content).
+    /// Line that is not `t edge` with a finite `t` (1-based line number,
+    /// content).
     Malformed(usize, String),
     /// Timestamps must be non-decreasing.
     OutOfOrder(usize),
@@ -71,7 +72,11 @@ pub fn read_trace<R: BufRead>(reader: R, m: Option<usize>) -> Result<ActivationS
         let (Some(ts), Some(es)) = (it.next(), it.next()) else {
             return Err(TraceError::Malformed(i + 1, trimmed.to_string()));
         };
-        let (Ok(t), Ok(e)) = (ts.parse::<f64>(), es.parse::<EdgeId>()) else {
+        // `nan`, `inf` and `-inf` parse as floats, but no activation happens
+        // at them (and NaN would slip past the order check below).
+        let (Some(t), Ok(e)) =
+            (ts.parse::<f64>().ok().filter(|t| t.is_finite()), es.parse::<EdgeId>())
+        else {
             return Err(TraceError::Malformed(i + 1, trimmed.to_string()));
         };
         if t < last_t {
@@ -133,6 +138,17 @@ mod tests {
             read_trace("1.0 99\n".as_bytes(), Some(10)),
             Err(TraceError::EdgeOutOfRange(1, 99))
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_times() {
+        for t in ["nan", "inf", "-inf", "NaN", "infinity"] {
+            let text = format!("1 0\n{t} 1\n2 2\n");
+            assert!(
+                matches!(read_trace(text.as_bytes(), None), Err(TraceError::Malformed(2, _))),
+                "{t}"
+            );
+        }
     }
 
     #[test]

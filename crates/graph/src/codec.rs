@@ -1,7 +1,7 @@
 //! Compact binary codec primitives shared by the persistence layer.
 //!
 //! Everything here is hand-rolled (the workspace is offline): LEB128
-//! varints, zigzag signed varints, raw little-endian IEEE-754 floats, a
+//! varints, raw little-endian IEEE-754 floats, a
 //! table-driven CRC-32 sliced by 16 (IEEE/ISO-HDLC polynomial, the same one
 //! zlib and PNG use), and a bounds-checked [`Reader`] over a byte slice. The
 //! snapshot and WAL formats in `anc-core::persist` are built entirely from
@@ -144,12 +144,6 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     out.push((v & 0x7F) as u8);
 }
 
-/// Appends a zigzag-mapped signed varint (`0 → 0, -1 → 1, 1 → 2, …`).
-#[inline]
-pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
 /// Appends an `f64` as its raw IEEE-754 bits, little-endian. Exact: the
 /// round-trip is bit-identical, including NaN payloads and signed zeros.
 #[inline]
@@ -246,12 +240,6 @@ impl<'a> Reader<'a> {
         let start = self.pos;
         let v = self.uvarint()?;
         usize::try_from(v).map_err(|_| CodecError::VarintOverflow { offset: start })
-    }
-
-    /// Reads a zigzag-mapped signed varint.
-    pub fn ivarint(&mut self) -> Result<i64, CodecError> {
-        let z = self.uvarint()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
     /// Reads a raw-bits little-endian `f64`.
@@ -396,16 +384,6 @@ mod tests {
             let mut r = Reader::new(&buf);
             assert_eq!(r.uvarint().unwrap(), v);
             assert!(r.is_empty());
-        }
-    }
-
-    #[test]
-    fn ivarint_roundtrip() {
-        for &v in &[0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            let mut buf = Vec::new();
-            put_ivarint(&mut buf, v);
-            let mut r = Reader::new(&buf);
-            assert_eq!(r.ivarint().unwrap(), v);
         }
     }
 

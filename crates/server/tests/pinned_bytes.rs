@@ -131,8 +131,8 @@ const PINNED: [(&str, usize, u64); 21] = [
     ("resp Stats", 34, 0x7cc5cbfa7342246f),
     ("resp ShuttingDown", 9, 0x878e9e8910650000),
     ("resp Error", 35, 0x85129c577ae7b23e),
-    ("wal", 140, 0x6f318164daee6bfb),
-    ("snapshot Exact", 15659, 0x981a8f15e5a23e12),
+    ("wal", 136, 0xb29ec054b5f5fbf6),
+    ("snapshot Exact", 15636, 0x7debcd9a232cb933),
 ];
 
 #[test]
