@@ -19,9 +19,10 @@
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales, live index = rebuild up to n = 20 000,
-#     the n = 20 000 post-rescale cache check, the cached-query work bound
+#     level 0 weight-free and never repaired up to n = 20 000, the
+#     n = 20 000 post-rescale cache check, the cached-query work bound
 #   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
-#     equivalence proptest and the pinned build digest; serve_stress,
+#     equivalence proptest and the pinned snapshot and index digests; serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: perturbed-schedule determinism, pool lock ranks
@@ -136,7 +137,10 @@ echo "==> repair completeness + realistic-n cache checks (release)"
 # bit, so the rescaled partition writes the same nodes; a restored or reopened engine must stay
 # bit-identical to the live one across batched rescales, and the live index
 # must equal reconstruct_index() in every array at n = 2 000 (with and
-# without rescales) and at n = 20 000 (release only); and the
+# without rescales) and at n = 20 000 (release only); level 0 must stay the
+# unit-weight build whatever the stream, and at n = 20 000 no activation may
+# leave a level-0 trace entry (the run prints the largest affected-node
+# count per level); and the
 # n = 20 000 stream that crosses the first batched rescale must keep the
 # cluster cache in step with the index (ROADMAP item 1(a)'s reproducer).
 # Near-ties an ulp apart need realistic n, so these run by name in release.
@@ -147,6 +151,11 @@ echo "==> repair completeness + realistic-n cache checks (release)"
 cargo test --release -p anc-core --test prop_voronoi affected_set_names_every_written_node -q
 cargo test --release -p anc-core --test prop_voronoi power_of_two_rescale_commutes_with_repair -q
 cargo test --release -p anc-core --test restore_identity -q
+cargo test --release -p anc-core --test level_zero -q -- --include-ignored --nocapture
+# A single-edge repair handed one trace buffer too few must panic here too,
+# where a debug assertion is compiled out and the zip would silently skip
+# the trailing partitions.
+cargo test --release -p anc-core --lib short_trace_buffer_panics -q
 cargo test --release -p anc-core --test prop_cluster_cache \
     post_rescale_cache_matches_index_at_realistic_n -q -- --ignored
 cargo test --release -p anc-core --test prop_cluster_cache \
@@ -159,7 +168,8 @@ echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
 # both extremes: the pure sequential path and a real 4-worker pool.
 # Beside them, in release: S₀ from one σ table equals the per-edge
 # reinforcement loop bit for bit, and one n = 600 build matches its pinned
-# digest (`Pyramids::build` runs on the pool; the digest must not see it).
+# snapshot and index digests and has the unit-weight level 0
+# (`Pyramids::build` runs on the pool; the digests must not see it).
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p rayon -q
@@ -167,8 +177,7 @@ for t in 1 4; do
         --test cache_determinism --test prop_batch -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
         row_table_sweep_equals_per_edge_reinforcement -q
-    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
-        s0_build_digest_is_pinned -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 s0_ -q
 done
 
 echo "==> serving layer: reader/writer stress (1 and 4 threads)"

@@ -340,9 +340,13 @@ pub fn distance(opts: &Options) -> Result<String, String> {
     let exact = engine.exact_distance(from, to);
     let mut s = String::new();
     let _ = writeln!(s, "distance {from} → {to} under M_t = 1/S_t:");
-    let _ = writeln!(s, "  index estimate (O(k log n)): {approx:.6}");
+    if approx.is_finite() {
+        let _ = writeln!(s, "  index estimate (O(k log n)): {approx:.6}");
+    } else {
+        let _ = writeln!(s, "  index estimate: none (no partition at levels ≥ 1 joins the pair)");
+    }
     let _ = writeln!(s, "  exact Dijkstra  (O(m log n)): {exact:.6}");
-    if exact.is_finite() && exact > 0.0 {
+    if approx.is_finite() && exact.is_finite() && exact > 0.0 {
         let _ = writeln!(s, "  stretch: {:.3}", approx / exact);
     }
     Ok(s)

@@ -206,3 +206,36 @@ fn query_bounds_checked() {
     assert!(err.contains("must be"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `anc distance` prints an estimate and its stretch when a partition at
+/// levels ≥ 1 joins the pair, and says there is none otherwise (level 0
+/// holds hop counts, so it gives no estimate) — never `stretch: inf`.
+#[test]
+fn distance_without_an_index_estimate_says_so() {
+    let dir = tmpdir("distance_without_an_index_estimate_says_so");
+    let graph = dir.join("g.txt");
+    let engine = dir.join("engine.anc");
+    let (gp, ep) = (graph.to_str().unwrap(), engine.to_str().unwrap());
+    run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();
+    run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
+    let loaded =
+        anc_core::AncEngine::load_binary(std::fs::read(&engine).unwrap().as_slice()).unwrap();
+    let n = loaded.graph().n() as u32;
+    let pair = |joined: bool| {
+        (1..n)
+            .find(|&v| {
+                loaded.exact_distance(0, v).is_finite()
+                    && loaded.approx_distance(0, v).is_finite() == joined
+            })
+            .expect("fixture has both kinds of pair")
+    };
+    for (to, joined) in [(pair(true), true), (pair(false), false)] {
+        let to = to.to_string();
+        let out = run(&argv(&["distance", "--engine", ep, "--from", "0", "--to", &to])).unwrap();
+        let none = "index estimate: none (no partition at levels ≥ 1 joins the pair)";
+        assert_eq!(out.contains(none), !joined, "{out}");
+        assert_eq!(out.contains("stretch: "), joined, "{out}");
+        assert!(!out.contains("inf"), "{out}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

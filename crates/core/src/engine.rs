@@ -234,8 +234,9 @@ impl AncEngine {
     ///    bump the anchored activeness (`O(1)`, Lemma 1);
     /// 2. apply local reinforcement with trigger edge `e` (`O(deg u +
     ///    deg v)` neighborhood work, Lemma 5);
-    /// 3. repair every Voronoi partition for the changed weight
-    ///    (Algorithms 1–3, bounded by the affected region, Lemma 12).
+    /// 3. repair every Voronoi partition at levels `≥ 1` for the changed
+    ///    weight (Algorithms 1–3, bounded by the affected region, Lemma 12);
+    ///    level 0 is weight-free.
     pub fn activate(&mut self, e: EdgeId, t: Time) {
         self.ingest(&[e], Some(t));
     }
@@ -247,8 +248,9 @@ impl AncEngine {
     /// exactly as in a serial loop of [`Self::activate`] calls; only the
     /// index repairs are deferred and fed to the index as one grouped
     /// [`Pyramids::on_weight_change_batch`] fan-out — one parallel pass over
-    /// the `k·⌈log₂ n⌉` partitions per batch instead of one per activation,
-    /// with inert deltas short-circuited by an exact no-op precheck. The
+    /// the `k·(⌈log₂ n⌉ − 1)` weighted partitions per batch instead of one
+    /// per activation (level 0 is weight-free and never repaired), with
+    /// inert deltas short-circuited by an exact no-op precheck. The
     /// grouped repair replays every delta at its exact per-step weights, so
     /// the result is **bit-identical** to the serial loop and independent of
     /// the rayon thread count.
@@ -356,8 +358,9 @@ impl AncEngine {
                     &mut self.trace_bufs,
                 );
                 cache.note_affected(g, &self.trace_bufs);
-                // No precheck here: every partition runs its bounded update.
-                RepairStats { updates: self.trace_bufs.len(), skips: 0 }
+                // No precheck here: every partition at levels ≥ 1 runs its
+                // bounded update; level 0 is weight-free.
+                RepairStats { updates: pyramids.k() * (pyramids.num_levels() - 1), skips: 0 }
             }
             _ => {
                 if cache.has_materialized_levels() {
@@ -501,9 +504,11 @@ impl AncEngine {
     }
 
     /// Approximate *true* (de-anchored) distance `M_t(u, v)` answered from
-    /// the index in `O(k log n)` via the underlying Das Sarma sketch: never
-    /// an underestimate, `O(log n)` expected stretch. `f64::INFINITY` when
-    /// no partition joins the pair.
+    /// the index in `O(k log n)` via the underlying Das Sarma sketch over
+    /// the partitions at levels `≥ 1` (level 0 holds hop counts): never an
+    /// underestimate, `O(log n)` expected stretch. `f64::INFINITY` when no
+    /// partition at levels `≥ 1` joins the pair — for a connected pair too,
+    /// when every such partition splits it.
     #[must_use = "pure query; the distance estimate is the only effect"]
     pub fn approx_distance(&self, u: NodeId, v: NodeId) -> f64 {
         // Stored distances are anchored (weights 1/S*); the true NegM value
@@ -602,6 +607,14 @@ impl AncEngine {
     #[doc(hidden)]
     pub fn corrupt_node_sum_for_test(&mut self, v: NodeId, delta: f64) {
         self.state.node_sum[v as usize] += delta;
+    }
+
+    /// The pooled per-partition affected-node lists (pyramid-major,
+    /// `p * levels + l`) as the last traced repair left them, so tests can
+    /// check that level 0's stay empty. Not part of the public API.
+    #[doc(hidden)]
+    pub fn repair_traces_for_test(&self) -> &[Vec<NodeId>] {
+        &self.trace_bufs
     }
 }
 
@@ -893,6 +906,16 @@ mod tests {
         assert_eq!(s1.generation, s0.generation);
         assert_eq!(s1.decision, crate::cache::QueryDecision::Hit);
         engine.check_invariants().unwrap();
+    }
+
+    /// A lone delta takes the serial repair, which runs every partition at
+    /// levels ≥ 1 and none at the weight-free level 0: `k · (L − 1)`
+    /// updates, no precheck skips.
+    #[test]
+    fn lone_delta_counts_the_weighted_partitions() {
+        let mut engine = engine_fixture(1);
+        let stats = engine.activate_batch(&[0], 1.0);
+        assert_eq!(stats, RepairStats { updates: 4 * (engine.num_levels() - 1), skips: 0 });
     }
 
     /// Queries served from the cache must track a stream of single, batch,

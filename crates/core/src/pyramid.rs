@@ -7,6 +7,14 @@
 //! 1 has a single seed whose shortest-path tree spans the graph). Index
 //! size and construction time are `O(n log² n + m log n)` (Lemma 7).
 //!
+//! **Level 0 is weight-free.** With one seed, every node of the seed's
+//! component takes that seed under any finite positive weights, so the
+//! coarsest partition's `seed_of` never depends on them. It is built once
+//! under unit weights — a hop-count shortest-path forest from its sampled
+//! seed — and no weight change, repair or rescale touches it; its `dist`
+//! and `parent` are hop counts and a BFS tree. Only levels `≥ 1` carry
+//! weighted distances, so [`Pyramids::approx_distance`] reads those alone.
+//!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
 //! [`Pyramids::on_weight_change_batch`], [`Pyramids::rebuild`] and
@@ -56,7 +64,8 @@ struct RepairScratch {
 }
 
 /// The full index: `k × levels` Voronoi partitions plus the voting
-/// threshold.
+/// threshold. Level 0 of each pyramid is the weight-free hop-count forest
+/// (see the module doc); levels `≥ 1` follow the edge weights.
 ///
 /// ```
 /// use anc_core::Pyramids;
@@ -110,15 +119,18 @@ impl Pyramids {
     /// pool task per partition, reusing the partitions' own buffers. Level
     /// `l` of pyramid `p` samples its seeds with ChaCha8 seeded by
     /// `seed ^ (p << 32) ^ l`, so the result depends neither on which thread
-    /// runs which partition nor on what the index held before.
+    /// runs which partition nor on what the index held before. Level 0 is
+    /// built under unit weights (the module doc), the rest under `weights`.
     pub fn rebuild(&mut self, g: &Graph, weights: &[f64], seed: u64) {
         debug_assert_eq!(self.n, g.n(), "rebuild keeps the node count fixed");
         let (n, levels) = (self.n, self.levels);
+        let unit = vec![1.0; g.m()];
         rayon::for_each(&mut self.partitions[..], |i, part| {
             let (p, l) = (i / levels, i % levels);
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((p as u64) << 32) ^ (l as u64));
             let want = (1usize << l).min(n);
-            part.rebuild(g, weights, sample(&mut rng, n, want).into_iter().map(|i| i as NodeId));
+            let w = if l == 0 { &unit } else { weights };
+            part.rebuild(g, w, sample(&mut rng, n, want).into_iter().map(|i| i as NodeId));
         });
     }
 
@@ -185,10 +197,11 @@ impl Pyramids {
         false
     }
 
-    /// Propagates one edge-weight change to every partition (Algorithms 1–3
-    /// per partition), one partition after another. Returns, per partition
-    /// (pyramid-major order, `p * levels + l`), the nodes whose seed
-    /// assignment or distance changed.
+    /// Propagates one edge-weight change to every weighted partition
+    /// (Algorithms 1–3 per partition at levels `≥ 1`), one partition after
+    /// another. Returns, per partition (pyramid-major order,
+    /// `p * levels + l`), the nodes whose seed assignment or distance
+    /// changed; level 0's lists are always empty.
     pub fn on_weight_change(
         &mut self,
         g: &Graph,
@@ -207,7 +220,12 @@ impl Pyramids {
     /// activations so steady-state single-edge repairs stop allocating. A
     /// lone change is repaired serially: forking the pool for it costs more
     /// than the repair (DESIGN.md §4); Lemma 13's fan-out is
-    /// [`Self::on_weight_change_batch`].
+    /// [`Self::on_weight_change_batch`]. Repairs the `k · (levels − 1)`
+    /// partitions at levels `≥ 1` and leaves level 0's buffers cleared.
+    ///
+    /// # Panics
+    ///
+    /// If `out` does not hold exactly one buffer per partition.
     pub fn on_weight_change_serial_into(
         &mut self,
         g: &Graph,
@@ -216,9 +234,12 @@ impl Pyramids {
         old_w: f64,
         out: &mut [Vec<NodeId>],
     ) {
-        debug_assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
-        for (p, o) in self.partitions.iter_mut().zip(out.iter_mut()) {
+        assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
+        for (i, (p, o)) in self.partitions.iter_mut().zip(out.iter_mut()).enumerate() {
             o.clear();
+            if weight_free(i, self.levels) {
+                continue;
+            }
             p.on_weight_change_into(g, weights, e, old_w, o);
             o.sort_unstable();
             o.dedup();
@@ -227,7 +248,8 @@ impl Pyramids {
 
     /// Applies a whole batch of ordered weight deltas with **one** parallel
     /// fan-out instead of one per edge (the engine's ingest loop; see
-    /// DESIGN.md §7).
+    /// DESIGN.md §7) to the partitions at levels `≥ 1`; level 0 is
+    /// weight-free and its tasks return at once.
     ///
     /// `deltas` is the ordered list of `(e, old_w, new_w)` changes exactly
     /// as they occurred; the same edge may appear several times. `weights`
@@ -261,8 +283,9 @@ impl Pyramids {
     /// query.
     ///
     /// `out` must hold one buffer per partition (`k · levels`); each is
-    /// cleared, filled, sorted and deduplicated. The buffers are caller-owned
-    /// so the engine can pool them across batches. The partitions themselves
+    /// cleared, filled, sorted and deduplicated (level 0's stay empty). The
+    /// buffers are caller-owned so the engine can pool them across batches.
+    /// The partitions themselves
     /// end bit-identical to the untraced variant (same per-delta replay).
     pub fn on_weight_change_batch_traced(
         &mut self,
@@ -296,12 +319,19 @@ impl Pyramids {
             s.stats = RepairStats::default();
         }
         let (parts, scratch) = (&mut self.partitions[..], &mut self.repair_scratch);
+        let levels = self.levels;
         match out {
-            Some(out) => rayon::for_each_with((parts, out), scratch, |_, (p, trace), s| {
-                replay_partition(g, weights, deltas, p, Some(trace), s)
+            Some(out) => rayon::for_each_with((parts, out), scratch, |i, (p, trace), s| {
+                if weight_free(i, levels) {
+                    trace.clear();
+                } else {
+                    replay_partition(g, weights, deltas, p, Some(trace), s);
+                }
             }),
-            None => rayon::for_each_with(parts, scratch, |_, p, s| {
-                replay_partition(g, weights, deltas, p, None, s)
+            None => rayon::for_each_with(parts, scratch, |i, p, s| {
+                if !weight_free(i, levels) {
+                    replay_partition(g, weights, deltas, p, None, s);
+                }
             }),
         }
         self.repair_scratch.iter().fold(RepairStats::default(), |mut sum, s| {
@@ -313,20 +343,23 @@ impl Pyramids {
     /// Approximate distance query in the style of the underlying Das Sarma
     /// et al. sketch (the base structure of the pyramids, Section II/V-A):
     /// the estimate is the minimum of `dist(u, s) + dist(s, v)` over every
-    /// partition in which `u` and `v` share a seed `s`.
+    /// partition at levels `≥ 1` in which `u` and `v` share a seed `s`.
+    /// Level 0 holds hop counts, not weighted distances, so it is not read.
     ///
     /// The estimate never underestimates the true distance (triangle
     /// inequality) and, with `⌈log₂ n⌉` geometric seed-set sizes per
     /// pyramid, carries the sketch's `O(log n)`-stretch guarantee with high
-    /// probability. Returns `f64::INFINITY` when no partition joins the
-    /// pair (e.g. different components). Distances are in the index's
-    /// anchored units; `O(k log n)` time.
+    /// probability. Returns `f64::INFINITY` when no partition at levels
+    /// `≥ 1` joins the pair — always for different components, and
+    /// sometimes for a connected pair that every such partition splits
+    /// (always when `levels == 1`). Distances are in the index's anchored
+    /// units; `O(k log n)` time.
     pub fn approx_distance(&self, u: NodeId, v: NodeId) -> f64 {
         if u == v {
             return 0.0;
         }
         let mut best = f64::INFINITY;
-        for p in &self.partitions {
+        for p in self.partitions.chunks(self.levels).flat_map(|pyramid| &pyramid[1..]) {
             if p.same_seed(u, v) {
                 let est = p.dist(u) + p.dist(v);
                 if est < best {
@@ -337,12 +370,18 @@ impl Pyramids {
         best
     }
 
-    /// Absorbs a batched rescale into every partition's stored distances
-    /// (multiplier `1/g`; Lemma 10). Partitions are independent, and the
+    /// Absorbs a batched rescale into the stored distances of every
+    /// partition at levels `≥ 1` (multiplier `1/g`; Lemma 10); level 0's hop
+    /// counts do not scale. Partitions are independent, and the
     /// per-partition multiply is elementwise, so the fan-out is trivially
     /// deterministic.
     pub fn rescale(&mut self, mult: f64) {
-        rayon::for_each(&mut self.partitions[..], |_, p| p.rescale(mult));
+        let levels = self.levels;
+        rayon::for_each(&mut self.partitions[..], |i, p| {
+            if !weight_free(i, levels) {
+                p.rescale(mult);
+            }
+        });
     }
 
     /// Total heap bytes used by the index.
@@ -368,19 +407,27 @@ impl Pyramids {
     }
 
     /// Checks the index shape ([`Self::check_shape`]) and every partition's
-    /// shortest-path-forest invariants against `weights`; returns the first
-    /// violation (testing aid).
+    /// shortest-path-forest invariants — against unit weights at level 0,
+    /// against `weights` above; returns the first violation (testing aid).
     pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), InvariantViolation> {
         self.check_shape(g.n())?;
+        let unit = vec![1.0; g.m()];
         for p in 0..self.k {
             for l in 0..self.levels {
-                self.partition(p, l).check_invariants(g, weights).map_err(|detail| {
+                let w = if l == 0 { &unit } else { weights };
+                self.partition(p, l).check_invariants(g, w).map_err(|detail| {
                     InvariantViolation::Partition { pyramid: p, level: l, detail }
                 })?;
             }
         }
         Ok(())
     }
+}
+
+/// Whether the partition at flat index `i` (`p * levels + l`) is a level-0
+/// partition: weight-free, never repaired or rescaled (the module doc).
+fn weight_free(i: usize, levels: usize) -> bool {
+    i.is_multiple_of(levels)
 }
 
 /// One task of a grouped repair: replays `deltas` in order on partition
@@ -513,11 +560,17 @@ mod tests {
             pyr.on_weight_change(g, &w, e as EdgeId, old);
             pyr.check_invariants(g, &w).unwrap();
         }
-        // Every array equals a fresh build with the same seeds, bit for bit.
+        // Every array equals a fresh build with the same seeds, bit for bit:
+        // under unit weights at level 0, under `w` above.
+        let unit = vec![1.0; g.m()];
         for p in 0..3 {
             for l in 0..pyr.num_levels() {
                 let part = pyr.partition(p, l);
-                let fresh = VoronoiPartition::build(g, &w, part.seeds().to_vec());
+                let fresh = VoronoiPartition::build(
+                    g,
+                    if l == 0 { &unit } else { &w },
+                    part.seeds().to_vec(),
+                );
                 for v in 0..g.n() as NodeId {
                     assert_eq!(
                         (part.dist(v).to_bits(), part.seed_of(v), part.parent(v)),
@@ -553,8 +606,8 @@ mod tests {
         let stats = batched.on_weight_change_batch(g, &w, &deltas);
         assert_eq!(
             stats.updates + stats.skips,
-            deltas.len() * 3 * batched.num_levels(),
-            "every delta visits every partition"
+            deltas.len() * 3 * (batched.num_levels() - 1),
+            "every delta visits every partition at levels ≥ 1"
         );
         assert!(stats.skips > 0, "some delta × partition pairs must be inert");
         for p in 0..3 {
@@ -602,7 +655,7 @@ mod tests {
             }
             let stats = untraced.on_weight_change_batch(g, &w, &deltas);
             assert_eq!(stats, traced.on_weight_change_batch_traced(g, &w, &deltas, &mut traces));
-            assert_eq!(stats.updates + stats.skips, 2 * 3 * serial.num_levels());
+            assert_eq!(stats.updates + stats.skips, 2 * 3 * (serial.num_levels() - 1));
             for pyr in [&untraced, &traced] {
                 for (a, b) in serial.partitions.iter().zip(&pyr.partitions) {
                     let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
@@ -646,6 +699,19 @@ mod tests {
         rebuilt.check_invariants(g, &w1).unwrap();
     }
 
+    /// A trace buffer one slot short must fail loudly in every build, not
+    /// let the zip skip the trailing partitions' repairs.
+    #[test]
+    #[should_panic(expected = "one buffer per partition")]
+    fn short_trace_buffer_panics() {
+        let (g, mut w) = paper_figure2();
+        let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
+        let old = w[0];
+        w[0] = 2.0 * old;
+        let mut out = vec![Vec::new(); 2 * pyr.num_levels() - 1];
+        pyr.on_weight_change_serial_into(&g, &w, 0, old, &mut out);
+    }
+
     #[test]
     fn batch_repair_empty_is_noop() {
         let (g, w) = paper_figure2();
@@ -671,24 +737,32 @@ mod tests {
             .map(|(_, u, v)| if lg.labels[u as usize] == lg.labels[v as usize] { 0.5 } else { 3.0 })
             .collect();
         let pyr = Pyramids::build(g, &w, 4, 0.7, 17);
+        let (mut joined, mut split) = (0, 0);
         for u in (0..g.n() as NodeId).step_by(3) {
             for v in (0..g.n() as NodeId).step_by(5) {
                 let est = pyr.approx_distance(u, v);
                 let exact = anc_graph::dijkstra::pair_distance(g, u, v, |e| w[e as usize]);
                 if u == v {
                     assert_eq!(est, 0.0);
+                    continue;
+                }
+                assert!(
+                    est >= exact - 1e-9,
+                    "sketch must not underestimate: ({u},{v}) est {est} exact {exact}"
+                );
+                // Only the weighted levels estimate: level 0 holds hop
+                // counts, so a pair no partition at levels ≥ 1 joins gets ∞.
+                let weighted_join = (0..pyr.k())
+                    .any(|p| (1..pyr.num_levels()).any(|l| pyr.partition(p, l).same_seed(u, v)));
+                assert_eq!(est.is_finite(), weighted_join, "({u},{v}) est {est}");
+                if weighted_join {
+                    joined += 1;
                 } else {
-                    assert!(
-                        est >= exact - 1e-9,
-                        "sketch must not underestimate: ({u},{v}) est {est} exact {exact}"
-                    );
-                    // Level 0 has one seed spanning the connected graph, so
-                    // an estimate always exists and is at most 2× the graph
-                    // "radius" through that seed — sanity-bound loosely.
-                    assert!(est.is_finite(), "connected pair must get an estimate");
+                    split += 1;
                 }
             }
         }
+        assert!(joined > 0 && split > 0, "both cases must occur: {joined} joined, {split} split");
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! (`offline_snapshot`) and `reinforce::full_pass` compute each node's σ row
 //! once per activeness state and sweep with it; that must equal the
 //! definition — every edge through `apply_reinforcement` (both trigger rows
-//! recomputed per edge), then renormalisation — bit for bit. A pinned digest
-//! of one build catches any later move of `S₀` or build bits.
+//! recomputed per edge), then renormalisation — bit for bit. Two pinned
+//! digests of one build, one of its snapshot and one of its index at levels
+//! ≥ 1, catch any later move of `S₀` or build bits, and neither can hide a
+//! move in the other; level 0 is checked against its unit-weight build.
 
 use anc_core::reinforce::{apply_reinforcement, full_pass, ReinforceParams};
 use anc_core::similarity::{Scratch, SimilarityCtx};
-use anc_core::{AncConfig, AncEngine, ClusterMode, Pyramids};
+use anc_core::voronoi::VoronoiPartition;
+use anc_core::{AncConfig, AncEngine, ClusterMode, Pyramids, SnapshotProfile};
 use anc_graph::gen::{planted_partition, PlantedConfig};
 use anc_graph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -130,18 +133,64 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// [`fnv1a`] of the Exact snapshot of `AncEngine::new` on a planted
-/// partition of 600 nodes (graph seed 7, index seed 42, default config, so
-/// `rep = 7`), followed by every partition's `(dist bits, seed_of, parent)`
-/// per node — the snapshot stores no index, so the index is hashed beside
-/// it. Recorded at snapshot format version 3.
-const S0_BUILD_DIGEST: u64 = 0xb1c3_683b_eaa9_0a51;
+/// The pinned build: `AncEngine::new` on a planted partition of 600 nodes
+/// (graph seed 7, index seed 42, default config, so `rep = 7`).
+fn pinned_engine() -> AncEngine {
+    let graph = planted_partition(&PlantedConfig::default_for(600), 7).graph;
+    AncEngine::new(graph, AncConfig::default(), 42)
+}
+
+/// [`fnv1a`] of the pinned build's Exact snapshot (format version 3): `S₀`,
+/// activeness, graph and clock, no index.
+const S0_SNAPSHOT_DIGEST: u64 = 0xaf63_0683_a4a0_9cb6;
+
+/// [`fnv1a`] of the pinned build's index at levels ≥ 1: every partition's
+/// `(dist bits, seed_of, parent)` per node, little-endian, pyramid-major.
+/// Level 0 is weight-free and checked structurally instead
+/// ([`s0_level_zero_is_the_unit_weight_build`]).
+const S0_INDEX_DIGEST: u64 = 0x382d_b6f0_ba0f_a057;
 
 #[test]
-fn s0_build_digest_is_pinned() {
-    let graph = planted_partition(&PlantedConfig::default_for(600), 7).graph;
-    let engine = AncEngine::new(graph, AncConfig::default(), 42);
-    let bytes = engine.state_bytes_for_test();
+fn s0_snapshot_digest_is_pinned() {
+    let mut bytes = Vec::new();
+    pinned_engine().save_binary(&mut bytes, SnapshotProfile::Exact).unwrap();
     let got = fnv1a(&bytes);
-    assert_eq!(got, S0_BUILD_DIGEST, "S₀ or build bits moved: digest {got:#018x}");
+    assert_eq!(got, S0_SNAPSHOT_DIGEST, "S₀ or snapshot bits moved: digest {got:#018x}");
+}
+
+#[test]
+fn s0_index_digest_is_pinned() {
+    let engine = pinned_engine();
+    let pyr = engine.pyramids();
+    let mut bytes = Vec::new();
+    for p in 0..pyr.k() {
+        for l in 1..pyr.num_levels() {
+            let part = pyr.partition(p, l);
+            for v in 0..engine.graph().n() as NodeId {
+                bytes.extend_from_slice(&part.dist(v).to_bits().to_le_bytes());
+                bytes.extend_from_slice(&part.seed_of(v).to_le_bytes());
+                bytes.extend_from_slice(&part.parent(v).to_le_bytes());
+            }
+        }
+    }
+    let got = fnv1a(&bytes);
+    assert_eq!(got, S0_INDEX_DIGEST, "index bits at levels ≥ 1 moved: digest {got:#018x}");
+}
+
+#[test]
+fn s0_level_zero_is_the_unit_weight_build() {
+    let engine = pinned_engine();
+    let (g, pyr) = (engine.graph(), engine.pyramids());
+    let unit = vec![1.0; g.m()];
+    for p in 0..pyr.k() {
+        let zero = pyr.partition(p, 0);
+        let hops = VoronoiPartition::build(g, &unit, zero.seeds().to_vec());
+        for v in 0..g.n() as NodeId {
+            assert_eq!(
+                (zero.dist(v).to_bits(), zero.seed_of(v), zero.parent(v)),
+                (hops.dist(v).to_bits(), hops.seed_of(v), hops.parent(v)),
+                "pyramid {p} node {v}"
+            );
+        }
+    }
 }
