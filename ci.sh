@@ -11,9 +11,10 @@
 #     wire protocol among them), then anc-core under debug-invariants (the
 #     cluster-cache property suites among them)
 #   - in release: the wrapping edge-gap decode check, the sliced CRC-32
-#     against the bytewise loop (crc32_equals_the_bytewise_loop), and all of
+#     against the bytewise loop (crc32_equals_the_bytewise_loop), all of
 #     anc-server (framing arithmetic on lengths a peer chose; the pinned
-#     wire, WAL and snapshot bytes, pinned_bytes)
+#     wire, WAL and snapshot bytes, pinned_bytes), and all of anc-cli (its
+#     boundary tests against the release binary users run)
 #   - anc-bench smoke (snapshot-size gate, the paper's shape claims), and the
 #     community_watch example (monitor reports checked against a recount)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
@@ -74,15 +75,21 @@ cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversi
 # time: it must equal the bytewise loop at every length and offset, and the
 # bytes it seals must stay those the bytewise loop produced.
 cargo test --release -p anc-graph --lib crc32_equals_the_bytewise_loop -q
-# The snapshot and WAL decoder tests (forged configs, clocks, versions and
-# records, each behind a restamped CRC) ran in debug above; here integer
-# overflow wraps instead of panicking.
+# The snapshot, WAL and activation-batch decoder tests (forged configs,
+# clocks, versions and records, each behind a restamped CRC; batches cut
+# short, lying about their count or carrying a wide id) ran in debug above;
+# here integer overflow wraps instead of panicking.
 cargo test --release -p anc-core --lib persist -q
 # The frame parser's offsets come from a length the peer chose: its tests
 # (scripted streams cut at every byte, hostile prefixes, the write timeout)
 # ran in debug above, where such arithmetic panics; here it would wrap. The
 # pinned wire, WAL and snapshot bytes (pinned_bytes) run here too.
 cargo test --release -p anc-server -q
+# The CLI's boundary tests (damaged checkpoints, out-of-range options and
+# levels, streams whose state no load accepts) drive the binary users run:
+# in release its debug assertions are compiled out, so a bound that only a
+# `debug_assert` enforced reads wrong data here instead of failing.
+cargo test --release -p anc-cli -q
 
 echo "==> anc-bench smoke (snapshot-size gate + the paper's shape claims)"
 # The n = 2 000 row of the scale sweep (saves and loads the binary snapshot

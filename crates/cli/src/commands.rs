@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 
-use anc_core::{AncConfig, AncEngine, ClusterMode, RepairStats, SnapshotProfile};
+use anc_core::{AncConfig, AncEngine, ClusterMode, RepairStats, SnapshotProfile, WalRecord};
 use anc_data::{registry, stream};
 use anc_graph::{algo, io as gio, traverse, Graph};
 
@@ -25,12 +25,24 @@ fn load_engine(opts: &Options) -> Result<AncEngine, String> {
 }
 
 /// Checkpoints are Exact binary snapshots: a restored engine continues
-/// bit-identically, and the same state always encodes to the same bytes.
+/// bit-identically, and the same state always encodes to the same bytes. The
+/// file is created only once the state has encoded, so a state that no load
+/// would accept leaves no file behind.
 fn save_engine(engine: &AncEngine, path: &str) -> Result<(), String> {
-    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut bytes = Vec::new();
     engine
-        .save_binary(file, SnapshotProfile::Exact)
-        .map_err(|e| format!("cannot write {path}: {e}"))
+        .save_binary(&mut bytes, SnapshotProfile::Exact)
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// `--frac`, the share of edges a synthetic step activates (default 5%).
+fn frac(opts: &Options) -> Result<f64, String> {
+    let frac: f64 = opts.get_or("frac", 0.05)?;
+    if !(0.0..=1.0).contains(&frac) {
+        return Err(format!("--frac must be in [0, 1], got {frac}"));
+    }
+    Ok(frac)
 }
 
 /// `anc generate`: materialize a registry dataset as an edge list (plus
@@ -39,6 +51,9 @@ pub fn generate(opts: &Options) -> Result<String, String> {
     let name = opts.require("dataset")?;
     let out = opts.require("out")?;
     let scale: f64 = opts.get_or("scale", 1.0)?;
+    if !(scale > 0.0 && scale.is_finite()) {
+        return Err(format!("--scale must be finite and > 0, got {scale}"));
+    }
     let seed: u64 = opts.get_or("seed", 42)?;
     let spec = registry::by_name(name).ok_or_else(|| {
         format!(
@@ -98,6 +113,7 @@ fn config_from(opts: &Options) -> Result<AncConfig, String> {
     cfg.k = opts.get_or("k", cfg.k)?;
     cfg.theta = opts.get_or("theta", cfg.theta)?;
     cfg.rep = opts.get_or("rep", cfg.rep)?;
+    cfg.check()?;
     Ok(cfg)
 }
 
@@ -127,7 +143,7 @@ pub fn trace(opts: &Options) -> Result<String, String> {
     let g = load_graph(opts.require("graph")?)?;
     let out = opts.require("out")?;
     let steps: usize = opts.require_parsed("steps")?;
-    let frac: f64 = opts.get_or("frac", 0.05)?;
+    let frac = frac(opts)?;
     let seed: u64 = opts.get_or("seed", 42)?;
     let s = match opts.get("kind").unwrap_or("uniform") {
         "uniform" => stream::uniform_per_step(&g, steps, frac, seed),
@@ -156,15 +172,17 @@ pub fn stream(opts: &Options) -> Result<String, String> {
             .map_err(|e| format!("cannot parse {trace_path}: {e}"))?
     } else {
         let steps: usize = opts.require_parsed("steps")?;
-        let frac: f64 = opts.get_or("frac", 0.05)?;
         let seed: u64 = opts.get_or("seed", 42)?;
-        stream::uniform_per_step(&g, steps, frac, seed)
+        stream::uniform_per_step(&g, steps, frac(opts)?, seed)
     };
     let t0 = engine.now();
     let started = std::time::Instant::now();
     let mut repairs = RepairStats::default();
     for batch in &s.batches {
-        repairs += engine.activate_batch(&batch.edges, t0 + batch.time);
+        let t = t0 + batch.time;
+        WalRecord::check(g.m(), &batch.edges, t)
+            .map_err(|e| format!("cannot stream the batch at t = {t}: {e}"))?;
+        repairs += engine.activate_batch(&batch.edges, t);
     }
     let secs = started.elapsed().as_secs_f64();
     save_engine(&engine, out)?;

@@ -164,6 +164,90 @@ fn non_finite_trace_times_fail_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An option outside its range makes the command exit 1 with the rule's
+/// message and write nothing — through the real binary, so a panic in the
+/// config check, the stream generator or the dataset scaler (exit 101)
+/// shows.
+#[test]
+fn out_of_range_options_fail_typed() {
+    let dir = tmpdir("out_of_range_options_fail_typed");
+    let graph = dir.join("g.txt");
+    let engine = dir.join("engine.anc");
+    let (gp, ep) = (graph.to_str().unwrap(), engine.to_str().unwrap());
+    run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();
+    run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
+    let out = dir.join("never.out");
+    let op = out.to_str().unwrap();
+    let index = ["index", "--graph", gp, "--out", op];
+    let stream = ["stream", "--engine", ep, "--out", op, "--steps", "5"];
+    let trace = ["trace", "--graph", gp, "--out", op, "--steps", "5"];
+    let generate = ["generate", "--dataset", "CO", "--out", op];
+    let cases: [(&[&str], [&str; 2], &str); 16] = [
+        (&index, ["--k", "0"], "k must be in 1..=1024"),
+        (&index, ["--k", "2000"], "k must be in 1..=1024"),
+        (&index, ["--theta", "2"], "theta must be in [0, 1]"),
+        (&index, ["--lambda", "-1"], "lambda must be >= 0"),
+        (&index, ["--lambda", "nan"], "lambda must be >= 0"),
+        (&index, ["--epsilon", "5"], "epsilon must be in [0, 1]"),
+        (&index, ["--mu", "0"], "mu must be >= 1"),
+        (&stream, ["--frac", "-0.5"], "--frac must be in [0, 1]"),
+        (&stream, ["--frac", "2"], "--frac must be in [0, 1]"),
+        (&stream, ["--frac", "nan"], "--frac must be in [0, 1]"),
+        (&trace, ["--frac", "2"], "--frac must be in [0, 1]"),
+        (&trace, ["--frac", "-1"], "--frac must be in [0, 1]"),
+        (&generate, ["--scale", "0"], "--scale must be finite and > 0"),
+        (&generate, ["--scale", "-1"], "--scale must be finite and > 0"),
+        (&generate, ["--scale", "nan"], "--scale must be finite and > 0"),
+        (&generate, ["--scale", "inf"], "--scale must be finite and > 0"),
+    ];
+    for (cmd, option, want) in cases {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_anc"))
+            .args(cmd)
+            .args(option)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{cmd:?} {option:?}: {stderr}");
+        assert!(stderr.contains(want), "{cmd:?} {option:?}: {stderr}");
+        assert!(!out.exists(), "{cmd:?} {option:?} wrote its output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whatever `anc stream` writes, `anc clusters` can read. A jump of
+/// λΔt = 800 between two activations (ROADMAP 1(b)) decays similarities to
+/// 0; the save refuses that state, so the stream exits 1 and writes nothing
+/// rather than a checkpoint every later command refuses.
+#[test]
+fn a_stream_never_writes_a_checkpoint_that_cannot_be_read() {
+    let dir = tmpdir("a_stream_never_writes_a_checkpoint_that_cannot_be_read");
+    let graph = dir.join("g.txt");
+    let engine = dir.join("engine.anc");
+    let (gp, ep) = (graph.to_str().unwrap(), engine.to_str().unwrap());
+    run(&argv(&["generate", "--dataset", "CO", "--scale", "0.1", "--out", gp])).unwrap();
+    run(&argv(&["index", "--graph", gp, "--out", ep, "--rep", "0", "--k", "2"])).unwrap();
+    let trace = dir.join("jump.txt");
+    std::fs::write(&trace, "0 0\n8000 1\n").unwrap();
+    let out = dir.join("jumped.anc");
+    let op = out.to_str().unwrap();
+    let streamed = std::process::Command::new(env!("CARGO_BIN_EXE_anc"))
+        .args(["stream", "--engine", ep, "--trace", trace.to_str().unwrap(), "--out", op])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&streamed.stderr);
+    match streamed.status.code() {
+        Some(0) => {
+            run(&argv(&["clusters", "--engine", op])).unwrap();
+        }
+        Some(1) => {
+            assert!(stderr.contains("cannot write") && stderr.contains("similarity"), "{stderr}");
+            assert!(!out.exists(), "a refused save left {op}");
+        }
+        other => panic!("exit {other:?}: {stderr}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn helpful_errors() {
     assert!(run(&argv(&[])).is_err());

@@ -76,8 +76,8 @@ impl AncConfig {
 
     /// The one parameter-range check: the first violated rule's message, or
     /// `Ok`. [`Self::validate`] panics on it; a snapshot restore maps it to a
-    /// typed error.
-    pub(crate) fn check(&self) -> Result<(), &'static str> {
+    /// typed error, and a front end reports it before building an engine.
+    pub fn check(&self) -> Result<(), &'static str> {
         let rules = [
             (self.lambda >= 0.0 && self.lambda.is_finite(), "lambda must be >= 0"),
             ((0.0..=1.0).contains(&self.epsilon), "epsilon must be in [0, 1]"),

@@ -134,7 +134,7 @@ impl AncEngine {
     /// reciprocal weights (`O(m)`, the same bits the index was built or
     /// repaired against), scratch, an empty cluster cache (never persisted,
     /// it refills lazily on first query) and empty pooled buffers.
-    fn from_state(state: EngineSnapshot) -> Self {
+    pub(crate) fn from_state(state: EngineSnapshot) -> Self {
         let recip = state.sim.iter().map(|s| 1.0 / s).collect();
         let (k, levels) = (state.pyramids.k(), state.pyramids.num_levels());
         Self {
@@ -237,6 +237,8 @@ impl AncEngine {
     /// 3. repair every Voronoi partition at levels `≥ 1` for the changed
     ///    weight (Algorithms 1–3, bounded by the affected region, Lemma 12);
     ///    level 0 is weight-free.
+    ///
+    /// Panics unless `(&[e], t)` passes [`crate::WalRecord::check`].
     pub fn activate(&mut self, e: EdgeId, t: Time) {
         self.ingest(&[e], Some(t));
     }
@@ -256,6 +258,8 @@ impl AncEngine {
     /// the rayon thread count.
     ///
     /// Returns the index repair work its flushes summed (DESIGN.md §7).
+    ///
+    /// Panics unless `(edges, t)` passes [`crate::WalRecord::check`].
     pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> RepairStats {
         let stats = self.ingest(edges, Some(t));
         #[cfg(feature = "debug-invariants")]

@@ -64,8 +64,8 @@ pub use config::AncConfig;
 pub use engine::{AncEngine, ClusterView, OfflineSnapshot};
 pub use invariant::InvariantViolation;
 pub use persist::{
-    DurabilityOptions, DurableEngine, EngineSnapshot, RestoreError, SnapshotProfile, WalReader,
-    WalRecord,
+    BadActivation, DurabilityOptions, DurableEngine, EngineSnapshot, RestoreError, SnapshotProfile,
+    WalReader, WalRecord,
 };
 pub use publish::{Publisher, ReadHandle};
 pub use pyramid::{Pyramids, RepairStats};

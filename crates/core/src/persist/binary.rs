@@ -214,11 +214,17 @@ impl AncEngine {
     /// Serializes the engine into the binary snapshot format (DESIGN.md
     /// §11); [`Self::load_binary`] restores it bit-identically.
     /// [`SnapshotProfile::Exact`] is the only profile.
+    ///
+    /// The state passes [`EngineSnapshot::validate`] before a byte is
+    /// written: a state that no load would accept (a similarity decayed to
+    /// 0, say) returns that load's typed error instead of a file that
+    /// cannot be reopened.
     pub fn save_binary<W: std::io::Write>(
         &self,
         mut writer: W,
         _profile: SnapshotProfile,
     ) -> Result<(), RestoreError> {
+        self.state().validate()?;
         let bytes = encode_snapshot(self.state());
         writer.write_all(&bytes)?;
         Ok(())
@@ -317,6 +323,24 @@ mod tests {
             );
         }
         restored.check_invariants().unwrap();
+    }
+
+    /// A state that no load would accept is refused, typed, before a byte
+    /// is written: an engine whose similarity decayed to 0 (ROADMAP 1(b)'s
+    /// jump) must not leave a snapshot that every load refuses.
+    #[test]
+    fn a_state_no_load_accepts_is_not_saved() {
+        let mut s = streamed_engine().to_snapshot();
+        s.sim[0] = 0.0;
+        let engine = AncEngine::from_state(s);
+        let mut buf = Vec::new();
+        match engine.save_binary(&mut buf, SnapshotProfile::Exact) {
+            Err(RestoreError::Invariant(v)) => {
+                assert!(v.to_string().contains("edge 0 has similarity 0"), "{v}");
+            }
+            other => panic!("expected Invariant, got {:?}", other.err()),
+        }
+        assert!(buf.is_empty(), "{} bytes written", buf.len());
     }
 
     /// The index is rebuilt from the decoded config, so a `k` past the

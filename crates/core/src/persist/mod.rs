@@ -49,7 +49,9 @@ pub mod binary;
 pub mod wal;
 
 pub use binary::SnapshotProfile;
-pub use wal::{DurabilityOptions, DurableEngine, WalReader, WalRecord, SNAPSHOT_FILE, WAL_FILE};
+pub use wal::{
+    BadActivation, DurabilityOptions, DurableEngine, WalReader, WalRecord, SNAPSHOT_FILE, WAL_FILE,
+};
 
 /// The complete persisted state of an [`crate::AncEngine`]: the engine holds
 /// one and derives everything else from it (DESIGN.md §11).
@@ -121,18 +123,9 @@ pub enum RestoreError {
         /// What failed to decode.
         detail: String,
     },
-    /// An edge id at or past the network's edge count, passed to a
+    /// An activation batch that fails [`WalRecord::check`], passed to a
     /// [`DurableEngine`] mutator or found in a logged record.
-    EdgeOutOfRange {
-        /// The offending edge id.
-        edge: anc_graph::EdgeId,
-        /// The network's edge count.
-        num_edges: usize,
-    },
-    /// A non-finite activation timestamp, passed to a [`DurableEngine`]
-    /// mutator or found in a logged record (the decay clock requires finite
-    /// time).
-    InvalidTime(f64),
+    BadActivation(BadActivation),
     /// Filesystem failure while reading or writing persistent state.
     Io(std::io::Error),
 }
@@ -152,10 +145,7 @@ impl std::fmt::Display for RestoreError {
             RestoreError::UndecodableRecord { offset, detail } => {
                 write!(f, "log record at byte {offset} verifies but does not decode: {detail}")
             }
-            RestoreError::EdgeOutOfRange { edge, num_edges } => {
-                write!(f, "edge id {edge} out of range (network has {num_edges} edges)")
-            }
-            RestoreError::InvalidTime(t) => write!(f, "activation time {t} is not finite"),
+            RestoreError::BadActivation(bad) => write!(f, "{bad}"),
             RestoreError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -169,6 +159,12 @@ impl From<CodecError> for RestoreError {
             CodecError::UnexpectedEof { offset } => RestoreError::Truncated { offset },
             other => RestoreError::Codec(other.to_string()),
         }
+    }
+}
+
+impl From<BadActivation> for RestoreError {
+    fn from(e: BadActivation) -> Self {
+        RestoreError::BadActivation(e)
     }
 }
 

@@ -26,17 +26,16 @@
 //!           ∥ record*        where record = u32 len ∥ u32 crc(payload) ∥ payload
 //! ```
 //!
-//! The payload is `f64 t ∥ uvarint count ∥ uvarint edge*`: the batch time as
-//! raw `f64` bits, then the edge ids as varints. Both are validated *before*
-//! the record is appended, so the log never holds a call the engine would
-//! panic on. Rescales are *not* logged: they are a deterministic function of
-//! engine state and the logged inputs, so replay reproduces them.
+//! The payload is the batch of [`WalRecord::encode`], `f64 t ∥ uvarint count
+//! ∥ uvarint edge*`. It passes [`WalRecord::check`] *before* it is appended,
+//! so the log never holds a call the engine would panic on. Rescales are
+//! *not* logged: replay reproduces them from the state and the inputs.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_uvarint, Reader};
+use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_uvarint, CodecError, Reader};
 use anc_graph::EdgeId;
 
 use crate::engine::AncEngine;
@@ -57,11 +56,9 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + base + crc
 /// trigger a huge allocation).
 const MAX_RECORD_LEN: usize = 1 << 30;
 
-/// One logged engine mutation: the inputs of
-/// [`AncEngine::activate_batch`]`(&edges, t)`, the one call a
-/// [`DurableEngine`] logs. Replaying the records in order against the base
-/// snapshot reproduces the engine state exactly (the engine is
-/// deterministic).
+/// One activation batch, the edges activated at one time: the inputs of
+/// [`AncEngine::activate_batch`]`(&edges, t)`, a log record's payload and an
+/// `Ingest` request's fields, with the tree's one check, encoder and decoder.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalRecord {
     /// Arrival time of the whole batch.
@@ -70,70 +67,85 @@ pub struct WalRecord {
     pub edges: Vec<EdgeId>,
 }
 
-fn put_edges(out: &mut Vec<u8>, edges: &[EdgeId]) {
-    put_uvarint(out, edges.len() as u64);
-    for &e in edges {
-        put_uvarint(out, e as u64);
+/// A batch the engine would panic on, refused by [`WalRecord::check`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BadActivation {
+    /// An edge id at or past the network's edge count.
+    EdgeOutOfRange {
+        /// The offending edge id.
+        edge: EdgeId,
+        /// The network's edge count.
+        num_edges: usize,
+    },
+    /// A non-finite time (the decay clock requires finite time).
+    NonFiniteTime(f64),
+}
+
+impl std::fmt::Display for BadActivation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BadActivation::EdgeOutOfRange { edge, num_edges } => {
+                write!(f, "edge id {edge} out of range (network has {num_edges} edges)")
+            }
+            BadActivation::NonFiniteTime(t) => write!(f, "activation time {t} is not finite"),
+        }
     }
 }
 
-fn read_edges(r: &mut Reader<'_>) -> Result<Vec<EdgeId>, RestoreError> {
-    let len = r.uvarint_len()?;
-    if len > r.remaining() {
-        // Each edge takes ≥ 1 byte; a bigger count is a lying header.
-        return Err(RestoreError::Codec(format!("edge count {len} exceeds record size")));
-    }
-    let mut edges = Vec::with_capacity(len);
-    for _ in 0..len {
-        let e = r.uvarint()?;
-        let e = u32::try_from(e)
-            .map_err(|_| RestoreError::Codec(format!("edge id {e} exceeds EdgeId range")))?;
-        edges.push(e);
-    }
-    Ok(edges)
-}
-
-/// Appends a record payload (time, edges). It takes borrowed arguments so
-/// the [`DurableEngine`] write path can log straight from the caller's slice
-/// without building an owned record.
-fn encode_payload(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
-    put_f64(out, t);
-    put_edges(out, edges);
-}
-
-/// Rejects the inputs the engine would panic on — an edge id at or past the
-/// network's edge count, a non-finite timestamp — so they are refused
-/// before a record is logged and before a logged one is replayed.
-fn check_input(engine: &AncEngine, edges: &[EdgeId], t: f64) -> Result<(), RestoreError> {
-    if !t.is_finite() {
-        return Err(RestoreError::InvalidTime(t));
-    }
-    let num_edges = engine.graph().m();
-    match edges.iter().find(|&&e| e as usize >= num_edges) {
-        Some(&edge) => Err(RestoreError::EdgeOutOfRange { edge, num_edges }),
-        None => Ok(()),
-    }
-}
+impl std::error::Error for BadActivation {}
 
 impl WalRecord {
-    /// Decodes one record payload (inverse of [`encode_payload`]).
-    fn decode(payload: &[u8]) -> Result<Self, RestoreError> {
-        let mut r = Reader::new(payload);
+    /// [`AncEngine::activate_batch`]'s precondition on a network of
+    /// `num_edges` edges: a finite time (a stale one is clamped), then every
+    /// edge id below `num_edges`.
+    pub fn check(num_edges: usize, edges: &[EdgeId], t: f64) -> Result<(), BadActivation> {
+        if !t.is_finite() {
+            return Err(BadActivation::NonFiniteTime(t));
+        }
+        match edges.iter().find(|&&e| e as usize >= num_edges) {
+            Some(&edge) => Err(BadActivation::EdgeOutOfRange { edge, num_edges }),
+            None => Ok(()),
+        }
+    }
+
+    /// Appends `f64 t ∥ uvarint count ∥ uvarint edge*`, from borrowed parts so
+    /// [`DurableEngine`] logs straight from the caller's slice.
+    pub fn encode(out: &mut Vec<u8>, t: f64, edges: &[EdgeId]) {
+        put_f64(out, t);
+        put_uvarint(out, edges.len() as u64);
+        for &e in edges {
+            put_uvarint(out, u64::from(e));
+        }
+    }
+
+    /// Decodes exactly one [`Self::encode`]d batch, or a typed error (each
+    /// edge takes a byte, so a count above the bytes left is refused).
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
         let t = r.f64()?;
-        let edges = read_edges(&mut r)?;
+        let len = r.uvarint_len()?;
+        if len > r.remaining() {
+            return Err(CodecError::Invalid {
+                what: format!("edge count {len} exceeds the {} bytes left", r.remaining()),
+            });
+        }
+        let mut edges = Vec::with_capacity(len);
+        for _ in 0..len {
+            let e = r.uvarint()?;
+            let e = u32::try_from(e)
+                .map_err(|_| CodecError::Invalid { what: format!("edge id {e} exceeds u32") })?;
+            edges.push(e);
+        }
         if !r.is_empty() {
-            return Err(RestoreError::Codec(format!(
-                "{} trailing bytes in WAL record",
-                r.remaining()
-            )));
+            return Err(CodecError::Invalid {
+                what: format!("{} trailing bytes after activation batch", r.remaining()),
+            });
         }
         Ok(WalRecord { t, edges })
     }
 
     /// Replays this record against an engine — the exact call that was
-    /// logged. Public so recovery tests can compare a recovered engine to
-    /// an explicit prefix replay. Panics, like the engine call it wraps, on
-    /// an edge id or time the engine does not accept.
+    /// logged. Panics on a record that fails [`Self::check`].
     pub fn apply(&self, engine: &mut AncEngine) {
         engine.activate_batch(&self.edges, self.t);
     }
@@ -172,7 +184,7 @@ fn frame_payload(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), RestoreError> 
 #[cfg(test)]
 fn frame_record(out: &mut Vec<u8>, record: &WalRecord, scratch: &mut Vec<u8>) {
     scratch.clear();
-    encode_payload(scratch, record.t, &record.edges);
+    WalRecord::encode(scratch, record.t, &record.edges);
     frame_payload(out, scratch).expect("test records are far below the length cap");
 }
 
@@ -254,7 +266,7 @@ impl<'a> WalReader<'a> {
         }
         let record = WalRecord::decode(payload).map_err(|e| RestoreError::UndecodableRecord {
             offset: self.pos,
-            detail: e.to_string(),
+            detail: RestoreError::from(e).to_string(),
         })?;
         self.pos += 8 + len;
         Ok(Some(record))
@@ -284,9 +296,8 @@ impl Default for DurabilityOptions {
 /// Its one mutator, [`DurableEngine::activate_batch`], is the only way to
 /// change the engine (which is only exposed immutably), so the on-disk
 /// `snapshot.anc` + `wal.anc` pair is always sufficient to reconstruct the
-/// exact current state. It validates its input first: an out-of-range edge
-/// or a non-finite time returns a typed error with neither the log nor the
-/// engine touched. A single activation is a batch of one.
+/// exact current state. A batch that fails [`WalRecord::check`] returns a
+/// typed error with neither the log nor the engine touched.
 ///
 /// ```no_run
 /// use anc_core::persist::{DurabilityOptions, DurableEngine};
@@ -393,7 +404,7 @@ impl DurableEngine {
                     let valid_end = loop {
                         match reader.next() {
                             Ok(Some(record)) => {
-                                check_input(&engine, &record.edges, record.t)?;
+                                WalRecord::check(engine.graph().m(), &record.edges, record.t)?;
                                 record.apply(&mut engine);
                                 replayed += 1;
                             }
@@ -443,9 +454,9 @@ impl DurableEngine {
         edges: &[EdgeId],
         t: f64,
     ) -> Result<RepairStats, RestoreError> {
-        check_input(&self.engine, edges, t)?;
+        WalRecord::check(self.engine.graph().m(), edges, t)?;
         self.payload_buf.clear();
-        encode_payload(&mut self.payload_buf, t, edges);
+        WalRecord::encode(&mut self.payload_buf, t, edges);
         self.append_payload()?;
         let stats = self.engine.activate_batch(edges, t);
         self.maybe_compact()?;
@@ -535,6 +546,42 @@ mod tests {
         assert_eq!(reader.next().unwrap(), None);
     }
 
+    /// The activation batch's decoder refuses, typed, every payload that is
+    /// not exactly one batch: the time cut short, a trailing byte, an edge
+    /// count above the bytes left, and an edge id above `u32::MAX`.
+    #[test]
+    fn batch_decode_refuses_all_but_one_whole_batch() {
+        let mut valid = Vec::new();
+        WalRecord::encode(&mut valid, 2.0, &[1, 300_000]);
+        assert_eq!(
+            WalRecord::decode(&valid).unwrap(),
+            WalRecord { t: 2.0, edges: vec![1, 300_000] }
+        );
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let mut lying_count = Vec::new(); // 5 edges announced, 1 present
+        put_f64(&mut lying_count, 2.0);
+        put_uvarint(&mut lying_count, 5);
+        put_uvarint(&mut lying_count, 1);
+        let mut wide_id = Vec::new();
+        put_f64(&mut wide_id, 2.0);
+        put_uvarint(&mut wide_id, 1);
+        put_uvarint(&mut wide_id, u64::from(u32::MAX) + 1);
+        let cases = [
+            (&valid[..5], "unexpected end"),
+            (&trailing[..], "1 trailing bytes"),
+            (&lying_count[..], "edge count 5 exceeds the 1 bytes left"),
+            (&wide_id[..], "edge id 4294967296 exceeds u32"),
+        ];
+        for (bytes, want) in cases {
+            let err = WalRecord::decode(bytes).unwrap_err().to_string();
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        for cut in 0..valid.len() {
+            assert!(WalRecord::decode(&valid[..cut]).is_err(), "batch cut to {cut} bytes decoded");
+        }
+    }
+
     #[test]
     fn recovery_replays_everything() {
         let dir = tmp_dir("replay");
@@ -615,7 +662,7 @@ mod tests {
     fn verified_records_that_cannot_be_replayed_are_refused_not_truncated() {
         let m = fresh_engine().graph().m() as u32;
         let mut valid = Vec::new();
-        encode_payload(&mut valid, 2.0, &[1]);
+        WalRecord::encode(&mut valid, 2.0, &[1]);
         let cut_time = valid[..5].to_vec();
         let mut trailing = valid.clone();
         trailing.push(0);
@@ -624,7 +671,7 @@ mod tests {
         put_uvarint(&mut lying_count, 5);
         put_uvarint(&mut lying_count, 1);
         let mut out_of_range = Vec::new();
-        encode_payload(&mut out_of_range, 2.0, &[1, m]);
+        WalRecord::encode(&mut out_of_range, 2.0, &[1, m]);
         // (tag, payload, what `UndecodableRecord` names — `None` for the
         // record that decodes but is out of range).
         let cases = [
@@ -654,7 +701,10 @@ mod tests {
                     assert_eq!(*offset, bad_at, "{tag}");
                     assert!(detail.contains(what), "{tag}: {detail}");
                 }
-                (RestoreError::EdgeOutOfRange { edge, num_edges }, None) => {
+                (
+                    RestoreError::BadActivation(BadActivation::EdgeOutOfRange { edge, num_edges }),
+                    None,
+                ) => {
                     assert_eq!((*edge, *num_edges), (m, m as usize), "{tag}");
                 }
                 _ => panic!("{tag}: unexpected error {err}"),
@@ -677,12 +727,19 @@ mod tests {
         let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         let (len, state) = (wal_len(), durable.engine().state_bytes_for_test());
 
-        let err = durable.activate_batch(&[1, m + 5], 2.0).unwrap_err();
-        assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m + 5), "{err}");
-        let err = durable.activate_batch(&[0], f64::NAN).unwrap_err();
-        assert!(matches!(err, RestoreError::InvalidTime(t) if t.is_nan()), "{err}");
-        let err = durable.activate_batch(&[m], 3.0).unwrap_err();
-        assert!(matches!(err, RestoreError::EdgeOutOfRange { edge, .. } if edge == m), "{err}");
+        let bad = |err| match err {
+            RestoreError::BadActivation(bad) => bad,
+            other => panic!("expected BadActivation, got {other}"),
+        };
+        let err = bad(durable.activate_batch(&[1, m + 5], 2.0).unwrap_err());
+        assert!(
+            matches!(err, BadActivation::EdgeOutOfRange { edge, .. } if edge == m + 5),
+            "{err}"
+        );
+        let err = bad(durable.activate_batch(&[0], f64::NAN).unwrap_err());
+        assert!(matches!(err, BadActivation::NonFiniteTime(t) if t.is_nan()), "{err}");
+        let err = bad(durable.activate_batch(&[m], 3.0).unwrap_err());
+        assert!(matches!(err, BadActivation::EdgeOutOfRange { edge, .. } if edge == m), "{err}");
 
         assert_eq!(wal_len(), len, "a rejected call must not reach the log");
         assert_eq!(durable.wal_records(), 1);
@@ -690,6 +747,27 @@ mod tests {
         drop(durable);
         let recovered = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(recovered.engine().state_bytes_for_test(), state);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A compaction whose state no load would accept (one similarity of 0,
+    /// what ROADMAP 1(b)'s time jump leaves) fails typed before its rename,
+    /// and the directory still opens to the logged state.
+    #[test]
+    fn a_failed_compaction_leaves_the_directory_openable() {
+        let dir = tmp_dir("unsaveable");
+        let mut durable =
+            DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap();
+        durable.activate_batch(&[1], 1.0).unwrap();
+        let want = durable.engine().state_bytes_for_test();
+        let mut tampered = durable.engine().to_snapshot();
+        tampered.sim[0] = 0.0;
+        durable.engine = AncEngine::from_state(tampered);
+        let err = durable.compact().unwrap_err();
+        assert!(matches!(err, RestoreError::Invariant(_)), "{err}");
+        drop(durable);
+        let reopened = DurableEngine::open(&dir, DurabilityOptions::default()).unwrap();
+        assert_eq!(reopened.engine().state_bytes_for_test(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

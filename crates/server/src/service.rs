@@ -24,7 +24,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use anc_core::publish::Publisher;
-use anc_core::{AncEngine, ClusterMode, DurableEngine, RepairStats, RestoreError};
+use anc_core::{
+    AncEngine, BadActivation, ClusterMode, DurableEngine, RepairStats, RestoreError, WalRecord,
+};
 use anc_graph::EdgeId;
 
 use crate::hist::LatencyHistogram;
@@ -117,17 +119,15 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Why a submission was not accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestError {
     /// Queue full — the request was shed (backpressure). The burnt
     /// sequence number leaves a gap; gaps carry no meaning.
     Overloaded,
     /// The writer has exited (shutdown or WAL failure).
     Closed,
-    /// Non-finite timestamp (the decay clock requires finite time).
-    InvalidTime,
-    /// An edge id at or past the network's edge count.
-    EdgeOutOfRange,
+    /// The batch fails [`WalRecord::check`].
+    BadActivation(BadActivation),
 }
 
 /// One queued unit of work for the writer thread.
@@ -146,7 +146,7 @@ pub struct IngestHandle {
     // (`ci.sh`), so no handshake can ever be written with a weak side.
     seq: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
-    num_edges: u32,
+    num_edges: usize,
 }
 
 impl Clone for IngestHandle {
@@ -164,15 +164,11 @@ impl IngestHandle {
     /// Submits an activation batch (edges activated at time `t`) and
     /// returns its sequence number. Never blocks: a full queue sheds the
     /// request with [`IngestError::Overloaded`] (the drawn sequence number
-    /// is burnt — sequence gaps are meaningless). Inputs are validated
-    /// here so the writer thread can never panic on a bad request.
+    /// is burnt — sequence gaps are meaningless). [`WalRecord::check`] runs
+    /// here, before the queue, so the writer thread never panics on a bad
+    /// request.
     pub fn submit(&self, t: f64, edges: Vec<EdgeId>) -> Result<u64, IngestError> {
-        if !t.is_finite() {
-            return Err(IngestError::InvalidTime);
-        }
-        if edges.iter().any(|&e| e >= self.num_edges) {
-            return Err(IngestError::EdgeOutOfRange);
-        }
+        WalRecord::check(self.num_edges, &edges, t).map_err(IngestError::BadActivation)?;
         let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
         match self.tx.try_send(Job::Ingest { seq, t, edges, enqueued: Instant::now() }) {
             Ok(()) => Ok(seq),
@@ -286,7 +282,7 @@ impl ServerCore {
             view,
             stats: stats.clone(),
         };
-        let num_edges = engine.graph().m() as u32;
+        let num_edges = engine.graph().m();
 
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
         let last = Arc::new(OnceLock::new());

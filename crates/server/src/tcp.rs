@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use anc_core::BadActivation;
 use anc_graph::codec::CodecError;
 
 use crate::service::{IngestError, IngestHandle, ServerCore, ShutdownReport};
@@ -142,11 +143,12 @@ fn ingest_error(e: IngestError) -> Response {
         IngestError::Closed => {
             Response::Error { code: ErrorCode::Closed, msg: "writer has exited".into() }
         }
-        IngestError::InvalidTime => {
-            Response::Error { code: ErrorCode::Malformed, msg: "non-finite activation time".into() }
-        }
-        IngestError::EdgeOutOfRange => {
-            Response::Error { code: ErrorCode::OutOfRange, msg: "edge id out of range".into() }
+        IngestError::BadActivation(bad) => {
+            let code = match bad {
+                BadActivation::NonFiniteTime(_) => ErrorCode::Malformed,
+                BadActivation::EdgeOutOfRange { .. } => ErrorCode::OutOfRange,
+            };
+            Response::Error { code, msg: bad.to_string() }
         }
     }
 }

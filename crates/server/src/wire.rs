@@ -18,8 +18,8 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use anc_core::ClusterMode;
-use anc_graph::codec::{crc32, put_f64, put_u8, put_uvarint, CodecError, Reader};
+use anc_core::{ClusterMode, WalRecord};
+use anc_graph::codec::{crc32, put_u8, put_uvarint, CodecError, Reader};
 use anc_graph::{EdgeId, NodeId};
 
 /// Largest accepted frame payload (8 MiB — a full label vector for a
@@ -294,7 +294,8 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// Activate `edges` at time `t` (asynchronous: acknowledged with the
-    /// assigned sequence number, applied by the writer loop).
+    /// assigned sequence number, applied by the writer loop), sent as a
+    /// [`WalRecord`] payload.
     Ingest {
         /// Activation timestamp (must be finite).
         t: f64,
@@ -361,11 +362,7 @@ impl Request {
             Request::Ping => put_u8(out, REQ_PING),
             Request::Ingest { t, edges } => {
                 put_u8(out, REQ_INGEST);
-                put_f64(out, *t);
-                put_uvarint(out, edges.len() as u64);
-                for &e in edges {
-                    put_uvarint(out, u64::from(e));
-                }
+                WalRecord::encode(out, *t, edges);
             }
             Request::Flush => put_u8(out, REQ_FLUSH),
             Request::SameCluster { u, v, level, mode } => {
@@ -403,18 +400,7 @@ impl Request {
         let req = match r.u8()? {
             REQ_PING => Request::Ping,
             REQ_INGEST => {
-                let t = r.f64()?;
-                let len = r.uvarint_len()?;
-                if len > MAX_FRAME as usize / 2 {
-                    return Err(CodecError::Invalid { what: format!("ingest of {len} edges") });
-                }
-                let mut edges = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    let e = r.uvarint()?;
-                    let e = u32::try_from(e)
-                        .map_err(|_| CodecError::Invalid { what: format!("edge id {e}") })?;
-                    edges.push(e);
-                }
+                let WalRecord { t, edges } = WalRecord::decode(r.bytes(r.remaining())?)?;
                 Request::Ingest { t, edges }
             }
             REQ_FLUSH => Request::Flush,

@@ -6,7 +6,8 @@
 
 use std::io::Cursor;
 
-use anc_core::{AncConfig, AncEngine, ClusterMode};
+use anc_core::persist::WAL_FILE;
+use anc_core::{AncConfig, AncEngine, ClusterMode, DurabilityOptions, DurableEngine};
 use anc_graph::gen::connected_caveman;
 use anc_server::{
     wire, EngineBackend, ErrorCode, Request, Response, ServeConfig, ServerCore, StatsReply,
@@ -88,6 +89,32 @@ fn golden_roundtrip_every_variant() {
     ] {
         roundtrip_response(&resp);
     }
+}
+
+/// An `Ingest` request's payload after its tag byte is, byte for byte, the
+/// payload of the write-ahead-log record the same `(t, edges)` appends: the
+/// wire and the log share one activation batch.
+#[test]
+fn ingest_fields_are_a_log_record_payload() {
+    let (t, edges) = (2.75, vec![0, 7, 7, 30]);
+    let mut request = Vec::new();
+    Request::Ingest { t, edges: edges.clone() }.encode(&mut request);
+    let batch = &request[1..];
+
+    let dir = std::env::temp_dir().join(format!("anc-wire-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = AncEngine::new(connected_caveman(4, 6).graph, AncConfig::default(), 42);
+    let mut durable =
+        DurableEngine::create(engine, &dir, DurabilityOptions::default()).expect("create");
+    let before = std::fs::metadata(dir.join(WAL_FILE)).expect("log").len() as usize;
+    durable.activate_batch(&edges, t).expect("append");
+    drop(durable);
+    let log = std::fs::read(dir.join(WAL_FILE)).expect("read log");
+    let _ = std::fs::remove_dir_all(&dir);
+    // The record is `u32 len ∥ u32 crc ∥ payload`.
+    let record = &log[before..];
+    assert_eq!(record[..4], (batch.len() as u32).to_le_bytes());
+    assert_eq!(&record[8..], batch);
 }
 
 #[test]
