@@ -10,8 +10,10 @@
 #   - cargo test --workspace (the WAL and snapshot property suites and the
 #     wire protocol among them), then anc-core under debug-invariants (the
 #     cluster-cache property suites among them)
-#   - in release: the wrapping edge-gap decode check, the sliced CRC-32
-#     against the bytewise loop (crc32_equals_the_bytewise_loop), all of
+#   - in release: the graph decoder's checks on forged gaps and counts, the
+#     frame parser shared by the wire and the WAL, the sliced CRC-32
+#     against the bytewise loop (crc32_equals_the_bytewise_loop), the
+#     persist tests (WAL records and headers, forged snapshots), all of
 #     anc-server (framing arithmetic on lengths a peer chose; the pinned
 #     wire, WAL and snapshot bytes, pinned_bytes), and all of anc-cli (its
 #     boundary tests against the release binary users run)
@@ -69,16 +71,21 @@ cargo test -p anc-core --features debug-invariants -q
 
 echo "==> persistence and framing in release"
 # A forged edge list whose gaps wrap u64 used to panic in debug and decode to
-# edge (0, 1) in release; the workspace run above covered debug.
-cargo test --release -p anc-graph --lib graph_decode_rejects_wrapping_and_oversized_gaps -q
+# edge (0, 1) in release, and a forged node or edge count sized an
+# allocation before any byte backed it; the workspace run above covered debug.
+cargo test --release -p anc-graph --lib graph_decode_rejects -q
+# Every wire message and WAL record goes through one frame parser, whose
+# offsets come from a length a peer or a file chose: every cut, a flipped
+# byte, a prefix past the bound, two frames back to back.
+cargo test --release -p anc-graph --lib frame_parser -q
 # Every frame, WAL record and snapshot ends in a CRC-32 computed 16 bytes at a
 # time: it must equal the bytewise loop at every length and offset, and the
 # bytes it seals must stay those the bytewise loop produced.
 cargo test --release -p anc-graph --lib crc32_equals_the_bytewise_loop -q
 # The snapshot, WAL and activation-batch decoder tests (forged configs,
-# clocks, versions and records, each behind a restamped CRC; batches cut
-# short, lying about their count or carrying a wide id) ran in debug above;
-# here integer overflow wraps instead of panicking.
+# clocks, graph counts, versions and records, each behind a restamped CRC;
+# batches cut short, lying about their count or carrying a wide id) ran in
+# debug above; here integer overflow wraps instead of panicking.
 cargo test --release -p anc-core --lib persist -q
 # The frame parser's offsets come from a length the peer chose: its tests
 # (scripted streams cut at every byte, hostile prefixes, the write timeout)

@@ -3,6 +3,7 @@
 //! against real files in a temp directory.
 
 use anc_cli::run;
+use anc_graph::codec::{crc32, put_uvarint, Reader};
 
 fn argv(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
@@ -111,11 +112,22 @@ fn damaged_checkpoints_fail_typed() {
 
     let mut flipped = good.clone();
     flipped[good.len() / 2] ^= 0x40;
-    let cases: [(&str, &[u8], &str); 4] = [
+    // The graph header follows the magic, the version, the config (53 bytes
+    // at `--k 2`) and a fresh clock (17): forge 3·10⁹ nodes there, which
+    // used to abort the process on a 24 GB allocation, and restamp the CRC.
+    let graph_at = 78;
+    let n = anc_core::AncEngine::load_binary(good.as_slice()).unwrap().graph().n();
+    assert_eq!(Reader::new(&good[graph_at..]).uvarint().unwrap(), n as u64);
+    let mut forged = good[..graph_at].to_vec();
+    put_uvarint(&mut forged, 3_000_000_000);
+    put_uvarint(&mut forged, 0);
+    forged.extend_from_slice(&crc32(&forged).to_le_bytes());
+    let cases: [(&str, &[u8], &str); 5] = [
         ("header.anc", &good[..10], "truncated"),
         ("half.anc", &good[..good.len() / 2], "checksum mismatch"),
         ("flipped.anc", &flipped, "checksum mismatch"),
         ("old.json", br#"{"version":1,"graph":{"n":2,"offsets":[0,1,2]}}"#, "bad magic"),
+        ("forged.anc", &forged, "node count 3000000000"),
     ];
     for (name, bytes, want) in cases {
         let path = dir.join(name);

@@ -29,14 +29,14 @@
 
 use anc_decay::{ActivenessStore, ClockParts, DecayClock, RescaleConfig};
 use anc_graph::codec::{
-    crc32, decode_graph, encode_graph, put_f64, put_u32, put_u64, put_uvarint, Reader,
+    decode_graph, encode_graph, put_f64, put_u32, put_u64, put_uvarint, Reader,
 };
 
 use crate::engine::AncEngine;
 use crate::pyramid::Pyramids;
 use crate::AncConfig;
 
-use super::{check_state, le_u32, le_u64, EngineSnapshot, RestoreError};
+use super::{check_state, le_u64, seal, unseal, EngineSnapshot, RestoreError};
 
 /// Magic bytes opening every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
@@ -127,23 +127,20 @@ fn decode_clock(r: &mut Reader<'_>, config: &AncConfig) -> Result<ClockParts, Re
 /// mirror of [`decode_snapshot`].
 pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
     let (n, m) = (s.graph.n(), s.graph.m());
-    // Rough pre-size: topology + two per-edge float arrays + node sums.
-    let mut out = Vec::with_capacity(64 + 20 * m + 8 * n);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut out, BINARY_VERSION);
-    encode_config(&mut out, &s.config);
-    encode_clock(&mut out, &s.clock);
-    encode_graph(&s.graph, &mut out);
-    put_f64s(&mut out, s.activeness.as_slice());
-    put_f64s(&mut out, &s.node_sum);
-    put_f64s(&mut out, &s.sim);
-    put_f64(&mut out, s.sim_sum);
-    put_u64(&mut out, s.index_seed);
-    put_uvarint(&mut out, s.activations);
-    put_uvarint(&mut out, s.rescales);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    seal(SNAPSHOT_MAGIC, BINARY_VERSION, |out| {
+        // Rough pre-size: topology + two per-edge float arrays + node sums.
+        out.reserve(64 + 20 * m + 8 * n);
+        encode_config(out, &s.config);
+        encode_clock(out, &s.clock);
+        encode_graph(&s.graph, out);
+        put_f64s(out, s.activeness.as_slice());
+        put_f64s(out, &s.node_sum);
+        put_f64s(out, &s.sim);
+        put_f64(out, s.sim_sum);
+        put_u64(out, s.index_seed);
+        put_uvarint(out, s.activations);
+        put_uvarint(out, s.rescales);
+    })
 }
 
 /// Decodes a binary snapshot into an [`EngineSnapshot`], verifying the
@@ -152,30 +149,12 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
 /// the index are built from it, so a forged config or similarity is
 /// refused, typed, before it can reach the clock or size or weight a build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() {
-        return Err(RestoreError::Truncated { offset: bytes.len() });
-    }
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(RestoreError::BadMagic);
-    }
-    if bytes.len() < 12 {
-        // magic + version + trailing crc
-        return Err(RestoreError::Truncated { offset: bytes.len() });
-    }
-    let body_end = bytes.len() - 4;
-    let expected = le_u32(&bytes[body_end..]);
-    let found = crc32(&bytes[..body_end]);
-    if expected != found {
-        return Err(RestoreError::ChecksumMismatch { expected, found });
-    }
-    let mut r = Reader::new(&bytes[4..body_end]);
-    let version = r.u32()?;
-    if version != BINARY_VERSION {
-        return Err(RestoreError::UnsupportedVersion(version));
-    }
+    let mut r = Reader::new(unseal(bytes, SNAPSHOT_MAGIC, BINARY_VERSION, 0)?);
     let config = decode_config(&mut r)?;
     let clock_parts = decode_clock(&mut r, &config)?;
-    let graph = decode_graph(&mut r).map_err(RestoreError::from)?;
+    // The node sums follow the graph, 8 bytes a node.
+    let max_nodes = r.remaining() / 8;
+    let graph = decode_graph(&mut r, max_nodes)?;
     let (n, m) = (graph.n(), graph.m());
     let activeness = read_f64s(&mut r, m)?;
     let node_sum = read_f64s(&mut r, n)?;
@@ -266,6 +245,7 @@ impl AncEngine {
 mod tests {
     use super::*;
     use crate::ClusterMode;
+    use anc_graph::codec::crc32;
     use anc_graph::gen::connected_caveman;
     use anc_graph::NO_NODE;
 
@@ -341,6 +321,27 @@ mod tests {
             other => panic!("expected Invariant, got {:?}", other.err()),
         }
         assert!(buf.is_empty(), "{} bytes written", buf.len());
+    }
+
+    /// A node or edge count the file cannot hold is refused, typed, before
+    /// anything is sized from it: `m = 2^61` used to panic with a capacity
+    /// overflow, and `n = 3·10⁹` to abort the process on a 24 GB allocation.
+    #[test]
+    fn forged_graph_counts_fail_typed() {
+        let engine = streamed_engine();
+        for (n, m, want) in [(15, 1 << 61, "edge count"), (3_000_000_000, 0, "node count")] {
+            let forged = seal(SNAPSHOT_MAGIC, BINARY_VERSION, |out| {
+                encode_config(out, engine.config());
+                encode_clock(out, &engine.state().clock);
+                put_uvarint(out, n);
+                put_uvarint(out, m);
+            });
+            assert!(forged.len() < 100, "{} bytes", forged.len());
+            match load_err(&forged) {
+                RestoreError::Codec(msg) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("n = {n}, m = {m}: expected Codec, got {other}"),
+            }
+        }
     }
 
     /// The index is rebuilt from the decoded config, so a `k` past the

@@ -38,7 +38,7 @@
 )]
 
 use anc_decay::{ActivenessStore, DecayClock};
-use anc_graph::codec::CodecError;
+use anc_graph::codec::{crc32, put_u32, CodecError, Reader};
 use anc_graph::Graph;
 
 use crate::invariant::InvariantViolation;
@@ -174,9 +174,45 @@ impl From<std::io::Error> for RestoreError {
     }
 }
 
-/// Little-endian `u32` from the first 4 bytes of a (length-checked) slice.
-pub(crate) fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+/// A sealed block, `magic ∥ u32 version ∥ body ∥ u32 crc32(all before)`:
+/// the whole binary snapshot, and the write-ahead log's header.
+pub(crate) fn seal(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    put_u32(&mut out, version);
+    body(&mut out);
+    let crc = crc32(&out);
+    put_u32(&mut out, crc);
+    out
+}
+
+/// The body of a block [`seal`] wrote, at least `min_body` bytes long. The
+/// checks run in this order: magic, length, checksum, version.
+pub(crate) fn unseal(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+    min_body: usize,
+) -> Result<&[u8], RestoreError> {
+    if bytes.len() < magic.len() {
+        return Err(RestoreError::Truncated { offset: bytes.len() });
+    }
+    if bytes[..4] != magic {
+        return Err(RestoreError::BadMagic);
+    }
+    let Some((sealed, crc)) =
+        bytes.split_last_chunk::<4>().filter(|(s, _)| s.len() >= 8 + min_body)
+    else {
+        return Err(RestoreError::Truncated { offset: bytes.len() });
+    };
+    let (expected, found) = (u32::from_le_bytes(*crc), crc32(sealed));
+    if expected != found {
+        return Err(RestoreError::ChecksumMismatch { expected, found });
+    }
+    let found = Reader::new(&sealed[4..]).u32()?;
+    if found != version {
+        return Err(RestoreError::UnsupportedVersion(found));
+    }
+    Ok(&sealed[8..])
 }
 
 /// Little-endian `u64` from the first 8 bytes of a (length-checked) slice.

@@ -23,38 +23,42 @@
 //!
 //! ```text
 //! wal.anc = "ANCW" ∥ u32 version ∥ u64 base_activations ∥ u32 crc(header)
-//!           ∥ record*        where record = u32 len ∥ u32 crc(payload) ∥ payload
+//!           ∥ record*        where record = u32 len ∥ payload ∥ u32 crc(payload)
 //! ```
 //!
-//! The payload is the batch of [`WalRecord::encode`], `f64 t ∥ uvarint count
-//! ∥ uvarint edge*`. It passes [`WalRecord::check`] *before* it is appended,
-//! so the log never holds a call the engine would panic on. Rescales are
-//! *not* logged: replay reproduces them from the state and the inputs.
+//! A record is the codec's frame ([`push_frame`]/[`parse_frame`]), the one
+//! an `Ingest` request travels in on the wire, and its payload is the batch
+//! of [`WalRecord::encode`], `f64 t ∥ uvarint count ∥ uvarint edge*`. It
+//! passes [`WalRecord::check`] *before* it is appended, so the log never
+//! holds a call the engine would panic on. Rescales are *not* logged: replay
+//! reproduces them from the state and the inputs.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use anc_graph::codec::{crc32, put_f64, put_u32, put_u64, put_uvarint, CodecError, Reader};
+use anc_graph::codec::{
+    parse_frame, push_frame, put_f64, put_u64, put_uvarint, BadFrame, CodecError, Frame, Reader,
+};
 use anc_graph::EdgeId;
 
 use crate::engine::AncEngine;
 use crate::pyramid::RepairStats;
 
 use super::binary::SnapshotProfile;
-use super::{le_u32, le_u64, RestoreError};
+use super::{le_u64, seal, unseal, RestoreError};
 
 /// Magic bytes opening every write-ahead log.
 pub const WAL_MAGIC: [u8; 4] = *b"ANCW";
 
 /// Write-ahead log format version.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + base + crc
 
-/// Largest record payload accepted on read (a torn length field must not
-/// trigger a huge allocation).
-const MAX_RECORD_LEN: usize = 1 << 30;
+/// Largest record payload, refused on write before a byte reaches the log
+/// and on read (a torn length field must not trigger a huge allocation).
+const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// One activation batch, the edges activated at one time: the inputs of
 /// [`AncEngine::activate_batch`]`(&edges, t)`, a log record's payload and an
@@ -156,36 +160,7 @@ impl WalRecord {
 // ---------------------------------------------------------------------------
 
 fn encode_header(base_activations: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&WAL_MAGIC);
-    put_u32(&mut out, WAL_VERSION);
-    put_u64(&mut out, base_activations);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
-}
-
-/// Appends one framed payload (`len ∥ crc ∥ payload`) to `out`. A payload
-/// over [`MAX_RECORD_LEN`] (or the u32 length field) is refused here on the
-/// write side — the old `len as u32` would have silently truncated the
-/// frame header and corrupted every record behind it.
-fn frame_payload(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), RestoreError> {
-    let len =
-        u32::try_from(payload.len()).ok().filter(|&l| l as usize <= MAX_RECORD_LEN).ok_or_else(
-            || RestoreError::Codec(format!("record length {} exceeds cap", payload.len())),
-        )?;
-    put_u32(out, len);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
-    Ok(())
-}
-
-/// Appends one framed record to `out` (encode via `scratch`, then frame).
-#[cfg(test)]
-fn frame_record(out: &mut Vec<u8>, record: &WalRecord, scratch: &mut Vec<u8>) {
-    scratch.clear();
-    WalRecord::encode(scratch, record.t, &record.edges);
-    frame_payload(out, scratch).expect("test records are far below the length cap");
+    seal(WAL_MAGIC, WAL_VERSION, |out| put_u64(out, base_activations))
 }
 
 /// Streaming reader over the bytes of a write-ahead log.
@@ -206,25 +181,8 @@ pub struct WalReader<'a> {
 impl<'a> WalReader<'a> {
     /// Parses and verifies the log header.
     pub fn new(bytes: &'a [u8]) -> Result<Self, RestoreError> {
-        if bytes.len() < 4 {
-            return Err(RestoreError::Truncated { offset: bytes.len() });
-        }
-        if bytes[..4] != WAL_MAGIC {
-            return Err(RestoreError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(RestoreError::Truncated { offset: bytes.len() });
-        }
-        let expected = le_u32(&bytes[16..20]);
-        let found = crc32(&bytes[..16]);
-        if expected != found {
-            return Err(RestoreError::ChecksumMismatch { expected, found });
-        }
-        let version = le_u32(&bytes[4..8]);
-        if version != WAL_VERSION {
-            return Err(RestoreError::UnsupportedVersion(version));
-        }
-        let base_activations = le_u64(&bytes[8..16]);
+        let header = &bytes[..bytes.len().min(HEADER_LEN)];
+        let base_activations = le_u64(unseal(header, WAL_MAGIC, WAL_VERSION, 8)?);
         Ok(Self { buf: bytes, pos: HEADER_LEN, base_activations })
     }
 
@@ -247,28 +205,21 @@ impl<'a> WalReader<'a> {
         if self.pos == self.buf.len() {
             return Ok(None);
         }
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 8 {
-            return Err(RestoreError::Truncated { offset: self.pos });
-        }
-        let len = le_u32(&rest[0..4]) as usize;
-        if len > MAX_RECORD_LEN {
-            return Err(RestoreError::Codec(format!("record length {len} exceeds cap")));
-        }
-        let expected = le_u32(&rest[4..8]);
-        if rest.len() < 8 + len {
-            return Err(RestoreError::Truncated { offset: self.pos });
-        }
-        let payload = &rest[8..8 + len];
-        let found = crc32(payload);
-        if expected != found {
-            return Err(RestoreError::ChecksumMismatch { expected, found });
-        }
+        let payload = match parse_frame(&self.buf[self.pos..], MAX_RECORD_LEN) {
+            Ok(Frame::Whole(payload)) => payload,
+            Ok(Frame::Partial(_)) => return Err(RestoreError::Truncated { offset: self.pos }),
+            Err(BadFrame::TooLarge(len)) => {
+                return Err(RestoreError::Codec(format!("record length {len} exceeds cap")))
+            }
+            Err(BadFrame::Checksum { expected, found }) => {
+                return Err(RestoreError::ChecksumMismatch { expected, found })
+            }
+        };
         let record = WalRecord::decode(payload).map_err(|e| RestoreError::UndecodableRecord {
             offset: self.pos,
             detail: RestoreError::from(e).to_string(),
         })?;
-        self.pos += 8 + len;
+        self.pos += payload.len() + 8;
         Ok(Some(record))
     }
 }
@@ -318,9 +269,8 @@ pub struct DurableEngine {
     wal: File,
     wal_records: u64,
     opts: DurabilityOptions,
-    /// Pooled framing buffers (record payload + framed bytes).
-    payload_buf: Vec<u8>,
-    frame_buf: Vec<u8>,
+    /// Pooled buffer the next record is framed in.
+    record_buf: Vec<u8>,
 }
 
 /// Base snapshot file name inside a durable directory.
@@ -343,15 +293,7 @@ impl DurableEngine {
         std::fs::create_dir_all(&dir)?;
         write_snapshot_atomic(&engine, &dir)?;
         let wal = reset_wal(&dir, engine.activations())?;
-        Ok(Self {
-            engine,
-            dir,
-            wal,
-            wal_records: 0,
-            opts,
-            payload_buf: Vec::new(),
-            frame_buf: Vec::new(),
-        })
+        Ok(Self { engine, dir, wal, wal_records: 0, opts, record_buf: Vec::new() })
     }
 
     /// Recovers the engine from `dir`: loads the last snapshot and replays
@@ -427,15 +369,7 @@ impl DurableEngine {
                 }
             }
         };
-        Ok(Self {
-            engine,
-            dir,
-            wal,
-            wal_records,
-            opts,
-            payload_buf: Vec::new(),
-            frame_buf: Vec::new(),
-        })
+        Ok(Self { engine, dir, wal, wal_records, opts, record_buf: Vec::new() })
     }
 
     /// The wrapped engine (read-only: mutations must go through the log).
@@ -455,23 +389,20 @@ impl DurableEngine {
         t: f64,
     ) -> Result<RepairStats, RestoreError> {
         WalRecord::check(self.engine.graph().m(), edges, t)?;
-        self.payload_buf.clear();
-        WalRecord::encode(&mut self.payload_buf, t, edges);
-        self.append_payload()?;
+        // Write-ahead: the record hits the log before the engine mutates, so
+        // a crash mid-apply replays it on recovery instead of losing it. An
+        // over-cap record is refused before a byte is written: recovery
+        // would take it for a torn tail.
+        self.record_buf.clear();
+        let len = push_frame(&mut self.record_buf, |out| WalRecord::encode(out, t, edges));
+        if len > MAX_RECORD_LEN as usize {
+            return Err(RestoreError::Codec(format!("record length {len} exceeds cap")));
+        }
+        self.wal.write_all(&self.record_buf)?;
+        self.wal_records += 1;
         let stats = self.engine.activate_batch(edges, t);
         self.maybe_compact()?;
         Ok(stats)
-    }
-
-    /// Write-ahead: the framed payload in `payload_buf` hits the log before
-    /// the engine mutates, so a crash mid-apply replays the record on
-    /// recovery instead of losing it.
-    fn append_payload(&mut self) -> Result<(), RestoreError> {
-        self.frame_buf.clear();
-        frame_payload(&mut self.frame_buf, &self.payload_buf)?;
-        self.wal.write_all(&self.frame_buf)?;
-        self.wal_records += 1;
-        Ok(())
     }
 
     fn maybe_compact(&mut self) -> Result<(), RestoreError> {
@@ -513,12 +444,18 @@ fn reset_wal(dir: &Path, base_activations: u64) -> Result<File, RestoreError> {
 mod tests {
     use super::*;
     use crate::AncConfig;
+    use anc_graph::codec::crc32;
     use anc_graph::gen::connected_caveman;
 
     fn fresh_engine() -> AncEngine {
         let lg = connected_caveman(3, 5);
         let cfg = AncConfig { rep: 1, k: 2, ..Default::default() };
         AncEngine::new(lg.graph, cfg, 9)
+    }
+
+    /// Appends `record` to `log`, framed as [`DurableEngine`] appends it.
+    fn frame_record(log: &mut Vec<u8>, record: &WalRecord) {
+        push_frame(log, |out| WalRecord::encode(out, record.t, &record.edges));
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -535,9 +472,8 @@ mod tests {
             WalRecord { t: 2.0, edges: vec![] },
         ];
         let mut log = encode_header(0);
-        let mut scratch = Vec::new();
         for r in &records {
-            frame_record(&mut log, r, &mut scratch);
+            frame_record(&mut log, r);
         }
         let mut reader = WalReader::new(&log).unwrap();
         for want in &records {
@@ -686,11 +622,10 @@ mod tests {
                 DurableEngine::create(fresh_engine(), &dir, DurabilityOptions::default()).unwrap(),
             );
             let mut log = encode_header(0);
-            let mut scratch = Vec::new();
-            frame_record(&mut log, &WalRecord { t: 1.0, edges: vec![1] }, &mut scratch);
+            frame_record(&mut log, &WalRecord { t: 1.0, edges: vec![1] });
             let bad_at = log.len();
-            frame_payload(&mut log, &payload).unwrap();
-            frame_record(&mut log, &WalRecord { t: 3.0, edges: vec![2] }, &mut scratch);
+            push_frame(&mut log, |out| out.extend_from_slice(&payload));
+            frame_record(&mut log, &WalRecord { t: 3.0, edges: vec![2] });
             std::fs::write(dir.join(WAL_FILE), &log).unwrap();
 
             let err = DurableEngine::open(&dir, DurabilityOptions::default())
@@ -816,19 +751,24 @@ mod tests {
         bad[16..20].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(WalReader::new(&bad), Err(RestoreError::UnsupportedVersion(9))));
         // Version 1 framed the same records with a kind byte ahead of the
-        // time; it is refused, not migrated.
-        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crc32(&bad[..16]);
-        bad[16..20].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(WalReader::new(&bad), Err(RestoreError::UnsupportedVersion(1))));
+        // time, and version 2 put each record's checksum ahead of its
+        // payload; both are refused, not migrated.
+        for version in [1, 2] {
+            bad[4..8].copy_from_slice(&u32::to_le_bytes(version));
+            let crc = crc32(&bad[..16]);
+            bad[16..20].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                WalReader::new(&bad),
+                Err(RestoreError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
     fn record_corruption_is_typed() {
         let mut log = encode_header(0);
-        let mut scratch = Vec::new();
-        frame_record(&mut log, &WalRecord { t: 2.0, edges: vec![1] }, &mut scratch);
-        let payload_at = HEADER_LEN + 8;
+        frame_record(&mut log, &WalRecord { t: 2.0, edges: vec![1] });
+        let payload_at = HEADER_LEN + 4;
         let mut bad = log.clone();
         bad[payload_at] ^= 0xFF;
         let mut reader = WalReader::new(&bad).unwrap();

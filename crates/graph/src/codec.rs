@@ -1,12 +1,16 @@
-//! Compact binary codec primitives shared by the persistence layer.
+//! Compact binary codec primitives shared by the persistence layer and the
+//! wire protocol.
 //!
 //! Everything here is hand-rolled (the workspace is offline): LEB128
 //! varints, raw little-endian IEEE-754 floats, a
 //! table-driven CRC-32 sliced by 16 (IEEE/ISO-HDLC polynomial, the same one
-//! zlib and PNG use), and a bounds-checked [`Reader`] over a byte slice. The
-//! snapshot and WAL formats in `anc-core::persist` are built entirely from
-//! these primitives, plus [`encode_graph`]/[`decode_graph`] which
-//! delta-encode the CSR topology from the canonical sorted edge list.
+//! zlib and PNG use), the checksummed frame `u32 len ∥ payload ∥ u32 crc`
+//! ([`push_frame`]/[`parse_frame`]) that carries every wire message and
+//! every write-ahead-log record, and a bounds-checked [`Reader`] over a byte
+//! slice. The snapshot and WAL formats in `anc-core::persist` and the
+//! messages of `anc-server::wire` are built entirely from these primitives,
+//! plus [`encode_graph`]/[`decode_graph`] which delta-encode the CSR
+//! topology from the canonical sorted edge list.
 //!
 //! Encoders append to a `Vec<u8>`; decoders read from a [`Reader`] and
 //! return a typed [`CodecError`] on malformed input — no panics on any
@@ -108,6 +112,76 @@ pub fn crc32(data: &[u8]) -> u32 {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+// ---------------------------------------------------------------------------
+// Frames: `u32 len ∥ payload ∥ u32 crc32(payload)`
+// ---------------------------------------------------------------------------
+
+/// Appends one frame to `out`, its payload written in place by `encode`:
+/// the length is back-patched and the checksum appended, so a payload goes
+/// from its encoder to the output buffer without an intermediate copy.
+/// Returns the payload's length. A payload past `u32` stores a saturated
+/// length, which every [`parse_frame`] bound refuses instead of misreading
+/// a wrapped one.
+pub fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let body = at + 4;
+    let len = out.len() - body;
+    out[at..body].copy_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+    let crc = crc32(&out[body..]);
+    put_u32(out, crc);
+    len
+}
+
+/// What [`parse_frame`] found at the head of its input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A whole frame whose checksum verified: its payload.
+    Whole(&'a [u8]),
+    /// The frame is not all in: it is this many bytes long, prefix and
+    /// checksum included (4 while the prefix itself is incomplete).
+    Partial(usize),
+}
+
+/// A frame [`parse_frame`] refuses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BadFrame {
+    /// The length prefix exceeds the caller's bound.
+    TooLarge(u32),
+    /// The checksum after the payload is not the payload's.
+    Checksum {
+        /// Checksum stored in the frame.
+        expected: u32,
+        /// Checksum of the payload as read.
+        found: u32,
+    },
+}
+
+/// Parses the frame at the head of `bytes`, leaving any bytes past it
+/// alone. The length prefix is checked against `max_len` as soon as its 4
+/// bytes are in, so a hostile one is refused before anything is sized from
+/// it; the checksum is checked once the whole frame is in.
+#[inline]
+pub fn parse_frame(bytes: &[u8], max_len: u32) -> Result<Frame<'_>, BadFrame> {
+    let Some((prefix, rest)) = bytes.split_first_chunk::<4>() else {
+        return Ok(Frame::Partial(4));
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > max_len {
+        return Err(BadFrame::TooLarge(len));
+    }
+    let Some((payload, crc)) = rest.get(..len as usize + 4).and_then(<[u8]>::split_last_chunk)
+    else {
+        return Ok(Frame::Partial(len as usize + 8));
+    };
+    let (expected, found) = (u32::from_le_bytes(*crc), crc32(payload));
+    if expected != found {
+        return Err(BadFrame::Checksum { expected, found });
+    }
+    Ok(Frame::Whole(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -286,11 +360,25 @@ pub fn encode_graph(g: &Graph, out: &mut Vec<u8>) {
 /// [`GraphBuilder`], so the resulting CSR arrays are identical to the
 /// original's (edge ids are positions in the sorted, deduplicated edge
 /// list — an invariant of the builder).
-pub fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, CodecError> {
+///
+/// Both counts are bounded before anything is sized from them: `n` by
+/// `max_nodes`, the most the caller's format can hold in what follows, and
+/// `m` by half the bytes left, since every edge takes at least two.
+pub fn decode_graph(r: &mut Reader<'_>, max_nodes: usize) -> Result<Graph, CodecError> {
     let n = r.uvarint_len()?;
     let m = r.uvarint_len()?;
     if n > NodeId::MAX as usize {
         return Err(CodecError::Invalid { what: format!("node count {n} exceeds NodeId range") });
+    }
+    if m > r.remaining() / 2 {
+        return Err(CodecError::Invalid {
+            what: format!("edge count {m} exceeds the {} bytes left", r.remaining()),
+        });
+    }
+    if n > max_nodes {
+        return Err(CodecError::Invalid {
+            what: format!("node count {n} exceeds the {max_nodes} the input can hold"),
+        });
     }
     let mut b = GraphBuilder::with_capacity(n, m);
     let mut prev_u: u64 = 0;
@@ -375,6 +463,46 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        assert_eq!(push_frame(&mut out, |out| out.extend_from_slice(payload)), payload.len());
+        out
+    }
+
+    /// Every cut of a valid frame asks for more, naming the prefix's 4 bytes
+    /// until they are in and the whole frame after; two frames back to back
+    /// split in order, the bytes past the first left alone.
+    #[test]
+    fn frame_parser_waits_for_whole_frames_and_splits_them_in_order() {
+        let (a, b) = (frame(b"first payload"), frame(b""));
+        for cut in 0..a.len() {
+            let need = if cut < 4 { 4 } else { a.len() };
+            assert_eq!(parse_frame(&a[..cut], 64), Ok(Frame::Partial(need)), "cut {cut}");
+        }
+        let both = [a.as_slice(), b.as_slice()].concat();
+        assert_eq!(parse_frame(&both, 64), Ok(Frame::Whole(b"first payload".as_slice())));
+        assert_eq!(parse_frame(&both[a.len()..], 64), Ok(Frame::Whole(b"".as_slice())));
+    }
+
+    /// A flipped payload byte fails the checksum, and a prefix past the
+    /// bound is refused from its 4 bytes alone.
+    #[test]
+    fn frame_parser_refuses_bad_checksums_and_oversized_prefixes() {
+        let mut bad = frame(b"payload");
+        bad[6] ^= 0x40;
+        let found = crc32(&bad[4..bad.len() - 4]);
+        let expected = crc32(b"payload");
+        assert_eq!(parse_frame(&bad, 64), Err(BadFrame::Checksum { expected, found }));
+        let mut long = frame(&[7; 65]);
+        assert_eq!(parse_frame(&long, 64), Err(BadFrame::TooLarge(65)));
+        long.truncate(4);
+        assert_eq!(parse_frame(&long, 64), Err(BadFrame::TooLarge(65)));
+        assert_eq!(
+            parse_frame(&u32::MAX.to_le_bytes(), u32::MAX - 1),
+            Err(BadFrame::TooLarge(u32::MAX))
+        );
+    }
+
     #[test]
     fn varint_roundtrip_edges() {
         let cases = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX - 1, u64::MAX];
@@ -421,7 +549,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_graph(&g, &mut buf);
         let mut r = Reader::new(&buf);
-        let h = decode_graph(&mut r).unwrap();
+        let h = decode_graph(&mut r, usize::MAX).unwrap();
         assert!(r.is_empty());
         assert_eq!(g.n(), h.n());
         assert_eq!(g.m(), h.m());
@@ -449,7 +577,7 @@ mod tests {
         put_uvarint(&mut bad, 2); // n = 2, but edge (1, 2) needs n >= 3
         bad.extend_from_slice(&rest);
         let mut r = Reader::new(&bad);
-        assert!(matches!(decode_graph(&mut r), Err(CodecError::Invalid { .. })));
+        assert!(matches!(decode_graph(&mut r, usize::MAX), Err(CodecError::Invalid { .. })));
     }
 
     /// Gaps that wrap `u64` or leave `NodeId` are a forged edge list: a
@@ -468,7 +596,7 @@ mod tests {
             for v in varints {
                 put_uvarint(&mut buf, v);
             }
-            match decode_graph(&mut Reader::new(&buf)) {
+            match decode_graph(&mut Reader::new(&buf), usize::MAX) {
                 Err(CodecError::Invalid { what }) => assert!(what.contains("edge 0"), "{what}"),
                 other => panic!("{varints:?}: expected Invalid, got {other:?}"),
             }
@@ -478,9 +606,31 @@ mod tests {
         for v in [4, 2, 1, 0, u64::MAX, 0] {
             put_uvarint(&mut buf, v);
         }
-        match decode_graph(&mut Reader::new(&buf)) {
+        match decode_graph(&mut Reader::new(&buf), usize::MAX) {
             Err(CodecError::Invalid { what }) => assert!(what.contains("edge 1"), "{what}"),
             other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    /// A node or edge count the input cannot hold is refused before it
+    /// sizes an allocation: `m = 2^61` on a few bytes used to panic with a
+    /// capacity overflow, and `n` past the caller's bound to abort on a
+    /// failed allocation.
+    #[test]
+    fn graph_decode_rejects_counts_the_input_cannot_hold() {
+        for (n, m, max_nodes, want) in [
+            (15, 1 << 61, usize::MAX, "edge count 2305843009213693952 exceeds the 4 bytes left"),
+            (3, 3, usize::MAX, "edge count 3 exceeds the 4 bytes left"),
+            (3_000_000_000, 0, 12, "node count 3000000000 exceeds the 12"),
+        ] {
+            let mut buf = Vec::new();
+            for v in [n, m, 0, 0, 0, 0] {
+                put_uvarint(&mut buf, v);
+            }
+            match decode_graph(&mut Reader::new(&buf), max_nodes) {
+                Err(CodecError::Invalid { what }) => assert!(what.contains(want), "{what}"),
+                other => panic!("n = {n}, m = {m}: expected Invalid, got {other:?}"),
+            }
         }
     }
 
@@ -490,7 +640,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_graph(&g, &mut buf);
         let mut r = Reader::new(&buf);
-        let h = decode_graph(&mut r).unwrap();
+        let h = decode_graph(&mut r, usize::MAX).unwrap();
         assert_eq!(h.n(), 0);
         assert_eq!(h.m(), 0);
     }

@@ -2,10 +2,10 @@
 //!
 //! The paper's distance metric `M_t` (Section IV-C) is the pairwise shortest
 //! distance under edge weight `1/S_t`. This module provides the generic
-//! machinery: single- and multi-source Dijkstra producing distances, parent
-//! pointers (shortest-path trees) and, for the multi-source case, the *seed*
-//! of every node — exactly the Voronoi-partition building block of the
-//! pyramids index (Section V-A).
+//! machinery: multi-source Dijkstra producing distances, parent pointers
+//! (shortest-path trees) and the *seed* of every node — exactly the
+//! Voronoi-partition building block of the pyramids index (Section V-A) —
+//! and a single-pair distance that stops once its target is settled.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -58,32 +58,16 @@ pub struct ShortestPaths {
 }
 
 /// Runs Dijkstra from `sources` (treated as one super-source) under the edge
-/// weight function `weight(e)`.
+/// weight function `weight(e)`, into the caller's `sp` vectors and `heap`
+/// (both cleared and refilled instead of allocated). The index builds and
+/// rebuilds every partition through here, reusing the partition's own
+/// buffers.
 ///
 /// Weights must be positive and finite; this is guaranteed by construction in
 /// `anc-core` where weights are `1/S_t` with `S_t` clamped to a positive
 /// floor.
 ///
 /// Complexity `O((n + m) log n)`.
-pub fn multi_source_dijkstra<W>(g: &Graph, sources: &[NodeId], weight: W) -> ShortestPaths
-where
-    W: Fn(EdgeId) -> Dist,
-{
-    let n = g.n();
-    let mut sp = ShortestPaths {
-        dist: Vec::with_capacity(n),
-        parent: Vec::with_capacity(n),
-        seed: Vec::with_capacity(n),
-    };
-    let mut heap = BinaryHeap::with_capacity(sources.len().max(16));
-    multi_source_dijkstra_into(g, sources, weight, &mut sp, &mut heap);
-    sp
-}
-
-/// Pooled-buffer core of [`multi_source_dijkstra`]: clears and refills the
-/// caller's `sp` vectors and `heap` instead of allocating. The repeated
-/// index-rebuild paths (`Pyramids::rebuild`) run through here so that
-/// rebuilding per level reuses the partition's own buffers.
 pub fn multi_source_dijkstra_into<W>(
     g: &Graph,
     sources: &[NodeId],
@@ -124,14 +108,6 @@ pub fn multi_source_dijkstra_into<W>(
     }
 }
 
-/// Single-source convenience wrapper around [`multi_source_dijkstra`].
-pub fn dijkstra<W>(g: &Graph, source: NodeId, weight: W) -> ShortestPaths
-where
-    W: Fn(EdgeId) -> Dist,
-{
-    multi_source_dijkstra(g, &[source], weight)
-}
-
 /// Shortest distance between a single pair, with early termination once the
 /// target is settled. Returns `f64::INFINITY` if unreachable.
 pub fn pair_distance<W>(g: &Graph, source: NodeId, target: NodeId, weight: W) -> Dist
@@ -169,6 +145,12 @@ mod tests {
     use super::*;
     use crate::Graph;
 
+    fn dijkstra(g: &Graph, sources: &[NodeId], weight: impl Fn(EdgeId) -> Dist) -> ShortestPaths {
+        let mut sp = ShortestPaths { dist: Vec::new(), parent: Vec::new(), seed: Vec::new() };
+        multi_source_dijkstra_into(g, sources, weight, &mut sp, &mut BinaryHeap::new());
+        sp
+    }
+
     /// Weighted diamond: 0-1 (1), 0-2 (4), 1-2 (1), 2-3 (1), 1-3 (5).
     fn diamond() -> (Graph, Vec<f64>) {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]);
@@ -184,7 +166,7 @@ mod tests {
     #[test]
     fn single_source() {
         let (g, w) = diamond();
-        let sp = dijkstra(&g, 0, |e| w[e as usize]);
+        let sp = dijkstra(&g, &[0], |e| w[e as usize]);
         assert_eq!(sp.dist, vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(sp.parent[1], 0);
         assert_eq!(sp.parent[2], 1);
@@ -196,7 +178,7 @@ mod tests {
     fn multi_source_voronoi() {
         // Path 0-1-2-3-4, unit weights, sources {0, 4}.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let sp = multi_source_dijkstra(&g, &[0, 4], |_| 1.0);
+        let sp = dijkstra(&g, &[0, 4], |_| 1.0);
         assert_eq!(sp.dist, vec![0.0, 1.0, 2.0, 1.0, 0.0]);
         assert_eq!(sp.seed[0], 0);
         assert_eq!(sp.seed[1], 0);
@@ -212,7 +194,7 @@ mod tests {
     #[test]
     fn unreachable_nodes() {
         let g = Graph::from_edges(3, &[(0, 1)]);
-        let sp = dijkstra(&g, 0, |_| 1.0);
+        let sp = dijkstra(&g, &[0], |_| 1.0);
         assert!(sp.dist[2].is_infinite());
         assert_eq!(sp.seed[2], NO_NODE);
         assert_eq!(sp.parent[2], NO_NODE);
@@ -222,7 +204,7 @@ mod tests {
     fn pair_distance_matches_full() {
         let (g, w) = diamond();
         for t in 0..4u32 {
-            let full = dijkstra(&g, 0, |e| w[e as usize]);
+            let full = dijkstra(&g, &[0], |e| w[e as usize]);
             assert_eq!(pair_distance(&g, 0, t, |e| w[e as usize]), full.dist[t as usize]);
         }
         let g2 = Graph::from_edges(3, &[(0, 1)]);
@@ -232,7 +214,7 @@ mod tests {
     #[test]
     fn parent_pointers_form_tree_consistent_with_dist() {
         let (g, w) = diamond();
-        let sp = dijkstra(&g, 0, |e| w[e as usize]);
+        let sp = dijkstra(&g, &[0], |e| w[e as usize]);
         for v in 1..4u32 {
             let p = sp.parent[v as usize];
             let e = g.edge_id(p, v).unwrap();

@@ -258,25 +258,6 @@ pub fn planted_partition(cfg: &PlantedConfig, seed: u64) -> LabeledGraph {
     LabeledGraph { graph: b.build(), labels }
 }
 
-/// 2-D grid graph (`rows × cols` nodes, 4-neighborhood). Used by tests that
-/// need predictable shortest-path structure.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    let n = rows * cols;
-    let mut b = GraphBuilder::with_capacity(n, 2 * n);
-    let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(id(r, c), id(r, c + 1));
-            }
-            if r + 1 < rows {
-                b.add_edge(id(r, c), id(r + 1, c));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Connected caveman graph: `cliques` cliques of `size` nodes, neighbouring
 /// cliques joined by a single bridge edge. The canonical "obvious clusters"
 /// fixture.
@@ -418,15 +399,6 @@ mod tests {
         };
         assert_eq!(sizes.iter().sum::<usize>(), 1000);
         assert!(sizes.iter().all(|&s| s >= 1));
-    }
-
-    #[test]
-    fn grid_shape() {
-        let g = grid(3, 4);
-        assert_eq!(g.n(), 12);
-        assert_eq!(g.m(), 3 * 3 + 2 * 4); // horizontal + vertical
-        assert_eq!(g.degree(0), 2); // corner
-        assert_eq!(g.degree(5), 4); // interior
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * [`gen`] — deterministic synthetic generators standing in for the paper's
 //!   real datasets (see DESIGN.md §3 for the substitution rationale).
 //! * [`codec`] — hand-rolled binary codec primitives (varints, CRC-32,
-//!   raw-bits floats) plus the delta-encoded CSR topology codec used by the
-//!   compact snapshot format (DESIGN.md §11).
+//!   raw-bits floats, the checksummed frame of the wire and the WAL) plus
+//!   the delta-encoded CSR topology codec used by the compact snapshot
+//!   format (DESIGN.md §11).
 //!
 //! All randomized components take explicit `u64` seeds; everything in this
 //! workspace is reproducible bit-for-bit.

@@ -46,5 +46,5 @@ pub use service::{
     ShutdownReport,
 };
 pub use snapshot::{ServeSnapshot, SnapshotReader};
-pub use tcp::{ClientError, ConnState, TcpServer, WireClient, MAX_CONNECTIONS};
+pub use tcp::{ClientError, TcpServer, WireClient, MAX_CONNECTIONS};
 pub use wire::{ErrorCode, FrameError, Request, Response, StatsReply, MAX_FRAME};

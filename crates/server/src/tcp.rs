@@ -4,7 +4,7 @@
 //! flag), one thread per connection, at most [`MAX_CONNECTIONS`] of them.
 //! Each connection owns a cloned [`IngestHandle`] and a private
 //! [`SnapshotReader`], so request handling
-//! ([`ConnState::respond`]) touches no shared mutable state: queries are
+//! (`ConnState::respond`) touches no shared mutable state: queries are
 //! wait-free snapshot reads, ingest is a non-blocking `try_send`, and
 //! every failure becomes a typed [`Response::Error`] frame — the handler
 //! never panics (the crate denies `clippy::{unwrap_used, expect_used, panic}`
@@ -20,13 +20,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use anc_core::BadActivation;
-use anc_graph::codec::CodecError;
+use anc_graph::codec::{push_frame, CodecError};
 
 use crate::service::{IngestError, IngestHandle, ServerCore, ShutdownReport};
 use crate::snapshot::SnapshotReader;
 use crate::wire::{
-    encode_labels, encode_members, push_frame, ErrorCode, FrameError, FrameReader, Request,
-    Response, StatsReply, IO_BUF,
+    encode_labels, encode_members, ErrorCode, FrameError, FrameReader, Request, Response,
+    StatsReply, IO_BUF,
 };
 
 /// Per-connection read timeout; bounds how long a quiet connection waits
@@ -43,7 +43,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 pub const MAX_CONNECTIONS: usize = 256;
 
 /// Per-connection request handler state.
-pub struct ConnState {
+pub(crate) struct ConnState {
     ingest: IngestHandle,
     reader: SnapshotReader,
     stop: Arc<AtomicBool>,

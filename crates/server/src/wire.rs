@@ -1,7 +1,8 @@
 //! The length-prefixed binary wire protocol.
 //!
 //! Hand-rolled on the workspace codec (`anc_graph::codec`) — no external
-//! serialization. Every message travels as one frame:
+//! serialization. Every message travels as one of the codec's frames, the
+//! layout a write-ahead-log record shares:
 //!
 //! ```text
 //! [payload_len: u32 LE] [payload: payload_len bytes] [crc32(payload): u32 LE]
@@ -19,7 +20,9 @@
 use std::io::{ErrorKind, Read, Write};
 
 use anc_core::{ClusterMode, WalRecord};
-use anc_graph::codec::{crc32, put_u8, put_uvarint, CodecError, Reader};
+use anc_graph::codec::{
+    parse_frame, push_frame, put_u8, put_uvarint, BadFrame, CodecError, Frame, Reader,
+};
 use anc_graph::{EdgeId, NodeId};
 
 /// Largest accepted frame payload (8 MiB — a full label vector for a
@@ -68,22 +71,6 @@ pub(crate) const IO_BUF: usize = 16 << 10;
 /// a legitimate frame is not dropped, a stalled half-frame eventually is.
 const STALL_BUDGET: u32 = 50;
 
-/// Appends one frame to `out`, its payload written in place by `encode`:
-/// the length is back-patched and the checksum appended, so a reply goes
-/// from its encoder to the socket buffer without an intermediate copy.
-pub(crate) fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
-    let at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    encode(out);
-    let body = at + 4;
-    // A payload past u32 is past MAX_FRAME too: the peer's parser rejects the
-    // saturated length instead of misreading a wrapped one.
-    let len = u32::try_from(out.len() - body).unwrap_or(u32::MAX);
-    out[at..body].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&out[body..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-}
-
 /// Writes one frame (`len ∥ payload ∥ crc`) to `w`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -93,8 +80,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// The read side of a connection: one buffer, filled by whole `read`s and
-/// parsed in place. The only parser of the frame format — the length limit,
-/// the checksum and the stall budget live here for server and client alike.
+/// parsed in place by the codec's [`parse_frame`] under [`MAX_FRAME`]; the
+/// stall budget lives here for server and client alike.
 pub(crate) struct FrameReader {
     /// `buf[start..end]` is received and not yet parsed; `buf.len()` is the
     /// room, [`IO_BUF`] unless a single longer frame is arriving.
@@ -110,32 +97,20 @@ impl FrameReader {
         Self { buf: vec![0; IO_BUF], start: 0, end: 0, stalls: 0 }
     }
 
-    /// Whole length (prefix, payload, checksum) of the frame at the head of
-    /// the buffer, once its prefix has arrived and passed [`MAX_FRAME`].
-    fn head_len(&self) -> Result<Option<usize>, FrameError> {
-        let Some(prefix) = self.buf[self.start..self.end].first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes(*prefix);
-        if len > MAX_FRAME {
-            return Err(FrameError::TooLarge(len));
-        }
-        Ok(Some(len as usize + 8))
+    /// The frame at the head of the buffer, as far as it has arrived.
+    fn head(&self) -> Result<Frame<'_>, FrameError> {
+        parse_frame(&self.buf[self.start..self.end], MAX_FRAME).map_err(|e| match e {
+            BadFrame::TooLarge(len) => FrameError::TooLarge(len),
+            BadFrame::Checksum { .. } => FrameError::BadCrc,
+        })
     }
 
     /// The payload of the next frame if the buffer holds all of it, checked
     /// against its checksum where it lies; `None` when more bytes are needed.
     pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
-        let Some(total) = self.head_len()? else { return Ok(None) };
-        if self.end - self.start < total {
-            return Ok(None);
-        }
-        let payload = self.start + 4..self.start + total - 4;
-        let crc = &self.buf[payload.end..payload.end + 4];
-        if crc != crc32(&self.buf[payload.clone()]).to_le_bytes() {
-            return Err(FrameError::BadCrc);
-        }
-        self.start += total;
+        let Frame::Whole(payload) = self.head()? else { return Ok(None) };
+        let payload = self.start + 4..self.start + 4 + payload.len();
+        self.start = payload.end + 4;
         self.stalls = 0;
         Ok(Some(&self.buf[payload]))
     }
@@ -143,7 +118,10 @@ impl FrameReader {
     /// Bytes still to arrive before [`Self::next_frame`] can succeed: the
     /// rest of the prefix, or the rest of the frame once the prefix is in.
     fn missing(&self) -> Result<usize, FrameError> {
-        Ok(self.head_len()?.unwrap_or(4).saturating_sub(self.end - self.start))
+        Ok(match self.head()? {
+            Frame::Partial(need) => need.saturating_sub(self.end - self.start),
+            Frame::Whole(_) => 0,
+        })
     }
 
     /// One `read` into the free part of the buffer, after
@@ -168,11 +146,8 @@ impl FrameReader {
             // Only a frame longer than the buffer fills it without
             // completing. Double, never past that frame: room follows the
             // bytes received, not the length four of them claim.
-            let total = self.head_len()?.unwrap_or(0);
-            if total <= self.end {
-                return Ok(true);
-            }
-            self.buf.resize(total.min(2 * self.end), 0);
+            let Frame::Partial(need) = self.head()? else { return Ok(true) };
+            self.buf.resize(need.min(2 * self.end), 0);
         }
         loop {
             match r.read(&mut self.buf[self.end..]) {

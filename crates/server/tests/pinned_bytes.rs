@@ -131,7 +131,7 @@ const PINNED: [(&str, usize, u64); 21] = [
     ("resp Stats", 34, 0x7cc5cbfa7342246f),
     ("resp ShuttingDown", 9, 0x878e9e8910650000),
     ("resp Error", 35, 0x85129c577ae7b23e),
-    ("wal", 136, 0xb29ec054b5f5fbf6),
+    ("wal", 136, 0xb8d77bacae64c6e4),
     ("snapshot Exact", 15636, 0x7debcd9a232cb933),
 ];
 

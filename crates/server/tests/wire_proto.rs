@@ -91,9 +91,9 @@ fn golden_roundtrip_every_variant() {
     }
 }
 
-/// An `Ingest` request's payload after its tag byte is, byte for byte, the
-/// payload of the write-ahead-log record the same `(t, edges)` appends: the
-/// wire and the log share one activation batch.
+/// The write-ahead-log record the same `(t, edges)` appends is, byte for
+/// byte, the wire frame of an `Ingest` request's payload after its tag byte:
+/// the wire and the log share one activation batch and one frame.
 #[test]
 fn ingest_fields_are_a_log_record_payload() {
     let (t, edges) = (2.75, vec![0, 7, 7, 30]);
@@ -111,10 +111,9 @@ fn ingest_fields_are_a_log_record_payload() {
     drop(durable);
     let log = std::fs::read(dir.join(WAL_FILE)).expect("read log");
     let _ = std::fs::remove_dir_all(&dir);
-    // The record is `u32 len ∥ u32 crc ∥ payload`.
-    let record = &log[before..];
-    assert_eq!(record[..4], (batch.len() as u32).to_le_bytes());
-    assert_eq!(&record[8..], batch);
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, batch).expect("a Vec takes every write");
+    assert_eq!(&log[before..], frame);
 }
 
 #[test]
