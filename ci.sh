@@ -23,7 +23,9 @@
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales, live index = rebuild up to n = 20 000,
 #     level 0 weight-free and never repaired up to n = 20 000, the
-#     n = 20 000 post-rescale cache check, the cached-query work bound
+#     n = 20 000 post-rescale cache check, the cached-query work bound,
+#     and the similarity store's range: a 10⁶-step one-edge stream at
+#     λΔt = 10 and a 400 000-activation dense stream
 #   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
 #     equivalence proptest and the pinned snapshot and index digests; serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
@@ -174,6 +176,18 @@ cargo test --release -p anc-core --test prop_cluster_cache \
     post_rescale_cache_matches_index_at_realistic_n -q -- --ignored
 cargo test --release -p anc-core --test prop_cluster_cache \
     query_work_is_bounded_by_what_changed_at_fixture_scale -q -- --ignored
+
+echo "==> the similarity store stays in range (release)"
+# Silence must not decay a similarity to 0, and dense traffic must not carry
+# the mean of S out of the range rule's window (DESIGN.md §4, §7): one edge
+# activated alone every λΔt = 10 for 10⁶ steps, and 400 000 activations 80 %
+# on 64 hot edges, which cross the range step with a cached level (the index
+# must equal a rebuild and the cache a cold fill afterwards). Their 10⁴-step
+# versions ran with the workspace tests.
+cargo test --release -p anc-core --test similarity_range \
+    one_edge_at_lambda_dt_10_stays_valid_for_a_million_steps -q -- --ignored --exact
+cargo test --release -p anc-core --test similarity_range \
+    dense_traffic_keeps_the_mean_in_range_for_400k_activations -q -- --ignored --exact
 
 echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
 # The determinism tests sweep RAYON_NUM_THREADS internally, but their

@@ -227,9 +227,9 @@ fn out_of_range_options_fail_typed() {
 }
 
 /// Whatever `anc stream` writes, `anc clusters` can read. A jump of
-/// λΔt = 800 between two activations (ROADMAP 1(b)) decays similarities to
-/// 0; the save refuses that state, so the stream exits 1 and writes nothing
-/// rather than a checkpoint every later command refuses.
+/// λΔt = 800 between two activations used to decay similarities to 0, and
+/// the save refused that state; the similarity store no longer decays with
+/// the clock, so the stream succeeds and its checkpoint loads.
 #[test]
 fn a_stream_never_writes_a_checkpoint_that_cannot_be_read() {
     let dir = tmpdir("a_stream_never_writes_a_checkpoint_that_cannot_be_read");
@@ -247,16 +247,8 @@ fn a_stream_never_writes_a_checkpoint_that_cannot_be_read() {
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&streamed.stderr);
-    match streamed.status.code() {
-        Some(0) => {
-            run(&argv(&["clusters", "--engine", op])).unwrap();
-        }
-        Some(1) => {
-            assert!(stderr.contains("cannot write") && stderr.contains("similarity"), "{stderr}");
-            assert!(!out.exists(), "a refused save left {op}");
-        }
-        other => panic!("exit {other:?}: {stderr}"),
-    }
+    assert_eq!(streamed.status.code(), Some(0), "{stderr}");
+    run(&argv(&["clusters", "--engine", op])).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -23,14 +23,18 @@ pub struct AncConfig {
     /// (default 7; "7 repetitions are enough for a high quality clustering
     /// while 0 repetition is enough for beating the baselines").
     pub rep: usize,
-    /// Absolute lower clamp on the true similarity `S_t(e)`.
+    /// Not read by the engine: the only similarity floor is the relative
+    /// one, [`Self::floor_rel`]. An absolute clamp on the true `S_t` tied the
+    /// floor to the decay clock and snapped untouched and hot edges alike to
+    /// it; the field is kept, persisted and range-checked because the
+    /// benchmark's layer twin names it.
+    pub floor: f64,
+    /// The similarity floor: no write leaves `S_t(e)` below
+    /// `floor_rel × mean(S_t)` (`anc_core::reinforce::similarity_floor`).
     ///
     /// The paper leaves the behaviour of wedge stretch driving `S_t ≤ 0`
     /// unspecified; a positive floor keeps `1/S_t` a valid Dijkstra weight,
     /// mirroring Attractor's truncation of weights to `[0, 1]`.
-    pub floor: f64,
-    /// Relative lower clamp: `S_t(e)` is additionally floored at
-    /// `floor_rel × mean(S_t)`.
     ///
     /// Reinforcement grows similarities multiplicatively, so an absolute
     /// floor turns into a black hole: a crushed edge's `AF ∝ F` vanishes and

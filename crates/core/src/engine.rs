@@ -16,13 +16,16 @@
 //!   against the *current* activeness and rebuilds the index, exactly like
 //!   indexing a fresh snapshot.
 //!
-//! One batched rescale (`anc-decay`) is shared by every store, decided and
-//! applied in [`AncEngine::force_rescale`]: anchored activeness, node sums
-//! and similarity absorb `g` (PosM), reciprocal weights and all pyramid
-//! distances absorb `1/g` (NegM, Lemma 10). The factor is a power of two, so
-//! every product is exact: `recip` stays exactly `1/S*`, every `dist` stays
-//! the exact sum along its shortest-path tree, and the index structure is
-//! untouched — the state a restore re-derives from the snapshot, bit for
+//! Two rescales keep the stores in `f64` range (DESIGN.md §4, §7). The
+//! decay clock's ([`AncEngine::force_rescale`]) moves the activeness stores
+//! only: anchored activeness and node sums absorb `g` (PosM). The similarity
+//! store is 1-homogeneous and every consumer of it is scale-invariant, so it
+//! keeps a scale of its own: when its mean leaves
+//! [`reinforce::MEAN_RANGE`], the range step scales `S` by an exact power of
+//! two and `recip` and every pyramid distance by its inverse (NegM, Lemma
+//! 10). Every product is exact: `recip` stays exactly `1/S`, every `dist`
+//! stays the exact sum along its shortest-path tree, and the index structure
+//! is untouched — the state a restore re-derives from the snapshot, bit for
 //! bit.
 
 use std::cell::RefCell;
@@ -66,8 +69,8 @@ pub struct AncEngine {
     /// (which the binary file rebuilds rather than stores) and the
     /// counters. Every other field is derived from it or transient.
     state: EngineSnapshot,
-    /// Anchored reciprocal similarity `1/S*` per edge (NegM) — the index's
-    /// edge weights, kept materialized so partitions can read a plain slice.
+    /// Reciprocal stored similarity `1/S` per edge (NegM) — the index's edge
+    /// weights, kept materialized so partitions can read a plain slice.
     recip: Vec<f64>,
     scratch: Scratch,
     /// The incremental cluster-query cache (interior mutability so
@@ -86,7 +89,7 @@ pub struct AncEngine {
 /// An offline (ANCF) snapshot: a freshly initialized similarity and index
 /// for the activeness state at the moment of the call.
 pub struct OfflineSnapshot {
-    /// Anchored similarity after `rep` full passes.
+    /// Stored similarity after `rep` full passes (mean 1).
     pub sim: Vec<f64>,
     /// Reciprocal weights.
     pub recip: Vec<f64>,
@@ -125,6 +128,7 @@ impl AncEngine {
             pyramids,
             index_seed: seed,
             sim_sum,
+            sim_exp: 0,
             activations: 0,
             rescales: 0,
         })
@@ -191,11 +195,19 @@ impl AncEngine {
     /// True similarity `S_t(e)` at the current time.
     #[must_use = "pure query; the similarity value is the only effect"]
     pub fn similarity(&self, e: EdgeId) -> f64 {
-        self.state.sim[e as usize] * self.state.clock.global_factor()
+        self.state.sim[e as usize] * self.true_scale()
     }
 
-    /// Anchored similarity slice (for metric computations; anchored values
-    /// preserve all comparisons).
+    /// The factor from a stored similarity to the true `S_t`,
+    /// `2^sim_exp · e^{−λ·now}`: the store never moves with the clock, so the
+    /// decay of `S` is read here and nowhere else.
+    fn true_scale(&self) -> f64 {
+        let s = &self.state;
+        (s.sim_exp as f64 * std::f64::consts::LN_2 - s.clock.lambda() * s.clock.now()).exp()
+    }
+
+    /// The stored similarity slice (for metric computations; one scale for
+    /// every edge preserves all comparisons).
     pub fn sim_anchored(&self) -> &[f64] {
         &self.state.sim
     }
@@ -215,15 +227,11 @@ impl AncEngine {
     }
 
     fn reinforce_params(&self) -> ReinforceParams {
-        // The anchored floor is the larger of the absolute floor on the
-        // *true* similarity (`floor × 1/g`) and the mean-relative floor on
-        // the anchored values.
         let s = &self.state;
-        let mean = s.sim_sum / s.graph.m().max(1) as f64;
         ReinforceParams {
             epsilon: s.config.epsilon,
             mu: s.config.mu,
-            floor_anchored: (s.config.floor * s.clock.boost()).max(s.config.floor_rel * mean),
+            floor_anchored: reinforce::similarity_floor(s.config.floor_rel, sim_mean(s)),
         }
     }
 
@@ -231,7 +239,7 @@ impl AncEngine {
     /// batch of one through the ingest loop (DESIGN.md §7):
     ///
     /// 1. advance the clock, absorb a batched rescale if one is due, and
-    ///    bump the anchored activeness (`O(1)`, Lemma 1);
+    ///    bump the anchored activeness at `t` (`O(1)`, Lemma 1);
     /// 2. apply local reinforcement with trigger edge `e` (`O(deg u +
     ///    deg v)` neighborhood work, Lemma 5);
     /// 3. repair every Voronoi partition at levels `≥ 1` for the changed
@@ -277,27 +285,34 @@ impl AncEngine {
     /// The one ingest loop behind [`Self::activate`],
     /// [`Self::activate_batch`] and [`Self::reinforce_edges`]. Per edge,
     /// when a timestamp is given: advance the clock → if a rescale is due,
-    /// flush the pending repairs and [`Self::force_rescale`] →
-    /// [`Self::bump`]; then, with or without one, [`Self::reinforce`] →
-    /// queue the weight change. The `reinforce_edges` path (no timestamp)
-    /// never rescales. Pending repairs are flushed once more at the end.
-    /// Returns the repair work of every flush.
+    /// [`Self::force_rescale`] → [`Self::bump`]; then, with or without one,
+    /// [`Self::reinforce`] → queue the weight change → if the mean of `S`
+    /// left [`reinforce::MEAN_RANGE`], flush the pending repairs and
+    /// [`Self::rescale_similarity`]. The `reinforce_edges` path (no
+    /// timestamp) never moves the clock. Pending repairs are flushed once
+    /// more at the end. Returns the repair work of every flush.
     fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>) -> RepairStats {
         let mut stats = RepairStats::default();
         for &e in edges {
             if let Some(t) = t {
                 self.state.clock.advance_to(t);
-                // The one rescale site: before `bump` reads `boost()`, so
-                // `boost() ≤ e^guard` always holds, and after the pending
-                // repairs have landed at the pre-rescale weights.
+                // The clock's rescale site: before `bump` reads the boost, so
+                // `boost() ≤ e^guard` always holds. It moves no weight, so
+                // the pending repairs need not land first.
                 if self.state.clock.needs_rescale() {
-                    stats += self.flush();
                     self.force_rescale();
                 }
-                self.bump(e);
+                self.bump(e, t);
             }
             if let Some(delta) = self.reinforce(e) {
                 self.deltas.push(delta);
+            }
+            // The store's rescale site: right after the one write that can
+            // carry the mean out, and after the pending repairs have landed
+            // at the pre-step weights.
+            if !reinforce::MEAN_RANGE.contains(&sim_mean(&self.state)) {
+                stats += self.flush();
+                stats += self.rescale_similarity();
             }
         }
         stats += self.flush();
@@ -305,12 +320,13 @@ impl AncEngine {
     }
 
     /// Ingest stage 1: bumps the anchored activeness of `e` and both
-    /// endpoint sums at the clock's time (`O(1)`, Lemma 1).
-    fn bump(&mut self, e: EdgeId) {
+    /// endpoint sums by one activation at its own time `t`, which may lie
+    /// before the clock's (`O(1)`, Lemma 1; DESIGN.md §4).
+    fn bump(&mut self, e: EdgeId, t: Time) {
         let s = &mut self.state;
-        s.activeness.activate(e, &s.clock);
+        s.activeness.activate_at(e, t, &s.clock);
         let (u, v) = s.graph.endpoints(e);
-        let boost = s.clock.boost();
+        let boost = s.clock.boost_at(t);
         s.node_sum[u as usize] += boost;
         s.node_sum[v as usize] += boost;
         s.clock.note_activation();
@@ -388,10 +404,12 @@ impl AncEngine {
 
     /// Performs a batched rescale now; the ingest loop calls it when one is
     /// due, tests and ablations may call it any time. Absorbs the exact
-    /// power-of-two factor `g` of [`DecayClock::take_rescale`]: PosM stores
-    /// multiply by `g`, NegM stores by `1/g`. When `g = 1` (less than one
-    /// halving has elapsed) no store moves and [`Self::rescales`] does not
-    /// count it.
+    /// power-of-two factor `g` of [`DecayClock::take_rescale`] into the
+    /// activeness stores: anchored activeness and node sums multiply by `g`.
+    /// The similarity store, `recip` and the index keep their own scale
+    /// ([`Self::rescale_similarity`]), so no weight moves. When `g = 1` (less
+    /// than one halving has elapsed) no store moves and [`Self::rescales`]
+    /// does not count it.
     pub fn force_rescale(&mut self) {
         let s = &mut self.state;
         let g = s.clock.take_rescale();
@@ -399,16 +417,51 @@ impl AncEngine {
             return;
         }
         s.activeness.rescale(g);
-        for x in s.node_sum.iter_mut().chain(&mut s.sim) {
+        for x in &mut s.node_sum {
             *x *= g;
         }
-        s.sim_sum *= g;
-        let inv = 1.0 / g;
-        for w in &mut self.recip {
-            *w *= inv;
-        }
-        s.pyramids.rescale(inv);
         s.rescales += 1;
+    }
+
+    /// The range step (DESIGN.md §7), which the ingest loop takes when the
+    /// mean of `S` leaves [`reinforce::MEAN_RANGE`]: scales `S` by the power
+    /// of two `2^-j` that brings its mean back to ≈ 1, and `recip` and every
+    /// pyramid distance by `2^j`. The products are exact, so the index is
+    /// still the build over the new weights; the persisted exponent takes
+    /// `j`, so no true value moves. Then every edge below the floor is lifted
+    /// to it through the ordinary repair path, as a reinforcement write
+    /// would be: no rebuild, and the cluster cache hears the affected nodes.
+    /// Expects no pending repairs; returns the lifts' repair work.
+    ///
+    /// Out of line: it runs once in ≈ 2^256 of mean growth, and inlined
+    /// into the ingest loop it slowed every activation.
+    #[cold]
+    #[inline(never)]
+    fn rescale_similarity(&mut self) -> RepairStats {
+        let s = &mut self.state;
+        let j = sim_mean(s).log2().round() as i32;
+        let (down, up) = (2f64.powi(-j), 2f64.powi(j));
+        for x in &mut s.sim {
+            *x *= down;
+        }
+        s.sim_sum *= down;
+        for w in &mut self.recip {
+            *w *= up;
+        }
+        s.pyramids.rescale(up);
+        s.sim_exp = s.sim_exp.saturating_add(j.into());
+        let floor = reinforce::similarity_floor(s.config.floor_rel, sim_mean(s));
+        for (e, x) in (0..).zip(&mut s.sim) {
+            let lifted = reinforce::clamp_to_floor(*x, floor);
+            if lifted != *x {
+                *x = lifted;
+                let w = &mut self.recip[e as usize];
+                self.deltas.push((e, *w, 1.0 / lifted));
+                *w = 1.0 / lifted;
+            }
+        }
+        s.sim_sum = s.sim.iter().sum();
+        self.flush()
     }
 
     // --- queries ----------------------------------------------------------
@@ -515,10 +568,9 @@ impl AncEngine {
     /// when every such partition splits it.
     #[must_use = "pure query; the distance estimate is the only effect"]
     pub fn approx_distance(&self, u: NodeId, v: NodeId) -> f64 {
-        // Stored distances are anchored (weights 1/S*); the true NegM value
-        // divides by the global factor g... true w = w*/g, so true dist =
-        // anchored / g.
-        self.state.pyramids.approx_distance(u, v) / self.state.clock.global_factor()
+        // Stored distances sum stored weights `1/S`; the true NegM value
+        // divides by the factor the true `S_t` multiplies by.
+        self.state.pyramids.approx_distance(u, v) / self.true_scale()
     }
 
     /// Exact *true* distance `M_t(u, v)` by on-line Dijkstra (`O(m log n)`),
@@ -526,7 +578,7 @@ impl AncEngine {
     #[must_use = "pure query; the distance is the only effect"]
     pub fn exact_distance(&self, u: NodeId, v: NodeId) -> f64 {
         let s = &self.state;
-        crate::metric::distance(&s.graph, &s.sim, u, v) / s.clock.global_factor()
+        crate::metric::distance(&s.graph, &s.sim, u, v) / self.true_scale()
     }
 
     // --- offline (ANCF) & maintenance -------------------------------------
@@ -578,7 +630,7 @@ impl AncEngine {
 
     /// Verifies every engine invariant against the current state (testing
     /// aid; `O(k · m log n)`): CSR well-formedness, activeness finiteness
-    /// and Def. 2 consistency, similarity positivity and `1/S*` sync,
+    /// and Def. 2 consistency, similarity positivity, range and `1/S` sync,
     /// pyramid shape, per-partition shortest-path-forest soundness, and
     /// validity of the default-level clustering. See [`crate::invariant`]
     /// for the catalogue.
@@ -587,7 +639,7 @@ impl AncEngine {
         let (g, pyramids) = (&s.graph, &s.pyramids);
         invariant::check_graph(g)?;
         invariant::check_activeness(g, s.activeness.as_slice(), &s.node_sum)?;
-        invariant::check_similarities(&s.sim)?;
+        invariant::check_similarities(&s.sim, s.sim_sum)?;
         invariant::check_recip_sync(&s.sim, &self.recip)?;
         pyramids.check_invariants(g, &self.recip)?;
         let c = cluster_all(g, pyramids, self.default_level(), ClusterMode::Power);
@@ -625,7 +677,8 @@ impl AncEngine {
 /// `S₀` for the activeness in `ctx` (paper Section IV-C), shared by
 /// [`AncEngine::new`] and ANCF: all ones, then `rep` full reinforcement
 /// passes over one σ table (no pass changes activeness, so none changes σ).
-/// A fresh `S` starts at mean 1, so the relative floor applies directly.
+/// A fresh `S` starts at mean 1, and every pass renormalizes to it, so the
+/// floor is the one rule's at mean 1.
 fn initial_similarity(
     ctx: &SimilarityCtx<'_>,
     cfg: &AncConfig,
@@ -635,12 +688,18 @@ fn initial_similarity(
     let mut sim = vec![1.0; ctx.g.m()];
     if rep > 0 {
         let rows = SigmaRows::build(ctx, cfg.epsilon, cfg.mu, scratch);
-        let floor_anchored = cfg.floor.max(cfg.floor_rel);
+        let floor = reinforce::similarity_floor(cfg.floor_rel, 1.0);
         for _ in 0..rep {
-            reinforce::sweep(ctx, &mut sim, &rows, floor_anchored, scratch);
+            reinforce::sweep(ctx, &mut sim, &rows, floor, scratch);
         }
     }
     sim
+}
+
+/// The mean of a state's stored similarity (the floor's and the range
+/// rule's input).
+fn sim_mean(s: &EngineSnapshot) -> f64 {
+    s.sim_sum / s.graph.m().max(1) as f64
 }
 
 /// The σ context over a state's graph, activeness and node sums.
@@ -886,9 +945,9 @@ mod tests {
     }
 
     /// Satellite regression: updates that cannot move any vote — an empty
-    /// batch and a batched rescale (uniform distance scaling preserves every
-    /// seed assignment) — must not bump the cache generation, leave nodes
-    /// pending, or replace the cached clustering allocation.
+    /// batch and a batched rescale (it moves activeness only, no weight) —
+    /// must not bump the cache generation, leave nodes pending, or replace
+    /// the cached clustering allocation.
     #[test]
     fn rescale_and_empty_batch_preserve_cache_generation() {
         let mut engine = engine_fixture(1);

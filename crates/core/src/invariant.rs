@@ -10,9 +10,10 @@
 //!   `A(v)` equal the sum of incident anchored activeness (the Def. 2
 //!   algebra: anchored values absorb the global decay factor, so the
 //!   incremental `+= 1/g` bumps must agree with a full rescan);
-//! * anchored similarity is finite and strictly positive (Eq. 1 composed
-//!   with the reinforcement floor), and the materialized reciprocal weights
-//!   are exactly `1/S*` (NegM, Lemma 4);
+//! * stored similarity is finite and strictly positive (the floor), its
+//!   running sum matches it and its mean lies in the range rule's window,
+//!   and the materialized reciprocal weights are exactly `1/S` (NegM,
+//!   Lemma 4);
 //! * the pyramids index has exactly `k · ⌈log₂ n⌉` partitions with the
 //!   prescribed seed counts, and each Voronoi partition is a certified
 //!   shortest-path forest (no relaxable edge, acyclic parents — see
@@ -42,8 +43,8 @@ pub enum InvariantViolation {
     /// (non-finite / negative anchored value, or `A(v)` drifting from the
     /// sum of incident anchored activeness).
     Activeness(String),
-    /// A similarity value is non-finite or non-positive, or the reciprocal
-    /// weights are out of sync with `1/S*`.
+    /// A similarity value is non-finite or non-positive, the running sum or
+    /// the mean is off, or the reciprocal weights are out of sync with `1/S`.
     Similarity(String),
     /// The pyramids index has the wrong shape (level count ≠ `⌈log₂ n⌉`,
     /// wrong seed-set size, vote threshold out of range).
@@ -89,25 +90,39 @@ impl std::error::Error for InvariantViolation {}
 /// floats (matches the partition checker's).
 const TOL: f64 = 1e-6;
 
-/// Checks that every anchored similarity is finite and strictly positive —
-/// the precondition for the reciprocal weights `1/S*` to be a valid distance
-/// metric (Eq. 1 with the reinforcement floor applied).
+/// Checks that every stored similarity is finite and strictly positive —
+/// the precondition for the reciprocal weights `1/S` to be a valid distance
+/// metric (the floor keeps it) — that the running sum `sim_sum` equals
+/// their sum, and that their mean lies in [`crate::reinforce::MEAN_RANGE`]
+/// (the range rule keeps it; with no edges there is no mean).
 ///
 /// Shared by [`crate::AncEngine::check_invariants`] and the snapshot
 /// validator ([`crate::EngineSnapshot::validate`]).
-pub fn check_similarities(sim: &[f64]) -> Result<(), InvariantViolation> {
+pub fn check_similarities(sim: &[f64], sim_sum: f64) -> Result<(), InvariantViolation> {
     for (e, s) in sim.iter().enumerate() {
         if !s.is_finite() || *s <= 0.0 {
             return Err(InvariantViolation::Similarity(format!("edge {e} has similarity {s}")));
         }
     }
+    let sum: f64 = sim.iter().sum();
+    if !(sum.is_finite() && sim_sum.is_finite()) || (sim_sum - sum).abs() > TOL * sum {
+        return Err(InvariantViolation::Similarity(format!(
+            "running sum {sim_sum} but the similarities sum to {sum}"
+        )));
+    }
+    let mean = sim_sum / sim.len().max(1) as f64;
+    if !sim.is_empty() && !crate::reinforce::MEAN_RANGE.contains(&mean) {
+        return Err(InvariantViolation::Similarity(format!(
+            "mean similarity {mean:e} outside the range rule's window"
+        )));
+    }
     Ok(())
 }
 
-/// Checks that the materialized reciprocal weights equal `1/S*` edge for
-/// edge, bit for bit (NegM, Lemma 4): a power-of-two rescale keeps
+/// Checks that the materialized reciprocal weights equal `1/S` edge for
+/// edge, bit for bit (NegM, Lemma 4): a power-of-two range step keeps
 /// `fl(1/s)·2^j == fl(1/(s·2^-j))`, and a restore re-derives `recip` as
-/// `1/S*`. Assumes [`check_similarities`] already passed.
+/// `1/S`. Assumes [`check_similarities`] already passed.
 pub fn check_recip_sync(sim: &[f64], recip: &[f64]) -> Result<(), InvariantViolation> {
     if sim.len() != recip.len() {
         return Err(InvariantViolation::Similarity(format!(
@@ -355,14 +370,19 @@ mod tests {
 
     #[test]
     fn similarities_accept_positive_finite() {
-        check_similarities(&[1.0, 0.5, 1e300]).unwrap();
-        assert!(matches!(check_similarities(&[1.0, 0.0]), Err(InvariantViolation::Similarity(_))));
-        assert!(matches!(check_similarities(&[f64::NAN]), Err(InvariantViolation::Similarity(_))));
-        assert!(matches!(check_similarities(&[-2.0]), Err(InvariantViolation::Similarity(_))));
-        assert!(matches!(
-            check_similarities(&[f64::INFINITY]),
-            Err(InvariantViolation::Similarity(_))
-        ));
+        check_similarities(&[1.0, 0.5, 1e70], 1e70).unwrap();
+        check_similarities(&[], 0.0).unwrap();
+        for bad in [&[1.0, 0.0][..], &[f64::NAN], &[-2.0], &[f64::INFINITY]] {
+            let sum = bad.iter().sum();
+            assert!(matches!(check_similarities(bad, sum), Err(InvariantViolation::Similarity(_))));
+        }
+        // A running sum that drifted from the values, and means past either
+        // end of the window.
+        for (sim, sum) in
+            [(&[1.0, 2.0][..], 3.1), (&[1e300, 1.0][..], 1e300), (&[1e-80][..], 1e-80)]
+        {
+            assert!(check_similarities(sim, sum).is_err(), "{sim:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! "ANCS"  magic (4 bytes)
-//! u32     format version (currently 3; 1 and 2 are refused)
+//! u32     format version (currently 4; 1 to 3 are refused)
 //! body    (see below)
 //! u32     CRC-32 (IEEE) over every preceding byte
 //! ```
@@ -12,11 +12,12 @@
 //! Body, in order: config, decay-clock state (`now`, anchor, activations
 //! since the last rescale — its λ and rescale policy are the config's),
 //! delta-encoded CSR topology ([`anc_graph::codec::encode_graph`]), anchored
-//! activeness per edge, per-node activeness sums, anchored similarity per
-//! edge, running similarity sum, index RNG seed, lifetime counters.
+//! activeness per edge, per-node activeness sums, stored similarity per
+//! edge, running similarity sum, the similarity scale's exponent (`i64`),
+//! index RNG seed, lifetime counters.
 //!
 //! The pyramids are not stored. The index is a function of the weights
-//! `1/S*` and the seeds its RNG seed samples: the repairs keep the build's
+//! `1/S` and the seeds its RNG seed samples: the repairs keep the build's
 //! tie rule ([`crate::voronoi`]), so the live index always equals a fresh
 //! build. [`decode_snapshot`] checks the decoded state, then rebuilds the
 //! clock and the index from it ([`Pyramids::build`]), and the restored
@@ -42,7 +43,7 @@ use super::{check_state, le_u64, seal, unseal, EngineSnapshot, RestoreError};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
 
 /// Binary snapshot format version.
-pub const BINARY_VERSION: u32 = 3;
+pub const BINARY_VERSION: u32 = 4;
 
 /// Float fidelity of a binary snapshot: raw `f64` bits everywhere, so a
 /// restore is bit-identical. It is the only profile, and the file does not
@@ -137,6 +138,7 @@ pub(crate) fn encode_snapshot(s: &EngineSnapshot) -> Vec<u8> {
         put_f64s(out, &s.node_sum);
         put_f64s(out, &s.sim);
         put_f64(out, s.sim_sum);
+        put_u64(out, s.sim_exp.cast_unsigned());
         put_u64(out, s.index_seed);
         put_uvarint(out, s.activations);
         put_uvarint(out, s.rescales);
@@ -160,6 +162,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
     let node_sum = read_f64s(&mut r, n)?;
     let sim = read_f64s(&mut r, m)?;
     let sim_sum = r.f64()?;
+    let sim_exp = r.u64()?.cast_signed();
     let index_seed = r.u64()?;
     let activations = r.uvarint()?;
     let rescales = r.uvarint()?;
@@ -170,7 +173,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
         )));
     }
     let activeness = ActivenessStore::from_anchored(activeness);
-    check_state(&graph, &config, &activeness, &node_sum, &sim)?;
+    check_state(&graph, &config, &activeness, &node_sum, &sim, sim_sum)?;
     let clock = DecayClock::from_parts(clock_parts);
     let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
     let pyramids = Pyramids::build(&graph, &recip, config.k, config.theta, index_seed);
@@ -184,6 +187,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, RestoreError> {
         pyramids,
         index_seed,
         sim_sum,
+        sim_exp,
         activations,
         rescales,
     })
@@ -306,8 +310,9 @@ mod tests {
     }
 
     /// A state that no load would accept is refused, typed, before a byte
-    /// is written: an engine whose similarity decayed to 0 (ROADMAP 1(b)'s
-    /// jump) must not leave a snapshot that every load refuses.
+    /// is written: an engine tampered into a similarity of 0, which the
+    /// floor keeps any stream from reaching, must not leave a snapshot that
+    /// every load refuses.
     #[test]
     fn a_state_no_load_accepts_is_not_saved() {
         let mut s = streamed_engine().to_snapshot();
@@ -460,6 +465,12 @@ mod tests {
         restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(2)), "{err}");
+        // Version 3 stored the similarity on the decay clock's scale and had
+        // no exponent for it; it is refused, not migrated.
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        restamp_crc(&mut bytes);
+        let err = load_err(&bytes);
+        assert!(matches!(err, RestoreError::UnsupportedVersion(3)), "{err}");
     }
 
     /// A rescale guard past `ln(f64::MAX)` lets `boost()` overflow to ∞; it

@@ -67,7 +67,8 @@ pub struct EngineSnapshot {
     pub activeness: ActivenessStore,
     /// Anchored per-node activeness sums.
     pub node_sum: Vec<f64>,
-    /// Anchored similarity per edge.
+    /// Stored similarity per edge, on the store's own scale (DESIGN.md §4):
+    /// `S_t(e) = sim[e] · 2^sim_exp · e^{−λt}`.
     pub sim: Vec<f64>,
     /// The pyramids index (partitions, seeds, shortest-path forests).
     /// [`crate::AncEngine::from_snapshot`] adopts it as given; the binary
@@ -76,8 +77,12 @@ pub struct EngineSnapshot {
     /// RNG seed the index was built with: a binary restore rebuilds the
     /// index from it, and offline rebuilds reuse it.
     pub index_seed: u64,
-    /// Running anchored-similarity sum (relative floor).
+    /// Running sum of `sim` (the floor's and the range rule's mean).
     pub sim_sum: f64,
+    /// Exponent of the similarity store's scale: every range step that
+    /// scales `sim` by `2^-j` adds `j`, so the true-valued read-outs stay
+    /// put.
+    pub sim_exp: i64,
     /// Lifetime counters.
     pub activations: u64,
     /// Batched rescales performed.
@@ -227,7 +232,14 @@ impl EngineSnapshot {
     /// `O(k · m log n)` forest check stays with
     /// [`crate::AncEngine::check_invariants`]).
     pub fn validate(&self) -> Result<(), RestoreError> {
-        check_state(&self.graph, &self.config, &self.activeness, &self.node_sum, &self.sim)?;
+        check_state(
+            &self.graph,
+            &self.config,
+            &self.activeness,
+            &self.node_sum,
+            &self.sim,
+            self.sim_sum,
+        )?;
         // The clock holds λ and the rescale policy beside the config; the
         // engine decays by the clock's, so they must agree bit for bit.
         let parts = self.clock.to_parts();
@@ -264,7 +276,8 @@ impl EngineSnapshot {
 
 /// The checks on a snapshot's state apart from the clock and the index: the
 /// config's ranges, at least one node, array sizes, positive similarities
-/// and a well-formed CSR (`O(n + m)`). [`EngineSnapshot::validate`] runs
+/// whose sum matches `sim_sum` and whose mean lies in the range rule's
+/// window, and a well-formed CSR (`O(n + m)`). [`EngineSnapshot::validate`] runs
 /// them, and a binary restore runs them before it builds the clock and the
 /// index from that state.
 pub(crate) fn check_state(
@@ -273,6 +286,7 @@ pub(crate) fn check_state(
     activeness: &ActivenessStore,
     node_sum: &[f64],
     sim: &[f64],
+    sim_sum: f64,
 ) -> Result<(), RestoreError> {
     // A version-skewed or hand-edited snapshot must surface a typed error,
     // not `AncConfig::validate`'s panic.
@@ -303,7 +317,7 @@ pub(crate) fn check_state(
         )));
     }
     // Shared with the engine's own checker — one validator, two callers.
-    crate::invariant::check_similarities(sim).map_err(RestoreError::Invariant)?;
+    crate::invariant::check_similarities(sim, sim_sum).map_err(RestoreError::Invariant)?;
     crate::invariant::check_graph(graph).map_err(RestoreError::Invariant)
 }
 

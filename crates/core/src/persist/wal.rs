@@ -100,8 +100,11 @@ impl std::error::Error for BadActivation {}
 
 impl WalRecord {
     /// [`AncEngine::activate_batch`]'s precondition on a network of
-    /// `num_edges` edges: a finite time (a stale one is clamped), then every
-    /// edge id below `num_edges`.
+    /// `num_edges` edges: a finite time, then every edge id below
+    /// `num_edges`. Any finite time is accepted: a time before the engine's
+    /// counts at its own time and leaves the clock where it is, and however
+    /// far a time jumps ahead, the similarity store does not decay with it
+    /// (DESIGN.md §4).
     pub fn check(num_edges: usize, edges: &[EdgeId], t: f64) -> Result<(), BadActivation> {
         if !t.is_finite() {
             return Err(BadActivation::NonFiniteTime(t));
@@ -686,8 +689,8 @@ mod tests {
     }
 
     /// A compaction whose state no load would accept (one similarity of 0,
-    /// what ROADMAP 1(b)'s time jump leaves) fails typed before its rename,
-    /// and the directory still opens to the logged state.
+    /// tampered in: the floor keeps every stream above it) fails typed
+    /// before its rename, and the directory still opens to the logged state.
     #[test]
     fn a_failed_compaction_leaves_the_directory_openable() {
         let dir = tmp_dir("unsaveable");

@@ -92,7 +92,7 @@ pub struct Pyramids {
 
 impl Pyramids {
     /// Builds the index over `g` with edge weights `weights` (reciprocal
-    /// anchored similarity).
+    /// stored similarity).
     ///
     /// * `k` — number of pyramids (paper default 4).
     /// * `theta` — voting support threshold (paper default 0.7).
@@ -370,9 +370,9 @@ impl Pyramids {
         best
     }
 
-    /// Absorbs a batched rescale into the stored distances of every
-    /// partition at levels `≥ 1` (multiplier `1/g`; Lemma 10); level 0's hop
-    /// counts do not scale. Partitions are independent, and the
+    /// Absorbs a rescale of the weights into the stored distances of every
+    /// partition at levels `≥ 1` (the similarity range step's `2^j`, NegM,
+    /// Lemma 10); level 0's hop counts do not scale. Partitions are independent, and the
     /// per-partition multiply is elementwise, so the fan-out is trivially
     /// deterministic.
     pub fn rescale(&mut self, mult: f64) {

@@ -18,9 +18,19 @@
 //! adds `AF + TF`; a **periphery** subtracts `WSF`; a **p-core** applies
 //! `AF + TF − WSF`.
 //!
-//! Everything here operates on *anchored* values: `S_t` is PosM (Lemma 4),
-//! σ is NeuM (Lemma 3), so the anchored update equals the true update up to
-//! the global factor, preserving maintainability.
+//! Everything here operates on *scaled* values: `S_t` is PosM (Lemma 4), σ
+//! is NeuM (Lemma 3), and the update is 1-homogeneous in `S`, so the update
+//! of a stored `c·S_t` equals the true update times `c` — whatever the
+//! scale `c`, and bit for bit when `c` is a power of two. The store keeps
+//! `S` on a scale of its own, never the decay clock's (DESIGN.md §4).
+//!
+//! **The floor.** One rule keeps `S` positive: no write leaves an edge below
+//! [`similarity_floor`], `floor_rel × mean(S)`. It is relative, so it moves
+//! with the scale and never with the clock. [`clamp_to_floor`] applies it at
+//! every write: per-activation reinforcement, the `S₀`/ANCF sweep, and the
+//! engine's range step.
+
+use std::ops::RangeInclusive;
 
 use anc_graph::{EdgeId, NodeId};
 
@@ -34,9 +44,33 @@ pub struct ReinforceParams {
     pub epsilon: f64,
     /// Core threshold µ.
     pub mu: usize,
-    /// Lower clamp for the **anchored** similarity after the update (the
-    /// engine passes `floor × boost` so the clamp is on the true value).
+    /// Lower clamp for the stored similarity after the update, on the
+    /// store's scale: the engine passes [`similarity_floor`] of its mean.
     pub floor_anchored: f64,
+}
+
+/// The similarity floor for a store whose mean is `mean`:
+/// `floor_rel × mean`. The one floor rule (see the module doc).
+#[inline]
+pub fn similarity_floor(floor_rel: f64, mean: f64) -> f64 {
+    floor_rel * mean
+}
+
+/// The range rule: the engine keeps `mean(S)` of its store within
+/// `[2^-256, 2^256]`, and when an update carries the mean out, it scales `S`
+/// back to mean ≈ 1 by an exact power of two (DESIGN.md §7). The bounds
+/// come from what `S` feeds: every `S ≤ m · mean`, so the triadic product
+/// `f_uw · f_vw` stays below `(m · 2^256)²`, finite for `m < 2^255`; and
+/// every `S` written since a step lies above `floor_rel · 2^-256`, so `1/S`
+/// and the index's path sums over it stay finite too.
+pub const MEAN_RANGE: RangeInclusive<f64> =
+    f64::from_bits((1023 - 256) << 52)..=f64::from_bits((1023 + 256) << 52);
+
+/// `s` lifted to `floor` if it lies below it (or is NaN): the one clamp
+/// every write of `S` goes through.
+#[inline]
+pub fn clamp_to_floor(s: f64, floor: f64) -> f64 {
+    s.max(floor)
 }
 
 /// The three process values for one trigger node, exposed for tests and the
@@ -107,9 +141,9 @@ fn processes_for(
 /// Outcome of one local-reinforcement application.
 #[derive(Clone, Copy, Debug)]
 pub struct ReinforceOutcome {
-    /// Anchored similarity before.
+    /// Stored similarity before.
     pub old_sim: f64,
-    /// Anchored similarity after (clamped to the floor).
+    /// Stored similarity after (clamped to the floor).
     pub new_sim: f64,
     /// Classification of trigger node `u`.
     pub type_u: NodeType,
@@ -193,10 +227,7 @@ pub fn apply_reinforcement_cached(
 
     let old_sim = sim[e as usize];
     let delta = proc_u.delta(trig_u.node_type) + proc_v.delta(trig_v.node_type);
-    let mut new_sim = old_sim + delta;
-    if !new_sim.is_finite() || new_sim < floor_anchored {
-        new_sim = floor_anchored;
-    }
+    let new_sim = clamp_to_floor(old_sim + delta, floor_anchored);
     sim[e as usize] = new_sim;
 
     ReinforceOutcome {
@@ -280,10 +311,9 @@ pub fn full_pass(
 /// reinforcement update is 1-homogeneous in `F` (AF, TF and WSF are all
 /// linear in the similarity vector), so repeated passes grow `F`
 /// exponentially; since every consumer of `S_t` (the distance metric, the
-/// Voronoi partitions, the voting) is invariant under uniform scaling —
-/// the same property the global decay factor relies on — the
-/// renormalization is unobservable except that it keeps the floor clamp
-/// from artificially severing edges after many repetitions.
+/// Voronoi partitions, the voting) is invariant under uniform scaling, the
+/// renormalization is unobservable except that the floor the caller passed
+/// for mean 1 stays the relative floor after many repetitions.
 pub(crate) fn sweep(
     ctx: &SimilarityCtx<'_>,
     sim: &mut [f64],
@@ -306,7 +336,7 @@ pub(crate) fn sweep(
     let mean = sim.iter().sum::<f64>() / sim.len().max(1) as f64;
     if mean.is_finite() && mean > 0.0 {
         for s in sim.iter_mut() {
-            *s = (*s / mean).max(floor_anchored);
+            *s = clamp_to_floor(*s / mean, floor_anchored);
         }
     }
 }

@@ -21,11 +21,11 @@
 //! snapshot stores no index and a restore rebuilds it
 //! ([`crate::persist::binary`]).
 //!
-//! All distances are stored in *anchored* weight units (`1/S*`); a batched
-//! rescale multiplies them by a single constant
+//! All distances are stored in the similarity store's weight units (`1/S`);
+//! a rescale of that store multiplies them by a single constant
 //! ([`VoronoiPartition::rescale`]), which never alters the tree structure —
-//! the key reason the paper's global decay factor composes with distance
-//! indexing (Lemma 10).
+//! the key reason a global scale factor composes with distance indexing
+//! (Lemma 10).
 
 use std::collections::BinaryHeap;
 
@@ -139,8 +139,8 @@ impl VoronoiPartition {
             + self.parent.len() * size_of::<NodeId>()
     }
 
-    /// Absorbs a batched rescale: all anchored distances scale by `mult`
-    /// (`1/g` for the NegM distance metric, Lemma 10; ∞ stays ∞). Tree
+    /// Absorbs a rescale of the weights: all stored distances scale by
+    /// `mult` (NegM, Lemma 10; ∞ stays ∞). Tree
     /// structure is invariant because the scaling is uniform, and with a
     /// power-of-two `mult` every distance stays the exact sum of the
     /// rescaled weights along its tree path.

@@ -7,7 +7,9 @@
 //! ≥ 1, catch any later move of `S₀` or build bits, and neither can hide a
 //! move in the other; level 0 is checked against its unit-weight build.
 
-use anc_core::reinforce::{apply_reinforcement, full_pass, ReinforceParams};
+use anc_core::reinforce::{
+    apply_reinforcement, clamp_to_floor, full_pass, similarity_floor, ReinforceParams,
+};
 use anc_core::similarity::{Scratch, SimilarityCtx};
 use anc_core::voronoi::VoronoiPartition;
 use anc_core::{AncConfig, AncEngine, ClusterMode, Pyramids, SnapshotProfile};
@@ -27,7 +29,7 @@ fn reference_s0(ctx: &SimilarityCtx<'_>, params: &ReinforceParams, rep: usize) -
         let mean = sim.iter().sum::<f64>() / sim.len().max(1) as f64;
         if mean.is_finite() && mean > 0.0 {
             for s in &mut sim {
-                *s = (*s / mean).max(params.floor_anchored);
+                *s = clamp_to_floor(*s / mean, params.floor_anchored);
             }
         }
     }
@@ -74,7 +76,7 @@ proptest! {
         let params = ReinforceParams {
             epsilon: cfg.epsilon,
             mu: cfg.mu,
-            floor_anchored: cfg.floor.max(cfg.floor_rel),
+            floor_anchored: similarity_floor(cfg.floor_rel, 1.0),
         };
 
         // Uniform activeness: the engine's own S₀, and `full_pass` per
@@ -140,9 +142,9 @@ fn pinned_engine() -> AncEngine {
     AncEngine::new(graph, AncConfig::default(), 42)
 }
 
-/// [`fnv1a`] of the pinned build's Exact snapshot (format version 3): `S₀`,
+/// [`fnv1a`] of the pinned build's Exact snapshot (format version 4): `S₀`,
 /// activeness, graph and clock, no index.
-const S0_SNAPSHOT_DIGEST: u64 = 0xaf63_0683_a4a0_9cb6;
+const S0_SNAPSHOT_DIGEST: u64 = 0xc1ac_8bb8_e0b3_415b;
 
 /// [`fnv1a`] of the pinned build's index at levels ≥ 1: every partition's
 /// `(dist bits, seed_of, parent)` per node, little-endian, pyramid-major.

@@ -93,12 +93,23 @@ impl DecayClock {
     /// increases an *anchored* PosM value at the current time.
     #[inline]
     pub fn boost(&self) -> f64 {
-        (self.lambda * (self.now - self.anchor)).exp()
+        self.boost_at(self.now)
     }
 
-    /// Advances the clock to `t`. Time never moves backwards; a stale `t` is
-    /// clamped to the current time (activation streams are ordered, but
-    /// simultaneous batches may replay equal timestamps).
+    /// `e^{λ(t' - t*)}` — the anchored weight of a unit activation at time
+    /// `t'`, which may lie before the current time (a late activation counts
+    /// at its own time, as Eq. 1 sums it). Equals [`Self::boost`] at
+    /// `t' = now`, bit for bit.
+    #[inline]
+    pub fn boost_at(&self, t: Time) -> f64 {
+        (self.lambda * (t - self.anchor)).exp()
+    }
+
+    /// Advances the clock to `t`. Any finite `t` is accepted, and time never
+    /// moves backwards: a `t` before the current time leaves the clock where
+    /// it is. A late activation is still weighted at its own time
+    /// ([`Self::boost_at`]); only the order in which activations reinforce
+    /// is their arrival order.
     pub fn advance_to(&mut self, t: Time) {
         assert!(t.is_finite(), "time must be finite");
         if t > self.now {
@@ -259,8 +270,11 @@ mod tests {
     fn time_is_monotonic() {
         let mut c = DecayClock::new(0.1);
         c.advance_to(5.0);
-        c.advance_to(3.0); // clamped
+        c.advance_to(3.0); // the clock stays at 5
         assert_eq!(c.now(), 5.0);
+        // A late time is weighted at its own time: e^{λ(3 - 0)}.
+        assert_eq!(c.boost_at(3.0), (0.1f64 * 3.0).exp());
+        assert_eq!(c.boost_at(c.now()).to_bits(), c.boost().to_bits());
     }
 
     #[test]

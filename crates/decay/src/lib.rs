@@ -31,11 +31,12 @@
 //! Derived functions of the activeness fall into three classes describing
 //! how their anchored representation relates to the true value:
 //! **PosM** (`F = f(a*) · g`, e.g. the activeness itself and the similarity
-//! `S_t`, Lemma 4; a rescale multiplies them by `g`), **NegM**
-//! (`F = f(a*) / g`, e.g. the reciprocal similarity `1/S_t` and the
-//! distance metric, Lemmas 6 & 10; a rescale multiplies them by `1/g`) and
-//! **NeuM** (`g` cancels, e.g. the active similarity σ, a ratio of PosM
-//! quantities, Lemma 3; a rescale leaves them alone).
+//! `S_t`, Lemma 4), **NegM** (`F = f(a*) / g`, e.g. the reciprocal
+//! similarity `1/S_t` and the distance metric, Lemmas 6 & 10) and **NeuM**
+//! (`g` cancels, e.g. the active similarity σ, a ratio of PosM quantities,
+//! Lemma 3). A store of a PosM or NegM value either absorbs each rescale
+//! (`g`, or `1/g`) or, like `anc-core`'s similarity store, keeps a scale
+//! of its own and reads the decay only when it reports a true value.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -2,7 +2,7 @@
 
 use anc_graph::EdgeId;
 
-use crate::DecayClock;
+use crate::{DecayClock, Time};
 
 /// Per-edge anchored activeness `a*_t(e)` (PosM).
 ///
@@ -36,7 +36,15 @@ impl ActivenessStore {
     /// activeness increases by 1, so the anchored value increases by
     /// `1 / g(t, t*)` (Section IV-A).
     pub fn activate(&mut self, e: EdgeId, clock: &DecayClock) {
-        self.anchored[e as usize] += clock.boost();
+        self.activate_at(e, clock.now(), clock);
+    }
+
+    /// Applies one activation on `e` at time `t`, which may lie before the
+    /// clock's time: the anchored value increases by `e^{λ(t - t*)}`
+    /// ([`DecayClock::boost_at`]), so the true activeness at the clock's
+    /// time gains `e^{-λ(now - t)}`, the activation's Eq. 1 term.
+    pub fn activate_at(&mut self, e: EdgeId, t: Time, clock: &DecayClock) {
+        self.anchored[e as usize] += clock.boost_at(t);
     }
 
     /// Anchored activeness `a*_t(e)`.
