@@ -17,8 +17,10 @@
 #     anc-server (framing arithmetic on lengths a peer chose; the pinned
 #     wire, WAL and snapshot bytes, pinned_bytes), and all of anc-cli (its
 #     boundary tests against the release binary users run)
-#   - anc-bench smoke (snapshot-size gate, the paper's shape claims), and the
-#     community_watch example (monitor reports checked against a recount)
+#   - anc-bench smoke (snapshot-size gate, the paper's shape claims), the
+#     community_watch example (monitor reports checked against a recount) and
+#     the social_monitor example (a user's strongest tie follows their
+#     activity to a second circle)
 #   - in release: alloc_steady_state at 1, 2 and 4 threads and with the
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales, live index = rebuild up to n = 20 000,
@@ -26,11 +28,12 @@
 #     n = 20 000 post-rescale cache check, the cached-query work bound,
 #     and the similarity store's range: a 10⁶-step one-edge stream at
 #     λΔt = 10 and a 400 000-activation dense stream
-#   - the determinism suites at 1 and 4 pool threads, with (in release) the S₀
+#   - the determinism suite at 1 and 4 pool threads, with (in release) the S₀
 #     equivalence proptest and the pinned snapshot and index digests; serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
-#   - stress-schedules: perturbed-schedule determinism, pool lock ranks
+#   - stress-schedules: the determinism suite under perturbed schedules, pool
+#     lock ranks
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -68,7 +71,7 @@ cargo test --workspace -q
 
 echo "==> cargo test -p anc-core --features debug-invariants -q"
 # Among them: the cluster-cache equivalence suites (cached == cold at every
-# level across mixed update streams; prop_cluster_cache, cache_determinism).
+# level across mixed update streams; prop_cluster_cache, determinism).
 cargo test -p anc-core --features debug-invariants -q
 
 echo "==> persistence and framing in release"
@@ -109,6 +112,9 @@ cargo run --release -q -p anc-bench -- smoke > /dev/null
 # The monitoring example checks every change report against a recount of the
 # watched votes, so it is run, not only compiled.
 cargo run --release -q --example community_watch > /dev/null
+# Its asserts are the example's claim: the user's strongest tie moves from the
+# home circle to the second one once activity does.
+cargo run --release -q --example social_monitor > /dev/null
 
 echo "==> no serde in the product crates"
 # Engine state has one codec (persist::binary); serde_json is for reports.
@@ -189,9 +195,9 @@ cargo test --release -p anc-core --test similarity_range \
 cargo test --release -p anc-core --test similarity_range \
     dense_traffic_keeps_the_mean_in_range_for_400k_activations -q -- --ignored --exact
 
-echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
-# The determinism tests sweep RAYON_NUM_THREADS internally, but their
-# harness (and every other parallel path they pass through) also runs under
+echo "==> determinism suite under fixed pool sizes (1 and 4 threads)"
+# The determinism test sweeps RAYON_NUM_THREADS internally, but its
+# harness (and every other parallel path it passes through) also runs under
 # whatever the variable says at process start. Two fixed-size passes pin
 # both extremes: the pure sequential path and a real 4-worker pool.
 # Beside them, in release: S₀ from one σ table equals the per-edge
@@ -201,8 +207,7 @@ echo "==> determinism suites under fixed pool sizes (1 and 4 threads)"
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p rayon -q
-    RAYON_NUM_THREADS=$t cargo test -p anc-core --test batch_determinism \
-        --test cache_determinism --test prop_batch -q
+    RAYON_NUM_THREADS=$t cargo test -p anc-core --test determinism --test prop_batch -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
         row_table_sweep_equals_per_edge_reinforcement -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 s0_ -q
@@ -215,7 +220,7 @@ echo "==> serving layer: reader/writer stress (1 and 4 threads)"
 # after every drained cycle. Beside it, the member index every snapshot
 # carries is checked against a scan of its labels, and a snapshot no reader
 # holds must be freed while the server runs. Two fixed pool sizes pin the
-# harness extremes, matching the determinism suites above. (The wire
+# harness extremes, matching the determinism suite above. (The wire
 # protocol suite ran in the workspace pass.)
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
@@ -346,8 +351,10 @@ trap - EXIT
 
 echo "==> stress-schedules: perturbed-schedule determinism at fixed seeds"
 # The pool's seeded yield-injection hooks (vendor/rayon/src/stress.rs) force
-# adversarial interleavings; the suites assert byte-identical snapshots and
-# extractions against the unperturbed 1-thread reference at 2/4/8 threads,
+# adversarial interleavings; the determinism suite asserts byte-identical
+# snapshots, bitsets and extractions, on a batched and a single-activation
+# stream, against the unperturbed 1-thread reference at 2/4/8 threads and
+# three seeds,
 # and these debug builds check the pool's lock ranks on every acquisition
 # (the rank `should_panic` tests run here under the feature as well).
 # The outer RAYON_NUM_THREADS=4 pins the pool size the harness itself (and
@@ -355,6 +362,6 @@ echo "==> stress-schedules: perturbed-schedule determinism at fixed seeds"
 RAYON_NUM_THREADS=4 cargo test -p rayon --features stress-schedules \
     --lib --test stress_schedules -q
 RAYON_NUM_THREADS=4 cargo test -p anc-core --features stress-schedules \
-    --test stress_determinism -q
+    --test determinism -q
 
 echo "CI OK"

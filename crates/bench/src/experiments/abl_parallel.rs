@@ -5,7 +5,7 @@
 //! hands the pool one task per partition, each replaying the batch's
 //! deltas in order. This ablation runs the same batched stream at
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 4}. The resulting state is byte-identical at
-//! every size (`batch_determinism`), so only the time moves. A single
+//! every size (`determinism`), so only the time moves. A single
 //! `activate` never forks: its repair is cheaper than waking the pool
 //! (DESIGN.md §4).
 //!

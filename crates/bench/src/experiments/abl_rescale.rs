@@ -1,11 +1,13 @@
-//! **Ablation A4** — the batched-rescale policy of the global decay factor.
+//! **Ablation A4** — the exponent guard that re-anchors the global decay
+//! factor.
 //!
 //! Measures (1) the end-to-end throughput of the online engine under
-//! different rescale cadences, (2) how many rescales each policy performs,
-//! and (3) the necessity of the exponent guard: with λ·t far beyond 709,
-//! `1/g = e^{λ(t−t*)}` overflows `f64` without periodic re-anchoring.
-//! Also cross-checks that every policy produces the same final clustering —
-//! the rescale must be unobservable (Lemma 10).
+//! different guards, from 0 (a rescale at every call past a whole halving
+//! of `g`) to 600 (none on this stream), and (2) how many rescales each
+//! performs. The guard is the one rescale rule: with λ·t far beyond 709,
+//! `1/g = e^{λ(t−t*)}` overflows `f64` without it. Also cross-checks that
+//! every guard produces the same final clustering — the rescale must be
+//! unobservable (Lemma 10).
 //!
 //! Usage: `cargo run --release -p anc-bench -- abl_rescale`
 
@@ -22,26 +24,19 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
     let g = ds.graph.clone();
     eprintln!("[ablA4] CA stand-in: n = {}, m = {}", g.n(), g.m());
 
-    // A long stream: 500 steps, λ = 1.0 → λ·t reaches 500; without the
-    // guard and without count-based rescales this is within 209 of f64
-    // overflow, and doubling the stream would cross it.
+    // A long stream: 500 steps, λ = 1.0 → λ·t reaches 500; without a
+    // rescale this is within 209 of f64 overflow, and doubling the stream
+    // would cross it.
     let lambda = 1.0;
     let s = stream::uniform_per_step(&g, 500, 0.02, ctx.seed ^ 0xabc);
-    let policies: Vec<(&str, RescaleConfig)> = vec![
-        ("every 64 acts", RescaleConfig { every_activations: 64, exponent_guard: 200.0 }),
-        ("every 4096 acts", RescaleConfig { every_activations: 4096, exponent_guard: 200.0 }),
-        (
-            "guard-only (200)",
-            RescaleConfig { every_activations: usize::MAX, exponent_guard: 200.0 },
-        ),
-        ("guard-only (50)", RescaleConfig { every_activations: usize::MAX, exponent_guard: 50.0 }),
-    ];
+    let guards = [0.0, 1.0, 50.0, 200.0, 600.0];
 
-    let mut table = Table::new(vec!["policy", "rescales", "stream s", "acts/s"]);
+    let mut table = Table::new(vec!["guard", "rescales", "stream s", "acts/s"]);
     let mut clusterings = Vec::new();
     let mut json = Vec::new();
-    for (label, rescale) in &policies {
-        let cfg = AncConfig { lambda, rep: 1, rescale: *rescale, ..Default::default() };
+    for exponent_guard in guards {
+        let rescale = RescaleConfig { exponent_guard };
+        let cfg = AncConfig { lambda, rep: 1, rescale, ..Default::default() };
         let mut engine = AncEngine::new(g.clone(), cfg, ctx.seed);
         let (_, secs) = time(|| {
             for batch in &s.batches {
@@ -51,32 +46,32 @@ pub fn run(ctx: &Ctx) -> serde_json::Value {
         engine.check_invariants().expect("invariants hold");
         let acts = s.total_activations();
         table.row(vec![
-            label.to_string(),
+            format!("{exponent_guard}"),
             engine.rescales().to_string(),
             format!("{secs:.2}"),
             format!("{:.0}", acts as f64 / secs),
         ]);
         json.push(serde_json::json!({
-            "policy": label, "rescales": engine.rescales(), "seconds": secs,
+            "guard": exponent_guard, "rescales": engine.rescales(), "seconds": secs,
         }));
         clusterings.push(engine.cluster_all(engine.default_level(), ClusterMode::Power));
     }
 
-    // Lemma 10: the rescale cadence is unobservable in exact arithmetic. In
-    // f64 each policy applies a different sequence of global multiplications
-    // (here spanning e^200 per rescale at λ = 1), so microscopic rounding
-    // drift can flip a borderline vote after ~10⁵ activations — the
-    // clusterings must still be near-identical.
+    // Lemma 10: the rescale schedule is unobservable in exact arithmetic.
+    // Each rescale is an exact power of two, but each guard leaves a
+    // different anchor, so every boost `e^{λ(t−t*)}` rounds differently and
+    // microscopic drift can flip a borderline vote after ~10⁵ activations —
+    // the clusterings must still be near-identical.
     let mut min_agreement = 1.0f64;
     for c in &clusterings[1..] {
         let agreement = anc_metrics::nmi(c, &clusterings[0]);
         min_agreement = min_agreement.min(agreement);
-        assert!(agreement > 0.98, "rescale policies diverged beyond float noise: NMI {agreement}");
+        assert!(agreement > 0.98, "rescale guards diverged beyond float noise: NMI {agreement}");
     }
 
-    table.print("Ablation A4: batched-rescale policy (CA stand-in, λ = 1.0, 500 steps)");
+    table.print("Ablation A4: rescale guard (CA stand-in, λ = 1.0, 500 steps)");
     println!(
-        "all policies produced near-identical clusterings ✓ (Lemma 10; min NMI {min_agreement:.4} — \
+        "all guards produced near-identical clusterings ✓ (Lemma 10; min NMI {min_agreement:.4} — \
          exact equality holds in exact arithmetic, f64 rounding drifts microscopically)"
     );
     serde_json::json!(json)

@@ -112,10 +112,10 @@ fn damaged_checkpoints_fail_typed() {
 
     let mut flipped = good.clone();
     flipped[good.len() / 2] ^= 0x40;
-    // The graph header follows the magic, the version, the config (53 bytes
-    // at `--k 2`) and a fresh clock (17): forge 3·10⁹ nodes there, which
+    // The graph header follows the magic, the version, the config (51 bytes
+    // at `--k 2`) and a fresh clock (16): forge 3·10⁹ nodes there, which
     // used to abort the process on a 24 GB allocation, and restamp the CRC.
-    let graph_at = 78;
+    let graph_at = 75;
     let n = anc_core::AncEngine::load_binary(good.as_slice()).unwrap().graph().n();
     assert_eq!(Reader::new(&good[graph_at..]).uvarint().unwrap(), n as u64);
     let mut forged = good[..graph_at].to_vec();

@@ -47,7 +47,7 @@ pub struct AncConfig {
     /// out-pull the wedge stretch of a decayed home neighborhood (see the
     /// `social_monitor` example and the Section VI-C case study).
     pub floor_rel: f64,
-    /// Batched-rescale policy for the global decay factor.
+    /// When the global decay factor is re-anchored: `λ(t − t*)` ≥ guard.
     pub rescale: RescaleConfig,
 }
 
@@ -92,12 +92,15 @@ impl AncConfig {
             ((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]"),
             (self.floor > 0.0, "floor must be positive (1/S must stay finite)"),
             (self.floor_rel > 0.0 && self.floor_rel < 1.0, "floor_rel must be in (0, 1)"),
-            // `boost() = e^{λ(t - t*)}` stays below `e^guard`, which must
-            // itself be a finite `f64`: the guard may not be NaN or exceed
-            // `ln(f64::MAX)` ≈ 709.78.
+            // Every boost `e^{λ(t′ − t*)}` an activation adds stays below
+            // `e^guard`, and a node's sum `A(v)` adds one per activation:
+            // fewer than 2^64 of them (the `u64` counter) sum below
+            // `2^64 · e^guard`, and σ's denominator `A(u) + A(v)` below
+            // `2^65 · e^guard`. That is finite while the guard is at most
+            // `ln(f64::MAX) − 65·ln 2` ≈ 664.73; NaN is refused too.
             (
-                self.rescale.exponent_guard <= f64::MAX.ln(),
-                "rescale.exponent_guard must be at most ln(f64::MAX) ≈ 709.78",
+                self.rescale.exponent_guard <= f64::MAX.ln() - 65.0 * std::f64::consts::LN_2,
+                "rescale.exponent_guard must be at most ln(f64::MAX) − 65·ln 2 ≈ 664.73",
             ),
         ];
         match rules.into_iter().find(|(ok, _)| !ok) {
@@ -152,11 +155,11 @@ mod tests {
     }
 
     /// An unbounded guard never triggers a rescale, so `boost()` overflows
-    /// to ∞ once `λ(t - t*)` passes `ln(f64::MAX)`.
+    /// to ∞ once `λ(t − t*)` passes `ln(f64::MAX)`.
     #[test]
     #[should_panic(expected = "exponent_guard")]
     fn infinite_exponent_guard_rejected() {
-        let rescale = RescaleConfig { exponent_guard: f64::INFINITY, ..Default::default() };
+        let rescale = RescaleConfig { exponent_guard: f64::INFINITY };
         AncConfig { rescale, ..Default::default() }.validate();
     }
 
@@ -168,13 +171,15 @@ mod tests {
         }
     }
 
+    /// The bound leaves room for 2^65 boosts, not one: at 709.78 one batch
+    /// of node 0's 4 edges at t = 709.7 (λ = 1) summed `A(0)` to ∞.
     #[test]
     fn exponent_guard_bounded_by_f64_range() {
-        for guard in [1e6, f64::NAN, 709.79] {
-            let rescale = RescaleConfig { exponent_guard: guard, ..Default::default() };
+        for guard in [1e6, f64::NAN, 709.78, 664.74] {
+            let rescale = RescaleConfig { exponent_guard: guard };
             assert!(AncConfig { rescale, ..Default::default() }.check().is_err(), "{guard}");
         }
-        let rescale = RescaleConfig { exponent_guard: 709.78, ..Default::default() };
+        let rescale = RescaleConfig { exponent_guard: 664.72 };
         assert_eq!(AncConfig { rescale, ..Default::default() }.check(), Ok(()));
     }
 }

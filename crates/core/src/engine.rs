@@ -283,25 +283,28 @@ impl AncEngine {
     }
 
     /// The one ingest loop behind [`Self::activate`],
-    /// [`Self::activate_batch`] and [`Self::reinforce_edges`]. Per edge,
-    /// when a timestamp is given: advance the clock → if a rescale is due,
-    /// [`Self::force_rescale`] → [`Self::bump`]; then, with or without one,
-    /// [`Self::reinforce`] → queue the weight change → if the mean of `S`
-    /// left [`reinforce::MEAN_RANGE`], flush the pending repairs and
+    /// [`Self::activate_batch`] and [`Self::reinforce_edges`]. Once per call
+    /// that carries a timestamp and at least one edge: advance the clock →
+    /// if a rescale is due, [`Self::force_rescale`]. Then per edge:
+    /// [`Self::bump`] (when a timestamp is given) → [`Self::reinforce`] →
+    /// queue the weight change → if the mean of `S` left
+    /// [`reinforce::MEAN_RANGE`], flush the pending repairs and
     /// [`Self::rescale_similarity`]. The `reinforce_edges` path (no
     /// timestamp) never moves the clock. Pending repairs are flushed once
     /// more at the end. Returns the repair work of every flush.
     fn ingest(&mut self, edges: &[EdgeId], t: Option<Time>) -> RepairStats {
         let mut stats = RepairStats::default();
+        if let (Some(t), [_, ..]) = (t, edges) {
+            self.state.clock.advance_to(t);
+            // The clock's rescale site, before any boost is read: the edges
+            // share `t` and a rescale leaves `λ(t − t*) < ln 2`, so once per
+            // call is exact. It moves no weight, so no repair need land first.
+            if self.state.clock.needs_rescale() {
+                self.force_rescale();
+            }
+        }
         for &e in edges {
             if let Some(t) = t {
-                self.state.clock.advance_to(t);
-                // The clock's rescale site: before `bump` reads the boost, so
-                // `boost() ≤ e^guard` always holds. It moves no weight, so
-                // the pending repairs need not land first.
-                if self.state.clock.needs_rescale() {
-                    self.force_rescale();
-                }
                 self.bump(e, t);
             }
             if let Some(delta) = self.reinforce(e) {
@@ -329,7 +332,6 @@ impl AncEngine {
         let boost = s.clock.boost_at(t);
         s.node_sum[u as usize] += boost;
         s.node_sum[v as usize] += boost;
-        s.clock.note_activation();
         s.activations += 1;
     }
 
@@ -897,15 +899,16 @@ mod tests {
         assert!(engine.memory_bytes() > 0);
     }
 
-    /// The tentpole correctness bar: a batch must be bit-identical to a
-    /// serial loop of `activate` calls — including across a mid-batch
-    /// rescale — down to the serialized snapshot bytes.
+    /// A batch must be bit-identical to a serial loop of `activate` calls,
+    /// down to the serialized snapshot bytes, across rescales: with a guard
+    /// of 0 one is due at every call, and it re-anchors whenever a whole
+    /// halving of `g` has elapsed. It happens once per call, before the
+    /// first edge, so `rescales()` rises by at most one per call — also
+    /// across the last gap, which holds seven halvings.
     #[test]
     fn exact_batch_is_bitwise_identical_to_serial_loop() {
         let lg = connected_caveman(4, 6);
-        // A tiny rescale interval forces several mid-batch rescales; λ = 1
-        // makes the steps of 0.5 add up to whole halvings of g.
-        let rescale = anc_decay::RescaleConfig { every_activations: 7, exponent_guard: 200.0 };
+        let rescale = anc_decay::RescaleConfig { exponent_guard: 0.0 };
         let cfg = AncConfig {
             lambda: 1.0,
             rep: 1,
@@ -919,15 +922,18 @@ mod tests {
         let mut batched = AncEngine::new(lg.graph, cfg, 42);
         let m = serial.graph().m() as u32;
         let mut stats_total = RepairStats::default();
-        for step in 0..6u32 {
-            let t = 1.0 + step as f64 * 0.5;
+        for (step, t) in (0u32..).zip([1.0, 1.5, 2.0, 2.5, 3.0, 8.0]) {
             let batch: Vec<u32> = (0..25).map(|i| (i * 7 + step * 3) % m).collect();
             for &e in &batch {
+                let before = serial.rescales();
                 serial.activate(e, t);
+                assert!(serial.rescales() <= before + 1);
             }
+            let before = batched.rescales();
             stats_total += batched.activate_batch(&batch, t);
+            assert!(batched.rescales() <= before + 1, "step {step}: two rescales in one call");
         }
-        assert!(serial.rescales() >= 2, "test must cross rescales");
+        assert!(serial.rescales() >= 4, "test must cross rescales");
         assert_eq!(serial.rescales(), batched.rescales());
         assert!(stats_total.updates > 0);
         for e in 0..m as usize {
@@ -1016,11 +1022,29 @@ mod tests {
         engine.check_invariants().unwrap();
     }
 
+    /// At the largest guard the config accepts, one call adds boosts just
+    /// short of `e^guard` to node 0's sum, and every sum stays finite (at a
+    /// guard of 709.78, past the bound, `A(0)` summed to ∞).
+    #[test]
+    fn boosts_at_the_largest_guard_sum_finitely() {
+        let rescale = anc_decay::RescaleConfig { exponent_guard: 664.72 };
+        let cfg = AncConfig { lambda: 1.0, rep: 1, rescale, ..Default::default() };
+        let mut engine = AncEngine::new(connected_caveman(3, 5).graph, cfg, 7);
+        let edges: Vec<EdgeId> = engine.graph().edges_of(0).map(|(_, e)| e).collect();
+        let _ = engine.activate_batch(&edges, 664.7);
+        assert_eq!(engine.rescales(), 0);
+        engine.check_invariants().unwrap();
+    }
+
+    /// An empty batch moves nothing, the clock included: not even at a time
+    /// by which a rescale would be due.
     #[test]
     fn empty_batch_is_a_noop() {
         let mut engine = engine_fixture(1);
         let before = engine.state_bytes_for_test();
         assert_eq!(engine.activate_batch(&[], 5.0), RepairStats::default());
+        assert_eq!(engine.activate_batch(&[], 1e4), RepairStats::default());
         assert_eq!(before, engine.state_bytes_for_test());
+        assert_eq!((engine.now(), engine.rescales()), (0.0, 0));
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! ```text
 //! "ANCS"  magic (4 bytes)
-//! u32     format version (currently 4; 1 to 3 are refused)
+//! u32     format version (currently 5; 1 to 4 are refused)
 //! body    (see below)
 //! u32     CRC-32 (IEEE) over every preceding byte
 //! ```
 //!
-//! Body, in order: config, decay-clock state (`now`, anchor, activations
-//! since the last rescale — its λ and rescale policy are the config's),
+//! Body, in order: config, decay-clock state (`now` and the anchor; its λ
+//! and rescale guard are the config's),
 //! delta-encoded CSR topology ([`anc_graph::codec::encode_graph`]), anchored
 //! activeness per edge, per-node activeness sums, stored similarity per
 //! edge, running similarity sum, the similarity scale's exponent (`i64`),
@@ -43,7 +43,7 @@ use super::{check_state, le_u64, seal, unseal, EngineSnapshot, RestoreError};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ANCS";
 
 /// Binary snapshot format version.
-pub const BINARY_VERSION: u32 = 4;
+pub const BINARY_VERSION: u32 = 5;
 
 /// Float fidelity of a binary snapshot: raw `f64` bits everywhere, so a
 /// restore is bit-identical. It is the only profile, and the file does not
@@ -79,7 +79,6 @@ fn encode_config(out: &mut Vec<u8>, c: &AncConfig) {
     put_uvarint(out, c.rep as u64);
     put_f64(out, c.floor);
     put_f64(out, c.floor_rel);
-    put_uvarint(out, c.rescale.every_activations as u64);
     put_f64(out, c.rescale.exponent_guard);
 }
 
@@ -95,29 +94,21 @@ fn decode_config(r: &mut Reader<'_>) -> Result<AncConfig, RestoreError> {
         rep: r.uvarint_len()?,
         floor: r.f64()?,
         floor_rel: r.f64()?,
-        rescale: RescaleConfig { every_activations: r.uvarint_len()?, exponent_guard: r.f64()? },
+        rescale: RescaleConfig { exponent_guard: r.f64()? },
     })
 }
 
-/// The clock's own state; its λ and rescale policy are the config's.
+/// The clock's own state; its λ and rescale guard are the config's.
 fn encode_clock(out: &mut Vec<u8>, clock: &DecayClock) {
-    let p = clock.to_parts();
-    put_f64(out, p.now);
-    put_f64(out, p.anchor);
-    put_uvarint(out, p.activations_since_rescale as u64);
+    put_f64(out, clock.now());
+    put_f64(out, clock.anchor());
 }
 
 /// The stored clock state, completed with the config's λ and rescale
-/// policy. A [`DecayClock`] is built from it only once [`check_state`] has
+/// guard. A [`DecayClock`] is built from it only once [`check_state`] has
 /// checked that λ: [`DecayClock::from_parts`] asserts on a bad one.
 fn decode_clock(r: &mut Reader<'_>, config: &AncConfig) -> Result<ClockParts, RestoreError> {
-    Ok(ClockParts {
-        lambda: config.lambda,
-        now: r.f64()?,
-        anchor: r.f64()?,
-        cfg: config.rescale,
-        activations_since_rescale: r.uvarint_len()?,
-    })
+    Ok(ClockParts { lambda: config.lambda, now: r.f64()?, anchor: r.f64()?, cfg: config.rescale })
 }
 
 // ---------------------------------------------------------------------------
@@ -471,10 +462,17 @@ mod tests {
         restamp_crc(&mut bytes);
         let err = load_err(&bytes);
         assert!(matches!(err, RestoreError::UnsupportedVersion(3)), "{err}");
+        // Version 4 stored a rescale cadence in activations and the count
+        // since the last rescale; it is refused, not migrated.
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        restamp_crc(&mut bytes);
+        let err = load_err(&bytes);
+        assert!(matches!(err, RestoreError::UnsupportedVersion(4)), "{err}");
     }
 
-    /// A rescale guard past `ln(f64::MAX)` lets `boost()` overflow to ∞; it
-    /// is refused on load.
+    /// A rescale guard past the config's bound lets a node's sum of boosts
+    /// overflow to ∞ (one at ∞ lets `boost()` itself overflow); it is
+    /// refused on load.
     #[test]
     fn unbounded_exponent_guard_rejected() {
         let engine = streamed_engine();
@@ -486,13 +484,13 @@ mod tests {
         let header_end = 4 + 4 + header.len();
         let sites: Vec<usize> = (0..header_end - 8).filter(|&i| bytes[i..i + 8] == guard).collect();
         assert_eq!(sites.len(), 1, "the config's guard, stored once");
-        for at in sites {
+        for (at, guard) in sites.into_iter().flat_map(|at| [(at, 700.0), (at, f64::INFINITY)]) {
             let mut forged = bytes.clone();
-            forged[at..at + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+            forged[at..at + 8].copy_from_slice(&f64::to_le_bytes(guard));
             restamp_crc(&mut forged);
             match load_err(&forged) {
                 RestoreError::Inconsistent(msg) => assert!(msg.contains("exponent_guard"), "{msg}"),
-                other => panic!("guard at {at}: expected Inconsistent, got {other}"),
+                other => panic!("guard {guard} at {at}: expected Inconsistent, got {other}"),
             }
         }
     }

@@ -61,7 +61,7 @@ pub struct EngineSnapshot {
     pub graph: Graph,
     /// Engine configuration.
     pub config: AncConfig,
-    /// Decay clock (current time, anchor, rescale policy).
+    /// Decay clock (current time, anchor, rescale guard).
     pub clock: DecayClock,
     /// Anchored activeness per edge.
     pub activeness: ActivenessStore,
@@ -240,12 +240,11 @@ impl EngineSnapshot {
             &self.sim,
             self.sim_sum,
         )?;
-        // The clock holds λ and the rescale policy beside the config; the
+        // The clock holds λ and the rescale guard beside the config; the
         // engine decays by the clock's, so they must agree bit for bit.
         let parts = self.clock.to_parts();
         let config = &self.config;
         if parts.lambda.to_bits() != config.lambda.to_bits()
-            || parts.cfg.every_activations != config.rescale.every_activations
             || parts.cfg.exponent_guard.to_bits() != config.rescale.exponent_guard.to_bits()
         {
             return Err(RestoreError::Inconsistent(format!(
@@ -385,9 +384,9 @@ mod tests {
             assert!(matches!(err, RestoreError::Inconsistent(_)), "{err}");
         }
         // A clock that disagrees with the config: another λ, or another
-        // rescale cadence.
+        // rescale guard.
         for edit in
-            [|p: &mut ClockParts| p.lambda = 0.5, |p: &mut ClockParts| p.cfg.every_activations += 1]
+            [|p: &mut ClockParts| p.lambda = 0.5, |p: &mut ClockParts| p.cfg.exponent_guard += 1.0]
         {
             let mut snap = engine.to_snapshot();
             let mut parts = snap.clock.to_parts();

@@ -102,8 +102,7 @@ fn batch(stream: &mut impl Iterator<Item = (u32, f64)>, len: usize) -> (Vec<u32>
 
 /// Singles per measured window, and the allocations a window may make: the
 /// ingest loop is allocation-free *amortised* (a pooled buffer may still
-/// double, and a window this long crosses one batched rescale, whose
-/// partition fan-out pays the pool's dispatch constant once).
+/// double).
 const SINGLES: usize = 4096;
 const SINGLES_BOUND: u64 = 64;
 
@@ -225,8 +224,7 @@ fn per_batch(
 /// (the host probe is cached): so a flush allocates at most once, for
 /// batches of 8 and of 64, at any thread count, whether or not the cluster
 /// cache has a materialized level to trace the repair for. The mean allows
-/// for what the median skips: a window crossing a rescale (one more pool
-/// call and a split flush) and the trace buffers doubling now and then.
+/// for what the median skips: the trace buffers doubling now and then.
 #[test]
 #[cfg_attr(
     feature = "debug-invariants",

@@ -99,13 +99,13 @@ proptest! {
 
     #[test]
     fn level_zero_is_weight_free((g, seed, calls) in case_strategy()) {
-        // λ = 1 and a rescale due every 3 activations: most streams cross
-        // several batched rescales, some of them inside a batch.
-        let rescale = RescaleConfig { every_activations: 3, ..Default::default() };
+        // λ = 1 and a guard of 0, due at every call: a stream starting at
+        // t = 1 crosses at least one batched rescale, most cross several.
+        let rescale = RescaleConfig { exponent_guard: 0.0 };
         let cfg = AncConfig { k: 3, lambda: 1.0, rep: 1, mu: 2, rescale, ..Default::default() };
         let mut engine = AncEngine::new(g, cfg, seed);
         let m = engine.graph().m();
-        let mut t = 0.0;
+        let mut t = 1.0;
         for (raw, dt, warm) in &calls {
             t += dt;
             if *warm {
@@ -120,6 +120,7 @@ proptest! {
             }
             check_level_zero(&engine)?;
         }
+        prop_assert!(engine.rescales() >= 1, "the stream crossed no rescale");
         prop_assert!(engine.check_invariants().is_ok(), "{:?}", engine.check_invariants());
     }
 }

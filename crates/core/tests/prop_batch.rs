@@ -1,7 +1,8 @@
 //! Property tests for the ingest loop: `activate_batch` and a multi-edge
 //! `reinforce_edges` are exact refactorings of the serial per-edge loop —
 //! same state (bit for bit, down to the serialized snapshot), same
-//! clusterings, across arbitrary streams, batch shapes and rescale timing.
+//! clusterings, across arbitrary streams, batch shapes and rescale timing —
+//! and a call takes at most one rescale, before its first edge.
 
 use anc_core::{AncConfig, AncEngine, ClusterMode};
 use anc_graph::gen::{connected_caveman, erdos_renyi};
@@ -10,16 +11,16 @@ use proptest::prelude::*;
 
 fn small_cfg() -> AncConfig {
     AncConfig {
-        // λ = 1 and a tiny rescale interval so streams routinely cross
-        // mid-batch rescales — the trickiest point of the deferred-repair
-        // design. A rescale halves `g` only once λ(t − t*) ≥ ln 2; at the
-        // default λ these short streams would never reach one.
+        // λ = 1 and a guard of 0, due at every call, so streams routinely
+        // cross rescales between batches and replays. A rescale halves `g`
+        // only once λ(t − t*) ≥ ln 2; at the default λ these short streams
+        // would never reach one.
         lambda: 1.0,
         k: 2,
         rep: 1,
         mu: 2,
         epsilon: 0.2,
-        rescale: anc_decay::RescaleConfig { every_activations: 9, exponent_guard: 200.0 },
+        rescale: anc_decay::RescaleConfig { exponent_guard: 0.0 },
         ..Default::default()
     }
 }
@@ -46,8 +47,9 @@ fn batched_stream() -> impl Strategy<Value = (u64, Vec<(Vec<usize>, f64, u32)>)>
 }
 
 /// Runs `stream` through the serial per-edge loop and through
-/// `activate_batch` / multi-edge `reinforce_edges`, asserts the two engines
-/// agree bit for bit, and returns how many rescales they crossed.
+/// `activate_batch` / multi-edge `reinforce_edges`, asserts that no batched
+/// call takes more than one rescale and that the two engines agree bit for
+/// bit, and returns how many rescales they crossed.
 fn check_batch_equals_serial(
     seed: u64,
     stream: Vec<(Vec<usize>, f64, u32)>,
@@ -70,7 +72,9 @@ fn check_batch_equals_serial(
         for &e in &batch {
             serial.activate(e, t);
         }
+        let before = batched.rescales();
         batched.activate_batch(&batch, t);
+        prop_assert!(batched.rescales() <= before + 1, "two rescales in one call at t = {}", t);
     }
     // Identical anchored similarities, bit for bit…
     for (e, (a, b)) in serial.sim_anchored().iter().zip(batched.sim_anchored()).enumerate() {
@@ -103,11 +107,11 @@ proptest! {
     }
 }
 
-/// The property's coverage, pinned: a fixed stream whose 13-edge batches
-/// each straddle the 9-activation trigger at λ(t − t*) ≥ ln 2, so rescales
-/// that really halve `g` land mid-batch and between a batch and a replay.
+/// The property's coverage, pinned: a fixed stream of 13-edge batches
+/// λΔt = 0.8 apart, so rescales that really halve `g` land between batches
+/// and between a batch and a replay.
 #[test]
-fn exact_batch_equals_serial_across_real_mid_batch_rescales() {
+fn exact_batch_equals_serial_across_real_rescales() {
     let batch: Vec<usize> = (0..13).map(|i| i * 7).collect();
     let stream = vec![
         (batch.clone(), 0.8, 1),

@@ -20,16 +20,16 @@ use rand_chacha::ChaCha8Rng;
 
 fn small_cfg() -> AncConfig {
     AncConfig {
-        // λ = 1 and a tiny rescale interval so streams routinely cross
-        // rescale boundaries — which must never dirty or regenerate the
-        // cache. A rescale halves `g` only once λ(t − t*) ≥ ln 2; at the
+        // λ = 1 and a guard of 0, due at every call, so streams routinely
+        // cross rescale boundaries — which must never dirty or regenerate
+        // the cache. A rescale halves `g` only once λ(t − t*) ≥ ln 2; at the
         // default λ these short streams would never reach one.
         lambda: 1.0,
         k: 2,
         rep: 1,
         mu: 2,
         epsilon: 0.2,
-        rescale: anc_decay::RescaleConfig { every_activations: 9, exponent_guard: 200.0 },
+        rescale: anc_decay::RescaleConfig { exponent_guard: 0.0 },
         ..Default::default()
     }
 }
@@ -200,13 +200,14 @@ fn rebuild_threshold_never_changes_answers() {
 
 /// The planted-partition stream of `anc-perf`'s fixture: 80 % of the
 /// activations from a hot set of 512 intra-community edges, the rest
-/// uniform; every 64 activations the clock ticks by `tick` and `at_query`
-/// runs.
+/// uniform, on the default config with the rescale guard `exponent_guard`;
+/// every 64 activations the clock ticks by `tick` and `at_query` runs.
 fn planted_stream(
     n: usize,
     stream_seed: u64,
     activations: usize,
     tick: f64,
+    exponent_guard: f64,
     mut at_query: impl FnMut(&mut AncEngine, usize),
 ) -> AncEngine {
     let lg = planted_partition(&PlantedConfig::default_for(n), 1);
@@ -219,7 +220,8 @@ fn planted_stream(
         .collect();
     let hot: Vec<EdgeId> = (0..512).map(|_| intra[rng.gen_range(0..intra.len())]).collect();
     let m = lg.graph.m() as EdgeId;
-    let mut engine = AncEngine::new(lg.graph, AncConfig::default(), 1);
+    let rescale = anc_decay::RescaleConfig { exponent_guard };
+    let mut engine = AncEngine::new(lg.graph, AncConfig { rescale, ..Default::default() }, 1);
     let mut t = 0.0;
     for i in 1..=activations {
         let e =
@@ -235,20 +237,20 @@ fn planted_stream(
 
 /// ROADMAP item 1(a)'s reproducer, and the realistic-n guard for the class:
 /// near-ties that only an ulp separates need thousands of nodes, which the
-/// property suites above never have. One stream crosses the first batched
-/// rescale (activation 4 096) on the default config, with the clock far
-/// enough along (t = 9.6, λt = 0.96) that the rescale halves `g` rather
-/// than being a no-op; every 64 activations the cached default-level
+/// property suites above never have. One stream crosses one batched
+/// rescale: the guard of 0.95 makes it due at t = 9.6 (λt = 0.96, one
+/// halving of `g`), at activation 4 097, where the old cadence of 4 096
+/// activations put it too; every 64 activations the cached default-level
 /// clustering is refreshed and the whole engine — cache against index,
 /// `recip` against `1/S*` bit for bit — is checked.
 fn post_rescale_stream_keeps_cache_in_step(stream_seed: u64) {
-    let engine = planted_stream(20_000, stream_seed, 5_200, 0.15, |engine, i| {
+    let engine = planted_stream(20_000, stream_seed, 5_200, 0.15, 0.95, |engine, i| {
         engine.cluster_all_cached(engine.default_level(), ClusterMode::Even);
         engine
             .check_invariants()
             .unwrap_or_else(|err| panic!("stream {stream_seed}, activation {i}: {err}"));
     });
-    assert_eq!(engine.rescales(), 1, "the stream must cross exactly the first rescale");
+    assert_eq!(engine.rescales(), 1, "the stream must cross exactly one rescale");
 }
 
 #[test]
@@ -276,7 +278,7 @@ fn query_work_is_bounded_by_what_changed_at_fixture_scale() {
     let n = 2_000;
     let mut seen: Vec<Vec<NodeId>> = Vec::new();
     let (mut queries, mut repairs, mut regions) = (0usize, 0usize, 0usize);
-    planted_stream(n, 1, 3_840, 0.01, |engine, i| {
+    planted_stream(n, 1, 3_840, 0.01, 200.0, |engine, i| {
         let level = engine.default_level();
         let live: Vec<Vec<NodeId>> = (0..engine.pyramids().k())
             .map(|p| {

@@ -53,28 +53,26 @@ proptest! {
         prop_assert!(live == engine.state_bytes_for_test(), "live index differs from the rebuild");
     }
 
-    /// Aggressive rescaling (every 2 activations) must give the same
-    /// clustering as lazy rescaling (never), on the same stream.
+    /// Aggressive rescaling (a guard of 0: at every call past a whole
+    /// halving of `g`) must give the same clustering as lazy rescaling (a
+    /// guard of 600, which few streams reach), on the same stream. The last
+    /// activation comes λΔt = 1 after the others, so the eager engine
+    /// crosses at least one rescale.
     #[test]
     fn rescale_schedule_is_unobservable((seed, events) in stream_strategy()) {
         let lg = connected_caveman(3, 4);
-        let eager_cfg = AncConfig {
-            rescale: RescaleConfig { every_activations: 2, exponent_guard: 200.0 },
-            ..small_cfg()
-        };
-        let lazy_cfg = AncConfig {
-            rescale: RescaleConfig { every_activations: usize::MAX, exponent_guard: 400.0 },
-            ..small_cfg()
-        };
+        let eager_cfg = AncConfig { rescale: RescaleConfig { exponent_guard: 0.0 }, ..small_cfg() };
+        let lazy_cfg = AncConfig { rescale: RescaleConfig { exponent_guard: 600.0 }, ..small_cfg() };
         let mut eager = AncEngine::new(lg.graph.clone(), eager_cfg, seed);
         let mut lazy = AncEngine::new(lg.graph.clone(), lazy_cfg, seed);
         let m = lg.graph.m();
         let mut t = 0.0;
-        for &(sel, dt) in &events {
+        for &(sel, dt) in events.iter().chain([&(0, 10.0)]) {
             t += dt;
             eager.activate((sel % m) as u32, t);
             lazy.activate((sel % m) as u32, t);
         }
+        prop_assert!(eager.rescales() >= 1, "the eager engine crossed no rescale");
         // True similarities agree…
         for e in 0..m as u32 {
             let (a, b) = (eager.similarity(e), lazy.similarity(e));

@@ -1,6 +1,6 @@
 //! Fuzz-style invariant testing (DESIGN.md §8): random activation streams —
-//! mixed single/batch/batch-then-reconstruct, small enough rescale intervals to cross
-//! several rescale boundaries — with [`AncEngine::check_invariants`]
+//! mixed single/batch/batch-then-reconstruct, with a rescale guard small enough to
+//! cross several rescale boundaries — with [`AncEngine::check_invariants`]
 //! asserted after **every** step, plus negative tests that corrupted
 //! snapshots are rejected with the right [`InvariantViolation`] variant.
 
@@ -31,9 +31,10 @@ fn stream_strategy() -> impl Strategy<Value = (u64, Vec<(Event, f64)>)> {
     (0u64..32, prop::collection::vec((event_strategy(), 0.0f64..1.5), 1..16))
 }
 
-/// Rescale every 9 activations, at λ = 1 so that most of them halve `g` at
-/// least once: a typical fuzz stream crosses several PosM/NegM rescale
-/// boundaries (Lemma 10's exercised path).
+/// A rescale guard of 0, due at every call, at λ = 1: every call a whole
+/// halving of `g` past the anchor rescales, so a fuzz stream (which starts
+/// at t = 1) crosses at least one PosM rescale boundary and typically
+/// several.
 fn fuzz_cfg() -> AncConfig {
     AncConfig {
         lambda: 1.0,
@@ -41,7 +42,7 @@ fn fuzz_cfg() -> AncConfig {
         rep: 1,
         mu: 2,
         epsilon: 0.2,
-        rescale: RescaleConfig { every_activations: 9, exponent_guard: 200.0 },
+        rescale: RescaleConfig { exponent_guard: 0.0 },
         ..Default::default()
     }
 }
@@ -71,7 +72,7 @@ proptest! {
         let g = erdos_renyi(20, 45, seed);
         if g.m() == 0 { return Ok(()); }
         let mut engine = AncEngine::new(g, fuzz_cfg(), seed);
-        let mut t = 0.0;
+        let mut t = 1.0;
         for (event, dt) in &events {
             t += dt;
             apply(&mut engine, event, t);
@@ -79,6 +80,7 @@ proptest! {
                 return Err(TestCaseError::fail(format!("after {event:?} at t={t}: {v}")));
             }
         }
+        prop_assert!(engine.rescales() >= 1, "the stream crossed no rescale");
     }
 
     /// Binary snapshots round-trip at every step of a mixed stream that
@@ -91,7 +93,7 @@ proptest! {
         let g = erdos_renyi(20, 45, seed);
         if g.m() == 0 { return Ok(()); }
         let mut engine = AncEngine::new(g, fuzz_cfg(), seed);
-        let mut t = 0.0;
+        let mut t = 1.0;
         for (event, dt) in &events {
             t += dt;
             apply(&mut engine, event, t);
@@ -121,6 +123,7 @@ proptest! {
         let (a, b) = (engine.to_snapshot(), restored.to_snapshot());
         prop_assert_eq!(a.activations, b.activations);
         prop_assert_eq!(a.rescales, b.rescales);
+        prop_assert!(a.rescales >= 1, "the stream crossed no rescale");
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (x, y, what) in [
             (a.activeness.as_slice(), b.activeness.as_slice(), "activeness"),

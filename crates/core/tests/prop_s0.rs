@@ -142,9 +142,9 @@ fn pinned_engine() -> AncEngine {
     AncEngine::new(graph, AncConfig::default(), 42)
 }
 
-/// [`fnv1a`] of the pinned build's Exact snapshot (format version 4): `S₀`,
+/// [`fnv1a`] of the pinned build's Exact snapshot (format version 5): `S₀`,
 /// activeness, graph and clock, no index.
-const S0_SNAPSHOT_DIGEST: u64 = 0xc1ac_8bb8_e0b3_415b;
+const S0_SNAPSHOT_DIGEST: u64 = 0x4262_5790_a1f3_c01d;
 
 /// [`fnv1a`] of the pinned build's index at levels ≥ 1: every partition's
 /// `(dist bits, seed_of, parent)` per node, little-endian, pyramid-major.

@@ -35,9 +35,10 @@ fn batch_strategy() -> impl Strategy<Value = Vec<usize>> {
     })
 }
 
-/// Rescale every 7 activations, at λ = 1 so that most of them halve `g` at
-/// least once: streams cross rescale boundaries and the log interleaves
-/// with triggered (unlogged, deterministic) rescales.
+/// A rescale guard of 0, due at every call, at λ = 1: every call a whole
+/// halving of `g` past the anchor rescales, so streams (which start at
+/// t = 1) cross rescale boundaries and the log interleaves with triggered
+/// (unlogged, deterministic) rescales.
 fn fuzz_cfg() -> AncConfig {
     AncConfig {
         lambda: 1.0,
@@ -45,7 +46,7 @@ fn fuzz_cfg() -> AncConfig {
         rep: 1,
         mu: 2,
         epsilon: 0.2,
-        rescale: RescaleConfig { every_activations: 7, exponent_guard: 200.0 },
+        rescale: RescaleConfig { exponent_guard: 0.0 },
         ..Default::default()
     }
 }
@@ -79,11 +80,12 @@ proptest! {
         let dir = scratch("trunc");
         let engine = AncEngine::new(g, fuzz_cfg(), seed);
         let mut durable = DurableEngine::create(engine, &dir, no_compact()).unwrap();
-        let mut t = 0.0;
+        let mut t = 1.0;
         for (sels, dt) in &ops {
             t += dt;
             apply_durable(&mut durable, sels, t);
         }
+        prop_assert!(durable.engine().rescales() >= 1, "the stream crossed no rescale");
         drop(durable);
 
         let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();

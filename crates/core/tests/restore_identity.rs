@@ -5,9 +5,9 @@
 //! snapshot stores none) and re-derives the reciprocal weights as `1/S*`,
 //! and the restored engine is the live engine, bit for bit, also after
 //! batched rescales. Both restore forms are checked at `anc-perf`'s fixture
-//! (planted partition, n = 2 000) with a rescale due every 7 activations:
-//! an Exact snapshot round-trip, and a [`DurableEngine`] reopened from a
-//! compacted snapshot.
+//! (planted partition, n = 2 000) with a rescale guard of 0, so the clock
+//! re-anchors at every whole halving of `g`: an Exact snapshot round-trip,
+//! and a [`DurableEngine`] reopened from a compacted snapshot.
 
 use std::path::PathBuf;
 
@@ -26,11 +26,11 @@ const AFTER: usize = 2_000;
 const DT: f64 = 0.05;
 
 /// An engine over `planted_partition(default_for(n), 1)` (index seed 1)
-/// with a rescale due every `every_activations`, and `len` uniformly drawn
-/// edges to activate.
-fn engine_and_stream(n: usize, every_activations: usize, len: usize) -> (AncEngine, Vec<EdgeId>) {
+/// with a rescale due when `λ(t − t*)` reaches `exponent_guard`, and `len`
+/// uniformly drawn edges to activate.
+fn engine_and_stream(n: usize, exponent_guard: f64, len: usize) -> (AncEngine, Vec<EdgeId>) {
     let lg = planted_partition(&PlantedConfig::default_for(n), 1);
-    let rescale = RescaleConfig { every_activations, ..Default::default() };
+    let rescale = RescaleConfig { exponent_guard };
     let engine = AncEngine::new(lg.graph, AncConfig { rescale, ..Default::default() }, 1);
     let m = engine.graph().m() as EdgeId;
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -39,7 +39,7 @@ fn engine_and_stream(n: usize, every_activations: usize, len: usize) -> (AncEngi
 }
 
 fn fixture() -> (AncEngine, Vec<EdgeId>) {
-    engine_and_stream(2_000, 7, BEFORE + AFTER)
+    engine_and_stream(2_000, 0.0, BEFORE + AFTER)
 }
 
 fn time_of(i: usize) -> f64 {
@@ -101,8 +101,8 @@ fn reopened_durable_engine_stays_bit_identical_past_rescales() {
 /// Streams `len` activations through the fixture at `n` nodes, then
 /// compares the live index with `reconstruct_index()` in every node's
 /// `(dist bits, seed_of, parent)` and returns the engine's rescale count.
-fn live_index_equals_rebuild(n: usize, every_activations: usize, len: usize) -> u64 {
-    let (mut engine, stream) = engine_and_stream(n, every_activations, len);
+fn live_index_equals_rebuild(n: usize, exponent_guard: f64, len: usize) -> u64 {
+    let (mut engine, stream) = engine_and_stream(n, exponent_guard, len);
     for (i, &e) in stream.iter().enumerate() {
         engine.activate(e, time_of(i));
     }
@@ -133,13 +133,13 @@ fn live_index_equals_rebuild(n: usize, every_activations: usize, len: usize) -> 
 #[test]
 #[cfg_attr(feature = "debug-invariants", ignore = "minutes under the per-activation checker")]
 fn live_index_equals_rebuild_without_rescales() {
-    assert_eq!(live_index_equals_rebuild(2_000, 4_096, 3_840), 0);
+    assert_eq!(live_index_equals_rebuild(2_000, 200.0, 3_840), 0);
 }
 
 #[test]
 #[cfg_attr(feature = "debug-invariants", ignore = "minutes under the per-activation checker")]
 fn live_index_equals_rebuild_past_rescales() {
-    assert_eq!(live_index_equals_rebuild(2_000, 7, 3_840), 27);
+    assert_eq!(live_index_equals_rebuild(2_000, 0.0, 3_840), 27);
 }
 
 #[test]
@@ -148,5 +148,5 @@ fn live_index_equals_rebuild_past_rescales() {
     ignore = "n = 20 000 takes minutes unoptimised; ci.sh runs it in release"
 )]
 fn live_index_equals_rebuild_at_n_20000() {
-    assert_eq!(live_index_equals_rebuild(20_000, 4_096, 2_000), 0);
+    assert_eq!(live_index_equals_rebuild(20_000, 200.0, 2_000), 0);
 }

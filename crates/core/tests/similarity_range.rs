@@ -126,16 +126,18 @@ fn dense_traffic_keeps_the_mean_in_range_for_400k_activations() {
     assert!(engine.to_snapshot().sim_exp > 256, "the stream must cross the range step");
 }
 
-/// A stream that crosses 13 clock rescales but never reaches the range step
-/// or an absolute floor: its clusterings at every level, in both modes, at
-/// four checkpoints, are pinned to the digest they had when `S` was stored
-/// on the clock's scale and rescaled with it. (`S` is 1-homogeneous and
-/// every rescale is a power of two, so moving `S` off the clock is exact.)
+/// A stream that crosses 13 clock rescales, each due by the exponent guard
+/// alone, but never reaches the range step or an absolute floor: its
+/// clusterings at every level, in both modes, at four checkpoints, are
+/// pinned to the digest they had when `S` was stored on the clock's scale
+/// and rescaled with it, every 97 activations. (`S` is 1-homogeneous and
+/// every rescale is a power of two, so neither moving `S` off the clock nor
+/// moving the rescales changes a bit.)
 #[test]
 fn streams_that_reach_no_floor_cluster_as_before() {
     const DIGEST: u64 = 0x22ba_f570_1649_3374;
     let graph = planted_partition(&PlantedConfig::default_for(300), 3).graph;
-    let rescale = RescaleConfig { every_activations: 97, exponent_guard: 200.0 };
+    let rescale = RescaleConfig { exponent_guard: 1.0 };
     let cfg = AncConfig { rep: 2, rescale, ..Default::default() };
     let mut engine = AncEngine::new(graph, cfg, 11);
     let m = engine.graph().m() as u64;

@@ -1,24 +1,23 @@
 //! The decay clock: current time, anchor time, global decay factor and the
-//! batched-rescale policy.
+//! one rescale rule.
 
 use crate::Time;
 
-/// When to trigger a batched rescale (paper Section IV-A: "when a fixed
-/// number of activations accumulates, we let all anchored activeness absorb
-/// the global decay factor").
+/// When a batched rescale is due. The paper (Section IV-A) re-anchors "when
+/// a fixed number of activations accumulates"; here the one rule is the
+/// exponent: a rescale is due when `λ(t − t*)` reaches the guard, since that
+/// alone bounds what an anchored value can grow to (DESIGN.md §3).
 #[derive(Clone, Copy, Debug)]
 pub struct RescaleConfig {
-    /// Rescale after this many activations since the last rescale.
-    pub every_activations: usize,
-    /// Also rescale whenever `λ(t - t*)` exceeds this guard, regardless of
-    /// activation count. `f64` overflows at ~709; the default of 200 leaves
-    /// ample headroom for products of anchored quantities.
+    /// Rescale when `λ(t − t*)` reaches this guard. `f64` overflows at
+    /// ≈ 709; the default of 200 leaves ample headroom for sums and
+    /// products of anchored quantities.
     pub exponent_guard: f64,
 }
 
 impl Default for RescaleConfig {
     fn default() -> Self {
-        Self { every_activations: 4096, exponent_guard: 200.0 }
+        Self { exponent_guard: 200.0 }
     }
 }
 
@@ -50,7 +49,6 @@ pub struct DecayClock {
     now: Time,
     anchor: Time,
     cfg: RescaleConfig,
-    activations_since_rescale: usize,
 }
 
 impl DecayClock {
@@ -59,10 +57,10 @@ impl DecayClock {
         Self::with_config(lambda, RescaleConfig::default())
     }
 
-    /// Creates a clock with an explicit rescale policy.
+    /// Creates a clock with an explicit rescale guard.
     pub fn with_config(lambda: f64, cfg: RescaleConfig) -> Self {
         assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be finite and >= 0");
-        Self { lambda, now: 0.0, anchor: 0.0, cfg, activations_since_rescale: 0 }
+        Self { lambda, now: 0.0, anchor: 0.0, cfg }
     }
 
     /// The decay parameter λ.
@@ -117,44 +115,30 @@ impl DecayClock {
         }
     }
 
-    /// Records that one activation was processed (for the batch trigger).
-    pub fn note_activation(&mut self) {
-        self.activations_since_rescale += 1;
-    }
+    /// Does nothing: no rescale is decided by an activation count. Kept only
+    /// for the benchmark's layer twin, which still calls it.
+    pub fn note_activation(&mut self) {}
 
-    /// Whether a batched rescale is due under the configured policy.
+    /// Whether a batched rescale is due: `λ(t − t*)` has reached the guard.
     pub fn needs_rescale(&self) -> bool {
-        self.activations_since_rescale >= self.cfg.every_activations
-            || self.lambda * (self.now - self.anchor) >= self.cfg.exponent_guard
+        self.lambda * (self.now - self.anchor) >= self.cfg.exponent_guard
     }
 
     /// Decomposes the clock into its raw persisted fields (for the compact
     /// binary snapshot codec; see `anc-core::persist::binary`).
     pub fn to_parts(&self) -> ClockParts {
-        ClockParts {
-            lambda: self.lambda,
-            now: self.now,
-            anchor: self.anchor,
-            cfg: self.cfg,
-            activations_since_rescale: self.activations_since_rescale,
-        }
+        ClockParts { lambda: self.lambda, now: self.now, anchor: self.anchor, cfg: self.cfg }
     }
 
     /// Reassembles a clock from persisted fields. Inverse of
-    /// [`DecayClock::to_parts`]; restores the exact rescale-trigger state.
+    /// [`DecayClock::to_parts`].
     ///
     /// # Panics
     /// Panics if `lambda` is negative or non-finite (same contract as
     /// [`DecayClock::with_config`]).
     pub fn from_parts(parts: ClockParts) -> Self {
         assert!(parts.lambda >= 0.0 && parts.lambda.is_finite(), "lambda must be finite and >= 0");
-        Self {
-            lambda: parts.lambda,
-            now: parts.now,
-            anchor: parts.anchor,
-            cfg: parts.cfg,
-            activations_since_rescale: parts.activations_since_rescale,
-        }
+        Self { lambda: parts.lambda, now: parts.now, anchor: parts.anchor, cfg: parts.cfg }
     }
 
     /// Performs the clock side of a batched rescale: returns the factor `g`
@@ -166,9 +150,8 @@ impl DecayClock {
     /// residual `λ(t − t*) < ln 2`. Scaling a normal `f64` by `2^±j` is
     /// exact, so a rescaled store holds the same bits a from-scratch
     /// computation over the rescaled inputs would. When `j = 0` the factor
-    /// is 1 and only the activation counter resets.
+    /// is 1 and nothing moves.
     pub fn take_rescale(&mut self) -> f64 {
-        self.activations_since_rescale = 0;
         let j = (self.lambda * (self.now - self.anchor) / std::f64::consts::LN_2).floor();
         if j < 1.0 {
             return 1.0;
@@ -190,10 +173,8 @@ pub struct ClockParts {
     pub now: Time,
     /// Anchor time `t*`.
     pub anchor: Time,
-    /// Batched-rescale policy.
+    /// The rescale guard.
     pub cfg: RescaleConfig,
-    /// Activations processed since the last rescale.
-    pub activations_since_rescale: usize,
 }
 
 #[cfg(test)]
@@ -239,31 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn activation_count_trigger() {
-        let mut c = DecayClock::with_config(
-            0.1,
-            RescaleConfig { every_activations: 3, exponent_guard: 200.0 },
-        );
-        assert!(!c.needs_rescale());
-        c.note_activation();
-        c.note_activation();
-        assert!(!c.needs_rescale());
-        c.note_activation();
-        assert!(c.needs_rescale());
-        c.take_rescale();
-        assert!(!c.needs_rescale());
-    }
-
-    #[test]
     fn exponent_guard_trigger() {
-        let mut c = DecayClock::with_config(
-            1.0,
-            RescaleConfig { every_activations: usize::MAX, exponent_guard: 50.0 },
-        );
+        let mut c = DecayClock::with_config(1.0, RescaleConfig { exponent_guard: 50.0 });
         c.advance_to(49.0);
         assert!(!c.needs_rescale());
         c.advance_to(50.0);
         assert!(c.needs_rescale());
+        // The residual left behind is below ln 2, so at the same time no
+        // second rescale is due.
+        c.take_rescale();
+        assert!(!c.needs_rescale());
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! A **batched rescale** periodically folds `g` back into the stored values
 //! and moves the anchor `t*` up to `t`; crucial in practice because
 //! `1/g = e^{λ(t - t*)}` overflows `f64` once `λ(t - t*) > ~709`.
-//! [`DecayClock`] triggers the rescale well before that, and quantises the
+//! [`DecayClock`] triggers the rescale when `λ(t - t*)` reaches a guard well
+//! below that (never on an activation count), and quantises the
 //! factor to a power of two so absorbing it is exact (see
 //! [`DecayClock::take_rescale`]).
 //!

@@ -37,7 +37,6 @@ proptest! {
             t += dt;
             clock.advance_to(t);
             store.activate(e, &clock);
-            clock.note_activation();
             raw.activate(e, t);
             if rescale || clock.needs_rescale() {
                 let g = clock.take_rescale();

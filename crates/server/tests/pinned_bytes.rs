@@ -132,7 +132,7 @@ const PINNED: [(&str, usize, u64); 21] = [
     ("resp ShuttingDown", 9, 0x878e9e8910650000),
     ("resp Error", 35, 0x85129c577ae7b23e),
     ("wal", 136, 0xb8d77bacae64c6e4),
-    ("snapshot Exact", 15644, 0x30457094d16b32ca),
+    ("snapshot Exact", 15641, 0x29c127a0d7a80e52),
 ];
 
 #[test]

@@ -83,15 +83,19 @@ fn main() {
     );
     assert!(h1 > o1, "during phase 1 the home circle must dominate");
 
-    // Phase 2 (t = 16..45): activity moves to the second circle; the home
-    // friendships silently decay.
-    for t in 16..=45 {
+    // Phase 2 (t = 16..90): activity moves to the second circle; the home
+    // friendships silently decay. Phase 1's reinforcement left the user's
+    // ties into the second circle at the similarity floor, held there by
+    // the wedge stretch of the active home circle: they overtake the home
+    // ties once its activeness has decayed, after about 55 time units at
+    // λ = 0.2, not at once.
+    for t in 16..=90 {
         let _ = engine.activate_batch(&other_edges, t as f64);
     }
     let (h2, o2) = (best_sim(&engine, home), best_sim(&engine, other));
     let c2 = engine.local_cluster(user, level);
     println!(
-        "t = 45: strongest tie home {h2:.3e} vs second circle {o2:.3e}; \
+        "t = 90: strongest tie home {h2:.3e} vs second circle {o2:.3e}; \
          active community has {} members ({} from home, {} from the second circle)",
         c2.len(),
         count(&c2, &ds.labels, home),
