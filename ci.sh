@@ -29,7 +29,9 @@
 #     and the similarity store's range: a 10⁶-step one-edge stream at
 #     λΔt = 10 and a 400 000-activation dense stream
 #   - the determinism suite at 1 and 4 pool threads, with (in release) the S₀
-#     equivalence proptest and the pinned snapshot and index digests; serve_stress,
+#     equivalence proptest, the pinned snapshot and index digests, and the
+#     live-levels suite (live_levels: a level synced after any stream equals
+#     reconstruct_index(), a stale level is never queried); serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: the determinism suite under perturbed schedules, pool
@@ -203,11 +205,15 @@ echo "==> determinism suite under fixed pool sizes (1 and 4 threads)"
 # Beside them, in release: S₀ from one σ table equals the per-edge
 # reinforcement loop bit for bit, and one n = 600 build matches its pinned
 # snapshot and index digests and has the unit-weight level 0
-# (`Pyramids::build` runs on the pool; the digests must not see it).
+# (`Pyramids::build` runs on the pool; the digests must not see it). And the
+# live-levels suite: streams that change the live set, cross clock rescales
+# and the range step must leave every synced level equal to
+# reconstruct_index() bit for bit (a sync rebuilds on the pool too).
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p rayon -q
     RAYON_NUM_THREADS=$t cargo test -p anc-core --test determinism --test prop_batch -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test live_levels -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
         row_table_sweep_equals_per_edge_reinforcement -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 s0_ -q

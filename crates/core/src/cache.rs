@@ -284,6 +284,15 @@ impl ClusterCache {
         }
     }
 
+    /// Drops `level` if it is materialized, and then advances the
+    /// generation: the level went stale, so repairs stop naming its nodes,
+    /// or it was rebuilt by a sync, so its rows have no baseline.
+    pub(crate) fn invalidate_level(&mut self, level: usize) {
+        if self.per_level[level].take().is_some() {
+            self.generation += 1;
+        }
+    }
+
     /// Breaks the cached state of a materialized `level` as `what` says.
     #[doc(hidden)]
     pub fn corrupt_for_test(&mut self, level: usize, what: CacheCorruption) {
@@ -336,6 +345,7 @@ impl ClusterCache {
     /// Answers `cluster_all(level, mode)` from the cache, repairing or
     /// (re)filling as needed. The returned `Arc` is shared with the cache —
     /// repeat queries at the same generation return the same allocation.
+    /// Panics if `level` is stale in `pyr`.
     pub fn query(
         &mut self,
         g: &Graph,
@@ -343,6 +353,7 @@ impl ClusterCache {
         level: usize,
         mode: ClusterMode,
     ) -> (Arc<Clustering>, QueryStats) {
+        pyr.assert_live(level);
         let mut stats = QueryStats { generation: self.generation, ..Default::default() };
         let mut lc = match self.per_level[level].take() {
             Some(mut lc) => {

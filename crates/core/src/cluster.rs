@@ -24,16 +24,18 @@ pub enum ClusterMode {
 }
 
 /// Evaluates the voting function on every edge once and caches the result.
+/// Panics if `level` is stale.
 fn voted_edges(g: &Graph, pyr: &Pyramids, level: usize) -> Vec<bool> {
+    pyr.assert_live(level);
     let mut kept = vec![false; g.m()];
     for (e, u, v) in g.iter_edges() {
-        kept[e as usize] = pyr.same_cluster(u, v, level);
+        kept[e as usize] = pyr.vote(u, v, level);
     }
     kept
 }
 
 /// Clusters the whole graph at granularity `level` (Lemma 8:
-/// `O(m log n)` including the voting pass).
+/// `O(m log n)` including the voting pass). Panics if `level` is stale.
 pub fn cluster_all(g: &Graph, pyr: &Pyramids, level: usize, mode: ClusterMode) -> Clustering {
     let kept = voted_edges(g, pyr, level);
     match mode {

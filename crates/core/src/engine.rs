@@ -137,10 +137,15 @@ impl AncEngine {
     /// The one constructor: adopts `state` and derives the rest — the
     /// reciprocal weights (`O(m)`, the same bits the index was built or
     /// repaired against), scratch, an empty cluster cache (never persisted,
-    /// it refills lazily on first query) and empty pooled buffers.
-    pub(crate) fn from_state(state: EngineSnapshot) -> Self {
-        let recip = state.sim.iter().map(|s| 1.0 / s).collect();
+    /// it refills lazily on first query) and empty pooled buffers. Every
+    /// level of the index is made live, and a stale one is synced from the
+    /// state's own similarity, so an engine starts whole whatever the
+    /// snapshot it came from ([`Self::to_snapshot`]).
+    pub(crate) fn from_state(mut state: EngineSnapshot) -> Self {
+        let recip: Vec<f64> = state.sim.iter().map(|s| 1.0 / s).collect();
         let (k, levels) = (state.pyramids.k(), state.pyramids.num_levels());
+        let all: Vec<usize> = (0..levels).collect();
+        state.pyramids.set_live_levels(&state.graph, &recip, state.index_seed, &all);
         Self {
             recip,
             scratch: Scratch::new(state.graph.n()),
@@ -242,9 +247,9 @@ impl AncEngine {
     ///    bump the anchored activeness at `t` (`O(1)`, Lemma 1);
     /// 2. apply local reinforcement with trigger edge `e` (`O(deg u +
     ///    deg v)` neighborhood work, Lemma 5);
-    /// 3. repair every Voronoi partition at levels `≥ 1` for the changed
-    ///    weight (Algorithms 1–3, bounded by the affected region, Lemma 12);
-    ///    level 0 is weight-free.
+    /// 3. repair every Voronoi partition of a live level `≥ 1` for the
+    ///    changed weight (Algorithms 1–3, bounded by the affected region,
+    ///    Lemma 12); level 0 is weight-free ([`Self::set_live_levels`]).
     ///
     /// Panics unless `(&[e], t)` passes [`crate::WalRecord::check`].
     pub fn activate(&mut self, e: EdgeId, t: Time) {
@@ -258,8 +263,8 @@ impl AncEngine {
     /// exactly as in a serial loop of [`Self::activate`] calls; only the
     /// index repairs are deferred and fed to the index as one grouped
     /// [`Pyramids::on_weight_change_batch`] fan-out — one parallel pass over
-    /// the `k·(⌈log₂ n⌉ − 1)` weighted partitions per batch instead of one
-    /// per activation (level 0 is weight-free and never repaired), with
+    /// the partitions of the live levels `≥ 1` per batch instead of one per
+    /// activation (level 0 is weight-free and never repaired), with
     /// inert deltas short-circuited by an exact no-op precheck. The
     /// grouped repair replays every delta at its exact per-step weights, so
     /// the result is **bit-identical** to the serial loop and independent of
@@ -380,9 +385,9 @@ impl AncEngine {
                     &mut self.trace_bufs,
                 );
                 cache.note_affected(g, &self.trace_bufs);
-                // No precheck here: every partition at levels ≥ 1 runs its
-                // bounded update; level 0 is weight-free.
-                RepairStats { updates: pyramids.k() * (pyramids.num_levels() - 1), skips: 0 }
+                // No precheck here: every partition of a live level ≥ 1
+                // runs its bounded update; level 0 is weight-free.
+                RepairStats { updates: pyramids.repaired_partitions(), skips: 0 }
             }
             _ => {
                 if cache.has_materialized_levels() {
@@ -433,6 +438,7 @@ impl AncEngine {
     /// `j`, so no true value moves. Then every edge below the floor is lifted
     /// to it through the ordinary repair path, as a reinforcement write
     /// would be: no rebuild, and the cluster cache hears the affected nodes.
+    /// Stale levels take neither step; a sync rebuilds them from `recip`.
     /// Expects no pending repairs; returns the lifts' repair work.
     ///
     /// Out of line: it runs once in ≈ 2^256 of mean growth, and inlined
@@ -476,6 +482,30 @@ impl AncEngine {
     /// The `Θ(√n)`-clusters entry level of Problem 1.
     pub fn default_level(&self) -> usize {
         self.state.pyramids.default_level()
+    }
+
+    /// Makes `levels` the index's live set: the levels ingest keeps in step
+    /// with the weights and queries may read (the [`crate::pyramid`] module
+    /// doc). A level that leaves the set goes stale: no repair or rescale
+    /// touches it, and a query of it panics. A level that enters it is
+    /// synced: its `k` partitions are rebuilt from the current weights with
+    /// the build's seed sampling, so it equals [`Self::reconstruct_index`]'s
+    /// bit for bit (≈ 2.3 ms a level at n = 2 000). Every level is live
+    /// after [`Self::new`] and after a restore. The cluster cache drops
+    /// each level that changes state.
+    ///
+    /// # Panics
+    ///
+    /// If a level is out of range.
+    pub fn set_live_levels(&mut self, levels: &[usize]) {
+        let s = &mut self.state;
+        let cache = self.cache.get_mut();
+        for l in 0..s.pyramids.num_levels() {
+            if s.pyramids.is_live(l) != levels.contains(&l) {
+                cache.invalidate_level(l);
+            }
+        }
+        s.pyramids.set_live_levels(&s.graph, &self.recip, s.index_seed, levels);
     }
 
     /// All clusters at `level` (Problem 1(1)).
@@ -564,10 +594,12 @@ impl AncEngine {
 
     /// Approximate *true* (de-anchored) distance `M_t(u, v)` answered from
     /// the index in `O(k log n)` via the underlying Das Sarma sketch over
-    /// the partitions at levels `≥ 1` (level 0 holds hop counts): never an
-    /// underestimate, `O(log n)` expected stretch. `f64::INFINITY` when no
-    /// partition at levels `≥ 1` joins the pair — for a connected pair too,
-    /// when every such partition splits it.
+    /// the partitions of the live levels `≥ 1` (level 0 holds hop counts, a
+    /// stale level lags the weights): never an underestimate, since every
+    /// partition read is in step, with `O(log n)` expected stretch when
+    /// every level is live. `f64::INFINITY` when no partition read joins
+    /// the pair — for a connected pair too, when every such partition
+    /// splits it.
     #[must_use = "pure query; the distance estimate is the only effect"]
     pub fn approx_distance(&self, u: NodeId, v: NodeId) -> f64 {
         // Stored distances sum stored weights `1/S`; the true NegM value
@@ -600,7 +632,9 @@ impl AncEngine {
     /// RECONSTRUCT baseline of Figure 8. Fresh seed draws give the cache's
     /// seed rows no baseline to be compared against, so the cluster cache is
     /// invalidated wholesale and refills lazily. The rebuild reuses the
-    /// index's own buffers (bit-identical to a fresh build).
+    /// index's own buffers (bit-identical to a fresh build). It rebuilds the
+    /// live levels and keeps the live set; a stale level is rebuilt when it
+    /// is synced ([`Self::set_live_levels`]).
     pub fn reconstruct_index(&mut self) {
         let s = &mut self.state;
         s.pyramids.rebuild(&s.graph, &self.recip, s.index_seed);
@@ -608,14 +642,17 @@ impl AncEngine {
     }
 
     /// Captures the complete engine state for checkpointing
-    /// (see [`crate::persist`]).
+    /// (see [`crate::persist`]). The index is copied as it stands, stale
+    /// levels included: no encoder stores it, and a restore syncs them.
     pub fn to_snapshot(&self) -> EngineSnapshot {
         self.state.clone()
     }
 
     /// Restores an engine from a snapshot: validates it, then derives what
     /// the snapshot leaves out (`O(n + m)`: the reciprocal weights, scratch,
-    /// an empty cluster cache), exactly as [`Self::new`] does.
+    /// an empty cluster cache), exactly as [`Self::new`] does. Every level
+    /// of the restored index is live, a stale one synced from the snapshot's
+    /// similarity, so it equals [`Self::reconstruct_index`]'s at every level.
     pub fn from_snapshot(snapshot: EngineSnapshot) -> Result<Self, RestoreError> {
         snapshot.validate()?;
         Ok(Self::from_state(snapshot))
@@ -633,9 +670,10 @@ impl AncEngine {
     /// Verifies every engine invariant against the current state (testing
     /// aid; `O(k · m log n)`): CSR well-formedness, activeness finiteness
     /// and Def. 2 consistency, similarity positivity, range and `1/S` sync,
-    /// pyramid shape, per-partition shortest-path-forest soundness, and
-    /// validity of the default-level clustering. See [`crate::invariant`]
-    /// for the catalogue.
+    /// pyramid shape, per-partition shortest-path-forest soundness at the
+    /// live levels (shape only at stale ones), and validity of the
+    /// clustering at the default level, or at the first live level when the
+    /// default is stale. See [`crate::invariant`] for the catalogue.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let s = &self.state;
         let (g, pyramids) = (&s.graph, &s.pyramids);
@@ -644,8 +682,10 @@ impl AncEngine {
         invariant::check_similarities(&s.sim, s.sim_sum)?;
         invariant::check_recip_sync(&s.sim, &self.recip)?;
         pyramids.check_invariants(g, &self.recip)?;
-        let c = cluster_all(g, pyramids, self.default_level(), ClusterMode::Power);
-        invariant::check_clustering(g, &c)?;
+        let mut levels = std::iter::once(self.default_level()).chain(0..self.num_levels());
+        if let Some(level) = levels.find(|&l| pyramids.is_live(l)) {
+            invariant::check_clustering(g, &cluster_all(g, pyramids, level, ClusterMode::Power))?;
+        }
         invariant::check_cluster_cache(g, pyramids, &self.cache.borrow())
     }
 
@@ -977,14 +1017,17 @@ mod tests {
         engine.check_invariants().unwrap();
     }
 
-    /// A lone delta takes the serial repair, which runs every partition at
-    /// levels ≥ 1 and none at the weight-free level 0: `k · (L − 1)`
-    /// updates, no precheck skips.
+    /// A lone delta takes the serial repair, which runs every partition of
+    /// a live level ≥ 1 and none at the weight-free level 0: `k · (L − 1)`
+    /// updates with every level live, `k` with one, no precheck skips.
     #[test]
     fn lone_delta_counts_the_weighted_partitions() {
         let mut engine = engine_fixture(1);
         let stats = engine.activate_batch(&[0], 1.0);
         assert_eq!(stats, RepairStats { updates: 4 * (engine.num_levels() - 1), skips: 0 });
+        engine.set_live_levels(&[engine.default_level()]);
+        let stats = engine.activate_batch(&[0], 2.0);
+        assert_eq!(stats, RepairStats { updates: 4, skips: 0 });
     }
 
     /// Queries served from the cache must track a stream of single, batch,

@@ -268,6 +268,8 @@ pub fn check_clustering(g: &Graph, c: &Clustering) -> Result<(), InvariantViolat
 /// Checks the incremental cluster-query cache against the index, for every
 /// materialized level:
 ///
+/// * the level is live: a stale level's repairs name no nodes, so its rows
+///   would have nothing to be compared against;
 /// * a seed-row entry differs from the live partition only for a
 ///   `(node, pyramid)` pair that is **pending** — the soundness of feeding
 ///   the cache the repairs' affected sets (a seed a repair moved without
@@ -294,6 +296,11 @@ pub fn check_cluster_cache(
         ) else {
             continue;
         };
+        if !pyr.is_live(level) {
+            return Err(InvariantViolation::Cache(format!(
+                "level {level} is materialized but stale: repairs no longer name its nodes"
+            )));
+        }
         if rows.len() != n * k || pending.len() != k || voted.len() != g.m() {
             return Err(InvariantViolation::Cache(format!(
                 "level {level}: {} row entries, {} pending lists, {} vote bits for n = {n}, \

@@ -380,6 +380,13 @@ impl DurableEngine {
         &self.engine
     }
 
+    /// [`AncEngine::set_live_levels`] on the wrapped engine. Not logged: the
+    /// live set is no part of the state, a compaction's snapshot stores no
+    /// index, and an open replays the log with every level live.
+    pub fn set_live_levels(&mut self, levels: &[usize]) {
+        self.engine.set_live_levels(levels);
+    }
+
     /// Records appended since the last compaction.
     pub fn wal_records(&self) -> u64 {
         self.wal_records

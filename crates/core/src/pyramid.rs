@@ -15,6 +15,18 @@
 //! and `parent` are hop counts and a BFS tree. Only levels `≥ 1` carry
 //! weighted distances, so [`Pyramids::approx_distance`] reads those alone.
 //!
+//! **Live and stale levels.** A level is *live* when the index keeps it in
+//! step with the weights, and *stale* when it does not: no repair or rescale
+//! touches a stale level, and a query of one panics, naming the level, in
+//! every build. Every level is live after [`Pyramids::build`].
+//! [`Pyramids::set_live_levels`] changes the set, and it *syncs* each level
+//! that enters it by rebuilding its `k` partitions from the current weights
+//! with the build's own seed sampling. The rebuild equals what eager repair
+//! would have left, bit for bit, because the repairs keep the build's tie
+//! rule ([`crate::voronoi`]). Which levels to keep live is the reader's
+//! choice: the paper's ANCF re-indexes per snapshot, its ANCO repairs every
+//! level eagerly, and a server keeps live only the levels it publishes.
+//!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
 //! [`Pyramids::on_weight_change_batch`], [`Pyramids::rebuild`] and
@@ -86,6 +98,9 @@ pub struct Pyramids {
     levels: usize,
     needed_votes: usize,
     n: usize,
+    /// The live levels, bit `l` for level `l` (the module doc). Node ids are
+    /// `u32`, so `levels ≤ 32` and one word holds the set.
+    live: u64,
     /// Per-thread batch-repair slots (transient).
     repair_scratch: Vec<RepairScratch>,
 }
@@ -109,24 +124,78 @@ impl Pyramids {
             levels,
             needed_votes: needed_votes(theta, k),
             n,
+            live: all_levels(levels),
             repair_scratch: Vec::new(),
         };
         pyr.rebuild(g, weights, seed);
         pyr
     }
 
-    /// Rebuilds every partition in place from a fresh seed sampling, one
-    /// pool task per partition, reusing the partitions' own buffers. Level
-    /// `l` of pyramid `p` samples its seeds with ChaCha8 seeded by
-    /// `seed ^ (p << 32) ^ l`, so the result depends neither on which thread
-    /// runs which partition nor on what the index held before. Level 0 is
-    /// built under unit weights (the module doc), the rest under `weights`.
+    /// Rebuilds every live partition in place from a fresh seed sampling
+    /// ([`Self::rebuild_levels`]); a stale level is rebuilt when it is
+    /// synced ([`Self::set_live_levels`]).
     pub fn rebuild(&mut self, g: &Graph, weights: &[f64], seed: u64) {
+        self.rebuild_levels(g, weights, seed, self.live);
+    }
+
+    /// Makes `levels` the live set (the module doc). Each level that enters
+    /// it is synced: its partitions are rebuilt from `weights` with the
+    /// build's seed sampling, so they equal a fresh [`Self::build`] bit for
+    /// bit. A level that leaves it goes stale and keeps its arrays unread.
+    /// `seed` must be the one the index was built with.
+    ///
+    /// # Panics
+    ///
+    /// If a level is out of range.
+    pub fn set_live_levels(&mut self, g: &Graph, weights: &[f64], seed: u64, levels: &[usize]) {
+        let mut live = 0u64;
+        for &l in levels {
+            assert!(l < self.levels, "live level {l} out of range ({} levels)", self.levels);
+            live |= 1 << l;
+        }
+        self.rebuild_levels(g, weights, seed, live & !self.live);
+        self.live = live;
+    }
+
+    /// Whether level `l` is live: repaired with the weights and queryable.
+    pub fn is_live(&self, l: usize) -> bool {
+        l < self.levels && self.live >> l & 1 == 1
+    }
+
+    /// Partitions a lone weight change repairs: `k` per live level `≥ 1`.
+    pub(crate) fn repaired_partitions(&self) -> usize {
+        self.k * (self.live & !1).count_ones() as usize
+    }
+
+    /// The query-side check: panics, naming the level, unless `l` is live.
+    /// A query runs it once before it reads the level, not per partition.
+    pub(crate) fn assert_live(&self, l: usize) {
+        assert!(
+            self.is_live(l),
+            "level {l} is stale: it is not kept in step with the weights, so it cannot be \
+             queried until it is made live again"
+        );
+    }
+
+    /// Rebuilds, one pool task per partition and reusing the partitions'
+    /// own buffers, the partitions of the levels whose bit is set in `mask`.
+    /// The one seed sampling of the index: level `l` of pyramid `p` samples
+    /// its seeds with ChaCha8 seeded by `seed ^ (p << 32) ^ l`, so the
+    /// result depends neither on which thread runs which partition nor on
+    /// what the index held before. Level 0 is built under unit weights (the
+    /// module doc), the rest under `weights`.
+    fn rebuild_levels(&mut self, g: &Graph, weights: &[f64], seed: u64, mask: u64) {
         debug_assert_eq!(self.n, g.n(), "rebuild keeps the node count fixed");
+        if mask == 0 {
+            return;
+        }
         let (n, levels) = (self.n, self.levels);
-        let unit = vec![1.0; g.m()];
+        let unit = if mask & 1 == 1 { vec![1.0; g.m()] } else { Vec::new() };
         rayon::for_each(&mut self.partitions[..], |i, part| {
             let (p, l) = (i / levels, i % levels);
+            if mask >> l & 1 == 0 {
+                return;
+            }
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((p as u64) << 32) ^ (l as u64));
             let want = (1usize << l).min(n);
             let w = if l == 0 { &unit } else { weights };
@@ -172,16 +241,26 @@ impl Pyramids {
     }
 
     /// Number of pyramids whose level-`l` partition puts `u` and `v` under
-    /// the same seed (the vote count behind `H_l(u, v)`).
+    /// the same seed (the vote count behind `H_l(u, v)`). Panics if `l` is
+    /// stale.
     #[inline]
     pub fn votes(&self, u: NodeId, v: NodeId, l: usize) -> usize {
+        self.assert_live(l);
         (0..self.k).filter(|&p| self.partition(p, l).same_seed(u, v)).count()
     }
 
     /// The voting function `H_l(u, v)` (Section V-B): 1 iff at least `⌈θk⌉`
-    /// pyramids agree at level `l`.
+    /// pyramids agree at level `l`. Panics if `l` is stale.
     #[inline]
     pub fn same_cluster(&self, u: NodeId, v: NodeId, l: usize) -> bool {
+        self.assert_live(l);
+        self.vote(u, v, l)
+    }
+
+    /// [`Self::same_cluster`] for a caller that checked the level once
+    /// ([`Self::assert_live`]) before voting on many pairs.
+    #[inline]
+    pub(crate) fn vote(&self, u: NodeId, v: NodeId, l: usize) -> bool {
         // Early exit once the threshold is reached or becomes unreachable.
         let mut have = 0;
         for p in 0..self.k {
@@ -220,8 +299,9 @@ impl Pyramids {
     /// activations so steady-state single-edge repairs stop allocating. A
     /// lone change is repaired serially: forking the pool for it costs more
     /// than the repair (DESIGN.md §4); Lemma 13's fan-out is
-    /// [`Self::on_weight_change_batch`]. Repairs the `k · (levels − 1)`
-    /// partitions at levels `≥ 1` and leaves level 0's buffers cleared.
+    /// [`Self::on_weight_change_batch`]. Repairs the
+    /// [`Self::repaired_partitions`] of the live levels `≥ 1` and leaves the
+    /// buffers of level 0 and of stale levels cleared.
     ///
     /// # Panics
     ///
@@ -237,7 +317,7 @@ impl Pyramids {
         assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
         for (i, (p, o)) in self.partitions.iter_mut().zip(out.iter_mut()).enumerate() {
             o.clear();
-            if weight_free(i, self.levels) {
+            if !repaired(i, self.levels, self.live) {
                 continue;
             }
             p.on_weight_change_into(g, weights, e, old_w, o);
@@ -248,8 +328,8 @@ impl Pyramids {
 
     /// Applies a whole batch of ordered weight deltas with **one** parallel
     /// fan-out instead of one per edge (the engine's ingest loop; see
-    /// DESIGN.md §7) to the partitions at levels `≥ 1`; level 0 is
-    /// weight-free and its tasks return at once.
+    /// DESIGN.md §7) to the partitions of the live levels `≥ 1`; the tasks
+    /// of level 0 (weight-free) and of stale levels return at once.
     ///
     /// `deltas` is the ordered list of `(e, old_w, new_w)` changes exactly
     /// as they occurred; the same edge may appear several times. `weights`
@@ -283,7 +363,8 @@ impl Pyramids {
     /// query.
     ///
     /// `out` must hold one buffer per partition (`k · levels`); each is
-    /// cleared, filled, sorted and deduplicated (level 0's stay empty). The
+    /// cleared, filled, sorted and deduplicated (those of level 0 and of
+    /// stale levels stay empty). The
     /// buffers are caller-owned so the engine can pool them across batches.
     /// The partitions themselves
     /// end bit-identical to the untraced variant (same per-delta replay).
@@ -319,17 +400,17 @@ impl Pyramids {
             s.stats = RepairStats::default();
         }
         let (parts, scratch) = (&mut self.partitions[..], &mut self.repair_scratch);
-        let levels = self.levels;
+        let (levels, live) = (self.levels, self.live);
         match out {
             Some(out) => rayon::for_each_with((parts, out), scratch, |i, (p, trace), s| {
-                if weight_free(i, levels) {
-                    trace.clear();
-                } else {
+                if repaired(i, levels, live) {
                     replay_partition(g, weights, deltas, p, Some(trace), s);
+                } else {
+                    trace.clear();
                 }
             }),
             None => rayon::for_each_with(parts, scratch, |i, p, s| {
-                if !weight_free(i, levels) {
+                if repaired(i, levels, live) {
                     replay_partition(g, weights, deltas, p, None, s);
                 }
             }),
@@ -343,23 +424,26 @@ impl Pyramids {
     /// Approximate distance query in the style of the underlying Das Sarma
     /// et al. sketch (the base structure of the pyramids, Section II/V-A):
     /// the estimate is the minimum of `dist(u, s) + dist(s, v)` over every
-    /// partition at levels `≥ 1` in which `u` and `v` share a seed `s`.
-    /// Level 0 holds hop counts, not weighted distances, so it is not read.
+    /// partition of a live level `≥ 1` in which `u` and `v` share a seed
+    /// `s`. Level 0 holds hop counts, not weighted distances, and a stale
+    /// level's distances lag the weights, so neither is read.
     ///
-    /// The estimate never underestimates the true distance (triangle
-    /// inequality) and, with `⌈log₂ n⌉` geometric seed-set sizes per
-    /// pyramid, carries the sketch's `O(log n)`-stretch guarantee with high
-    /// probability. Returns `f64::INFINITY` when no partition at levels
-    /// `≥ 1` joins the pair — always for different components, and
-    /// sometimes for a connected pair that every such partition splits
-    /// (always when `levels == 1`). Distances are in the index's anchored
-    /// units; `O(k log n)` time.
+    /// Every partition read is in step with the weights, so the estimate
+    /// never underestimates the true distance (triangle inequality); with
+    /// `⌈log₂ n⌉` geometric seed-set sizes per pyramid, all live, it carries
+    /// the sketch's `O(log n)`-stretch guarantee with high probability.
+    /// Fewer live levels only loosen it. Returns `f64::INFINITY` when no
+    /// partition it reads joins the pair — always for different components,
+    /// and sometimes for a connected pair that every such partition splits
+    /// (always when no level `≥ 1` is live). Distances are in the index's
+    /// anchored units; `O(k log n)` time.
     pub fn approx_distance(&self, u: NodeId, v: NodeId) -> f64 {
         if u == v {
             return 0.0;
         }
         let mut best = f64::INFINITY;
-        for p in self.partitions.chunks(self.levels).flat_map(|pyramid| &pyramid[1..]) {
+        let live = (1..self.levels).filter(|&l| self.is_live(l));
+        for p in live.flat_map(|l| (0..self.k).map(move |p| self.partition(p, l))) {
             if p.same_seed(u, v) {
                 let est = p.dist(u) + p.dist(v);
                 if est < best {
@@ -371,14 +455,15 @@ impl Pyramids {
     }
 
     /// Absorbs a rescale of the weights into the stored distances of every
-    /// partition at levels `≥ 1` (the similarity range step's `2^j`, NegM,
-    /// Lemma 10); level 0's hop counts do not scale. Partitions are independent, and the
-    /// per-partition multiply is elementwise, so the fan-out is trivially
-    /// deterministic.
+    /// partition of a live level `≥ 1` (the similarity range step's `2^j`,
+    /// NegM, Lemma 10); level 0's hop counts do not scale, and a stale level
+    /// is rebuilt from the rescaled weights when it is synced. Partitions
+    /// are independent, and the per-partition multiply is elementwise, so
+    /// the fan-out is trivially deterministic.
     pub fn rescale(&mut self, mult: f64) {
-        let levels = self.levels;
+        let (levels, live) = (self.levels, self.live);
         rayon::for_each(&mut self.partitions[..], |i, p| {
-            if !weight_free(i, levels) {
+            if repaired(i, levels, live) {
                 p.rescale(mult);
             }
         });
@@ -406,17 +491,26 @@ impl Pyramids {
         }
     }
 
-    /// Checks the index shape ([`Self::check_shape`]) and every partition's
-    /// shortest-path-forest invariants — against unit weights at level 0,
-    /// against `weights` above; returns the first violation (testing aid).
+    /// Checks the index shape ([`Self::check_shape`]) and each partition:
+    /// a live one fully, as a shortest-path forest against unit weights at
+    /// level 0 and against `weights` above; a stale one for its shape only
+    /// (the level's seed count, `n`-entry arrays), since its distances lag
+    /// the weights by design. Returns the first violation (testing aid).
     pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), InvariantViolation> {
         self.check_shape(g.n())?;
         let unit = vec![1.0; g.m()];
         for p in 0..self.k {
             for l in 0..self.levels {
-                let w = if l == 0 { &unit } else { weights };
-                self.partition(p, l).check_invariants(g, w).map_err(|detail| {
-                    InvariantViolation::Partition { pyramid: p, level: l, detail }
+                let part = self.partition(p, l);
+                let checked = if self.is_live(l) {
+                    part.check_invariants(g, if l == 0 { &unit } else { weights })
+                } else {
+                    part.check_shape(self.n, (1usize << l).min(self.n))
+                };
+                checked.map_err(|detail| InvariantViolation::Partition {
+                    pyramid: p,
+                    level: l,
+                    detail,
                 })?;
             }
         }
@@ -424,10 +518,18 @@ impl Pyramids {
     }
 }
 
-/// Whether the partition at flat index `i` (`p * levels + l`) is a level-0
-/// partition: weight-free, never repaired or rescaled (the module doc).
-fn weight_free(i: usize, levels: usize) -> bool {
-    i.is_multiple_of(levels)
+/// Every level of an index with `levels ∈ 1..=32` levels, as a live set.
+fn all_levels(levels: usize) -> u64 {
+    u64::MAX >> (64 - levels)
+}
+
+/// Whether the partition at flat index `i` (`p * levels + l`) follows the
+/// weights — is repaired and rescaled: its level is live and `≥ 1`. Level 0
+/// is weight-free, and a stale level is rebuilt when it is synced (the
+/// module doc).
+fn repaired(i: usize, levels: usize, live: u64) -> bool {
+    let l = i % levels;
+    l != 0 && live >> l & 1 == 1
 }
 
 /// One task of a grouped repair: replays `deltas` in order on partition

@@ -11,15 +11,16 @@ use crate::pyramid::Pyramids;
 /// semantics: everything reachable from `v` through positively-voted edges.
 ///
 /// Cost: `O(Σ_{x ∈ result} deg(x) · k)` — proportional to the result and its
-/// frontier (Lemma 9), independent of `n`.
+/// frontier (Lemma 9), independent of `n`. Panics if `level` is stale.
 pub fn local_cluster(g: &Graph, pyr: &Pyramids, v: NodeId, level: usize) -> Vec<NodeId> {
+    pyr.assert_live(level);
     let mut visited = std::collections::HashSet::new();
     visited.insert(v);
     let mut queue = std::collections::VecDeque::from([v]);
     let mut out = vec![v];
     while let Some(x) = queue.pop_front() {
         for (y, _) in g.edges_of(x) {
-            if !visited.contains(&y) && pyr.same_cluster(x, y, level) {
+            if !visited.contains(&y) && pyr.vote(x, y, level) {
                 visited.insert(y);
                 out.push(y);
                 queue.push_back(y);

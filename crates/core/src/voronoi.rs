@@ -130,6 +130,21 @@ impl VoronoiPartition {
         su != NO_NODE && su == self.seed_of[v as usize]
     }
 
+    /// Checks the partition's shape: `seeds` seeds and one `seed_of`,
+    /// `dist` and `parent` entry per node of an `n`-node graph. The whole of
+    /// what is checked of a stale level ([`crate::Pyramids::check_invariants`]).
+    pub(crate) fn check_shape(&self, n: usize, seeds: usize) -> Result<(), String> {
+        let lens = [self.seed_of.len(), self.dist.len(), self.parent.len()];
+        if self.seeds.len() != seeds || lens != [n; 3] {
+            return Err(format!(
+                "{} seeds and {lens:?} seed_of/dist/parent entries, want {seeds} seeds and {n} \
+                 entries each",
+                self.seeds.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Heap bytes used by this partition.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -412,6 +427,7 @@ impl VoronoiPartition {
     ///
     /// Returns a description of the first violation, if any.
     pub fn check_invariants(&self, g: &Graph, weights: &[f64]) -> Result<(), String> {
+        self.check_shape(g.n(), self.seeds.len())?;
         let tol = 1e-6;
         // 5 first (cheap, O(n) with memoization): a cyclic forest would make
         // the per-node checks below misleading.

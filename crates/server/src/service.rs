@@ -63,6 +63,14 @@ impl EngineBackend {
             EngineBackend::Durable(d) => d.activate_batch(edges, t),
         }
     }
+
+    /// [`AncEngine::set_live_levels`] on the wrapped engine (not logged).
+    fn set_live_levels(&mut self, levels: &[usize]) {
+        match self {
+            EngineBackend::Volatile(e) => e.set_live_levels(levels),
+            EngineBackend::Durable(d) => d.set_live_levels(levels),
+        }
+    }
 }
 
 /// Writer-loop and queue configuration.
@@ -227,12 +235,19 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Enqueue-to-apply latency per ingest job, nanoseconds.
     pub apply_latency: LatencyHistogram,
+    /// Index repair work of every applied batch, summed: partitions
+    /// repaired (`updates`) and skipped by the no-op precheck (`skips`).
+    /// Only the published levels are live while the writer runs, so this
+    /// counts `k` partitions per published level `≥ 1` per weight change.
+    /// In-process only: the wire's stats reply does not carry it.
+    pub repairs: RepairStats,
 }
 
 /// Everything handed back by [`ServerCore::shutdown`].
 pub struct ShutdownReport {
     /// The engine, final state included — reusable (e.g. persist it, or
-    /// diff it against a serial replay in tests).
+    /// diff it against a serial replay in tests). Every level of its index
+    /// is live and synced, as if every activation had repaired them all.
     pub backend: EngineBackend,
     /// Final cumulative counters.
     pub stats: ServerStats,
@@ -357,9 +372,12 @@ fn apply_run(
     if edges.is_empty() || wal_error.is_some() {
         return;
     }
-    if let Err(e) = backend.activate_batch(edges, t) {
-        *wal_error = Some(e);
-        return;
+    match backend.activate_batch(edges, t) {
+        Ok(repairs) => stats.repairs += repairs,
+        Err(e) => {
+            *wal_error = Some(e);
+            return;
+        }
     }
     stats.applied_batches += 1;
     stats.ingested_jobs += job_meta.len() as u64;
@@ -401,6 +419,12 @@ impl Drop for WriterEnds {
 }
 
 /// The single-writer loop: drain → coalesce → apply → refresh → publish.
+///
+/// Readers see only the published `levels`, so those are the index's live
+/// set while the loop runs: a weight change repairs `k` partitions per
+/// published level `≥ 1` instead of `k` per level `≥ 1` (DESIGN.md §12). Before it hands
+/// the engine back, the loop makes every level live again, which syncs the
+/// stale ones from the current weights.
 fn writer_loop(
     mut backend: EngineBackend,
     mut ends: WriterEnds,
@@ -422,6 +446,7 @@ fn writer_loop(
     let mut subscribers: Vec<SyncSender<SnapshotReader>> = Vec::new();
     let mut run_edges: Vec<EdgeId> = Vec::new();
     let mut run_meta: Vec<(u64, Instant)> = Vec::new();
+    backend.set_live_levels(&levels);
 
     'serve: while !stop {
         // Block for the first job, then opportunistically drain what is
@@ -530,6 +555,8 @@ fn writer_loop(
             wal_error = durable.compact().err();
         }
     }
+    let all: Vec<usize> = (0..num_levels).collect();
+    backend.set_live_levels(&all);
     stats.shed = shed.load(Ordering::Acquire);
     ShutdownReport { backend, stats, final_epoch: ends.publisher.epoch(), wal_error }
 }
@@ -557,5 +584,48 @@ mod tests {
         let report = core.shutdown();
         assert!(report.final_epoch > 0);
         assert_eq!(reader.snapshot().epoch, report.final_epoch);
+    }
+
+    /// While the writer runs only the published level is live, so each
+    /// weight change repairs `k` partitions, not `k · (L − 1)`; the engine
+    /// handed back, volatile or durable, is synced at every level and
+    /// equals a restore of its own state, which rebuilds the whole index.
+    #[test]
+    fn the_engine_handed_back_is_synced_at_every_level() {
+        let dir = std::env::temp_dir().join(format!("anc_hand_back_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fresh = || {
+            let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
+            AncEngine::new(connected_caveman(4, 6).graph, cfg, 42)
+        };
+        let durable = DurableEngine::create(fresh(), &dir, Default::default()).expect("create");
+        for backend in [EngineBackend::Volatile(fresh()), EngineBackend::Durable(durable)] {
+            let core = ServerCore::start(backend, ServeConfig::default()).expect("server core");
+            let ingest = core.ingest_handle();
+            for i in 0..40u32 {
+                let edges = vec![i % 30, (i * 7) % 30];
+                ingest.submit(1.0 + f64::from(i) * 0.1, edges).expect("room");
+                if i % 8 == 7 {
+                    ingest.flush().expect("writer alive");
+                }
+            }
+            let report = core.shutdown();
+            assert!(report.wal_error.is_none());
+            let (repairs, edges) = (report.stats.repairs, report.stats.ingested_edges as usize);
+            assert!(repairs.updates > 0);
+            assert!(
+                repairs.updates + repairs.skips <= 2 * edges,
+                "{repairs:?} for {edges} edges: more than k partitions a change"
+            );
+            let engine = report.backend.engine();
+            assert!((0..engine.num_levels()).all(|l| engine.pyramids().is_live(l)));
+            engine.check_invariants().expect("invariants");
+            let rebuilt = AncEngine::from_snapshot(engine.to_snapshot()).expect("restore");
+            assert!(
+                engine.state_bytes_for_test() == rebuilt.state_bytes_for_test(),
+                "the hand-back differs from a rebuild"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
