@@ -25,9 +25,16 @@
 #     thread count unset, repair completeness, rescale/repair commutation,
 #     restore identity past rescales, live index = rebuild up to n = 20 000,
 #     level 0 weight-free and never repaired up to n = 20 000, the
-#     n = 20 000 post-rescale cache check, the cached-query work bound,
-#     and the similarity store's range: a 10⁶-step one-edge stream at
-#     λΔt = 10 and a 400 000-activation dense stream
+#     n = 20 000 post-rescale cache check, the cached-query work bound
+#     (the even repair's searches walk at most half the flipped components),
+#     the even repair's exactness tests (even_repair_*: a split that carries
+#     a label's minimum away, two removals cutting one component in three, a
+#     removal reconnected by an addition, a merge beside a split, additions
+#     inside a cluster keeping the Arc, a split's search costing its smaller
+#     side, dense flip streams with and without power cached), also under
+#     debug-invariants with the whole prop_cluster_cache suite, and the
+#     similarity store's range: a 10⁶-step one-edge stream at λΔt = 10 and
+#     a 400 000-activation dense stream
 #   - the determinism suite at 1 and 4 pool threads, with (in release) the S₀
 #     equivalence proptest, the pinned snapshot and index digests, and the
 #     live-levels suite (live_levels: a level synced after any stream equals
@@ -184,6 +191,15 @@ cargo test --release -p anc-core --test prop_cluster_cache \
     post_rescale_cache_matches_index_at_realistic_n -q -- --ignored
 cargo test --release -p anc-core --test prop_cluster_cache \
     query_work_is_bounded_by_what_changed_at_fixture_scale -q -- --ignored
+# The even repair against the cold extraction, optimised; then again with
+# the cache invariant (each even label's kept smallest node among it)
+# checked at every batch boundary, beside the whole cache suite, its
+# realistic-n tests included (≈ 25 s).
+cargo test --release -p anc-core --lib even_repair -q
+cargo test --release -p anc-core --test prop_cluster_cache even_repair -q
+cargo test --release -p anc-core --features debug-invariants --lib even_repair -q
+cargo test --release -p anc-core --features debug-invariants --test prop_cluster_cache -q \
+    -- --include-ignored
 
 echo "==> the similarity store stays in range (release)"
 # Silence must not decay a similarity to 0, and dense traffic must not carry

@@ -29,16 +29,20 @@
 //!   brought current and its incident edges are re-voted from two rows. An
 //!   edge's vote can only change when an endpoint's seed moved in some
 //!   partition, and every such endpoint was named, so this is complete;
-//! * when votes flipped, the clusterings are repaired over the **region**:
-//!   the voted-subgraph components that hold a flipped endpoint. Every
-//!   other component has the edges and the voted degrees it had, so in both
-//!   modes its clusters are unchanged; the region gets fresh components
-//!   (even) and is re-grown in rank order (power), and labels are put back
-//!   in first-appearance order. One path serves merges, splits and both at
-//!   once, and it costs a cold extraction only when the region is the whole
-//!   graph. When the changed nodes own more than a threshold share of the
-//!   adjacency the level is refilled wholesale instead (the parallel cold
-//!   pass is then cheaper than re-voting edge by edge).
+//! * when votes flipped, the cached **even** clustering is repaired from the
+//!   flips alone: each removed edge starts two BFS fronts from its ends, one
+//!   node in turn, and a front that runs out before they meet is a
+//!   component split off; additions union component ids; and the labels are
+//!   renumbered in first-appearance order from each component's smallest
+//!   node (kept per label), by a merge over the clusters and one gather
+//!   over `n` — skipped, with the cached `Arc` returned as it is, when no
+//!   label moved. The cached **power** clustering is re-grown in rank order
+//!   over the **region**: the voted-subgraph components that hold a flipped
+//!   endpoint (every other component has the edges and the voted degrees it
+//!   had, so its clusters are unchanged). When the changed nodes own more
+//!   than a threshold share of the adjacency the level is refilled
+//!   wholesale instead (the parallel cold pass is then cheaper than
+//!   re-voting edge by edge).
 //!
 //! Reads are snapshot-consistent: [`QueryStats::generation`] advances with
 //! every index-mutating update, so two queries returning the same
@@ -76,7 +80,8 @@ pub enum QueryDecision {
     /// extracted yet (e.g. first `Even` query after `Power` ones).
     Extract,
     /// Seeds moved: the changed nodes' edges were re-voted and, if a vote
-    /// flipped, the clusterings repaired over the flipped region.
+    /// flipped, the cached clusterings repaired (even from the flips, power
+    /// over the flipped region).
     Repair,
     /// The changed nodes exceeded the threshold: the level was refilled by
     /// the parallel cold pass and re-extracted.
@@ -108,8 +113,10 @@ pub struct QueryStats {
     pub revoted: usize,
     /// Re-voted edges whose voting result flipped.
     pub flips: usize,
-    /// Nodes of the voted-subgraph components re-extracted because they
-    /// hold a flipped endpoint (0 when no vote flipped).
+    /// Nodes the repair walked (0 when no vote flipped): for a cached even
+    /// clustering, the nodes its split searches dequeued; for a cached power
+    /// clustering, the region re-grown — the voted-subgraph components that
+    /// hold a flipped endpoint. The sum when both are cached.
     pub region_nodes: usize,
     /// The repair-vs-rebuild decision taken.
     pub decision: QueryDecision,
@@ -139,6 +146,10 @@ struct LevelCache {
     /// Each node's degree in the voted subgraph, maintained at vote flips —
     /// power extraction ranks by this without recounting.
     kept_deg: Vec<u32>,
+    /// `first[l]`: the smallest node labelled `l` in `even` (meaningful
+    /// while `even` is cached). Even labels number components in order of
+    /// their smallest node, so this is ascending.
+    first: Vec<NodeId>,
     even: Option<Arc<Clustering>>,
     power: Option<Arc<Clustering>>,
     epoch: u64,
@@ -156,6 +167,8 @@ pub enum CacheCorruption {
     FlippedVote(EdgeId),
     /// Add one to a node's voted degree.
     KeptDeg(NodeId),
+    /// Point the smallest-node entry of an even label at the next node.
+    EvenFirst(u32),
 }
 
 /// The incremental cluster-query cache (one per [`crate::AncEngine`]).
@@ -170,13 +183,13 @@ pub struct ClusterCache {
     hits: u64,
     misses: u64,
     /// Query scratch, all clear between queries: the changed nodes, the
-    /// flipped edges, the region (component by component, `bounds` holding
-    /// each component's start) and a node mark shared by both phases.
+    /// flipped edges, the power region and a node mark shared by both
+    /// phases.
     changed: Vec<NodeId>,
     flip_buf: Vec<EdgeId>,
     region: Vec<NodeId>,
-    bounds: Vec<usize>,
     node_mark: Vec<bool>,
+    even_repair: EvenRepair,
     /// Extraction scratch (rank order, DFS stack, labels).
     order_buf: Vec<NodeId>,
     stack_buf: Vec<NodeId>,
@@ -257,6 +270,12 @@ impl ClusterCache {
         self.level(level).map(|lc| lc.kept_deg.as_slice())
     }
 
+    /// The smallest node of every label of `level`'s cached even
+    /// clustering, by label (`None` unless that clustering is cached).
+    pub(crate) fn even_minima(&self, level: usize) -> Option<&[NodeId]> {
+        self.level(level).filter(|lc| lc.even.is_some()).map(|lc| lc.first.as_slice())
+    }
+
     /// The cached clustering of `(level, mode)` if it is currently
     /// extracted (shares the `Arc` queries return).
     pub fn cached(&self, level: usize, mode: ClusterMode) -> Option<Arc<Clustering>> {
@@ -307,6 +326,7 @@ impl ClusterCache {
             }
             CacheCorruption::FlippedVote(e) => lc.voted.set(e, !lc.voted.get(e)),
             CacheCorruption::KeptDeg(v) => lc.kept_deg[v as usize] += 1,
+            CacheCorruption::EvenFirst(l) => lc.first[l as usize] += 1,
         }
     }
 
@@ -376,13 +396,23 @@ impl ClusterCache {
                 self.fill_level(g, pyr, level, &mut lc);
             } else {
                 stats.decision = QueryDecision::Repair;
+                // Flips ≤ re-voted edges ≤ the threshold: sized once.
+                self.flip_buf.reserve(threshold);
                 self.revote_changed(g, pyr, &mut lc, &mut stats);
             }
             for v in self.changed.drain(..) {
                 self.node_mark[v as usize] = false;
             }
             if !self.flip_buf.is_empty() {
-                self.repair_region(g, &mut lc, &mut stats);
+                let LevelCache { voted, first, even, .. } = &mut *lc;
+                if let Some(old) = even {
+                    let (flips, walked) = (&self.flip_buf, &mut stats.region_nodes);
+                    if let Some(new) = self.even_repair.run(g, voted, flips, old, first, walked) {
+                        *old = new;
+                    }
+                }
+                self.repair_power(g, &mut lc, &mut stats);
+                self.flip_buf.clear();
             }
         }
 
@@ -418,6 +448,7 @@ impl ClusterCache {
     ) {
         let k = pyr.k();
         self.node_mark.resize(g.n(), false);
+        self.changed.reserve(g.n());
         for (p, list) in lc.pending.iter_mut().enumerate() {
             let part = pyr.partition(p, level);
             for v in list.drain(..) {
@@ -465,24 +496,25 @@ impl ClusterCache {
         stats.flips = self.flip_buf.len();
     }
 
-    /// Repairs the cached clusterings after vote flips. The region — every
-    /// voted-subgraph component holding a flipped endpoint — is found by
-    /// BFS from those endpoints; a component outside it has the edges and
-    /// the voted degrees it had before the flips, hence the clusters it had,
-    /// in either mode. Inside, even clustering takes the BFS components and
-    /// power clustering re-grows in rank order; ids past `n` keep the new
-    /// clusters apart from the old labels until `from_labels` puts all of
-    /// them back in first-appearance order.
-    fn repair_region(&mut self, g: &Graph, lc: &mut LevelCache, stats: &mut QueryStats) {
-        let LevelCache { voted, kept_deg, even, power, .. } = lc;
-        for e in self.flip_buf.drain(..) {
+    /// Repairs the cached power clustering, if any, after vote flips. The
+    /// region — every voted-subgraph component holding a flipped endpoint —
+    /// is found by BFS from those endpoints; a component outside it has the
+    /// edges and the voted degrees it had before the flips, hence the
+    /// clusters it had. The region is re-grown in rank order with ids past
+    /// `n`, apart from the old labels until `from_labels` puts all of them
+    /// back in first-appearance order.
+    fn repair_power(&mut self, g: &Graph, lc: &mut LevelCache, stats: &mut QueryStats) {
+        let LevelCache { voted, kept_deg, power, .. } = lc;
+        let Some(old) = power.take() else {
+            return;
+        };
+        for &e in &self.flip_buf {
             let (a, b) = g.endpoints(e);
             for s in [a, b] {
                 if std::mem::replace(&mut self.node_mark[s as usize], true) {
                     continue;
                 }
                 let mut at = self.region.len();
-                self.bounds.push(at);
                 self.region.push(s);
                 while let Some(&x) = self.region.get(at) {
                     at += 1;
@@ -495,42 +527,26 @@ impl ClusterCache {
                 }
             }
         }
-        self.bounds.push(self.region.len());
-        stats.region_nodes = self.region.len();
-        let fresh = g.n() as u32;
-
-        if let Some(old) = even.take() {
-            self.label_buf.clear();
-            self.label_buf.extend_from_slice(old.labels());
-            for (c, w) in self.bounds.windows(2).enumerate() {
-                for &x in &self.region[w[0]..w[1]] {
-                    self.label_buf[x as usize] = fresh + c as u32;
-                }
-            }
-            *even = Some(Arc::new(Clustering::from_labels(&self.label_buf)));
-        }
+        stats.region_nodes += self.region.len();
         for &x in &self.region {
             self.node_mark[x as usize] = false;
         }
-        if let Some(old) = power.take() {
-            self.label_buf.clear();
-            self.label_buf.extend_from_slice(old.labels());
-            for &x in &self.region {
-                self.label_buf[x as usize] = NOISE;
-            }
-            grow_power_clusters(
-                g,
-                |e| voted.get(e),
-                kept_deg,
-                &mut self.region,
-                &mut self.stack_buf,
-                &mut self.label_buf,
-                fresh,
-            );
-            *power = Some(Arc::new(Clustering::from_labels(&self.label_buf)));
+        self.label_buf.clear();
+        self.label_buf.extend_from_slice(old.labels());
+        for &x in &self.region {
+            self.label_buf[x as usize] = NOISE;
         }
+        grow_power_clusters(
+            g,
+            |e| voted.get(e),
+            kept_deg,
+            &mut self.region,
+            &mut self.stack_buf,
+            &mut self.label_buf,
+            g.n() as u32,
+        );
+        *power = Some(Arc::new(Clustering::from_labels(&self.label_buf)));
         self.region.clear();
-        self.bounds.clear();
     }
 
     /// (Re)fills a level from the index and drops its clusterings: the rows
@@ -584,6 +600,7 @@ impl ClusterCache {
                     return c.clone();
                 }
                 let c = Arc::new(even_clustering_with(g, |e| lc.voted.get(e)));
+                first_appearances(c.labels(), &mut lc.first);
                 lc.even = Some(c.clone());
                 c
             }
@@ -610,6 +627,326 @@ impl ClusterCache {
                 c
             }
         }
+    }
+}
+
+/// Edge tags of the even repair: unflipped, voted in by this query, voted
+/// out and not yet processed, voted out and processed.
+const KEEP: u8 = 0;
+const ADDED: u8 = 1;
+const CUT: u8 = 2;
+const GONE: u8 = 3;
+
+/// No fresh component id: the node's id is still its old label.
+const NO_ID: u32 = u32::MAX;
+
+/// The component id of `v` during an even repair: the fresh id a split gave
+/// it, or its old label.
+#[inline]
+fn comp_id(labels: &[u32], moved_to: &[u32], v: NodeId) -> u32 {
+    match moved_to[v as usize] {
+        NO_ID => labels[v as usize],
+        id => id,
+    }
+}
+
+/// Refills `first` with the node where each label of `labels` first
+/// appears — for labels numbered in first-appearance order, with no
+/// [`NOISE`] (an even clustering's), each label's smallest node.
+fn first_appearances(labels: &[u32], first: &mut Vec<NodeId>) {
+    first.clear();
+    for (v, &l) in labels.iter().enumerate() {
+        if l as usize == first.len() {
+            first.push(v as NodeId);
+        }
+    }
+}
+
+/// Union–find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
+    }
+    x
+}
+
+/// Two BFS fronts over a node mark; clear between searches.
+#[derive(Debug, Default)]
+struct Fronts {
+    /// Per node: 0, or `1 + s` once front `s` reached it.
+    side: Vec<u8>,
+    /// Each front's nodes in visit order (its queue).
+    queue: [Vec<NodeId>; 2],
+}
+
+impl Fronts {
+    /// Grows a front from `a` and one from `b` over the edges `present`
+    /// admits, dequeuing one node of each in turn, until they meet (`None`)
+    /// or one runs out (`Some(s)`: `queue[s]` is then a whole component).
+    /// Returns the nodes dequeued beside it, and leaves both queues filled
+    /// for the caller to read and [`Self::clear`].
+    fn search(
+        &mut self,
+        g: &Graph,
+        present: impl Fn(EdgeId) -> bool,
+        a: NodeId,
+        b: NodeId,
+    ) -> (Option<usize>, usize) {
+        for (s, x) in [a, b].into_iter().enumerate() {
+            self.side[x as usize] = 1 + s as u8;
+            self.queue[s].push(x);
+        }
+        let mut head = [0usize; 2];
+        loop {
+            for s in 0..2 {
+                let Some(&x) = self.queue[s].get(head[s]) else {
+                    return (Some(s), head[0] + head[1]);
+                };
+                head[s] += 1;
+                let mine = 1 + s as u8;
+                for (y, e) in g.edges_of(x) {
+                    let mark = self.side[y as usize];
+                    if mark == mine || !present(e) {
+                        continue;
+                    }
+                    if mark != 0 {
+                        return (None, head[0] + head[1]);
+                    }
+                    self.side[y as usize] = mine;
+                    self.queue[s].push(y);
+                }
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        for queue in &mut self.queue {
+            for v in queue.drain(..) {
+                self.side[v as usize] = 0;
+            }
+        }
+    }
+}
+
+/// The even repair and its pooled scratch (see [`EvenRepair::run`]). Every
+/// buffer is empty, and every per-node and per-edge entry at rest, between
+/// queries; each is sized to the graph once, so after warm-up a repair
+/// allocates only the label vector of a clustering whose labels moved.
+#[derive(Debug, Default)]
+struct EvenRepair {
+    /// Per edge: [`KEEP`], [`ADDED`], [`CUT`] or [`GONE`].
+    tag: Vec<u8>,
+    fronts: Fronts,
+    /// Per node: the fresh component id a split gave it, or [`NO_ID`].
+    moved_to: Vec<u32>,
+    /// Fresh id `c + i`'s nodes as it was split off (a later split may take
+    /// some of them away): `fresh[bounds[i]..bounds[i + 1]]`.
+    fresh: Vec<NodeId>,
+    bounds: Vec<usize>,
+    /// Per component id — the old labels `0..c`, then the fresh ids: the
+    /// union–find parent, the smallest node, the new label, and whether a
+    /// split or a merge touched it.
+    parent: Vec<u32>,
+    min: Vec<NodeId>,
+    map: Vec<u32>,
+    touched: Vec<bool>,
+    /// The touched ids (each once), and those of them that are roots.
+    ids: Vec<u32>,
+    roots: Vec<u32>,
+    /// The next `first`, swapped in when a label moves.
+    first: Vec<NodeId>,
+}
+
+impl EvenRepair {
+    /// Repairs the cached even clustering `old`, whose smallest nodes are
+    /// `first`, after the vote flips `flips` (`voted` holds their new bits).
+    /// Returns the repaired clustering, or `None` when no node's label
+    /// moved; adds the nodes its searches dequeued to `walked`.
+    ///
+    /// 1. **Removals**, one at a time, on the old voted edges less the
+    ///    removals already processed (this query's additions are absent):
+    ///    two fronts grow from the removed edge's ends, one node in turn. If
+    ///    they meet, nothing split; if one runs out first, its nodes are a
+    ///    whole component and take a fresh id. A deletion splits only its
+    ///    own component, so the ids stay the components of the graph so far.
+    /// 2. **Additions** union the ids of their ends.
+    /// 3. **Renumbering**: a final component's smallest node is the least of
+    ///    its ids' (kept in `first`, taken from a fresh side's nodes, or —
+    ///    when a split carried an old label's minimum away — found by one
+    ///    scan of the old labels), and the untouched labels are already in
+    ///    that order: a merge of them with the few touched components gives
+    ///    every id its first-appearance label, and the new labels are one
+    ///    gather over `n` plus a patch of the fresh sides.
+    fn run(
+        &mut self,
+        g: &Graph,
+        voted: &EdgeBits,
+        flips: &[EdgeId],
+        old: &Clustering,
+        first: &mut Vec<NodeId>,
+        walked: &mut usize,
+    ) -> Option<Arc<Clustering>> {
+        let (n, labels, c) = (g.n(), old.labels(), first.len() as u32);
+        if self.moved_to.len() != n {
+            self.fronts.side = vec![0; n];
+            self.moved_to = vec![NO_ID; n];
+            // Component ids number at most n, and so do the fresh sides'
+            // nodes but for a side split again.
+            for buf in [
+                &mut self.parent,
+                &mut self.min,
+                &mut self.map,
+                &mut self.ids,
+                &mut self.roots,
+                &mut self.fresh,
+            ] {
+                buf.reserve(n);
+            }
+            self.bounds.reserve(n);
+            self.touched.reserve(n);
+        }
+        self.tag.resize(g.m(), KEEP);
+        let Self {
+            tag,
+            fronts,
+            moved_to,
+            fresh,
+            bounds,
+            parent,
+            min,
+            map,
+            touched,
+            ids,
+            roots,
+            ..
+        } = self;
+        for &e in flips {
+            tag[e as usize] = if voted.get(e) { ADDED } else { CUT };
+        }
+
+        for &e in flips {
+            if tag[e as usize] != CUT {
+                continue;
+            }
+            tag[e as usize] = GONE;
+            let (a, b) = g.endpoints(e);
+            let present = |e: EdgeId| match tag[e as usize] {
+                KEEP => voted.get(e),
+                t => t == CUT,
+            };
+            let (cut_off, dequeued) = fronts.search(g, present, a, b);
+            *walked += dequeued;
+            if let Some(s) = cut_off {
+                let id = c + bounds.len() as u32;
+                ids.extend([comp_id(labels, moved_to, a), id]);
+                bounds.push(fresh.len());
+                for &v in &fronts.queue[s] {
+                    moved_to[v as usize] = id;
+                }
+                fresh.extend_from_slice(&fronts.queue[s]);
+            }
+            fronts.clear();
+        }
+        bounds.push(fresh.len());
+        let t = c as usize + bounds.len() - 1;
+
+        parent.clear();
+        parent.extend(0..t as u32);
+        for &e in flips {
+            if tag[e as usize] != ADDED {
+                continue;
+            }
+            let (a, b) = g.endpoints(e);
+            let ra = find(parent, comp_id(labels, moved_to, a));
+            let rb = find(parent, comp_id(labels, moved_to, b));
+            if ra != rb {
+                parent[ra.max(rb) as usize] = ra.min(rb);
+                ids.extend([ra, rb]);
+            }
+        }
+
+        touched.clear();
+        touched.resize(t, false);
+        ids.retain(|&id| !std::mem::replace(&mut touched[id as usize], true));
+        min.clear();
+        min.extend_from_slice(first);
+        for (i, w) in bounds.windows(2).enumerate() {
+            let id = c + i as u32;
+            // A later split leaves a fresh component some of its nodes.
+            let nodes = fresh[w[0]..w[1]].iter().filter(|&&v| moved_to[v as usize] == id);
+            min.push(nodes.copied().min().unwrap_or(NO_NODE));
+        }
+        let (mut lost, mut from) = (0, n);
+        for &id in ids.iter().filter(|&&id| id < c) {
+            let v = first[id as usize];
+            if moved_to[v as usize] != NO_ID {
+                min[id as usize] = NO_NODE;
+                (lost, from) = (lost + 1, from.min(v as usize));
+            }
+        }
+        for v in from..n {
+            if lost == 0 {
+                break;
+            }
+            let l = labels[v] as usize;
+            if min[l] == NO_NODE && moved_to[v] == NO_ID {
+                min[l] = v as NodeId;
+                lost -= 1;
+            }
+        }
+        for &id in ids.iter() {
+            let r = find(parent, id) as usize;
+            min[r] = min[r].min(min[id as usize]);
+        }
+
+        roots.clear();
+        roots.extend(ids.iter().copied().filter(|&id| parent[id as usize] == id));
+        roots.sort_unstable_by_key(|&r| min[r as usize]);
+        map.clear();
+        map.resize(t, 0);
+        let next = &mut self.first;
+        next.clear();
+        next.reserve(n);
+        let mut pending = roots.iter().copied().peekable();
+        for l in (0..c as usize).filter(|&l| !touched[l]) {
+            while let Some(r) = pending.next_if(|&r| min[r as usize] < first[l]) {
+                map[r as usize] = next.len() as u32;
+                next.push(min[r as usize]);
+            }
+            map[l] = next.len() as u32;
+            next.push(first[l]);
+        }
+        for r in pending {
+            map[r as usize] = next.len() as u32;
+            next.push(min[r as usize]);
+        }
+        for &id in ids.iter() {
+            map[id as usize] = map[find(parent, id) as usize];
+        }
+
+        let moved = next.len() != c as usize
+            || map[..c as usize].iter().enumerate().any(|(l, &to)| to != l as u32)
+            || fresh.iter().any(|&v| map[moved_to[v as usize] as usize] != labels[v as usize]);
+        let repaired = moved.then(|| {
+            let mut new: Vec<u32> = labels.iter().map(|&l| map[l as usize]).collect();
+            for &v in fresh.iter() {
+                new[v as usize] = map[moved_to[v as usize] as usize];
+            }
+            std::mem::swap(first, next);
+            Arc::new(Clustering::from_canonical_labels(new, first.len(), n))
+        });
+
+        for &e in flips {
+            tag[e as usize] = KEEP;
+        }
+        for v in fresh.drain(..) {
+            moved_to[v as usize] = NO_ID;
+        }
+        bounds.clear();
+        ids.clear();
+        repaired
     }
 }
 
@@ -878,6 +1215,140 @@ mod tests {
             for mode in [ClusterMode::Even, ClusterMode::Power] {
                 let (c, _) = cache.query(&g, &pyr, 0, mode);
                 assert_eq!(*c, cluster_all(&g, &pyr, 0, mode));
+            }
+        }
+    }
+
+    /// One even repair of the clustering `g` has with the edges `before`
+    /// voted to the one it has with `after`, the flips taken in edge order
+    /// or reversed: the answer must equal the cold extraction over `after` —
+    /// the one `cluster_all` makes from the votes — and the kept smallest
+    /// nodes must be its labels' smallest. `repair`'s scratch is reused, as
+    /// the cache reuses it. Returns whether a label moved, and the nodes the
+    /// searches dequeued in edge order.
+    fn repair_to(
+        repair: &mut EvenRepair,
+        g: &Graph,
+        before: &[(u32, u32)],
+        after: &[(u32, u32)],
+    ) -> (bool, usize) {
+        let edges = |pairs: &[(u32, u32)]| {
+            let mut bits = EdgeBits::with_len(g.m());
+            for &(a, b) in pairs {
+                bits.set(g.edge_id(a, b).expect("graph edge"), true);
+            }
+            bits
+        };
+        let (old_bits, new_bits) = (edges(before), edges(after));
+        let old = even_clustering_with(g, |e| old_bits.get(e));
+        let cold = even_clustering_with(g, |e| new_bits.get(e));
+        let mut flips: Vec<EdgeId> =
+            (0..g.m() as EdgeId).filter(|&e| old_bits.get(e) != new_bits.get(e)).collect();
+        let (mut moved, mut walked) = (Vec::new(), [0; 2]);
+        for walked in &mut walked {
+            let mut first = Vec::new();
+            first_appearances(old.labels(), &mut first);
+            let new = repair.run(g, &new_bits, &flips, &old, &mut first, walked);
+            let got = new.as_deref().unwrap_or(&old);
+            assert_eq!(*got, cold, "flips {flips:?}");
+            let mut minima = Vec::new();
+            first_appearances(got.labels(), &mut minima);
+            assert_eq!(first, minima, "flips {flips:?}");
+            moved.push(new.is_some());
+            flips.reverse();
+        }
+        assert_eq!(moved[0], moved[1]);
+        (moved[0], walked[0])
+    }
+
+    /// [`repair_to`] with fresh scratch: whether a label moved.
+    fn moves(g: &Graph, before: &[(u32, u32)], after: &[(u32, u32)]) -> bool {
+        repair_to(&mut EvenRepair::default(), g, before, after).0
+    }
+
+    /// A split costs about twice its smaller side, whichever end of the
+    /// removed edge that side holds: a search that grew one front only
+    /// would walk the long side of the path.
+    #[test]
+    fn even_repair_split_search_costs_the_smaller_side() {
+        let path: Vec<(u32, u32)> = (0..100).map(|v| (v, v + 1)).collect();
+        let g = Graph::from_edges(101, &path);
+        for cut in [2, 97] {
+            let kept: Vec<_> = path.iter().copied().filter(|&(a, _)| a != cut).collect();
+            let (moved, walked) = repair_to(&mut EvenRepair::default(), &g, &path, &kept);
+            assert!(moved && walked <= 2 * 3 + 1, "cut after {cut}: {walked} nodes walked");
+        }
+    }
+
+    /// Node 0 is cut off alone, carrying its old label's minimum away: the
+    /// remainder's new minimum (3) is found by the scan, and it now sorts
+    /// after the untouched component {1, 2}.
+    #[test]
+    fn even_repair_split_carries_the_old_minimum_away() {
+        let pairs = [(0, 3), (3, 4), (4, 5), (5, 6), (1, 2)];
+        let g = Graph::from_edges(7, &pairs);
+        assert!(moves(&g, &pairs, &pairs[1..]));
+    }
+
+    /// Two removals cut one path into three; the second one cuts the side
+    /// the first split off, whichever comes first.
+    #[test]
+    fn even_repair_two_removals_cut_one_component_into_three() {
+        let path: Vec<(u32, u32)> = (0..8).map(|v| (v, v + 1)).collect();
+        let g = Graph::from_edges(9, &path);
+        let kept: Vec<_> = path.iter().copied().filter(|&(a, _)| a != 2 && a != 6).collect();
+        assert!(moves(&g, &path, &kept));
+        let kept: Vec<_> = path.iter().copied().filter(|&(a, _)| a != 6 && a != 7).collect();
+        assert!(moves(&g, &path, &kept));
+    }
+
+    /// A removal whose ends reconnect only through an edge this query adds:
+    /// the component is whole again and no label moves.
+    #[test]
+    fn even_repair_removal_reconnected_by_an_addition() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]);
+        assert!(!moves(&g, &[(0, 1), (1, 2), (2, 3), (3, 4)], &[(0, 1), (2, 3), (0, 3), (3, 4)]));
+    }
+
+    /// A merge and a split elsewhere in one query.
+    #[test]
+    fn even_repair_merge_beside_a_split() {
+        let pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)];
+        let g = Graph::from_edges(8, &pairs);
+        let before = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)];
+        let after = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)];
+        assert!(moves(&g, &before, &after));
+    }
+
+    /// Additions inside one cluster move no label: the cache keeps its `Arc`.
+    #[test]
+    fn even_repair_additions_inside_a_cluster_keep_the_arc() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (3, 4)]);
+        assert!(!moves(&g, &[(0, 1), (1, 2)], &[(0, 1), (1, 2), (0, 2)]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Dense flip streams on small random graphs: each step re-draws the
+        /// votes of up to every edge, and the repair must equal the cold
+        /// extraction after every step, in either flip order.
+        #[test]
+        fn even_repair_follows_dense_flip_streams(
+            seed in 0u64..1_000,
+            n in 2usize..24,
+            density in 0.05f64..0.6,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = anc_graph::gen::erdos_renyi(n, (n * (n - 1) / 4).max(1), seed);
+            let pairs: Vec<(u32, u32)> = g.iter_edges().map(|(_, u, v)| (u, v)).collect();
+            let (mut repair, mut voted) = (EvenRepair::default(), Vec::new());
+            for _ in 0..12 {
+                let next: Vec<(u32, u32)> =
+                    pairs.iter().copied().filter(|_| rng.gen_bool(density)).collect();
+                let _ = repair_to(&mut repair, &g, &voted, &next);
+                voted = next;
             }
         }
     }

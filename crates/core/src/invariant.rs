@@ -279,7 +279,10 @@ pub fn check_clustering(g: &Graph, c: &Clustering) -> Result<(), InvariantViolat
 /// * the maintained voted-degree table equals a recount from the bitset;
 /// * with nothing pending — the rows then equal the index — every cached
 ///   clustering equals the cold extraction [`crate::cluster::cluster_all`]
-///   would produce.
+///   would produce;
+/// * the smallest node the even repair keeps for each label of a cached
+///   even clustering is that label's smallest node (at all times: the two
+///   change together).
 pub fn check_cluster_cache(
     g: &Graph,
     pyr: &crate::pyramid::Pyramids,
@@ -364,6 +367,25 @@ pub fn check_cluster_cache(
                         )));
                     }
                 }
+            }
+        }
+        if let (Some(even), Some(first)) =
+            (cache.cached(level, ClusterMode::Even), cache.even_minima(level))
+        {
+            let mut smallest = vec![NO_NODE; even.num_clusters()];
+            for (v, &l) in even.labels().iter().enumerate() {
+                let slot = &mut smallest[l as usize];
+                *slot = (*slot).min(v as NodeId);
+            }
+            if let Some(l) =
+                (0..smallest.len().max(first.len())).find(|&l| first.get(l) != smallest.get(l))
+            {
+                return Err(InvariantViolation::Cache(format!(
+                    "level {level}: even label {l} has smallest node {:?}, the cache keeps \
+                     {:?}",
+                    smallest.get(l),
+                    first.get(l)
+                )));
             }
         }
     }

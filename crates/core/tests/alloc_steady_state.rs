@@ -17,6 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use anc_core::{AncConfig, AncEngine, ClusterMode, DurabilityOptions, DurableEngine};
 use anc_graph::gen::{planted_partition, PlantedConfig};
@@ -153,6 +154,46 @@ fn single_activations_are_amortised_allocation_free() {
         reinforce <= SINGLES_BOUND,
         "{reinforce} allocations in {SINGLES} reinforce_edges calls"
     );
+}
+
+/// A cached even query that repairs flipped votes runs out of the cache's
+/// pooled scratch: after warm-up it allocates the new label vector and its
+/// `Arc` when a label moved — two allocations — and nothing at all when the
+/// flips moved none, in which case it returns the cached `Arc` itself. On
+/// the `engine-stream` shape: a query every 64 activations (unmeasured).
+#[test]
+fn cached_even_repairs_allocate_only_the_new_labels() {
+    let mut engine = fixture();
+    let mut stream = activations(engine.graph().m());
+    let level = engine.default_level();
+    let query = |engine: &mut AncEngine, stream: &mut dyn Iterator<Item = (u32, f64)>| {
+        for (e, t) in stream.take(64) {
+            engine.activate(e, t);
+        }
+        let before = engine.cluster_cache().cached(level, ClusterMode::Even);
+        let mut answer = None;
+        let allocs =
+            allocations(|| answer = Some(engine.cluster_all_cached(level, ClusterMode::Even)));
+        let (c, stats) = answer.expect("answered");
+        let same = before.is_some_and(|b| Arc::ptr_eq(&b, &c));
+        (allocs, stats.flips, same)
+    };
+    for _ in 0..64 {
+        query(&mut engine, &mut stream);
+    }
+    let (mut relabelled, mut kept) = (0, 0);
+    for i in 0..256 {
+        let (allocs, flips, same) = query(&mut engine, &mut stream);
+        if same {
+            assert_eq!(allocs, 0, "query {i}: {flips} flips, same Arc");
+            kept += usize::from(flips > 0);
+        } else {
+            assert!(flips > 0, "query {i}: a new Arc without a flip");
+            assert!(allocs <= 2, "query {i}: {allocs} allocations for {flips} flips");
+            relabelled += 1;
+        }
+    }
+    assert!(relabelled > 0 && kept > 0, "{relabelled} relabelled, {kept} flipped in place");
 }
 
 /// Write-ahead logging frames into pooled buffers too: a logged batch of one

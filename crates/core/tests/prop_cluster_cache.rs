@@ -14,6 +14,7 @@ use anc_core::cluster::cluster_all;
 use anc_core::{AncConfig, AncEngine, ClusterCache, ClusterMode, Pyramids, QueryDecision};
 use anc_graph::gen::{connected_caveman, erdos_renyi, planted_partition, PlantedConfig};
 use anc_graph::{EdgeId, Graph, NodeId};
+use anc_metrics::Clustering;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -168,6 +169,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Dense flip streams on small planted graphs: every step moves a batch
+    /// of weights, and every cached answer is the cold extraction. Power is
+    /// cached in half the cases, so that the even repair and the power
+    /// region run in one query; each case must see repairs that flipped
+    /// votes both ways.
+    #[test]
+    fn even_repair_matches_cold_in_dense_flip_streams(
+        seed in 0u64..1_000,
+        n in 40usize..120,
+        with_power in any::<bool>(),
+    ) {
+        let lg = planted_partition(&PlantedConfig::default_for(n), seed);
+        let m = lg.graph.m() as u32;
+        let mut engine = AncEngine::new(lg.graph, AncConfig { rep: 1, ..Default::default() }, seed);
+        let modes: &[ClusterMode] =
+            if with_power { &[ClusterMode::Even, ClusterMode::Power] } else { &[ClusterMode::Even] };
+        let level = engine.default_level();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (mut on, mut off) = (0, 0);
+        for step in 0..48 {
+            let batch: Vec<u32> = (0..rng.gen_range(1..12)).map(|_| rng.gen_range(0..m)).collect();
+            let _ = engine.activate_batch(&batch, 0.05 * step as f64);
+            let before = engine.cluster_cache().voted_bits(level).map(|b| b.words().to_vec());
+            for &mode in modes {
+                let (cached, stats) = engine.cluster_all_cached(level, mode);
+                let cold = cluster_all(engine.graph(), engine.pyramids(), level, mode);
+                prop_assert_eq!(&*cached, &cold, "step {} {:?} ({:?})", step, mode, stats);
+                if mode == ClusterMode::Even && stats.decision == QueryDecision::Repair {
+                    if let Some(before) = &before {
+                        let (added, removed) = flip_directions(before, &engine, level);
+                        (on, off) = (on + usize::from(added), off + usize::from(removed));
+                    }
+                }
+            }
+        }
+        prop_assert!(on > 0 && off > 0, "{} repairs voted edges in, {} voted some out", on, off);
+        engine.check_invariants().unwrap();
+    }
+}
+
 /// The rebuild threshold is behavior-neutral: over streams whose queries
 /// take both the repair and the rebuild path, every cached answer is the
 /// cold extraction. Graphs this small cross the threshold on their own (a
@@ -269,15 +313,19 @@ fn post_rescale_cache_matches_index_at_realistic_n() {
 /// `engine-stream` shape (n = 2 000, 3 840 activations, a query every 64):
 /// a query re-votes no more than the adjacency of the nodes whose seed
 /// moved since the last one — found here by diffing the index itself — and
-/// re-extracts a region well short of the graph. Falling back to
-/// whole-graph work (a rebuild, dirtying by named nodes, re-extracting on
-/// every split) fails these counts.
+/// walks well short of the graph. Falling back to whole-graph work (a
+/// rebuild, dirtying by named nodes, re-extracting on every split) fails
+/// these counts. The even repair's searches, summed over the stream, must
+/// also dequeue at most half the nodes of the flipped region — the new
+/// components holding an endpoint of a flipped edge, which a region BFS
+/// would walk — so a repair that walks whole components fails too.
 #[test]
 #[ignore = "n = 2 000 for 3 840 activations: a second in release; ci.sh runs it by name"]
 fn query_work_is_bounded_by_what_changed_at_fixture_scale() {
     let n = 2_000;
     let mut seen: Vec<Vec<NodeId>> = Vec::new();
     let (mut queries, mut repairs, mut regions) = (0usize, 0usize, 0usize);
+    let (mut walked, mut flipped_region) = (0usize, 0usize);
     planted_stream(n, 1, 3_840, 0.01, 200.0, |engine, i| {
         let level = engine.default_level();
         let live: Vec<Vec<NodeId>> = (0..engine.pyramids().k())
@@ -286,7 +334,15 @@ fn query_work_is_bounded_by_what_changed_at_fixture_scale() {
                 (0..n as NodeId).map(|v| part.seed_of(v)).collect()
             })
             .collect();
+        let before = engine.cluster_cache().voted_bits(level).map(|b| b.words().to_vec());
         let (cached, stats) = engine.cluster_all_cached(level, ClusterMode::Even);
+        let cold = cluster_all(engine.graph(), engine.pyramids(), level, ClusterMode::Even);
+        if let Some(before) = before {
+            let region = flipped_region_size(&before, engine, level, &cold);
+            walked += stats.region_nodes;
+            flipped_region += region;
+            assert_eq!(stats.flips == 0, region == 0, "activation {i}: {stats:?}");
+        }
         if !seen.is_empty() {
             let moved: Vec<NodeId> = (0..n as NodeId)
                 .filter(|&v| seen.iter().zip(&live).any(|(a, b)| a[v as usize] != b[v as usize]))
@@ -300,12 +356,36 @@ fn query_work_is_bounded_by_what_changed_at_fixture_scale() {
             repairs += usize::from(stats.decision == QueryDecision::Repair);
             regions += usize::from(stats.region_nodes > 0);
         }
-        let cold = cluster_all(engine.graph(), engine.pyramids(), level, ClusterMode::Even);
         assert_eq!(*cached, cold, "activation {i}");
         seen = live;
     });
     assert_eq!(queries, 59);
     assert!(repairs > queries / 2 && regions > queries / 4, "{repairs} repairs, {regions} regions");
+    println!("searches dequeued {walked} nodes; the flipped region holds {flipped_region}");
+    assert!(
+        flipped_region > 0 && 2 * walked <= flipped_region,
+        "searches dequeued {walked} nodes against a flipped region of {flipped_region}"
+    );
+}
+
+/// Nodes in the components of `cold` (the new even clustering) that hold an
+/// endpoint of an edge whose cached vote differs from `before`.
+fn flipped_region_size(
+    before: &[u64],
+    engine: &AncEngine,
+    level: usize,
+    cold: &Clustering,
+) -> usize {
+    let cache = engine.cluster_cache();
+    let after = cache.voted_bits(level).expect("materialized");
+    let mut hit = vec![false; cold.num_clusters()];
+    for (e, u, v) in engine.graph().iter_edges() {
+        if (before[e as usize / 64] >> (e % 64)) & 1 != u64::from(after.get(e)) {
+            hit[cold.label(u) as usize] = true;
+            hit[cold.label(v) as usize] = true;
+        }
+    }
+    cold.sizes().iter().zip(&hit).filter(|&(_, &h)| h).map(|(size, _)| size).sum()
 }
 
 /// Which way the votes of `level` went over one query, read off the cached

@@ -203,7 +203,8 @@ fn live_engine_detects_activeness_corruption() {
 
 /// Each way the cluster cache can drift from the index is caught on its
 /// own: a row that went stale without being pending, a voted bit that is
-/// not the vote of its rows, a voted degree off the bitset's count.
+/// not the vote of its rows, a voted degree off the bitset's count, an even
+/// label's kept smallest node that is not its smallest.
 #[test]
 fn live_engine_detects_cluster_cache_corruption() {
     use anc_core::cache::CacheCorruption;
@@ -211,6 +212,7 @@ fn live_engine_detects_cluster_cache_corruption() {
         (CacheCorruption::StaleRow(2, 1), "not pending"),
         (CacheCorruption::FlippedVote(3), "cached vote"),
         (CacheCorruption::KeptDeg(5), "voted degree"),
+        (CacheCorruption::EvenFirst(1), "smallest node"),
     ] {
         let lg = connected_caveman(3, 4);
         let mut engine = AncEngine::new(lg.graph, fuzz_cfg(), 7);

@@ -28,6 +28,35 @@ impl Clustering {
         Self::densified(labels.to_vec())
     }
 
+    /// Builds from labels that are already canonical — dense, numbered in
+    /// first-appearance order, [`NOISE`] kept — with their two counts, as
+    /// the cluster cache's even repair produces them: no renumbering pass.
+    /// Trusted; a debug build checks labels and counts.
+    pub fn from_canonical_labels(
+        assignment: Vec<u32>,
+        num_clusters: usize,
+        num_assigned: usize,
+    ) -> Self {
+        let c = Self { assignment, num_clusters, num_assigned };
+        debug_assert!(c.is_canonical(), "labels are not canonical or miscounted");
+        c
+    }
+
+    /// Whether the labels are in the form [`Self::densified`] gives them and
+    /// the stored counts are theirs. Allocation-free, so a debug check of it
+    /// does not show in an allocation count.
+    fn is_canonical(&self) -> bool {
+        let (mut next, mut assigned) = (0u32, 0);
+        for &l in self.assignment.iter().filter(|&&l| l != NOISE) {
+            if l > next {
+                return false;
+            }
+            next += u32::from(l == next);
+            assigned += 1;
+        }
+        (next as usize, assigned) == (self.num_clusters, self.num_assigned)
+    }
+
     /// Builds from explicit member lists; unmentioned nodes become noise.
     ///
     /// # Panics
@@ -249,6 +278,33 @@ mod tests {
             assert_eq!(c.num_clusters(), assigned().max().map_or(0, |&m| m as usize + 1), "{c:?}");
             assert_eq!(c.num_assigned(), assigned().count(), "{c:?}");
         }
+    }
+
+    /// The trusted constructor takes canonical labels as they are, and its
+    /// debug check is the densified form's definition.
+    #[test]
+    fn canonical_labels_are_taken_as_they_are() {
+        let labels = vec![0, 1, 0, NOISE, 2, 1];
+        let c = Clustering::from_canonical_labels(labels.clone(), 3, 5);
+        assert_eq!(c, Clustering::from_labels(&labels));
+        for c in [
+            Clustering::from_labels(&[4, 4, NOISE, 2, 9, 2]),
+            Clustering::all_noise(2),
+            Clustering::singletons(3),
+            Clustering::from_labels(&[]),
+        ] {
+            assert!(c.is_canonical(), "{c:?}");
+        }
+        let skips = Clustering { assignment: vec![0, 2, 1], num_clusters: 3, num_assigned: 3 };
+        let miscounted = Clustering { assignment: vec![0, 0, 1], num_clusters: 3, num_assigned: 3 };
+        assert!(!skips.is_canonical() && !miscounted.is_canonical());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not canonical")]
+    fn non_canonical_labels_fail_the_debug_check() {
+        Clustering::from_canonical_labels(vec![1, 0], 2, 2);
     }
 
     #[test]

@@ -103,3 +103,50 @@ fn an_unchanged_clustering_keeps_its_index() {
     }
     assert!(core.shutdown().wal_error.is_none());
 }
+
+/// A writer cycle whose vote flips move no even label publishes the very
+/// clustering `Arc` of the cycle before, and so keeps its member index.
+/// Which cycles those are is read off a twin engine fed the same batches:
+/// its cached query flipped votes and returned the `Arc` it already held.
+#[test]
+fn flips_that_move_no_label_keep_the_arc_and_its_index() {
+    let g = planted_partition(&PlantedConfig::default_for(300), 5).graph;
+    let stream = uniform_per_step(&g, 160, 0.002, 3);
+    // At k = 2 both pyramids must agree, so a voted component holds every
+    // edge between its nodes and a flip always moves a label; at k = 4 it
+    // need not.
+    let cfg = AncConfig { k: 4, rep: 1, ..Default::default() };
+    let mut twin = AncEngine::new(g.clone(), cfg.clone(), 42);
+    let level = twin.default_level();
+    let even = ClusterMode::Even;
+    let serve = ServeConfig { levels: vec![level], modes: vec![even], ..Default::default() };
+    let core = ServerCore::start(EngineBackend::Volatile(AncEngine::new(g, cfg, 42)), serve)
+        .expect("server start");
+    let ingest = core.ingest_handle();
+    let mut reader = core.reader();
+    let (mut held, _) = twin.cluster_all_cached(level, even);
+    let mut kept = 0;
+    for batch in &stream.batches {
+        let before = reader.snapshot();
+        ingest.submit(batch.time, batch.edges.clone()).expect("queue has room");
+        ingest.flush().expect("writer alive");
+        let after = reader.snapshot();
+        let _ = twin.activate_batch(&batch.edges, batch.time);
+        let (c, stats) = twin.cluster_all_cached(level, even);
+        let (was, now) = (before.clusters_at(level, even), after.clusters_at(level, even));
+        let (was, now) = (was.expect("published"), now.expect("published"));
+        assert_eq!(**now, *c, "epoch {}: the server and its twin diverged", after.epoch);
+        let same = Arc::ptr_eq(&held, &c);
+        assert_eq!(Arc::ptr_eq(was, now), same, "epoch {}: {stats:?}", after.epoch);
+        if same && stats.flips > 0 {
+            kept += 1;
+            let (a, b) =
+                (before.member_slice_at(0, level, even), after.member_slice_at(0, level, even));
+            let (a, b) = (a.expect("in range"), b.expect("in range"));
+            assert!(std::ptr::eq(a, b), "epoch {}: the index was rebuilt", after.epoch);
+        }
+        held = c;
+    }
+    assert!(kept > 0, "no cycle flipped votes without moving a label");
+    assert!(core.shutdown().wal_error.is_none());
+}
