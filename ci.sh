@@ -6,7 +6,8 @@
 #     workload at smoke scale, early, so a change to an API anc-perf names
 #     (a return type is enough) fails in minutes, not after the long suites
 #   - grep gates: every crate root forbids unsafe code; no serde in the product
-#     crates; no relaxed atomics; no thread pool under crates/server
+#     crates; no relaxed atomics; no thread pool under crates/server; nothing
+#     outside bench/ calls the names only bench/src/twin.rs still uses
 #   - cargo test --workspace (the WAL and snapshot property suites and the
 #     wire protocol among them), then anc-core under debug-invariants (the
 #     cluster-cache property suites among them)
@@ -35,10 +36,12 @@
 #     debug-invariants with the whole prop_cluster_cache suite, and the
 #     similarity store's range: a 10⁶-step one-edge stream at λΔt = 10 and
 #     a 400 000-activation dense stream
-#   - the determinism suite at 1 and 4 pool threads, with (in release) the S₀
-#     equivalence proptest, the pinned snapshot and index digests, and the
-#     live-levels suite (live_levels: a level synced after any stream equals
-#     reconstruct_index(), a stale level is never queried); serve_stress,
+#   - the determinism suite and prop_batch (a batch equals the serial loop in
+#     state and in summed repair counts) at 1 and 4 pool threads, with (in
+#     release) the S₀ equivalence proptest, the pinned snapshot and index
+#     digests, and the live-levels suite (live_levels: a level synced after
+#     any stream equals reconstruct_index(), a stale level is never
+#     queried); serve_stress,
 #     member_index and retention under debug-invariants at 1 and 4 pool threads
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: the determinism suite under perturbed schedules, pool
@@ -149,6 +152,21 @@ server_names_no_pool() {
 }
 no_relaxed_atomics .
 server_names_no_pool .
+
+echo "==> the bench-only names have no caller outside bench/"
+# One repair kernel (Pyramids::repair) serves every flush; the old entry
+# names stay only as one-line shims for bench/src/twin.rs, which keeps them
+# until the next benchmark change. Their definitions (`fn name(`) do not match.
+bench_only_names_unused() {
+    local hits
+    hits=$(grep -rnE '(\.|::)(on_weight_change_serial_into|on_weight_change_batch(_traced)?|note_untracked_updates)\(' \
+        "$1"/crates "$1"/src "$1"/tests "$1"/examples 2>/dev/null || true)
+    if [ -n "$hits" ]; then
+        echo "$hits"; echo "a bench-only shim is called outside bench/ (see above): call Pyramids::repair"
+        return 1
+    fi
+}
+bench_only_names_unused .
 
 echo "==> steady-state allocation counts (release; 1, 2, 4 threads and unset)"
 # The counting-allocator suite ran in debug with the workspace tests; here it
@@ -351,6 +369,16 @@ if server_names_no_pool "$copy" > /dev/null; then
     echo "a seeded rayon dependency of crates/server passed the grep gate"; exit 1
 fi
 cp crates/server/Cargo.toml "$copy/crates/server/Cargo.toml"
+cat >> "$copy/crates/core/src/engine.rs" <<'PROBE'
+/// Probe: a bench-only shim called from the product crates.
+pub fn seeded_probe(p: &mut Pyramids, g: &Graph, w: &[f64]) -> RepairStats {
+    p.on_weight_change_batch(g, w, &[])
+}
+PROBE
+if bench_only_names_unused "$copy" > /dev/null; then
+    echo "a seeded call of a bench-only shim passed the grep gate"; exit 1
+fi
+cp crates/core/src/engine.rs "$copy/crates/core/src/engine.rs"
 seeded rayon vendor/rayon/src/pool.rs '"clippy::undocumented_unsafe_blocks"' <<'PROBE'
 /// Probe: an unsafe block with no SAFETY comment.
 pub(crate) fn seeded_probe(p: *const u8) -> u8 {

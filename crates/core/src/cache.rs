@@ -18,12 +18,11 @@
 //!   `O(m·k)` voting pass in parallel — each pool task writes its own run
 //!   of bitset words in place, so the bitset is bit-identical for any
 //!   thread count;
-//! * on every index update, the affected node sets returned by
-//!   [`crate::Pyramids::on_weight_change`]`{,_batch_traced}` are merely
-//!   appended to the level's bounded per-pyramid **pending** lists. A repair
-//!   names every node it writes, far more than the nodes whose *seed* it
-//!   moves, and a seed that moved may have moved back — so nothing is
-//!   decided on the ingest path;
+//! * on every index update, the affected node sets traced by
+//!   [`crate::Pyramids::repair`] are merely appended to the level's bounded
+//!   per-pyramid **pending** lists. A repair names every node it writes,
+//!   far more than the nodes whose *seed* it moves, and a seed that moved
+//!   may have moved back — so nothing is decided on the ingest path;
 //! * a query compares the pending nodes against the live partitions. Only a
 //!   node whose seed really differs from its row is **changed**: its row is
 //!   brought current and its incident edges are re-voted from two rows. An
@@ -224,8 +223,7 @@ impl ClusterCache {
         self.misses
     }
 
-    /// Whether any level has been materialized — when false, updates need
-    /// no affected-set collection at all.
+    /// Whether any level has been materialized.
     pub fn has_materialized_levels(&self) -> bool {
         self.per_level.iter().any(|l| l.is_some())
     }
@@ -286,9 +284,11 @@ impl ClusterCache {
         }
     }
 
-    /// Records index updates applied without affected-set tracing (legal
-    /// only while nothing is materialized — there is no cached state to
-    /// bring current, but reads must still observe a new generation).
+    /// Advances the generation for index updates no trace reached, under
+    /// the name `bench/src/twin.rs` (the benchmark's layer-by-layer twin of
+    /// the engine) still calls; every engine flush goes through
+    /// [`Self::note_affected`].
+    #[doc(hidden)]
     pub fn note_untracked_updates(&mut self) {
         self.generation += 1;
     }
@@ -331,8 +331,7 @@ impl ClusterCache {
     }
 
     /// Feeds one update's affected-node sets (pyramid-major partition
-    /// order, as returned by [`Pyramids::on_weight_change`] or filled by
-    /// [`Pyramids::on_weight_change_batch_traced`]): the nodes named at a
+    /// order, as traced by [`Pyramids::repair`]): the nodes named at a
     /// materialized level join that level's pending lists, to be compared
     /// with the index by the next query. Advances the generation iff any
     /// set is non-empty — a pure-noop batch leaves the cache untouched.
@@ -954,6 +953,7 @@ impl EvenRepair {
 mod tests {
     use super::*;
     use crate::cluster::cluster_all;
+    use crate::pyramid::RepairStats;
     use anc_graph::gen::{connected_caveman, paper_figure2};
 
     fn fixture() -> (Graph, Vec<f64>, Pyramids) {
@@ -1040,15 +1040,15 @@ mod tests {
         assert_eq!(stats.decision, QueryDecision::Hit);
     }
 
-    /// Satellite regression: a batch in which every delta is short-circuited
-    /// by the exact no-op precheck must leave the cache completely untouched
-    /// — no generation bump, nothing pending, same `Arc` on re-query.
+    /// A batch in which every replay writes no node (each counted as a
+    /// skip) must leave the cache completely untouched — no generation
+    /// bump, nothing pending, same `Arc` on re-query.
     #[test]
     fn pure_noop_batch_marks_nothing_dirty() {
         // Triangle with one overpriced edge: a–c can never be a shortest-path
         // tree edge in any partition (the 2-hop detour always wins), so a
-        // weight *increase* on it is inert in every partition by the
-        // `noop_weight_change` precheck — deterministically, for any seeds.
+        // weight *increase* on it writes nothing in any partition —
+        // deterministically, for any seeds.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let e = g.edge_id(0, 2).expect("triangle edge");
         let mut w = vec![1.0; g.m()];
@@ -1060,19 +1060,12 @@ mod tests {
         let gen = cache.generation();
         let (old, new_w) = (10.0, 40.0);
         w[e as usize] = new_w;
-        // Level 0 is weight-free and never repaired; the weighted levels
-        // must all find the delta inert.
-        for p in 0..pyr.k() {
-            for lv in 1..pyr.num_levels() {
-                assert!(
-                    pyr.partition(p, lv).noop_weight_change(&g, &w, e, old),
-                    "overpriced triangle edge must be inert in every weighted partition"
-                );
-            }
-        }
+        // Level 0 is weight-free and never repaired; every weighted
+        // partition must skip the delta.
         let mut traces = vec![Vec::new(); pyr.k() * pyr.num_levels()];
-        let rs = pyr.on_weight_change_batch_traced(&g, &w, &[(e, old, new_w)], &mut traces);
-        assert_eq!(rs.updates, 0, "every partition must skip the inert delta");
+        let rs = pyr.repair(&g, &w, &[(e, old, new_w)], &mut traces);
+        let skips = pyr.k() * (pyr.num_levels() - 1);
+        assert_eq!(rs, RepairStats { updates: 0, skips }, "every partition must skip it");
         assert!(traces.iter().all(|t| t.is_empty()), "noop trace must be empty");
         cache.note_affected(&g, &traces);
         assert_eq!(cache.generation(), gen, "pure-noop batch must not bump the generation");
@@ -1100,7 +1093,7 @@ mod tests {
             w[e as usize] = new_w;
             deltas.push((e, old, new_w));
         }
-        let _ = pyr.on_weight_change_batch_traced(&g, &w, &deltas, &mut traces);
+        let _ = pyr.repair(&g, &w, &deltas, &mut traces);
         cache.note_affected(&g, &traces);
         for level in 0..pyr.num_levels() {
             for mode in [ClusterMode::Even, ClusterMode::Power] {

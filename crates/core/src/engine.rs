@@ -77,9 +77,8 @@ pub struct AncEngine {
     /// `&self` queries can repair lazily; never borrowed across a call
     /// boundary, so the `RefCell` cannot be observed locked).
     cache: RefCell<ClusterCache>,
-    /// Pooled affected-set buffers of the last traced repair, one per
-    /// partition: the cluster cache's feed (the grouped repair fills them
-    /// only while the cache has materialized levels).
+    /// Pooled affected-set buffers of the last flush, one per partition:
+    /// what [`Pyramids::repair`] wrote, the cluster cache's feed.
     trace_bufs: Vec<Vec<NodeId>>,
     /// Pooled accumulator of the ingest loop: the `(e, old_w, new_w)` weight
     /// changes not yet repaired into the index.
@@ -261,16 +260,17 @@ impl AncEngine {
     ///
     /// Activeness, σ and reinforcement evolve edge by edge in batch order,
     /// exactly as in a serial loop of [`Self::activate`] calls; only the
-    /// index repairs are deferred and fed to the index as one grouped
-    /// [`Pyramids::on_weight_change_batch`] fan-out — one parallel pass over
-    /// the partitions of the live levels `≥ 1` per batch instead of one per
-    /// activation (level 0 is weight-free and never repaired), with
-    /// inert deltas short-circuited by an exact no-op precheck. The
-    /// grouped repair replays every delta at its exact per-step weights, so
-    /// the result is **bit-identical** to the serial loop and independent of
-    /// the rayon thread count.
+    /// index repairs are deferred and fed to [`Pyramids::repair`] at once —
+    /// one parallel pass over the partitions of the live levels `≥ 1` per
+    /// batch instead of one per activation (level 0 is weight-free and never
+    /// repaired). The repair replays every delta at its exact per-step
+    /// weights, so the result is **bit-identical** to the serial loop and
+    /// independent of the rayon thread count.
     ///
-    /// Returns the index repair work its flushes summed (DESIGN.md §7).
+    /// Returns the repair work its flushes summed (DESIGN.md §7): per delta
+    /// and repaired partition, an update when the replay wrote a node and a
+    /// skip when it wrote none — the same sum a serial loop of one-edge
+    /// batches reports.
     ///
     /// Panics unless `(edges, t)` passes [`crate::WalRecord::check`].
     pub fn activate_batch(&mut self, edges: &[EdgeId], t: Time) -> RepairStats {
@@ -359,52 +359,13 @@ impl AncEngine {
         Some((e, old_w, new_w))
     }
 
-    /// Ingest stage 3: repairs the index for the pending weight changes,
-    /// clears the accumulator and returns the repair work. The kernel
-    /// follows from the input, and both replay
-    /// [`crate::voronoi::VoronoiPartition::on_weight_change_into`] at the
-    /// exact per-step weights, so the choice cannot change a bit of state:
-    ///
-    /// * one delta — the single-edge repair straight into the pooled trace
-    ///   buffers (the grouped kernel refills an `O(m)` private weight array
-    ///   per worker, which a lone change must not pay for);
-    /// * two or more — one grouped parallel fan-out, traced while the
-    ///   cluster cache has materialized levels (so it hears which nodes to
-    ///   re-check) and untraced otherwise.
+    /// Ingest stage 3: repairs the index for the pending weight changes
+    /// ([`Pyramids::repair`]), hands the nodes each partition wrote to the
+    /// cluster cache, clears the accumulator and returns the repair work.
     fn flush(&mut self) -> RepairStats {
         let (g, pyramids) = (&self.state.graph, &mut self.state.pyramids);
-        let cache = self.cache.get_mut();
-        let stats = match self.deltas[..] {
-            [] => return RepairStats::default(),
-            [(e, old_w, _)] => {
-                pyramids.on_weight_change_serial_into(
-                    g,
-                    &self.recip,
-                    e,
-                    old_w,
-                    &mut self.trace_bufs,
-                );
-                cache.note_affected(g, &self.trace_bufs);
-                // No precheck here: every partition of a live level ≥ 1
-                // runs its bounded update; level 0 is weight-free.
-                RepairStats { updates: pyramids.repaired_partitions(), skips: 0 }
-            }
-            _ => {
-                if cache.has_materialized_levels() {
-                    let rs = pyramids.on_weight_change_batch_traced(
-                        g,
-                        &self.recip,
-                        &self.deltas,
-                        &mut self.trace_bufs,
-                    );
-                    cache.note_affected(g, &self.trace_bufs);
-                    rs
-                } else {
-                    cache.note_untracked_updates();
-                    pyramids.on_weight_change_batch(g, &self.recip, &self.deltas)
-                }
-            }
-        };
+        let stats = pyramids.repair(g, &self.recip, &self.deltas, &mut self.trace_bufs);
+        self.cache.get_mut().note_affected(g, &self.trace_bufs);
         self.deltas.clear();
         stats
     }
@@ -708,8 +669,8 @@ impl AncEngine {
     }
 
     /// The pooled per-partition affected-node lists (pyramid-major,
-    /// `p * levels + l`) as the last traced repair left them, so tests can
-    /// check that level 0's stay empty. Not part of the public API.
+    /// `p * levels + l`) as the last flush left them, so tests can check
+    /// that level 0's stay empty. Not part of the public API.
     #[doc(hidden)]
     pub fn repair_traces_for_test(&self) -> &[Vec<NodeId>] {
         &self.trace_bufs
@@ -1017,17 +978,17 @@ mod tests {
         engine.check_invariants().unwrap();
     }
 
-    /// A lone delta takes the serial repair, which runs every partition of
-    /// a live level ≥ 1 and none at the weight-free level 0: `k · (L − 1)`
-    /// updates with every level live, `k` with one, no precheck skips.
+    /// A lone delta is replayed once on every partition of a live level
+    /// ≥ 1 and on none at the weight-free level 0: `k · (L − 1)` updates and
+    /// skips together with every level live, `k` with one.
     #[test]
     fn lone_delta_counts_the_weighted_partitions() {
         let mut engine = engine_fixture(1);
         let stats = engine.activate_batch(&[0], 1.0);
-        assert_eq!(stats, RepairStats { updates: 4 * (engine.num_levels() - 1), skips: 0 });
+        assert_eq!(stats.updates + stats.skips, 4 * (engine.num_levels() - 1));
         engine.set_live_levels(&[engine.default_level()]);
         let stats = engine.activate_batch(&[0], 2.0);
-        assert_eq!(stats, RepairStats { updates: 4, skips: 0 });
+        assert_eq!(stats.updates + stats.skips, 4);
     }
 
     /// Queries served from the cache must track a stream of single, batch,

@@ -29,7 +29,7 @@
 //!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
-//! [`Pyramids::on_weight_change_batch`], [`Pyramids::rebuild`] and
+//! [`Pyramids::repair`] of two or more changes, [`Pyramids::rebuild`] and
 //! [`Pyramids::rescale`] run one pool task per partition.
 
 use anc_graph::{EdgeId, Graph, NodeId};
@@ -41,15 +41,16 @@ use crate::config::needed_votes;
 use crate::invariant::InvariantViolation;
 use crate::voronoi::VoronoiPartition;
 
-/// Counters from one grouped batch repair
-/// ([`Pyramids::on_weight_change_batch`]), summed over all partitions; also
-/// what [`crate::AncEngine::activate_batch`] reports for a whole batch.
+/// Counters of [`Pyramids::repair`], summed over all partitions: each delta
+/// counts once per partition of a live level `≥ 1`. Also what
+/// [`crate::AncEngine::activate_batch`] reports for a whole batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Bounded updates actually executed (Algorithms 1–3 invocations).
+    /// Replays that wrote at least one node (Algorithms 1–3 moved the
+    /// partition).
     pub updates: usize,
-    /// Deltas short-circuited by the `O(1)` no-op precheck
-    /// ([`VoronoiPartition::noop_weight_change`]).
+    /// Replays that wrote no node: an increase on a non-tree edge, or a
+    /// decrease that improves neither endpoint.
     pub skips: usize,
 }
 
@@ -60,18 +61,16 @@ impl std::ops::AddAssign for RepairStats {
     }
 }
 
-/// One thread's slot of the grouped batch repair: a private weight array
-/// for the rewound replay, a sink for affected nodes the untraced path
-/// discards, and the thread's counters. Pooled on [`Pyramids`], one slot per
-/// participating thread, so repeated batches stop allocating after the
-/// first at a thread count.
+/// One thread's slot of a grouped repair: a private weight array for the
+/// rewound replay and the thread's counters. Pooled on [`Pyramids`], one
+/// slot per participating thread, so repeated batches stop allocating after
+/// the first at a thread count.
 #[derive(Clone, Debug, Default)]
 struct RepairScratch {
     weights: Vec<f64>,
     /// Whether `weights` holds this batch's final weights yet: a thread's
     /// first task of a batch fills it, its later tasks only rewind.
     filled: bool,
-    discard: Vec<NodeId>,
     stats: RepairStats,
 }
 
@@ -160,11 +159,6 @@ impl Pyramids {
     /// Whether level `l` is live: repaired with the weights and queryable.
     pub fn is_live(&self, l: usize) -> bool {
         l < self.levels && self.live >> l & 1 == 1
-    }
-
-    /// Partitions a lone weight change repairs: `k` per live level `≥ 1`.
-    pub(crate) fn repaired_partitions(&self) -> usize {
-        self.k * (self.live & !1).count_ones() as usize
     }
 
     /// The query-side check: panics, naming the level, unless `l` is live.
@@ -276,11 +270,10 @@ impl Pyramids {
         false
     }
 
-    /// Propagates one edge-weight change to every weighted partition
-    /// (Algorithms 1–3 per partition at levels `≥ 1`), one partition after
-    /// another. Returns, per partition (pyramid-major order,
-    /// `p * levels + l`), the nodes whose seed assignment or distance
-    /// changed; level 0's lists are always empty.
+    /// Repairs the index for one edge-weight change and returns, per
+    /// partition (pyramid-major order, `p * levels + l`), the nodes whose
+    /// seed, distance or parent it wrote: [`Self::repair`] into fresh
+    /// buffers.
     pub fn on_weight_change(
         &mut self,
         g: &Graph,
@@ -289,23 +282,80 @@ impl Pyramids {
         old_w: f64,
     ) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.partitions.len()];
-        self.on_weight_change_serial_into(g, weights, e, old_w, &mut out);
+        self.repair(g, weights, &[(e, old_w, weights[e as usize])], &mut out);
         out
     }
 
-    /// [`Self::on_weight_change`] filling caller-owned per-partition buffers
-    /// (each cleared, then sorted and deduplicated) instead of allocating a
-    /// fresh list per partition — the engine pools the buffers across
-    /// activations so steady-state single-edge repairs stop allocating. A
-    /// lone change is repaired serially: forking the pool for it costs more
-    /// than the repair (DESIGN.md §4); Lemma 13's fan-out is
-    /// [`Self::on_weight_change_batch`]. Repairs the
-    /// [`Self::repaired_partitions`] of the live levels `≥ 1` and leaves the
-    /// buffers of level 0 and of stale levels cleared.
+    /// The one repair kernel: applies the ordered weight deltas `(e, old_w,
+    /// new_w)` to every partition of a live level `≥ 1` (Algorithms 1–3)
+    /// and traces what each wrote. `weights` holds the final values, so the
+    /// last delta of an edge has its `new_w`; an edge may change several
+    /// times. Each partition replays the deltas in order with
+    /// [`VoronoiPartition::on_weight_change_into`] at the exact per-step
+    /// weights, so it ends bit-identical to a repair after every change.
+    /// Deferring repairs naively would be unsound: one repair may propagate
+    /// through a region another has yet to invalidate.
+    ///
+    /// `traces` holds one buffer per partition; each is cleared, then left
+    /// with the nodes its partition wrote over the whole list, sorted and
+    /// deduplicated (those of level 0 and of stale levels stay empty). The
+    /// buffers are the caller's, so the engine pools them. A replay that
+    /// wrote no node counts as a skip, any other as an update.
+    ///
+    /// One delta runs serially, in place on `weights`: forking the pool for
+    /// it costs more than the repair, and a fork would refill an `O(m)`
+    /// weight array per thread (DESIGN.md §4). Two or more take one pool
+    /// task per partition (Lemma 13), each replaying against its thread's
+    /// private weight array rewound to the pre-batch state. Each task owns
+    /// its partition and counters sum per thread slot, so neither the state
+    /// nor the counts depend on the thread count.
     ///
     /// # Panics
     ///
-    /// If `out` does not hold exactly one buffer per partition.
+    /// If `traces` does not hold exactly one buffer per partition.
+    pub fn repair(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        traces: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
+        let (levels, live) = (self.levels, self.live);
+        let parts = &mut self.partitions[..];
+        let mut stats = RepairStats::default();
+        if deltas.len() < 2 {
+            // The final weights are a lone change's only step.
+            for (i, (p, trace)) in parts.iter_mut().zip(traces).enumerate() {
+                trace.clear();
+                if repaired(i, levels, live) {
+                    for &(e, old_w, _) in deltas {
+                        replay(g, weights, e, old_w, p, trace, &mut stats);
+                    }
+                    trace.sort_unstable();
+                    trace.dedup();
+                }
+            }
+            return stats;
+        }
+        for s in &mut self.repair_scratch {
+            s.filled = false;
+            s.stats = RepairStats::default();
+        }
+        let scratch = &mut self.repair_scratch;
+        rayon::for_each_with((parts, traces), scratch, |i, (p, trace), s| {
+            trace.clear();
+            if repaired(i, levels, live) {
+                replay_rewound(g, weights, deltas, p, trace, s);
+            }
+        });
+        self.repair_scratch.iter().for_each(|s| stats += s.stats);
+        stats
+    }
+
+    /// [`Self::repair`] of one change, under the name `bench/src/twin.rs`
+    /// (the benchmark's layer-by-layer twin of the engine) still calls.
+    #[doc(hidden)]
     pub fn on_weight_change_serial_into(
         &mut self,
         g: &Graph,
@@ -314,60 +364,23 @@ impl Pyramids {
         old_w: f64,
         out: &mut [Vec<NodeId>],
     ) {
-        assert_eq!(out.len(), self.partitions.len(), "one buffer per partition");
-        for (i, (p, o)) in self.partitions.iter_mut().zip(out.iter_mut()).enumerate() {
-            o.clear();
-            if !repaired(i, self.levels, self.live) {
-                continue;
-            }
-            p.on_weight_change_into(g, weights, e, old_w, o);
-            o.sort_unstable();
-            o.dedup();
-        }
+        self.repair(g, weights, &[(e, old_w, weights[e as usize])], out);
     }
 
-    /// Applies a whole batch of ordered weight deltas with **one** parallel
-    /// fan-out instead of one per edge (the engine's ingest loop; see
-    /// DESIGN.md §7) to the partitions of the live levels `≥ 1`; the tasks
-    /// of level 0 (weight-free) and of stale levels return at once.
-    ///
-    /// `deltas` is the ordered list of `(e, old_w, new_w)` changes exactly
-    /// as they occurred; the same edge may appear several times. `weights`
-    /// must hold the *final* post-batch values (so for each edge, the last
-    /// delta's `new_w` equals `weights[e]`).
-    ///
-    /// Deferring repairs naively would be unsound — a repair for one edge
-    /// may propagate distances through regions another pending repair has
-    /// yet to invalidate — so each partition's task replays the delta list
-    /// *in order*, against its thread's private weight array rewound to the
-    /// pre-batch state, calling [`VoronoiPartition::on_weight_change`] at
-    /// the exact per-step weights. Every partition therefore ends
-    /// bit-identical to the serial per-edge path; since partitions are
-    /// mutually independent (Lemma 13) and each task owns its partition, the
-    /// result is also independent of the thread count. Deltas that provably
-    /// cannot move a partition are short-circuited by the `O(1)`
-    /// [`VoronoiPartition::noop_weight_change`] precheck.
+    /// [`Self::repair`] into fresh buffers, under the name
+    /// `bench/src/twin.rs` still calls.
+    #[doc(hidden)]
     pub fn on_weight_change_batch(
         &mut self,
         g: &Graph,
         weights: &[f64],
         deltas: &[(EdgeId, f64, f64)],
     ) -> RepairStats {
-        self.repair_batch(g, weights, deltas, None)
+        self.repair(g, weights, deltas, &mut vec![Vec::new(); self.partitions.len()])
     }
 
-    /// [`Self::on_weight_change_batch`] that additionally records, per
-    /// partition (pyramid-major order), the union of all nodes whose seed
-    /// assignment or distance changed at any point during the batch — the
-    /// nodes the cluster cache re-checks against its seed rows at the next
-    /// query.
-    ///
-    /// `out` must hold one buffer per partition (`k · levels`); each is
-    /// cleared, filled, sorted and deduplicated (those of level 0 and of
-    /// stale levels stay empty). The
-    /// buffers are caller-owned so the engine can pool them across batches.
-    /// The partitions themselves
-    /// end bit-identical to the untraced variant (same per-delta replay).
+    /// [`Self::repair`] under the name `bench/src/twin.rs` still calls.
+    #[doc(hidden)]
     pub fn on_weight_change_batch_traced(
         &mut self,
         g: &Graph,
@@ -375,50 +388,7 @@ impl Pyramids {
         deltas: &[(EdgeId, f64, f64)],
         out: &mut [Vec<NodeId>],
     ) -> RepairStats {
-        self.repair_batch(g, weights, deltas, Some(out))
-    }
-
-    /// The grouped repair behind [`Self::on_weight_change_batch`] (`out` is
-    /// `None`: affected nodes go to a pooled sink nobody reads) and
-    /// [`Self::on_weight_change_batch_traced`] (`Some`: one buffer per
-    /// partition). One pool task per partition; each thread's slot sums its
-    /// own counters, and the slots are summed afterwards (addition commutes,
-    /// so the total does not depend on the thread count).
-    fn repair_batch(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        deltas: &[(EdgeId, f64, f64)],
-        out: Option<&mut [Vec<NodeId>]>,
-    ) -> RepairStats {
-        if deltas.is_empty() {
-            out.into_iter().flatten().for_each(Vec::clear);
-            return RepairStats::default();
-        }
-        for s in &mut self.repair_scratch {
-            s.filled = false;
-            s.stats = RepairStats::default();
-        }
-        let (parts, scratch) = (&mut self.partitions[..], &mut self.repair_scratch);
-        let (levels, live) = (self.levels, self.live);
-        match out {
-            Some(out) => rayon::for_each_with((parts, out), scratch, |i, (p, trace), s| {
-                if repaired(i, levels, live) {
-                    replay_partition(g, weights, deltas, p, Some(trace), s);
-                } else {
-                    trace.clear();
-                }
-            }),
-            None => rayon::for_each_with(parts, scratch, |i, p, s| {
-                if repaired(i, levels, live) {
-                    replay_partition(g, weights, deltas, p, None, s);
-                }
-            }),
-        }
-        self.repair_scratch.iter().fold(RepairStats::default(), |mut sum, s| {
-            sum += s.stats;
-            sum
-        })
+        self.repair(g, weights, deltas, out)
     }
 
     /// Approximate distance query in the style of the underlying Das Sarma
@@ -532,21 +502,40 @@ fn repaired(i: usize, levels: usize, live: u64) -> bool {
     l != 0 && live >> l & 1 == 1
 }
 
+/// Replays one change of `e` on partition `p` at `weights`, appending the
+/// nodes it writes to `trace` and counting it in `stats`: a skip when it
+/// wrote none, an update otherwise.
+fn replay(
+    g: &Graph,
+    weights: &[f64],
+    e: EdgeId,
+    old_w: f64,
+    p: &mut VoronoiPartition,
+    trace: &mut Vec<NodeId>,
+    stats: &mut RepairStats,
+) {
+    let before = trace.len();
+    p.on_weight_change_into(g, weights, e, old_w, trace);
+    if trace.len() == before {
+        stats.skips += 1;
+    } else {
+        stats.updates += 1;
+    }
+}
+
 /// One task of a grouped repair: replays `deltas` in order on partition
 /// `p`, against the running thread's private weight array — filled with the
 /// final `weights` by the thread's first task of the batch, then rewound to
-/// the pre-batch state. With `trace`, the partition's affected nodes
-/// accumulate over the whole batch and are left sorted and deduplicated;
-/// without, they go to the slot's discard sink.
-fn replay_partition(
+/// the pre-batch state — and leaves the trace sorted and deduplicated.
+fn replay_rewound(
     g: &Graph,
     weights: &[f64],
     deltas: &[(EdgeId, f64, f64)],
     p: &mut VoronoiPartition,
-    trace: Option<&mut Vec<NodeId>>,
+    trace: &mut Vec<NodeId>,
     scratch: &mut RepairScratch,
 ) {
-    let RepairScratch { weights: w, filled, discard, stats } = scratch;
+    let RepairScratch { weights: w, filled, stats } = scratch;
     if !std::mem::replace(filled, true) {
         w.clear();
         w.extend_from_slice(weights);
@@ -554,30 +543,12 @@ fn replay_partition(
     for &(e, old_w, _) in deltas.iter().rev() {
         w[e as usize] = old_w;
     }
-    let traced = trace.is_some();
-    let sink = match trace {
-        Some(trace) => {
-            trace.clear();
-            trace
-        }
-        None => discard,
-    };
     for &(e, old_w, new_w) in deltas {
         w[e as usize] = new_w;
-        if p.noop_weight_change(g, w, e, old_w) {
-            stats.skips += 1;
-        } else {
-            if !traced {
-                sink.clear();
-            }
-            p.on_weight_change_into(g, w, e, old_w, sink);
-            stats.updates += 1;
-        }
+        replay(g, w, e, old_w, p, trace, stats);
     }
-    if traced {
-        sink.sort_unstable();
-        sink.dedup();
-    }
+    trace.sort_unstable();
+    trace.dedup();
     // Replayed forward, the private array is back at the final weights,
     // ready for the thread's next partition.
     debug_assert!(
@@ -684,9 +655,10 @@ mod tests {
         }
     }
 
-    /// The grouped batch repair must reproduce the per-delta serial path
-    /// **bit for bit**, including an edge that changes twice in one batch
-    /// (intermediate weights matter) and inert deltas (counted as skips).
+    /// The grouped repair must reproduce the per-delta serial path **bit
+    /// for bit** and count the same work, including an edge that changes
+    /// twice in one batch (intermediate weights matter) and inert deltas
+    /// (counted as skips).
     #[test]
     fn batch_repair_matches_serial_replay_bitwise() {
         let lg = connected_caveman(4, 5);
@@ -694,18 +666,21 @@ mod tests {
         let w0 = vec![1.0; g.m()];
         let mut serial = Pyramids::build(g, &w0, 3, 0.7, 9);
         let mut batched = Pyramids::build(g, &w0, 3, 0.7, 9);
+        let mut traces = vec![Vec::new(); 3 * serial.num_levels()];
 
         // Edge 0 changes twice; edge 5 and 9 once each.
         let steps: &[(EdgeId, f64)] = &[(0, 0.3), (5, 4.0), (0, 2.0), (9, 0.1)];
         let mut w = w0.clone();
         let mut deltas = Vec::new();
+        let mut serial_stats = RepairStats::default();
         for &(e, new_w) in steps {
             let old = w[e as usize];
             w[e as usize] = new_w;
-            serial.on_weight_change(g, &w, e, old);
+            serial_stats += serial.repair(g, &w, &[(e, old, new_w)], &mut traces);
             deltas.push((e, old, new_w));
         }
-        let stats = batched.on_weight_change_batch(g, &w, &deltas);
+        let stats = batched.repair(g, &w, &deltas, &mut traces);
+        assert_eq!(stats, serial_stats, "one count per delta and partition, either way");
         assert_eq!(
             stats.updates + stats.skips,
             deltas.len() * 3 * (batched.num_levels() - 1),
@@ -733,38 +708,43 @@ mod tests {
     /// Consecutive grouped repairs run through the same per-thread slots,
     /// with an (exact, power-of-two) rescale between them moving every
     /// weight the slots hold: each batch must refill its thread's weight
-    /// array and reset its counters, so traced and untraced runs stay
-    /// bit-identical to the serial replay batch after batch.
+    /// array, reset its counters and clear its traces, so the state stays
+    /// bit-identical to the serial replay, and the traces equal the union of
+    /// its, batch after batch.
     #[test]
     fn consecutive_batches_reuse_slots_without_leaking_state() {
         let lg = connected_caveman(4, 5);
         let g = &lg.graph;
         let mut w = vec![1.0; g.m()];
         let mut serial = Pyramids::build(g, &w, 3, 0.7, 9);
-        let (mut untraced, mut traced) = (serial.clone(), serial.clone());
-        let mut traces = vec![Vec::new(); 3 * serial.num_levels()];
+        let mut batched = serial.clone();
+        let parts = 3 * serial.num_levels();
+        let (mut traces, mut one) = (vec![Vec::new(); parts], vec![Vec::new(); parts]);
         for batch in [[(0, 0.3), (5, 4.0)], [(0, 2.0), (9, 0.1)], [(5, 0.2), (3, 7.0)]] {
             w.iter_mut().for_each(|x| *x *= 0.5);
-            for pyr in [&mut serial, &mut untraced, &mut traced] {
-                pyr.rescale(0.5);
-            }
+            serial.rescale(0.5);
+            batched.rescale(0.5);
             let mut deltas = Vec::new();
+            let mut union = vec![Vec::new(); parts];
             for (e, new_w) in batch {
                 let old = w[e as usize];
                 w[e as usize] = new_w;
-                serial.on_weight_change(g, &w, e, old);
+                serial.repair(g, &w, &[(e, old, new_w)], &mut one);
+                union.iter_mut().zip(&one).for_each(|(u, o)| u.extend_from_slice(o));
                 deltas.push((e, old, new_w));
             }
-            let stats = untraced.on_weight_change_batch(g, &w, &deltas);
-            assert_eq!(stats, traced.on_weight_change_batch_traced(g, &w, &deltas, &mut traces));
+            union.iter_mut().for_each(|u| {
+                u.sort_unstable();
+                u.dedup();
+            });
+            let stats = batched.repair(g, &w, &deltas, &mut traces);
             assert_eq!(stats.updates + stats.skips, 2 * 3 * (serial.num_levels() - 1));
-            for pyr in [&untraced, &traced] {
-                for (a, b) in serial.partitions.iter().zip(&pyr.partitions) {
-                    let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
-                        (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()
-                    };
-                    assert_eq!(bits(a), bits(b));
-                }
+            assert_eq!(traces, union);
+            for (a, b) in serial.partitions.iter().zip(&batched.partitions) {
+                let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
+                    (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()
+                };
+                assert_eq!(bits(a), bits(b));
             }
         }
     }
@@ -811,15 +791,17 @@ mod tests {
         let old = w[0];
         w[0] = 2.0 * old;
         let mut out = vec![Vec::new(); 2 * pyr.num_levels() - 1];
-        pyr.on_weight_change_serial_into(&g, &w, 0, old, &mut out);
+        pyr.repair(&g, &w, &[(0, old, w[0])], &mut out);
     }
 
     #[test]
     fn batch_repair_empty_is_noop() {
         let (g, w) = paper_figure2();
         let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
-        let stats = pyr.on_weight_change_batch(&g, &w, &[]);
+        let mut traces = vec![vec![0]; 2 * pyr.num_levels()];
+        let stats = pyr.repair(&g, &w, &[], &mut traces);
         assert_eq!(stats, RepairStats::default());
+        assert!(traces.iter().all(Vec::is_empty), "every trace is cleared");
         pyr.check_invariants(&g, &w).unwrap();
     }
 

@@ -218,49 +218,6 @@ impl VoronoiPartition {
         db < dx || (db == dx && b < x)
     }
 
-    /// Whether the initial [`Self::probe`] of `a` through `b` would fire —
-    /// the exact precondition, including the tie rule and the
-    /// float-absorption guard.
-    #[inline]
-    fn probe_would_fire(&self, a: NodeId, b: NodeId, w_ab: f64) -> bool {
-        let db = self.dist[b as usize];
-        if !db.is_finite() {
-            return false;
-        }
-        let (cand, da) = (db + w_ab, self.dist[a as usize]);
-        cand < da
-            || (cand == da && self.tie_reparents(a, b))
-            || (self.parent[a as usize] == b
-                && self.seed_of[a as usize] != self.seed_of[b as usize])
-    }
-
-    /// Whether [`Self::on_weight_change`] for `e` (whose weight moved from
-    /// `old_w` to `weights[e]`) would provably leave this partition
-    /// untouched, in `O(1)`:
-    ///
-    /// * an **increase** on a non-tree edge never matters (no shortest path
-    ///   uses the edge — the Update-Increase precondition);
-    /// * a **decrease** is inert when neither endpoint's initial probe can
-    ///   fire (Dijkstra propagation starts from those probes, so an empty
-    ///   start set means an empty affected region).
-    ///
-    /// Used by the grouped batch repair to short-circuit partitions a delta
-    /// cannot affect; a `true` here guarantees `on_weight_change` would
-    /// return an empty affected set *and* change no state, so skipping the
-    /// call preserves bit-identical replay.
-    pub fn noop_weight_change(&self, g: &Graph, weights: &[f64], e: EdgeId, old_w: f64) -> bool {
-        let new_w = weights[e as usize];
-        if new_w == old_w {
-            return true;
-        }
-        let (u, v) = g.endpoints(e);
-        if new_w > old_w {
-            self.parent[v as usize] != u && self.parent[u as usize] != v
-        } else {
-            !self.probe_would_fire(u, v, new_w) && !self.probe_would_fire(v, u, new_w)
-        }
-    }
-
     /// Algorithm 1 (**Update-Decrease**): the weight of `e` decreased.
     /// Distances can only shrink; propagate improvements outward from the
     /// endpoints in Dijkstra order. Cost `O(Σ_{x ∈ U'} deg x · log)` where
@@ -393,8 +350,12 @@ impl VoronoiPartition {
 
     /// [`Self::on_weight_change`] appending the affected nodes into a
     /// caller-owned buffer (unsorted, may contain duplicates) instead of
-    /// allocating a fresh list — the traced batch repair reuses one buffer
-    /// per partition across a whole batch.
+    /// allocating a fresh list — [`crate::Pyramids::repair`] reuses one
+    /// buffer per partition across a whole batch. It appends nothing exactly
+    /// when it writes nothing: an increase on a non-tree edge returns at
+    /// once, one on a tree edge writes its child endpoint, and a decrease
+    /// writes only through probes that fire, each appending the node it
+    /// wrote.
     pub fn on_weight_change_into(
         &mut self,
         g: &Graph,
@@ -655,8 +616,8 @@ mod tests {
     }
 
     /// Both repairs resolve an exact tie as the build does, to the
-    /// neighbour that settles first, and the no-op precheck sees a decrease
-    /// that only makes a tie. Seed 0; edges 0–1 (2), 0–2 (1), 1–3 (1),
+    /// neighbour that settles first, and a decrease that only makes a tie
+    /// reports the node it re-parents. Seed 0; edges 0–1 (2), 0–2 (1), 1–3 (1),
     /// 2–3 (2) and 0–3 (1), so 3 hangs off 0 with ties through 1 and 2 at
     /// distance 3 behind it.
     #[test]
@@ -670,8 +631,10 @@ mod tests {
         let mut step = |(u, v, wt): (NodeId, NodeId, f64), parent_of_3: NodeId| {
             let e = g.edge_id(u, v).unwrap();
             let old = std::mem::replace(&mut w[e as usize], wt);
-            assert!(!p.noop_weight_change(&g, &w, e, old), "({u},{v}) → {wt} is not inert");
-            p.on_weight_change(&g, &w, e, old);
+            assert!(
+                !p.on_weight_change(&g, &w, e, old).is_empty(),
+                "({u},{v}) → {wt} is not inert"
+            );
             assert_eq!(p.parent(3), parent_of_3, "after ({u},{v}) → {wt}");
             let fresh = VoronoiPartition::build(&g, &w, vec![0]);
             assert_eq!(
@@ -751,52 +714,40 @@ mod tests {
         }
     }
 
-    /// The `O(1)` no-op precheck must never claim "no-op" for a change that
-    /// actually moves the partition (soundness); spot-check that it also
-    /// fires on the obvious inert cases (usefulness).
+    /// The repair kernel counts a replay that reports no node as a skip
+    /// ([`crate::Pyramids::repair`]): such a replay must leave every array
+    /// bit-identical, over every figure-2 edge scaled down and up, and an
+    /// increase must be one exactly when it is on a non-tree edge.
     #[test]
-    fn noop_precheck_is_sound() {
+    fn a_replay_that_reports_no_node_writes_none() {
         let (g, w0, _) = figure2_partition();
-        for (e, _, _) in g.iter_edges() {
+        let arrays = |p: &VoronoiPartition| {
+            let dist: Vec<u64> = p.dist.iter().map(|d| d.to_bits()).collect();
+            (dist, p.seed_of.clone(), p.parent.clone())
+        };
+        let (mut skips, mut non_tree_increases) = (0, 0);
+        for (e, u, v) in g.iter_edges() {
             for factor in [0.3, 0.9, 1.1, 4.0] {
                 let (mut w, mut p) = (w0.clone(), figure2_partition().2);
                 let old = w[e as usize];
                 w[e as usize] = old * factor;
-                let claimed_noop = p.noop_weight_change(&g, &w, e, old);
-                let before: Vec<(f64, NodeId, NodeId)> =
-                    (0..g.n() as NodeId).map(|v| (p.dist(v), p.seed_of(v), p.parent(v))).collect();
-                let affected = p.on_weight_change(&g, &w, e, old);
-                let after: Vec<(f64, NodeId, NodeId)> =
-                    (0..g.n() as NodeId).map(|v| (p.dist(v), p.seed_of(v), p.parent(v))).collect();
-                if claimed_noop {
-                    assert!(
-                        affected.is_empty(),
-                        "edge {e} ×{factor}: claimed no-op but affected {affected:?}"
-                    );
-                    assert_eq!(before, after, "edge {e} ×{factor}: claimed no-op but state moved");
+                let non_tree = p.parent(u) != v && p.parent(v) != u;
+                let before = arrays(&p);
+                let mut trace = Vec::new();
+                p.on_weight_change_into(&g, &w, e, old, &mut trace);
+                if factor > 1.0 {
+                    let msg = "an increase writes exactly when it is on a tree edge";
+                    assert_eq!(trace.is_empty(), non_tree, "edge {e} ×{factor}: {msg}");
+                    non_tree_increases += usize::from(non_tree);
+                }
+                if trace.is_empty() {
+                    assert_eq!(before, arrays(&p), "edge {e} ×{factor}: skipped but state moved");
+                    skips += 1;
                 }
             }
         }
-    }
-
-    #[test]
-    fn noop_precheck_fires_on_inert_changes() {
-        let (g, mut w, p) = figure2_partition();
-        // Increase on a non-tree edge is a no-op.
-        let (e, _, _) = g
-            .iter_edges()
-            .find(|&(_, u, v)| p.parent(u) != v && p.parent(v) != u)
-            .expect("figure graph has non-tree edges");
-        let old = w[e as usize];
-        w[e as usize] = old + 2.0;
-        assert!(p.noop_weight_change(&g, &w, e, old));
-        // A tree-edge increase is not claimed inert.
-        w[e as usize] = old;
-        let (te, _, _) =
-            g.iter_edges().find(|&(_, u, v)| p.parent(u) == v || p.parent(v) == u).unwrap();
-        let old_t = w[te as usize];
-        w[te as usize] = old_t + 2.0;
-        assert!(!p.noop_weight_change(&g, &w, te, old_t));
+        assert!(non_tree_increases > 0, "the figure graph has non-tree edges");
+        assert!(skips > non_tree_increases, "some decrease must be inert too");
     }
 
     /// 16 B per node plus the seed list, nothing else.

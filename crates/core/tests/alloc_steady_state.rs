@@ -240,9 +240,10 @@ fn per_batch(
 ) -> (u64, f64) {
     const CALLS: usize = 64;
     let batches: Vec<_> = (0..CALLS).map(|_| batch(stream, len)).collect();
-    // One delta repairs every partition once (k·L updates); d ≥ 2 deltas go
-    // through the grouped kernel, which updates or skips d·k·L times.
-    let partitions = engine.pyramids().k() * engine.num_levels();
+    // One delta replays once on every partition of a level ≥ 1 (k·(L−1)
+    // updates and skips together; level 0 is never repaired); d ≥ 2 deltas
+    // take the pool fan-out, which counts d·k·(L−1).
+    let partitions = engine.pyramids().k() * (engine.num_levels() - 1);
     let mut counts: Vec<u64> = batches
         .iter()
         .map(|(edges, t)| {
@@ -264,7 +265,7 @@ fn per_batch(
 /// its `RAYON_NUM_THREADS` read, and nothing when the variable is unset
 /// (the host probe is cached): so a flush allocates at most once, for
 /// batches of 8 and of 64, at any thread count, whether or not the cluster
-/// cache has a materialized level to trace the repair for. The mean allows
+/// cache has a materialized level to hand the traces to. The mean allows
 /// for what the median skips: the trace buffers doubling now and then.
 #[test]
 #[cfg_attr(
@@ -272,10 +273,10 @@ fn per_batch(
     ignore = "the invariant checker allocates at every batch boundary"
 )]
 fn batch_allocations_do_not_grow_with_batch_length() {
-    for traced in [false, true] {
+    for cached in [false, true] {
         let mut engine = fixture();
         let mut stream = activations(engine.graph().m());
-        if traced {
+        if cached {
             let level = engine.default_level();
             let _ = engine.cluster_all_cached(level, ClusterMode::Power);
         }
@@ -285,7 +286,7 @@ fn batch_allocations_do_not_grow_with_batch_length() {
                 let _ = engine.activate_batch(&edges, t);
             }
         }
-        assert_eq!(engine.cluster_cache().has_materialized_levels(), traced);
+        assert_eq!(engine.cluster_cache().has_materialized_levels(), cached);
 
         let want = u64::from(std::env::var_os("RAYON_NUM_THREADS").is_some());
         for len in [8, 64] {
@@ -293,7 +294,7 @@ fn batch_allocations_do_not_grow_with_batch_length() {
             assert!(
                 median <= want && mean <= want as f64 + 0.25,
                 "{median} (mean {mean}) allocations per activate_batch call of {len} edges \
-                 at {} threads (traced: {traced}), want at most {want}",
+                 at {} threads (cached: {cached}), want at most {want}",
                 rayon::current_num_threads()
             );
         }

@@ -40,8 +40,7 @@ fn graph_strategy() -> impl Strategy<Value = Graph> {
 
 /// Graph, index seed, and a stream of calls: raw edge indices (one means
 /// `activate`, more mean `activate_batch`), the time step before the call,
-/// and whether to materialize the cluster cache first (so the grouped
-/// repair runs traced).
+/// and whether to materialize the cluster cache first.
 type Case = (Graph, u64, Vec<(Vec<usize>, f64, bool)>);
 
 fn case_strategy() -> impl Strategy<Value = Case> {

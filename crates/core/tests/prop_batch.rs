@@ -1,10 +1,11 @@
 //! Property tests for the ingest loop: `activate_batch` and a multi-edge
 //! `reinforce_edges` are exact refactorings of the serial per-edge loop —
 //! same state (bit for bit, down to the serialized snapshot), same
-//! clusterings, across arbitrary streams, batch shapes and rescale timing —
-//! and a call takes at most one rescale, before its first edge.
+//! clusterings, the same summed repair counts, across arbitrary streams,
+//! batch shapes and rescale timing — and a call takes at most one rescale,
+//! before its first edge.
 
-use anc_core::{AncConfig, AncEngine, ClusterMode};
+use anc_core::{AncConfig, AncEngine, ClusterMode, RepairStats};
 use anc_graph::gen::{connected_caveman, erdos_renyi};
 use anc_graph::Graph;
 use proptest::prelude::*;
@@ -48,8 +49,9 @@ fn batched_stream() -> impl Strategy<Value = (u64, Vec<(Vec<usize>, f64, u32)>)>
 
 /// Runs `stream` through the serial per-edge loop and through
 /// `activate_batch` / multi-edge `reinforce_edges`, asserts that no batched
-/// call takes more than one rescale and that the two engines agree bit for
-/// bit, and returns how many rescales they crossed.
+/// call takes more than one rescale, that the activations' repair counts
+/// sum the same and that the two engines agree bit for bit, and returns how
+/// many rescales they crossed.
 fn check_batch_equals_serial(
     seed: u64,
     stream: Vec<(Vec<usize>, f64, u32)>,
@@ -59,6 +61,7 @@ fn check_batch_equals_serial(
     let mut serial = AncEngine::new(g.clone(), small_cfg(), seed);
     let mut batched = AncEngine::new(g, small_cfg(), seed);
     let mut t = 0.0;
+    let (mut serial_stats, mut batched_stats) = (RepairStats::default(), RepairStats::default());
     for (raw, dt, kind) in stream {
         let batch: Vec<u32> = raw.into_iter().map(|i| (i % m) as u32).collect();
         if kind == 0 {
@@ -70,10 +73,10 @@ fn check_batch_equals_serial(
         }
         t += dt;
         for &e in &batch {
-            serial.activate(e, t);
+            serial_stats += serial.activate_batch(&[e], t);
         }
         let before = batched.rescales();
-        batched.activate_batch(&batch, t);
+        batched_stats += batched.activate_batch(&batch, t);
         prop_assert!(batched.rescales() <= before + 1, "two rescales in one call at t = {}", t);
     }
     // Identical anchored similarities, bit for bit…
@@ -81,6 +84,8 @@ fn check_batch_equals_serial(
         prop_assert_eq!(a.to_bits(), b.to_bits(), "sim of edge {} diverged", e);
     }
     prop_assert_eq!(serial.rescales(), batched.rescales());
+    // …the same repair work, one count per delta and repaired partition…
+    prop_assert_eq!(serial_stats, batched_stats);
     // …identical snapshots (state and every partition), byte for byte…
     prop_assert_eq!(serial.state_bytes_for_test(), batched.state_bytes_for_test());
     // …and identical clusterings at every level, both semantics.
@@ -124,4 +129,29 @@ fn exact_batch_equals_serial_across_real_rescales() {
         let rescales = check_batch_equals_serial(seed, stream.clone()).unwrap();
         assert!(rescales >= 3, "seed {seed}: only {rescales} rescales crossed");
     }
+}
+
+/// The repair work a grouped stream reports, pinned: 40 batches of 16
+/// seeded draws on a planted partition of 1 000 nodes, all levels live, the
+/// default level's clustering cached from the 21st batch on. Each delta
+/// counts once per partition of a live level ≥ 1, as an update when its
+/// replay wrote a node and as a skip otherwise.
+#[test]
+fn grouped_stream_repair_counts_are_pinned() {
+    use anc_graph::gen::{planted_partition, PlantedConfig};
+    use rand::{Rng, SeedableRng};
+
+    let lg = planted_partition(&PlantedConfig::default_for(1000), 5);
+    let mut engine = AncEngine::new(lg.graph, AncConfig::default(), 5);
+    let m = engine.graph().m() as u32;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+    let mut total = RepairStats::default();
+    for step in 1..=40u32 {
+        let batch: Vec<u32> = (0..16).map(|_| rng.gen_range(0..m)).collect();
+        total += engine.activate_batch(&batch, f64::from(step) * 0.05);
+        if step == 20 {
+            let _ = engine.cluster_all_cached(engine.default_level(), ClusterMode::Even);
+        }
+    }
+    assert_eq!((total.updates, total.skips), (7512, 15528));
 }

@@ -235,10 +235,11 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Enqueue-to-apply latency per ingest job, nanoseconds.
     pub apply_latency: LatencyHistogram,
-    /// Index repair work of every applied batch, summed: partitions
-    /// repaired (`updates`) and skipped by the no-op precheck (`skips`).
-    /// Only the published levels are live while the writer runs, so this
-    /// counts `k` partitions per published level `≥ 1` per weight change.
+    /// Index repair work of every applied batch, summed: per weight change
+    /// and repaired partition, an update when the repair wrote a node and a
+    /// skip when it wrote none. Only the published levels are live while
+    /// the writer runs, so this counts `k` partitions per published level
+    /// `≥ 1` per weight change.
     /// In-process only: the wire's stats reply does not carry it.
     pub repairs: RepairStats,
 }

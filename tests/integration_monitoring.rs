@@ -22,7 +22,7 @@ fn incident_votes(engine: &AncEngine, nodes: &[u32], level: usize) -> Vec<Vec<bo
 #[test]
 fn monitor_reports_exactly_the_watched_nodes_whose_votes_flipped() {
     // Every way of moving the index — single activations, grouped batches
-    // while no cache level is materialized (no repair is traced), multi-edge
+    // while no cache level is materialized, multi-edge
     // reinforcement replays and a full rebuild — must be reported exactly:
     // a watched node is named iff one of its incident votes differs from a
     // recount taken at the previous poll.
@@ -67,7 +67,7 @@ fn monitor_reports_exactly_the_watched_nodes_whose_votes_flipped() {
             poll(&engine, "reconstruct_index");
         }
     }
-    assert!(batch_reports > 0, "an untraced activate_batch must be heard");
+    assert!(batch_reports > 0, "an activate_batch before any cached query must be heard");
 }
 
 #[test]
