@@ -331,13 +331,15 @@ impl ClusterCache {
     }
 
     /// Feeds one update's affected-node sets (pyramid-major partition
-    /// order, as traced by [`Pyramids::repair`]): the nodes named at a
-    /// materialized level join that level's pending lists, to be compared
-    /// with the index by the next query. Advances the generation iff any
-    /// set is non-empty — a pure-noop batch leaves the cache untouched.
+    /// order, as traced by [`Pyramids::repair`], in any order and with
+    /// repeats): the nodes named at a materialized level join that level's
+    /// pending lists, sorted and deduplicated per update, to be compared
+    /// with the index by the next query. A set of a level that is not
+    /// materialized is not read. Advances the generation iff any set is
+    /// non-empty — a pure-noop batch leaves the cache untouched.
     ///
-    /// Hot-path cost: one append per named node of a materialized level,
-    /// allocation-free after warm-up.
+    /// Hot-path cost: one append per named node of a materialized level and
+    /// the sort of what was appended, allocation-free after warm-up.
     pub fn note_affected(&mut self, g: &Graph, affected: &[Vec<NodeId>]) {
         if affected.iter().all(|a| a.is_empty()) {
             return;
@@ -353,7 +355,9 @@ impl ClusterCache {
                 continue;
             };
             let list = &mut lc.pending[slot / levels];
+            let start = list.len();
             list.extend_from_slice(nodes);
+            sort_dedup_from(list, start);
             if list.len() > cap {
                 list.sort_unstable();
                 list.dedup();
@@ -659,6 +663,20 @@ fn first_appearances(labels: &[u32], first: &mut Vec<NodeId>) {
             first.push(v as NodeId);
         }
     }
+}
+
+/// Sorts `list[start..]` and drops its repeats in place, leaving
+/// `list[..start]` as it was.
+fn sort_dedup_from(list: &mut Vec<NodeId>, start: usize) {
+    list[start..].sort_unstable();
+    let mut end = start;
+    for i in start..list.len() {
+        if end == start || list[i] != list[end - 1] {
+            list[end] = list[i];
+            end += 1;
+        }
+    }
+    list.truncate(end);
 }
 
 /// Union–find root of `x`, halving the path on the way.
@@ -1192,6 +1210,18 @@ mod tests {
         let (c, stats) = cache.query(&g, &pyr, 0, ClusterMode::Even);
         assert_eq!(stats.decision, QueryDecision::ColdFill);
         assert_eq!(*c, cluster_all(&g, &pyr, 0, ClusterMode::Even));
+    }
+
+    /// A trace arrives in write order with repeats; only what it appends
+    /// is sorted and deduplicated, so the pending list reads as before.
+    #[test]
+    fn appended_trace_is_sorted_and_deduplicated_in_place() {
+        let mut list = vec![9, 2, 9];
+        list.extend_from_slice(&[7, 2, 7, 1, 2]);
+        sort_dedup_from(&mut list, 3);
+        assert_eq!(list, [9, 2, 9, 1, 2, 7]);
+        sort_dedup_from(&mut list, 6);
+        assert_eq!(list, [9, 2, 9, 1, 2, 7]);
     }
 
     #[test]

@@ -272,8 +272,8 @@ impl Pyramids {
 
     /// Repairs the index for one edge-weight change and returns, per
     /// partition (pyramid-major order, `p * levels + l`), the nodes whose
-    /// seed, distance or parent it wrote: [`Self::repair`] into fresh
-    /// buffers.
+    /// seed, distance or parent it wrote, in write order with repeats:
+    /// [`Self::repair`] into fresh buffers.
     pub fn on_weight_change(
         &mut self,
         g: &Graph,
@@ -297,10 +297,12 @@ impl Pyramids {
     /// through a region another has yet to invalidate.
     ///
     /// `traces` holds one buffer per partition; each is cleared, then left
-    /// with the nodes its partition wrote over the whole list, sorted and
-    /// deduplicated (those of level 0 and of stale levels stay empty). The
-    /// buffers are the caller's, so the engine pools them. A replay that
-    /// wrote no node counts as a skip, any other as an update.
+    /// with the nodes its partition wrote over the whole list, in write
+    /// order and with repeats (those of level 0 and of stale levels stay
+    /// empty): ordering them is the reader's cost, paid only where one reads
+    /// ([`crate::ClusterCache::note_affected`]). The buffers are the
+    /// caller's, so the engine pools them. A replay that wrote no node
+    /// counts as a skip, any other as an update.
     ///
     /// One delta runs serially, in place on `weights`: forking the pool for
     /// it costs more than the repair, and a fork would refill an `O(m)`
@@ -332,8 +334,6 @@ impl Pyramids {
                     for &(e, old_w, _) in deltas {
                         replay(g, weights, e, old_w, p, trace, &mut stats);
                     }
-                    trace.sort_unstable();
-                    trace.dedup();
                 }
             }
             return stats;
@@ -526,7 +526,10 @@ fn replay(
 /// One task of a grouped repair: replays `deltas` in order on partition
 /// `p`, against the running thread's private weight array — filled with the
 /// final `weights` by the thread's first task of the batch, then rewound to
-/// the pre-batch state — and leaves the trace sorted and deduplicated.
+/// the pre-batch state — appending what it writes to `trace`. The appends
+/// and counts go through locals and land once at the end: the pooled trace
+/// headers and thread slots sit side by side, so writing through them per
+/// replay would bounce their cache lines between the threads.
 fn replay_rewound(
     g: &Graph,
     weights: &[f64],
@@ -543,12 +546,13 @@ fn replay_rewound(
     for &(e, old_w, _) in deltas.iter().rev() {
         w[e as usize] = old_w;
     }
+    let (mut local, mut counts) = (std::mem::take(trace), RepairStats::default());
     for &(e, old_w, new_w) in deltas {
         w[e as usize] = new_w;
-        replay(g, w, e, old_w, p, trace, stats);
+        replay(g, w, e, old_w, p, &mut local, &mut counts);
     }
-    trace.sort_unstable();
-    trace.dedup();
+    *trace = local;
+    *stats += counts;
     // Replayed forward, the private array is back at the final weights,
     // ready for the thread's next partition.
     debug_assert!(
@@ -725,21 +729,17 @@ mod tests {
             serial.rescale(0.5);
             batched.rescale(0.5);
             let mut deltas = Vec::new();
-            let mut union = vec![Vec::new(); parts];
+            let mut writes = vec![Vec::new(); parts];
             for (e, new_w) in batch {
                 let old = w[e as usize];
                 w[e as usize] = new_w;
                 serial.repair(g, &w, &[(e, old, new_w)], &mut one);
-                union.iter_mut().zip(&one).for_each(|(u, o)| u.extend_from_slice(o));
+                writes.iter_mut().zip(&one).for_each(|(u, o)| u.extend_from_slice(o));
                 deltas.push((e, old, new_w));
             }
-            union.iter_mut().for_each(|u| {
-                u.sort_unstable();
-                u.dedup();
-            });
             let stats = batched.repair(g, &w, &deltas, &mut traces);
             assert_eq!(stats.updates + stats.skips, 2 * 3 * (serial.num_levels() - 1));
-            assert_eq!(traces, union);
+            assert_eq!(traces, writes, "a grouped trace is the serial ones in order");
             for (a, b) in serial.partitions.iter().zip(&batched.partitions) {
                 let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
                     (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()

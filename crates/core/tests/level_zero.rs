@@ -150,5 +150,5 @@ fn level_zero_stays_untouched_at_n_20000() {
             *max = (*max).max(affected);
         }
     }
-    println!("max affected nodes per activation, by level: {max_affected:?}");
+    println!("max trace entries per activation (repeats counted), by level: {max_affected:?}");
 }
