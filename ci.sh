@@ -38,7 +38,10 @@
 #     a 400 000-activation dense stream
 #   - the determinism suite and prop_batch (a batch equals the serial loop in
 #     state and in summed repair counts) at 1 and 4 pool threads, with (in
-#     release) the S₀ equivalence proptest, the pinned snapshot and index
+#     release) repair_arms (the in-place and pool arms of the repair, each
+#     called directly, leave the same index, traces, counts and cache
+#     generation, across repeated edges and the range step), the S₀
+#     equivalence proptest, the pinned snapshot and index
 #     digests, and the live-levels suite (live_levels: a level synced after
 #     any stream equals reconstruct_index(), a stale level is never
 #     queried); serve_stress,
@@ -172,7 +175,8 @@ echo "==> steady-state allocation counts (release; 1, 2, 4 threads and unset)"
 # The counting-allocator suite ran in debug with the workspace tests; here it
 # runs optimised on the sequential path, on real 2- and 4-thread pools, and
 # with the variable unset (the host probe must be cached): a grouped flush
-# allocates at most once in every one of them.
+# allocates at most once in every one of them, and at one thread it repairs
+# in place, so a fresh engine's first grouped flush copies no weight array.
 for t in 1 2 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test alloc_steady_state -q
@@ -236,7 +240,10 @@ echo "==> determinism suite under fixed pool sizes (1 and 4 threads)"
 # harness (and every other parallel path it passes through) also runs under
 # whatever the variable says at process start. Two fixed-size passes pin
 # both extremes: the pure sequential path and a real 4-worker pool.
-# Beside them, in release: S₀ from one σ table equals the per-edge
+# Beside them, in release: the one-thread repair arm (in place on the
+# engine's weights) and the pool arm (private weight arrays) leave the same
+# index, traces, counts and cache generation, each called directly, so both
+# run at either pool size; S₀ from one σ table equals the per-edge
 # reinforcement loop bit for bit, and one n = 600 build matches its pinned
 # snapshot and index digests and has the unit-weight level 0
 # (`Pyramids::build` runs on the pool; the digests must not see it). And the
@@ -247,6 +254,7 @@ for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p rayon -q
     RAYON_NUM_THREADS=$t cargo test -p anc-core --test determinism --test prop_batch -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --lib repair_arms -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test live_levels -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
         row_table_sweep_equals_per_edge_reinforcement -q

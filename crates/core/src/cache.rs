@@ -1081,7 +1081,7 @@ mod tests {
         // Level 0 is weight-free and never repaired; every weighted
         // partition must skip the delta.
         let mut traces = vec![Vec::new(); pyr.k() * pyr.num_levels()];
-        let rs = pyr.repair(&g, &w, &[(e, old, new_w)], &mut traces);
+        let rs = pyr.repair(&g, &mut w, &[(e, old, new_w)], &mut traces);
         let skips = pyr.k() * (pyr.num_levels() - 1);
         assert_eq!(rs, RepairStats { updates: 0, skips }, "every partition must skip it");
         assert!(traces.iter().all(|t| t.is_empty()), "noop trace must be empty");
@@ -1111,7 +1111,7 @@ mod tests {
             w[e as usize] = new_w;
             deltas.push((e, old, new_w));
         }
-        let _ = pyr.repair(&g, &w, &deltas, &mut traces);
+        let _ = pyr.repair(&g, &mut w, &deltas, &mut traces);
         cache.note_affected(&g, &traces);
         for level in 0..pyr.num_levels() {
             for mode in [ClusterMode::Even, ClusterMode::Power] {

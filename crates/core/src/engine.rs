@@ -261,11 +261,12 @@ impl AncEngine {
     /// Activeness, σ and reinforcement evolve edge by edge in batch order,
     /// exactly as in a serial loop of [`Self::activate`] calls; only the
     /// index repairs are deferred and fed to [`Pyramids::repair`] at once —
-    /// one parallel pass over the partitions of the live levels `≥ 1` per
-    /// batch instead of one per activation (level 0 is weight-free and never
-    /// repaired). The repair replays every delta at its exact per-step
-    /// weights, so the result is **bit-identical** to the serial loop and
-    /// independent of the rayon thread count.
+    /// one flush over the partitions of the live levels `≥ 1` per batch
+    /// instead of one per activation, a parallel pass on two or more pool
+    /// threads (level 0 is weight-free and never repaired). The repair
+    /// replays every delta at its exact per-step weights, so the result is
+    /// **bit-identical** to the serial loop and independent of the rayon
+    /// thread count.
     ///
     /// Returns the repair work its flushes summed (DESIGN.md §7): per delta
     /// and repaired partition, an update when the replay wrote a node and a
@@ -364,7 +365,7 @@ impl AncEngine {
     /// cluster cache, clears the accumulator and returns the repair work.
     fn flush(&mut self) -> RepairStats {
         let (g, pyramids) = (&self.state.graph, &mut self.state.pyramids);
-        let stats = pyramids.repair(g, &self.recip, &self.deltas, &mut self.trace_bufs);
+        let stats = pyramids.repair(g, &mut self.recip, &self.deltas, &mut self.trace_bufs);
         self.cache.get_mut().note_affected(g, &self.trace_bufs);
         self.deltas.clear();
         stats

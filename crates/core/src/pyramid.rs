@@ -29,7 +29,7 @@
 //!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
-//! [`Pyramids::repair`] of two or more changes, [`Pyramids::rebuild`] and
+//! [`Pyramids::repair`] on two or more threads, [`Pyramids::rebuild`] and
 //! [`Pyramids::rescale`] run one pool task per partition.
 
 use anc_graph::{EdgeId, Graph, NodeId};
@@ -273,7 +273,8 @@ impl Pyramids {
     /// Repairs the index for one edge-weight change and returns, per
     /// partition (pyramid-major order, `p * levels + l`), the nodes whose
     /// seed, distance or parent it wrote, in write order with repeats:
-    /// [`Self::repair`] into fresh buffers.
+    /// [`Self::repair`] of one delta into fresh buffers, at `weights`, which
+    /// hold the change's new weight.
     pub fn on_weight_change(
         &mut self,
         g: &Graph,
@@ -282,7 +283,7 @@ impl Pyramids {
         old_w: f64,
     ) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.partitions.len()];
-        self.repair(g, weights, &[(e, old_w, weights[e as usize])], &mut out);
+        self.repair_unwritten(g, weights, &[(e, old_w, weights[e as usize])], &mut out);
         out
     }
 
@@ -304,13 +305,16 @@ impl Pyramids {
     /// caller's, so the engine pools them. A replay that wrote no node
     /// counts as a skip, any other as an update.
     ///
-    /// One delta runs serially, in place on `weights`: forking the pool for
-    /// it costs more than the repair, and a fork would refill an `O(m)`
-    /// weight array per thread (DESIGN.md §4). Two or more take one pool
-    /// task per partition (Lemma 13), each replaying against its thread's
-    /// private weight array rewound to the pre-batch state. Each task owns
-    /// its partition and counters sum per thread slot, so neither the state
-    /// nor the counts depend on the thread count.
+    /// The arm follows the participants (DESIGN.md §7). When one thread
+    /// runs the flush — one delta, or a pool of one thread — it replays
+    /// delta-major in place on `weights` (`repair_in_place`): the batch's
+    /// edges are rewound to their pre-batch weights, then each delta is
+    /// applied and replayed on every partition, leaving `weights` as it
+    /// came, bit for bit. Only two or more threads take the pool
+    /// (`repair_pooled`), where each fills a private `O(m)` weight array.
+    /// `RAYON_NUM_THREADS` is read once, and only for two or more deltas.
+    /// Either way each partition sees the same calls at the same weights,
+    /// so neither the state, the traces nor the counts depend on the arm.
     ///
     /// # Panics
     ///
@@ -318,43 +322,106 @@ impl Pyramids {
     pub fn repair(
         &mut self,
         g: &Graph,
-        weights: &[f64],
+        weights: &mut [f64],
+        deltas: &[(EdgeId, f64, f64)],
+        traces: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        let threads = if deltas.len() < 2 { 1 } else { rayon::current_num_threads() };
+        if threads < 2 {
+            self.repair_in_place(g, weights, deltas, traces)
+        } else {
+            self.repair_pooled(g, weights, deltas, traces, threads)
+        }
+    }
+
+    /// [`Self::repair`]'s one-thread arm: rewinds every delta's edge in
+    /// `weights` to its pre-batch weight, then per delta in order writes its
+    /// `new_w` and replays it on every partition of a live level `≥ 1`, so
+    /// `weights` ends back at the final values and no copy is made.
+    ///
+    /// # Panics
+    ///
+    /// If `traces` does not hold exactly one buffer per partition.
+    fn repair_in_place(
+        &mut self,
+        g: &Graph,
+        weights: &mut [f64],
         deltas: &[(EdgeId, f64, f64)],
         traces: &mut [Vec<NodeId>],
     ) -> RepairStats {
         assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
-        let (levels, live) = (self.levels, self.live);
-        let parts = &mut self.partitions[..];
-        let mut stats = RepairStats::default();
-        if deltas.len() < 2 {
-            // The final weights are a lone change's only step.
-            for (i, (p, trace)) in parts.iter_mut().zip(traces).enumerate() {
-                trace.clear();
-                if repaired(i, levels, live) {
-                    for &(e, old_w, _) in deltas {
-                        replay(g, weights, e, old_w, p, trace, &mut stats);
-                    }
-                }
-            }
-            return stats;
+        traces.iter_mut().for_each(Vec::clear);
+        for &(e, old_w, _) in deltas.iter().rev() {
+            weights[e as usize] = old_w;
         }
+        let mut stats = RepairStats::default();
+        for &(e, old_w, new_w) in deltas {
+            weights[e as usize] = new_w;
+            stats += self.replay_everywhere(g, weights, e, old_w, traces);
+        }
+        stats
+    }
+
+    /// [`Self::repair`]'s pool arm on `threads ≥ 2` threads: one task per
+    /// partition (Lemma 13), each replaying against its thread's private
+    /// weight array, filled with the final `weights` by the thread's first
+    /// task of the batch and rewound to the pre-batch state by every task.
+    /// Each task owns its partition and counters sum per thread slot, so
+    /// neither the state nor the counts depend on the thread count.
+    ///
+    /// # Panics
+    ///
+    /// If `traces` does not hold exactly one buffer per partition, or
+    /// `threads` is 0.
+    fn repair_pooled(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        traces: &mut [Vec<NodeId>],
+        threads: usize,
+    ) -> RepairStats {
+        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
+        let (levels, live) = (self.levels, self.live);
         for s in &mut self.repair_scratch {
             s.filled = false;
             s.stats = RepairStats::default();
         }
-        let scratch = &mut self.repair_scratch;
-        rayon::for_each_with((parts, traces), scratch, |i, (p, trace), s| {
+        let (parts, scratch) = (&mut self.partitions[..], &mut self.repair_scratch);
+        rayon::for_each_with((parts, traces), threads, scratch, |i, (p, trace), s| {
             trace.clear();
             if repaired(i, levels, live) {
                 replay_rewound(g, weights, deltas, p, trace, s);
             }
         });
+        let mut stats = RepairStats::default();
         self.repair_scratch.iter().for_each(|s| stats += s.stats);
         stats
     }
 
-    /// [`Self::repair`] of one change, under the name `bench/src/twin.rs`
-    /// (the benchmark's layer-by-layer twin of the engine) still calls.
+    /// Replays one change of `e` at `weights` on every partition of a live
+    /// level `≥ 1`, appending to each partition's trace.
+    fn replay_everywhere(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        e: EdgeId,
+        old_w: f64,
+        traces: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        let (levels, live) = (self.levels, self.live);
+        let mut stats = RepairStats::default();
+        for (i, (p, trace)) in self.partitions.iter_mut().zip(traces).enumerate() {
+            if repaired(i, levels, live) {
+                replay(g, weights, e, old_w, p, trace, &mut stats);
+            }
+        }
+        stats
+    }
+
+    /// One change at the final `weights`, under the name `bench/src/twin.rs`
+    /// (the benchmark's layer-by-layer twin of the engine) still calls
+    /// (`repair_unwritten`).
     #[doc(hidden)]
     pub fn on_weight_change_serial_into(
         &mut self,
@@ -364,11 +431,11 @@ impl Pyramids {
         old_w: f64,
         out: &mut [Vec<NodeId>],
     ) {
-        self.repair(g, weights, &[(e, old_w, weights[e as usize])], out);
+        self.repair_unwritten(g, weights, &[(e, old_w, weights[e as usize])], out);
     }
 
-    /// [`Self::repair`] into fresh buffers, under the name
-    /// `bench/src/twin.rs` still calls.
+    /// [`Self::repair`] into fresh buffers, at the final `weights`, under the
+    /// name `bench/src/twin.rs` still calls (`repair_unwritten`).
     #[doc(hidden)]
     pub fn on_weight_change_batch(
         &mut self,
@@ -376,10 +443,12 @@ impl Pyramids {
         weights: &[f64],
         deltas: &[(EdgeId, f64, f64)],
     ) -> RepairStats {
-        self.repair(g, weights, deltas, &mut vec![Vec::new(); self.partitions.len()])
+        let mut out = vec![Vec::new(); self.partitions.len()];
+        self.repair_unwritten(g, weights, deltas, &mut out)
     }
 
-    /// [`Self::repair`] under the name `bench/src/twin.rs` still calls.
+    /// [`Self::repair`] at the final `weights`, under the name
+    /// `bench/src/twin.rs` still calls (`repair_unwritten`).
     #[doc(hidden)]
     pub fn on_weight_change_batch_traced(
         &mut self,
@@ -388,7 +457,32 @@ impl Pyramids {
         deltas: &[(EdgeId, f64, f64)],
         out: &mut [Vec<NodeId>],
     ) -> RepairStats {
-        self.repair(g, weights, deltas, out)
+        self.repair_unwritten(g, weights, deltas, out)
+    }
+
+    /// [`Self::repair`] on weights the caller lends but does not let it
+    /// write (the one-change entry and the names `bench/src/twin.rs`
+    /// calls): zero or one delta replays at the final `weights`, as the
+    /// in-place arm would, and two or more take the pool arm at the current
+    /// thread count, with its private copy of the weights even at one
+    /// thread.
+    fn repair_unwritten(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        traces: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        if let [_, _, ..] = deltas {
+            return self.repair_pooled(g, weights, deltas, traces, rayon::current_num_threads());
+        }
+        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
+        traces.iter_mut().for_each(Vec::clear);
+        let mut stats = RepairStats::default();
+        for &(e, old_w, _) in deltas {
+            stats += self.replay_everywhere(g, weights, e, old_w, traces);
+        }
+        stats
     }
 
     /// Approximate distance query in the style of the underlying Das Sarma
@@ -680,10 +774,10 @@ mod tests {
         for &(e, new_w) in steps {
             let old = w[e as usize];
             w[e as usize] = new_w;
-            serial_stats += serial.repair(g, &w, &[(e, old, new_w)], &mut traces);
+            serial_stats += serial.repair(g, &mut w, &[(e, old, new_w)], &mut traces);
             deltas.push((e, old, new_w));
         }
-        let stats = batched.repair(g, &w, &deltas, &mut traces);
+        let stats = batched.repair(g, &mut w, &deltas, &mut traces);
         assert_eq!(stats, serial_stats, "one count per delta and partition, either way");
         assert_eq!(
             stats.updates + stats.skips,
@@ -709,42 +803,45 @@ mod tests {
         batched.check_invariants(g, &w).unwrap();
     }
 
-    /// Consecutive grouped repairs run through the same per-thread slots,
-    /// with an (exact, power-of-two) rescale between them moving every
-    /// weight the slots hold: each batch must refill its thread's weight
-    /// array, reset its counters and clear its traces, so the state stays
-    /// bit-identical to the serial replay, and the traces equal the union of
-    /// its, batch after batch.
+    /// Consecutive grouped repairs of the pool arm run through the same
+    /// per-thread slots, with an (exact, power-of-two) rescale between them
+    /// moving every weight the slots hold: each batch must refill its
+    /// thread's weight array, reset its counters and clear its traces, so
+    /// the state stays bit-identical to the serial replay, and the traces
+    /// equal the union of its, batch after batch — on one thread's slot and
+    /// on three.
     #[test]
     fn consecutive_batches_reuse_slots_without_leaking_state() {
         let lg = connected_caveman(4, 5);
         let g = &lg.graph;
-        let mut w = vec![1.0; g.m()];
-        let mut serial = Pyramids::build(g, &w, 3, 0.7, 9);
-        let mut batched = serial.clone();
-        let parts = 3 * serial.num_levels();
-        let (mut traces, mut one) = (vec![Vec::new(); parts], vec![Vec::new(); parts]);
-        for batch in [[(0, 0.3), (5, 4.0)], [(0, 2.0), (9, 0.1)], [(5, 0.2), (3, 7.0)]] {
-            w.iter_mut().for_each(|x| *x *= 0.5);
-            serial.rescale(0.5);
-            batched.rescale(0.5);
-            let mut deltas = Vec::new();
-            let mut writes = vec![Vec::new(); parts];
-            for (e, new_w) in batch {
-                let old = w[e as usize];
-                w[e as usize] = new_w;
-                serial.repair(g, &w, &[(e, old, new_w)], &mut one);
-                writes.iter_mut().zip(&one).for_each(|(u, o)| u.extend_from_slice(o));
-                deltas.push((e, old, new_w));
-            }
-            let stats = batched.repair(g, &w, &deltas, &mut traces);
-            assert_eq!(stats.updates + stats.skips, 2 * 3 * (serial.num_levels() - 1));
-            assert_eq!(traces, writes, "a grouped trace is the serial ones in order");
-            for (a, b) in serial.partitions.iter().zip(&batched.partitions) {
-                let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
-                    (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()
-                };
-                assert_eq!(bits(a), bits(b));
+        for threads in [1, 3] {
+            let mut w = vec![1.0; g.m()];
+            let mut serial = Pyramids::build(g, &w, 3, 0.7, 9);
+            let mut batched = serial.clone();
+            let parts = 3 * serial.num_levels();
+            let (mut traces, mut one) = (vec![Vec::new(); parts], vec![Vec::new(); parts]);
+            for batch in [[(0, 0.3), (5, 4.0)], [(0, 2.0), (9, 0.1)], [(5, 0.2), (3, 7.0)]] {
+                w.iter_mut().for_each(|x| *x *= 0.5);
+                serial.rescale(0.5);
+                batched.rescale(0.5);
+                let mut deltas = Vec::new();
+                let mut writes = vec![Vec::new(); parts];
+                for (e, new_w) in batch {
+                    let old = w[e as usize];
+                    w[e as usize] = new_w;
+                    serial.repair(g, &mut w, &[(e, old, new_w)], &mut one);
+                    writes.iter_mut().zip(&one).for_each(|(u, o)| u.extend_from_slice(o));
+                    deltas.push((e, old, new_w));
+                }
+                let stats = batched.repair_pooled(g, &w, &deltas, &mut traces, threads);
+                assert_eq!(stats.updates + stats.skips, 2 * 3 * (serial.num_levels() - 1));
+                assert_eq!(traces, writes, "a grouped trace is the serial ones in order");
+                for (a, b) in serial.partitions.iter().zip(&batched.partitions) {
+                    let bits = |p: &VoronoiPartition| -> Vec<(u64, NodeId)> {
+                        (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v))).collect()
+                    };
+                    assert_eq!(bits(a), bits(b), "{threads} threads");
+                }
             }
         }
     }
@@ -791,15 +888,16 @@ mod tests {
         let old = w[0];
         w[0] = 2.0 * old;
         let mut out = vec![Vec::new(); 2 * pyr.num_levels() - 1];
-        pyr.repair(&g, &w, &[(0, old, w[0])], &mut out);
+        let new_w = w[0];
+        pyr.repair(&g, &mut w, &[(0, old, new_w)], &mut out);
     }
 
     #[test]
     fn batch_repair_empty_is_noop() {
-        let (g, w) = paper_figure2();
+        let (g, mut w) = paper_figure2();
         let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
         let mut traces = vec![vec![0]; 2 * pyr.num_levels()];
-        let stats = pyr.repair(&g, &w, &[], &mut traces);
+        let stats = pyr.repair(&g, &mut w, &[], &mut traces);
         assert_eq!(stats, RepairStats::default());
         assert!(traces.iter().all(Vec::is_empty), "every trace is cleared");
         pyr.check_invariants(&g, &w).unwrap();
@@ -866,5 +964,100 @@ mod tests {
         let m4 = Pyramids::build(&lg.graph, &w, 4, 0.7, 1).memory_bytes();
         let ratio = m4 as f64 / m2 as f64;
         assert!((1.7..=2.3).contains(&ratio), "k scaling ratio {ratio}");
+    }
+
+    /// The two arms of [`Pyramids::repair`] are one repair: the in-place arm
+    /// a one-thread flush takes and the pool arm, called directly at 2 and 4
+    /// threads whatever `RAYON_NUM_THREADS` says, leave the same index bit
+    /// for bit, the same traces in write order, the same counts and the same
+    /// cache generation, and the in-place arm hands the weights back at
+    /// their final values. On the engine's own weights, with batches that
+    /// change edges several times and a range step (every weight and live
+    /// distance times `2^40`) before a batch of lifts.
+    #[test]
+    fn repair_arms_leave_the_same_index_traces_counts_and_generation() {
+        use crate::{AncConfig, AncEngine, ClusterCache, ClusterMode};
+        use anc_graph::gen::{planted_partition, PlantedConfig};
+        use rand::{Rng, SeedableRng};
+
+        struct Arm {
+            threads: usize,
+            pyr: Pyramids,
+            weights: Vec<f64>,
+            cache: ClusterCache,
+            traces: Vec<Vec<NodeId>>,
+        }
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let index_bits = |g: &Graph, pyr: &Pyramids| -> Vec<(u64, NodeId, NodeId)> {
+            let parts = pyr.partitions.iter();
+            parts
+                .flat_map(|p| {
+                    (0..g.n() as NodeId).map(|v| (p.dist(v).to_bits(), p.seed_of(v), p.parent(v)))
+                })
+                .collect()
+        };
+
+        let lg = planted_partition(&PlantedConfig::default_for(600), 3);
+        let engine = AncEngine::new(lg.graph, AncConfig::default(), 3);
+        let g = engine.graph();
+        let m = g.m() as EdgeId;
+        let mut weights: Vec<f64> = engine.sim_anchored().iter().map(|s| 1.0 / s).collect();
+        let mut arms = [1, 2, 4].map(|threads| {
+            let pyr = engine.pyramids().clone();
+            let mut cache = ClusterCache::new(pyr.num_levels());
+            let _ = cache.query(g, &pyr, pyr.default_level(), ClusterMode::Even);
+            let traces = vec![Vec::new(); pyr.partitions.len()];
+            Arm { threads, pyr, weights: weights.clone(), cache, traces }
+        });
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        for i in 0..25 {
+            let steps: Vec<(EdgeId, f64)> = if i == 13 {
+                // The range step, then lifts of edges below the floor.
+                let up = 2f64.powi(40);
+                weights.iter_mut().for_each(|w| *w *= up);
+                for arm in &mut arms {
+                    arm.weights.iter_mut().for_each(|w| *w *= up);
+                    arm.pyr.rescale(up);
+                }
+                (0..32).map(|_| (rng.gen_range(0..m), 0.125)).collect()
+            } else {
+                let len = [2, 8, 16, 64][i % 4];
+                let mut steps: Vec<_> =
+                    (0..len).map(|_| (rng.gen_range(0..m), rng.gen_range(0.25..4.0))).collect();
+                // One edge changes three times, another twice.
+                let (a, b) = (steps[0].0, steps[len / 2].0);
+                steps.extend([(a, 0.5), (b, 3.0), (a, 1.5)]);
+                steps
+            };
+            let mut deltas = Vec::new();
+            for (e, factor) in steps {
+                let old = weights[e as usize];
+                weights[e as usize] = old * factor;
+                deltas.push((e, old, old * factor));
+            }
+            let mut first = None;
+            for arm in &mut arms {
+                arm.weights.copy_from_slice(&weights);
+                let stats = if arm.threads == 1 {
+                    arm.pyr.repair_in_place(g, &mut arm.weights, &deltas, &mut arm.traces)
+                } else {
+                    arm.pyr.repair_pooled(g, &arm.weights, &deltas, &mut arm.traces, arm.threads)
+                };
+                assert!(bits(&arm.weights) == bits(&weights), "batch {i}: weights moved");
+                arm.cache.note_affected(g, &arm.traces);
+                let got =
+                    (stats, arm.cache.generation(), arm.traces.clone(), index_bits(g, &arm.pyr));
+                let want = first.get_or_insert_with(|| got.clone());
+                assert!(got == *want, "batch {i}: the arm at {} threads differs", arm.threads);
+            }
+            let (stats, ..) = first.expect("three arms");
+            assert!(stats.updates > 0 && stats.skips > 0, "batch {i} moves some partitions");
+        }
+        for arm in &mut arms {
+            arm.pyr.check_invariants(g, &weights).unwrap();
+            let level = arm.pyr.default_level();
+            let (cached, _) = arm.cache.query(g, &arm.pyr, level, ClusterMode::Even);
+            assert_eq!(*cached, crate::cluster::cluster_all(g, &arm.pyr, level, ClusterMode::Even));
+        }
     }
 }

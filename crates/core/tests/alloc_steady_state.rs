@@ -29,35 +29,38 @@ thread_local! {
     // the allocator neither allocates nor runs after thread teardown.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-/// `System`, counting the armed thread's allocation calls.
+/// `System`, counting the armed thread's allocation calls and keeping the
+/// largest size one asked for.
 struct Counting;
 
-fn note() {
+fn note(size: usize) {
     if ARMED.get() {
         ALLOCS.set(ALLOCS.get() + 1);
+        LARGEST.set(LARGEST.get().max(size));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; `note` touches two plain thread-local
+// upholds the `GlobalAlloc` contract; `note` touches three plain thread-local
 // cells and never allocates, unwinds or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `alloc` contract, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `alloc_zeroed` contract, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller's `realloc` contract is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -80,6 +83,16 @@ fn allocations(f: impl FnOnce()) -> u64 {
     f();
     ARMED.set(false);
     ALLOCS.get() - before
+}
+
+/// The largest allocation, in bytes, this thread makes while running `f`
+/// (0 when it makes none).
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    LARGEST.set(0);
+    ARMED.set(true);
+    f();
+    ARMED.set(false);
+    LARGEST.get()
 }
 
 /// `anc-perf`'s fixture shape: n = 2 000 planted partition, default config.
@@ -299,4 +312,33 @@ fn batch_allocations_do_not_grow_with_batch_length() {
             );
         }
     }
+}
+
+/// A one-thread flush repairs in place on the engine's own weights: the
+/// first grouped batch of a fresh engine allocates nothing the size of a
+/// weight array (`8·m` bytes), where the pool arm's private copy would. At
+/// two or more threads the pool arm's copy is expected, so only a run at
+/// one thread checks it (`ci.sh` runs this suite at 1, 2 and 4 and unset).
+#[test]
+#[cfg_attr(
+    feature = "debug-invariants",
+    ignore = "the invariant checker allocates at every batch boundary"
+)]
+fn a_one_thread_grouped_flush_copies_no_weight_array() {
+    if rayon::current_num_threads() != 1 {
+        return;
+    }
+    let mut engine = fixture();
+    let mut stream = activations(engine.graph().m());
+    let (edges, t) = batch(&mut stream, 64);
+    let weight_array = 8 * engine.graph().m();
+    let mut stats = None;
+    let largest = largest_allocation(|| stats = Some(engine.activate_batch(&edges, t)));
+    let stats = stats.expect("the batch ran");
+    let partitions = engine.pyramids().k() * (engine.num_levels() - 1);
+    assert!(stats.updates + stats.skips > partitions, "a grouped flush needs two moved edges");
+    assert!(
+        largest < weight_array,
+        "the first grouped flush allocated {largest} bytes, a weight array is {weight_array}"
+    );
 }

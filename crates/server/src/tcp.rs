@@ -10,8 +10,9 @@
 //! never panics (the crate denies `clippy::{unwrap_used, expect_used, panic}`
 //! and friends outside tests). Both ends move bytes in bursts: a connection
 //! thread answers every frame one `read` brought in and sends the replies
-//! with one `write` (`serve_conn`), and [`WireClient`] reads through the same
-//! buffered parser.
+//! with one `write` (`serve_conn`) — an `Ingest` + `Flush` too, whose acks
+//! wait in the out buffer for the `Flushed` — and [`WireClient`] reads
+//! through the same buffered parser.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -201,12 +202,19 @@ fn push_error(out: &mut Vec<u8>, msg: String) {
 /// The connection loop. Each pass answers every complete frame the read
 /// buffer holds, framing the replies into one out buffer, and writes that
 /// buffer once whenever the thread is about to block: before the `read` for
-/// more requests, before a `Flush` waits on the writer, and when the unsent
-/// replies pass [`IO_BUF`]. A pipelined burst that fits the buffers therefore
-/// costs one `read` and one `write`, however many frames it holds.
+/// more requests, when the unsent replies pass [`IO_BUF`], and before a
+/// `Flush` waits on the writer if the buffer holds a reply to a request
+/// other than `Ingest` (a query, `Ping`, `Stats`, an earlier `Flushed`, an
+/// error for a frame that did not decode). Replies to `Ingest` — the acks,
+/// or the errors refusing one — wait for the `Flushed` and go out with it:
+/// the client reads them only after the barrier anyway. A pipelined burst
+/// that fits the buffers therefore costs one `read` and one `write`,
+/// however many frames it holds, and so does `Ingest` + `Flush`.
 fn serve_conn<S: Read + Write>(state: &mut ConnState, stream: &mut S) {
     let mut frames = FrameReader::new();
     let mut out = Vec::with_capacity(IO_BUF);
+    // Whether `out` holds a reply to anything but an `Ingest`.
+    let mut owed = false;
     loop {
         let closing = loop {
             let request = match frames.next_frame() {
@@ -222,16 +230,21 @@ fn serve_conn<S: Read + Write>(state: &mut ConnState, stream: &mut S) {
             };
             match request {
                 Ok(request) => {
-                    if matches!(request, Request::Flush) && !send(stream, &mut out) {
+                    if matches!(request, Request::Flush) && owed && !send(stream, &mut out) {
                         return;
                     }
+                    // A buffer `send` emptied owes nothing any more.
+                    owed = (owed && !out.is_empty()) || !matches!(request, Request::Ingest { .. });
                     let last = matches!(request, Request::Shutdown);
                     push_frame(&mut out, |out| state.respond(request, out));
                     if last {
                         break true;
                     }
                 }
-                Err(e) => push_error(&mut out, e.to_string()),
+                Err(e) => {
+                    owed = true;
+                    push_error(&mut out, e.to_string());
+                }
             }
             if out.len() >= IO_BUF && !send(stream, &mut out) {
                 return;
@@ -827,6 +840,77 @@ mod tests {
         // Nothing else was queued, so the barrier itself published epoch 1:
         // the first write went out before it, the second after.
         assert_eq!(stream.epochs, [0, 1]);
+        core.shutdown();
+    }
+
+    /// The replies to `Ingest` — acks, or the errors refusing one — wait for
+    /// the `Flushed` and share its one write: the round trip costs one
+    /// `read` and one `write`. (The writer may apply a queued job before the
+    /// barrier reaches it, so the epoch of an accepted ingest's `Flushed` is
+    /// not fixed; a refused one queues nothing.)
+    #[test]
+    fn ingest_replies_go_out_with_the_flushed_in_one_write() {
+        let (core, mut state, _) = conn();
+        let ingest = |t: f64| Request::Ingest { t, edges: vec![0, 1, 2] };
+        let burst = pipeline(&[ingest(1.0), ingest(2.0), Request::Flush]);
+        let mut stream = Scripted::reading([Step::Data(burst)]);
+        stream.probe = Some(core.reader());
+        serve_conn(&mut state, &mut stream);
+        assert_eq!(stream.reads, 2, "the burst, then the close");
+        assert_eq!(stream.writes.len(), 1, "one write for the acks and the Flushed");
+        let got = replies(&stream.writes[0]);
+        assert_eq!(got[..2], [Response::Ingested { seq: 1 }, Response::Ingested { seq: 2 }]);
+        let [.., Response::Flushed { epoch }] = got[..] else { panic!("{got:?}") };
+        assert_eq!(stream.epochs, [epoch], "written after the barrier published");
+        core.shutdown();
+
+        let refused = serve([Step::Data(pipeline(&[ingest(f64::NAN), Request::Flush]))]);
+        assert_eq!(refused.writes.len(), 1, "one write for the refusal and the Flushed");
+        let got = replies(&refused.writes[0]);
+        assert!(got.len() == 2 && matches!(got[0], Response::Error { .. }), "{got:?}");
+        assert_eq!(got[1], Response::Flushed { epoch: 1 });
+    }
+
+    /// A query reply between an `Ingest` and a `Flush` is owed now, so it
+    /// goes out before the `Flush` waits, with the ack before it: the first
+    /// write sees an epoch before the one the barrier published.
+    #[test]
+    fn a_query_after_an_ingest_is_written_before_the_flush_waits() {
+        let (core, mut state, level) = conn();
+        let burst = pipeline(&[
+            Request::Ingest { t: 1.0, edges: vec![0, 1, 2] },
+            Request::SameCluster { u: 0, v: 1, level, mode: EVEN },
+            Request::Flush,
+        ]);
+        let mut stream = Scripted::reading([Step::Data(burst)]);
+        stream.probe = Some(core.reader());
+        serve_conn(&mut state, &mut stream);
+        assert_eq!(stream.writes.len(), 2);
+        assert!(matches!(
+            replies(&stream.writes[0])[..],
+            [Response::Ingested { seq: 1 }, Response::SameCluster { .. }]
+        ));
+        let [Response::Flushed { epoch }] = replies(&stream.writes[1])[..] else {
+            panic!("the second write holds the Flushed alone")
+        };
+        assert!(stream.epochs.len() == 2 && stream.epochs[0] < epoch, "{:?}", stream.epochs);
+        assert_eq!(stream.epochs[1], epoch);
+        core.shutdown();
+    }
+
+    /// A `Flushed` is owed like any reply that is not an ack: the second
+    /// `Flush` does not hold back the first one's reply while it waits.
+    #[test]
+    fn a_flushed_is_written_before_the_next_flush_waits() {
+        let (core, mut state, _) = conn();
+        let mut stream =
+            Scripted::reading([Step::Data(pipeline(&[Request::Flush, Request::Flush]))]);
+        stream.probe = Some(core.reader());
+        serve_conn(&mut state, &mut stream);
+        assert_eq!(stream.writes.len(), 2);
+        assert_eq!(replies(&stream.writes[0]), [Response::Flushed { epoch: 1 }]);
+        assert_eq!(replies(&stream.writes[1]), [Response::Flushed { epoch: 2 }]);
+        assert_eq!(stream.epochs, [1, 2]);
         core.shutdown();
     }
 
