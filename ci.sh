@@ -175,8 +175,9 @@ echo "==> steady-state allocation counts (release; 1, 2, 4 threads and unset)"
 # The counting-allocator suite ran in debug with the workspace tests; here it
 # runs optimised on the sequential path, on real 2- and 4-thread pools, and
 # with the variable unset (the host probe must be cached): a grouped flush
-# allocates at most once in every one of them, and at one thread it repairs
-# in place, so a fresh engine's first grouped flush copies no weight array.
+# allocates at most once in every one of them, and a flush one thread runs
+# (any batch at one thread, a small one at any count) repairs in place, so a
+# fresh engine's first grouped flush copies no weight array.
 for t in 1 2 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test alloc_steady_state -q

@@ -263,7 +263,8 @@ impl AncEngine {
     /// index repairs are deferred and fed to [`Pyramids::repair`] at once —
     /// one flush over the partitions of the live levels `≥ 1` per batch
     /// instead of one per activation, a parallel pass on two or more pool
-    /// threads (level 0 is weight-free and never repaired). The repair
+    /// threads when the batch is large enough to pay for it (level 0 is
+    /// weight-free and never repaired). The repair
     /// replays every delta at its exact per-step weights, so the result is
     /// **bit-identical** to the serial loop and independent of the rayon
     /// thread count.

@@ -29,8 +29,9 @@
 //!
 //! The `log₂(n) × k` partitions are mutually independent in storage, update
 //! and query processing, so updates parallelize embarrassingly (Lemma 13) —
-//! [`Pyramids::repair`] on two or more threads, [`Pyramids::rebuild`] and
-//! [`Pyramids::rescale`] run one pool task per partition.
+//! [`Pyramids::repair`] of 12 deltas or more on two or more threads,
+//! [`Pyramids::rebuild`] and [`Pyramids::rescale`] run one pool task per
+//! partition.
 
 use anc_graph::{EdgeId, Graph, NodeId};
 use rand::seq::index::sample;
@@ -60,6 +61,12 @@ impl std::ops::AddAssign for RepairStats {
         self.skips += rhs.skips;
     }
 }
+
+/// The fewest deltas a flush hands the pool, at two or more threads: below
+/// it, waking the pool and filling a private `O(m)` weight array per thread
+/// cost about what splitting the replays saves, so the flush repairs in
+/// place (DESIGN.md §7 has the measurements).
+const POOL_MIN_DELTAS: usize = 12;
 
 /// One thread's slot of a grouped repair: a private weight array for the
 /// rewound replay and the thread's counters. Pooled on [`Pyramids`], one
@@ -305,16 +312,17 @@ impl Pyramids {
     /// caller's, so the engine pools them. A replay that wrote no node
     /// counts as a skip, any other as an update.
     ///
-    /// The arm follows the participants (DESIGN.md §7). When one thread
-    /// runs the flush — one delta, or a pool of one thread — it replays
-    /// delta-major in place on `weights` (`repair_in_place`): the batch's
-    /// edges are rewound to their pre-batch weights, then each delta is
-    /// applied and replayed on every partition, leaving `weights` as it
-    /// came, bit for bit. Only two or more threads take the pool
-    /// (`repair_pooled`), where each fills a private `O(m)` weight array.
-    /// `RAYON_NUM_THREADS` is read once, and only for two or more deltas.
-    /// Either way each partition sees the same calls at the same weights,
-    /// so neither the state, the traces nor the counts depend on the arm.
+    /// The arm follows the participants (DESIGN.md §7). A lone delta
+    /// replays at `weights`, its only step (`repair_lone`). When one thread
+    /// runs a grouped flush — fewer than [`POOL_MIN_DELTAS`] deltas, or a
+    /// pool of one thread — each partition rewinds and replays on `weights`
+    /// itself (`repair_in_place`), which the last partition leaves back at
+    /// the final values, bit for bit. Only two or more threads take the pool
+    /// (`repair_pooled`), where each fills a private `O(m)` weight array and
+    /// replays on it. `RAYON_NUM_THREADS` is read once, and only for
+    /// [`POOL_MIN_DELTAS`] deltas or more. Either arm runs the same
+    /// per-partition loop ([`rewind_replay`]), so neither the state, the
+    /// traces nor the counts depend on the arm.
     ///
     /// # Panics
     ///
@@ -326,7 +334,10 @@ impl Pyramids {
         deltas: &[(EdgeId, f64, f64)],
         traces: &mut [Vec<NodeId>],
     ) -> RepairStats {
-        let threads = if deltas.len() < 2 { 1 } else { rayon::current_num_threads() };
+        if deltas.len() < 2 {
+            return self.repair_lone(g, weights, deltas, traces);
+        }
+        let threads = if deltas.len() < POOL_MIN_DELTAS { 1 } else { rayon::current_num_threads() };
         if threads < 2 {
             self.repair_in_place(g, weights, deltas, traces)
         } else {
@@ -334,10 +345,8 @@ impl Pyramids {
         }
     }
 
-    /// [`Self::repair`]'s one-thread arm: rewinds every delta's edge in
-    /// `weights` to its pre-batch weight, then per delta in order writes its
-    /// `new_w` and replays it on every partition of a live level `≥ 1`, so
-    /// `weights` ends back at the final values and no copy is made.
+    /// [`Self::repair`]'s one-thread arm: partition by partition,
+    /// [`rewind_replay`] on `weights` itself, so no copy is made.
     ///
     /// # Panics
     ///
@@ -349,25 +358,40 @@ impl Pyramids {
         deltas: &[(EdgeId, f64, f64)],
         traces: &mut [Vec<NodeId>],
     ) -> RepairStats {
-        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
-        traces.iter_mut().for_each(Vec::clear);
-        for &(e, old_w, _) in deltas.iter().rev() {
-            weights[e as usize] = old_w;
-        }
         let mut stats = RepairStats::default();
-        for &(e, old_w, new_w) in deltas {
-            weights[e as usize] = new_w;
-            stats += self.replay_everywhere(g, weights, e, old_w, traces);
-        }
+        self.each_repaired(traces, |p, trace| {
+            rewind_replay(g, weights, deltas, p, trace, &mut stats);
+        });
         stats
     }
 
+    /// Clears every trace, then runs `f` on each partition of a live level
+    /// `≥ 1` with its trace, one after another.
+    ///
+    /// # Panics
+    ///
+    /// If `traces` does not hold exactly one buffer per partition.
+    fn each_repaired(
+        &mut self,
+        traces: &mut [Vec<NodeId>],
+        mut f: impl FnMut(&mut VoronoiPartition, &mut Vec<NodeId>),
+    ) {
+        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
+        let (levels, live) = (self.levels, self.live);
+        for (i, (p, trace)) in self.partitions.iter_mut().zip(traces).enumerate() {
+            trace.clear();
+            if repaired(i, levels, live) {
+                f(p, trace);
+            }
+        }
+    }
+
     /// [`Self::repair`]'s pool arm on `threads ≥ 2` threads: one task per
-    /// partition (Lemma 13), each replaying against its thread's private
-    /// weight array, filled with the final `weights` by the thread's first
-    /// task of the batch and rewound to the pre-batch state by every task.
-    /// Each task owns its partition and counters sum per thread slot, so
-    /// neither the state nor the counts depend on the thread count.
+    /// partition (Lemma 13), each running [`rewind_replay`] on its thread's
+    /// private weight array, filled with the final `weights` by the thread's
+    /// first task of the batch. Each task owns its partition and counters
+    /// sum per thread slot, so neither the state nor the counts depend on
+    /// the thread count.
     ///
     /// # Panics
     ///
@@ -391,31 +415,16 @@ impl Pyramids {
         rayon::for_each_with((parts, traces), threads, scratch, |i, (p, trace), s| {
             trace.clear();
             if repaired(i, levels, live) {
-                replay_rewound(g, weights, deltas, p, trace, s);
+                let RepairScratch { weights: w, filled, stats } = s;
+                if !std::mem::replace(filled, true) {
+                    w.clear();
+                    w.extend_from_slice(weights);
+                }
+                rewind_replay(g, w, deltas, p, trace, stats);
             }
         });
         let mut stats = RepairStats::default();
         self.repair_scratch.iter().for_each(|s| stats += s.stats);
-        stats
-    }
-
-    /// Replays one change of `e` at `weights` on every partition of a live
-    /// level `≥ 1`, appending to each partition's trace.
-    fn replay_everywhere(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        e: EdgeId,
-        old_w: f64,
-        traces: &mut [Vec<NodeId>],
-    ) -> RepairStats {
-        let (levels, live) = (self.levels, self.live);
-        let mut stats = RepairStats::default();
-        for (i, (p, trace)) in self.partitions.iter_mut().zip(traces).enumerate() {
-            if repaired(i, levels, live) {
-                replay(g, weights, e, old_w, p, trace, &mut stats);
-            }
-        }
         stats
     }
 
@@ -462,10 +471,9 @@ impl Pyramids {
 
     /// [`Self::repair`] on weights the caller lends but does not let it
     /// write (the one-change entry and the names `bench/src/twin.rs`
-    /// calls): zero or one delta replays at the final `weights`, as the
-    /// in-place arm would, and two or more take the pool arm at the current
-    /// thread count, with its private copy of the weights even at one
-    /// thread.
+    /// calls): a lone delta as in [`Self::repair`], two or more on the pool
+    /// arm at the current thread count, with its private copy of the
+    /// weights even at one thread.
     fn repair_unwritten(
         &mut self,
         g: &Graph,
@@ -473,15 +481,35 @@ impl Pyramids {
         deltas: &[(EdgeId, f64, f64)],
         traces: &mut [Vec<NodeId>],
     ) -> RepairStats {
-        if let [_, _, ..] = deltas {
-            return self.repair_pooled(g, weights, deltas, traces, rayon::current_num_threads());
+        if deltas.len() < 2 {
+            return self.repair_lone(g, weights, deltas, traces);
         }
-        assert_eq!(traces.len(), self.partitions.len(), "one buffer per partition");
-        traces.iter_mut().for_each(Vec::clear);
+        self.repair_pooled(g, weights, deltas, traces, rayon::current_num_threads())
+    }
+
+    /// [`Self::repair`] of zero or one delta: a lone change's only step is
+    /// the final `weights`, so it replays there with nothing to rewind.
+    ///
+    /// # Panics
+    ///
+    /// If `traces` does not hold exactly one buffer per partition.
+    fn repair_lone(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        deltas: &[(EdgeId, f64, f64)],
+        traces: &mut [Vec<NodeId>],
+    ) -> RepairStats {
+        debug_assert!(
+            deltas.iter().all(|&(e, _, new_w)| weights[e as usize] == new_w),
+            "a lone delta's new_w must be the final weight"
+        );
         let mut stats = RepairStats::default();
-        for &(e, old_w, _) in deltas {
-            stats += self.replay_everywhere(g, weights, e, old_w, traces);
-        }
+        self.each_repaired(traces, |p, trace| {
+            for &(e, old_w, _) in deltas {
+                replay(g, weights, e, old_w, p, trace, &mut stats);
+            }
+        });
         stats
     }
 
@@ -617,27 +645,27 @@ fn replay(
     }
 }
 
-/// One task of a grouped repair: replays `deltas` in order on partition
-/// `p`, against the running thread's private weight array — filled with the
-/// final `weights` by the thread's first task of the batch, then rewound to
-/// the pre-batch state — appending what it writes to `trace`. The appends
-/// and counts go through locals and land once at the end: the pooled trace
-/// headers and thread slots sit side by side, so writing through them per
-/// replay would bounce their cache lines between the threads.
-fn replay_rewound(
+/// One partition's share of a repair: rewinds every delta's edge in `w`,
+/// which holds the final weights, to its pre-batch weight, then per delta
+/// in order writes its `new_w` and replays it on partition `p`, appending
+/// what it writes to `trace`, so `w` ends back at the final weights. The
+/// appends and counts go through locals and land once at the end: the
+/// pool's trace headers and thread slots sit side by side, so writing
+/// through them per replay would bounce their cache lines between the
+/// threads.
+fn rewind_replay(
     g: &Graph,
-    weights: &[f64],
+    w: &mut [f64],
     deltas: &[(EdgeId, f64, f64)],
     p: &mut VoronoiPartition,
     trace: &mut Vec<NodeId>,
-    scratch: &mut RepairScratch,
+    stats: &mut RepairStats,
 ) {
-    let RepairScratch { weights: w, filled, stats } = scratch;
-    if !std::mem::replace(filled, true) {
-        w.clear();
-        w.extend_from_slice(weights);
-    }
-    for &(e, old_w, _) in deltas.iter().rev() {
+    for &(e, old_w, new_w) in deltas.iter().rev() {
+        // Walked backwards, each delta's `new_w` is its edge's weight after
+        // it: the final weight for the edge's last delta, the next delta's
+        // `old_w` for the others.
+        debug_assert!(w[e as usize] == new_w, "deltas must chain to the final weights");
         w[e as usize] = old_w;
     }
     let (mut local, mut counts) = (std::mem::take(trace), RepairStats::default());
@@ -647,12 +675,6 @@ fn replay_rewound(
     }
     *trace = local;
     *stats += counts;
-    // Replayed forward, the private array is back at the final weights,
-    // ready for the thread's next partition.
-    debug_assert!(
-        deltas.iter().all(|&(e, _, _)| w[e as usize] == weights[e as usize]),
-        "last delta per edge must match the final weights"
-    );
 }
 
 #[cfg(test)]
@@ -892,6 +914,21 @@ mod tests {
         pyr.repair(&g, &mut w, &[(0, old, new_w)], &mut out);
     }
 
+    /// The in-place arm writes the weights it is lent: weights the deltas
+    /// do not chain to must fail loudly in a debug build, not be silently
+    /// overwritten with the deltas' own.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "deltas must chain to the final weights")]
+    fn in_place_repair_rejects_weights_the_deltas_do_not_end_at() {
+        let (g, mut w) = paper_figure2();
+        let mut pyr = Pyramids::build(&g, &w, 2, 0.7, 42);
+        let mut traces = vec![Vec::new(); 2 * pyr.num_levels()];
+        // Two changes whose new weights never reached `w`.
+        let deltas = [(0, w[0], 2.0 * w[0]), (1, w[1], 2.0 * w[1])];
+        pyr.repair(&g, &mut w, &deltas, &mut traces);
+    }
+
     #[test]
     fn batch_repair_empty_is_noop() {
         let (g, mut w) = paper_figure2();
@@ -967,11 +1004,11 @@ mod tests {
     }
 
     /// The two arms of [`Pyramids::repair`] are one repair: the in-place arm
-    /// a one-thread flush takes and the pool arm, called directly at 2 and 4
-    /// threads whatever `RAYON_NUM_THREADS` says, leave the same index bit
-    /// for bit, the same traces in write order, the same counts and the same
-    /// cache generation, and the in-place arm hands the weights back at
-    /// their final values. On the engine's own weights, with batches that
+    /// and the pool arm, each called directly (the pool at 2 and 4 threads)
+    /// whatever `RAYON_NUM_THREADS` says, leave the same index bit for bit,
+    /// the same traces in write order, the same counts and the same cache
+    /// generation, and the in-place arm hands the weights back at their
+    /// final values. On the engine's own weights, with batches that
     /// change edges several times and a range step (every weight and live
     /// distance times `2^40`) before a batch of lifts.
     #[test]

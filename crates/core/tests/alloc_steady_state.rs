@@ -254,8 +254,8 @@ fn per_batch(
     const CALLS: usize = 64;
     let batches: Vec<_> = (0..CALLS).map(|_| batch(stream, len)).collect();
     // One delta replays once on every partition of a level ≥ 1 (k·(L−1)
-    // updates and skips together; level 0 is never repaired); d ≥ 2 deltas
-    // take the pool fan-out, which counts d·k·(L−1).
+    // updates and skips together; level 0 is never repaired); d deltas
+    // count d·k·(L−1), in place or on the pool.
     let partitions = engine.pyramids().k() * (engine.num_levels() - 1);
     let mut counts: Vec<u64> = batches
         .iter()
@@ -274,12 +274,13 @@ fn per_batch(
     (counts[CALLS / 2], mean)
 }
 
-/// A grouped flush is one pool call, which allocates only the `String` of
+/// A pooled flush is one pool call, which allocates only the `String` of
 /// its `RAYON_NUM_THREADS` read, and nothing when the variable is unset
-/// (the host probe is cached): so a flush allocates at most once, for
-/// batches of 8 and of 64, at any thread count, whether or not the cluster
-/// cache has a materialized level to hand the traces to. The mean allows
-/// for what the median skips: the trace buffers doubling now and then.
+/// (the host probe is cached); a flush below the pool's minimum reads
+/// nothing. So a flush allocates at most once, for batches of 8 and of 64,
+/// at any thread count, whether or not the cluster cache has a
+/// materialized level to hand the traces to. The mean allows for what the
+/// median skips: the trace buffers doubling now and then.
 #[test]
 #[cfg_attr(
     feature = "debug-invariants",
@@ -314,31 +315,34 @@ fn batch_allocations_do_not_grow_with_batch_length() {
     }
 }
 
-/// A one-thread flush repairs in place on the engine's own weights: the
-/// first grouped batch of a fresh engine allocates nothing the size of a
-/// weight array (`8·m` bytes), where the pool arm's private copy would. At
-/// two or more threads the pool arm's copy is expected, so only a run at
-/// one thread checks it (`ci.sh` runs this suite at 1, 2 and 4 and unset).
+/// A flush one thread runs repairs in place on the engine's own weights:
+/// the first grouped batch of a fresh engine allocates nothing the size of
+/// a weight array (`8·m` bytes), where the pool arm's private copy would.
+/// A batch of 8 edges is below the pool's minimum at any thread count; one
+/// of 64 is pooled at two or more threads, where the copy is expected, so
+/// only a run at one thread checks it (`ci.sh` runs this suite at 1, 2 and
+/// 4 and unset).
 #[test]
 #[cfg_attr(
     feature = "debug-invariants",
     ignore = "the invariant checker allocates at every batch boundary"
 )]
 fn a_one_thread_grouped_flush_copies_no_weight_array() {
-    if rayon::current_num_threads() != 1 {
-        return;
+    let lens: &[usize] = if rayon::current_num_threads() == 1 { &[8, 64] } else { &[8] };
+    for &len in lens {
+        let mut engine = fixture();
+        let mut stream = activations(engine.graph().m());
+        let (edges, t) = batch(&mut stream, len);
+        let weight_array = 8 * engine.graph().m();
+        let mut stats = None;
+        let largest = largest_allocation(|| stats = Some(engine.activate_batch(&edges, t)));
+        let stats = stats.expect("the batch ran");
+        let partitions = engine.pyramids().k() * (engine.num_levels() - 1);
+        assert!(stats.updates + stats.skips > partitions, "a grouped flush needs two moved edges");
+        assert!(
+            largest < weight_array,
+            "the first flush of {len} edges allocated {largest} bytes, \
+             a weight array is {weight_array}"
+        );
     }
-    let mut engine = fixture();
-    let mut stream = activations(engine.graph().m());
-    let (edges, t) = batch(&mut stream, 64);
-    let weight_array = 8 * engine.graph().m();
-    let mut stats = None;
-    let largest = largest_allocation(|| stats = Some(engine.activate_batch(&edges, t)));
-    let stats = stats.expect("the batch ran");
-    let partitions = engine.pyramids().k() * (engine.num_levels() - 1);
-    assert!(stats.updates + stats.skips > partitions, "a grouped flush needs two moved edges");
-    assert!(
-        largest < weight_array,
-        "the first grouped flush allocated {largest} bytes, a weight array is {weight_array}"
-    );
 }
