@@ -45,7 +45,11 @@
 #     digests, and the live-levels suite (live_levels: a level synced after
 #     any stream equals reconstruct_index(), a stale level is never
 #     queried); serve_stress,
-#     member_index and retention under debug-invariants at 1 and 4 pool threads
+#     member_index, retention and the server's lib tests under
+#     debug-invariants at 1 and 4 pool threads; among the lib tests, the
+#     writer cycle driven by hand with no thread:
+#     one_cycle_applies_coalesces_publishes_and_answers and
+#     a_failed_log_write_publishes_nothing_and_answers_no_flush
 #   - seeded violations: each lint and grep gate must fail on a probe
 #   - stress-schedules: the determinism suite under perturbed schedules, pool
 #     lock ranks
@@ -268,13 +272,16 @@ echo "==> serving layer: reader/writer stress (1 and 4 threads)"
 # debug-invariants so the writer validates the full engine invariant set
 # after every drained cycle. Beside it, the member index every snapshot
 # carries is checked against a scan of its labels, and a snapshot no reader
-# holds must be freed while the server runs. Two fixed pool sizes pin the
-# harness extremes, matching the determinism suite above. (The wire
+# holds must be freed while the server runs. The lib tests drive the
+# writer's cycle by hand (coalescing, one epoch per publishing cycle, the
+# hand-back equal to a serial replay, a failed log write acknowledging
+# nothing), so the invariant check runs there too. Two fixed pool sizes pin
+# the harness extremes, matching the determinism suite above. (The wire
 # protocol suite ran in the workspace pass.)
 for t in 1 4; do
     echo "    RAYON_NUM_THREADS=$t"
     RAYON_NUM_THREADS=$t cargo test -p anc-server --features debug-invariants \
-        --test serve_stress --test member_index --test retention -q
+        --lib --test serve_stress --test member_index --test retention -q
 done
 
 echo "==> seeded violations (the lints and the grep gates bite)"

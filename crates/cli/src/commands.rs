@@ -268,7 +268,6 @@ pub fn serve(opts: &Options) -> Result<String, String> {
 
     let bind = opts.get("bind").unwrap_or("127.0.0.1:0");
     let queue: usize = opts.get_or("queue", 1024)?;
-    let coalesce: usize = opts.get_or("coalesce", 256)?;
 
     let backend = if let Some(dir) = opts.get("durable-dir") {
         let path = std::path::Path::new(dir);
@@ -296,7 +295,7 @@ pub fn serve(opts: &Options) -> Result<String, String> {
 
     let core = anc_server::ServerCore::start(
         backend,
-        ServeConfig { queue_capacity: queue, coalesce_max: coalesce, levels: vec![level], modes },
+        ServeConfig { queue_capacity: queue, levels: vec![level], modes },
     )
     .map_err(|e| e.to_string())?;
     let server = TcpServer::start(core, bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;

@@ -78,10 +78,7 @@ pub fn usage() -> String {
         s,
         "  serve     --engine FILE [--bind ADDR] [--addr-file FILE] [--durable-dir DIR]"
     );
-    let _ = writeln!(
-        s,
-        "            [--queue N] [--coalesce N] [--level L] \
-         [--mode power|even|both] [--out FILE]"
-    );
+    let _ =
+        writeln!(s, "            [--queue N] [--level L] [--mode power|even|both] [--out FILE]");
     s
 }

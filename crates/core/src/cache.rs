@@ -57,6 +57,7 @@ use anc_metrics::{Clustering, NOISE};
 use rayon::Chunks;
 
 use crate::cluster::{even_clustering_with, grow_power_clusters, ClusterMode};
+use crate::invariant::InvariantViolation;
 use crate::pyramid::Pyramids;
 use crate::vote::EdgeBits;
 
@@ -237,13 +238,6 @@ impl ClusterCache {
         self.per_level.get(level).and_then(|l| l.as_deref())
     }
 
-    /// The per-pyramid pending lists of `level` (`None` if not
-    /// materialized): nodes named by repairs since the last query, with
-    /// repeats. Only these `(node, pyramid)` pairs may hold a stale row.
-    pub fn pending_nodes(&self, level: usize) -> Option<&[Vec<NodeId>]> {
-        self.level(level).map(|lc| lc.pending.as_slice())
-    }
-
     /// Entries pending at `level` over all pyramids (`None` if not
     /// materialized).
     pub fn pending_count(&self, level: usize) -> Option<usize> {
@@ -251,27 +245,9 @@ impl ClusterCache {
     }
 
     /// The materialized voted-edge bitset of `level`, if any: every bit is
-    /// the vote of its edge's two [`Self::seed_rows`].
+    /// the vote of its edge's two seed rows.
     pub fn voted_bits(&self, level: usize) -> Option<&EdgeBits> {
         self.level(level).map(|lc| &lc.voted)
-    }
-
-    /// The seed rows of `level`, if materialized: entry `v·k + p` is node
-    /// `v`'s seed in pyramid `p` as of the last vote.
-    pub fn seed_rows(&self, level: usize) -> Option<&[NodeId]> {
-        self.level(level).map(|lc| lc.rows.as_slice())
-    }
-
-    /// The maintained voted-subgraph degree table of `level`, if
-    /// materialized.
-    pub fn voted_degrees(&self, level: usize) -> Option<&[u32]> {
-        self.level(level).map(|lc| lc.kept_deg.as_slice())
-    }
-
-    /// The smallest node of every label of `level`'s cached even
-    /// clustering, by label (`None` unless that clustering is cached).
-    pub(crate) fn even_minima(&self, level: usize) -> Option<&[NodeId]> {
-        self.level(level).filter(|lc| lc.even.is_some()).map(|lc| lc.first.as_slice())
     }
 
     /// The cached clustering of `(level, mode)` if it is currently
@@ -328,6 +304,123 @@ impl ClusterCache {
             CacheCorruption::KeptDeg(v) => lc.kept_deg[v as usize] += 1,
             CacheCorruption::EvenFirst(l) => lc.first[l as usize] += 1,
         }
+    }
+
+    /// Checks the cache against the index, for every materialized level:
+    ///
+    /// * the level is live: a stale level's repairs name no nodes, so its
+    ///   rows would have nothing to be compared against;
+    /// * a seed-row entry differs from the live partition only for a
+    ///   `(node, pyramid)` pair that is **pending** — the soundness of
+    ///   feeding the cache the repairs' affected sets (a seed a repair moved
+    ///   without naming the node would stay stale for ever);
+    /// * every voted bit, at all times, equals the vote of its edge's two
+    ///   rows — two unreachable endpoints ([`NO_NODE`] twice) agreeing on
+    ///   nothing;
+    /// * the maintained voted-degree table equals a recount from the bitset;
+    /// * with nothing pending — the rows then equal the index — every cached
+    ///   clustering equals the cold extraction [`crate::cluster::cluster_all`]
+    ///   would produce;
+    /// * the smallest node the even repair keeps for each label of a cached
+    ///   even clustering is that label's smallest node (at all times: the
+    ///   two change together).
+    pub fn check(&self, g: &Graph, pyr: &Pyramids) -> Result<(), InvariantViolation> {
+        let (n, k) = (g.n(), pyr.k());
+        for (level, lc) in self.per_level.iter().enumerate() {
+            let Some(LevelCache { voted, rows, pending, kept_deg, first, even, .. }) =
+                lc.as_deref()
+            else {
+                continue;
+            };
+            if !pyr.is_live(level) {
+                return Err(InvariantViolation::Cache(format!(
+                    "level {level} is materialized but stale: repairs no longer name its nodes"
+                )));
+            }
+            if rows.len() != n * k || pending.len() != k || voted.len() != g.m() {
+                return Err(InvariantViolation::Cache(format!(
+                    "level {level}: {} row entries, {} pending lists, {} vote bits for n = {n}, \
+                     k = {k}, m = {}",
+                    rows.len(),
+                    pending.len(),
+                    voted.len(),
+                    g.m()
+                )));
+            }
+            let mut is_pending = vec![false; n * k];
+            for (p, list) in pending.iter().enumerate() {
+                for &v in list {
+                    is_pending[v as usize * k + p] = true;
+                }
+            }
+            for (i, (&cached, &pends)) in rows.iter().zip(&is_pending).enumerate() {
+                let (v, p) = ((i / k) as NodeId, i % k);
+                let live = pyr.partition(p, level).seed_of(v);
+                if cached != live && !pends {
+                    return Err(InvariantViolation::Cache(format!(
+                        "level {level}: row of node {v} holds seed {cached} in pyramid {p}, the \
+                         index says {live}, and the pair is not pending"
+                    )));
+                }
+            }
+            let mut recount = vec![0u32; n];
+            for (e, u, v) in g.iter_edges() {
+                let (ru, rv) = (&rows[u as usize * k..][..k], &rows[v as usize * k..][..k]);
+                let agree = ru.iter().zip(rv).filter(|&(a, b)| a == b && *a != NO_NODE).count();
+                let vote = agree >= pyr.needed_votes();
+                if voted.get(e) != vote {
+                    return Err(InvariantViolation::Cache(format!(
+                        "level {level}: edge {e} cached vote {} but its rows agree in {agree} \
+                         of {k} pyramids",
+                        voted.get(e)
+                    )));
+                }
+                if vote {
+                    recount[u as usize] += 1;
+                    recount[v as usize] += 1;
+                }
+            }
+            if let Some(v) = (0..n).find(|&v| kept_deg.get(v) != Some(&recount[v])) {
+                return Err(InvariantViolation::Cache(format!(
+                    "level {level}: voted degree of node {v} is {:?} but bitset recount gives {}",
+                    kept_deg.get(v),
+                    recount[v]
+                )));
+            }
+            if pending.iter().all(Vec::is_empty) {
+                for mode in [ClusterMode::Even, ClusterMode::Power] {
+                    if let Some(cached) = self.cached(level, mode) {
+                        let cold = crate::cluster::cluster_all(g, pyr, level, mode);
+                        if *cached != cold {
+                            return Err(InvariantViolation::Cache(format!(
+                                "level {level}: cached {mode:?} clustering diverged from cold \
+                                 extraction ({} vs {} clusters)",
+                                cached.num_clusters(),
+                                cold.num_clusters()
+                            )));
+                        }
+                    }
+                }
+            }
+            if let Some(even) = even {
+                let mut smallest = vec![NO_NODE; even.num_clusters()];
+                for (v, &l) in even.labels().iter().enumerate() {
+                    let slot = &mut smallest[l as usize];
+                    *slot = (*slot).min(v as NodeId);
+                }
+                if let Some(l) =
+                    (0..smallest.len().max(first.len())).find(|&l| first.get(l) != smallest.get(l))
+                {
+                    return Err(InvariantViolation::Cache(format!(
+                        "level {level}: even label {l} has smallest node {:?}, the cache keeps \
+                         {:?}",
+                        smallest.get(l),
+                        first.get(l)
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Feeds one update's affected-node sets (pyramid-major partition
@@ -1193,7 +1286,7 @@ mod tests {
                     assert_eq!(*c, cluster_all(&g, &pyr, level, mode), "edge {e} level {level}");
                 }
             }
-            crate::invariant::check_cluster_cache(&g, &pyr, &cache).unwrap();
+            cache.check(&g, &pyr).unwrap();
         }
     }
 

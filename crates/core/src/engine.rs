@@ -649,7 +649,7 @@ impl AncEngine {
         if let Some(level) = levels.find(|&l| pyramids.is_live(l)) {
             invariant::check_clustering(g, &cluster_all(g, pyramids, level, ClusterMode::Power))?;
         }
-        invariant::check_cluster_cache(g, pyramids, &self.cache.borrow())
+        self.cache.borrow().check(g, pyramids)
     }
 
     /// Batch-boundary hook of the `debug-invariants` feature: panics on the

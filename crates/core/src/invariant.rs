@@ -22,11 +22,13 @@
 //!
 //! The checks are pure functions over slices plus public accessors, so the
 //! snapshot validator ([`crate::persist`]) and the engine share one
-//! implementation. [`crate::AncEngine::check_invariants`] composes them all;
+//! implementation; the index and the cluster cache check their own layout
+//! ([`crate::Pyramids::check_invariants`], [`crate::ClusterCache::check`]).
+//! [`crate::AncEngine::check_invariants`] composes them all;
 //! the `debug-invariants` cargo feature additionally runs them at batch
 //! boundaries (zero code is emitted when the feature is off).
 
-use anc_graph::{Graph, NodeId, NO_NODE};
+use anc_graph::{Graph, NodeId};
 use anc_metrics::{Clustering, NOISE};
 
 /// A violated engine invariant, by subsystem.
@@ -261,133 +263,6 @@ pub fn check_clustering(g: &Graph, c: &Clustering) -> Result<(), InvariantViolat
     }
     if let Some(empty) = seen.iter().position(|&s| !s) {
         return Err(InvariantViolation::Clustering(format!("cluster id {empty} has no members")));
-    }
-    Ok(())
-}
-
-/// Checks the incremental cluster-query cache against the index, for every
-/// materialized level:
-///
-/// * the level is live: a stale level's repairs name no nodes, so its rows
-///   would have nothing to be compared against;
-/// * a seed-row entry differs from the live partition only for a
-///   `(node, pyramid)` pair that is **pending** — the soundness of feeding
-///   the cache the repairs' affected sets (a seed a repair moved without
-///   naming the node would stay stale for ever);
-/// * every voted bit, at all times, equals the vote of its edge's two rows —
-///   two unreachable endpoints ([`NO_NODE`] twice) agreeing on nothing;
-/// * the maintained voted-degree table equals a recount from the bitset;
-/// * with nothing pending — the rows then equal the index — every cached
-///   clustering equals the cold extraction [`crate::cluster::cluster_all`]
-///   would produce;
-/// * the smallest node the even repair keeps for each label of a cached
-///   even clustering is that label's smallest node (at all times: the two
-///   change together).
-pub fn check_cluster_cache(
-    g: &Graph,
-    pyr: &crate::pyramid::Pyramids,
-    cache: &crate::cache::ClusterCache,
-) -> Result<(), InvariantViolation> {
-    use crate::cluster::{cluster_all, ClusterMode};
-    let (n, k) = (g.n(), pyr.k());
-    for level in 0..cache.num_levels() {
-        let (Some(voted), Some(rows), Some(pending), Some(kept_deg)) = (
-            cache.voted_bits(level),
-            cache.seed_rows(level),
-            cache.pending_nodes(level),
-            cache.voted_degrees(level),
-        ) else {
-            continue;
-        };
-        if !pyr.is_live(level) {
-            return Err(InvariantViolation::Cache(format!(
-                "level {level} is materialized but stale: repairs no longer name its nodes"
-            )));
-        }
-        if rows.len() != n * k || pending.len() != k || voted.len() != g.m() {
-            return Err(InvariantViolation::Cache(format!(
-                "level {level}: {} row entries, {} pending lists, {} vote bits for n = {n}, \
-                 k = {k}, m = {}",
-                rows.len(),
-                pending.len(),
-                voted.len(),
-                g.m()
-            )));
-        }
-        let mut is_pending = vec![false; n * k];
-        for (p, list) in pending.iter().enumerate() {
-            for &v in list {
-                is_pending[v as usize * k + p] = true;
-            }
-        }
-        for (i, (&cached, &pends)) in rows.iter().zip(&is_pending).enumerate() {
-            let (v, p) = ((i / k) as NodeId, i % k);
-            let live = pyr.partition(p, level).seed_of(v);
-            if cached != live && !pends {
-                return Err(InvariantViolation::Cache(format!(
-                    "level {level}: row of node {v} holds seed {cached} in pyramid {p}, the \
-                     index says {live}, and the pair is not pending"
-                )));
-            }
-        }
-        let mut recount = vec![0u32; n];
-        for (e, u, v) in g.iter_edges() {
-            let (ru, rv) = (&rows[u as usize * k..][..k], &rows[v as usize * k..][..k]);
-            let agree = ru.iter().zip(rv).filter(|&(a, b)| a == b && *a != NO_NODE).count();
-            let vote = agree >= pyr.needed_votes();
-            if voted.get(e) != vote {
-                return Err(InvariantViolation::Cache(format!(
-                    "level {level}: edge {e} cached vote {} but its rows agree in {agree} of {k} \
-                     pyramids",
-                    voted.get(e)
-                )));
-            }
-            if vote {
-                recount[u as usize] += 1;
-                recount[v as usize] += 1;
-            }
-        }
-        if let Some(v) = (0..n).find(|&v| kept_deg.get(v) != Some(&recount[v])) {
-            return Err(InvariantViolation::Cache(format!(
-                "level {level}: voted degree of node {v} is {:?} but bitset recount gives {}",
-                kept_deg.get(v),
-                recount[v]
-            )));
-        }
-        if pending.iter().all(Vec::is_empty) {
-            for mode in [ClusterMode::Even, ClusterMode::Power] {
-                if let Some(cached) = cache.cached(level, mode) {
-                    let cold = cluster_all(g, pyr, level, mode);
-                    if *cached != cold {
-                        return Err(InvariantViolation::Cache(format!(
-                            "level {level}: cached {mode:?} clustering diverged from cold \
-                             extraction ({} vs {} clusters)",
-                            cached.num_clusters(),
-                            cold.num_clusters()
-                        )));
-                    }
-                }
-            }
-        }
-        if let (Some(even), Some(first)) =
-            (cache.cached(level, ClusterMode::Even), cache.even_minima(level))
-        {
-            let mut smallest = vec![NO_NODE; even.num_clusters()];
-            for (v, &l) in even.labels().iter().enumerate() {
-                let slot = &mut smallest[l as usize];
-                *slot = (*slot).min(v as NodeId);
-            }
-            if let Some(l) =
-                (0..smallest.len().max(first.len())).find(|&l| first.get(l) != smallest.get(l))
-            {
-                return Err(InvariantViolation::Cache(format!(
-                    "level {level}: even label {l} has smallest node {:?}, the cache keeps \
-                     {:?}",
-                    smallest.get(l),
-                    first.get(l)
-                )));
-            }
-        }
     }
     Ok(())
 }

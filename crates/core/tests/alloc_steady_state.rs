@@ -2,7 +2,8 @@
 //! warm-up the ingest loop runs out of pooled buffers, so a single
 //! activation allocates nothing (amortised — a pooled `Vec` may still double
 //! now and then) and a grouped batch allocates at most once, reading
-//! `RAYON_NUM_THREADS`, whatever the batch length and the thread count.
+//! `RAYON_NUM_THREADS`, whatever the batch length and the thread count —
+//! and not at all when it is too small for the pool.
 //!
 //! A counting `#[global_allocator]` measures it: every `alloc`,
 //! `alloc_zeroed` and `realloc` made *on the measuring thread* while its
@@ -274,13 +275,14 @@ fn per_batch(
     (counts[CALLS / 2], mean)
 }
 
-/// A pooled flush is one pool call, which allocates only the `String` of
+/// A flush below the pool's minimum repairs in place and reads no thread
+/// count, so a batch of 8 allocates nothing at any thread count. A batch of
+/// 64 may be pooled: one pool call, which allocates only the `String` of
 /// its `RAYON_NUM_THREADS` read, and nothing when the variable is unset
-/// (the host probe is cached); a flush below the pool's minimum reads
-/// nothing. So a flush allocates at most once, for batches of 8 and of 64,
-/// at any thread count, whether or not the cluster cache has a
-/// materialized level to hand the traces to. The mean allows for what the
-/// median skips: the trace buffers doubling now and then.
+/// (the host probe is cached), so it allocates at most once. Both hold
+/// whether or not the cluster cache has a materialized level to hand the
+/// traces to. The mean allows for what the median skips: the trace buffers
+/// doubling now and then.
 #[test]
 #[cfg_attr(
     feature = "debug-invariants",
@@ -302,8 +304,8 @@ fn batch_allocations_do_not_grow_with_batch_length() {
         }
         assert_eq!(engine.cluster_cache().has_materialized_levels(), cached);
 
-        let want = u64::from(std::env::var_os("RAYON_NUM_THREADS").is_some());
-        for len in [8, 64] {
+        let read = u64::from(std::env::var_os("RAYON_NUM_THREADS").is_some());
+        for (len, want) in [(8, 0), (64, read)] {
             let (median, mean) = per_batch(&mut engine, &mut stream, len);
             assert!(
                 median <= want && mean <= want as f64 + 0.25,

@@ -3,12 +3,13 @@
 //!
 //! Architecture (DESIGN.md §12): one writer thread owns the engine
 //! ([`EngineBackend`] — plain [`AncEngine`] or WAL-backed
-//! [`DurableEngine`]) and drains a bounded MPSC ingest queue. Per drain
-//! cycle it takes everything queued (up to [`ServeConfig::coalesce_max`]
-//! jobs, so the applied batch grows with queue depth), merges consecutive
-//! same-timestamp jobs into single [`AncEngine::activate_batch`] calls,
-//! refreshes the cluster cache once, and publishes one immutable
-//! [`ServeSnapshot`]. Readers never see
+//! [`DurableEngine`]) and drains a bounded MPSC ingest queue: it blocks for
+//! a job, takes what is already queued (256 jobs at most, so the applied
+//! batch grows with queue depth) and runs one cycle over them. A cycle
+//! merges consecutive same-timestamp jobs into single
+//! [`AncEngine::activate_batch`] calls, refreshes the cluster cache once and
+//! publishes one immutable [`ServeSnapshot`] — or, if the write-ahead log
+//! failed, publishes nothing, answers no flush and stops. Readers never see
 //! the engine — they answer from snapshots via [`SnapshotReader`], so the
 //! query path is wait-free (DESIGN.md §8).
 //!
@@ -79,10 +80,6 @@ pub struct ServeConfig {
     /// Bound of the ingest queue; a full queue sheds submissions with
     /// [`IngestError::Overloaded`].
     pub queue_capacity: usize,
-    /// Maximum ingest jobs drained (coalesced) per cycle. The actual batch
-    /// adapts to load: an idle server applies single-job batches, a backed
-    /// up queue drains up to this many jobs into one apply+publish cycle.
-    pub coalesce_max: usize,
     /// Granularity levels refreshed and published with every snapshot;
     /// empty selects the engine's default level.
     pub levels: Vec<usize>,
@@ -93,7 +90,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { queue_capacity: 1024, coalesce_max: 256, levels: Vec::new(), modes: Vec::new() }
+        Self { queue_capacity: 1024, levels: Vec::new(), modes: Vec::new() }
     }
 }
 
@@ -107,7 +104,7 @@ pub enum ServeError {
         /// The engine's level count.
         num_levels: usize,
     },
-    /// Zero queue capacity or zero coalesce_max.
+    /// Zero queue capacity.
     EmptyConfig,
 }
 
@@ -118,7 +115,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "publish level {level} out of range (engine has {num_levels})")
             }
             ServeError::EmptyConfig => {
-                write!(f, "queue_capacity and coalesce_max must be nonzero")
+                write!(f, "queue_capacity must be nonzero")
             }
         }
     }
@@ -147,6 +144,7 @@ enum Job {
 }
 
 /// Cloneable client-side handle for submitting activations.
+#[derive(Clone)]
 pub struct IngestHandle {
     tx: SyncSender<Job>,
     // Plain counters that publish nothing, bumped `AcqRel` and read
@@ -155,17 +153,6 @@ pub struct IngestHandle {
     seq: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     num_edges: usize,
-}
-
-impl Clone for IngestHandle {
-    fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            seq: Arc::clone(&self.seq),
-            shed: Arc::clone(&self.shed),
-            num_edges: self.num_edges,
-        }
-    }
 }
 
 impl IngestHandle {
@@ -189,7 +176,9 @@ impl IngestHandle {
     }
 
     /// Queue-barrier: waits until every job enqueued before this call is
-    /// applied and published, and returns the epoch of that publication.
+    /// applied and published, and returns the epoch of that publication;
+    /// [`IngestError::Closed`] when the writer exits first, or when the
+    /// write-ahead log fails in the cycle that holds the barrier.
     /// Blocking (rides the FIFO queue) — not part of the wait-free read
     /// path; readers that only need fresh data use
     /// [`SnapshotReader::snapshot`] instead.
@@ -273,44 +262,8 @@ impl ServerCore {
     /// Validates `cfg`, publishes the initial snapshot (epoch 0), and
     /// starts the writer thread.
     pub fn start(backend: EngineBackend, cfg: ServeConfig) -> Result<Self, ServeError> {
-        if cfg.queue_capacity == 0 || cfg.coalesce_max == 0 {
-            return Err(ServeError::EmptyConfig);
-        }
-        let engine = backend.engine();
-        let num_levels = engine.num_levels();
-        let levels =
-            if cfg.levels.is_empty() { vec![engine.default_level()] } else { cfg.levels.clone() };
-        if let Some(&level) = levels.iter().find(|&&l| l >= num_levels) {
-            return Err(ServeError::LevelOutOfRange { level, num_levels });
-        }
-        let modes = if cfg.modes.is_empty() { vec![ClusterMode::Even] } else { cfg.modes.clone() };
-
-        let view = engine.refresh_view(&levels, &modes);
-        let mut stats = ServerStats::default();
-        note_cache(&mut stats, engine);
-        let initial = ServeSnapshot {
-            epoch: 0,
-            applied_seq: 0,
-            n: engine.graph().n(),
-            num_levels,
-            default_level: engine.default_level(),
-            members: index_members(&view, None),
-            view,
-            stats: stats.clone(),
-        };
-        let num_edges = engine.graph().m();
-
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
-        let last = Arc::new(OnceLock::new());
-        let ends =
-            WriterEnds { jobs: rx, publisher: Publisher::new(initial), last: Arc::clone(&last) };
-        let shed = Arc::new(AtomicU64::new(0));
-        let ingest = IngestHandle {
-            tx,
-            seq: Arc::new(AtomicU64::new(0)),
-            shed: Arc::clone(&shed),
-            num_edges,
-        };
+        let (writer, ingest) = Writer::new(backend, &cfg)?;
+        let last = Arc::clone(&writer.ends.last);
         #[expect(
             clippy::expect_used,
             reason = "start-up, before any request is accepted: a host that cannot spawn one \
@@ -318,7 +271,7 @@ impl ServerCore {
         )]
         let writer = std::thread::Builder::new()
             .name("anc-serve-writer".into())
-            .spawn(move || writer_loop(backend, ends, cfg, levels, modes, shed, stats))
+            .spawn(move || writer.serve())
             .expect("spawn writer thread");
         Ok(Self { ingest, last, writer: Some(writer) })
     }
@@ -360,47 +313,10 @@ impl ServerCore {
     }
 }
 
-/// Applies one coalesced same-timestamp run and accounts for it.
-fn apply_run(
-    backend: &mut EngineBackend,
-    stats: &mut ServerStats,
-    t: f64,
-    edges: &[EdgeId],
-    job_meta: &[(u64, Instant)],
-    applied_seq: &mut u64,
-    wal_error: &mut Option<RestoreError>,
-) {
-    if edges.is_empty() || wal_error.is_some() {
-        return;
-    }
-    match backend.activate_batch(edges, t) {
-        Ok(repairs) => stats.repairs += repairs,
-        Err(e) => {
-            *wal_error = Some(e);
-            return;
-        }
-    }
-    stats.applied_batches += 1;
-    stats.ingested_jobs += job_meta.len() as u64;
-    stats.ingested_edges += edges.len() as u64;
-    if job_meta.len() > 1 {
-        stats.coalesced_jobs += job_meta.len() as u64;
-    }
-    stats.max_batch_edges = stats.max_batch_edges.max(edges.len() as u64);
-    // Latency observability only: never feeds clustering state or the WAL payload.
-    let now = Instant::now();
-    for &(seq, enqueued) in job_meta {
-        let nanos = now.duration_since(enqueued).as_nanos().min(u128::from(u64::MAX)) as u64;
-        stats.apply_latency.record(nanos);
-        *applied_seq = (*applied_seq).max(seq);
-    }
-}
-
-/// Copies the engine's lifetime cluster-cache counters into `stats`.
-fn note_cache(stats: &mut ServerStats, engine: &AncEngine) {
-    let cache = engine.cluster_cache();
-    (stats.cache_hits, stats.cache_misses) = (cache.hits(), cache.misses());
-}
+/// Jobs one cycle drains at most: an idle server applies each job in a
+/// cycle of its own, a backed-up queue up to this many in one apply and one
+/// publish.
+const DRAIN_MAX: usize = 256;
 
 /// What the writer thread owns of the handoff: the job queue's receiving
 /// end and the chain's publishing end.
@@ -419,164 +335,330 @@ impl Drop for WriterEnds {
     }
 }
 
-/// The single-writer loop: drain → coalesce → apply → refresh → publish.
-///
-/// Readers see only the published `levels`, so those are the index's live
-/// set while the loop runs: a weight change repairs `k` partitions per
-/// published level `≥ 1` instead of `k` per level `≥ 1` (DESIGN.md §12). Before it hands
-/// the engine back, the loop makes every level live again, which syncs the
-/// stale ones from the current weights.
-fn writer_loop(
-    mut backend: EngineBackend,
-    mut ends: WriterEnds,
-    cfg: ServeConfig,
+/// The served engine and what every snapshot of it carries: the published
+/// levels and modes, the counters, the highest sequence number applied.
+struct Served {
+    backend: EngineBackend,
     levels: Vec<usize>,
     modes: Vec<ClusterMode>,
     shed: Arc<AtomicU64>,
-    mut stats: ServerStats,
-) -> ShutdownReport {
-    let n = backend.engine().graph().n();
-    let num_levels = backend.engine().num_levels();
-    let default_level = backend.engine().default_level();
-    let mut applied_seq = 0u64;
-    let mut wal_error: Option<RestoreError> = None;
-    let mut stop = false;
-    // Reused across cycles: each is empty again by the end of one.
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut flushes: Vec<SyncSender<u64>> = Vec::new();
-    let mut subscribers: Vec<SyncSender<SnapshotReader>> = Vec::new();
-    let mut run_edges: Vec<EdgeId> = Vec::new();
-    let mut run_meta: Vec<(u64, Instant)> = Vec::new();
-    backend.set_live_levels(&levels);
+    stats: ServerStats,
+    applied_seq: u64,
+}
 
-    'serve: while !stop {
-        // Block for the first job, then opportunistically drain what is
-        // already queued — the coalesced cycle grows with queue depth.
-        let first = match ends.jobs.recv() {
-            Ok(job) => job,
-            Err(_) => break 'serve, // every handle dropped without Stop
+impl Served {
+    /// The snapshot that follows `prev`, or epoch 0 when there is none:
+    /// refreshes the published clusterings, copies the engine's lifetime
+    /// cache counters and the shed count into the stats, and keeps `prev`'s
+    /// member index of every clustering the refresh left as it was.
+    fn snapshot(&mut self, prev: Option<&ServeSnapshot>) -> ServeSnapshot {
+        let engine = self.backend.engine();
+        let view = engine.refresh_view(&self.levels, &self.modes);
+        let epoch = prev.map_or(0, |p| p.epoch + 1);
+        let stats = &mut self.stats;
+        let cache = engine.cluster_cache();
+        (stats.cache_hits, stats.cache_misses) = (cache.hits(), cache.misses());
+        stats.shed = self.shed.load(Ordering::Acquire);
+        stats.publishes = epoch;
+        ServeSnapshot {
+            epoch,
+            applied_seq: self.applied_seq,
+            n: engine.graph().n(),
+            num_levels: engine.num_levels(),
+            default_level: engine.default_level(),
+            members: index_members(&view, prev),
+            view,
+            stats: stats.clone(),
+        }
+    }
+}
+
+/// Everything the writer thread owns: [`Self::cycle`] is one drain →
+/// coalesce → apply → refresh → publish, and [`Self::finish`] hands the
+/// engine back.
+struct Writer {
+    served: Served,
+    ends: WriterEnds,
+    /// The open run — consecutive same-timestamp ingests, applied as one
+    /// batch once a later timestamp or the cycle's end closes it — and the
+    /// cycle's barriers and cursor requests, answered at its end.
+    run_t: f64,
+    run_edges: Vec<EdgeId>,
+    run_jobs: Vec<(u64, Instant)>,
+    flushes: Vec<SyncSender<u64>>,
+    subscribers: Vec<SyncSender<SnapshotReader>>,
+    /// The write-ahead log's failure; the cycle that meets it is the last.
+    wal_error: Option<RestoreError>,
+}
+
+impl Writer {
+    /// Validates `cfg`, builds the epoch-0 snapshot, and opens the queue
+    /// whose sending end the returned handle holds. Readers see only the
+    /// published levels, so from then on those are the index's live set: a
+    /// weight change repairs `k` partitions per published level `≥ 1`
+    /// instead of `k` per level `≥ 1` (DESIGN.md §12).
+    fn new(backend: EngineBackend, cfg: &ServeConfig) -> Result<(Self, IngestHandle), ServeError> {
+        if cfg.queue_capacity == 0 {
+            return Err(ServeError::EmptyConfig);
+        }
+        let engine = backend.engine();
+        let num_levels = engine.num_levels();
+        let levels =
+            if cfg.levels.is_empty() { vec![engine.default_level()] } else { cfg.levels.clone() };
+        if let Some(&level) = levels.iter().find(|&&l| l >= num_levels) {
+            return Err(ServeError::LevelOutOfRange { level, num_levels });
+        }
+        let modes = if cfg.modes.is_empty() { vec![ClusterMode::Even] } else { cfg.modes.clone() };
+        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
+        let num_edges = engine.graph().m();
+        let ingest = IngestHandle { tx, seq: Arc::default(), shed: Arc::default(), num_edges };
+        let mut served = Served {
+            backend,
+            levels,
+            modes,
+            shed: Arc::clone(&ingest.shed),
+            stats: ServerStats::default(),
+            applied_seq: 0,
         };
-        jobs.push(first);
-        while jobs.len() < cfg.coalesce_max {
-            match ends.jobs.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(_) => break,
+        let initial = served.snapshot(None);
+        served.backend.set_live_levels(&served.levels);
+        let ends =
+            WriterEnds { jobs: rx, publisher: Publisher::new(initial), last: Arc::default() };
+        let writer = Self {
+            served,
+            ends,
+            run_t: 0.0,
+            run_edges: Vec::new(),
+            run_jobs: Vec::new(),
+            flushes: Vec::new(),
+            subscribers: Vec::new(),
+            wal_error: None,
+        };
+        Ok((writer, ingest))
+    }
+
+    /// The writer thread: block for one job, take what is already queued
+    /// (the cycle grows with queue depth), run one cycle; until a cycle says
+    /// stop or every handle is dropped.
+    fn serve(mut self) -> ShutdownReport {
+        let mut drained = Vec::new();
+        while let Ok(first) = self.ends.jobs.recv() {
+            drained.push(first);
+            drained.extend(self.ends.jobs.try_iter().take(DRAIN_MAX - 1));
+            if self.cycle(drained.drain(..)) {
+                break;
             }
         }
+        self.finish()
+    }
+
+    /// One cycle over jobs drained together: applies their same-timestamp
+    /// runs in queue order, publishes once unless it held nothing but cursor
+    /// requests, then answers its barriers and cursor requests. Returns
+    /// whether the writer stops: at a `Stop`, whose followers are dropped,
+    /// or at a write-ahead-log failure, which publishes nothing and drops
+    /// every barrier, since the run one follows may have been skipped.
+    fn cycle(&mut self, jobs: impl IntoIterator<Item = Job>) -> bool {
         // A new cursor needs no new snapshot: a cycle of nothing else
         // publishes none.
-        let publish = jobs.iter().any(|job| !matches!(job, Job::Subscribe { .. }));
-
-        let mut run_t = 0.0f64;
-        for job in jobs.drain(..) {
+        let (mut publish, mut stop) = (false, false);
+        for job in jobs {
+            publish |= !matches!(job, Job::Subscribe { .. });
             match job {
                 Job::Ingest { seq, t, edges, enqueued } => {
-                    // Runs merge consecutive same-timestamp jobs; a new
-                    // timestamp closes the run (activations at distinct
-                    // times cannot share one activate_batch call).
-                    if !run_meta.is_empty() && t != run_t {
-                        apply_run(
-                            &mut backend,
-                            &mut stats,
-                            run_t,
-                            &run_edges,
-                            &run_meta,
-                            &mut applied_seq,
-                            &mut wal_error,
-                        );
-                        run_edges.clear();
-                        run_meta.clear();
+                    // A new timestamp closes the run: activations at
+                    // distinct times cannot share one activate_batch call.
+                    if !self.run_jobs.is_empty() && t != self.run_t {
+                        self.close_run();
                     }
-                    run_t = t;
-                    run_edges.extend_from_slice(&edges);
-                    run_meta.push((seq, enqueued));
+                    self.run_t = t;
+                    self.run_edges.extend_from_slice(&edges);
+                    self.run_jobs.push((seq, enqueued));
                 }
-                Job::Flush { done } => flushes.push(done),
-                Job::Subscribe { done } => subscribers.push(done),
+                Job::Flush { done } => self.flushes.push(done),
+                Job::Subscribe { done } => self.subscribers.push(done),
                 Job::Stop => {
                     stop = true;
                     break;
                 }
             }
         }
-        apply_run(
-            &mut backend,
-            &mut stats,
-            run_t,
-            &run_edges,
-            &run_meta,
-            &mut applied_seq,
-            &mut wal_error,
-        );
-        run_edges.clear();
-        run_meta.clear();
+        self.close_run();
 
-        if publish {
+        if self.wal_error.is_some() {
+            // Durability broken: stop serving rather than silently diverge
+            // from the log, and acknowledge nothing.
+            self.flushes.clear();
+            stop = true;
+        } else if publish {
             #[cfg(feature = "debug-invariants")]
-            if let Err(violation) = backend.engine().check_invariants() {
+            if let Err(violation) = self.served.backend.engine().check_invariants() {
                 panic!("serving invariant violation after apply: {violation:?}");
             }
-
-            let view = backend.engine().refresh_view(&levels, &modes);
-            note_cache(&mut stats, backend.engine());
-            stats.shed = shed.load(Ordering::Acquire);
-            stats.publishes += 1;
-            let epoch = ends.publisher.epoch() + 1;
-            let snapshot = ServeSnapshot {
-                epoch,
-                applied_seq,
-                n,
-                num_levels,
-                default_level,
-                members: index_members(&view, Some(&ends.publisher.current())),
-                view,
-                stats: stats.clone(),
-            };
-            ends.publisher.publish(snapshot);
-            for done in flushes.drain(..) {
+            let snapshot = self.served.snapshot(Some(&self.ends.publisher.current()));
+            let epoch = self.ends.publisher.publish(snapshot);
+            for done in self.flushes.drain(..) {
                 // A departed flusher is not an error.
                 let _ = done.send(epoch);
             }
         }
-        for done in subscribers.drain(..) {
+        for done in self.subscribers.drain(..) {
             // Nor is a departed subscriber.
-            let _ = done.send(SnapshotReader::new(ends.publisher.subscribe()));
+            let _ = done.send(SnapshotReader::new(self.ends.publisher.subscribe()));
         }
-        if wal_error.is_some() {
-            // Durability broken: stop serving rather than silently
-            // diverging from the log.
-            break 'serve;
-        }
+        stop
     }
 
-    if let EngineBackend::Durable(durable) = &mut backend {
-        if wal_error.is_none() {
-            // Fold the log into a fresh base snapshot so restart recovery
-            // is snapshot-only.
-            wal_error = durable.compact().err();
+    /// Closes the open run: applies it as one batch, unless the log has
+    /// failed already, and accounts for it.
+    fn close_run(&mut self) {
+        if !self.run_edges.is_empty() && self.wal_error.is_none() {
+            let served = &mut self.served;
+            match served.backend.activate_batch(&self.run_edges, self.run_t) {
+                Ok(repairs) => {
+                    let (jobs, edges) = (self.run_jobs.len() as u64, self.run_edges.len() as u64);
+                    let stats = &mut served.stats;
+                    stats.repairs += repairs;
+                    stats.applied_batches += 1;
+                    stats.ingested_jobs += jobs;
+                    stats.ingested_edges += edges;
+                    if jobs > 1 {
+                        stats.coalesced_jobs += jobs;
+                    }
+                    stats.max_batch_edges = stats.max_batch_edges.max(edges);
+                    // Latency observability only: never feeds clustering
+                    // state or the WAL payload.
+                    let now = Instant::now();
+                    for &(seq, enqueued) in &self.run_jobs {
+                        let nanos = now.duration_since(enqueued).as_nanos();
+                        stats.apply_latency.record(nanos.min(u128::from(u64::MAX)) as u64);
+                        served.applied_seq = served.applied_seq.max(seq);
+                    }
+                }
+                Err(e) => self.wal_error = Some(e),
+            }
         }
+        self.run_edges.clear();
+        self.run_jobs.clear();
     }
-    let all: Vec<usize> = (0..num_levels).collect();
-    backend.set_live_levels(&all);
-    stats.shed = shed.load(Ordering::Acquire);
-    ShutdownReport { backend, stats, final_epoch: ends.publisher.epoch(), wal_error }
+
+    /// After the last cycle: folds a durable log whose writes all succeeded
+    /// into a fresh base snapshot, so restart recovery is snapshot-only,
+    /// makes every level live again, which syncs the stale ones from the
+    /// current weights, and hands the engine back.
+    fn finish(self) -> ShutdownReport {
+        let Served { mut backend, shed, mut stats, .. } = self.served;
+        let mut wal_error = self.wal_error;
+        if let EngineBackend::Durable(durable) = &mut backend {
+            if wal_error.is_none() {
+                wal_error = durable.compact().err();
+            }
+        }
+        let all: Vec<usize> = (0..backend.engine().num_levels()).collect();
+        backend.set_live_levels(&all);
+        stats.shed = shed.load(Ordering::Acquire);
+        ShutdownReport { backend, stats, final_epoch: self.ends.publisher.epoch(), wal_error }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use anc_core::AncConfig;
+    use anc_core::{AncConfig, DurabilityOptions};
     use anc_graph::gen::connected_caveman;
 
     use super::*;
+
+    fn fresh_engine() -> AncEngine {
+        let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
+        AncEngine::new(connected_caveman(4, 6).graph, cfg, 42)
+    }
+
+    fn ingest(seq: u64, t: f64, edges: &[EdgeId]) -> Job {
+        Job::Ingest { seq, t, edges: edges.to_vec(), enqueued: Instant::now() }
+    }
+
+    /// The writer's cycle, driven by hand with no thread: a same-time pair
+    /// coalesces into one run, a later timestamp closes it, a `Flush` is
+    /// answered with the cycle's one epoch, a cycle of nothing but a cursor
+    /// request publishes nothing, and the engine handed back equals a serial
+    /// replay of the batches.
+    #[test]
+    fn one_cycle_applies_coalesces_publishes_and_answers() {
+        let backend = EngineBackend::Volatile(fresh_engine());
+        let (mut writer, _ingest) = Writer::new(backend, &ServeConfig::default()).expect("writer");
+        let (flushed, flush_rx) = mpsc::sync_channel(1);
+        let stop = writer.cycle([
+            ingest(1, 1.0, &[0, 1]),
+            ingest(2, 1.0, &[2]),
+            ingest(3, 2.0, &[5]),
+            Job::Flush { done: flushed },
+        ]);
+        assert!(!stop);
+        assert_eq!(writer.ends.publisher.epoch(), 1, "one publishing cycle, one epoch");
+        assert_eq!(flush_rx.try_recv(), Ok(1), "the flush is answered with the cycle's epoch");
+        let snap = writer.ends.publisher.current();
+        assert_eq!(snap.applied_seq, 3);
+        let stats = &snap.stats;
+        assert_eq!((stats.ingested_jobs, stats.applied_batches, stats.coalesced_jobs), (3, 2, 2));
+        assert_eq!((stats.ingested_edges, stats.max_batch_edges, stats.publishes), (4, 3, 1));
+
+        let (subscribed, subscribe_rx) = mpsc::sync_channel(1);
+        assert!(!writer.cycle([Job::Subscribe { done: subscribed }]));
+        assert_eq!(writer.ends.publisher.epoch(), 1, "a cursor request publishes nothing");
+        assert_eq!(subscribe_rx.try_recv().expect("a cursor").epoch(), 1);
+
+        assert!(!writer.cycle([ingest(4, 3.0, &[7, 7])]));
+        assert_eq!(writer.ends.publisher.epoch(), 2);
+        assert_eq!(writer.ends.publisher.current().applied_seq, 4);
+        assert!(writer.cycle([Job::Stop, ingest(5, 4.0, &[8])]), "a Stop ends the writer");
+        let report = writer.finish();
+        assert!(report.wal_error.is_none());
+        assert_eq!(report.stats.ingested_jobs, 4, "the job behind the Stop is dropped");
+
+        let mut serial = fresh_engine();
+        for (edges, t) in [(&[0, 1, 2][..], 1.0), (&[5], 2.0), (&[7, 7], 3.0)] {
+            let _ = serial.activate_batch(edges, t);
+        }
+        assert!(
+            report.backend.engine().state_bytes_for_test() == serial.state_bytes_for_test(),
+            "the hand-back differs from a serial replay"
+        );
+    }
+
+    /// A cycle whose write-ahead log fails acknowledges nothing: the first
+    /// run is logged and applied but its compaction fails, the second is
+    /// skipped, and the barrier behind both is dropped rather than answered
+    /// with an epoch that holds neither. The cycle publishes nothing and
+    /// stops the writer, and the report carries the error.
+    #[test]
+    fn a_failed_log_write_publishes_nothing_and_answers_no_flush() {
+        let dir = std::env::temp_dir().join(format!("anc_wal_fail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurabilityOptions { compact_every: 1 };
+        let durable = DurableEngine::create(fresh_engine(), &dir, opts).expect("create");
+        std::fs::remove_dir_all(&dir).expect("remove the log's directory");
+        let backend = EngineBackend::Durable(durable);
+        let (mut writer, _ingest) = Writer::new(backend, &ServeConfig::default()).expect("writer");
+        let (flushed, flush_rx) = mpsc::sync_channel(1);
+        let stop = writer.cycle([
+            ingest(1, 1.0, &[0, 1]),
+            ingest(2, 2.0, &[2]),
+            Job::Flush { done: flushed },
+        ]);
+        assert!(stop, "a failed log stops the writer");
+        assert_eq!(flush_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(writer.ends.publisher.epoch(), 0, "nothing is published");
+        let report = writer.finish();
+        assert!(report.wal_error.is_some());
+        assert_eq!(report.final_epoch, 0);
+    }
 
     /// With no writer left to subscribe one, a new cursor is the one the
     /// writer left at its last snapshot, whichever way the exit raced it.
     #[test]
     fn a_reader_taken_after_the_writer_exits_is_at_the_last_snapshot() {
-        let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
-        let engine = AncEngine::new(connected_caveman(4, 6).graph, cfg, 42);
-        let core = ServerCore::start(EngineBackend::Volatile(engine), ServeConfig::default())
-            .expect("server core");
+        let backend = EngineBackend::Volatile(fresh_engine());
+        let core = ServerCore::start(backend, ServeConfig::default()).expect("server core");
         let ingest = core.ingest_handle();
         ingest.submit(1.0, vec![0, 1]).expect("queue has room");
         ingest.tx.send(Job::Stop).expect("writer alive");
@@ -595,12 +677,9 @@ mod tests {
     fn the_engine_handed_back_is_synced_at_every_level() {
         let dir = std::env::temp_dir().join(format!("anc_hand_back_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fresh = || {
-            let cfg = AncConfig { k: 2, rep: 1, ..Default::default() };
-            AncEngine::new(connected_caveman(4, 6).graph, cfg, 42)
-        };
-        let durable = DurableEngine::create(fresh(), &dir, Default::default()).expect("create");
-        for backend in [EngineBackend::Volatile(fresh()), EngineBackend::Durable(durable)] {
+        let durable =
+            DurableEngine::create(fresh_engine(), &dir, Default::default()).expect("create");
+        for backend in [EngineBackend::Volatile(fresh_engine()), EngineBackend::Durable(durable)] {
             let core = ServerCore::start(backend, ServeConfig::default()).expect("server core");
             let ingest = core.ingest_handle();
             for i in 0..40u32 {

@@ -179,14 +179,9 @@ pub(crate) fn index_members(
 /// Clone one per reader thread; each clone advances independently and all
 /// operations are wait-free. A cursor keeps alive every snapshot published
 /// since it last advanced, so a long-lived one must advance regularly.
+#[derive(Clone)]
 pub struct SnapshotReader {
     inner: ReadHandle<ServeSnapshot>,
-}
-
-impl Clone for SnapshotReader {
-    fn clone(&self) -> Self {
-        Self { inner: self.inner.clone() }
-    }
 }
 
 impl SnapshotReader {

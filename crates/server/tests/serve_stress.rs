@@ -45,7 +45,6 @@ fn run_stress(threads: &str) {
         EngineBackend::Volatile(engine),
         ServeConfig {
             queue_capacity: 256,
-            coalesce_max: 64,
             levels: vec![level],
             modes: vec![ClusterMode::Even, ClusterMode::Power],
         },
