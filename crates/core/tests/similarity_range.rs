@@ -204,3 +204,48 @@ fn a_snapshot_outside_the_window_is_refused() {
         other => panic!("expected Invariant, got {:?}", other.err()),
     }
 }
+
+/// Every bit of the stored similarity after a mixed stream of 20 000+
+/// activations — single and batched (with repeated edges), late ones, and
+/// ANCOR replays — across several clock rescales, pinned to a digest. σ is a
+/// function of activeness alone, so however the engine computes it, the
+/// reinforcement it feeds must write the same floats.
+#[test]
+fn a_mixed_stream_writes_pinned_similarity_bits() {
+    const DIGEST: u64 = 0x4831_e341_4c2d_9286;
+    let graph = planted_partition(&PlantedConfig::default_for(200), 5).graph;
+    let rescale = RescaleConfig { exponent_guard: 1.0 };
+    let cfg = AncConfig { rep: 2, rescale, ..Default::default() };
+    let mut engine = AncEngine::new(graph, cfg, 13);
+    let m = engine.graph().m() as u64;
+    let mut x = 23;
+    let mut recent = Vec::new();
+    for i in 0..8_000u64 {
+        let t = i as f64 * 0.004;
+        let mut pick = || {
+            let r = next(&mut x);
+            (if r % 5 < 4 { r / 5 % 64 } else { r / 5 % m }) as EdgeId
+        };
+        if i % 2 == 0 {
+            let (a, b, c) = (pick(), pick(), pick());
+            let batch = [a, b, a, c];
+            engine.activate_batch(&batch, t);
+            recent.extend_from_slice(&batch);
+        } else if i % 9 == 1 {
+            engine.activate(pick(), (t - 3.0).max(0.0));
+        } else {
+            engine.activate(pick(), t);
+        }
+        if i % 100 == 99 {
+            engine.reinforce_edges(&recent);
+            recent.clear();
+        }
+    }
+    assert!(engine.activations() >= 20_000, "{} activations", engine.activations());
+    assert!(engine.rescales() >= 2, "{} rescales", engine.rescales());
+    engine.check_invariants().unwrap();
+    let bytes: Vec<u8> =
+        engine.sim_anchored().iter().flat_map(|s| s.to_bits().to_le_bytes()).collect();
+    let got = fnv1a(&bytes);
+    assert_eq!(got, DIGEST, "similarity bits moved: digest {got:#018x}");
+}
