@@ -42,7 +42,10 @@
 #     called directly, leave the same index, traces, counts and cache
 #     generation, across repeated edges and the range step), the S₀
 #     equivalence proptest, the pinned snapshot and index
-#     digests, and the live-levels suite (live_levels: a level synced after
+#     digests, the pinned similarity bits after a mixed 20 000-activation
+#     stream (a_mixed_stream_writes_pinned_similarity_bits: the kept σ
+#     numerators must write what σ from its definition wrote), and the
+#     live-levels suite (live_levels: a level synced after
 #     any stream equals reconstruct_index(), a stale level is never
 #     queried); serve_stress,
 #     member_index, retention and the server's lib tests under
@@ -251,8 +254,10 @@ echo "==> determinism suite under fixed pool sizes (1 and 4 threads)"
 # run at either pool size; S₀ from one σ table equals the per-edge
 # reinforcement loop bit for bit, and one n = 600 build matches its pinned
 # snapshot and index digests and has the unit-weight level 0
-# (`Pyramids::build` runs on the pool; the digests must not see it). And the
-# live-levels suite: streams that change the live set, cross clock rescales
+# (`Pyramids::build` runs on the pool; the digests must not see it). Every
+# stored similarity bit after 20 000+ single, batched, late and replayed
+# activations across clock rescales matches the digest recorded before the
+# engine kept σ numerators per edge. And the live-levels suite: streams that change the live set, cross clock rescales
 # and the range step must leave every synced level equal to
 # reconstruct_index() bit for bit (a sync rebuilds on the pool too).
 for t in 1 4; do
@@ -264,6 +269,8 @@ for t in 1 4; do
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 \
         row_table_sweep_equals_per_edge_reinforcement -q
     RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test prop_s0 s0_ -q
+    RAYON_NUM_THREADS=$t cargo test --release -p anc-core --test similarity_range \
+        a_mixed_stream_writes_pinned_similarity_bits -q -- --exact
 done
 
 echo "==> serving layer: reader/writer stress (1 and 4 threads)"

@@ -42,8 +42,8 @@ use crate::invariant::{self, InvariantViolation};
 use crate::persist::{EngineSnapshot, RestoreError};
 use crate::pyramid::{Pyramids, RepairStats};
 use crate::query;
-use crate::reinforce::{self, apply_reinforcement, ReinforceParams, SigmaRows};
-use crate::similarity::{NodeType, Scratch, SimilarityCtx};
+use crate::reinforce::{self, ReinforceParams, SigmaRows};
+use crate::similarity::{NodeType, Scratch, SigmaNumerators, SimilarityCtx};
 
 /// The online activation-network clustering engine (ANCO core).
 ///
@@ -72,6 +72,9 @@ pub struct AncEngine {
     /// Reciprocal stored similarity `1/S` per edge (NegM) — the index's edge
     /// weights, kept materialized so partitions can read a plain slice.
     recip: Vec<f64>,
+    /// σ numerator per edge (DESIGN.md §4): kept in step with the
+    /// activeness, so a σ row costs `O(deg)`.
+    num: SigmaNumerators,
     scratch: Scratch,
     /// The incremental cluster-query cache (interior mutability so
     /// `&self` queries can repair lazily; never borrowed across a call
@@ -113,11 +116,13 @@ impl AncEngine {
             node_sum[v as usize] += act.anchored(e);
         }
         let ctx = SimilarityCtx { g: &g, act: act.as_slice(), node_sum: &node_sum };
-        let sim = initial_similarity(&ctx, &cfg, cfg.rep, &mut Scratch::new(g.n()));
+        let mut scratch = Scratch::new(g.n());
+        let num = SigmaNumerators::build(&ctx, &mut scratch);
+        let sim = initial_similarity(&ctx, &num, &cfg, cfg.rep, &mut scratch);
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids = Pyramids::build(&g, &recip, cfg.k, cfg.theta, seed);
         let sim_sum = sim.iter().sum();
-        Self::from_state(EngineSnapshot {
+        let state = EngineSnapshot {
             graph: g,
             config: cfg,
             clock,
@@ -130,24 +135,35 @@ impl AncEngine {
             sim_exp: 0,
             activations: 0,
             rescales: 0,
-        })
+        };
+        Self::from_parts(state, num, scratch)
     }
 
     /// The one constructor: adopts `state` and derives the rest — the
     /// reciprocal weights (`O(m)`, the same bits the index was built or
-    /// repaired against), scratch, an empty cluster cache (never persisted,
-    /// it refills lazily on first query) and empty pooled buffers. Every
-    /// level of the index is made live, and a stale one is synced from the
-    /// state's own similarity, so an engine starts whole whatever the
-    /// snapshot it came from ([`Self::to_snapshot`]).
-    pub(crate) fn from_state(mut state: EngineSnapshot) -> Self {
+    /// repaired against), the σ numerators (`O(Σ_{(u,w)} deg w)`), scratch,
+    /// an empty cluster cache (never persisted, it refills lazily on first
+    /// query) and empty pooled buffers. Every level of the index is made
+    /// live, and a stale one is synced from the state's own similarity, so
+    /// an engine starts whole whatever the snapshot it came from
+    /// ([`Self::to_snapshot`]).
+    pub(crate) fn from_state(state: EngineSnapshot) -> Self {
+        let mut scratch = Scratch::new(state.graph.n());
+        let num = SigmaNumerators::build(&ctx(&state), &mut scratch);
+        Self::from_parts(state, num, scratch)
+    }
+
+    /// [`Self::from_state`] with the σ numerators of `state`'s activeness
+    /// already built ([`Self::new`] builds them for `S₀`).
+    fn from_parts(mut state: EngineSnapshot, num: SigmaNumerators, scratch: Scratch) -> Self {
         let recip: Vec<f64> = state.sim.iter().map(|s| 1.0 / s).collect();
         let (k, levels) = (state.pyramids.k(), state.pyramids.num_levels());
         let all: Vec<usize> = (0..levels).collect();
         state.pyramids.set_live_levels(&state.graph, &recip, state.index_seed, &all);
         Self {
             recip,
-            scratch: Scratch::new(state.graph.n()),
+            num,
+            scratch,
             cache: RefCell::new(ClusterCache::new(levels)),
             trace_bufs: vec![Vec::new(); k * levels],
             deltas: Vec::new(),
@@ -245,7 +261,9 @@ impl AncEngine {
     /// 1. advance the clock, absorb a batched rescale if one is due, and
     ///    bump the anchored activeness at `t` (`O(1)`, Lemma 1);
     /// 2. apply local reinforcement with trigger edge `e` (`O(deg u +
-    ///    deg v)` neighborhood work, Lemma 5);
+    ///    deg v)` neighborhood work, Lemma 5: both σ rows come from the kept
+    ///    numerators, and the bump recomputes the `2·|N(u) ∩ N(v)|` it moved
+    ///    at `O(Σ_{z ∈ N(u)∩N(v)} deg z)` on top);
     /// 3. repair every Voronoi partition of a live level `≥ 1` for the
     ///    changed weight (Algorithms 1–3, bounded by the affected region,
     ///    Lemma 12); level 0 is weight-free ([`Self::set_live_levels`]).
@@ -331,7 +349,8 @@ impl AncEngine {
 
     /// Ingest stage 1: bumps the anchored activeness of `e` and both
     /// endpoint sums by one activation at its own time `t`, which may lie
-    /// before the clock's (`O(1)`, Lemma 1; DESIGN.md §4).
+    /// before the clock's (`O(1)`, Lemma 1; DESIGN.md §4), and recomputes
+    /// the σ numerators that read `a*(e)` ([`SigmaNumerators::refresh`]).
     fn bump(&mut self, e: EdgeId, t: Time) {
         let s = &mut self.state;
         s.activeness.activate_at(e, t, &s.clock);
@@ -340,6 +359,7 @@ impl AncEngine {
         s.node_sum[u as usize] += boost;
         s.node_sum[v as usize] += boost;
         s.activations += 1;
+        self.num.refresh(&ctx(s), u, v, &mut self.scratch);
     }
 
     /// Ingest stage 2: one local reinforcement with trigger edge `e`
@@ -350,7 +370,14 @@ impl AncEngine {
         let s = &mut self.state;
         let ctx =
             SimilarityCtx { g: &s.graph, act: s.activeness.as_slice(), node_sum: &s.node_sum };
-        let out = apply_reinforcement(&ctx, &mut s.sim, e, &params, &mut self.scratch);
+        let out = reinforce::apply_reinforcement_from(
+            &ctx,
+            &self.num,
+            &mut s.sim,
+            e,
+            &params,
+            &mut self.scratch,
+        );
         s.sim_sum += out.new_sim - out.old_sim;
         if out.new_sim == out.old_sim {
             return None;
@@ -375,11 +402,14 @@ impl AncEngine {
     /// Performs a batched rescale now; the ingest loop calls it when one is
     /// due, tests and ablations may call it any time. Absorbs the exact
     /// power-of-two factor `g` of [`DecayClock::take_rescale`] into the
-    /// activeness stores: anchored activeness and node sums multiply by `g`.
-    /// The similarity store, `recip` and the index keep their own scale
-    /// ([`Self::rescale_similarity`]), so no weight moves. When `g = 1` (less
-    /// than one halving has elapsed) no store moves and [`Self::rescales`]
-    /// does not count it.
+    /// activeness stores: anchored activeness and node sums multiply by `g`,
+    /// and the σ numerators are rebuilt from them in place (a product by `g`
+    /// would be inexact once a term is subnormal; the rebuild is `O(Σ_{(u,w)}
+    /// deg w)`, amortised over the `guard − ln 2` of `λ·t` between two
+    /// rescales, DESIGN.md §3). The similarity store, `recip` and the index
+    /// keep their own scale ([`Self::rescale_similarity`]), so no weight
+    /// moves. When `g = 1` (less than one halving has elapsed) no store moves
+    /// and [`Self::rescales`] does not count it.
     pub fn force_rescale(&mut self) {
         let s = &mut self.state;
         let g = s.clock.take_rescale();
@@ -391,6 +421,7 @@ impl AncEngine {
             *x *= g;
         }
         s.rescales += 1;
+        self.num.rebuild(&ctx(s), &mut self.scratch);
     }
 
     /// The range step (DESIGN.md §7), which the ingest loop takes when the
@@ -585,7 +616,7 @@ impl AncEngine {
     /// index from scratch. The engine itself is unchanged.
     pub fn offline_snapshot(&mut self, rep: usize) -> OfflineSnapshot {
         let s = &self.state;
-        let sim = initial_similarity(&ctx(s), &s.config, rep, &mut self.scratch);
+        let sim = initial_similarity(&ctx(s), &self.num, &s.config, rep, &mut self.scratch);
         let recip: Vec<f64> = sim.iter().map(|s| 1.0 / s).collect();
         let pyramids = Pyramids::build(&s.graph, &recip, s.config.k, s.config.theta, s.index_seed);
         OfflineSnapshot { sim, recip, pyramids }
@@ -612,10 +643,11 @@ impl AncEngine {
     }
 
     /// Restores an engine from a snapshot: validates it, then derives what
-    /// the snapshot leaves out (`O(n + m)`: the reciprocal weights, scratch,
-    /// an empty cluster cache), exactly as [`Self::new`] does. Every level
-    /// of the restored index is live, a stale one synced from the snapshot's
-    /// similarity, so it equals [`Self::reconstruct_index`]'s at every level.
+    /// the snapshot leaves out (the reciprocal weights, the σ numerators,
+    /// scratch, an empty cluster cache), exactly as [`Self::new`] does.
+    /// Every level of the restored index is live, a stale one synced from
+    /// the snapshot's similarity, so it equals [`Self::reconstruct_index`]'s
+    /// at every level.
     pub fn from_snapshot(snapshot: EngineSnapshot) -> Result<Self, RestoreError> {
         snapshot.validate()?;
         Ok(Self::from_state(snapshot))
@@ -627,16 +659,18 @@ impl AncEngine {
         let s = &self.state;
         s.pyramids.memory_bytes()
             + s.activeness.memory_bytes()
-            + (s.node_sum.len() + s.sim.len() + self.recip.len()) * std::mem::size_of::<f64>()
+            + (s.node_sum.len() + s.sim.len() + self.recip.len() + self.num.as_slice().len())
+                * std::mem::size_of::<f64>()
     }
 
     /// Verifies every engine invariant against the current state (testing
-    /// aid; `O(k · m log n)`): CSR well-formedness, activeness finiteness
-    /// and Def. 2 consistency, similarity positivity, range and `1/S` sync,
-    /// pyramid shape, per-partition shortest-path-forest soundness at the
-    /// live levels (shape only at stale ones), and validity of the
-    /// clustering at the default level, or at the first live level when the
-    /// default is stale. See [`crate::invariant`] for the catalogue.
+    /// aid; `O(k · m log n + Σ_v deg(v)²)`): CSR well-formedness,
+    /// activeness finiteness and Def. 2 consistency, similarity positivity,
+    /// range and `1/S` sync, the σ numerators against a fresh build, pyramid
+    /// shape, per-partition shortest-path-forest soundness at the live
+    /// levels (shape only at stale ones), and validity of the clustering at
+    /// the default level, or at the first live level when the default is
+    /// stale. See [`crate::invariant`] for the catalogue.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let s = &self.state;
         let (g, pyramids) = (&s.graph, &s.pyramids);
@@ -644,6 +678,7 @@ impl AncEngine {
         invariant::check_activeness(g, s.activeness.as_slice(), &s.node_sum)?;
         invariant::check_similarities(&s.sim, s.sim_sum)?;
         invariant::check_recip_sync(&s.sim, &self.recip)?;
+        invariant::check_sigma_numerators(&ctx(s), self.num.as_slice())?;
         pyramids.check_invariants(g, &self.recip)?;
         let mut levels = std::iter::once(self.default_level()).chain(0..self.num_levels());
         if let Some(level) = levels.find(|&l| pyramids.is_live(l)) {
@@ -670,6 +705,14 @@ impl AncEngine {
         self.state.node_sum[v as usize] += delta;
     }
 
+    /// Moves one kept σ numerator off its definition so the negative
+    /// invariant tests can prove the checker catches it. Not part of the
+    /// public API.
+    #[doc(hidden)]
+    pub fn corrupt_sigma_numerator_for_test(&mut self, e: EdgeId, delta: f64) {
+        self.num.as_mut_slice()[e as usize] += delta;
+    }
+
     /// The pooled per-partition affected-node lists (pyramid-major,
     /// `p * levels + l`) as the last flush left them, so tests can check
     /// that level 0's stay empty. Not part of the public API.
@@ -681,18 +724,20 @@ impl AncEngine {
 
 /// `S₀` for the activeness in `ctx` (paper Section IV-C), shared by
 /// [`AncEngine::new`] and ANCF: all ones, then `rep` full reinforcement
-/// passes over one σ table (no pass changes activeness, so none changes σ).
-/// A fresh `S` starts at mean 1, and every pass renormalizes to it, so the
-/// floor is the one rule's at mean 1.
+/// passes over one σ table, taken from `num`, the σ numerators of that
+/// activeness (no pass changes activeness, so none changes σ). A fresh `S`
+/// starts at mean 1, and every pass renormalizes to it, so the floor is the
+/// one rule's at mean 1.
 fn initial_similarity(
     ctx: &SimilarityCtx<'_>,
+    num: &SigmaNumerators,
     cfg: &AncConfig,
     rep: usize,
     scratch: &mut Scratch,
 ) -> Vec<f64> {
     let mut sim = vec![1.0; ctx.g.m()];
     if rep > 0 {
-        let rows = SigmaRows::build(ctx, cfg.epsilon, cfg.mu, scratch);
+        let rows = SigmaRows::build(ctx, num, cfg.epsilon, cfg.mu, scratch);
         let floor = reinforce::similarity_floor(cfg.floor_rel, 1.0);
         for _ in 0..rep {
             reinforce::sweep(ctx, &mut sim, &rows, floor, scratch);

@@ -14,6 +14,8 @@
 //!   running sum matches it and its mean lies in the range rule's window,
 //!   and the materialized reciprocal weights are exactly `1/S` (NegM,
 //!   Lemma 4);
+//! * the kept σ numerators equal a fresh build from the activeness, bit for
+//!   bit;
 //! * the pyramids index has exactly `k · ⌈log₂ n⌉` partitions with the
 //!   prescribed seed counts, and each Voronoi partition is a certified
 //!   shortest-path forest (no relaxable edge, acyclic parents — see
@@ -31,6 +33,8 @@
 use anc_graph::{Graph, NodeId};
 use anc_metrics::{Clustering, NOISE};
 
+use crate::similarity::{Scratch, SigmaNumerators, SimilarityCtx};
+
 /// A violated engine invariant, by subsystem.
 ///
 /// The variant tells *which* maintained structure diverged from its
@@ -46,7 +50,8 @@ pub enum InvariantViolation {
     /// sum of incident anchored activeness).
     Activeness(String),
     /// A similarity value is non-finite or non-positive, the running sum or
-    /// the mean is off, or the reciprocal weights are out of sync with `1/S`.
+    /// the mean is off, the reciprocal weights are out of sync with `1/S`, or
+    /// the kept σ numerators with the activeness.
     Similarity(String),
     /// The pyramids index has the wrong shape (level count ≠ `⌈log₂ n⌉`,
     /// wrong seed-set size, vote threshold out of range).
@@ -137,6 +142,32 @@ pub fn check_recip_sync(sim: &[f64], recip: &[f64]) -> Result<(), InvariantViola
         if r.to_bits() != (1.0 / s).to_bits() {
             return Err(InvariantViolation::Similarity(format!(
                 "recip of edge {e} out of sync: {r} vs 1/{s}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that the engine's kept σ numerators equal a fresh build from
+/// the activeness in `ctx`, edge for edge and bit for bit: each is one float
+/// per edge, and a bump recomputes the ones it moved with the loop the build
+/// runs ([`crate::similarity`]). Assumes [`check_activeness`] already passed.
+pub fn check_sigma_numerators(
+    ctx: &SimilarityCtx<'_>,
+    num: &[f64],
+) -> Result<(), InvariantViolation> {
+    let fresh = SigmaNumerators::build(ctx, &mut Scratch::new(ctx.g.n()));
+    if num.len() != fresh.as_slice().len() {
+        return Err(InvariantViolation::Similarity(format!(
+            "{} σ numerators for {} edges",
+            num.len(),
+            ctx.g.m()
+        )));
+    }
+    for (e, (kept, built)) in num.iter().zip(fresh.as_slice()).enumerate() {
+        if kept.to_bits() != built.to_bits() {
+            return Err(InvariantViolation::Similarity(format!(
+                "σ numerator of edge {e} out of sync: {kept} vs {built} from the activeness"
             )));
         }
     }

@@ -34,7 +34,7 @@ use std::ops::RangeInclusive;
 
 use anc_graph::{EdgeId, NodeId};
 
-use crate::similarity::{Scratch, SimilarityCtx};
+use crate::similarity::{Scratch, SigmaNumerators, SimilarityCtx};
 use crate::NodeType;
 
 /// Parameters consumed by the reinforcement step.
@@ -170,7 +170,9 @@ pub struct CachedTrigger<'a> {
 ///
 /// Both trigger-node deltas are evaluated against the pre-update state and
 /// applied together, making the update symmetric in `u`/`v` and independent
-/// of endpoint order. Cost: `O(Σ_{w ∈ N(u)} deg w + Σ_{w ∈ N(v)} deg w)`.
+/// of endpoint order. Both σ rows are computed from their definition, at
+/// `O(Σ_{w ∈ N(u)} deg w + Σ_{w ∈ N(v)} deg w)`: the reference the engine's
+/// `O(deg u + deg v)` path (`SigmaNumerators`) reproduces bit for bit.
 pub fn apply_reinforcement(
     ctx: &SimilarityCtx<'_>,
     sim: &mut [f64],
@@ -178,17 +180,44 @@ pub fn apply_reinforcement(
     params: &ReinforceParams,
     scratch: &mut Scratch,
 ) -> ReinforceOutcome {
+    reinforce_with_rows(ctx, sim, e, params, scratch, |u, scratch| ctx.sigma_all(u, scratch))
+}
+
+/// [`apply_reinforcement`] with both σ rows read from the numerators the
+/// engine keeps: `O(deg u + deg v)`, the same floats.
+pub(crate) fn apply_reinforcement_from(
+    ctx: &SimilarityCtx<'_>,
+    num: &SigmaNumerators,
+    sim: &mut [f64],
+    e: EdgeId,
+    params: &ReinforceParams,
+    scratch: &mut Scratch,
+) -> ReinforceOutcome {
+    reinforce_with_rows(ctx, sim, e, params, scratch, |u, scratch| {
+        num.row(ctx, u, &mut scratch.sigmas)
+    })
+}
+
+/// One reinforcement whose σ rows `fill` leaves in `scratch.sigmas`.
+fn reinforce_with_rows(
+    ctx: &SimilarityCtx<'_>,
+    sim: &mut [f64],
+    e: EdgeId,
+    params: &ReinforceParams,
+    scratch: &mut Scratch,
+    fill: impl Fn(NodeId, &mut Scratch),
+) -> ReinforceOutcome {
     let (u, v) = ctx.g.endpoints(e);
 
     // σ(u, ·) over all of u's neighbors; also yields u's classification.
-    ctx.sigma_all(u, scratch);
+    fill(u, scratch);
     let sigmas_u = std::mem::take(&mut scratch.sigmas);
     let type_u = ctx.node_type_from_sigmas(u, params.epsilon, params.mu, &sigmas_u);
 
     // The second row goes through the pooled `sigmas_b` buffer so both rows
     // can be live at once without allocating per activation.
     scratch.sigmas = std::mem::take(&mut scratch.sigmas_b);
-    ctx.sigma_all(v, scratch);
+    fill(v, scratch);
     let sigmas_v = std::mem::take(&mut scratch.sigmas);
     let type_v = ctx.node_type_from_sigmas(v, params.epsilon, params.mu, &sigmas_v);
 
@@ -243,7 +272,7 @@ pub fn apply_reinforcement_cached(
 /// Every node's `sigma_all` row and classification for one activeness
 /// state. σ is NeuM and reads activeness only, never `sim`, so a table built
 /// once serves every full pass over that state: `n` rows instead of two per
-/// trigger edge per pass.
+/// trigger edge per pass, each `O(deg)` from the state's σ numerators.
 #[derive(Debug)]
 pub(crate) struct SigmaRows {
     /// Node `u`'s row is `sigmas[start[u]..start[u + 1]]`.
@@ -255,9 +284,11 @@ pub(crate) struct SigmaRows {
 }
 
 impl SigmaRows {
-    /// Computes the row and classification of every node of `ctx.g`.
+    /// Computes the row and classification of every node of `ctx.g` from
+    /// `num`, the σ numerators of `ctx`'s activeness.
     pub(crate) fn build(
         ctx: &SimilarityCtx<'_>,
+        num: &SigmaNumerators,
         epsilon: f64,
         mu: usize,
         scratch: &mut Scratch,
@@ -268,7 +299,7 @@ impl SigmaRows {
         let mut types = Vec::with_capacity(g.n());
         start.push(0);
         for u in 0..g.n() as NodeId {
-            ctx.sigma_all(u, scratch);
+            num.row(ctx, u, &mut scratch.sigmas);
             types.push(ctx.node_type_from_sigmas(u, epsilon, mu, &scratch.sigmas));
             sigmas.extend_from_slice(&scratch.sigmas);
             start.push(sigmas.len());
@@ -298,7 +329,8 @@ pub fn full_pass(
     params: &ReinforceParams,
     scratch: &mut Scratch,
 ) {
-    let rows = SigmaRows::build(ctx, params.epsilon, params.mu, scratch);
+    let num = SigmaNumerators::build(ctx, scratch);
+    let rows = SigmaRows::build(ctx, &num, params.epsilon, params.mu, scratch);
     sweep(ctx, sim, &rows, params.floor_anchored, scratch);
 }
 

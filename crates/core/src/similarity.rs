@@ -13,6 +13,14 @@
 //! σ is a ratio of PosM quantities, hence **NeuM** (Lemma 3): it can be
 //! computed directly from *anchored* activeness — the global decay factor
 //! cancels — which is what every function here does.
+//!
+//! **Cost.** [`SimilarityCtx::sigma_all`] computes a row from its
+//! definition, `O(Σ_{w ∈ N(u)} deg w)`. The engine keeps each edge's
+//! numerator instead (`SigmaNumerators`), so a row is `O(deg u)` and a bump
+//! of `(u, v)` recomputes only the `2·|N(u) ∩ N(v)|` numerators that read
+//! `a*(u, v)`. One private loop computes every numerator, and σ is one float
+//! per edge (the same terms, in the same order, from either endpoint), so
+//! both ways give the same bits (DESIGN.md §4).
 
 use anc_graph::{EdgeId, Graph, NodeId};
 
@@ -55,6 +63,9 @@ pub struct Scratch {
     /// live at once, so it swaps this in for the second `sigma_all` call
     /// instead of allocating a fresh row per activation.
     pub sigmas_b: Vec<f64>,
+    /// `(z, e_uz, e_vz)` per common neighbour `z` of the last edge
+    /// [`SigmaNumerators::refresh`] saw.
+    common: Vec<(NodeId, EdgeId, EdgeId)>,
 }
 
 impl Scratch {
@@ -120,20 +131,25 @@ impl<'a> SimilarityCtx<'a> {
         scratch.sigmas.clear();
         for (w, _e_uw) in self.g.edges_of(u) {
             let den = su + self.node_sum[w as usize];
-            if den <= 0.0 {
-                scratch.sigmas.push(0.0);
-                continue;
-            }
-            let mut num = 0.0;
-            for (x, e_wx) in self.g.edges_of(w) {
-                if scratch.marked(x, stamp) {
-                    // x is a common neighbor of u and w:
-                    // a(w, x) (this edge) + a(u, x) (remembered at marking).
-                    num += self.act[e_wx as usize] + scratch.value(x);
-                }
-            }
-            scratch.sigmas.push(num / den);
+            let s = if den <= 0.0 { 0.0 } else { self.numerator(w, scratch, stamp) / den };
+            scratch.sigmas.push(s);
         }
+    }
+
+    /// The σ numerator of `(u, w)` with `N(u)` marked under `stamp`:
+    /// `Σ_{x ∈ N(u) ∩ N(w)} (a(w,x) + a(u,x))`, in increasing `x` (sorted
+    /// CSR). Each term is one commutative addition and the order is the same
+    /// whichever endpoint is marked, so it is one float per edge. `O(deg w)`.
+    fn numerator(&self, w: NodeId, scratch: &Scratch, stamp: u32) -> f64 {
+        let mut num = 0.0;
+        for (x, e_wx) in self.g.edges_of(w) {
+            if scratch.marked(x, stamp) {
+                // x is a common neighbor of u and w:
+                // a(w, x) (this edge) + a(u, x) (remembered at marking).
+                num += self.act[e_wx as usize] + scratch.value(x);
+            }
+        }
+        num
     }
 
     /// Size of the active neighbor set `N_ε(u)`.
@@ -171,6 +187,90 @@ impl<'a> SimilarityCtx<'a> {
         } else {
             NodeType::PCore
         }
+    }
+}
+
+/// Every edge's σ numerator, indexed by edge id: the engine's derived copy
+/// of `Σ_{x ∈ N(u) ∩ N(w)} (a*(u,x) + a*(w,x))` for each edge `(u, w)`,
+/// bit for bit what [`SimilarityCtx::sigma_all`] sums. A σ row is then
+/// `O(deg)`: numerator over the denominator `A(u) + A(w)`, read fresh.
+#[derive(Debug)]
+pub(crate) struct SigmaNumerators(Vec<f64>);
+
+impl SigmaNumerators {
+    /// Every numerator of `ctx`, each edge scanned once from its lower
+    /// endpoint: `O(Σ_{(u,w)} deg w)`.
+    pub(crate) fn build(ctx: &SimilarityCtx<'_>, scratch: &mut Scratch) -> Self {
+        let mut num = Self(vec![0.0; ctx.g.m()]);
+        num.rebuild(ctx, scratch);
+        num
+    }
+
+    /// Recomputes every numerator in place (after a clock rescale moved
+    /// every anchored value).
+    pub(crate) fn rebuild(&mut self, ctx: &SimilarityCtx<'_>, scratch: &mut Scratch) {
+        let (g, act) = (ctx.g, ctx.act);
+        for u in 0..g.n() as NodeId {
+            let stamp = scratch.mark_neighbors(g, u, |e| act[e as usize]);
+            for (w, e) in g.edges_of(u).filter(|&(w, _)| w > u) {
+                self.0[e as usize] = ctx.numerator(w, scratch, stamp);
+            }
+        }
+    }
+
+    /// Recomputes the numerators a bump of edge `(u, v)` moved. `a*(u,v)`
+    /// is a term of `num(u,z)` and `num(v,z)` for each common neighbour `z`
+    /// and of no other numerator (`num(u,v)` sums over `x ≠ u, v`), so
+    /// those `2·|N(u) ∩ N(v)|` are recomputed from their definition:
+    /// `O(deg u + deg v + Σ_{z ∈ N(u)∩N(v)} deg z)`.
+    pub(crate) fn refresh(
+        &mut self,
+        ctx: &SimilarityCtx<'_>,
+        u: NodeId,
+        v: NodeId,
+        scratch: &mut Scratch,
+    ) {
+        let (g, act) = (ctx.g, ctx.act);
+        let mut common = std::mem::take(&mut scratch.common);
+        common.clear();
+        g.for_common_neighbors(u, v, |z, e_uz, e_vz| common.push((z, e_uz, e_vz)));
+        if !common.is_empty() {
+            let stamp = scratch.mark_neighbors(g, u, |e| act[e as usize]);
+            for &(z, e_uz, _) in &common {
+                self.0[e_uz as usize] = ctx.numerator(z, scratch, stamp);
+            }
+            let stamp = scratch.mark_neighbors(g, v, |e| act[e as usize]);
+            for &(z, _, e_vz) in &common {
+                self.0[e_vz as usize] = ctx.numerator(z, scratch, stamp);
+            }
+        }
+        scratch.common = common;
+    }
+
+    /// σ(u, w) for every neighbour `w` of `u` into `row`, aligned with
+    /// `g.edges_of(u)` — [`SimilarityCtx::sigma_all`]'s row, bit for bit,
+    /// in `O(deg u)`.
+    pub(crate) fn row(&self, ctx: &SimilarityCtx<'_>, u: NodeId, row: &mut Vec<f64>) {
+        let su = ctx.node_sum[u as usize];
+        row.clear();
+        row.extend(ctx.g.edges_of(u).map(|(w, e)| {
+            let den = su + ctx.node_sum[w as usize];
+            if den <= 0.0 {
+                0.0
+            } else {
+                self.0[e as usize] / den
+            }
+        }));
+    }
+
+    /// The numerators, by edge id.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.0
+    }
+
+    /// Mutable numerators, for the negative invariant test.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.0
     }
 }
 
@@ -248,19 +348,76 @@ mod tests {
         }
     }
 
+    /// Two triangles sharing an edge, plus the triangle 3-4-5 whose nodes 4
+    /// and 5 carry no activeness (so `A(4) + A(5) = 0` takes the `den ≤ 0`
+    /// branch); every other edge's activeness is uneven, so the sums round.
+    fn uneven_fixture() -> (Graph, Vec<f64>, Vec<f64>) {
+        let g =
+            Graph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]);
+        let mut act: Vec<f64> = (0..g.m()).map(|e| 1.0 / (e as f64 + 3.0) + 0.1).collect();
+        for (w, e) in g.edges_of(4).chain(g.edges_of(5)) {
+            assert!(w >= 3);
+            act[e as usize] = 0.0;
+        }
+        let mut node_sum = vec![0.0; g.n()];
+        for (e, u, v) in g.iter_edges() {
+            node_sum[u as usize] += act[e as usize];
+            node_sum[v as usize] += act[e as usize];
+        }
+        (g, act, node_sum)
+    }
+
+    /// σ is one float per edge: u's row, w's row and `sigma` agree bit for
+    /// bit, in both directions — what the kept numerators rest on.
     #[test]
     fn sigma_all_matches_pairwise() {
-        let (g, act, node_sum) = fixture();
+        let (g, act, node_sum) = uneven_fixture();
+        assert_eq!(node_sum[4] + node_sum[5], 0.0, "the den ≤ 0 branch must run");
         let ctx = SimilarityCtx { g: &g, act: &act, node_sum: &node_sum };
         let mut scratch = Scratch::new(g.n());
+        let rows: Vec<Vec<f64>> = (0..g.n() as u32)
+            .map(|u| {
+                ctx.sigma_all(u, &mut scratch);
+                scratch.sigmas.clone()
+            })
+            .collect();
         for u in 0..g.n() as u32 {
-            ctx.sigma_all(u, &mut scratch);
-            let sigmas = scratch.sigmas.clone();
-            for ((w, _), s) in g.edges_of(u).zip(sigmas) {
-                assert!(
-                    (ctx.sigma(u, w) - s).abs() < 1e-12,
-                    "sigma_all({u}) disagrees with sigma({u},{w})"
-                );
+            for ((w, _), s) in g.edges_of(u).zip(&rows[u as usize]) {
+                let slot = g.neighbors(w).iter().position(|&x| x == u).unwrap();
+                let back = rows[w as usize][slot];
+                assert_eq!(s.to_bits(), back.to_bits(), "σ({u},{w}) ≠ σ({w},{u}) by row");
+                assert_eq!(s.to_bits(), ctx.sigma(u, w).to_bits(), "row of {u} vs sigma({u},{w})");
+                assert_eq!(s.to_bits(), ctx.sigma(w, u).to_bits(), "row of {u} vs sigma({w},{u})");
+            }
+        }
+        assert_eq!(ctx.sigma(4, 5), 0.0);
+    }
+
+    /// After a bump and a refresh, the kept numerators equal a fresh build
+    /// and their rows equal `sigma_all`'s, bit for bit.
+    #[test]
+    fn refreshed_numerators_equal_a_build() {
+        let (g, mut act, mut node_sum) = uneven_fixture();
+        let mut scratch = Scratch::new(g.n());
+        let ctx = SimilarityCtx { g: &g, act: &act, node_sum: &node_sum };
+        let mut num = SigmaNumerators::build(&ctx, &mut scratch);
+        for (u, v, boost) in [(1, 2, 0.37), (3, 4, 1.0 / 3.0), (2, 3, 5.5), (1, 2, 0.01)] {
+            let e = g.edge_id(u, v).unwrap();
+            act[e as usize] += boost;
+            node_sum[u as usize] += boost;
+            node_sum[v as usize] += boost;
+            let ctx = SimilarityCtx { g: &g, act: &act, node_sum: &node_sum };
+            num.refresh(&ctx, u, v, &mut scratch);
+            let fresh = SigmaNumerators::build(&ctx, &mut scratch);
+            let bits = |n: &SigmaNumerators| n.as_slice().iter().map(|x| x.to_bits()).collect();
+            let (kept, built): (Vec<u64>, Vec<u64>) = (bits(&num), bits(&fresh));
+            assert_eq!(kept, built, "after bumping ({u},{v})");
+            let mut row = Vec::new();
+            for x in 0..g.n() as u32 {
+                num.row(&ctx, x, &mut row);
+                ctx.sigma_all(x, &mut scratch);
+                let bits = |r: &[f64]| r.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(&scratch.sigmas), "row of {x}");
             }
         }
     }

@@ -201,6 +201,22 @@ fn live_engine_detects_activeness_corruption() {
     );
 }
 
+/// The kept σ numerators are checked bit for bit against a fresh build: a
+/// drift of 10⁻¹² on one edge, a few ulps, is caught.
+#[test]
+fn live_engine_detects_sigma_numerator_corruption() {
+    let lg = connected_caveman(3, 4);
+    let mut engine = AncEngine::new(lg.graph, fuzz_cfg(), 7);
+    engine.activate(0, 1.0);
+    assert!(engine.check_invariants().is_ok());
+    engine.corrupt_sigma_numerator_for_test(3, 1e-12);
+    let err = engine.check_invariants().unwrap_err();
+    assert!(
+        matches!(&err, InvariantViolation::Similarity(m) if m.contains("σ numerator of edge 3")),
+        "expected a σ numerator violation, got {err}"
+    );
+}
+
 /// Each way the cluster cache can drift from the index is caught on its
 /// own: a row that went stale without being pending, a voted bit that is
 /// not the vote of its rows, a voted degree off the bitset's count, an even

@@ -510,33 +510,37 @@ impl Writer {
     }
 
     /// Closes the open run: applies it as one batch, unless the log has
-    /// failed already, and accounts for it.
+    /// failed already, and accounts for it. A durable apply can fail after
+    /// the engine took the run (the record was logged and applied, the
+    /// compaction it triggered failed): the run is counted as applied, with
+    /// no repair work, since the error carries none, and the error still
+    /// stops the writer.
     fn close_run(&mut self) {
         if !self.run_edges.is_empty() && self.wal_error.is_none() {
             let served = &mut self.served;
-            match served.backend.activate_batch(&self.run_edges, self.run_t) {
-                Ok(repairs) => {
-                    let (jobs, edges) = (self.run_jobs.len() as u64, self.run_edges.len() as u64);
-                    let stats = &mut served.stats;
-                    stats.repairs += repairs;
-                    stats.applied_batches += 1;
-                    stats.ingested_jobs += jobs;
-                    stats.ingested_edges += edges;
-                    if jobs > 1 {
-                        stats.coalesced_jobs += jobs;
-                    }
-                    stats.max_batch_edges = stats.max_batch_edges.max(edges);
-                    // Latency observability only: never feeds clustering
-                    // state or the WAL payload.
-                    let now = Instant::now();
-                    for &(seq, enqueued) in &self.run_jobs {
-                        let nanos = now.duration_since(enqueued).as_nanos();
-                        stats.apply_latency.record(nanos.min(u128::from(u64::MAX)) as u64);
-                        served.applied_seq = served.applied_seq.max(seq);
-                    }
+            let before = served.backend.engine().activations();
+            let result = served.backend.activate_batch(&self.run_edges, self.run_t);
+            if served.backend.engine().activations() != before {
+                let (jobs, edges) = (self.run_jobs.len() as u64, self.run_edges.len() as u64);
+                let stats = &mut served.stats;
+                stats.repairs += result.as_ref().copied().unwrap_or_default();
+                stats.applied_batches += 1;
+                stats.ingested_jobs += jobs;
+                stats.ingested_edges += edges;
+                if jobs > 1 {
+                    stats.coalesced_jobs += jobs;
                 }
-                Err(e) => self.wal_error = Some(e),
+                stats.max_batch_edges = stats.max_batch_edges.max(edges);
+                // Latency observability only: never feeds clustering
+                // state or the WAL payload.
+                let now = Instant::now();
+                for &(seq, enqueued) in &self.run_jobs {
+                    let nanos = now.duration_since(enqueued).as_nanos();
+                    stats.apply_latency.record(nanos.min(u128::from(u64::MAX)) as u64);
+                    served.applied_seq = served.applied_seq.max(seq);
+                }
             }
+            self.wal_error = result.err();
         }
         self.run_edges.clear();
         self.run_jobs.clear();
@@ -651,6 +655,11 @@ mod tests {
         let report = writer.finish();
         assert!(report.wal_error.is_some());
         assert_eq!(report.final_epoch, 0);
+        // The first run was logged and applied before its compaction
+        // failed: it is counted; the second was never applied.
+        assert_eq!(report.stats.ingested_edges, report.backend.engine().activations());
+        assert_eq!(report.backend.engine().activations(), 2);
+        assert_eq!(report.stats.ingested_jobs, 1);
     }
 
     /// With no writer left to subscribe one, a new cursor is the one the
